@@ -36,8 +36,8 @@
 // 10% of zero is zero, which is exactly right for the zero-allocation
 // wire benchmarks.
 //
-//	go test -bench 'FramerWrite|WarmServeWire' -benchtime 10000x -benchmem ./... \
-//	  | sww-benchjson -gate BENCH_PR9.json > BENCH_PR9_ci.json
+//	go test -bench 'FramerWrite|HPACKDecode|WarmServeWire' -benchtime 10000x -benchmem ./... \
+//	  | sww-benchjson -gate BENCH_PR18.json > BENCH_PR18_ci.json
 //
 // -capacity merges an E27 capacity-curve artifact (the JSON
 // `sww-bench -capacity-out` writes) into the document, and

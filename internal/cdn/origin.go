@@ -217,6 +217,9 @@ type Origin struct {
 
 	epoch atomic.Uint64 // this incarnation's fencing epoch
 	role  atomic.Int32  // OriginRole
+	// epochMu serializes the writers of epoch (Promote, adoptEpoch) and
+	// the standby → primary flip; readers use the atomics.
+	epochMu sync.Mutex
 
 	// onMirror, when set (by Standby), observes every accepted mirror
 	// feed — the standby's liveness evidence for its promotion timer.
@@ -431,39 +434,41 @@ func (o *Origin) observeEpoch(epoch uint64) bool {
 // adoptEpoch raises the origin's epoch to at least epoch, persisting
 // when configured.
 func (o *Origin) adoptEpoch(epoch uint64) {
-	for {
-		cur := o.epoch.Load()
-		if epoch <= cur {
-			return
-		}
-		if o.epoch.CompareAndSwap(cur, epoch) {
-			if o.cfg.EpochDir != "" {
-				if err := saveEpoch(o.cfg.EpochDir, epoch); err != nil {
-					o.logErrors.Add(1)
-				}
-			}
-			return
-		}
+	o.epochMu.Lock()
+	defer o.epochMu.Unlock()
+	if epoch > o.epoch.Load() {
+		o.raiseEpochLocked(epoch)
 	}
 }
 
-// Promote turns a standby into the primary: the epoch is bumped past
-// everything the old primary ever used (durably first, when
-// configured — an unpersisted promotion could come back *below* the
-// fleet after a crash and fence itself), the role flips, and the push
-// loops drain anything subscribers are missing. Idempotent; returns
-// the epoch in force.
-func (o *Origin) Promote() uint64 {
-	if !o.role.CompareAndSwap(int32(RoleStandby), int32(RolePrimary)) {
-		return o.epoch.Load()
-	}
-	next := o.epoch.Load() + 1
+// raiseEpochLocked makes epoch durable (when configured) and then
+// visible, in that order: an epoch that was announced but lost in a
+// crash could come back *below* the fleet and fence itself. Called with
+// o.epochMu held, which orders the writes of concurrent raisers.
+func (o *Origin) raiseEpochLocked(epoch uint64) {
 	if o.cfg.EpochDir != "" {
-		if err := saveEpoch(o.cfg.EpochDir, next); err != nil {
+		if err := saveEpoch(o.cfg.EpochDir, epoch); err != nil {
 			o.logErrors.Add(1)
 		}
 	}
-	o.epoch.Store(next)
+	o.epoch.Store(epoch)
+}
+
+// Promote turns a standby into the primary: the epoch is bumped past
+// everything the old primary ever used, durably first, and only then
+// does the role flip — whoever sees a primary sees its new epoch — and
+// the push loops drain anything subscribers are missing. Idempotent;
+// returns the epoch in force.
+func (o *Origin) Promote() uint64 {
+	o.epochMu.Lock()
+	if o.Role() != RoleStandby {
+		o.epochMu.Unlock()
+		return o.epoch.Load()
+	}
+	next := o.epoch.Load() + 1
+	o.raiseEpochLocked(next)
+	o.role.Store(int32(RolePrimary))
+	o.epochMu.Unlock()
 	o.promotions.Add(1)
 	o.pushAll()
 	return next

@@ -118,11 +118,23 @@ func (r *Ring) Len() int {
 
 // Lookup returns the owner node for key, or "" on an empty ring.
 func (r *Ring) Lookup(key string) string {
-	owners := r.LookupN(key, 1)
-	if len(owners) == 0 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.points) == 0 {
 		return ""
 	}
-	return owners[0]
+	return r.points[r.successorLocked(key)].node
+}
+
+// successorLocked returns the index of the first point clockwise from
+// key's hash: its owner's. Called with r.mu held on a non-empty ring.
+func (r *Ring) successorLocked(key string) int {
+	h := ringHash(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return i
 }
 
 // LookupN returns up to n distinct nodes for key in ring order: the
@@ -137,8 +149,7 @@ func (r *Ring) LookupN(key string, n int) []string {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
-	h := ringHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	start := r.successorLocked(key)
 	out := make([]string, 0, n)
 	seen := make(map[string]bool, n)
 	for i := 0; i < len(r.points) && len(out) < n; i++ {

@@ -92,7 +92,10 @@ func traceFrom(ctx context.Context) *telemetry.Trace {
 // negotiation result on it.
 func (s *Server) beginRequest(ctx context.Context, proto, path string, peerGen http2.GenAbility) (context.Context, *telemetry.Trace, time.Time) {
 	tr := s.Telemetry().Trace(proto, path)
-	tr.Note("negotiate", "peer "+peerGen.String())
+	if tr != nil {
+		// Note is nil-safe, but its argument is built regardless.
+		tr.Note("negotiate", "peer "+peerGen.String())
+	}
 	return withTrace(ctx, tr), tr, time.Now()
 }
 

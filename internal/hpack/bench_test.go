@@ -23,3 +23,41 @@ func BenchmarkHPACKEncode(b *testing.B) {
 	}
 	_ = block
 }
+
+// warmResponseBlock returns a decoder that has already seen the
+// response header block once, and the block as the encoder emits it
+// from then on: every field an index into the dynamic table — the
+// steady state of a warm fetch loop.
+func warmResponseBlock(tb testing.TB) (*Decoder, []byte) {
+	fields := []HeaderField{
+		{Name: ":status", Value: "200"},
+		{Name: "content-type", Value: "text/html; charset=utf-8"},
+		{Name: "content-length", Value: "20210"},
+		{Name: "x-sww-mode", Value: "generative"},
+	}
+	enc, dec := NewEncoder(), NewDecoder(0)
+	if _, err := dec.Decode(enc.AppendFields(nil, fields)); err != nil {
+		tb.Fatal(err)
+	}
+	block := enc.AppendFields(nil, fields)
+	if len(block) != len(fields) {
+		tb.Fatalf("steady-state block is %d bytes for %d fields, want one index each", len(block), len(fields))
+	}
+	return dec, block
+}
+
+// BenchmarkHPACKDecode measures one response header block the way the
+// h2 read loop decodes it: into a list it reuses across blocks.
+func BenchmarkHPACKDecode(b *testing.B) {
+	dec, block := warmResponseBlock(b)
+	var fields []HeaderField
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if fields, err = dec.DecodeAppend(fields[:0], block); err != nil {
+			b.Fatal(err)
+		}
+	}
+	_ = fields
+}

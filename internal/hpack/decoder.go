@@ -24,7 +24,14 @@ type Decoder struct {
 	// references to a table-sized entry otherwise amplifies input bytes
 	// into output by three orders of magnitude.
 	maxList int
+
+	// huff is the Huffman expansion scratch, reused across literals.
+	huff []byte
 }
+
+// maxHuffScratch is the largest Huffman scratch a decoder keeps between
+// literals.
+const maxHuffScratch = 4 << 10
 
 // NewDecoder returns a decoder whose dynamic table is capped at
 // DefaultTableSize and whose string literals are capped at maxString
@@ -64,94 +71,76 @@ func (d *Decoder) SetMaxDynamicTableSize(n uint32) {
 // Dynamic table size updates are honored only at the start of the
 // block, per RFC 7541 §4.2.
 func (d *Decoder) Decode(block []byte) ([]HeaderField, error) {
-	var fields []HeaderField
+	return d.DecodeAppend(nil, block)
+}
+
+// DecodeAppend is Decode into caller-owned storage: the block's fields
+// are appended to dst and the extended slice returned, so a caller that
+// reuses dst across blocks decodes without allocating a list. dst's
+// existing elements are never written; on error the result is dst
+// unchanged. The decoded strings are not backed by block.
+func (d *Decoder) DecodeAppend(dst []HeaderField, block []byte) ([]HeaderField, error) {
+	base := len(dst)
 	sawField := false
 	listBytes := 0
 	tableUpdates := 0
-	account := func(f HeaderField) error {
-		listBytes += int(f.Size())
-		if listBytes > d.maxList {
-			return ErrHeaderListTooLarge
-		}
-		return nil
-	}
 	for len(block) > 0 {
+		var (
+			f     HeaderField
+			err   error
+			index bool
+		)
 		b := block[0]
 		switch {
 		case b&0x80 != 0: // indexed field, §6.1
-			idx, rest, err := readInteger(block, 7)
-			if err != nil {
-				return nil, err
+			var idx uint64
+			if idx, block, err = readInteger(block, 7); err == nil {
+				f, err = tableEntry(&d.table, idx)
 			}
-			f, err := tableEntry(&d.table, idx)
-			if err != nil {
-				return nil, err
-			}
-			if err := account(f); err != nil {
-				return nil, err
-			}
-			fields = append(fields, f)
-			block = rest
-			sawField = true
 
 		case b&0xc0 == 0x40: // literal with incremental indexing, §6.2.1
-			f, rest, err := d.readLiteral(block, 6)
-			if err != nil {
-				return nil, err
-			}
-			if err := account(f); err != nil {
-				return nil, err
-			}
-			d.table.add(f)
-			fields = append(fields, f)
-			block = rest
-			sawField = true
+			f, block, err = d.readLiteral(block, 6)
+			index = true
 
 		case b&0xe0 == 0x20: // dynamic table size update, §6.3
 			if sawField {
-				return nil, ErrTableSizeUpdate
+				return dst[:base], ErrTableSizeUpdate
 			}
 			tableUpdates++
 			if tableUpdates > maxTableUpdatesPerBlock {
-				return nil, ErrTableSizeUpdate
+				return dst[:base], ErrTableSizeUpdate
 			}
-			size, rest, err := readInteger(block, 5)
-			if err != nil {
-				return nil, err
+			var size uint64
+			if size, block, err = readInteger(block, 5); err != nil {
+				return dst[:base], err
 			}
 			if size > uint64(d.maxAllowed) {
-				return nil, ErrTableSizeUpdate
+				return dst[:base], ErrTableSizeUpdate
 			}
 			d.table.setMaxSize(uint32(size))
-			block = rest
+			continue
 
 		case b&0xf0 == 0x10: // never indexed, §6.2.3
-			f, rest, err := d.readLiteral(block, 4)
-			if err != nil {
-				return nil, err
-			}
-			if err := account(f); err != nil {
-				return nil, err
-			}
+			f, block, err = d.readLiteral(block, 4)
 			f.Sensitive = true
-			fields = append(fields, f)
-			block = rest
-			sawField = true
 
 		default: // literal without indexing, §6.2.2 (pattern 0000)
-			f, rest, err := d.readLiteral(block, 4)
-			if err != nil {
-				return nil, err
-			}
-			if err := account(f); err != nil {
-				return nil, err
-			}
-			fields = append(fields, f)
-			block = rest
-			sawField = true
+			f, block, err = d.readLiteral(block, 4)
 		}
+		if err != nil {
+			return dst[:base], err
+		}
+		listBytes += int(f.Size())
+		if listBytes > d.maxList {
+			return dst[:base], ErrHeaderListTooLarge
+		}
+		if index {
+			d.table.add(f)
+		}
+		dst = append(dst, f)
+		sawField = true
 	}
-	return fields, nil
+	return dst, nil
 }
 
 func (d *Decoder) readLiteral(block []byte, prefix uint8) (HeaderField, []byte, error) {
@@ -201,12 +190,18 @@ func (d *Decoder) readString(buf []byte) (string, []byte, error) {
 	}
 	// Bound the decode itself, not just the result: the limit stops
 	// the expansion mid-stream instead of allocating the whole bomb
-	// first and measuring it afterwards.
-	decoded, err := decodeHuffmanBounded(make([]byte, 0, min(len(raw)*2, d.maxString)), raw, d.maxString)
+	// first and measuring it afterwards. The expansion goes through
+	// decoder-owned scratch, so a Huffman literal costs its string and
+	// nothing else.
+	d.huff, err = decodeHuffmanBounded(d.huff[:0], raw, d.maxString)
 	if err != nil {
 		return "", nil, err
 	}
-	return string(decoded), rest, nil
+	s := string(d.huff)
+	if cap(d.huff) > maxHuffScratch {
+		d.huff = nil // one long literal must not pin its buffer for the connection's life
+	}
+	return s, rest, nil
 }
 
 // DynamicTableSize returns the current size in bytes of the decoder's

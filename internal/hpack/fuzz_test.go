@@ -1,11 +1,13 @@
 package hpack
 
 // FuzzHPACKDecode feeds arbitrary header blocks to the decoder and
-// enforces its two safety contracts: no panic, and decoded output
-// bounded by the header-list ceiling regardless of the amplification
-// the input encodes. Seed corpus in testdata/fuzz/FuzzHPACKDecode.
+// enforces its safety contracts: no panic, decoded output bounded by
+// the header-list ceiling regardless of the amplification the input
+// encodes, and DecodeAppend agreeing with Decode without touching the
+// list it appends to. Seed corpus in testdata/fuzz/FuzzHPACKDecode.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -43,6 +45,27 @@ func FuzzHPACKDecode(f *testing.F) {
 		d := NewDecoder(4096)
 		d.SetMaxHeaderListBytes(listCap)
 		fields, err := d.Decode(data)
+
+		// DecodeAppend(prefix, b) ≡ append(prefix, Decode(b)...): same
+		// fields, same error, same dynamic table afterwards, and the
+		// prefix — which has room to be appended to in place — intact.
+		prefix := append(make([]HeaderField, 0, 8), HeaderField{Name: "kept", Value: "1"}, HeaderField{Name: "kept", Value: "2", Sensitive: true})
+		want := append(append([]HeaderField(nil), prefix...), fields...)
+		d2 := NewDecoder(4096)
+		d2.SetMaxHeaderListBytes(listCap)
+		got, err2 := d2.DecodeAppend(prefix, data)
+		if err2 != err {
+			t.Fatalf("DecodeAppend error %v, Decode error %v", err2, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("DecodeAppend = %v, want %v", got, want)
+		}
+		if !slices.Equal(prefix, want[:len(prefix)]) {
+			t.Fatalf("DecodeAppend overwrote its prefix: %v", prefix)
+		}
+		if d2.DynamicTableSize() != d.DynamicTableSize() {
+			t.Fatalf("dynamic table %d bytes after DecodeAppend, %d after Decode", d2.DynamicTableSize(), d.DynamicTableSize())
+		}
 		if err != nil {
 			return
 		}

@@ -53,14 +53,16 @@ func NewClientConn(nc net.Conn, cfg Config) (*ClientConn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("http2: writing preface: %w", err)
 	}
-	// Start reading before sending SETTINGS: on unbuffered transports
-	// (net.Pipe) both endpoints write their initial SETTINGS frames
-	// concurrently, so someone must already be consuming.
-	go c.readLoop()
+	// Queue our SETTINGS before the read loop exists: the loop ACKs the
+	// server's SETTINGS the moment it reads them, and a server whose
+	// first frame from us is that ACK refuses the connection (§3.4).
+	// Queuing cannot block on an unbuffered transport (net.Pipe) — the
+	// async writer does the transport write.
 	if err := c.sendInitial(); err != nil {
 		c.shutdown()
 		return nil, err
 	}
+	go c.readLoop()
 	if err := c.waitPeerSettings(); err != nil {
 		c.shutdown()
 		return nil, err
@@ -180,35 +182,26 @@ func (cc *ClientConn) DoContext(ctx context.Context, req *Request) (*Response, e
 		}
 	}
 
-	hdrs := <-st.hdrCh
-	if hdrs == nil {
-		err := cc.c.closeError()
-		st.mu.Lock()
-		if st.err != nil {
-			err = st.err
-		}
-		st.mu.Unlock()
+	hdrs, err := st.awaitHeaders()
+	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	resp := &Response{stream: st, Body: &responseBody{st: st}}
-	for _, f := range hdrs {
-		if f.Name == ":status" {
-			code, err := strconv.Atoi(f.Value)
-			if err != nil {
-				st.Close()
-				return nil, streamError(st.id, ErrCodeProtocol, "bad :status %q", f.Value)
-			}
-			resp.Status = code
-			continue
-		}
-		resp.Header = append(resp.Header, f)
-	}
-	if resp.Status == 0 {
+	// :status is the only response pseudo-header and pseudo-headers
+	// lead the block (§8.3), so the regular section is the rest of the
+	// stream-owned list, in place.
+	if len(hdrs) == 0 || hdrs[0].Name != ":status" {
 		st.Close()
 		return nil, streamError(st.id, ErrCodeProtocol, "response missing :status")
 	}
-	return resp, nil
+	code, err := strconv.Atoi(hdrs[0].Value)
+	if err != nil || code == 0 {
+		st.Close()
+		return nil, streamError(st.id, ErrCodeProtocol, "bad :status %q", hdrs[0].Value)
+	}
+	st.body = responseBody{st: st}
+	st.resp = Response{Status: code, Header: hdrs[1:], Body: &st.body, stream: st}
+	return &st.resp, nil
 }
 
 // responseBody adapts a stream to io.ReadCloser with cleanup on EOF.
@@ -234,10 +227,34 @@ func (b *responseBody) Close() error {
 	return b.st.Close()
 }
 
-// ReadAllBody drains and closes a response body.
+// maxBodyPresize bounds how much ReadAllBody allocates on the word of
+// a content-length header alone.
+const maxBodyPresize = 1 << 20
+
+// ReadAllBody drains and closes a response body. It is io.ReadAll
+// started at the size content-length announces, so a body that keeps
+// its word costs one buffer; one that does not is still read to EOF.
 func ReadAllBody(resp *Response) ([]byte, error) {
 	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	size := 512
+	if n, err := strconv.Atoi(resp.HeaderValue("content-length")); err == nil && n >= 0 {
+		// One spare byte: the read that reports io.EOF needs room too.
+		size = min(n, maxBodyPresize) + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := resp.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // ReadAllBodyContext drains and closes a response body under a

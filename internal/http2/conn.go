@@ -27,6 +27,11 @@ const (
 	// maxHeaderBlockBytes caps an assembled header block across
 	// HEADERS + CONTINUATION frames.
 	maxHeaderBlockBytes = 1 << 20
+
+	// maxScratchFields is the longest decoded header list whose storage
+	// the read loop keeps for the next block; one outsized block must
+	// not pin its list for the connection's life.
+	maxScratchFields = 64
 )
 
 // Config carries the local endpoint's preferences for a connection.
@@ -184,8 +189,11 @@ type conn struct {
 	// wmu like henc.
 	hblock []byte
 
-	// hdec is used only by the read loop.
-	hdec *hpack.Decoder
+	// hdec and hfields are used only by the read loop: every header
+	// block decodes into hfields, and the stream it belongs to copies
+	// the fields out before the next block overwrites them.
+	hdec    *hpack.Decoder
+	hfields []hpack.HeaderField
 
 	// lastFrame is the UnixNano time of the last frame received,
 	// maintained by the read loop for keepalive idleness checks.
@@ -207,6 +215,7 @@ type conn struct {
 	sentGoAway  bool
 	peerSeenCh  chan struct{}
 	doneCh      chan struct{}
+	doneOnce    sync.Once // teardown runs on the read loop, Close and keepalive
 	pings       map[[8]byte]chan struct{}
 	peerStreams uint32 // live peer-initiated streams (server side)
 
@@ -710,8 +719,14 @@ func (c *conn) onHeaders(fr Frame) error {
 	if err != nil {
 		return err
 	}
-	block := append([]byte(nil), payload...)
+	// A block that ends in this frame is decoded where it lies: the
+	// decoder copies every string out of it. Only a block continued in
+	// later frames outlives the framer's read buffer and is assembled.
+	block := payload
 	endHeaders := fr.Has(FlagEndHeaders)
+	if !endHeaders {
+		block = append([]byte(nil), payload...)
+	}
 	contFrames, emptyConts := 0, 0
 	for !endHeaders {
 		cont, err := c.fr.ReadFrame()
@@ -740,9 +755,12 @@ func (c *conn) onHeaders(fr Frame) error {
 		}
 		endHeaders = cont.Has(FlagEndHeaders)
 	}
-	fields, err := c.hdec.Decode(block)
+	fields, err := c.hdec.DecodeAppend(c.hfields[:0], block)
 	if err != nil {
 		return connError(ErrCodeCompression, "hpack: %v", err)
+	}
+	if cap(fields) <= maxScratchFields {
+		c.hfields = fields
 	}
 	endStream := fr.Has(FlagEndStream)
 
@@ -797,23 +815,22 @@ func (c *conn) acceptStream(id uint32, fields []hpack.HeaderField, endStream boo
 		return streamError(id, ErrCodeRefusedStream, "connection is shutting down")
 	}
 	st := newStream(c, id, c.peer.initialWindow)
+	st.setHeadersLocked(fields) // not yet shared
+	st.recvEnded = endStream
 	c.streams[id] = st
 	c.peerStreams++
 	c.mu.Unlock()
 
-	if endStream {
-		st.markRecvClosed()
-	}
-	req, err := newRequest(st, fields)
-	if err != nil {
+	if err := st.initRequest(); err != nil {
 		return err
 	}
-	go c.runHandler(st, req)
+	go c.runHandler(st)
 	return nil
 }
 
-func (c *conn) runHandler(st *Stream, req *Request) {
-	w := &ResponseWriter{stream: st}
+func (c *conn) runHandler(st *Stream) {
+	w := &st.rw
+	w.stream = st
 	defer func() {
 		if r := recover(); r != nil {
 			c.logf("handler panic on stream %d: %v", st.id, r)
@@ -825,7 +842,7 @@ func (c *conn) runHandler(st *Stream, req *Request) {
 		}
 		c.finishServerStream(st, w)
 	}()
-	c.handler.ServeSWW(w, req)
+	c.handler.ServeSWW(w, &st.req)
 }
 
 func (c *conn) finishServerStream(st *Stream, w *ResponseWriter) {
@@ -833,7 +850,7 @@ func (c *conn) finishServerStream(st *Stream, w *ResponseWriter) {
 		w.WriteHeaders(200)
 	}
 	w.Finish()
-	st.cancelCtx()
+	st.endContext()
 	c.mu.Lock()
 	if _, live := c.streams[st.id]; live {
 		delete(c.streams, st.id)
@@ -907,11 +924,7 @@ func (c *conn) teardown(err error) {
 	for _, ch := range pings {
 		close(ch)
 	}
-	select {
-	case <-c.doneCh:
-	default:
-		close(c.doneCh)
-	}
+	c.doneOnce.Do(func() { close(c.doneCh) })
 	// Stop accepting new frames but give already-queued ones (the
 	// GOAWAY explaining this teardown, in particular) a moment to
 	// reach the peer before the transport dies.

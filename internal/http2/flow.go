@@ -8,14 +8,22 @@ import "sync"
 // arrives or when SETTINGS_INITIAL_WINDOW_SIZE changes.
 type sendFlow struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	window int64 // may go negative after a SETTINGS decrease
-	err    error // set when the connection dies; wakes all waiters
+	cond   sync.Cond // L is &mu; set by init
+	window int64     // may go negative after a SETTINGS decrease
+	err    error     // set when the connection dies; wakes all waiters
+}
+
+// init readies a zero sendFlow in place, so a Stream can embed its
+// window instead of pointing at one. A sendFlow must not be copied
+// afterwards.
+func (f *sendFlow) init(initial int32) {
+	f.window = int64(initial)
+	f.cond.L = &f.mu
 }
 
 func newSendFlow(initial int32) *sendFlow {
-	f := &sendFlow{window: int64(initial)}
-	f.cond = sync.NewCond(&f.mu)
+	f := new(sendFlow)
+	f.init(initial)
 	return f
 }
 

@@ -65,41 +65,42 @@ func (r *Request) HeaderValue(name string) string {
 // Stream exposes the underlying stream (for tests and advanced use).
 func (r *Request) Stream() *Stream { return r.stream }
 
-// newRequest validates the pseudo-header section (RFC 9113 §8.3) and
-// builds a Request.
-func newRequest(st *Stream, fields []hpack.HeaderField) (*Request, error) {
-	req := &Request{stream: st, Body: st, PeerGen: st.c.negotiated()}
+// initRequest validates the pseudo-header section (RFC 9113 §8.3) of
+// an accepted stream's header block and fills in the stream's Request.
+// Request.Header is the block's regular section, in place.
+func (st *Stream) initRequest() error {
+	req := &st.req
+	*req = Request{stream: st, Body: st, PeerGen: st.c.negotiated()}
 	req.PeerImageModelID, req.PeerTextModelID = st.c.peerModelIDs()
-	pseudoDone := false
-	for _, f := range fields {
+	n := 0
+	for ; n < len(st.hdr) && st.hdr[n].IsPseudo(); n++ {
+		f := st.hdr[n]
+		switch f.Name {
+		case ":method":
+			req.Method = f.Value
+		case ":scheme":
+			req.Scheme = f.Value
+		case ":path":
+			req.Path = f.Value
+		case ":authority":
+			req.Authority = f.Value
+		default:
+			return streamError(st.id, ErrCodeProtocol, "unknown pseudo-header %q", f.Name)
+		}
+	}
+	req.Header = st.hdr[n:]
+	for _, f := range req.Header {
 		if f.IsPseudo() {
-			if pseudoDone {
-				return nil, streamError(st.id, ErrCodeProtocol, "pseudo-header after regular header")
-			}
-			switch f.Name {
-			case ":method":
-				req.Method = f.Value
-			case ":scheme":
-				req.Scheme = f.Value
-			case ":path":
-				req.Path = f.Value
-			case ":authority":
-				req.Authority = f.Value
-			default:
-				return nil, streamError(st.id, ErrCodeProtocol, "unknown pseudo-header %q", f.Name)
-			}
-			continue
+			return streamError(st.id, ErrCodeProtocol, "pseudo-header after regular header")
 		}
-		pseudoDone = true
 		if f.Name != strings.ToLower(f.Name) {
-			return nil, streamError(st.id, ErrCodeProtocol, "uppercase header name %q", f.Name)
+			return streamError(st.id, ErrCodeProtocol, "uppercase header name %q", f.Name)
 		}
-		req.Header = append(req.Header, f)
 	}
 	if req.Method == "" || req.Path == "" || req.Scheme == "" {
-		return nil, streamError(st.id, ErrCodeProtocol, "missing required pseudo-headers")
+		return streamError(st.id, ErrCodeProtocol, "missing required pseudo-headers")
 	}
-	return req, nil
+	return nil
 }
 
 // A ResponseWriter lets a handler send a response on a stream.
@@ -117,11 +118,25 @@ func (w *ResponseWriter) WriteHeaders(status int, fields ...hpack.HeaderField) e
 	}
 	w.wroteHeaders = true
 	fl := hpack.AcquireFieldList()
-	fl.Add(":status", strconv.Itoa(status))
+	fl.Add(":status", statusText(status))
 	fl.Fields = append(fl.Fields, fields...)
 	err := w.stream.c.writeHeaderBlock(w.stream.id, fl.Fields, false)
 	hpack.ReleaseFieldList(fl)
 	return err
+}
+
+// statusText is strconv.Itoa for :status, without the allocation for
+// the codes a loaded tier sends per request: served, not found, shed.
+func statusText(status int) string {
+	switch status {
+	case 200:
+		return "200"
+	case 404:
+		return "404"
+	case 503:
+		return "503"
+	}
+	return strconv.Itoa(status)
 }
 
 // Write sends response body bytes, emitting default 200 headers first

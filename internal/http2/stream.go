@@ -13,11 +13,17 @@ import (
 // A Stream is one bidirectional HTTP/2 stream. Its receive side is an
 // io.Reader over incoming DATA frames; its send side goes through the
 // owning connection's writeData.
+//
+// A Stream is one heap object: its send window, its condition variable,
+// its first header block and the Request/ResponseWriter (server) or
+// Response/body (client) handed to callers all live inside it. Those
+// values therefore alias the stream and stay valid exactly as long as
+// they are reachable; a stream is never pooled or reused.
 type Stream struct {
 	c  *conn
 	id uint32
 
-	send *sendFlow // peer-granted send window
+	send sendFlow // peer-granted send window
 
 	// wroteData records that at least one DATA frame left on this
 	// stream. The abuse ledger uses it to tell a rapid reset (peer
@@ -25,49 +31,85 @@ type Stream struct {
 	// cancellation.
 	wroteData atomic.Bool
 
-	// ctx is canceled when the stream dies for any reason — peer
-	// RST_STREAM, connection teardown, local close — so handler work
-	// (queue waits, generation holds) stops the moment the requester
-	// is gone instead of running to completion for nobody. This is
-	// the work-cancellation half of the rapid-reset defense: the
-	// abuse ledger limits how often a peer may reset, the context
-	// makes each reset cheap.
-	ctx       context.Context
-	cancelCtx context.CancelFunc
-
 	mu        sync.Mutex
-	cond      *sync.Cond
+	cond      sync.Cond // L is &mu
 	buf       bytes.Buffer
 	recv      recvFlow
 	recvEnded bool // peer sent END_STREAM
 	sendEnded bool // we sent END_STREAM
 	err       error
 
-	// hdrCh delivers the peer's header block (response headers on the
-	// client; trailers are appended to trailers instead).
-	hdrCh    chan []hpack.HeaderField
-	gotFirst bool
+	// ctx is canceled when the stream dies for any reason — peer
+	// RST_STREAM, connection teardown, local close — so handler work
+	// (queue waits, generation holds) stops the moment the requester
+	// is gone instead of running to completion for nobody. This is
+	// the work-cancellation half of the rapid-reset defense: the
+	// abuse ledger limits how often a peer may reset, the context
+	// makes each reset cheap. It is built by the first Context call
+	// (client streams never ask); ctxDead records a death that came
+	// before it. All three are guarded by mu.
+	ctx       context.Context
+	cancelCtx context.CancelFunc
+	ctxDead   bool
+
+	// hdr is the peer's first header block (the request on the server,
+	// the response on the client), copied out of the read loop's
+	// scratch into hdrStore, or to the heap beyond eight fields.
+	// hdrReady is set with it and signalled on cond; a stream that
+	// died first (err set) never becomes ready. Later blocks are
+	// trailers.
+	hdr      []hpack.HeaderField
+	hdrReady bool
+	hdrStore [8]hpack.HeaderField
 	trailers []hpack.HeaderField
+
+	// What the stream's user holds: req and rw on an accepted stream,
+	// resp and body on an opened one.
+	req  Request
+	rw   ResponseWriter
+	resp Response
+	body responseBody
 }
 
 // newStream is called with c.mu held; peerWindow is the peer's
 // current SETTINGS_INITIAL_WINDOW_SIZE.
 func newStream(c *conn, id uint32, peerWindow int32) *Stream {
 	st := &Stream{
-		c:     c,
-		id:    id,
-		send:  newSendFlow(peerWindow),
-		recv:  newRecvFlow(c.cfg.initialWindow()),
-		hdrCh: make(chan []hpack.HeaderField, 1),
+		c:    c,
+		id:   id,
+		recv: newRecvFlow(c.cfg.initialWindow()),
 	}
-	st.cond = sync.NewCond(&st.mu)
-	st.ctx, st.cancelCtx = context.WithCancel(context.Background())
+	st.send.init(peerWindow)
+	st.cond.L = &st.mu
 	return st
 }
 
 // Context is canceled when the stream is reset or closed. Handlers
-// pass it down so abandoned requests stop consuming capacity.
-func (s *Stream) Context() context.Context { return s.ctx }
+// pass it down so abandoned requests stop consuming capacity. Asked of
+// a stream that is already dead, it returns a canceled context.
+func (s *Stream) Context() context.Context {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ctx == nil {
+		s.ctx, s.cancelCtx = context.WithCancel(context.Background())
+		if s.ctxDead {
+			s.cancelCtx()
+		}
+	}
+	return s.ctx
+}
+
+// endContext cancels the stream's context: now if one was handed out,
+// at birth otherwise.
+func (s *Stream) endContext() {
+	s.mu.Lock()
+	s.ctxDead = true
+	cancel := s.cancelCtx
+	s.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
 
 // ID returns the stream identifier.
 func (s *Stream) ID() uint32 { return s.id }
@@ -97,34 +139,45 @@ func (s *Stream) onData(data []byte, flowLen int32, endStream bool) error {
 	return nil
 }
 
+// setHeadersLocked takes the stream's first header block out of the
+// read loop's scratch list. Called with s.mu held, or before the stream
+// is shared.
+func (s *Stream) setHeadersLocked(fields []hpack.HeaderField) {
+	s.hdr = append(s.hdrStore[:0], fields...)
+	s.hdrReady = true
+}
+
 // onHeaders delivers a header block that arrived on an existing
 // stream: a response (first block) or trailers (subsequent block).
+// fields belongs to the caller and is copied.
 func (s *Stream) onHeaders(fields []hpack.HeaderField, endStream bool) error {
 	s.mu.Lock()
-	first := !s.gotFirst
-	s.gotFirst = true
-	if !first {
+	switch {
+	case s.hdrReady:
 		s.trailers = append(s.trailers, fields...)
+	case s.err == nil:
+		s.setHeadersLocked(fields)
 	}
 	if endStream {
 		s.recvEnded = true
-		s.cond.Broadcast()
 	}
+	s.cond.Broadcast()
 	s.mu.Unlock()
-	if first {
-		select {
-		case s.hdrCh <- fields:
-		default:
-		}
-	}
 	return nil
 }
 
-func (s *Stream) markRecvClosed() {
+// awaitHeaders blocks until the peer's first header block arrives or
+// the stream dies, and reports whichever happened first.
+func (s *Stream) awaitHeaders() ([]hpack.HeaderField, error) {
 	s.mu.Lock()
-	s.recvEnded = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	for !s.hdrReady && s.err == nil {
+		s.cond.Wait()
+	}
+	if !s.hdrReady {
+		return nil, s.err
+	}
+	return s.hdr, nil
 }
 
 // Read implements io.Reader over the stream's DATA payload.
@@ -223,7 +276,7 @@ func (s *Stream) Close() error {
 		s.c.resetStream(s.id, ErrCodeCancel)
 		s.closeWithError(streamError(s.id, ErrCodeCancel, "closed locally"))
 	}
-	s.cancelCtx()
+	s.endContext()
 	s.c.removeStream(s.id)
 	return nil
 }
@@ -245,9 +298,9 @@ func (s *Stream) Trailers() []hpack.HeaderField {
 	return append([]hpack.HeaderField(nil), s.trailers...)
 }
 
-// closeWithError fails pending readers and writers.
+// closeWithError fails pending readers, writers and the header wait.
 func (s *Stream) closeWithError(err error) {
-	s.cancelCtx()
+	s.endContext()
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
@@ -255,8 +308,4 @@ func (s *Stream) closeWithError(err error) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.send.fail(err)
-	select {
-	case s.hdrCh <- nil:
-	default:
-	}
 }
