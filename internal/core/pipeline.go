@@ -431,13 +431,13 @@ func (pp *PageProcessor) generateUpscale(ph Placeholder, r *genResult) {
 		r.err = fmt.Errorf("core: upscaling %q: %w", meta.Name, err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, out); err != nil {
-		r.err = err
+	data, err := imagegen.EncodePNG(out)
+	if err != nil {
+		r.err = fmt.Errorf("core: encoding upscaled %q: %w", meta.Name, err)
 		return
 	}
 	r.path = generatedPath(meta.Name)
-	r.data = buf.Bytes()
+	r.data = data
 	img := html.NewElement("img",
 		html.Attribute{Name: "src", Value: r.path},
 		html.Attribute{Name: "alt", Value: meta.Name},
@@ -448,7 +448,7 @@ func (pp *PageProcessor) generateUpscale(ph Placeholder, r *genResult) {
 	// The wire carried the low-res source plus the metadata; the
 	// original would have been the full-resolution asset.
 	r.item.WireBytes += len(raw)
-	r.item.OutputBytes = buf.Len()
+	r.item.OutputBytes = len(data)
 	r.item.SimTime = simTime
 	r.item.EnergyWh = pp.Device.ImageGenEnergyWh(simTime)
 	if r.item.OriginalBytes == 0 {

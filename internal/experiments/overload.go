@@ -76,9 +76,10 @@ func OverloadSweep(quick bool) ([]OverloadRow, error) {
 	}
 
 	// Calibrate GenWallScale so one generation occupies a worker for
-	// overloadGenHold of wall time: the procedural models return in
-	// microseconds, the modelled SimGenTime is what a real backend
-	// would cost.
+	// overloadGenHold of wall time: the modelled SimGenTime is what a
+	// real backend would cost. The procedural models are not free
+	// beside it (a LoadPage is ~1.5 ms of real CPU, 7% of the hold),
+	// so the probe's own wall time joins the service time below.
 	probe, err := core.NewPageProcessor(device.Workstation, imagegen.SD3Medium, textgen.DeepSeek8)
 	if err != nil {
 		return nil, err

@@ -91,7 +91,9 @@ func (c *ArtifactCache) Register(reg *telemetry.Registry) {
 }
 
 // imageSize is the LRU accounting for one cached image: encoded PNG,
-// decoded pixels, and the memoized prompt embedding. The embedding
+// the one-byte-per-pixel index plane (its palette is a slice of a
+// table every image of that tint shares, so no entry owns it), and
+// the memoized prompt embedding. The embedding
 // ride-along (8 bytes per float64) was previously uncounted, leaving
 // phantom bytes in memory that the cap never saw.
 func imageSize(res *ImageResult) int64 {

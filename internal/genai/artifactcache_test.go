@@ -32,7 +32,7 @@ func (m *countingImageModel) Generate(req genai.ImageRequest) (*genai.ImageResul
 		<-m.block
 	}
 	m.gens.Add(1)
-	img := image.NewRGBA(image.Rect(0, 0, req.Width, req.Height))
+	img := image.NewPaletted(image.Rect(0, 0, req.Width, req.Height), nil)
 	st, _ := m.GenTime(req.Class, req.Width, req.Height, req.Steps)
 	return &genai.ImageResult{
 		Image:   img,
@@ -142,9 +142,9 @@ func TestArtifactCacheCoalescesConcurrent(t *testing.T) {
 
 func TestArtifactCacheEviction(t *testing.T) {
 	m := &countingImageModel{}
-	// Each 8×8 entry costs len(PNG) + len(Pix) = ~263 bytes; cap the
+	// Each 8×8 entry costs len(PNG) + len(Pix) = 2 + 64 bytes; cap the
 	// cache so only a couple fit.
-	c := genai.NewArtifactCache(600)
+	c := genai.NewArtifactCache(150)
 	for i := 0; i < 6; i++ {
 		req := genai.ImageRequest{Prompt: fmt.Sprintf("p%d", i), Width: 8, Height: 8, Class: device.ClassLaptop}
 		if _, err := c.Image(m, req); err != nil {
@@ -152,11 +152,11 @@ func TestArtifactCacheEviction(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Bytes > 600 {
-		t.Errorf("cache holds %d bytes, cap 600", st.Bytes)
+	if st.Bytes > 150 {
+		t.Errorf("cache holds %d bytes, cap 150", st.Bytes)
 	}
-	if st.Entries >= 6 {
-		t.Errorf("%d entries survived a 600-byte cap", st.Entries)
+	if st.Entries != 2 {
+		t.Errorf("%d entries under a 150-byte cap, want 2 of 66 bytes each", st.Entries)
 	}
 	// The oldest entry was evicted: requesting it generates again.
 	before := m.gens.Load()
@@ -219,10 +219,10 @@ func TestArtifactCacheEmbeddingBytesAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	// One entry: PNG ("p") + 8×8 RGBA pixels (256) + 1024 float64s.
-	const embeddingBytes = 1024 * 8
-	if st.Bytes < embeddingBytes {
-		t.Fatalf("stats.Bytes = %d, want >= %d (embedding bytes uncounted)", st.Bytes, embeddingBytes)
+	// One entry: PNG ("p") + 8×8 indexed pixels (64) + 1024 float64s.
+	const want = 1 + 8*8 + 1024*8
+	if st.Bytes != want {
+		t.Fatalf("stats.Bytes = %d, want %d (PNG + 1 B/px plane + embedding)", st.Bytes, want)
 	}
 }
 
@@ -270,7 +270,7 @@ func (m *timerlessImageModel) ServerOnly() bool                    { return fals
 func (m *timerlessImageModel) LoadTime(device.Class) time.Duration { return 0 }
 func (m *timerlessImageModel) Generate(req genai.ImageRequest) (*genai.ImageResult, error) {
 	m.gens.Add(1)
-	img := image.NewRGBA(image.Rect(0, 0, req.Width, req.Height))
+	img := image.NewPaletted(image.Rect(0, 0, req.Width, req.Height), nil)
 	return &genai.ImageResult{
 		Image:   img,
 		PNG:     []byte(req.Prompt),

@@ -68,8 +68,10 @@ func (r ImageRequest) withDefaults() ImageRequest {
 
 // An ImageResult is a generated image plus its simulated cost.
 type ImageResult struct {
-	// Image is the generated picture.
-	Image *image.RGBA
+	// Image is the generated picture: one byte per pixel indexing a
+	// palette the generator may share between images, so treat both
+	// as read-only.
+	Image *image.Paletted
 
 	// PNG is the encoded form written to the client's asset store.
 	PNG []byte

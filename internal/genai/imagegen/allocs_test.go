@@ -1,0 +1,32 @@
+//go:build !race
+
+package imagegen
+
+import (
+	"testing"
+
+	"sww/internal/device"
+	"sww/internal/genai"
+)
+
+// TestGenerateAllocs pins a warm generation at the LoadPage shape to
+// the 23 objects it makes today — the same count the RGBA kernel had —
+// so the palette cannot drift back to being built per image: a
+// color.Palette of an image's ~100 luminances is one slice plus one
+// boxed colour per entry. One spare object covers a GC emptying the
+// encoder's pools mid-run. (The race detector's instrumentation
+// allocates; hence the build tag.)
+func TestGenerateAllocs(t *testing.T) {
+	req := genai.ImageRequest{Prompt: "a red sailboat at dawn", Width: 128, Height: 128, Class: device.ClassLaptop, Seed: 7}
+	if _, err := sd3.Generate(req); err != nil { // fills the pools and the tint's palette
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := sd3.Generate(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 24 {
+		t.Fatalf("Generate 128×128: %v allocs, want ≤ 24", allocs)
+	}
+}

@@ -283,13 +283,23 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerate224(b *testing.B) {
+// BenchmarkGenerate128 is the workload.LoadPage shape, the generation
+// every cold_traditional fetch of the tier benchmark pays for.
+func BenchmarkGenerate128(b *testing.B) { benchGenerate(b, 128) }
+
+func BenchmarkGenerate224(b *testing.B) { benchGenerate(b, 224) }
+
+func benchGenerate(b *testing.B, size int) {
 	m, _ := genai.ImageModelByName(SD3Medium)
 	b.ReportAllocs()
+	var pngBytes int
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Generate(genai.ImageRequest{
-			Prompt: "benchmark landscape", Class: device.ClassLaptop, Seed: int64(i + 1)}); err != nil {
+		res, err := m.Generate(genai.ImageRequest{
+			Prompt: "benchmark landscape", Width: size, Height: size, Class: device.ClassLaptop, Seed: int64(i + 1)})
+		if err != nil {
 			b.Fatal(err)
 		}
+		pngBytes += len(res.PNG)
 	}
+	b.ReportMetric(float64(pngBytes)/float64(b.N), "png_B/op")
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"image"
 	"image/png"
 	"math"
 	"math/rand"
@@ -16,10 +17,26 @@ import (
 )
 
 // pngEnc recycles the encoder's internal zlib and row buffers across
-// generations (png.Encode allocates them fresh per call). Encoding
+// encodes (png.Encode allocates them fresh per call). Encoding
 // parameters are the defaults, so output bytes are identical to
 // png.Encode's.
 var pngEnc = png.Encoder{BufferPool: &pngBufferPool{}}
+
+// EncodePNG is the one PNG encode site: generated images and
+// client-side upscales both go through the pooled encoder. The buffer
+// is presized to w*h/2: an indexed synth image at the LoadPage shape
+// (128²) measures 0.43 B/px and larger ones less (0.28 at 224², 0.15
+// at 512²), so generation never regrows; smaller images and upscaled
+// RGBA (0.2–0.9 B/px) may, which bytes.Buffer absorbs.
+func EncodePNG(img image.Image) ([]byte, error) {
+	var buf bytes.Buffer
+	b := img.Bounds()
+	buf.Grow(b.Dx() * b.Dy() / 2)
+	if err := pngEnc.Encode(&buf, img); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 type pngBufferPool struct{ pool sync.Pool }
 
@@ -98,7 +115,28 @@ func (m *diffusionModel) Generate(req genai.ImageRequest) (*genai.ImageResult, e
 	if err != nil {
 		return nil, err
 	}
-	seed := req.Seed
+	seed, target := m.seedAndTarget(req)
+
+	img, planted, emb := synthesize(req.Prompt, req.Width, req.Height, seed, target)
+	data, err := EncodePNG(img)
+	if err != nil {
+		return nil, err
+	}
+	return &genai.ImageResult{
+		Image:           img,
+		PNG:             data,
+		NominalBytes:    req.Width * req.Height / 8,
+		Alignment:       planted,
+		SimTime:         simTime,
+		Model:           m.name,
+		PromptEmbedding: emb,
+	}, nil
+}
+
+// seedAndTarget resolves a normalized request's synthesis seed and
+// the prompt alignment to plant.
+func (m *diffusionModel) seedAndTarget(req genai.ImageRequest) (seed int64, target float64) {
+	seed = req.Seed
 	if seed == 0 {
 		seed = promptSeed(m.name, req.Prompt)
 	}
@@ -107,7 +145,7 @@ func (m *diffusionModel) Generate(req genai.ImageRequest) (*genai.ImageResult, e
 	// little adherence (the paper: "only minor changes to CLIP score"
 	// across 10–60 steps).
 	rng := rand.New(rand.NewSource(seed ^ 0x5ee1))
-	target := metrics.AlignmentForCLIP(m.clipTarget)
+	target = metrics.AlignmentForCLIP(m.clipTarget)
 	target += rng.NormFloat64() * 0.015
 	if req.Steps < 10 {
 		target -= 0.02 * float64(10-req.Steps) / 10
@@ -116,22 +154,7 @@ func (m *diffusionModel) Generate(req genai.ImageRequest) (*genai.ImageResult, e
 	if req.Prompt == "" {
 		target = 0
 	}
-
-	img, planted, emb := synthesize(req.Prompt, req.Width, req.Height, seed, target)
-	var buf bytes.Buffer
-	buf.Grow(req.Width * req.Height / 2) // textured noise compresses ~2× under PNG
-	if err := pngEnc.Encode(&buf, img); err != nil {
-		return nil, err
-	}
-	return &genai.ImageResult{
-		Image:           img,
-		PNG:             buf.Bytes(),
-		NominalBytes:    req.Width * req.Height / 8,
-		Alignment:       planted,
-		SimTime:         simTime,
-		Model:           m.name,
-		PromptEmbedding: emb,
-	}, nil
+	return seed, target
 }
 
 func normalizeImageReq(r genai.ImageRequest) genai.ImageRequest {

@@ -14,6 +14,7 @@ package imagegen
 import (
 	"hash/fnv"
 	"image"
+	"image/color"
 	"math"
 	"math/rand"
 	"sync"
@@ -63,11 +64,22 @@ func putInts(s []int) { intPool.Put(&s) }
 // alignment actually planted, and the prompt's text embedding (so
 // callers verifying §7 alignment need not re-embed the prompt).
 //
+// The kernel computes one luminance per pixel and the prompt's tint
+// only shifts it per channel, so the image is indexed: a pixel stores
+// its rounded luminance (less the image's darkest) and tintPalette
+// maps that to the colour.
+// Luminance stays inside [14, 246] — baseLuma ± featAmp·|v[c]| with v
+// a unit vector is [58, 202], the octave amplitudes sum to texAmp and
+// removing a cell mean can at most double that, ±44 — so the index
+// never clamps, and rounding before the integral chroma shift gives
+// the colours that rounding after it did (DESIGN.md "Indexed images"
+// has the one-ulp caveat).
+//
 // Every floating-point expression below is associated exactly as in
 // the straightforward per-pixel formulation (Go's + and * are
 // left-associative), so hoisting per-cell and per-column terms into
 // tables keeps the output byte-for-byte identical.
-func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.RGBA, float64, []float64) {
+func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Build the planted vector in the zero-mean subspace that
@@ -97,9 +109,8 @@ func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*imag
 		planted = a * ecNorm
 	}
 
-	img := image.NewRGBA(image.Rect(0, 0, w, h))
+	img := image.NewPaletted(image.Rect(0, 0, w, h), nil)
 	tex := cellZeroMeanNoise(rng.Int63(), w, h)
-	cr, cg, cb := tintOffsets(prompt)
 
 	// baseLuma + featAmp*v[cell] + tex[i] associates as
 	// (baseLuma + featAmp*v[cell]) + tex[i], so the first addition can
@@ -113,21 +124,29 @@ func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*imag
 	for x := 0; x < w; x++ {
 		xCell[x] = x * grid / w
 	}
+	lo, hi := uint8(255), uint8(0)
 	for y := 0; y < h; y++ {
 		rowCell := (y * grid / h) * grid
 		row := img.Pix[y*img.Stride:]
 		trow := tex[y*w:]
 		for x := 0; x < w; x++ {
-			l := cellBase[rowCell+xCell[x]] + trow[x]
-			i := x * 4
-			row[i+0] = clampByte(l + cr)
-			row[i+1] = clampByte(l + cg)
-			row[i+2] = clampByte(l + cb)
-			row[i+3] = 255
+			k := clampByte(cellBase[rowCell+xCell[x]] + trow[x])
+			row[x] = k
+			lo = min(lo, k)
+			hi = max(hi, k)
 		}
 	}
 	putInts(xCell)
 	putFloats(tex)
+	// PLTE is stored uncompressed, three bytes an entry, so carry only
+	// the luminances between the darkest and brightest pixel (~100 of
+	// the 256 for a 128² image) and index from the darkest.
+	for i := range img.Pix {
+		img.Pix[i] -= lo
+	}
+	// Capped at its length: an append by a consumer reallocates instead
+	// of landing in the shared table's next entries.
+	img.Palette = tintPalette(tintOf(prompt))[lo : int(hi)+1 : int(hi)+1]
 	return img, planted, e
 }
 
@@ -263,18 +282,50 @@ func putInt64(b []byte, v int64) {
 	}
 }
 
-// tintOffsets derives a luminance-neutral chroma shift from the
-// prompt so different prompts render in different palettes. The
-// Rec.601 combination of the offsets is ~0, so planted features
-// survive the tint exactly.
-func tintOffsets(prompt string) (cr, cg, cb float64) {
+// tints is the number of distinct chroma shifts: the prompt hash
+// picks a whole degree of hue.
+const tints = 360
+
+// tintOf picks the prompt's tint, so different prompts render in
+// different palettes.
+func tintOf(prompt string) int {
 	h := fnv.New32a()
 	h.Write([]byte(prompt))
-	theta := float64(h.Sum32()%360) / 360 * 2 * math.Pi
+	return int(h.Sum32() % tints)
+}
+
+// tintShift is tint t's luminance-neutral chroma shift. The Rec.601
+// combination of the offsets is ~0, so planted features survive the
+// tint exactly.
+func tintShift(t int) (cr, cg, cb float64) {
+	theta := float64(t) / tints * 2 * math.Pi
 	cr = math.Round(38 * math.Cos(theta))
 	cb = math.Round(38 * math.Cos(theta+2.094))
 	cg = math.Round(-(0.299*cr + 0.114*cb) / 0.587)
 	return cr, cg, cb
+}
+
+// tintPalettes holds each tint's palette, built by the first image
+// that needs it and shared by every later one.
+var tintPalettes [tints]struct {
+	once sync.Once
+	pal  color.Palette
+}
+
+// tintPalette maps luminance k to tint t's colour for it. Entries are
+// color.NRGBA because that is what png's PLTE writer converts every
+// entry to: any other type is boxed once per entry per encode.
+func tintPalette(t int) color.Palette {
+	e := &tintPalettes[t]
+	e.once.Do(func() {
+		cr, cg, cb := tintShift(t)
+		e.pal = make(color.Palette, 256)
+		for k := range e.pal {
+			l := float64(k)
+			e.pal[k] = color.NRGBA{R: clampByte(l + cr), G: clampByte(l + cg), B: clampByte(l + cb), A: 255}
+		}
+	})
+	return e.pal
 }
 
 func clampByte(v float64) uint8 {

@@ -3,19 +3,25 @@ package imagegen
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"image"
+	"image/color"
+	"image/draw"
 	"image/png"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"sww/internal/device"
+	"sww/internal/genai"
 	"sww/internal/metrics"
 )
 
 // referenceSynthesize is the pre-fast-path kernel, kept verbatim as
 // the golden reference: per-pixel lattice hashing, PixOffset
-// addressing, fresh allocations. The production kernel must match it
-// byte for byte.
+// addressing, fresh allocations, one RGBA quadruple per pixel. The
+// production kernel's indexed image must decode to it byte for byte.
 func referenceSynthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.RGBA, float64) {
 	rng := rand.New(rand.NewSource(seed))
 	e := metrics.EmbedText(prompt)
@@ -57,6 +63,18 @@ func referenceSynthesize(prompt string, w, h int, seed int64, targetAlign float6
 	return img, planted
 }
 
+// tintOffsets is the reference kernel's per-prompt chroma shift,
+// verbatim; production splits it into tintOf and tintShift.
+func tintOffsets(prompt string) (cr, cg, cb float64) {
+	h := fnv.New32a()
+	h.Write([]byte(prompt))
+	theta := float64(h.Sum32()%360) / 360 * 2 * math.Pi
+	cr = math.Round(38 * math.Cos(theta))
+	cb = math.Round(38 * math.Cos(theta+2.094))
+	cg = math.Round(-(0.299*cr + 0.114*cb) / 0.587)
+	return cr, cg, cb
+}
+
 func referenceCellZeroMeanNoise(seed int64, w, h int) []float64 {
 	out := make([]float64, w*h)
 	for oct, conf := range []struct {
@@ -90,10 +108,32 @@ func referenceCellZeroMeanNoise(seed int64, w, h int) []float64 {
 	return out
 }
 
-// TestSynthMatchesReference: the fast kernel is byte-identical to the
-// reference across sizes (including non-multiples of the feature
-// grid), prompts (including the unconditioned empty prompt), seeds,
-// and alignments.
+// toRGBA draws any image into the reference kernel's representation.
+func toRGBA(img image.Image) *image.RGBA {
+	out := image.NewRGBA(img.Bounds())
+	draw.Draw(out, out.Rect, img, img.Bounds().Min, draw.Src)
+	return out
+}
+
+func checkPixels(t *testing.T, what string, got, want *image.RGBA) {
+	t.Helper()
+	if got.Stride != want.Stride || got.Rect != want.Rect {
+		t.Fatalf("%s: geometry mismatch: %v/%d vs %v/%d", what, got.Rect, got.Stride, want.Rect, want.Stride)
+	}
+	if !bytes.Equal(got.Pix, want.Pix) {
+		for i := range got.Pix {
+			if got.Pix[i] != want.Pix[i] {
+				t.Fatalf("%s: first pixel byte mismatch at offset %d: got %d, want %d", what, i, got.Pix[i], want.Pix[i])
+			}
+		}
+	}
+}
+
+// TestSynthMatchesReference: the indexed kernel decodes to exactly
+// the reference's pixels across sizes (including non-multiples of the
+// feature grid), prompts (including the unconditioned empty prompt),
+// seeds, and alignments — both straight out of synthesize and after
+// the round trip a client sees, png.Decode of Generate's PNG.
 func TestSynthMatchesReference(t *testing.T) {
 	cases := []struct {
 		prompt string
@@ -117,16 +157,7 @@ func TestSynthMatchesReference(t *testing.T) {
 			if gotAlign != wantAlign {
 				t.Errorf("planted alignment = %v, reference %v", gotAlign, wantAlign)
 			}
-			if got.Stride != want.Stride || got.Rect != want.Rect {
-				t.Fatalf("geometry mismatch: %v/%d vs %v/%d", got.Rect, got.Stride, want.Rect, want.Stride)
-			}
-			if !bytes.Equal(got.Pix, want.Pix) {
-				for i := range got.Pix {
-					if got.Pix[i] != want.Pix[i] {
-						t.Fatalf("first pixel byte mismatch at offset %d: got %d, want %d", i, got.Pix[i], want.Pix[i])
-					}
-				}
-			}
+			checkPixels(t, "synthesize", toRGBA(got), want)
 			if wantEmb := metrics.EmbedText(tc.prompt); len(emb) != len(wantEmb) {
 				t.Errorf("embedding length = %d, want %d", len(emb), len(wantEmb))
 			} else {
@@ -136,7 +167,100 @@ func TestSynthMatchesReference(t *testing.T) {
 					}
 				}
 			}
+
+			// The same case through the model: Generate picks the
+			// alignment itself (and the seed, when the case's is 0).
+			req := normalizeImageReq(genai.ImageRequest{
+				Prompt: tc.prompt, Width: tc.w, Height: tc.h, Seed: tc.seed, Class: device.ClassWorkstation})
+			res, err := sd3.Generate(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := png.Decode(bytes.NewReader(res.PNG))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, target := sd3.seedAndTarget(req)
+			want, wantAlign = referenceSynthesize(tc.prompt, tc.w, tc.h, seed, target)
+			if res.Alignment != wantAlign {
+				t.Errorf("Generate planted alignment = %v, reference %v", res.Alignment, wantAlign)
+			}
+			checkPixels(t, "png.Decode(Generate)", toRGBA(decoded), want)
 		})
+	}
+}
+
+// TestTintPaletteConcurrentFirstUse: goroutines racing to be the first
+// user of a tint all get the one finished table (run under -race; it
+// sits ahead of TestTintPalettes, which fills every tint).
+func TestTintPaletteConcurrentFirstUse(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tint := 0; tint < tints; tint += 7 {
+				if pal := tintPalette(tint); len(pal) != 256 || pal[255] == nil {
+					t.Errorf("tint %d: unfinished table of %d entries", tint, len(pal))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestTintPalettes: every entry of every tint's table is the colour
+// the RGBA kernel wrote for that luminance, an opaque color.NRGBA
+// (the type png's PLTE writer takes without boxing), and a prompt
+// lands on the tint the reference's hash picks.
+func TestTintPalettes(t *testing.T) {
+	for tint := 0; tint < tints; tint++ {
+		cr, cg, cb := tintShift(tint)
+		pal := tintPalette(tint)
+		if len(pal) != 256 {
+			t.Fatalf("tint %d: %d entries, want 256", tint, len(pal))
+		}
+		for k, c := range pal {
+			l := float64(k)
+			want := color.NRGBA{R: clampByte(l + cr), G: clampByte(l + cg), B: clampByte(l + cb), A: 255}
+			if got, ok := c.(color.NRGBA); !ok || got != want {
+				t.Fatalf("tint %d entry %d = %#v, want %#v", tint, k, c, want)
+			}
+		}
+	}
+	for _, prompt := range []string{"", "tiny", "a red sailboat at dawn"} {
+		wr, wg, wb := tintOffsets(prompt)
+		if cr, cg, cb := tintShift(tintOf(prompt)); cr != wr || cg != wg || cb != wb {
+			t.Errorf("prompt %q: shift (%v,%v,%v), reference (%v,%v,%v)", prompt, cr, cg, cb, wr, wg, wb)
+		}
+	}
+}
+
+// TestSynthPaletteSharedAndTrimmed: images of one prompt slice the
+// tint's one table rather than building a palette each, and carry
+// exactly the entries between their darkest and brightest pixel.
+func TestSynthPaletteSharedAndTrimmed(t *testing.T) {
+	a, _, _ := synthesize("first prompt", 96, 96, 11, 0.5)
+	b, _, _ := synthesize("first prompt", 64, 64, 22, 0.5)
+	table := tintPalette(tintOf("first prompt"))
+	for _, img := range []*image.Paletted{a, b} {
+		shared := false
+		for k := range table {
+			shared = shared || &img.Palette[0] == &table[k]
+		}
+		if !shared {
+			t.Error("image built its own palette instead of slicing the tint's table")
+		}
+		if cap(img.Palette) != len(img.Palette) {
+			t.Error("palette has spare capacity: an append would write into the shared table")
+		}
+		lo, hi := uint8(255), uint8(0)
+		for _, k := range img.Pix {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		if lo != 0 || int(hi) != len(img.Palette)-1 {
+			t.Errorf("indices span [%d, %d] of a %d-entry palette", lo, hi, len(img.Palette))
+		}
 	}
 }
 
@@ -156,21 +280,23 @@ func TestSynthPooledBuffersDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestPNGEncoderPoolIdentical: the pooled encoder emits the same
-// bytes as stock png.Encode, warm and cold.
+// TestPNGEncoderPoolIdentical: recycling encoder buffers changes no
+// byte — EncodePNG emits what a fresh png.Encoder with the same
+// settings does for the indexed image, cold and warm.
 func TestPNGEncoderPoolIdentical(t *testing.T) {
 	img, _, _ := synthesize("encoder pool check", 128, 96, 5, 0.5)
+	fresh := png.Encoder{CompressionLevel: pngEnc.CompressionLevel}
 	var want bytes.Buffer
-	if err := png.Encode(&want, img); err != nil {
+	if err := fresh.Encode(&want, img); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // i>0 exercises recycled encoder buffers
-		var got bytes.Buffer
-		if err := pngEnc.Encode(&got, img); err != nil {
+		got, err := EncodePNG(img)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("pass %d: pooled encoder output differs from png.Encode", i)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("pass %d: pooled encoder output differs from a fresh encoder's", i)
 		}
 	}
 }

@@ -310,12 +310,16 @@ func (c *conn) sendInitial() error {
 // waitPeerSettings blocks until the peer's first SETTINGS frame has
 // been processed, the connection dies, or the handshake times out.
 func (c *conn) waitPeerSettings() error {
+	// Stopped on return: a handshake that completes in microseconds
+	// must not leave its timeout armed for the full period.
+	timer := time.NewTimer(c.cfg.handshakeTimeout())
+	defer timer.Stop()
 	select {
 	case <-c.peerSeenCh:
 		return nil
 	case <-c.doneCh:
 		return c.closeError()
-	case <-time.After(c.cfg.handshakeTimeout()):
+	case <-timer.C:
 		return connError(ErrCodeSettingsTimeout, "no SETTINGS from peer")
 	}
 }
@@ -987,6 +991,8 @@ func (c *conn) ping(timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case <-ch:
 		c.mu.Lock()
@@ -998,7 +1004,7 @@ func (c *conn) ping(timeout time.Duration) error {
 		return nil
 	case <-c.doneCh:
 		return c.closeError()
-	case <-time.After(timeout):
+	case <-timer.C:
 		return fmt.Errorf("%w after %v", ErrPingTimeout, timeout)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"sww/internal/http2"
 	"sww/internal/quic"
+	"sww/internal/timeutil"
 )
 
 // Config mirrors the SWW-relevant parts of the HTTP/2 configuration.
@@ -123,12 +124,12 @@ func (c *conn) consumeUniStreams() {
 }
 
 func (c *conn) waitPeerSettings() error {
-	select {
-	case <-c.peerSeen:
-		return nil
-	case <-time.After(c.cfg.handshakeTimeout()):
+	timer := timeutil.New()
+	defer timer.Stop()
+	if timer.Wait(c.peerSeen, c.cfg.handshakeTimeout()) {
 		return fmt.Errorf("http3: no SETTINGS from peer")
 	}
+	return nil
 }
 
 // peerGenAbility returns the ability the peer advertised.

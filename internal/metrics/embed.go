@@ -16,6 +16,7 @@ package metrics
 import (
 	"hash/fnv"
 	"image"
+	"image/color"
 	"math"
 	"strings"
 	"unicode"
@@ -94,13 +95,32 @@ func EmbedImage(img image.Image) []float64 {
 	const grid = 8
 	sums := make([]float64, EmbedDim)
 	counts := make([]int, EmbedDim)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			r, g, bb, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			lum := 0.299*float64(r>>8) + 0.587*float64(g>>8) + 0.114*float64(bb>>8)
-			cell := (y*grid/h)*grid + x*grid/w
-			sums[cell] += lum
-			counts[cell]++
+	if p, ok := img.(*image.Paletted); ok {
+		// An indexed image has one luminance per palette entry: take
+		// it once per entry and not, through two interface calls and
+		// a boxed colour, once per pixel. Pixel order is the generic
+		// loop's, so the sums are its bit for bit.
+		var table [256]float64
+		luma := table[:min(len(p.Palette), len(table))]
+		for i := range luma {
+			luma[i] = luma601(p.Palette[i])
+		}
+		for y := 0; y < h; y++ {
+			row := p.Pix[y*p.Stride : y*p.Stride+w]
+			rowCell := (y * grid / h) * grid
+			for x, k := range row {
+				cell := rowCell + x*grid/w
+				sums[cell] += luma[k]
+				counts[cell]++
+			}
+		}
+	} else {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				cell := (y*grid/h)*grid + x*grid/w
+				sums[cell] += luma601(img.At(b.Min.X+x, b.Min.Y+y))
+				counts[cell]++
+			}
 		}
 	}
 	v := make([]float64, EmbedDim)
@@ -116,6 +136,12 @@ func EmbedImage(img image.Image) []float64 {
 		v[i] -= mean
 	}
 	return normalize(v)
+}
+
+// luma601 is a colour's 8-bit Rec.601 luminance.
+func luma601(c color.Color) float64 {
+	r, g, b, _ := c.RGBA()
+	return 0.299*float64(r>>8) + 0.587*float64(g>>8) + 0.114*float64(b>>8)
 }
 
 // Cosine returns the cosine similarity of two vectors (0 for zero

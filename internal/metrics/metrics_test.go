@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"image"
+	"image/color"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,6 +102,43 @@ func TestEmbedImage(t *testing.T) {
 	}
 	if Cosine(e, EmbedImage(big)) < 0.999 {
 		t.Error("embedding not resolution invariant")
+	}
+}
+
+// opaqueImage hides an image's concrete type, so EmbedImage takes its
+// generic per-pixel path.
+type opaqueImage struct{ image.Image }
+
+// TestEmbedImagePalettedFastPath: the per-palette-entry path returns
+// the generic path's vector bit for bit — on a sub-image with a
+// non-zero origin and sides that are no multiple of the grid, with
+// palette entries of both colour types a paletted image meets here
+// (NRGBA from the generator, RGBA from png.Decode).
+func TestEmbedImagePalettedFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	pal := make(color.Palette, 200)
+	for i := range pal {
+		if i%2 == 0 {
+			pal[i] = color.NRGBA{R: uint8(rng.Intn(256)), G: uint8(rng.Intn(256)), B: uint8(rng.Intn(256)), A: 255}
+		} else {
+			pal[i] = color.RGBA{R: uint8(rng.Intn(256)), G: uint8(rng.Intn(256)), B: uint8(rng.Intn(256)), A: 255}
+		}
+	}
+	full := image.NewPaletted(image.Rect(0, 0, 90, 70), pal)
+	for i := range full.Pix {
+		full.Pix[i] = uint8(rng.Intn(len(pal)))
+	}
+	for _, img := range []*image.Paletted{
+		full,
+		full.SubImage(image.Rect(5, 9, 72, 52)).(*image.Paletted),
+		full.SubImage(image.Rect(3, 3, 8, 6)).(*image.Paletted), // smaller than the grid
+	} {
+		fast, generic := EmbedImage(img), EmbedImage(opaqueImage{img})
+		for i := range generic {
+			if fast[i] != generic[i] {
+				t.Fatalf("%v: feature %d = %v on the fast path, %v on the generic one", img.Rect, i, fast[i], generic[i])
+			}
+		}
 	}
 }
 
