@@ -1,25 +1,21 @@
 package sww
 
-// Benchmark harness: one benchmark per paper table/figure (DESIGN.md
-// E1–E17), driving the shared implementations in
-// internal/experiments. Each records the headline reproduction
-// metrics via b.ReportMetric so `go test -bench` output doubles as an
-// experiment log.
+// Benchmarks of this implementation's own cost: the Figure 1 div
+// transformation, the serve path end to end and on the wire, and the
+// placeholder worker pool. The paper's tables and figures (E2–E17)
+// are experiments, not benchmarks: `sww-bench` prints them and
+// internal/experiments' tests assert them.
 //
 // Simulated device seconds (the paper's laptop/workstation timings)
-// are reported as custom metrics; wall-clock ns/op measures this
-// implementation's real cost to run the experiment.
+// are reported as custom metrics; wall-clock ns/op is real cost.
 
 import (
 	"fmt"
 	"net"
 	"testing"
 
-	"sww/internal/cdn"
-
 	"sww/internal/core"
 	"sww/internal/device"
-	"sww/internal/experiments"
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
 	"sww/internal/html"
@@ -57,261 +53,6 @@ func BenchmarkFig1DivProcessing(b *testing.B) {
 		simSeconds = rep.SimGenTime.Seconds()
 	}
 	b.ReportMetric(simSeconds, "sim-laptop-s")
-}
-
-// BenchmarkNegotiationMatrix is E2: the §6.2 functionality matrix
-// over real connections.
-func BenchmarkNegotiationMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CapabilityMatrix()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatal("matrix incomplete")
-		}
-	}
-}
-
-// BenchmarkFig2Wikimedia is E3: the Figure 2 page end to end.
-func BenchmarkFig2Wikimedia(b *testing.B) {
-	var r *experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.Fig2Wikimedia()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.CompressionFactor, "compression-x")
-	b.ReportMetric(r.LaptopGen.Seconds(), "sim-laptop-s")
-	b.ReportMetric(r.ServerGen.Seconds(), "sim-server-s")
-	b.ReportMetric(r.MeanCLIP, "clip")
-}
-
-// BenchmarkTextArticle is E4: the §6.2 newspaper-article experiment.
-func BenchmarkTextArticle(b *testing.B) {
-	var r *experiments.TextArticleResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.TextArticle()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.Compression, "compression-x")
-	b.ReportMetric(r.LaptopGen.Seconds(), "sim-laptop-s")
-}
-
-// BenchmarkTable1 is E5.
-func BenchmarkTable1(b *testing.B) {
-	var rows []experiments.Table1Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.CLIP, "clip-"+r.Model)
-	}
-}
-
-// BenchmarkStepSweep is E6a.
-func BenchmarkStepSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StepSweep(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSizeSweep is E6b.
-func BenchmarkSizeSweep(b *testing.B) {
-	var rows []experiments.SizeSweepRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.SizeSweep()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Dim == 1024 {
-			b.ReportMetric(r.Laptop.Seconds(), "sim-laptop-1024-s")
-		}
-	}
-}
-
-// BenchmarkText2Text is E7.
-func BenchmarkText2Text(b *testing.B) {
-	var rows []experiments.TextModelRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Text2Text()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.SBERT, "sbert-"+r.Model)
-	}
-}
-
-// BenchmarkTable2 is E8.
-func BenchmarkTable2(b *testing.B) {
-	var rows []experiments.Table2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Ratio, "ratio-"+r.Label)
-	}
-}
-
-// BenchmarkEnergyComparison is E9.
-func BenchmarkEnergyComparison(b *testing.B) {
-	var c *experiments.EnergyComparison
-	for i := 0; i < b.N; i++ {
-		var err error
-		c, err = experiments.CompareEnergy()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(c.SlowdownFactor, "gen-vs-transmit-x")
-	b.ReportMetric(100*c.TransmitShare, "transmit-share-pct")
-}
-
-// BenchmarkEmbodiedCarbon is E10.
-func BenchmarkEmbodiedCarbon(b *testing.B) {
-	var c *experiments.CarbonResult
-	for i := 0; i < b.N; i++ {
-		c = experiments.CarbonSavings(147)
-	}
-	b.ReportMetric(c.SavedKg, "saved-kgco2e")
-}
-
-// BenchmarkTrafficProjection is E11.
-func BenchmarkTrafficProjection(b *testing.B) {
-	var t *experiments.TrafficResult
-	for i := 0; i < b.N; i++ {
-		t = experiments.ProjectTraffic(147)
-	}
-	b.ReportMetric(t.ProjectedPBPerMonth, "pb-per-month")
-}
-
-// BenchmarkCDNStorage is E12.
-func BenchmarkCDNStorage(b *testing.B) {
-	var rows []experiments.CDNRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.CDNSweep(1000, 10000, 32<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.CacheBytes), fmt.Sprintf("cache-bytes-%s", r.Mode))
-	}
-}
-
-// BenchmarkVideoSavings is E13.
-func BenchmarkVideoSavings(b *testing.B) {
-	var rows []experiments.VideoRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.VideoSweep()
-	}
-	b.ReportMetric(rows[len(rows)-1].Savings, "max-savings-x")
-}
-
-// BenchmarkAblationPreload quantifies the §4.1 pipeline-preloading
-// design choice.
-func BenchmarkAblationPreload(b *testing.B) {
-	var p *experiments.AblationPreload
-	for i := 0; i < b.N; i++ {
-		var err error
-		p, err = experiments.PreloadAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(p.ReloadOverheadPct, "reload-overhead-pct")
-}
-
-// BenchmarkAblationNegotiation quantifies SETTINGS vs per-request
-// header advertisement.
-func BenchmarkAblationNegotiation(b *testing.B) {
-	var a *experiments.AblationNegotiation
-	for i := 0; i < b.N; i++ {
-		a = experiments.NegotiationAblation(50)
-	}
-	b.ReportMetric(float64(a.HeaderTotalBytes)/float64(a.SettingsTotalBytes), "header-vs-settings-x")
-}
-
-// BenchmarkStreamingSession is E13's playback half: the 10-minute
-// 4K60 session sweep across devices and abilities.
-func BenchmarkStreamingSession(b *testing.B) {
-	var rows []experiments.StreamingRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.StreamingExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Device == "macbook-pro-m1" && r.Report.Delivery.BoostFrames && !r.Report.Delivery.UpscaleRes {
-			b.ReportMetric(r.Report.SavingsFactor, "laptop-boost-savings-x")
-			b.ReportMetric(r.Report.RealTimeFactor, "laptop-rt-factor")
-		}
-	}
-}
-
-// BenchmarkH3Negotiation is E14: the §3.1 capability matrix over the
-// HTTP/3 mapping.
-func BenchmarkH3Negotiation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.H3CapabilityMatrix()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatal("matrix incomplete")
-		}
-	}
-}
-
-// BenchmarkUpscale is E15: §2.2 content upscaling vs. generation.
-func BenchmarkUpscale(b *testing.B) {
-	var r *experiments.UpscaleResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.UpscaleExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.SpeedFactor, "gen-vs-upscale-x")
-	b.ReportMetric(r.WireSavings, "wire-savings-x")
-}
-
-// BenchmarkPersonalization is E16: §2.3 echo-chamber drift.
-func BenchmarkPersonalization(b *testing.B) {
-	var r *experiments.PersonalizationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.PersonalizationExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.Drift, "echo-drift")
 }
 
 // BenchmarkServeTravelBlog measures this implementation's real
@@ -406,19 +147,5 @@ func BenchmarkProcessParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkPlacementSweep is E17: §7's cache-placement analysis.
-func BenchmarkPlacementSweep(b *testing.B) {
-	load := cdn.DefaultPlacementLoad()
-	var rows []cdn.PlacementResult
-	for i := 0; i < b.N; i++ {
-		rows = cdn.PlacementSweep(load)
-	}
-	for _, r := range rows {
-		if r.SWW && r.Placement.Name == "core" {
-			b.ReportMetric(r.BackboneGbps, "sww-backbone-gbps")
-		}
 	}
 }

@@ -5,11 +5,13 @@
 //
 //	sww-bench [-only t1|t2|fig2|steps|sizes|text|article|matrix|
 //	                 energy|carbon|traffic|cdn|video|storage|ablations|
-//	                 chaos|overload|abuse|fastpath|telemetry|edgetier|
-//	                 selfheal|originha|capacity]
+//	                 h3|upscale|personalize|placement|chaos|overload|
+//	                 abuse|fastpath|telemetry|edgetier|selfheal|
+//	                 originha|capacity]
 //	          [-quick] [-capacity-out FILE]
 //
-// Without -only, all experiments run in order. -quick trims the
+// Without -only, all experiments run in order; an unknown key exits 2
+// and lists the valid ones. -quick trims the
 // heavier sweeps for CI smoke runs. -capacity-out writes the E27
 // capacity curve as a benchmark-JSON artifact (the format
 // sww-benchjson emits), so CI can archive it and gate goodput against
@@ -71,6 +73,17 @@ func main() {
 		{"selfheal", "E24 self-healing mesh: restart, push loss, peer-fill", runSelfHeal},
 		{"originha", "E25 origin HA: durable log, failover, fencing, retry budget", runOriginHA},
 		{"capacity", "E27 open-loop capacity model & knee", runCapacity},
+	}
+	if *only != "" {
+		keys, known := "", false
+		for _, e := range all {
+			keys += " " + e.key
+			known = known || e.key == *only
+		}
+		if !known {
+			fmt.Fprintf(os.Stderr, "sww-bench: unknown experiment %q; -only takes one of:%s\n", *only, keys)
+			os.Exit(2)
+		}
 	}
 	failed := false
 	for _, e := range all {
@@ -427,16 +440,14 @@ func runOverload() error {
 	}
 	fmt.Printf("capacity-limited generative server at multiples of admitted generation\n")
 	fmt.Printf("capacity; healthy signature: flat goodput beyond 1x, excess shed as 503.\n")
-	fmt.Printf("p50/p99 measure from each request's intended send slot; legacy columns\n")
-	fmt.Printf("measure from the actual send (the coordinated-omission-prone way).\n")
-	fmt.Printf("%-5s %9s %6s %5s %6s %5s %9s %7s %9s %9s %9s %9s %6s\n",
-		"mult", "offered", "reqs", "ok", "shed", "err", "goodput", "shed%", "p50", "p99", "leg p50", "leg p99", "flips")
+	fmt.Printf("p50/p99 measure from each request's intended send slot.\n")
+	fmt.Printf("%-5s %9s %6s %5s %6s %5s %9s %7s %9s %9s %6s\n",
+		"mult", "offered", "reqs", "ok", "shed", "err", "goodput", "shed%", "p50", "p99", "flips")
 	for _, r := range rows {
-		fmt.Printf("%4.1fx %7.0f/s %6d %5d %6d %5d %7.0f/s %6.1f%% %9v %9v %9v %9v %6d\n",
+		fmt.Printf("%4.1fx %7.0f/s %6d %5d %6d %5d %7.0f/s %6.1f%% %9v %9v %6d\n",
 			r.Multiplier, r.OfferedRPS, r.Requests, r.OK, r.Shed, r.Errors,
 			r.GoodputRPS, 100*r.ShedRate,
 			r.P50.Round(time.Millisecond), r.P99.Round(time.Millisecond),
-			r.LegacyP50.Round(time.Millisecond), r.LegacyP99.Round(time.Millisecond),
 			r.Stats.ShedPolicyFlip)
 	}
 	return nil
@@ -698,8 +709,8 @@ func runTelemetry() error {
 	}
 	fmt.Printf("traces: %d finished / %d total; events: %d; counters==traces: %v\n",
 		rep.TracesFinished, rep.TracesTotal, rep.EventsTotal, rep.CountersMatchTraces)
-	fmt.Printf("client-side paced loops: p50/p99 %.2f/%.2fms from intended slots vs %.2f/%.2fms legacy\n",
-		rep.ClientSchedP50ms, rep.ClientSchedP99ms, rep.ClientLegacyP50ms, rep.ClientLegacyP99ms)
+	fmt.Printf("client-side paced loops: p50/p99 %.2f/%.2fms from intended slots\n",
+		rep.ClientSchedP50ms, rep.ClientSchedP99ms)
 	if !rep.CountersMatchTraces {
 		return fmt.Errorf("per-outcome counters do not sum to finished traces")
 	}

@@ -16,11 +16,11 @@
 package cdn
 
 import (
-	"container/list"
 	"fmt"
 	"time"
 
 	"sww/internal/device"
+	"sww/internal/overload"
 )
 
 // Mode selects how an edge node serves cached objects.
@@ -77,16 +77,9 @@ type EdgeNode struct {
 	Mode     Mode
 	Capacity int64 // bytes
 
-	used    int64
-	lru     *list.List // of *entry, front = most recent
-	entries map[string]*list.Element
+	lru *overload.ByteLRU // key → cached size
 
 	Stats Stats
-}
-
-type entry struct {
-	obj  Object
-	size int64
 }
 
 // Stats aggregates an edge node's activity.
@@ -109,16 +102,11 @@ type Stats struct {
 
 // NewEdgeNode builds an empty node.
 func NewEdgeNode(mode Mode, capacity int64) *EdgeNode {
-	return &EdgeNode{
-		Mode:     mode,
-		Capacity: capacity,
-		lru:      list.New(),
-		entries:  map[string]*list.Element{},
-	}
+	return &EdgeNode{Mode: mode, Capacity: capacity, lru: overload.NewByteLRU(capacity)}
 }
 
 // Used returns the occupied cache bytes.
-func (n *EdgeNode) Used() int64 { return n.used }
+func (n *EdgeNode) Used() int64 { return n.lru.Bytes() }
 
 // Len returns the number of cached objects.
 func (n *EdgeNode) Len() int { return n.lru.Len() }
@@ -127,8 +115,7 @@ func (n *EdgeNode) Len() int { return n.lru.Len() }
 // miss. It returns whether the request hit.
 func (n *EdgeNode) Request(obj Object) bool {
 	hit := false
-	if el, ok := n.entries[obj.Key]; ok {
-		n.lru.MoveToFront(el)
+	if _, ok := n.lru.Get(obj.Key); ok {
 		n.Stats.Hits++
 		hit = true
 	} else {
@@ -150,22 +137,11 @@ func (n *EdgeNode) Request(obj Object) bool {
 func (n *EdgeNode) insert(obj Object) {
 	size := int64(obj.cachedBytes(n.Mode))
 	if size > n.Capacity {
-		return // uncacheable at this capacity
+		// Uncacheable at this capacity. ByteLRU would admit it at the
+		// front and evict everything behind it first.
+		return
 	}
-	for n.used+size > n.Capacity {
-		back := n.lru.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(*entry)
-		n.lru.Remove(back)
-		delete(n.entries, ev.obj.Key)
-		n.used -= ev.size
-		n.Stats.Evictions++
-	}
-	el := n.lru.PushFront(&entry{obj: obj, size: size})
-	n.entries[obj.Key] = el
-	n.used += size
+	n.Stats.Evictions += n.lru.Add(obj.Key, nil, size)
 }
 
 // HitRate returns hits/(hits+misses).
@@ -181,5 +157,5 @@ func (n *EdgeNode) HitRate() float64 {
 // node actually needs for its current working set (§6.4's embodied
 // carbon argument: prompt caches need radically less SSD).
 func (n *EdgeNode) EmbodiedCarbonKg() float64 {
-	return device.EmbodiedCarbonKg(n.used, 1)
+	return device.EmbodiedCarbonKg(n.Used(), 1)
 }

@@ -34,9 +34,6 @@ type EdgeClientConfig struct {
 
 	// Factory builds the per-connection client; nil means HTTP/2.
 	Factory core.ClientFactory
-
-	// RingReplicas overrides the virtual-node count (0 = default).
-	RingReplicas int
 }
 
 type edgePeer struct {
@@ -65,7 +62,7 @@ type EdgeClient struct {
 func NewEdgeClient(cfg EdgeClientConfig, dials map[string]core.DialFunc) *EdgeClient {
 	c := &EdgeClient{
 		cfg:   cfg,
-		ring:  NewRing(cfg.RingReplicas),
+		ring:  NewRing(0),
 		peers: map[string]*edgePeer{},
 	}
 	for name, dial := range dials {

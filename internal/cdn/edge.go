@@ -124,12 +124,6 @@ type EdgeConfig struct {
 	// miss consults. 0 means 2; negative disables peer-fill.
 	PeerFillFanout int
 
-	// PeerFillTimeout bounds the whole hedged consultation (<= 0
-	// means 250ms); HedgeDelay staggers the candidates so the second
-	// peer is only asked when the first is slow (<= 0 means 50ms).
-	PeerFillTimeout time.Duration
-	HedgeDelay      time.Duration
-
 	// SnapshotPath, when set, enables crash-safe warm restart: the
 	// shard index and lastSeq are snapshotted there periodically and
 	// on Close, and reloaded by NewEdge.
@@ -193,20 +187,6 @@ func (c EdgeConfig) peerFillFanout() int {
 	return c.PeerFillFanout
 }
 
-func (c EdgeConfig) peerFillTimeout() time.Duration {
-	if c.PeerFillTimeout <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.PeerFillTimeout
-}
-
-func (c EdgeConfig) hedgeDelay() time.Duration {
-	if c.HedgeDelay <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.HedgeDelay
-}
-
 func (c EdgeConfig) snapshotInterval() time.Duration {
 	if c.SnapshotInterval <= 0 {
 		return 5 * time.Second
@@ -226,6 +206,14 @@ func (c EdgeConfig) seed() int64 {
 	}
 	return s
 }
+
+// peerFillTimeout bounds one whole hedged peer consultation;
+// hedgeDelay staggers the candidates so the second peer is only asked
+// when the first is slow.
+const (
+	peerFillTimeout = 250 * time.Millisecond
+	hedgeDelay      = 50 * time.Millisecond
+)
 
 // peerFillHeader marks an edge-to-edge fill request: the receiving
 // peer answers from its shard only — no origin pull, no recursive
@@ -495,12 +483,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request) {
 	// The effective ability is the connection's negotiated one unless
 	// a peer edge forwarded its own client's ability — peer-fill must
 	// hit the same ability-keyed entry the terminal client would.
-	gen := r.PeerGen
-	if v := r.HeaderValue(core.EdgeGenHeader); v != "" {
-		if g, err := strconv.ParseUint(v, 10, 8); err == nil {
-			gen = http2.GenAbility(g)
-		}
-	}
+	gen := core.EffectivePeerGen(r.PeerGen, r.HeaderValue(core.EdgeGenHeader))
 	key := cacheKey(path, gen)
 	now := e.now()
 
@@ -629,7 +612,7 @@ func (e *Edge) peerServe(w *http2.ResponseWriter, key string, now time.Time) {
 
 // peerFill consults up to PeerFillFanout alive ring-successor peers
 // for path, hedged: the first is asked immediately, each further
-// candidate only after HedgeDelay more of silence, and the first 200
+// candidate only after hedgeDelay more of silence, and the first 200
 // wins. The filled entry joins the shard backdated by the peer's
 // stale age, so staleness accounting survives the hop.
 func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbility) (*core.RawReply, time.Duration, bool) {
@@ -655,7 +638,7 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 		e.peerFillFails.Add(1)
 		return nil, 0, false
 	}
-	fctx, cancel := context.WithTimeout(ctx, e.cfg.peerFillTimeout())
+	fctx, cancel := context.WithTimeout(ctx, peerFillTimeout)
 	defer cancel()
 	type fillResult struct{ raw *core.RawReply }
 	results := make(chan fillResult, len(cands))
@@ -666,7 +649,7 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 	for i, p := range cands {
 		go func(i int, p *meshPeer) {
 			if i > 0 {
-				t := time.NewTimer(time.Duration(i) * e.cfg.hedgeDelay())
+				t := time.NewTimer(time.Duration(i) * hedgeDelay)
 				select {
 				case <-fctx.Done():
 					t.Stop()

@@ -1,21 +1,18 @@
-package cdn
+package cdn_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"sww/internal/cdn"
 	"sww/internal/core"
 	"sww/internal/device"
-	"sww/internal/faultnet"
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
+	"sww/internal/tier"
 	"sww/internal/workload"
 )
 
@@ -28,192 +25,42 @@ func newProc(t *testing.T) *core.PageProcessor {
 	return proc
 }
 
-const tierPages = 8
-
-// tierHarness wires a live origin + edge fleet over in-memory pipes,
-// with switches to blackhole the origin, cut one edge's upstream
-// (asymmetric partition), or kill an edge outright.
-type tierHarness struct {
-	t      *testing.T
-	origin *Origin
-	srv    *core.Server
-
-	originDown  atomic.Bool             // future origin dials hit a blackhole
-	upstreamCut map[string]*atomic.Bool // per-edge upstream partition
-
-	mu          sync.Mutex
-	originConns []net.Conn // origin-side conn ends, severable
-	edgeConns   map[string][]net.Conn
-
-	edges    map[string]*Edge
-	edgeDead map[string]*atomic.Bool
-}
-
-// tierRetry is the terminal-client policy: patient enough to absorb
-// the edge's whole upstream ladder inside one attempt.
-func tierRetry() core.RetryPolicy {
-	return core.RetryPolicy{
-		MaxAttempts:    2,
-		AttemptTimeout: 2 * time.Second,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		Jitter:         0.2,
-		Seed:           17,
-	}
-}
-
-// edgeRetry is the edge→origin policy: deliberately tighter than the
-// terminal client's patience, so a dead origin fails into the stale
-// path while the client is still waiting.
-func edgeRetry() core.RetryPolicy {
-	return core.RetryPolicy{
-		MaxAttempts:    2,
-		AttemptTimeout: 40 * time.Millisecond,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		Jitter:         0.2,
-		Seed:           17,
-	}
-}
-
-func tierHealth() core.EndpointHealthConfig {
-	return core.EndpointHealthConfig{FailureThreshold: 2, ProbeCooldown: 25 * time.Millisecond}
-}
-
-func newTier(t *testing.T, edgeNames []string, mod func(*EdgeConfig)) *tierHarness {
+// boot boots one tier for the test and closes it with the test.
+func boot(t *testing.T, opts tier.Options) *tier.Tier {
 	t.Helper()
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
+	h, err := tier.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < tierPages; i++ {
-		srv.AddPage(workload.CDNPage(i))
-	}
-	h := &tierHarness{
-		t:           t,
-		srv:         srv,
-		origin:      NewOrigin(srv, 0),
-		upstreamCut: map[string]*atomic.Bool{},
-		edgeConns:   map[string][]net.Conn{},
-		edges:       map[string]*Edge{},
-		edgeDead:    map[string]*atomic.Bool{},
-	}
-	for _, name := range edgeNames {
-		name := name
-		h.upstreamCut[name] = &atomic.Bool{}
-		h.edgeDead[name] = &atomic.Bool{}
-		origins := core.NewEndpointSet(tierHealth())
-		origins.Add("origin", func() (net.Conn, error) {
-			if h.originDown.Load() || h.upstreamCut[name].Load() {
-				return faultnet.Blackhole(), nil
-			}
-			cEnd, sEnd := net.Pipe()
-			h.srv.StartConn(sEnd)
-			h.mu.Lock()
-			h.originConns = append(h.originConns, sEnd)
-			h.mu.Unlock()
-			return cEnd, nil
-		})
-		cfg := EdgeConfig{
-			Name:         name,
-			TTL:          25 * time.Millisecond,
-			MaxStale:     time.Hour,
-			PollInterval: 15 * time.Millisecond,
-			Retry:        edgeRetry(),
-			Peers:        edgeNames,
-		}
-		if mod != nil {
-			mod(&cfg)
-		}
-		h.edges[name] = NewEdge(cfg, origins)
-	}
-	t.Cleanup(func() {
-		for _, e := range h.edges {
-			e.Close()
-		}
-	})
+	t.Cleanup(h.Close)
 	return h
 }
 
-// blackholeOrigin makes the origin unreachable: established upstream
-// connections die and every redial lands in a silent blackhole that
-// only attempt timeouts escape.
-func (h *tierHarness) blackholeOrigin() {
-	h.originDown.Store(true)
-	h.mu.Lock()
-	conns := h.originConns
-	h.originConns = nil
-	h.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (h *tierHarness) healOrigin() { h.originDown.Store(false) }
-
-// cutUpstream partitions one edge from the origin (its peers and
-// clients still reach it — the asymmetric case).
-func (h *tierHarness) cutUpstream(edge string) {
-	h.upstreamCut[edge].Store(true)
-	h.mu.Lock()
-	conns := h.originConns
-	h.originConns = nil
-	h.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (h *tierHarness) healUpstream(edge string) { h.upstreamCut[edge].Store(false) }
-
-// killEdge takes one edge off the air entirely.
-func (h *tierHarness) killEdge(name string) {
-	h.edgeDead[name].Store(true)
-	h.mu.Lock()
-	conns := h.edgeConns[name]
-	delete(h.edgeConns, name)
-	h.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	h.edges[name].Close()
-}
-
-// edgeClient builds a ring-routing terminal client over the fleet.
-func (h *tierHarness) edgeClient() *EdgeClient {
-	dials := map[string]core.DialFunc{}
-	for name := range h.edges {
-		name := name
-		dials[name] = func() (net.Conn, error) {
-			if h.edgeDead[name].Load() {
-				return nil, errors.New("edge down")
-			}
-			cEnd, sEnd := net.Pipe()
-			h.edges[name].StartConn(sEnd)
-			h.mu.Lock()
-			h.edgeConns[name] = append(h.edgeConns[name], cEnd)
-			h.mu.Unlock()
-			return cEnd, nil
+// newTier boots a placement-only fleet tuned for chaos: entries expire
+// after 25ms and the poller ticks every 15ms unless mod says otherwise.
+func newTier(t *testing.T, names []string, mod func(*cdn.EdgeConfig)) *tier.Tier {
+	t.Helper()
+	return boot(t, tier.Options{Edges: names, Edge: func(c *cdn.EdgeConfig) {
+		c.TTL = 25 * time.Millisecond
+		c.PollInterval = 15 * time.Millisecond
+		if mod != nil {
+			mod(c)
 		}
-	}
-	ec := NewEdgeClient(EdgeClientConfig{Retry: tierRetry(), Health: tierHealth()}, dials)
-	h.t.Cleanup(func() { ec.Close() })
-	return ec
+	}})
 }
 
-func (h *tierHarness) fleetStats() EdgeStats {
-	var sum EdgeStats
-	for _, e := range h.edges {
-		s := e.Stats()
-		sum.Requests += s.Requests
-		sum.Hits += s.Hits
-		sum.Misses += s.Misses
-		sum.StaleServes += s.StaleServes
-		sum.Failovers += s.Failovers
-		sum.UpstreamErrors += s.UpstreamErrors
-		sum.Errors += s.Errors
+// newMesh boots a fleet with the edge-to-edge mesh wired: every edge
+// can dial every other (heartbeats, peer-fill).
+func newMesh(t *testing.T, names []string, mod func(*cdn.EdgeConfig)) *tier.Tier {
+	t.Helper()
+	return boot(t, tier.Options{Edges: names, Mesh: true, Edge: mod})
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	if err := tier.WaitUntil(context.Background(), what, cond); err != nil {
+		t.Fatal(err)
 	}
-	return sum
 }
 
 // TestEdgeTierServes: terminal clients fetch through the ring-routed
@@ -222,12 +69,12 @@ func (h *tierHarness) fleetStats() EdgeStats {
 // without touching the origin again.
 func TestEdgeTierServes(t *testing.T) {
 	names := []string{"edge1", "edge2", "edge3"}
-	h := newTier(t, names, func(c *EdgeConfig) { c.TTL = time.Hour })
-	ec := h.edgeClient()
+	h := newTier(t, names, func(c *cdn.EdgeConfig) { c.TTL = time.Hour })
+	ec := h.EdgeClient()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	for i := 0; i < tierPages; i++ {
+	for i := 0; i < tier.Pages; i++ {
 		path := workload.CDNPagePath(i)
 		res, served, err := ec.FetchContext(ctx, path)
 		if err != nil {
@@ -240,19 +87,19 @@ func TestEdgeTierServes(t *testing.T) {
 			t.Errorf("%s: wrong content through the edge", path)
 		}
 	}
-	first := h.fleetStats()
-	if first.Misses != tierPages {
-		t.Errorf("first round misses = %d, want %d", first.Misses, tierPages)
+	first := h.Stats()
+	if first.Misses != tier.Pages {
+		t.Errorf("first round misses = %d, want %d", first.Misses, tier.Pages)
 	}
 
-	for i := 0; i < tierPages; i++ {
+	for i := 0; i < tier.Pages; i++ {
 		if _, _, err := ec.FetchContext(ctx, workload.CDNPagePath(i)); err != nil {
 			t.Fatalf("second round fetch: %v", err)
 		}
 	}
-	second := h.fleetStats()
-	if hits := second.Hits - first.Hits; hits != tierPages {
-		t.Errorf("second round hits = %d, want %d", hits, tierPages)
+	second := h.Stats()
+	if hits := second.Hits - first.Hits; hits != tier.Pages {
+		t.Errorf("second round hits = %d, want %d", hits, tier.Pages)
 	}
 	if second.Misses != first.Misses {
 		t.Errorf("second round pulled the origin again (%d → %d misses)", first.Misses, second.Misses)
@@ -266,23 +113,19 @@ func TestEdgeTierAbilityKeying(t *testing.T) {
 	// The patient upstream policy: LoadPage renders server-side for
 	// the traditional client, which overruns the chaos tests' tight
 	// 40ms attempts on slow (-race) runners.
-	h := newTier(t, []string{"edge1"}, func(c *EdgeConfig) {
+	h := newTier(t, []string{"edge1"}, func(c *cdn.EdgeConfig) {
 		c.TTL = time.Hour
-		c.Retry = tierRetry()
+		c.Retry = tier.ClientRetry
 	})
-	h.srv.AddPage(workload.LoadPage(0))
+	h.Primary().Server().AddPage(workload.LoadPage(0))
 	path := workload.LoadPagePath(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	dial := func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		h.edges["edge1"].StartConn(sEnd)
-		return cEnd, nil
-	}
+	dial := h.Dial("edge1")
 	// Traditional client first: the edge must pull and cache the
 	// rendered form.
-	trad := core.NewResilientClient(dial, device.Laptop, nil, tierRetry(), nil)
+	trad := core.NewResilientClient(dial, device.Laptop, nil, tier.ClientRetry, nil)
 	defer trad.Close()
 	tres, err := trad.FetchContext(ctx, path)
 	if err != nil {
@@ -296,7 +139,7 @@ func TestEdgeTierAbilityKeying(t *testing.T) {
 	// cached rendered bytes — ability keying forces a second pull that
 	// returns the prompt form.
 	proc := newProc(t)
-	gen := core.NewResilientClient(dial, device.Laptop, proc, tierRetry(), nil)
+	gen := core.NewResilientClient(dial, device.Laptop, proc, tier.ClientRetry, nil)
 	defer gen.Close()
 	gres, err := gen.FetchContext(ctx, path)
 	if err != nil {
@@ -305,7 +148,7 @@ func TestEdgeTierAbilityKeying(t *testing.T) {
 	if gres.Mode != core.ModeGenerative {
 		t.Fatalf("generative client got mode %q through the edge cache", gres.Mode)
 	}
-	if s := h.edges["edge1"].Stats(); s.Misses < 2 {
+	if s := h.Edge("edge1").Stats(); s.Misses < 2 {
 		t.Errorf("misses = %d, want one per ability", s.Misses)
 	}
 }
@@ -315,7 +158,7 @@ func TestEdgeTierAbilityKeying(t *testing.T) {
 // and after the origin heals the edge goes back to fresh pulls.
 func TestEdgeTierStaleServe(t *testing.T) {
 	h := newTier(t, []string{"edge1"}, nil)
-	ec := h.edgeClient()
+	ec := h.EdgeClient()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	warm := workload.CDNPagePath(0)
@@ -325,7 +168,7 @@ func TestEdgeTierStaleServe(t *testing.T) {
 		t.Fatalf("warming fetch: %v", err)
 	}
 
-	h.blackholeOrigin()
+	h.SeverOrigin()
 	time.Sleep(40 * time.Millisecond) // let the warm entry expire
 
 	res, _, err := ec.FetchContext(ctx, warm)
@@ -335,7 +178,7 @@ func TestEdgeTierStaleServe(t *testing.T) {
 	if !strings.Contains(res.HTML, "edge tier page 000") {
 		t.Error("stale serve returned wrong content")
 	}
-	s := h.edges["edge1"].Stats()
+	s := h.Edge("edge1").Stats()
 	if s.StaleServes == 0 {
 		t.Error("no stale serves counted during origin blackhole")
 	}
@@ -346,26 +189,20 @@ func TestEdgeTierStaleServe(t *testing.T) {
 		t.Error("cold path served during origin blackhole — from where?")
 	}
 
-	h.healOrigin()
+	h.HealOrigin()
 	// The origin endpoint breaker needs its cooldown before a probe;
 	// with the breaker open the 502 path kicks a background
 	// revalidation, whose success flips the endpoint healthy (and may
 	// itself store the page — so the success below can be a hit).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, _, err := ec.FetchContext(ctx, cold); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("edge never recovered after the origin healed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "the edge to recover after the origin healed", func() bool {
+		_, _, err := ec.FetchContext(ctx, cold)
+		return err == nil
+	})
 	// A never-seen path must now take the synchronous pull path again.
 	if _, _, err := ec.FetchContext(ctx, workload.CDNPagePath(2)); err != nil {
 		t.Fatalf("cold fetch after heal: %v", err)
 	}
-	after := h.edges["edge1"].Stats()
+	after := h.Edge("edge1").Stats()
 	if after.Misses <= s.Misses {
 		t.Error("no fresh origin pull after heal")
 	}
@@ -374,9 +211,9 @@ func TestEdgeTierStaleServe(t *testing.T) {
 // TestEdgeTierInvalidation: an unpublish at the origin reaches the
 // edge through the poller and the edge stops serving the content.
 func TestEdgeTierInvalidation(t *testing.T) {
-	h := newTier(t, []string{"edge1"}, func(c *EdgeConfig) { c.TTL = time.Hour })
-	h.edges["edge1"].Start()
-	ec := h.edgeClient()
+	h := newTier(t, []string{"edge1"}, func(c *cdn.EdgeConfig) { c.TTL = time.Hour })
+	h.Edge("edge1").Start()
+	ec := h.EdgeClient()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	path := workload.CDNPagePath(2)
@@ -384,19 +221,15 @@ func TestEdgeTierInvalidation(t *testing.T) {
 	if _, _, err := ec.FetchContext(ctx, path); err != nil {
 		t.Fatalf("warming fetch: %v", err)
 	}
-	h.srv.RemovePage(path)
-	if h.origin.Seq() == 0 {
+	h.Primary().Server().RemovePage(path)
+	if h.Primary().Seq() == 0 {
 		t.Fatal("RemovePage did not append to the invalidation log")
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for h.edges["edge1"].LastSeq() < h.origin.Seq() {
-		if time.Now().After(deadline) {
-			t.Fatalf("edge never caught up: seq %d < %d", h.edges["edge1"].LastSeq(), h.origin.Seq())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if s := h.edges["edge1"].Stats(); s.InvalApplied == 0 {
+	waitFor(t, "the edge to catch up", func() bool {
+		return h.Edge("edge1").LastSeq() >= h.Primary().Seq()
+	})
+	if s := h.Edge("edge1").Stats(); s.InvalApplied == 0 {
 		t.Error("invalidation reached the edge but removed nothing")
 	}
 	// The edge must now miss and surface the origin's 404 rather than
@@ -413,8 +246,8 @@ func TestEdgeTierInvalidation(t *testing.T) {
 // the unpublished page stops being served.
 func TestEdgeTierPartitionReconcile(t *testing.T) {
 	h := newTier(t, []string{"edge1"}, nil)
-	h.edges["edge1"].Start()
-	ec := h.edgeClient()
+	h.Edge("edge1").Start()
+	ec := h.EdgeClient()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	path := workload.CDNPagePath(3)
@@ -422,25 +255,21 @@ func TestEdgeTierPartitionReconcile(t *testing.T) {
 	if _, _, err := ec.FetchContext(ctx, path); err != nil {
 		t.Fatalf("warming fetch: %v", err)
 	}
-	h.cutUpstream("edge1")
-	h.srv.RemovePage(path) // unpublished while the edge cannot hear
+	h.Link("edge1").Up.Sever()
+	h.Primary().Server().RemovePage(path) // unpublished while the edge cannot hear
 
 	time.Sleep(60 * time.Millisecond) // past TTL, poller now failing
 	if _, _, err := ec.FetchContext(ctx, path); err != nil {
 		t.Fatalf("partitioned edge dropped its warm copy: %v", err)
 	}
-	if s := h.edges["edge1"].Stats(); s.PollErrors == 0 {
+	if s := h.Edge("edge1").Stats(); s.PollErrors == 0 {
 		t.Error("partitioned poller reported no errors")
 	}
 
-	h.healUpstream("edge1")
-	deadline := time.Now().Add(10 * time.Second)
-	for h.edges["edge1"].LastSeq() < h.origin.Seq() {
-		if time.Now().After(deadline) {
-			t.Fatalf("reconcile never happened: seq %d < %d", h.edges["edge1"].LastSeq(), h.origin.Seq())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	h.Link("edge1").Up.Restart()
+	waitFor(t, "the reconcile", func() bool {
+		return h.Edge("edge1").LastSeq() >= h.Primary().Seq()
+	})
 	if _, _, err := ec.FetchContext(ctx, path); err == nil {
 		t.Error("unpublished page still served after reconcile")
 	}
@@ -450,44 +279,22 @@ func TestEdgeTierPartitionReconcile(t *testing.T) {
 // origin's invalidation log reaches is told to reset, and flushes its
 // whole shard rather than guess what it missed.
 func TestEdgeTierFeedReset(t *testing.T) {
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tierPages; i++ {
-		srv.AddPage(workload.CDNPage(i))
-	}
-	origin := NewOrigin(srv, 2) // tiny log to force truncation
-	origins := core.NewEndpointSet(tierHealth())
-	origins.Add("origin", func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		srv.StartConn(sEnd)
-		return cEnd, nil
-	})
-	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour, Retry: edgeRetry()}, origins)
-	defer e.Close()
-
-	dial := func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		e.StartConn(sEnd)
-		return cEnd, nil
-	}
-	cl := core.NewResilientClient(dial, device.Laptop, nil, tierRetry(), nil)
-	defer cl.Close()
+	h := newTier(t, []string{"edge1"}, func(c *cdn.EdgeConfig) { c.TTL = time.Hour })
+	e, origin := h.Edge("edge1"), h.Primary()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := cl.FetchContext(ctx, workload.CDNPagePath(0)); err != nil {
+	if _, err := h.Fetch(ctx, "edge1", workload.CDNPagePath(0)); err != nil {
 		t.Fatalf("warming fetch: %v", err)
 	}
 	if e.Stats().CacheEntries == 0 {
 		t.Fatal("nothing cached")
 	}
 
-	// Three invalidations through a 2-entry log truncate past the
+	// One invalidation more than the log retains truncates past the
 	// edge's position (lastSeq still 0).
-	origin.Invalidate([]string{"/a"})
-	origin.Invalidate([]string{"/b"})
-	origin.Invalidate([]string{"/c"})
+	for i := 0; i <= cdn.DefaultInvalidationLog; i++ {
+		origin.Invalidate([]string{"/churn"})
+	}
 	if err := e.PollOnce(ctx); err != nil {
 		t.Fatalf("poll: %v", err)
 	}
@@ -510,15 +317,15 @@ func TestEdgeTierFeedReset(t *testing.T) {
 // predicted.
 func TestEdgeTierFailover(t *testing.T) {
 	names := []string{"edge1", "edge2", "edge3"}
-	h := newTier(t, names, func(c *EdgeConfig) { c.TTL = time.Hour })
-	ec := h.edgeClient()
+	h := newTier(t, names, func(c *cdn.EdgeConfig) { c.TTL = time.Hour })
+	ec := h.EdgeClient()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	// Baseline round; record each path's predicted failover order.
 	successor := map[string]string{}
 	victim := "edge2"
-	for i := 0; i < tierPages; i++ {
+	for i := 0; i < tier.Pages; i++ {
 		path := workload.CDNPagePath(i)
 		order := ec.Ring().LookupN(path, 3)
 		if order[0] == victim {
@@ -532,12 +339,12 @@ func TestEdgeTierFailover(t *testing.T) {
 		t.Fatalf("%s owns no pages; enlarge the corpus", victim)
 	}
 
-	h.killEdge(victim)
+	h.KillEdge(victim)
 
 	failures := 0
 	const rounds = 3
 	for r := 0; r < rounds; r++ {
-		for i := 0; i < tierPages; i++ {
+		for i := 0; i < tier.Pages; i++ {
 			path := workload.CDNPagePath(i)
 			_, served, err := ec.FetchContext(ctx, path)
 			if err != nil {
@@ -549,12 +356,12 @@ func TestEdgeTierFailover(t *testing.T) {
 			}
 		}
 	}
-	total := rounds * tierPages
+	total := rounds * tier.Pages
 	if rate := float64(failures) / float64(total); rate >= 0.01 {
 		t.Errorf("error rate with one edge dead = %.1f%% (%d/%d), want <1%%",
 			rate*100, failures, total)
 	}
-	if h.fleetStats().Failovers == 0 {
+	if h.Stats().Failovers == 0 {
 		t.Error("survivors counted no failover traffic")
 	}
 

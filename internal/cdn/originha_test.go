@@ -1,376 +1,44 @@
-package cdn
+package cdn_test
 
-// Origin high-availability tests: the durable invalidation log (WAL +
-// snapshot compaction, torn tails, corrupted snapshots), epoch
-// persistence, standby mirroring and promotion, zombie fencing on both
-// the origin and edge sides, and the satellite regression tests for
-// edge shutdown goroutine leaks and concurrent push/poll convergence.
+// Origin high-availability scenario tests: standby mirroring and
+// promotion, zombie fencing on the edge side, edge failover to the
+// promoted standby, and the regression tests for edge shutdown
+// goroutine leaks and concurrent push/poll convergence.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"sww/internal/core"
-	"sww/internal/device"
-	"sww/internal/faultnet"
-	"sww/internal/genai/imagegen"
-	"sww/internal/genai/textgen"
-	"sww/internal/hpack"
+	"sww/internal/cdn"
 	"sww/internal/http2"
+	"sww/internal/tier"
 	"sww/internal/workload"
 )
-
-func newHAServer(t *testing.T) *core.Server {
-	t.Helper()
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tierPages; i++ {
-		srv.AddPage(workload.CDNPage(i))
-	}
-	return srv
-}
-
-// TestOriginLogWarmRestart: an origin with a durable log resumes its
-// old sequence number after a restart, and an edge anchored mid-log
-// reconciles incrementally — no reset, no flush.
-func TestOriginLogWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	srv := newHAServer(t)
-	o, err := NewOriginWithConfig(srv, OriginConfig{LogDir: dir, EpochDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		o.Invalidate([]string{fmt.Sprintf("/p%d", i)})
-	}
-	wantSeq := o.Seq()
-	if wantSeq != 6 {
-		t.Fatalf("seq = %d, want 6", wantSeq)
-	}
-	o.Close()
-
-	o2, err := NewOriginWithConfig(newHAServer(t), OriginConfig{LogDir: dir, EpochDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o2.Close()
-	if got := o2.Seq(); got != wantSeq {
-		t.Fatalf("restarted seq = %d, want %d", got, wantSeq)
-	}
-	// An edge that applied through seq 4 gets exactly the tail.
-	feed := o2.Feed(4)
-	if feed.Reset {
-		t.Fatal("warm restart answered an in-log position with a reset")
-	}
-	if len(feed.Paths) != 2 || feed.Paths[0] != "/p4" || feed.Paths[1] != "/p5" {
-		t.Fatalf("incremental feed paths = %v, want [/p4 /p5]", feed.Paths)
-	}
-	// New invalidations continue the sequence space.
-	o2.Invalidate([]string{"/after"})
-	if got := o2.Seq(); got != wantSeq+1 {
-		t.Fatalf("post-restart seq = %d, want %d", got, wantSeq+1)
-	}
-}
-
-// TestOriginLogCompaction: once the WAL outgrows the retained window
-// it is compacted into the snapshot, and recovery from the compacted
-// pair reproduces the same seq/floor/entries.
-func TestOriginLogCompaction(t *testing.T) {
-	dir := t.TempDir()
-	o, err := NewOriginWithConfig(newHAServer(t), OriginConfig{MaxLog: 4, LogDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		o.Invalidate([]string{fmt.Sprintf("/p%d", i)})
-	}
-	if _, err := os.Stat(filepath.Join(dir, originSnapName)); err != nil {
-		t.Fatalf("no snapshot after churn past the window: %v", err)
-	}
-	if fi, err := os.Stat(filepath.Join(dir, originWALName)); err != nil || fi.Size() > 4*200 {
-		t.Fatalf("WAL not compacted: err %v size %d", err, fi.Size())
-	}
-	wantSeq := o.Seq()
-	o.Close()
-
-	o2, err := NewOriginWithConfig(newHAServer(t), OriginConfig{MaxLog: 4, LogDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o2.Close()
-	if got := o2.Seq(); got != wantSeq {
-		t.Fatalf("recovered seq = %d, want %d", got, wantSeq)
-	}
-	if feed := o2.Feed(wantSeq - 2); feed.Reset || len(feed.Paths) != 2 {
-		t.Fatalf("recovered feed = %+v, want 2 incremental paths", feed)
-	}
-	if feed := o2.Feed(1); !feed.Reset {
-		t.Fatal("position below the recovered floor did not reset")
-	}
-}
-
-// TestOriginLogTornTail: a crash mid-append leaves a torn final WAL
-// line; recovery keeps every complete entry before it and counts the
-// tear.
-func TestOriginLogTornTail(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := openOriginLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := l.append(walEntry{Seq: uint64(i), Paths: []string{fmt.Sprintf("/p%d", i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.close()
-	f, err := os.OpenFile(filepath.Join(dir, originWALName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"seq":4,"paths":["/p4`) // the torn append
-	f.Close()
-
-	o, err := NewOriginWithConfig(newHAServer(t), OriginConfig{LogDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	if got := o.Seq(); got != 3 {
-		t.Fatalf("recovered seq = %d, want 3 (torn tail dropped)", got)
-	}
-	if got := o.Stats().LogTorn; got != 1 {
-		t.Fatalf("torn counter = %d, want 1", got)
-	}
-}
-
-// TestOriginSnapshotCorruptRejected: a corrupted origin snapshot is
-// treated as missing (never a crash), and the WAL still recovers the
-// entries it holds.
-func TestOriginSnapshotCorruptRejected(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := openOriginLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.append(walEntry{Seq: 1, Paths: []string{"/p1"}})
-	l.append(walEntry{Seq: 2, Paths: []string{"/p2"}})
-	l.close()
-	if err := os.WriteFile(filepath.Join(dir, originSnapName), []byte("not json{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	o, err := NewOriginWithConfig(newHAServer(t), OriginConfig{LogDir: dir})
-	if err != nil {
-		t.Fatalf("corrupt snapshot escalated to a boot error: %v", err)
-	}
-	defer o.Close()
-	if got := o.Seq(); got != 2 {
-		t.Fatalf("seq = %d after corrupt snapshot, want 2 from the WAL", got)
-	}
-
-	// A snapshot from a future format version is rejected the same way.
-	dir2 := t.TempDir()
-	snap, _ := json.Marshal(originSnapshot{Version: originLogVersion + 1, Seq: 99, Floor: 99})
-	os.WriteFile(filepath.Join(dir2, originSnapName), snap, 0o644)
-	o2, err := NewOriginWithConfig(newHAServer(t), OriginConfig{LogDir: dir2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o2.Close()
-	if got := o2.Seq(); got != 0 {
-		t.Fatalf("future-version snapshot adopted: seq %d", got)
-	}
-}
-
-// TestEdgeSnapshotCorruptRejected: garbage where the edge's shard
-// snapshot should be means a cold boot, not a crash or a poisoned
-// cache (persist.go satellite regression).
-func TestEdgeSnapshotCorruptRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "edge.snap")
-	if err := os.WriteFile(path, []byte("\x00\xffnot a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	origins := core.NewEndpointSet(tierHealth())
-	origins.Add("origin", func() (net.Conn, error) { return faultnet.Blackhole(), nil })
-	e := NewEdge(EdgeConfig{Name: "edge1", SnapshotPath: path, Retry: edgeRetry()}, origins)
-	defer e.Close()
-	s := e.Stats()
-	if s.SnapshotLoaded != 0 || s.CacheEntries != 0 {
-		t.Fatalf("corrupt snapshot restored entries: loaded %d, cached %d",
-			s.SnapshotLoaded, s.CacheEntries)
-	}
-	if s.SnapshotErrors == 0 {
-		t.Fatal("corrupt snapshot not counted as an error")
-	}
-}
-
-// TestEpochPersistence: the fencing epoch round-trips through its
-// file, a missing file reads as 0, and corruption is an explicit boot
-// error (an origin must never guess its epoch).
-func TestEpochPersistence(t *testing.T) {
-	dir := t.TempDir()
-	if ep, err := loadEpoch(dir); err != nil || ep != 0 {
-		t.Fatalf("missing epoch file = %d, %v; want 0, nil", ep, err)
-	}
-	if err := saveEpoch(dir, 7); err != nil {
-		t.Fatal(err)
-	}
-	if ep, err := loadEpoch(dir); err != nil || ep != 7 {
-		t.Fatalf("epoch = %d, %v; want 7", ep, err)
-	}
-	os.WriteFile(filepath.Join(dir, epochFileName), []byte("sevenish"), 0o644)
-	if _, err := loadEpoch(dir); err == nil {
-		t.Fatal("corrupt epoch file read without error")
-	}
-	if _, err := NewOriginWithConfig(newHAServer(t), OriginConfig{EpochDir: dir}); err == nil {
-		t.Fatal("origin booted over a corrupt epoch file")
-	}
-}
-
-// TestMirrorFeedLadder: a standby applies mirrored feeds in order,
-// skips duplicates, adopts resets, and stops mirroring the moment it
-// is promoted.
-func TestMirrorFeedLadder(t *testing.T) {
-	o, err := NewOriginWithConfig(newHAServer(t), OriginConfig{Standby: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	if o.Role() != RoleStandby {
-		t.Fatalf("role = %v, want standby", o.Role())
-	}
-	// A standby drops local invalidations: the primary owns the space.
-	o.Invalidate([]string{"/local"})
-	if o.Seq() != 0 {
-		t.Fatal("standby appended a local invalidation")
-	}
-
-	if ack := o.MirrorFeed(InvalidationFeed{Seq: 1, Since: 0, Paths: []string{"/a"}, Epoch: 1}); ack != 1 {
-		t.Fatalf("mirror ack = %d, want 1", ack)
-	}
-	if ack := o.MirrorFeed(InvalidationFeed{Seq: 3, Since: 1, Paths: []string{"/b", "/c"}, Epoch: 1}); ack != 3 {
-		t.Fatalf("mirror ack = %d, want 3", ack)
-	}
-	// Duplicate (a push racing the mirror poll) is a no-op.
-	if ack := o.MirrorFeed(InvalidationFeed{Seq: 3, Since: 1, Paths: []string{"/b", "/c"}, Epoch: 1}); ack != 3 {
-		t.Fatalf("duplicate mirror ack = %d, want 3", ack)
-	}
-	if feed := o.Feed(1); feed.Reset || len(feed.Paths) != 2 {
-		t.Fatalf("standby feed = %+v, want the mirrored tail", feed)
-	}
-	// A reset adopts the primary's head as both floor and seq.
-	o.MirrorFeed(InvalidationFeed{Seq: 10, Reset: true, Epoch: 1})
-	if o.Seq() != 10 {
-		t.Fatalf("reset mirror seq = %d, want 10", o.Seq())
-	}
-	if feed := o.Feed(3); !feed.Reset {
-		t.Fatal("position below the adopted head did not reset")
-	}
-
-	if ep := o.Promote(); ep != 2 {
-		t.Fatalf("promotion epoch = %d, want 2", ep)
-	}
-	if o.Role() != RolePrimary {
-		t.Fatalf("role after promote = %v", o.Role())
-	}
-	if ep := o.Promote(); ep != 2 {
-		t.Fatalf("second promote bumped the epoch to %d", ep)
-	}
-	// Promoted: mirror feeds from the old primary are refused.
-	o.MirrorFeed(InvalidationFeed{Seq: 20, Since: 10, Paths: []string{"/z"}, Epoch: 1})
-	if o.Seq() != 10 {
-		t.Fatal("promoted origin mirrored a zombie feed")
-	}
-	o.Invalidate([]string{"/mine"})
-	if o.Seq() != 11 {
-		t.Fatalf("promoted origin seq = %d, want 11", o.Seq())
-	}
-}
-
-// TestZombieFencing: a primary that sees a newer epoch — on a request
-// header or a push ack — demotes itself to fenced: invalidation polls
-// answer 409, local invalidations are dropped, pushes stop.
-func TestZombieFencing(t *testing.T) {
-	srv := newHAServer(t)
-	o := NewOrigin(srv, 0)
-	defer o.Close()
-	o.Invalidate([]string{"/warm"})
-
-	dial := func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		srv.StartConn(sEnd)
-		return cEnd, nil
-	}
-	rc := core.NewResilientClient(dial, device.Workstation, nil, tierRetry(), nil)
-	defer rc.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// A poll carrying a newer epoch is the fence.
-	raw, err := rc.FetchRawContext(ctx, invalidationsPath+"?since=0",
-		hpack.HeaderField{Name: originEpochHeader, Value: "2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.Status != statusFenced {
-		t.Fatalf("fencing poll status = %d, want %d", raw.Status, statusFenced)
-	}
-	if o.Role() != RoleFenced {
-		t.Fatalf("role = %v, want fenced", o.Role())
-	}
-	if got := o.Epoch(); got != 1 {
-		t.Fatalf("fenced origin adopted the newer epoch (%d); it must keep its own", got)
-	}
-	seq := o.Seq()
-	o.Invalidate([]string{"/rejected"})
-	if o.Seq() != seq {
-		t.Fatal("fenced origin appended an invalidation")
-	}
-	raw, err = rc.FetchRawContext(ctx, invalidationsPath+"?since=0")
-	if err != nil || raw.Status != statusFenced {
-		t.Fatalf("post-fence poll = status %d, %v; want %d", raw.Status, err, statusFenced)
-	}
-	s := o.Stats()
-	if s.FenceEvents != 1 || s.FenceRefusals != 2 {
-		t.Fatalf("fence events %d refusals %d, want 1 and 2", s.FenceEvents, s.FenceRefusals)
-	}
-	// Health stays up — fencing is about writes, not liveness.
-	if raw, err := rc.FetchRawContext(ctx, healthPath); err != nil || raw.Status != 200 {
-		t.Fatalf("health while fenced = %d, %v", raw.Status, err)
-	}
-}
 
 // TestEdgeRefusesStaleEpochPush: an edge that lived through a failover
 // refuses a zombie's pushes — not applied, acked with the newer epoch
 // so the zombie fences itself.
 func TestEdgeRefusesStaleEpochPush(t *testing.T) {
 	h := newMesh(t, []string{"edge1"}, nil)
-	e := h.edges["edge1"]
+	e := h.Edge("edge1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	if !e.observeOriginEpoch(3) {
+	if !e.ObserveOriginEpoch(3) {
 		t.Fatal("first epoch observation refused")
 	}
-	rc := core.NewResilientClient(h.dialTo("edge1"), device.Workstation, nil, tierRetry(), nil)
-	defer rc.Close()
+	rc := h.Client("edge1")
 	raw, err := rc.FetchRawContext(ctx, pushPath+"?since=0&seq=5&epoch=2&paths=/stale")
 	if err != nil || raw.Status != 200 {
 		t.Fatalf("stale push transport: %v status %d", err, raw.Status)
 	}
-	var ack pushAck
+	var ack cdn.PushAck
 	if err := json.Unmarshal(raw.Body, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -393,106 +61,22 @@ func TestEdgeRefusesStaleEpochPush(t *testing.T) {
 	}
 }
 
-// haPair is the failover test rig: a primary origin and a standby
-// origin (each over its own server), a Standby loop mirroring through
-// an in-process pipe, and a kill switch that blackholes the primary.
-type haPair struct {
-	t           *testing.T
-	primary     *Origin
-	standby     *Origin
-	sb          *Standby
-	primaryDown atomic.Bool
-
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func newHAPair(t *testing.T, primaryDir, standbyDir string) *haPair {
-	t.Helper()
-	p := &haPair{t: t}
-	psrv := newHAServer(t)
-	primary, err := NewOriginWithConfig(psrv, OriginConfig{LogDir: primaryDir, EpochDir: primaryDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssrv := newHAServer(t)
-	standby, err := NewOriginWithConfig(ssrv, OriginConfig{
-		LogDir: standbyDir, EpochDir: standbyDir, Standby: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.primary, p.standby = primary, standby
-	p.sb = NewStandby(standby, StandbyConfig{
-		Name:         "standby",
-		PrimaryDial:  p.dialPrimary,
-		PollInterval: 10 * time.Millisecond,
-		PromoteAfter: 120 * time.Millisecond,
-		Retry:        core.RetryPolicy{MaxAttempts: 1, AttemptTimeout: 30 * time.Millisecond},
-	})
-	p.sb.Start()
-	t.Cleanup(func() {
-		p.sb.Close()
-		p.standby.Close()
-		p.primary.Close()
-	})
-	return p
-}
-
-func (p *haPair) dialPrimary() (net.Conn, error) {
-	if p.primaryDown.Load() {
-		return faultnet.Blackhole(), nil
-	}
-	p.mu.Lock()
-	srv := p.primary.Server()
-	p.mu.Unlock()
-	cEnd, sEnd := net.Pipe()
-	srv.StartConn(sEnd)
-	p.mu.Lock()
-	p.conns = append(p.conns, sEnd)
-	p.mu.Unlock()
-	return cEnd, nil
-}
-
-// killPrimary blackholes future dials and severs live connections.
-func (p *haPair) killPrimary() {
-	p.primaryDown.Store(true)
-	p.mu.Lock()
-	conns := p.conns
-	p.conns = nil
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (p *haPair) waitFor(what string, cond func() bool) {
-	p.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			p.t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(3 * time.Millisecond)
-	}
-}
-
 // TestStandbyMirrorsAndPromotes: the full ladder — mirror while the
 // primary lives, promote past its epoch after silence, keep serving
 // the continued sequence space, and fence the zombie when it returns.
 func TestStandbyMirrorsAndPromotes(t *testing.T) {
-	pdir, sdir := t.TempDir(), t.TempDir()
-	p := newHAPair(t, pdir, sdir)
+	h := boot(t, tier.Options{Durable: true, Standby: true})
+	primary, standby := h.Primary(), h.StandbyOrigin
 
-	p.primary.Invalidate([]string{"/a"})
-	p.primary.Invalidate([]string{"/b", "/c"})
-	p.waitFor("mirror catch-up", func() bool { return p.standby.Seq() == p.primary.Seq() })
-	if got := p.standby.Seq(); got != 2 {
+	primary.Invalidate([]string{"/a"})
+	primary.Invalidate([]string{"/b", "/c"})
+	waitFor(t, "mirror catch-up", func() bool { return standby.Seq() == primary.Seq() })
+	if got := standby.Seq(); got != 2 {
 		t.Fatalf("mirrored seq = %d, want 2", got)
 	}
 	// The mirror batches at feed granularity, so an in-batch position
 	// gets a superset of its missed paths — never a reset, never less.
-	feed := p.standby.Feed(1)
+	feed := standby.Feed(1)
 	if feed.Reset {
 		t.Fatalf("standby feed = %+v, want no reset", feed)
 	}
@@ -506,43 +90,37 @@ func TestStandbyMirrorsAndPromotes(t *testing.T) {
 		}
 	}
 
-	primarySeq := p.primary.Seq()
-	p.killPrimary()
-	p.waitFor("promotion", func() bool { return p.standby.Role() == RolePrimary })
-	if got := p.standby.Epoch(); got != 2 {
+	primarySeq := primary.Seq()
+	h.KillPrimary()
+	waitFor(t, "promotion", func() bool { return standby.Role() == cdn.RolePrimary })
+	if got := standby.Epoch(); got != 2 {
 		t.Fatalf("promoted epoch = %d, want 2", got)
 	}
-	if got := p.standby.Seq(); got != primarySeq {
+	if got := standby.Seq(); got != primarySeq {
 		t.Fatalf("promotion lost sequences: seq %d, want %d", got, primarySeq)
 	}
 	// The promoted origin owns the space: fresh invalidations continue
 	// it, and the feed carries the new epoch.
-	p.standby.Invalidate([]string{"/fresh"})
-	if got := p.standby.Seq(); got != primarySeq+1 {
+	standby.Invalidate([]string{"/fresh"})
+	if got := standby.Seq(); got != primarySeq+1 {
 		t.Fatalf("post-promotion seq = %d, want %d", got, primarySeq+1)
 	}
-	if feed := p.standby.Feed(primarySeq); feed.Epoch != 2 || feed.Reset {
+	if feed := standby.Feed(primarySeq); feed.Epoch != 2 || feed.Reset {
 		t.Fatalf("post-promotion feed = %+v, want epoch 2, no reset", feed)
 	}
 
 	// The zombie returns (same dirs, so it remembers epoch 1). The
 	// standby's watch loop is still probing its address; the probe's
 	// epoch header fences it.
-	p.primaryDown.Store(false)
-	zombie, err := NewOriginWithConfig(newHAServer(t), OriginConfig{LogDir: pdir, EpochDir: pdir})
-	if err != nil {
+	if err := h.RestartPrimary(); err != nil {
 		t.Fatal(err)
 	}
-	defer zombie.Close()
-	if zombie.Role() != RolePrimary || zombie.Epoch() != 1 {
-		t.Fatalf("zombie booted as %v epoch %d", zombie.Role(), zombie.Epoch())
+	zombie := h.Primary()
+	if zombie.Epoch() != 1 {
+		t.Fatalf("zombie booted at epoch %d", zombie.Epoch())
 	}
-	// Route the pair's primary dial at the zombie's server.
-	p.mu.Lock()
-	p.primary = zombie
-	p.mu.Unlock()
-	p.waitFor("zombie fenced", func() bool { return zombie.Role() == RoleFenced })
-	p.waitFor("zombie seen in stats", func() bool { return p.sb.Stats().ZombieSeen > 0 })
+	waitFor(t, "zombie fenced", func() bool { return zombie.Role() == cdn.RoleFenced })
+	waitFor(t, "zombie seen in stats", func() bool { return h.Standby.Stats().ZombieSeen > 0 })
 	if zombie.Seq() < primarySeq {
 		t.Fatalf("zombie lost its durable log: seq %d", zombie.Seq())
 	}
@@ -553,54 +131,38 @@ func TestStandbyMirrorsAndPromotes(t *testing.T) {
 // promoted standby's higher epoch is adopted (counted as a failover),
 // the sequence space continues, and nothing resets.
 func TestEdgeFailsOverToPromotedStandby(t *testing.T) {
-	p := newHAPair(t, t.TempDir(), t.TempDir())
-
-	origins := core.NewEndpointSet(tierHealth())
-	origins.Add("origin", p.dialPrimary)
-	origins.Add("origin2", func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		p.standby.Server().StartConn(sEnd)
-		return cEnd, nil
-	})
-	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour, MaxStale: time.Hour,
-		Retry: edgeRetry()}, origins)
-	defer e.Close()
+	h := boot(t, tier.Options{Edges: []string{"edge1"}, Durable: true, Standby: true})
+	primary, standby, e := h.Primary(), h.StandbyOrigin, h.Edge("edge1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	// Warm the edge and anchor it on the primary's feed.
-	rc := core.NewResilientClient(func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		e.StartConn(sEnd)
-		return cEnd, nil
-	}, device.Workstation, nil, tierRetry(), nil)
-	defer rc.Close()
 	path := workload.CDNPagePath(0)
-	if raw, err := rc.FetchRawContext(ctx, path); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge1", path); err != nil || raw.Status != 200 {
 		t.Fatalf("warming fetch: %v status %d", err, raw.Status)
 	}
-	p.primary.Invalidate([]string{"/other"})
+	primary.Invalidate([]string{"/other"})
 	if err := e.PollOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if e.OriginEpoch() != 1 || e.LastSeq() != p.primary.Seq() {
+	if e.OriginEpoch() != 1 || e.LastSeq() != primary.Seq() {
 		t.Fatalf("anchor: epoch %d seq %d", e.OriginEpoch(), e.LastSeq())
 	}
 	anchored := e.LastSeq()
 
 	// The standby must have mirrored to the head before the primary
 	// dies, or the edge's first poll of it would answer with a reset.
-	p.waitFor("mirror catch-up", func() bool { return p.standby.Seq() == p.primary.Seq() })
-	p.killPrimary()
-	p.waitFor("promotion", func() bool { return p.standby.Role() == RolePrimary })
-	p.standby.Invalidate([]string{path})
+	waitFor(t, "mirror catch-up", func() bool { return standby.Seq() == primary.Seq() })
+	h.KillPrimary()
+	waitFor(t, "promotion", func() bool { return standby.Role() == cdn.RolePrimary })
+	standby.Invalidate([]string{path})
 
 	// Poll until the edge has rotated onto the standby and applied the
 	// post-failover invalidation. The first polls burn the primary's
 	// breaker; the edge's failure ladder does the rotation.
-	p.waitFor("edge reconciled via standby", func() bool {
+	waitFor(t, "edge reconciled via standby", func() bool {
 		e.PollOnce(ctx)
-		return e.LastSeq() == p.standby.Seq()
+		return e.LastSeq() == standby.Seq()
 	})
 	s := e.Stats()
 	if s.OriginEpoch != 2 {
@@ -616,8 +178,8 @@ func TestEdgeFailsOverToPromotedStandby(t *testing.T) {
 		t.Fatalf("edge seq went backwards: %d < %d", s.LastSeq, anchored)
 	}
 	// The invalidation actually evicted the warmed page.
-	if e.cache.Len() != 0 {
-		t.Fatalf("post-failover invalidation left %d entries", e.cache.Len())
+	if e.Stats().CacheEntries != 0 {
+		t.Fatalf("post-failover invalidation left %d entries", e.Stats().CacheEntries)
 	}
 }
 
@@ -627,13 +189,13 @@ func TestEdgeFailsOverToPromotedStandby(t *testing.T) {
 // serial application would. Run under -race.
 func TestConcurrentPushPollConverge(t *testing.T) {
 	h := newMesh(t, []string{"edge1"}, nil)
-	e := h.edges["edge1"]
+	e := h.Edge("edge1")
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	// Warm every page so invalidations have something to chew on.
-	for i := 0; i < tierPages; i++ {
-		if raw, err := h.fetchVia(ctx, "edge1", workload.CDNPagePath(i)); err != nil || raw.Status != 200 {
+	for i := 0; i < tier.Pages; i++ {
+		if raw, err := h.Fetch(ctx, "edge1", workload.CDNPagePath(i)); err != nil || raw.Status != 200 {
 			t.Fatalf("warming %d: %v status %d", i, err, raw.Status)
 		}
 	}
@@ -645,7 +207,7 @@ func TestConcurrentPushPollConverge(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			h.origin.Invalidate([]string{workload.CDNPagePath(i % tierPages)})
+			h.Primary().Invalidate([]string{workload.CDNPagePath(i % tier.Pages)})
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -653,10 +215,9 @@ func TestConcurrentPushPollConverge(t *testing.T) {
 	// the origin's push loop plus a zombie re-pushing old ranges.
 	go func() {
 		defer wg.Done()
-		rc := core.NewResilientClient(h.dialTo("edge1"), device.Workstation, nil, tierRetry(), nil)
-		defer rc.Close()
+		rc := h.Client("edge1")
 		for i := 0; i < rounds; i++ {
-			feed := h.origin.Feed(0) // since=0: maximally overlapping
+			feed := h.Primary().Feed(0) // since=0: maximally overlapping
 			q := fmt.Sprintf("%s?since=0&seq=%d&epoch=1&paths=%s",
 				pushPath, feed.Seq, strings.Join(feed.Paths, ","))
 			rc.FetchRawContext(ctx, q)
@@ -677,7 +238,7 @@ func TestConcurrentPushPollConverge(t *testing.T) {
 	if err := e.PollOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := e.LastSeq(), h.origin.Seq(); got != want {
+	if got, want := e.LastSeq(), h.Primary().Seq(); got != want {
 		t.Fatalf("converged seq = %d, origin seq = %d", got, want)
 	}
 	s := e.Stats()
@@ -686,8 +247,8 @@ func TestConcurrentPushPollConverge(t *testing.T) {
 	}
 	// Every warmed page was invalidated at least once and the racing
 	// appliers never resurrected one: the shard must be empty of them.
-	for i := 0; i < tierPages; i++ {
-		if _, ok := e.cache.Get(cacheKey(workload.CDNPagePath(i), http2.GenFull)); ok {
+	for i := 0; i < tier.Pages; i++ {
+		if e.Cached(workload.CDNPagePath(i), http2.GenFull) {
 			t.Fatalf("page %d survived the invalidation storm", i)
 		}
 	}
@@ -699,30 +260,33 @@ func TestConcurrentPushPollConverge(t *testing.T) {
 func TestEdgeCloseStopsGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
-		h := newMesh(t, []string{"edge1", "edge2"}, func(c *EdgeConfig) {
-			c.SnapshotPath = filepath.Join(t.TempDir(), c.Name+".snap")
+		names := []string{"edge1", "edge2"}
+		h, err := tier.New(tier.Options{Edges: names, Mesh: true, Snapshots: true, Edge: func(c *cdn.EdgeConfig) {
 			c.SnapshotInterval = 5 * time.Millisecond
 			c.PollInterval = 5 * time.Millisecond
 			c.Heartbeat = 5 * time.Millisecond
-		})
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		for name, e := range h.edges {
-			e.Start()
-			if raw, err := h.fetchVia(ctx, name, workload.CDNPagePath(0)); err != nil || raw.Status != 200 {
+		for _, name := range names {
+			h.Edge(name).Start()
+			if raw, err := h.Fetch(ctx, name, workload.CDNPagePath(0)); err != nil || raw.Status != 200 {
 				cancel()
 				t.Fatalf("fetch via %s: %v status %d", name, err, raw.Status)
 			}
 		}
-		h.origin.Subscribe("edge1", "pipe://edge1", 0, h.dialTo("edge1"))
-		h.origin.Invalidate([]string{workload.CDNPagePath(0)})
+		h.Subscribe("edge1", 0)
+		h.Primary().Invalidate([]string{workload.CDNPagePath(0)})
 		time.Sleep(20 * time.Millisecond) // let tickers tick and pushes land
 		cancel()
-		h.origin.Close()
-		for _, e := range h.edges {
-			if err := e.Close(); err != nil {
+		for _, name := range names {
+			if err := h.KillEdge(name); err != nil {
 				t.Fatal(err)
 			}
 		}
+		h.Close()
 	}
 	// Settle: conn goroutines unwind asynchronously after Close.
 	deadline := time.Now().Add(10 * time.Second)

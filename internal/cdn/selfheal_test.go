@@ -1,440 +1,37 @@
-package cdn
+package cdn_test
 
-// Tests for the self-healing mesh: membership ladder, poll jitter,
-// the store/Flush race fix, push invalidation with gap refusal,
-// peer-fill, crash-safe warm restart, and live ring surgery under
-// concurrent lookups.
+// Scenario tests for the self-healing mesh: membership surfaced
+// through stats, push invalidation with gap refusal, peer-fill,
+// crash-safe warm restart, and router-side membership.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
-	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"sww/internal/cdn"
 	"sww/internal/core"
-	"sww/internal/device"
-	"sww/internal/faultnet"
-	"sww/internal/genai/imagegen"
-	"sww/internal/genai/textgen"
 	"sww/internal/telemetry"
+	"sww/internal/tier"
 	"sww/internal/workload"
 )
 
-// fakeClock is a hand-advanced clock for deterministic ladder tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// TestMembershipLadder walks one peer alive → suspect → dead on a
-// fake clock and back to alive on recovery, checking the ring
-// callbacks fire exactly on the dead and dead→alive transitions.
-func TestMembershipLadder(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	var failing atomic.Bool
-	var deaths, revivals []string
-	m := NewMembership(MemberConfig{
-		Heartbeat:    time.Second,
-		SuspectAfter: 3 * time.Second,
-		DeadAfter:    6 * time.Second,
-		Clock:        clock.now,
-		OnDead:       func(n string) { deaths = append(deaths, n) },
-		OnAlive:      func(n string) { revivals = append(revivals, n) },
-	})
-	m.AddPeer("p1", func(ctx context.Context) error {
-		if failing.Load() {
-			return errors.New("probe failed")
-		}
-		return nil
-	})
-	ctx := context.Background()
-
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("after healthy tick: %v", s)
-	}
-
-	failing.Store(true)
-	clock.advance(2 * time.Second)
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("2s of silence should not suspect yet: %v", s)
-	}
-	clock.advance(2 * time.Second) // 4s silent ≥ SuspectAfter
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberSuspect {
-		t.Fatalf("4s of silence should suspect: %v", s)
-	}
-	if len(deaths) != 0 {
-		t.Fatalf("suspect must not fire OnDead: %v", deaths)
-	}
-	clock.advance(3 * time.Second) // 7s silent ≥ DeadAfter
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberDead {
-		t.Fatalf("7s of silence should be dead: %v", s)
-	}
-	if len(deaths) != 1 || deaths[0] != "p1" {
-		t.Fatalf("OnDead = %v, want [p1]", deaths)
-	}
-	m.Tick(ctx) // still dead: no second callback
-	if len(deaths) != 1 {
-		t.Fatalf("repeated dead ticks re-fired OnDead: %v", deaths)
-	}
-
-	failing.Store(false)
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("recovery tick should revive: %v", s)
-	}
-	if len(revivals) != 1 || revivals[0] != "p1" {
-		t.Fatalf("OnAlive = %v, want [p1]", revivals)
-	}
-	if a, s, d := m.Counts(); a != 1 || s != 0 || d != 0 {
-		t.Fatalf("counts = %d/%d/%d", a, s, d)
-	}
-}
-
-// TestMembershipDataPathEvidence: ReportFailure escalates to suspect
-// only after SuspectAfter of silence (one error burst cannot), never
-// to dead; ReportSuccess revives a dead peer instantly with OnAlive.
-func TestMembershipDataPathEvidence(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	var revived int
-	m := NewMembership(MemberConfig{
-		SuspectAfter: 3 * time.Second,
-		DeadAfter:    6 * time.Second,
-		Clock:        clock.now,
-		OnAlive:      func(string) { revived++ },
-	})
-	m.AddPeer("p1", nil)
-
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("fresh failure suspected a recently-heard peer: %v", s)
-	}
-	clock.advance(4 * time.Second)
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberSuspect {
-		t.Fatalf("failure after 4s of silence should suspect: %v", s)
-	}
-	clock.advance(time.Hour)
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s == MemberDead {
-		t.Fatal("data-path failures must never declare death")
-	}
-
-	// Walk it dead via the sweep, then revive via the data path.
-	m.AddPeer("p1", func(ctx context.Context) error { return errors.New("down") })
-	m.Tick(context.Background())
-	if s := m.State("p1"); s != MemberDead {
-		t.Fatalf("sweep after an hour of silence: %v", s)
-	}
-	m.ReportSuccess("p1")
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("ReportSuccess should revive: %v", s)
-	}
-	if revived != 1 {
-		t.Fatalf("OnAlive fired %d times, want 1", revived)
-	}
-}
-
-// TestMembershipConsecutiveFailures: a streak of data-path failures
-// suspects an alive peer even while probes keep refreshing lastOK (a
-// peer whose probe port answers but whose data path is broken), a
-// success resets the streak, and the streak alone never declares
-// death.
-func TestMembershipConsecutiveFailures(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	m := NewMembership(MemberConfig{
-		SuspectAfter: time.Hour, // silence alone never triggers here
-		Clock:        clock.now,
-	})
-	m.AddPeer("p1", nil)
-
-	m.ReportFailure("p1")
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("%d failures suspected early: %v", suspectFailures-1, s)
-	}
-	m.ReportSuccess("p1")
-	m.ReportFailure("p1")
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("success did not reset the failure streak: %v", s)
-	}
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberSuspect {
-		t.Fatalf("%d consecutive failures should suspect: %v", suspectFailures, s)
-	}
-	for i := 0; i < 10*suspectFailures; i++ {
-		m.ReportFailure("p1")
-	}
-	if s := m.State("p1"); s == MemberDead {
-		t.Fatal("data-path failures must never declare death")
-	}
-}
-
-// TestPollJitter: the per-tick jitter is deterministic for a seed,
-// stays within ±20%, centers on the base interval, and two edges
-// derive different schedules from their names alone.
-func TestPollJitter(t *testing.T) {
-	base := time.Second
-	rng := newJitterRng(42)
-	var sum time.Duration
-	const draws = 2000
-	for i := 0; i < draws; i++ {
-		d := jitterDuration(base, rng)
-		if d < 800*time.Millisecond || d > 1200*time.Millisecond {
-			t.Fatalf("draw %d = %v outside ±20%% of %v", i, d, base)
-		}
-		sum += d
-	}
-	mean := sum / draws
-	if mean < 950*time.Millisecond || mean > 1050*time.Millisecond {
-		t.Errorf("jitter mean = %v, want ≈%v", mean, base)
-	}
-
-	// Determinism: same seed, same schedule — the fake-clock property
-	// the poll loop's tests and reproducible chaos runs rely on.
-	a, b := newJitterRng(7), newJitterRng(7)
-	for i := 0; i < 10; i++ {
-		if da, db := jitterDuration(base, a), jitterDuration(base, b); da != db {
-			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, da, db)
-		}
-	}
-
-	// Two identically configured edges must not share a schedule.
-	s1 := EdgeConfig{Name: "edge1"}.seed()
-	s2 := EdgeConfig{Name: "edge2"}.seed()
-	if s1 == s2 || s1 == 0 || s2 == 0 {
-		t.Fatalf("name-derived seeds collide: %d vs %d", s1, s2)
-	}
-	d1 := jitterDuration(base, newJitterRng(s1))
-	d2 := jitterDuration(base, newJitterRng(s2))
-	if d1 == d2 {
-		t.Errorf("edge1 and edge2 first ticks coincide at %v", d1)
-	}
-	if got := (EdgeConfig{Name: "edge1", Seed: 99}).seed(); got != 99 {
-		t.Errorf("explicit seed not honoured: %d", got)
-	}
-}
-
-// TestStoreFlushRace: concurrent stores racing Flush/InvalidatePath
-// must never leak an entry into the cache that the path index no
-// longer covers (such an entry would be uninvalidatable until
-// eviction). Run with -race; the final invariant catches the leak
-// even without it.
-func TestStoreFlushRace(t *testing.T) {
-	origins := core.NewEndpointSet(tierHealth())
-	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, origins)
-	defer e.Close()
-	raw := &core.RawReply{Status: 200, ContentType: "text/plain", Body: []byte("payload")}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				p := fmt.Sprintf("/race/%d", (g*400+i)%23)
-				e.store(cacheKey(p, 1), p, raw)
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 150; i++ {
-			if i%3 == 0 {
-				e.InvalidatePath(fmt.Sprintf("/race/%d", i%23))
-			} else {
-				e.Flush()
-			}
-		}
-	}()
-	wg.Wait()
-
-	leaked := 0
-	e.cache.Each(func(key string, v any, _ int64) {
-		ent := v.(*edgeEntry)
-		e.mu.Lock()
-		_, indexed := e.byPath[ent.path][key]
-		e.mu.Unlock()
-		if !indexed {
-			leaked++
-		}
-	})
-	if leaked > 0 {
-		t.Fatalf("%d cache entries leaked past the flush (present but unindexed)", leaked)
-	}
-}
-
-// TestRingConcurrentSurgery: LookupN callers racing Remove/Add (the
-// membership callbacks) — correctness under -race plus basic sanity
-// on every lookup result.
-func TestRingConcurrentSurgery(t *testing.T) {
-	ring := NewRing(0, "a", "b", "c")
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				order := ring.LookupN(fmt.Sprintf("/k/%d/%d", r, i), 3)
-				seen := map[string]bool{}
-				for _, n := range order {
-					if seen[n] {
-						t.Errorf("duplicate %q in lookup order %v", n, order)
-						return
-					}
-					seen[n] = true
-				}
-			}
-		}(r)
-	}
-	for i := 0; i < 300; i++ {
-		ring.Remove("b")
-		ring.Add("b")
-	}
-	close(stop)
-	wg.Wait()
-	if ring.Len() != 3 {
-		t.Fatalf("ring size after surgery = %d", ring.Len())
-	}
-}
-
-// meshHarness is a tierHarness variant with the edge-to-edge mesh
-// wired: every edge can dial every other (heartbeats, peer-fill),
-// with per-edge kill switches on both the mesh and upstream links.
-type meshHarness struct {
-	t      *testing.T
-	srv    *core.Server
-	origin *Origin
-
-	originDown atomic.Bool
-	edgeDown   map[string]*atomic.Bool
-
-	edges map[string]*Edge
-}
-
-func newMesh(t *testing.T, names []string, mod func(*EdgeConfig)) *meshHarness {
-	t.Helper()
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tierPages; i++ {
-		srv.AddPage(workload.CDNPage(i))
-	}
-	h := &meshHarness{
-		t:        t,
-		srv:      srv,
-		origin:   NewOrigin(srv, 0),
-		edgeDown: map[string]*atomic.Bool{},
-		edges:    map[string]*Edge{},
-	}
-	for _, name := range names {
-		h.edgeDown[name] = &atomic.Bool{}
-	}
-	for _, name := range names {
-		origins := core.NewEndpointSet(tierHealth())
-		origins.Add("origin", func() (net.Conn, error) {
-			if h.originDown.Load() {
-				return faultnet.Blackhole(), nil
-			}
-			cEnd, sEnd := net.Pipe()
-			h.srv.StartConn(sEnd)
-			return cEnd, nil
-		})
-		dials := map[string]core.DialFunc{}
-		for _, peer := range names {
-			if peer == name {
-				continue
-			}
-			peer := peer
-			dials[peer] = func() (net.Conn, error) {
-				if h.edgeDown[peer].Load() {
-					return nil, errors.New("mesh peer down")
-				}
-				cEnd, sEnd := net.Pipe()
-				h.edges[peer].StartConn(sEnd)
-				return cEnd, nil
-			}
-		}
-		cfg := EdgeConfig{
-			Name:      name,
-			TTL:       time.Hour,
-			MaxStale:  time.Hour,
-			Retry:     edgeRetry(),
-			Peers:     names,
-			PeerDials: dials,
-		}
-		if mod != nil {
-			mod(&cfg)
-		}
-		h.edges[name] = NewEdge(cfg, origins)
-	}
-	t.Cleanup(func() {
-		h.origin.Close()
-		for _, e := range h.edges {
-			e.Close()
-		}
-	})
-	return h
-}
-
-// dialTo returns a terminal-client dial pinned to one edge.
-func (h *meshHarness) dialTo(name string) core.DialFunc {
-	return func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		h.edges[name].StartConn(sEnd)
-		return cEnd, nil
-	}
-}
-
-// fetchVia fetches path through one edge with a raw terminal client.
-func (h *meshHarness) fetchVia(ctx context.Context, name, path string) (*core.RawReply, error) {
-	h.t.Helper()
-	rc := core.NewResilientClient(h.dialTo(name), device.Workstation, nil, tierRetry(), nil)
-	defer rc.Close()
-	return rc.FetchRawContext(ctx, path)
-}
+// pushPath is the edge's push endpoint on its control surface.
+const pushPath = cdn.ControlPrefix + "push"
 
 // tripOriginBreaker blackholes the origin and burns one fetch on a
 // cold path so the edge's endpoint breaker opens.
-func (h *meshHarness) tripOriginBreaker(ctx context.Context, edge, coldPath string) {
-	h.t.Helper()
-	h.originDown.Store(true)
-	if _, err := h.fetchVia(ctx, edge, coldPath); err != nil {
-		h.t.Fatalf("breaker-tripping fetch transport error: %v", err)
+func tripOriginBreaker(ctx context.Context, t *testing.T, h *tier.Tier, edge, coldPath string) {
+	t.Helper()
+	h.SeverOrigin()
+	if _, err := h.Fetch(ctx, edge, coldPath); err != nil {
+		t.Fatalf("breaker-tripping fetch transport error: %v", err)
 	}
-	if h.edges[edge].Upstream().Endpoints().AnyHealthy() {
-		h.t.Fatal("breaker did not open after the failed pull")
+	if h.Edge(edge).Upstream().Endpoints().AnyHealthy() {
+		t.Fatal("breaker did not open after the failed pull")
 	}
 }
 
@@ -443,12 +40,12 @@ func (h *meshHarness) tripOriginBreaker(ctx context.Context, edge, coldPath stri
 // and the telemetry gauges, and re-admitted on recovery.
 func TestEdgeMembershipStats(t *testing.T) {
 	names := []string{"edge1", "edge2", "edge3"}
-	h := newMesh(t, names, func(c *EdgeConfig) {
+	h := newMesh(t, names, func(c *cdn.EdgeConfig) {
 		// One failed probe is conclusive: any silence exceeds these.
 		c.SuspectAfter = time.Nanosecond
 		c.DeadAfter = 2 * time.Nanosecond
 	})
-	e := h.edges["edge1"]
+	e := h.Edge("edge1")
 	reg := telemetry.NewRegistry()
 	e.Register(reg)
 	ctx := context.Background()
@@ -457,7 +54,7 @@ func TestEdgeMembershipStats(t *testing.T) {
 		t.Fatalf("boot state: alive=%d ring=%d", s.PeersAlive, s.RingSize)
 	}
 
-	h.edgeDown["edge3"].Store(true)
+	h.Link("edge3").In.Kill()
 	e.Membership().Tick(ctx)
 	s := e.Stats()
 	if s.PeersAlive != 1 || s.PeersDead != 1 {
@@ -474,18 +71,18 @@ func TestEdgeMembershipStats(t *testing.T) {
 		t.Errorf("sww_edge_ring_size = %v, want 2", got)
 	}
 	key := telemetry.WithLabel("sww_member_peer_state", "peer", "edge3")
-	if got := snap.Gauges[key]; got != float64(MemberDead) {
-		t.Errorf("%s = %v, want %v", key, got, float64(MemberDead))
+	if got := snap.Gauges[key]; got != float64(cdn.MemberDead) {
+		t.Errorf("%s = %v, want %v", key, got, float64(cdn.MemberDead))
 	}
 
-	h.edgeDown["edge3"].Store(false)
+	h.Link("edge3").In.Restart()
 	e.Membership().Tick(ctx)
 	s = e.Stats()
 	if s.PeersAlive != 2 || s.PeersDead != 0 || s.RingSize != 3 {
 		t.Fatalf("after recovery: alive=%d dead=%d ring=%d", s.PeersAlive, s.PeersDead, s.RingSize)
 	}
-	if got := reg.Snapshot().Gauges[key]; got != float64(MemberAlive) {
-		t.Errorf("recovered %s = %v, want %v", key, got, float64(MemberAlive))
+	if got := reg.Snapshot().Gauges[key]; got != float64(cdn.MemberAlive) {
+		t.Errorf("recovered %s = %v, want %v", key, got, float64(cdn.MemberAlive))
 	}
 }
 
@@ -494,28 +91,22 @@ func TestEdgeMembershipStats(t *testing.T) {
 // that would skip sequence numbers.
 func TestPushInvalidation(t *testing.T) {
 	h := newMesh(t, []string{"edge1"}, nil)
-	e := h.edges["edge1"]
+	e := h.Edge("edge1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	path := workload.CDNPagePath(0)
 
-	if raw, err := h.fetchVia(ctx, "edge1", path); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge1", path); err != nil || raw.Status != 200 {
 		t.Fatalf("warming fetch: %v status %d", err, raw.Status)
 	}
 	if e.Stats().CacheEntries == 0 {
 		t.Fatal("warming fetch did not cache")
 	}
 
-	h.origin.Subscribe("edge1", "pipe://edge1", e.LastSeq(), h.dialTo("edge1"))
-	h.origin.Invalidate([]string{path})
+	h.Subscribe("edge1", e.LastSeq())
+	h.Primary().Invalidate([]string{path})
 
-	deadline := time.Now().Add(10 * time.Second)
-	for e.LastSeq() < h.origin.Seq() {
-		if time.Now().After(deadline) {
-			t.Fatalf("push never applied: edge seq %d, origin seq %d", e.LastSeq(), h.origin.Seq())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitFor(t, "the push to apply", func() bool { return e.LastSeq() >= h.Primary().Seq() })
 	s := e.Stats()
 	if s.PushApplied == 0 {
 		t.Errorf("push applied counter = 0")
@@ -523,21 +114,20 @@ func TestPushInvalidation(t *testing.T) {
 	if s.CacheEntries != 0 {
 		t.Errorf("pushed invalidation left %d entries cached", s.CacheEntries)
 	}
-	if ack, ok := h.origin.SubscriberAck("edge1"); !ok || ack != h.origin.Seq() {
-		t.Errorf("subscriber ack = %d,%v want %d", ack, ok, h.origin.Seq())
+	if ack, ok := h.Primary().SubscriberAck("edge1"); !ok || ack != h.Primary().Seq() {
+		t.Errorf("subscriber ack = %d,%v want %d", ack, ok, h.Primary().Seq())
 	}
 
 	// A push claiming to continue from a future position must be
 	// refused (not applied, not adopted) and acked with where we are.
-	rc := core.NewResilientClient(h.dialTo("edge1"), device.Workstation, nil, tierRetry(), nil)
-	defer rc.Close()
+	rc := h.Client("edge1")
 	last := e.LastSeq()
 	raw, err := rc.FetchRawContext(ctx, fmt.Sprintf("%s?since=%d&seq=%d&paths=%s",
 		pushPath, last+5, last+6, "/nope"))
 	if err != nil || raw.Status != 200 {
 		t.Fatalf("gap push transport: %v status %d", err, raw.Status)
 	}
-	var ack pushAck
+	var ack cdn.PushAck
 	if err := json.Unmarshal(raw.Body, &ack); err != nil {
 		t.Fatalf("gap push ack: %v", err)
 	}
@@ -552,7 +142,7 @@ func TestPushInvalidation(t *testing.T) {
 	}
 
 	// A reset push flushes and adopts the pushed head.
-	if raw, err := h.fetchVia(ctx, "edge1", path); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge1", path); err != nil || raw.Status != 200 {
 		t.Fatalf("re-warming fetch: %v status %d", err, raw.Status)
 	}
 	if _, err := rc.FetchRawContext(ctx, fmt.Sprintf("%s?since=0&seq=%d&reset=1", pushPath, last+9)); err != nil {
@@ -573,27 +163,27 @@ func TestPushInvalidation(t *testing.T) {
 // invalidation until the new seq outgrew it.
 func TestOriginRestartReset(t *testing.T) {
 	h := newMesh(t, []string{"edge1"}, nil)
-	e := h.edges["edge1"]
+	e := h.Edge("edge1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	path := workload.CDNPagePath(0)
 
-	if feed := h.origin.Feed(5); !feed.Reset {
+	if feed := h.Primary().Feed(5); !feed.Reset {
 		t.Fatalf("Feed(since ahead of head) = %+v, want reset", feed)
 	}
 
 	// The restart scenario end to end: a warm edge anchored at 7 from
 	// a previous origin incarnation polls the restarted origin (seq 1).
-	if raw, err := h.fetchVia(ctx, "edge1", path); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge1", path); err != nil || raw.Status != 200 {
 		t.Fatalf("warming fetch: %v status %d", err, raw.Status)
 	}
-	e.lastSeq.Store(7)
-	h.origin.Invalidate([]string{"/unrelated"})
+	e.SetLastSeq(7)
+	h.Primary().Invalidate([]string{"/unrelated"})
 	if err := e.PollOnce(ctx); err != nil {
 		t.Fatalf("poll against restarted origin: %v", err)
 	}
-	if got := e.LastSeq(); got != h.origin.Seq() {
-		t.Errorf("edge did not re-anchor: lastSeq %d, origin seq %d", got, h.origin.Seq())
+	if got := e.LastSeq(); got != h.Primary().Seq() {
+		t.Errorf("edge did not re-anchor: lastSeq %d, origin seq %d", got, h.Primary().Seq())
 	}
 	s := e.Stats()
 	if s.InvalResets != 1 {
@@ -606,9 +196,9 @@ func TestOriginRestartReset(t *testing.T) {
 	// The origin's acked view must follow the edge back down too, or
 	// push delivery would stay suppressed until seq outgrew the stale
 	// watermark.
-	h.origin.Subscribe("edge1", "pipe://edge1", 7, h.dialTo("edge1"))
-	h.origin.observePoll("edge1", "pipe://edge1", e.LastSeq())
-	if ack, ok := h.origin.SubscriberAck("edge1"); !ok || ack != e.LastSeq() {
+	h.Subscribe("edge1", 7)
+	h.Primary().ObservePoll("edge1", "pipe://edge1", e.LastSeq())
+	if ack, ok := h.Primary().SubscriberAck("edge1"); !ok || ack != e.LastSeq() {
 		t.Errorf("subscriber ack = %d,%v want %d", ack, ok, e.LastSeq())
 	}
 }
@@ -620,24 +210,24 @@ func TestOriginRestartReset(t *testing.T) {
 // once the log had truncated.
 func TestSubscribeBornCurrent(t *testing.T) {
 	h := newMesh(t, []string{"edge1"}, nil)
-	e := h.edges["edge1"]
+	e := h.Edge("edge1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	path := workload.CDNPagePath(0)
 
 	// Truncate the log (floor > 0) so a push loop starting from
 	// acked=0 would deliver reset=true.
-	for i := 0; i < DefaultInvalidationLog+10; i++ {
-		h.origin.Invalidate([]string{"/churn"})
+	for i := 0; i < cdn.DefaultInvalidationLog+10; i++ {
+		h.Primary().Invalidate([]string{"/churn"})
 	}
-	if raw, err := h.fetchVia(ctx, "edge1", path); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge1", path); err != nil || raw.Status != 200 {
 		t.Fatalf("warming fetch: %v status %d", err, raw.Status)
 	}
-	e.lastSeq.Store(h.origin.Seq()) // the edge is current
+	e.SetLastSeq(h.Primary().Seq()) // the edge is current
 
-	h.origin.Subscribe("edge1", "pipe://edge1", e.LastSeq(), h.dialTo("edge1"))
+	h.Subscribe("edge1", e.LastSeq())
 	time.Sleep(100 * time.Millisecond) // let any racing push loop run
-	if got := h.origin.pushes.Load(); got != 0 {
+	if got := h.Primary().Stats().Pushes; got != 0 {
 		t.Errorf("subscribing a current edge attempted %d pushes", got)
 	}
 	s := e.Stats()
@@ -647,7 +237,7 @@ func TestSubscribeBornCurrent(t *testing.T) {
 	if s.CacheEntries == 0 {
 		t.Error("warm entry lost after subscribing")
 	}
-	if ack, ok := h.origin.SubscriberAck("edge1"); !ok || ack != e.LastSeq() {
+	if ack, ok := h.Primary().SubscriberAck("edge1"); !ok || ack != e.LastSeq() {
 		t.Errorf("subscriber ack = %d,%v want %d", ack, ok, e.LastSeq())
 	}
 }
@@ -658,21 +248,20 @@ func TestSubscribeBornCurrent(t *testing.T) {
 // re-cached since — and the ack tells the origin where to resume.
 func TestPushOverlapSkipped(t *testing.T) {
 	h := newMesh(t, []string{"edge1"}, nil)
-	e := h.edges["edge1"]
+	e := h.Edge("edge1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	path := workload.CDNPagePath(0)
 
-	rc := core.NewResilientClient(h.dialTo("edge1"), device.Workstation, nil, tierRetry(), nil)
-	defer rc.Close()
-	push := func(since, seq uint64, paths string) pushAck {
+	rc := h.Client("edge1")
+	push := func(since, seq uint64, paths string) cdn.PushAck {
 		t.Helper()
 		url := fmt.Sprintf("%s?since=%d&seq=%d&paths=%s", pushPath, since, seq, paths)
 		raw, err := rc.FetchRawContext(ctx, url)
 		if err != nil || raw.Status != 200 {
 			t.Fatalf("push transport: %v status %d", err, raw.Status)
 		}
-		var ack pushAck
+		var ack cdn.PushAck
 		if err := json.Unmarshal(raw.Body, &ack); err != nil {
 			t.Fatalf("push ack: %v", err)
 		}
@@ -684,7 +273,7 @@ func TestPushOverlapSkipped(t *testing.T) {
 	if ack := push(0, 2, "/churn"); ack.Ack != 2 {
 		t.Fatalf("aligned push ack = %d, want 2", ack.Ack)
 	}
-	if raw, err := h.fetchVia(ctx, "edge1", path); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge1", path); err != nil || raw.Status != 200 {
 		t.Fatalf("re-caching fetch: %v status %d", err, raw.Status)
 	}
 
@@ -724,12 +313,12 @@ func TestPeerFill(t *testing.T) {
 	cold := workload.CDNPagePath(3)
 
 	// Warm only edge2, then write the origin off on edge1.
-	if raw, err := h.fetchVia(ctx, "edge2", path); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge2", path); err != nil || raw.Status != 200 {
 		t.Fatalf("warming edge2: %v status %d", err, raw.Status)
 	}
-	h.tripOriginBreaker(ctx, "edge1", cold)
+	tripOriginBreaker(ctx, t, h, "edge1", cold)
 
-	raw, err := h.fetchVia(ctx, "edge1", path)
+	raw, err := h.Fetch(ctx, "edge1", path)
 	if err != nil {
 		t.Fatalf("peer-fill fetch: %v", err)
 	}
@@ -739,34 +328,34 @@ func TestPeerFill(t *testing.T) {
 	if !strings.Contains(string(raw.Body), "edge tier page 002") {
 		t.Error("peer-fill returned wrong content")
 	}
-	if s := h.edges["edge1"].Stats(); s.PeerFills != 1 {
+	if s := h.Edge("edge1").Stats(); s.PeerFills != 1 {
 		t.Errorf("edge1 peer fills = %d, want 1", s.PeerFills)
 	}
-	if s := h.edges["edge2"].Stats(); s.PeerServes != 1 {
+	if s := h.Edge("edge2").Stats(); s.PeerServes != 1 {
 		t.Errorf("edge2 peer serves = %d, want 1", s.PeerServes)
 	}
 
 	// The fill joined edge1's shard: the next request is a local hit.
-	before := h.edges["edge1"].Stats().Hits
-	if raw, err := h.fetchVia(ctx, "edge1", path); err != nil || raw.Status != 200 {
+	before := h.Edge("edge1").Stats().Hits
+	if raw, err := h.Fetch(ctx, "edge1", path); err != nil || raw.Status != 200 {
 		t.Fatalf("post-fill fetch: %v status %d", err, raw.Status)
 	}
-	if got := h.edges["edge1"].Stats().Hits; got != before+1 {
+	if got := h.Edge("edge1").Stats().Hits; got != before+1 {
 		t.Errorf("post-fill hits = %d, want %d", got, before+1)
 	}
 
 	// A mesh-wide cold key must not recurse: edge2 is also missing
 	// it, answers "cold" to the fill probe, and edge1 (cacheless)
 	// reports upstream failure — but edge2 must not pull the origin.
-	misses2 := h.edges["edge2"].Stats().Misses
-	raw, err = h.fetchVia(ctx, "edge1", workload.CDNPagePath(4))
+	misses2 := h.Edge("edge2").Stats().Misses
+	raw, err = h.Fetch(ctx, "edge1", workload.CDNPagePath(4))
 	if err != nil {
 		t.Fatalf("cold fetch transport: %v", err)
 	}
 	if raw.Status == 200 {
 		t.Fatalf("mesh-wide cold key served %d from nowhere", raw.Status)
 	}
-	if got := h.edges["edge2"].Stats().Misses; got != misses2 {
+	if got := h.Edge("edge2").Stats().Misses; got != misses2 {
 		t.Error("peer-fill recursed into an origin pull on the peer")
 	}
 }
@@ -775,7 +364,7 @@ func TestPeerFill(t *testing.T) {
 // keeps its age — the receiving edge re-serves it as stale, not as
 // fresh content.
 func TestPeerFillPreservesStaleness(t *testing.T) {
-	h := newMesh(t, []string{"edge1", "edge2"}, func(c *EdgeConfig) {
+	h := newMesh(t, []string{"edge1", "edge2"}, func(c *cdn.EdgeConfig) {
 		c.TTL = 20 * time.Millisecond
 		c.MaxStale = time.Hour
 	})
@@ -783,13 +372,13 @@ func TestPeerFillPreservesStaleness(t *testing.T) {
 	defer cancel()
 	path := workload.CDNPagePath(5)
 
-	if raw, err := h.fetchVia(ctx, "edge2", path); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge2", path); err != nil || raw.Status != 200 {
 		t.Fatalf("warming edge2: %v status %d", err, raw.Status)
 	}
-	h.tripOriginBreaker(ctx, "edge1", workload.CDNPagePath(6))
+	tripOriginBreaker(ctx, t, h, "edge1", workload.CDNPagePath(6))
 	time.Sleep(40 * time.Millisecond) // let edge2's entry go stale
 
-	raw, err := h.fetchVia(ctx, "edge1", path)
+	raw, err := h.Fetch(ctx, "edge1", path)
 	if err != nil || raw.Status != 200 {
 		t.Fatalf("stale peer-fill: %v status %d", err, raw.Status)
 	}
@@ -798,7 +387,7 @@ func TestPeerFillPreservesStaleness(t *testing.T) {
 	}
 
 	// And the locally cached copy stays stale-stamped too.
-	raw, err = h.fetchVia(ctx, "edge1", path)
+	raw, err = h.Fetch(ctx, "edge1", path)
 	if err != nil || raw.Status != 200 {
 		t.Fatalf("post-fill stale fetch: %v status %d", err, raw.Status)
 	}
@@ -811,36 +400,25 @@ func TestPeerFillPreservesStaleness(t *testing.T) {
 // its old shard warm (zero origin pulls), and its first poll
 // reconciles invalidations issued while it was down.
 func TestSnapshotWarmRestart(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "edge1.snap")
-	mod := func(c *EdgeConfig) { c.SnapshotPath = snapPath }
-	h := newMesh(t, []string{"edge1"}, mod)
+	h := boot(t, tier.Options{Edges: []string{"edge1"}, Snapshots: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	const warmPages = 4
 	for i := 0; i < warmPages; i++ {
-		if raw, err := h.fetchVia(ctx, "edge1", workload.CDNPagePath(i)); err != nil || raw.Status != 200 {
+		if raw, err := h.Fetch(ctx, "edge1", workload.CDNPagePath(i)); err != nil || raw.Status != 200 {
 			t.Fatalf("warming %d: %v status %d", i, err, raw.Status)
 		}
 	}
 	// First incarnation dies; Close flushes the snapshot.
-	if err := h.edges["edge1"].Close(); err != nil {
+	if err := h.KillEdge("edge1"); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	// While it is down, the origin unpublishes one of its pages.
-	h.origin.Invalidate([]string{workload.CDNPagePath(0)})
+	h.Primary().Invalidate([]string{workload.CDNPagePath(0)})
 
 	// Second incarnation, same snapshot.
-	origins := core.NewEndpointSet(tierHealth())
-	origins.Add("origin", func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		h.srv.StartConn(sEnd)
-		return cEnd, nil
-	})
-	cfg := EdgeConfig{Name: "edge1", TTL: time.Hour, MaxStale: time.Hour, Retry: edgeRetry(), SnapshotPath: snapPath}
-	e2 := NewEdge(cfg, origins)
-	defer e2.Close()
-	h.edges["edge1"] = e2
+	e2 := h.RebootEdge("edge1")
 
 	s := e2.Stats()
 	if s.SnapshotLoaded != warmPages {
@@ -848,7 +426,7 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	}
 	// Warm serve with no origin pull.
 	for i := 1; i < warmPages; i++ {
-		raw, err := h.fetchVia(ctx, "edge1", workload.CDNPagePath(i))
+		raw, err := h.Fetch(ctx, "edge1", workload.CDNPagePath(i))
 		if err != nil || raw.Status != 200 {
 			t.Fatalf("warm restart fetch %d: %v status %d", i, err, raw.Status)
 		}
@@ -866,8 +444,8 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	if err := e2.PollOnce(ctx); err != nil {
 		t.Fatalf("reconcile poll: %v", err)
 	}
-	if e2.LastSeq() != h.origin.Seq() {
-		t.Errorf("reconciled seq = %d, want %d", e2.LastSeq(), h.origin.Seq())
+	if e2.LastSeq() != h.Primary().Seq() {
+		t.Errorf("reconciled seq = %d, want %d", e2.LastSeq(), h.Primary().Seq())
 	}
 	if got := e2.Stats().InvalApplied; got == 0 {
 		t.Error("reconcile applied no invalidations")
@@ -880,20 +458,18 @@ func TestSnapshotWarmRestart(t *testing.T) {
 // TestSnapshotRejectsForeign: a snapshot written by a different edge
 // is ignored — warm restart must never adopt another shard's view.
 func TestSnapshotRejectsForeign(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "edge.snap")
-	h := newMesh(t, []string{"edge1"}, func(c *EdgeConfig) { c.SnapshotPath = snapPath })
+	h := boot(t, tier.Options{Edges: []string{"edge1"}, Snapshots: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if raw, err := h.fetchVia(ctx, "edge1", workload.CDNPagePath(0)); err != nil || raw.Status != 200 {
+	if raw, err := h.Fetch(ctx, "edge1", workload.CDNPagePath(0)); err != nil || raw.Status != 200 {
 		t.Fatalf("warming: %v status %d", err, raw.Status)
 	}
-	if err := h.edges["edge1"].SaveSnapshot(); err != nil {
+	if err := h.Edge("edge1").SaveSnapshot(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 
-	origins := core.NewEndpointSet(tierHealth())
-	origins.Add("origin", func() (net.Conn, error) { return faultnet.Blackhole(), nil })
-	other := NewEdge(EdgeConfig{Name: "edge9", TTL: time.Hour, Retry: edgeRetry(), SnapshotPath: snapPath}, origins)
+	other := cdn.NewEdge(cdn.EdgeConfig{Name: "edge9", TTL: time.Hour, SnapshotPath: h.SnapshotPath("edge1")},
+		core.NewEndpointSet(tier.Health))
 	defer other.Close()
 	if s := other.Stats(); s.SnapshotLoaded != 0 || s.CacheEntries != 0 {
 		t.Fatalf("edge9 adopted edge1's snapshot: loaded=%d entries=%d", s.SnapshotLoaded, s.CacheEntries)
@@ -903,24 +479,12 @@ func TestSnapshotRejectsForeign(t *testing.T) {
 // TestEdgeClientMembership: EnableMembership prunes a dead edge from
 // the router's ring after the sweep declares it dead, and re-admits
 // it on recovery — the boot-time peer list stops being the fleet.
-// The kill is a loud faultnet.Crash, not a blackhole: established
-// probe connections die with the process, as a real restart's would.
+// The kill is loud, not a blackhole: established probe connections
+// die with the process, as a real restart's would.
 func TestEdgeClientMembership(t *testing.T) {
 	h := newMesh(t, []string{"edge1", "edge2"}, nil)
-	crashes := map[string]*faultnet.Crash{}
-	dials := map[string]core.DialFunc{}
-	for name := range h.edges {
-		name := name
-		crashes[name] = &faultnet.Crash{}
-		dials[name] = crashes[name].Wrap(func() (net.Conn, error) {
-			cEnd, sEnd := net.Pipe()
-			h.edges[name].StartConn(sEnd)
-			return cEnd, nil
-		})
-	}
-	ec := NewEdgeClient(EdgeClientConfig{Retry: tierRetry(), Health: tierHealth()}, dials)
-	defer ec.Close()
-	m := ec.EnableMembership(MemberConfig{
+	ec := h.EdgeClient()
+	m := ec.EnableMembership(cdn.MemberConfig{
 		Heartbeat:    time.Hour, // the test drives Tick itself
 		ProbeTimeout: 2 * time.Second,
 		SuspectAfter: time.Nanosecond,
@@ -933,7 +497,7 @@ func TestEdgeClientMembership(t *testing.T) {
 		t.Fatalf("healthy sweep shrank the ring to %d", ec.Ring().Len())
 	}
 
-	crashes["edge2"].Kill()
+	h.Link("edge2").In.Kill()
 	m.Tick(ctx)
 	if ec.Ring().Len() != 1 {
 		t.Fatalf("dead edge2 still on the router ring (size %d)", ec.Ring().Len())
@@ -943,11 +507,11 @@ func TestEdgeClientMembership(t *testing.T) {
 		t.Fatalf("lookup after surgery = %q", owner)
 	}
 
-	crashes["edge2"].Restart()
+	h.Link("edge2").In.Restart()
 	// The probe rides the per-edge breaker, which holds a 25ms probe
 	// cooldown after the failures that declared death; real sweeps run
 	// at heartbeat cadence (≫ cooldown), the test just waits it out.
-	time.Sleep(2 * tierHealth().ProbeCooldown)
+	time.Sleep(2 * tier.Health.ProbeCooldown)
 	m.Tick(ctx)
 	if ec.Ring().Len() != 2 {
 		t.Fatalf("recovered edge2 not re-admitted (size %d)", ec.Ring().Len())

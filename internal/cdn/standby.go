@@ -160,10 +160,12 @@ func (s *Standby) Start() {
 	go s.loop()
 }
 
-// Close stops the loop. It does not close the origin.
+// Close stops the loop and drops the mirror connection. It does not
+// close the origin.
 func (s *Standby) Close() {
 	s.cancel()
 	s.wg.Wait()
+	s.rc.Close()
 }
 
 // loop is the whole ladder: mirror while standby, promote on silence,

@@ -322,10 +322,16 @@ func (rc *ResilientClient) connect(ctx context.Context, dial DialFunc, degraded 
 		case nc := <-dialed:
 			nc.Close()
 		default:
-			// Still dialing: the goroutine will notice the dial result
-			// is unwanted only via its own completion; both channels are
-			// buffered, so it never leaks past the http2 handshake bound.
+			// Still dialing: both channels are buffered, so the goroutine
+			// never blocks past the http2 handshake bound.
 		}
+		// A dial that was still in flight may yet finish its handshake;
+		// nobody will ever use (or close) that client but us.
+		go func() {
+			if r := <-done; r.cl != nil {
+				r.cl.Close()
+			}
+		}()
 		return nil, &http2.TransportError{Op: "connect",
 			Err: fmt.Errorf("connect aborted: %v", ctx.Err())}
 	}
@@ -371,26 +377,78 @@ func (rc *ResilientClient) Fetch(path string) (*FetchResult, error) {
 // ResilientClient. The returned result's Attempts, Degraded and
 // DegradeReason fields record what it took.
 func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*FetchResult, error) {
+	var res *FetchResult
+	attempts, degradeReason, err := rc.ladder(ctx, "fetch", path, func(actx context.Context, degraded bool) error {
+		cl, err := rc.getClient(actx, degraded)
+		if err == nil {
+			res, err = cl.FetchContext(actx, path)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Attempts = attempts
+	res.Degraded = degradeReason != ""
+	res.DegradeReason = degradeReason
+	return res, nil
+}
+
+// FetchRawContext fetches path in transit form (no page processing,
+// no local generation) through the same retry ladder; its degrade
+// rung is unreachable, since a raw attempt never generates. This is
+// the edge tier's origin-pull path: the reply's prompt page or asset
+// bytes are re-served verbatim, so content crosses the backbone
+// exactly once and prompt pages stay prompts. extra headers ride on
+// the request — the edge forwards the terminal client's ability there.
+func (rc *ResilientClient) FetchRawContext(ctx context.Context, path string, extra ...hpack.HeaderField) (*RawReply, error) {
+	var raw *RawReply
+	_, _, err := rc.ladder(ctx, "raw fetch", path, func(actx context.Context, _ bool) error {
+		cl, err := rc.getClient(actx, rc.rawDegraded())
+		if err == nil {
+			raw, err = cl.FetchRaw(actx, path, extra...)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return raw, nil
+}
+
+// rawDegraded picks which handshake flavor a raw fetch reuses. Raw
+// fetches don't care about the connection's advertised ability (the
+// forwarded-ability header does that work), so reuse whatever mode
+// the cached connection is already in rather than forcing a redial.
+func (rc *ResilientClient) rawDegraded() bool {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.client != nil && rc.degraded
+}
+
+// ladder is the one retry loop behind both fetch flavors. try makes
+// one attempt — connect in the wanted mode, issue the request — under
+// the attempt's context; what ("fetch", "raw fetch") names the flavor
+// in errors. On success it returns how many attempts it took and,
+// when the degrade rung fired, why.
+func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try func(actx context.Context, degraded bool) error) (attempts int, degradeReason string, err error) {
 	var lastErr error
-	degraded, degradeReason := false, ""
+	degraded := false
 	maxAttempts := rc.policy.maxAttempts()
 	budget := rc.retryBudget()
 	budget.Deposit()
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return 0, "", err
 		}
 		rc.met.attempts.Inc()
 		if attempt > 1 {
 			rc.met.retries.Inc()
 		}
-		res, err := rc.fetchOnce(ctx, path, degraded)
+		err := rc.attempt(ctx, degraded, try)
 		if err == nil {
 			rc.endpointSuccess()
-			res.Attempts = attempt
-			res.Degraded = degraded
-			res.DegradeReason = degradeReason
-			return res, nil
+			return attempt, degradeReason, nil
 		}
 		lastErr = err
 
@@ -407,7 +465,7 @@ func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*Fetc
 			rc.met.busy.Inc()
 			if attempt < maxAttempts {
 				if !budget.Withdraw() {
-					return nil, fmt.Errorf("core: fetch %s: %w: %v", path, ErrRetryBudgetExhausted, lastErr)
+					return 0, "", fmt.Errorf("core: %s %s: %w: %v", what, path, ErrRetryBudgetExhausted, lastErr)
 				}
 				d := rc.nextDelay(attempt)
 				if busy.RetryAfter > d {
@@ -419,12 +477,12 @@ func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*Fetc
 				// the context expires and surfacing a bare deadline.
 				if dl, ok := ctx.Deadline(); ok {
 					if remain := time.Until(dl); d > remain {
-						return nil, fmt.Errorf("core: fetch %s: retry wait %v exceeds deadline: %w", path, d, lastErr)
+						return 0, "", fmt.Errorf("core: %s %s: retry wait %v exceeds deadline: %w", what, path, d, lastErr)
 					}
 				}
 				rc.met.backoff.Observe(d)
 				if err := rc.sleep(ctx, d); err != nil {
-					return nil, err
+					return 0, "", err
 				}
 			}
 		case errors.As(err, &genErr) && !degraded:
@@ -446,146 +504,40 @@ func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*Fetc
 			rc.drop()
 			if attempt < maxAttempts {
 				if !budget.Withdraw() {
-					return nil, fmt.Errorf("core: fetch %s: %w: %v", path, ErrRetryBudgetExhausted, lastErr)
+					return 0, "", fmt.Errorf("core: %s %s: %w: %v", what, path, ErrRetryBudgetExhausted, lastErr)
 				}
 				d := rc.nextDelay(attempt)
 				rc.met.backoff.Observe(d)
 				if err := rc.sleep(ctx, d); err != nil {
-					return nil, err
+					return 0, "", err
 				}
 			}
 		default:
-			return nil, err
+			return 0, "", err
 		}
 	}
-	return nil, fmt.Errorf("core: fetch %s: %d attempts exhausted: %w", path, maxAttempts, lastErr)
+	return 0, "", fmt.Errorf("core: %s %s: %d attempts exhausted: %w", what, path, maxAttempts, lastErr)
 }
 
-// FetchRawContext fetches path in transit form (no page processing,
-// no local generation) through the same retry ladder minus the
-// degrade step, which cannot apply to a raw fetch. This is the edge
-// tier's origin-pull path: the reply's prompt page or asset bytes are
-// re-served verbatim, so content crosses the backbone exactly once
-// and prompt pages stay prompts. extra headers ride on the request —
-// the edge forwards the terminal client's ability there.
-func (rc *ResilientClient) FetchRawContext(ctx context.Context, path string, extra ...hpack.HeaderField) (*RawReply, error) {
-	var lastErr error
-	maxAttempts := rc.policy.maxAttempts()
-	budget := rc.retryBudget()
-	budget.Deposit()
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rc.met.attempts.Inc()
-		if attempt > 1 {
-			rc.met.retries.Inc()
-		}
-		raw, err := rc.fetchRawOnce(ctx, path, extra)
-		if err == nil {
-			rc.endpointSuccess()
-			return raw, nil
-		}
-		lastErr = err
-
-		var busy *ServerBusyError
-		switch {
-		case errors.As(err, &busy):
-			// Same reasoning as FetchContext: the peer answered, so the
-			// endpoint is healthy and the connection stays.
-			rc.endpointSuccess()
-			rc.met.busy.Inc()
-			if attempt < maxAttempts {
-				if !budget.Withdraw() {
-					return nil, fmt.Errorf("core: raw fetch %s: %w: %v", path, ErrRetryBudgetExhausted, lastErr)
-				}
-				d := rc.nextDelay(attempt)
-				if busy.RetryAfter > d {
-					d = busy.RetryAfter
-				}
-				if dl, ok := ctx.Deadline(); ok {
-					if remain := time.Until(dl); d > remain {
-						return nil, fmt.Errorf("core: raw fetch %s: retry wait %v exceeds deadline: %w", path, d, lastErr)
-					}
-				}
-				rc.met.backoff.Observe(d)
-				if err := rc.sleep(ctx, d); err != nil {
-					return nil, err
-				}
-			}
-		case http2.Retryable(err):
-			rc.endpointFailure()
-			rc.drop()
-			if attempt < maxAttempts {
-				if !budget.Withdraw() {
-					return nil, fmt.Errorf("core: raw fetch %s: %w: %v", path, ErrRetryBudgetExhausted, lastErr)
-				}
-				d := rc.nextDelay(attempt)
-				rc.met.backoff.Observe(d)
-				if err := rc.sleep(ctx, d); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("core: raw fetch %s: %d attempts exhausted: %w", path, maxAttempts, lastErr)
-}
-
-func (rc *ResilientClient) fetchRawOnce(ctx context.Context, path string, extra []hpack.HeaderField) (*RawReply, error) {
+// attempt runs try under the policy's per-attempt deadline.
+func (rc *ResilientClient) attempt(ctx context.Context, degraded bool, try func(actx context.Context, degraded bool) error) error {
 	actx := ctx
 	if t := rc.policy.AttemptTimeout; t > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	var raw *RawReply
-	cl, err := rc.getClient(actx, rc.rawDegraded())
-	if err == nil {
-		raw, err = cl.FetchRaw(actx, path, extra...)
-	}
-	if err != nil && actx.Err() != nil && ctx.Err() == nil {
-		// Per-attempt deadline only: wedged connection, caller still
-		// has budget — retryable (same classification as fetchOnce).
-		return nil, &http2.TransportError{Op: "attempt",
-			Err: fmt.Errorf("deadline %v exceeded: %v", rc.policy.AttemptTimeout, err)}
-	}
-	return raw, err
-}
-
-// rawDegraded picks which handshake flavor a raw fetch reuses. Raw
-// fetches don't care about the connection's advertised ability (the
-// forwarded-ability header does that work), so reuse whatever mode
-// the cached connection is already in rather than forcing a redial.
-func (rc *ResilientClient) rawDegraded() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.client != nil && rc.degraded
-}
-
-func (rc *ResilientClient) fetchOnce(ctx context.Context, path string, degraded bool) (*FetchResult, error) {
-	actx := ctx
-	if t := rc.policy.AttemptTimeout; t > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-	var res *FetchResult
-	cl, err := rc.getClient(actx, degraded)
-	if err == nil {
-		res, err = cl.FetchContext(actx, path)
-	}
+	err := try(actx, degraded)
 	if err != nil && actx.Err() != nil && ctx.Err() == nil {
 		// Only the per-attempt deadline fired: the connection is
 		// wedged (blackholed peer, stalled window) but the caller
 		// still has budget — classify as a retryable transport fault.
 		// %v, not %w: Retryable treats wrapped context errors as
 		// fatal, and this one was ours, not the caller's.
-		return nil, &http2.TransportError{Op: "attempt",
+		return &http2.TransportError{Op: "attempt",
 			Err: fmt.Errorf("deadline %v exceeded: %v", rc.policy.AttemptTimeout, err)}
 	}
-	return res, err
+	return err
 }
 
 // nextDelay serializes rng access so concurrent fetches stay

@@ -584,11 +584,13 @@ func (s *Server) serveRequest(ctx context.Context, proto, method, path string, p
 	s.finishRequest(tr, pl, start)
 }
 
-// effectivePeerGen applies the edge relay override: an edge stamps
+// EffectivePeerGen applies the edge relay override: an edge stamps
 // its terminal client's ability on the request via EdgeGenHeader.
 // Honoring the header unconditionally is safe: a direct client could
 // claim any ability in SETTINGS anyway, so this grants nothing new.
-func effectivePeerGen(negotiated http2.GenAbility, edgeHdr string) http2.GenAbility {
+// Every hop that keys on ability (origin, edge, peer-fill target)
+// resolves the header through here, so they cannot disagree.
+func EffectivePeerGen(negotiated http2.GenAbility, edgeHdr string) http2.GenAbility {
 	if edgeHdr != "" {
 		if g, err := strconv.ParseUint(edgeHdr, 10, 32); err == nil {
 			return http2.GenAbility(g)
@@ -663,13 +665,13 @@ func (s *Server) serve(w *http2.ResponseWriter, r *http2.Request) {
 		ctl(w, r)
 		return
 	}
-	peerGen := effectivePeerGen(r.PeerGen, r.HeaderValue(EdgeGenHeader))
+	peerGen := EffectivePeerGen(r.PeerGen, r.HeaderValue(EdgeGenHeader))
 	s.serveRequest(r.Stream().Context(), "h2", r.Method, r.Path, peerGen, h2Responder{w})
 }
 
 // serveH3 adapts HTTP/3 to the shared core.
 func (s *Server) serveH3(w *http3.ResponseWriter, r *http3.Request) {
-	peerGen := effectivePeerGen(r.PeerGen, r.HeaderValue(EdgeGenHeader))
+	peerGen := EffectivePeerGen(r.PeerGen, r.HeaderValue(EdgeGenHeader))
 	s.serveRequest(context.Background(), "h3", r.Method, r.Path, peerGen, h3Responder{w})
 }
 

@@ -25,19 +25,12 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sww/internal/cdn"
-	"sww/internal/core"
-	"sww/internal/faultnet"
-	"sww/internal/genai/imagegen"
-	"sww/internal/genai/textgen"
+	"sww/internal/tier"
 	"sww/internal/workload"
 )
 
@@ -79,165 +72,7 @@ type EdgeTierReport struct {
 	InvalidatedGone     bool          `json:"invalidated_gone"`
 }
 
-const edgeTierPages = 8
-
-// edgeFleet is the live harness: one origin server, N edges pulling
-// from it, switches to blackhole the origin, cut one edge's upstream,
-// or kill an edge.
-type edgeFleet struct {
-	srv    *core.Server
-	origin *cdn.Origin
-
-	originDown  atomic.Bool
-	upstreamCut map[string]*atomic.Bool
-
-	mu          sync.Mutex
-	originConns []net.Conn
-	edgeConns   map[string][]net.Conn
-
-	edges    map[string]*cdn.Edge
-	edgeDead map[string]*atomic.Bool
-	names    []string
-}
-
-func newEdgeFleet(names []string) (*edgeFleet, error) {
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < edgeTierPages; i++ {
-		srv.AddPage(workload.CDNPage(i))
-	}
-	f := &edgeFleet{
-		srv:         srv,
-		origin:      cdn.NewOrigin(srv, 0),
-		upstreamCut: map[string]*atomic.Bool{},
-		edgeConns:   map[string][]net.Conn{},
-		edges:       map[string]*cdn.Edge{},
-		edgeDead:    map[string]*atomic.Bool{},
-		names:       names,
-	}
-	health := core.EndpointHealthConfig{FailureThreshold: 2, ProbeCooldown: 25 * time.Millisecond}
-	for _, name := range names {
-		name := name
-		f.upstreamCut[name] = &atomic.Bool{}
-		f.edgeDead[name] = &atomic.Bool{}
-		origins := core.NewEndpointSet(health)
-		origins.Add("origin", func() (net.Conn, error) {
-			if f.originDown.Load() || f.upstreamCut[name].Load() {
-				return faultnet.Blackhole(), nil
-			}
-			cEnd, sEnd := net.Pipe()
-			f.srv.StartConn(sEnd)
-			f.mu.Lock()
-			f.originConns = append(f.originConns, sEnd)
-			f.mu.Unlock()
-			return cEnd, nil
-		})
-		f.edges[name] = cdn.NewEdge(cdn.EdgeConfig{
-			Name:     name,
-			TTL:      40 * time.Millisecond,
-			MaxStale: time.Hour,
-			// The edge ladder must fail a dead origin well inside one
-			// terminal-client attempt, or stale serving is unreachable.
-			PollInterval: 15 * time.Millisecond,
-			Retry: core.RetryPolicy{
-				MaxAttempts:    2,
-				AttemptTimeout: 40 * time.Millisecond,
-				BaseDelay:      2 * time.Millisecond,
-				MaxDelay:       10 * time.Millisecond,
-				Jitter:         0.2,
-				Seed:           17,
-			},
-			Peers: names,
-		}, origins)
-		f.edges[name].Start()
-	}
-	return f, nil
-}
-
-func (f *edgeFleet) close() {
-	for _, e := range f.edges {
-		e.Close()
-	}
-}
-
-func (f *edgeFleet) client() *cdn.EdgeClient {
-	dials := map[string]core.DialFunc{}
-	for name := range f.edges {
-		name := name
-		dials[name] = func() (net.Conn, error) {
-			if f.edgeDead[name].Load() {
-				return nil, errors.New("edge down")
-			}
-			cEnd, sEnd := net.Pipe()
-			f.edges[name].StartConn(sEnd)
-			f.mu.Lock()
-			f.edgeConns[name] = append(f.edgeConns[name], cEnd)
-			f.mu.Unlock()
-			return cEnd, nil
-		}
-	}
-	return cdn.NewEdgeClient(cdn.EdgeClientConfig{
-		Retry: core.RetryPolicy{
-			MaxAttempts:    2,
-			AttemptTimeout: 2 * time.Second,
-			BaseDelay:      2 * time.Millisecond,
-			MaxDelay:       10 * time.Millisecond,
-			Jitter:         0.2,
-			Seed:           23,
-		},
-		Health: core.EndpointHealthConfig{FailureThreshold: 2, ProbeCooldown: 25 * time.Millisecond},
-	}, dials)
-}
-
-func (f *edgeFleet) severOriginConns() {
-	f.mu.Lock()
-	conns := f.originConns
-	f.originConns = nil
-	f.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (f *edgeFleet) blackholeOrigin() {
-	f.originDown.Store(true)
-	f.severOriginConns()
-}
-
-func (f *edgeFleet) healOrigin() { f.originDown.Store(false) }
-
-func (f *edgeFleet) cutUpstream(edge string) {
-	f.upstreamCut[edge].Store(true)
-	f.severOriginConns()
-}
-
-func (f *edgeFleet) healUpstream(edge string) { f.upstreamCut[edge].Store(false) }
-
-func (f *edgeFleet) killEdge(name string) {
-	f.edgeDead[name].Store(true)
-	f.mu.Lock()
-	conns := f.edgeConns[name]
-	delete(f.edgeConns, name)
-	f.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	f.edges[name].Close()
-}
-
-func (f *edgeFleet) stats() cdn.EdgeStats {
-	var sum cdn.EdgeStats
-	for _, e := range f.edges {
-		s := e.Stats()
-		sum.StaleServes += s.StaleServes
-		sum.Failovers += s.Failovers
-		sum.UpstreamErrors += s.UpstreamErrors
-		sum.Errors += s.Errors
-	}
-	return sum
-}
+const edgeTierPages = tier.Pages
 
 // runRounds fetches every page rounds times through ec and returns the
 // phase outcome plus the per-path serving edge of the last round.
@@ -275,13 +110,20 @@ func EdgeTierSweep(quick bool) (*EdgeTierReport, error) {
 		rounds = 3
 	}
 	names := []string{"edge1", "edge2", "edge3"}
-	fleet, err := newEdgeFleet(names)
+	fleet, err := tier.New(tier.Options{Edges: names, Edge: func(c *cdn.EdgeConfig) {
+		c.TTL = 40 * time.Millisecond
+		// The edge ladder must fail a dead origin well inside one
+		// terminal-client attempt, or stale serving is unreachable.
+		c.PollInterval = 15 * time.Millisecond
+	}})
 	if err != nil {
 		return nil, err
 	}
-	defer fleet.close()
-	ec := fleet.client()
-	defer ec.Close()
+	defer fleet.Close()
+	for _, name := range names {
+		fleet.Edge(name).Start()
+	}
+	ec := fleet.EdgeClient()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
@@ -302,12 +144,12 @@ func EdgeTierSweep(quick bool) (*EdgeTierReport, error) {
 	// ladder that trips the endpoint breakers; from then on the edges
 	// fail static, and the measured steady state is stale serving at
 	// near-baseline goodput.
-	fleet.blackholeOrigin()
+	fleet.SeverOrigin()
 	time.Sleep(60 * time.Millisecond) // let every warm entry expire
 	runRounds(ctx, ec, 1, nil)
-	before := fleet.stats()
+	before := fleet.Stats()
 	rep.Blackhole = runRounds(ctx, ec, rounds, pageOK)
-	rep.StaleServes = fleet.stats().StaleServes - before.StaleServes
+	rep.StaleServes = fleet.Stats().StaleServes - before.StaleServes
 	if rep.Baseline.GoodputRPS > 0 {
 		rep.StaleGoodputRatio = rep.Blackhole.GoodputRPS / rep.Baseline.GoodputRPS
 	}
@@ -317,14 +159,11 @@ func EdgeTierSweep(quick bool) (*EdgeTierReport, error) {
 	// should not also be measuring blackhole recovery), then kill one
 	// of the three edges while clients keep fetching. The picker must
 	// route around the corpse.
-	fleet.healOrigin()
-	healDeadline := time.Now().Add(10 * time.Second)
-	for _, e := range fleet.edges {
-		for !e.Upstream().Endpoints().AnyHealthy() {
-			if time.Now().After(healDeadline) {
-				return rep, fmt.Errorf("edge %s never saw the origin heal", e.Name())
-			}
-			time.Sleep(5 * time.Millisecond)
+	fleet.HealOrigin()
+	for _, name := range names {
+		if err := tier.WaitUntil(ctx, name+" to see the origin heal",
+			fleet.Edge(name).Upstream().Endpoints().AnyHealthy); err != nil {
+			return rep, err
 		}
 	}
 	victim := "edge2"
@@ -335,10 +174,10 @@ func EdgeTierSweep(quick bool) (*EdgeTierReport, error) {
 			successor[path] = order[1]
 		}
 	}
-	fleet.killEdge(victim)
+	fleet.KillEdge(victim)
 	rep.Kill = runRounds(ctx, ec, rounds, pageOK)
 	rep.KillErrorRate = float64(rep.Kill.Fetches-rep.Kill.OK) / float64(rep.Kill.Fetches)
-	rep.Failovers = fleet.stats().Failovers
+	rep.Failovers = fleet.Stats().Failovers
 
 	// Declare the victim dead: the ring reshards, and every key it
 	// owned must land exactly on the successor LookupN predicted.
@@ -367,22 +206,19 @@ func EdgeTierSweep(quick bool) (*EdgeTierReport, error) {
 	if _, _, err := ec.FetchContext(ctx, path); err != nil {
 		return rep, fmt.Errorf("pre-partition warm fetch: %w", err)
 	}
-	fleet.cutUpstream(part)
-	fleet.srv.RemovePage(path) // unpublished while the edge cannot hear
+	fleet.Link(part).Up.Sever()
+	fleet.Primary().Server().RemovePage(path) // unpublished while the edge cannot hear
 	time.Sleep(60 * time.Millisecond)
 	if res, _, err := ec.FetchContext(ctx, path); err == nil && pageOK(res.HTML, pageIndex(path)) {
 		rep.PartitionWarmServed = true
 	}
 
-	fleet.healUpstream(part)
+	fleet.Link(part).Up.Restart()
 	healed := time.Now()
-	deadline := healed.Add(10 * time.Second)
-	for fleet.edges[part].LastSeq() < fleet.origin.Seq() {
-		if time.Now().After(deadline) {
-			return rep, fmt.Errorf("edge %s never reconciled: seq %d < %d",
-				part, fleet.edges[part].LastSeq(), fleet.origin.Seq())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := tier.WaitUntil(ctx, part+" to reconcile", func() bool {
+		return fleet.Edge(part).LastSeq() >= fleet.Primary().Seq()
+	}); err != nil {
+		return rep, err
 	}
 	rep.ReconciledIn = time.Since(healed)
 	if _, _, err := ec.FetchContext(ctx, path); err != nil {

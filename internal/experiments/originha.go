@@ -24,21 +24,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sww/internal/cdn"
 	"sww/internal/core"
-	"sww/internal/device"
-	"sww/internal/faultnet"
-	"sww/internal/genai/imagegen"
-	"sww/internal/genai/textgen"
+	"sww/internal/tier"
 	"sww/internal/workload"
 )
 
@@ -79,208 +71,6 @@ type OriginHAReport struct {
 	BudgetExhausted   uint64  `json:"budget_exhausted"`
 }
 
-// haFleet wires one primary origin (with durable state), an optional
-// standby, and edges, all over crashable in-process pipes.
-type haFleet struct {
-	dir string
-
-	mu         sync.Mutex
-	primary    *cdn.Origin // current process at the "primary address"
-	primaryUp  atomic.Bool
-	standbyOrg *cdn.Origin
-	sb         *cdn.Standby
-
-	conns []net.Conn // primary-side severable conn ends
-
-	edges map[string]*cdn.Edge
-}
-
-func newHAFleet() (*haFleet, error) {
-	dir, err := os.MkdirTemp("", "sww-originha-")
-	if err != nil {
-		return nil, err
-	}
-	f := &haFleet{dir: dir, edges: map[string]*cdn.Edge{}}
-	f.primaryUp.Store(true)
-	if err := f.bootPrimary(); err != nil {
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	return f, nil
-}
-
-func haServer() (*core.Server, error) {
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < edgeTierPages; i++ {
-		srv.AddPage(workload.CDNPage(i))
-	}
-	return srv, nil
-}
-
-// bootPrimary starts (or restarts, over the same durable directory)
-// the origin process at the primary address.
-func (f *haFleet) bootPrimary() error {
-	srv, err := haServer()
-	if err != nil {
-		return err
-	}
-	pdir := filepath.Join(f.dir, "primary")
-	o, err := cdn.NewOriginWithConfig(srv, cdn.OriginConfig{LogDir: pdir, EpochDir: pdir})
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.primary = o
-	f.mu.Unlock()
-	return nil
-}
-
-// bootStandby starts the warm standby mirroring the primary address.
-func (f *haFleet) bootStandby() error {
-	srv, err := haServer()
-	if err != nil {
-		return err
-	}
-	sdir := filepath.Join(f.dir, "standby")
-	o, err := cdn.NewOriginWithConfig(srv, cdn.OriginConfig{
-		LogDir: sdir, EpochDir: sdir, Standby: true,
-	})
-	if err != nil {
-		return err
-	}
-	f.standbyOrg = o
-	f.sb = cdn.NewStandby(o, cdn.StandbyConfig{
-		Name:         "standby",
-		PrimaryDial:  f.dialPrimary,
-		PollInterval: 10 * time.Millisecond,
-		PromoteAfter: 120 * time.Millisecond,
-		Retry:        core.RetryPolicy{MaxAttempts: 1, AttemptTimeout: 30 * time.Millisecond},
-	})
-	f.sb.Start()
-	return nil
-}
-
-// dialPrimary reaches whatever currently answers the primary address —
-// the live origin, a blackhole while it is dead, or the restarted
-// zombie.
-func (f *haFleet) dialPrimary() (net.Conn, error) {
-	if !f.primaryUp.Load() {
-		return faultnet.Blackhole(), nil
-	}
-	f.mu.Lock()
-	srv := f.primary.Server()
-	f.mu.Unlock()
-	cEnd, sEnd := net.Pipe()
-	srv.StartConn(sEnd)
-	f.mu.Lock()
-	f.conns = append(f.conns, sEnd)
-	f.mu.Unlock()
-	return cEnd, nil
-}
-
-// killPrimary is the SIGKILL analogue: future dials blackhole,
-// established connections die.
-func (f *haFleet) killPrimary() {
-	f.primaryUp.Store(false)
-	f.mu.Lock()
-	conns := f.conns
-	f.conns = nil
-	o := f.primary
-	f.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	o.Close() // flush + release the durable log (the process died)
-}
-
-// bootEdge builds one edge over the primary (and, when the standby is
-// up, the standby as failover endpoint).
-func (f *haFleet) bootEdge(name string, mod func(*cdn.EdgeConfig)) *cdn.Edge {
-	origins := core.NewEndpointSet(core.EndpointHealthConfig{
-		FailureThreshold: 2, ProbeCooldown: 25 * time.Millisecond,
-	})
-	origins.Add("origin", f.dialPrimary)
-	if f.standbyOrg != nil {
-		origins.Add("origin2", func() (net.Conn, error) {
-			cEnd, sEnd := net.Pipe()
-			f.standbyOrg.Server().StartConn(sEnd)
-			return cEnd, nil
-		})
-	}
-	cfg := cdn.EdgeConfig{
-		Name:     name,
-		TTL:      time.Hour,
-		MaxStale: time.Hour,
-		Retry: core.RetryPolicy{
-			MaxAttempts:    2,
-			AttemptTimeout: 40 * time.Millisecond,
-			BaseDelay:      2 * time.Millisecond,
-			MaxDelay:       10 * time.Millisecond,
-			Jitter:         0.2,
-			Seed:           17,
-		},
-	}
-	if mod != nil {
-		mod(&cfg)
-	}
-	e := cdn.NewEdge(cfg, origins)
-	f.edges[name] = e
-	return e
-}
-
-func (f *haFleet) fetchVia(ctx context.Context, name, path string) (*core.RawReply, error) {
-	rc := core.NewResilientClient(func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		f.edges[name].StartConn(sEnd)
-		return cEnd, nil
-	}, device.Workstation, nil, core.RetryPolicy{
-		MaxAttempts:    2,
-		AttemptTimeout: 2 * time.Second,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		Jitter:         0.2,
-		Seed:           23,
-	}, nil)
-	defer rc.Close()
-	return rc.FetchRawContext(ctx, path)
-}
-
-func (f *haFleet) close() {
-	if f.sb != nil {
-		f.sb.Close()
-	}
-	if f.standbyOrg != nil {
-		f.standbyOrg.Close()
-	}
-	f.mu.Lock()
-	o := f.primary
-	f.mu.Unlock()
-	if o != nil {
-		o.Close()
-	}
-	for _, e := range f.edges {
-		e.Close()
-	}
-	os.RemoveAll(f.dir)
-}
-
-func waitUntil(ctx context.Context, what string, cond func() bool) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for !cond() {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%s: %w", what, err)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil
-}
-
 // OriginHASweep runs E25. quick trims the storm-phase fetch count.
 func OriginHASweep(quick bool) (*OriginHAReport, error) {
 	rep := &OriginHAReport{Pages: edgeTierPages}
@@ -302,44 +92,43 @@ func OriginHASweep(quick bool) (*OriginHAReport, error) {
 // originHARestart: kill and restart the origin over its durable log;
 // the edge must reconcile incrementally, never reset.
 func originHARestart(ctx context.Context, rep *OriginHAReport) error {
-	fleet, err := newHAFleet()
+	fleet, err := tier.New(tier.Options{Edges: []string{"edge1"}, Durable: true})
 	if err != nil {
 		return err
 	}
-	defer fleet.close()
-	e := fleet.bootEdge("edge1", nil)
+	defer fleet.Close()
+	e := fleet.Edge("edge1")
 
 	for i := 0; i < edgeTierPages; i++ {
-		if err := fetchOK(fleet.fetchVia(ctx, "edge1", workload.CDNPagePath(i))); err != nil {
+		if err := fetchOK(fleet.Fetch(ctx, "edge1", workload.CDNPagePath(i))); err != nil {
 			return fmt.Errorf("warming page %d: %w", i, err)
 		}
 	}
-	fleet.primary.Invalidate([]string{workload.CDNPagePath(0)})
-	fleet.primary.Invalidate([]string{workload.CDNPagePath(1)})
+	fleet.Primary().Invalidate([]string{workload.CDNPagePath(0)})
+	fleet.Primary().Invalidate([]string{workload.CDNPagePath(1)})
 	if err := e.PollOnce(ctx); err != nil {
 		return fmt.Errorf("anchor poll: %w", err)
 	}
-	rep.SeqBeforeRestart = fleet.primary.Seq()
+	rep.SeqBeforeRestart = fleet.Primary().Seq()
 
-	fleet.killPrimary()
-	fleet.primaryUp.Store(true)
-	if err := fleet.bootPrimary(); err != nil {
+	fleet.KillPrimary()
+	if err := fleet.RestartPrimary(); err != nil {
 		return fmt.Errorf("restarting origin: %w", err)
 	}
-	rep.SeqAfterRestart = fleet.primary.Seq()
+	rep.SeqAfterRestart = fleet.Primary().Seq()
 	if rep.SeqAfterRestart != rep.SeqBeforeRestart {
 		return fmt.Errorf("restart lost the sequence space: %d -> %d",
 			rep.SeqBeforeRestart, rep.SeqAfterRestart)
 	}
 
 	// Post-restart invalidations reconcile incrementally.
-	fleet.primary.Invalidate([]string{workload.CDNPagePath(2)})
+	fleet.Primary().Invalidate([]string{workload.CDNPagePath(2)})
 	if err := e.PollOnce(ctx); err != nil {
 		return fmt.Errorf("reconcile poll: %w", err)
 	}
 	s := e.Stats()
 	rep.RestartResets = s.InvalResets
-	rep.RestartCaughtUp = s.LastSeq == fleet.primary.Seq()
+	rep.RestartCaughtUp = s.LastSeq == fleet.Primary().Seq()
 	return nil
 }
 
@@ -347,53 +136,50 @@ func originHARestart(ctx context.Context, rep *OriginHAReport) error {
 // with zero lost sequences, the edge fails over and applies a fresh
 // invalidation; then the zombie returns and is fenced.
 func originHAFailover(ctx context.Context, rep *OriginHAReport) error {
-	fleet, err := newHAFleet()
+	fleet, err := tier.New(tier.Options{Edges: []string{"edge1"}, Durable: true, Standby: true})
 	if err != nil {
 		return err
 	}
-	defer fleet.close()
-	if err := fleet.bootStandby(); err != nil {
-		return err
-	}
-	e := fleet.bootEdge("edge1", nil)
+	defer fleet.Close()
+	e := fleet.Edge("edge1")
 
 	for i := 0; i < edgeTierPages; i++ {
-		if err := fetchOK(fleet.fetchVia(ctx, "edge1", workload.CDNPagePath(i))); err != nil {
+		if err := fetchOK(fleet.Fetch(ctx, "edge1", workload.CDNPagePath(i))); err != nil {
 			return fmt.Errorf("warming page %d: %w", i, err)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		fleet.primary.Invalidate([]string{workload.CDNPagePath(i)})
+		fleet.Primary().Invalidate([]string{workload.CDNPagePath(i)})
 	}
 	if err := e.PollOnce(ctx); err != nil {
 		return fmt.Errorf("anchor poll: %w", err)
 	}
-	if err := waitUntil(ctx, "standby mirror catch-up", func() bool {
-		return fleet.standbyOrg.Seq() == fleet.primary.Seq()
+	if err := tier.WaitUntil(ctx, "standby mirror catch-up", func() bool {
+		return fleet.StandbyOrigin.Seq() == fleet.Primary().Seq()
 	}); err != nil {
 		return err
 	}
 
-	rep.PrimarySeqAtKill = fleet.primary.Seq()
+	rep.PrimarySeqAtKill = fleet.Primary().Seq()
 	killed := time.Now()
-	fleet.killPrimary()
-	if err := waitUntil(ctx, "standby promotion", func() bool {
-		return fleet.standbyOrg.Role() == cdn.RolePrimary
+	fleet.KillPrimary()
+	if err := tier.WaitUntil(ctx, "standby promotion", func() bool {
+		return fleet.StandbyOrigin.Role() == cdn.RolePrimary
 	}); err != nil {
 		return err
 	}
 	rep.FailoverAfter = time.Since(killed)
-	rep.PromotedEpoch = fleet.standbyOrg.Epoch()
-	rep.PromotedSeq = fleet.standbyOrg.Seq()
+	rep.PromotedEpoch = fleet.StandbyOrigin.Epoch()
+	rep.PromotedSeq = fleet.StandbyOrigin.Seq()
 	rep.LostSeqs = int64(rep.PrimarySeqAtKill) - int64(rep.PromotedSeq)
 
 	// The promoted origin issues a fresh invalidation; the edge must
 	// fail over, adopt the new epoch, and apply it — no reset.
 	fresh := workload.CDNPagePath(5)
-	fleet.standbyOrg.Invalidate([]string{fresh})
-	if err := waitUntil(ctx, "edge failover reconcile", func() bool {
+	fleet.StandbyOrigin.Invalidate([]string{fresh})
+	if err := tier.WaitUntil(ctx, "edge failover reconcile", func() bool {
 		e.PollOnce(ctx)
-		return e.LastSeq() == fleet.standbyOrg.Seq()
+		return e.LastSeq() == fleet.StandbyOrigin.Seq()
 	}); err != nil {
 		return err
 	}
@@ -403,22 +189,19 @@ func originHAFailover(ctx context.Context, rep *OriginHAReport) error {
 	// The invalidated page now misses at the edge and refills fresh
 	// from the promoted origin.
 	before := e.Stats().Misses
-	if err := fetchOK(fleet.fetchVia(ctx, "edge1", fresh)); err != nil {
+	if err := fetchOK(fleet.Fetch(ctx, "edge1", fresh)); err != nil {
 		return fmt.Errorf("fresh fetch after failover: %w", err)
 	}
 	rep.FreshInvalServed = e.Stats().Misses == before+1
 
 	// The zombie returns from its own durable state, below the
 	// promoted epoch. The standby's watch probe fences it.
-	fleet.primaryUp.Store(true)
-	if err := fleet.bootPrimary(); err != nil {
+	if err := fleet.RestartPrimary(); err != nil {
 		return fmt.Errorf("restarting zombie: %w", err)
 	}
-	fleet.mu.Lock()
-	zombie := fleet.primary
-	fleet.mu.Unlock()
+	zombie := fleet.Primary()
 	rep.ZombieEpoch = zombie.Epoch()
-	if err := waitUntil(ctx, "zombie fenced", func() bool {
+	if err := tier.WaitUntil(ctx, "zombie fenced", func() bool {
 		return zombie.Role() == cdn.RoleFenced
 	}); err != nil {
 		return err
@@ -435,7 +218,7 @@ func originHAFailover(ctx context.Context, rep *OriginHAReport) error {
 	q.Set("seq", strconv.FormatUint(rep.PrimarySeqAtKill, 10))
 	q.Set("epoch", strconv.FormatUint(rep.ZombieEpoch, 10))
 	q.Set("paths", url.QueryEscape(workload.CDNPagePath(6)))
-	if err := fetchOK(fleet.fetchVia(ctx, "edge1", cdn.ControlPrefix+"push?"+q.Encode())); err != nil {
+	if err := fetchOK(fleet.Fetch(ctx, "edge1", cdn.ControlPrefix+"push?"+q.Encode())); err != nil {
 		return fmt.Errorf("zombie push replay: %w", err)
 	}
 	rep.EdgeEpochFenced = e.Stats().EpochFenced
@@ -451,35 +234,33 @@ func originHAStorm(ctx context.Context, rep *OriginHAReport, quick bool) error {
 	}
 	const ratio, burst = 0.2, 10
 
-	var budgetedDials, unbudgetedDials atomic.Uint64
-	mkEdge := func(name string, dials *atomic.Uint64, budgetRatio float64) *cdn.Edge {
-		origins := core.NewEndpointSet(core.EndpointHealthConfig{
-			// The breaker must not open: the storm phase measures the
-			// retry ladder itself, and a fleet-wide outage is exactly
-			// when half-open probes keep re-walking it.
-			FailureThreshold: 1 << 20,
-		})
-		origins.Add("origin", func() (net.Conn, error) {
-			dials.Add(1)
-			return faultnet.Blackhole(), nil
-		})
-		return cdn.NewEdge(cdn.EdgeConfig{
-			Name: name,
-			TTL:  time.Nanosecond, // everything revalidates: every fetch pulls
-			Retry: core.RetryPolicy{
+	fleet, err := tier.New(tier.Options{
+		Edges: []string{"budgeted", "unbudgeted"},
+		// The breaker must not open: the storm phase measures the
+		// retry ladder itself, and a fleet-wide outage is exactly
+		// when half-open probes keep re-walking it.
+		Health: core.EndpointHealthConfig{FailureThreshold: 1 << 20},
+		Edge: func(c *cdn.EdgeConfig) {
+			c.TTL = time.Nanosecond // everything revalidates: every fetch pulls
+			c.Retry = core.RetryPolicy{
 				MaxAttempts:    4,
 				AttemptTimeout: 4 * time.Millisecond,
 				BaseDelay:      time.Millisecond,
 				MaxDelay:       2 * time.Millisecond,
 				Seed:           17,
-			},
-			RetryBudgetRatio: budgetRatio,
-		}, origins)
+			}
+			c.RetryBudgetRatio = ratio
+			if c.Name == "unbudgeted" {
+				c.RetryBudgetRatio = -1
+			}
+		},
+	})
+	if err != nil {
+		return err
 	}
-	budgeted := mkEdge("budgeted", &budgetedDials, ratio)
-	unbudgeted := mkEdge("unbudgeted", &unbudgetedDials, -1)
-	defer budgeted.Close()
-	defer unbudgeted.Close()
+	defer fleet.Close()
+	fleet.SeverOrigin()
+	budgeted, unbudgeted := fleet.Edge("budgeted"), fleet.Edge("unbudgeted")
 
 	pull := func(e *cdn.Edge) {
 		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
@@ -494,9 +275,9 @@ func originHAStorm(ctx context.Context, rep *OriginHAReport, quick bool) error {
 	rep.StormFetches = fetches
 	rep.BudgetRatio = ratio
 	rep.BudgetBurst = burst
-	rep.BudgetedAttempts = budgetedDials.Load()
+	rep.BudgetedAttempts = fleet.UpDials("budgeted")
 	rep.BudgetedRetries = rep.BudgetedAttempts - uint64(fetches)
-	rep.UnbudgetedRetries = unbudgetedDials.Load() - uint64(fetches)
+	rep.UnbudgetedRetries = fleet.UpDials("unbudgeted") - uint64(fetches)
 	rep.RetryCeiling = float64(burst) + ratio*float64(fetches)
 	rep.BudgetExhausted = budgeted.Stats().RetryBudgetExhausted
 	return nil

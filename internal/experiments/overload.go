@@ -39,14 +39,11 @@ type OverloadRow struct {
 
 	// P50 / P99 are latency percentiles over successful requests,
 	// measured from each request's *intended* send time on the
-	// metronome schedule (telemetry.ScheduleClock). LegacyP50/99 are
-	// the same percentiles measured the old way, from the actual send
-	// — which understates overload latency whenever the driver falls
-	// behind (coordinated omission). The corrected-vs-legacy delta is
-	// itself a finding: it is how much the old numbers flattered the
-	// tail.
-	P50, P99             time.Duration
-	LegacyP50, LegacyP99 time.Duration
+	// metronome schedule (telemetry.ScheduleClock): timing from the
+	// actual send understates overload latency whenever the driver
+	// falls behind (coordinated omission; EXPERIMENTS.md E19 records
+	// by how much).
+	P50, P99 time.Duration
 
 	// Stats is the server's overload counter snapshot for the round.
 	Stats overload.Stats
@@ -141,7 +138,7 @@ func OverloadSweep(quick bool) ([]OverloadRow, error) {
 		row := OverloadRow{Multiplier: mult, OfferedRPS: offered, Requests: requests}
 		var mu sync.Mutex
 		var wg sync.WaitGroup
-		var okDurs, okSched []time.Duration
+		var okSched []time.Duration
 
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		// The metronome's tick i lands at (i+1)×interval after start;
@@ -155,9 +152,7 @@ func OverloadSweep(quick bool) ([]OverloadRow, error) {
 			go func(i int) {
 				defer wg.Done()
 				intended := time.Duration(i+1) * interval
-				t0 := time.Now()
 				_, err := conns[i%len(conns)].FetchContext(ctx, workload.LoadPagePath(i))
-				d := time.Since(t0)
 				sched := clock.LatencySince(intended)
 				mu.Lock()
 				defer mu.Unlock()
@@ -165,7 +160,6 @@ func OverloadSweep(quick bool) ([]OverloadRow, error) {
 				switch {
 				case err == nil:
 					row.OK++
-					okDurs = append(okDurs, d)
 					okSched = append(okSched, sched)
 				case errors.As(err, &busy):
 					row.Shed++
@@ -187,7 +181,6 @@ func OverloadSweep(quick bool) ([]OverloadRow, error) {
 			row.ShedRate = float64(row.Shed) / float64(row.Requests)
 		}
 		row.P50, row.P99 = percentiles(okSched)
-		row.LegacyP50, row.LegacyP99 = percentiles(okDurs)
 		row.Stats = srv.OverloadStats()
 		rows = append(rows, row)
 	}

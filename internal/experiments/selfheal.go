@@ -25,19 +25,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"sww/internal/cdn"
 	"sww/internal/core"
-	"sww/internal/device"
-	"sww/internal/faultnet"
-	"sww/internal/genai/imagegen"
-	"sww/internal/genai/textgen"
+	"sww/internal/tier"
 	"sww/internal/workload"
 )
 
@@ -69,124 +62,16 @@ type SelfHealReport struct {
 	FillGoodputRatio float64   `json:"fill_goodput_ratio"`
 }
 
-// selfHealFleet wires a mesh of in-process edges with loud kill
-// switches: the origin link, the push link, and each peer link ride a
-// faultnet.Crash, so a kill severs established connections the way a
-// process death would, instead of leaving them to idle forever.
-type selfHealFleet struct {
-	srv    *core.Server
-	origin *cdn.Origin
-
-	originCrash map[string]*faultnet.Crash // per-edge upstream link
-	pushCrash   map[string]*faultnet.Crash // origin->edge push link
-	peerCrash   map[string]*faultnet.Crash // mesh links into each edge
-	originSink  atomic.Bool                // blackhole instead of loud crash
-
-	edges map[string]*cdn.Edge
-	names []string
-	dir   string
-}
-
-func newSelfHealFleet(names []string, mod func(string, *cdn.EdgeConfig)) (*selfHealFleet, error) {
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < edgeTierPages; i++ {
-		srv.AddPage(workload.CDNPage(i))
-	}
-	dir, err := os.MkdirTemp("", "sww-selfheal-")
-	if err != nil {
-		return nil, err
-	}
-	f := &selfHealFleet{
-		srv:         srv,
-		origin:      cdn.NewOrigin(srv, 0),
-		originCrash: map[string]*faultnet.Crash{},
-		pushCrash:   map[string]*faultnet.Crash{},
-		peerCrash:   map[string]*faultnet.Crash{},
-		edges:       map[string]*cdn.Edge{},
-		names:       names,
-		dir:         dir,
-	}
-	for _, name := range names {
-		f.originCrash[name] = &faultnet.Crash{}
-		f.pushCrash[name] = &faultnet.Crash{}
-		f.peerCrash[name] = &faultnet.Crash{}
-	}
-	for _, name := range names {
-		f.bootEdge(name, mod)
-	}
-	return f, nil
-}
-
-// bootEdge builds (or rebuilds, after a kill) one edge. The snapshot
-// path is stable per name, so a rebooted edge finds its old shard.
-func (f *selfHealFleet) bootEdge(name string, mod func(string, *cdn.EdgeConfig)) {
-	origins := core.NewEndpointSet(core.EndpointHealthConfig{
-		FailureThreshold: 2, ProbeCooldown: 25 * time.Millisecond,
-	})
-	origins.Add("origin", f.originCrash[name].Wrap(func() (net.Conn, error) {
-		if f.originSink.Load() {
-			return faultnet.Blackhole(), nil
+// newSelfHealFleet boots E24's topology: a mesh of edges with
+// snapshots, tuned like E23's fleet unless mod says otherwise.
+func newSelfHealFleet(names []string, mod func(*cdn.EdgeConfig)) (*tier.Tier, error) {
+	return tier.New(tier.Options{Edges: names, Mesh: true, Snapshots: true, Edge: func(c *cdn.EdgeConfig) {
+		c.TTL = 40 * time.Millisecond
+		c.PollInterval = 15 * time.Millisecond
+		if mod != nil {
+			mod(c)
 		}
-		cEnd, sEnd := net.Pipe()
-		f.srv.StartConn(sEnd)
-		return cEnd, nil
-	}))
-	dials := map[string]core.DialFunc{}
-	for _, peer := range f.names {
-		if peer == name {
-			continue
-		}
-		peer := peer
-		dials[peer] = f.peerCrash[peer].Wrap(func() (net.Conn, error) {
-			cEnd, sEnd := net.Pipe()
-			f.edges[peer].StartConn(sEnd)
-			return cEnd, nil
-		})
-	}
-	cfg := cdn.EdgeConfig{
-		Name:         name,
-		TTL:          40 * time.Millisecond,
-		MaxStale:     time.Hour,
-		PollInterval: 15 * time.Millisecond,
-		Retry: core.RetryPolicy{
-			MaxAttempts:    2,
-			AttemptTimeout: 40 * time.Millisecond,
-			BaseDelay:      2 * time.Millisecond,
-			MaxDelay:       10 * time.Millisecond,
-			Jitter:         0.2,
-			Seed:           17,
-		},
-		Peers:        f.names,
-		PeerDials:    dials,
-		SnapshotPath: filepath.Join(f.dir, name+".snap"),
-	}
-	if mod != nil {
-		mod(name, &cfg)
-	}
-	f.edges[name] = cdn.NewEdge(cfg, origins)
-}
-
-// subscribePush registers an edge for push fan-out over its crashable
-// push link.
-func (f *selfHealFleet) subscribePush(name string) {
-	f.origin.Subscribe(name, "", f.edges[name].LastSeq(), f.pushCrash[name].Wrap(func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		f.edges[name].StartConn(sEnd)
-		return cEnd, nil
-	}))
-}
-
-// dialTo is a terminal-client dial pinned to one edge, riding the
-// same crash switch the mesh links do.
-func (f *selfHealFleet) dialTo(name string) core.DialFunc {
-	return f.peerCrash[name].Wrap(func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		f.edges[name].StartConn(sEnd)
-		return cEnd, nil
-	})
+	}})
 }
 
 // fetchOK folds a raw fetch outcome into one error.
@@ -198,32 +83,6 @@ func fetchOK(raw *core.RawReply, err error) error {
 		return fmt.Errorf("status %d", raw.Status)
 	}
 	return nil
-}
-
-func (f *selfHealFleet) fetchVia(ctx context.Context, name, path string) (*core.RawReply, error) {
-	rc := core.NewResilientClient(f.dialTo(name), device.Workstation, nil, core.RetryPolicy{
-		MaxAttempts:    2,
-		AttemptTimeout: 2 * time.Second,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		Jitter:         0.2,
-		Seed:           23,
-	}, nil)
-	defer rc.Close()
-	return rc.FetchRawContext(ctx, path)
-}
-
-// measureClient opens the persistent terminal client one measured
-// edge is fetched through.
-func (f *selfHealFleet) measureClient(name string) *core.ResilientClient {
-	return core.NewResilientClient(f.dialTo(name), device.Workstation, nil, core.RetryPolicy{
-		MaxAttempts:    2,
-		AttemptTimeout: 2 * time.Second,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		Jitter:         0.2,
-		Seed:           29,
-	}, nil)
 }
 
 // measureRound fetches every page once through rc, folding outcome
@@ -258,10 +117,7 @@ func measureRound(ctx context.Context, rc *core.ResilientClient, ph *EdgePhase) 
 // a few hundred microseconds, so one GC pause or poller retry ladder
 // landing inside a round doubles it; medians make the ratio compare
 // the two serving regimes instead of which side caught more hiccups.
-func (f *selfHealFleet) measurePaired(ctx context.Context, a, b string, rounds int) (EdgePhase, EdgePhase) {
-	rcA, rcB := f.measureClient(a), f.measureClient(b)
-	defer rcA.Close()
-	defer rcB.Close()
+func measurePaired(ctx context.Context, rcA, rcB *core.ResilientClient, rounds int) (EdgePhase, EdgePhase) {
 	var phA, phB EdgePhase
 	gpA := make([]float64, 0, rounds)
 	gpB := make([]float64, 0, rounds)
@@ -292,14 +148,6 @@ func median(xs []float64) float64 {
 	}
 }
 
-func (f *selfHealFleet) close() {
-	f.origin.Close()
-	for _, e := range f.edges {
-		e.Close()
-	}
-	os.RemoveAll(f.dir)
-}
-
 // SelfHealSweep runs E24. quick trims the measured round counts.
 func SelfHealSweep(quick bool) (*SelfHealReport, error) {
 	rounds := 6
@@ -327,44 +175,38 @@ func SelfHealSweep(quick bool) (*SelfHealReport, error) {
 // first-poll reconciliation.
 func selfHealRestart(ctx context.Context, rep *SelfHealReport) error {
 	// Long TTL: this phase is about surviving a restart, not expiry.
-	fleet, err := newSelfHealFleet([]string{"edge1"}, func(name string, c *cdn.EdgeConfig) {
+	fleet, err := newSelfHealFleet([]string{"edge1"}, func(c *cdn.EdgeConfig) {
 		c.TTL = time.Hour
 		c.PollInterval = 0 // polls are driven by hand for determinism
 	})
 	if err != nil {
 		return err
 	}
-	defer fleet.close()
-	e := fleet.edges["edge1"]
+	defer fleet.Close()
+	e := fleet.Edge("edge1")
 
 	for i := 0; i < edgeTierPages; i++ {
-		if err := fetchOK(fleet.fetchVia(ctx, "edge1", workload.CDNPagePath(i))); err != nil {
+		if err := fetchOK(fleet.Fetch(ctx, "edge1", workload.CDNPagePath(i))); err != nil {
 			return fmt.Errorf("warming page %d: %w", i, err)
 		}
 	}
 	// Bring the edge current with the feed so the restart has a
-	// position to reconcile from, then kill it. Close severs the loops
-	// and flushes the final snapshot; the crash switch severs every
-	// connection the way a process death would.
+	// position to reconcile from, then kill it: every connection is
+	// severed the way a process death would, the loops stop and the
+	// final snapshot is flushed.
 	if err := e.PollOnce(ctx); err != nil {
 		return fmt.Errorf("pre-kill poll: %w", err)
 	}
-	if err := e.Close(); err != nil {
+	if err := fleet.KillEdge("edge1"); err != nil {
 		return fmt.Errorf("killing edge1: %w", err)
 	}
-	fleet.peerCrash["edge1"].Kill()
 
 	// While it is dead, a page it holds is invalidated.
 	missed := workload.CDNPagePath(0)
-	fleet.origin.Invalidate([]string{missed})
+	fleet.Primary().Invalidate([]string{missed})
 
 	// Restart: same name, same snapshot path.
-	fleet.peerCrash["edge1"].Restart()
-	fleet.bootEdge("edge1", func(name string, c *cdn.EdgeConfig) {
-		c.TTL = time.Hour
-		c.PollInterval = 0
-	})
-	e = fleet.edges["edge1"]
+	e = fleet.RebootEdge("edge1")
 	s := e.Stats()
 	rep.SnapshotEntries = int(s.SnapshotLoaded)
 	if rep.SnapshotEntries == 0 {
@@ -374,7 +216,7 @@ func selfHealRestart(ctx context.Context, rep *SelfHealReport) error {
 	// The warm serve: every snapshot-covered page answers without an
 	// origin pull.
 	for i := 1; i < edgeTierPages; i++ {
-		if err := fetchOK(fleet.fetchVia(ctx, "edge1", workload.CDNPagePath(i))); err != nil {
+		if err := fetchOK(fleet.Fetch(ctx, "edge1", workload.CDNPagePath(i))); err != nil {
 			return fmt.Errorf("warm fetch %d after restart: %w", i, err)
 		}
 	}
@@ -386,11 +228,11 @@ func selfHealRestart(ctx context.Context, rep *SelfHealReport) error {
 	if err := e.PollOnce(ctx); err != nil {
 		return fmt.Errorf("reconcile poll: %w", err)
 	}
-	rep.SeqReconciled = e.LastSeq() == fleet.origin.Seq()
+	rep.SeqReconciled = e.LastSeq() == fleet.Primary().Seq()
 	// The missed page must now be a miss (re-pulled fresh), not a
 	// serve of the stale snapshot copy.
 	before := e.Stats().Misses
-	if err := fetchOK(fleet.fetchVia(ctx, "edge1", missed)); err != nil {
+	if err := fetchOK(fleet.Fetch(ctx, "edge1", missed)); err != nil {
 		return fmt.Errorf("re-fetch of invalidated page: %w", err)
 	}
 	rep.RestartInvalGone = e.Stats().Misses == before+1
@@ -402,29 +244,29 @@ func selfHealRestart(ctx context.Context, rep *SelfHealReport) error {
 // heal, and time the anti-entropy reconciliation.
 func selfHealPushLoss(ctx context.Context, rep *SelfHealReport) error {
 	pollEvery := 15 * time.Millisecond
-	fleet, err := newSelfHealFleet([]string{"edge1"}, func(name string, c *cdn.EdgeConfig) {
+	fleet, err := newSelfHealFleet([]string{"edge1"}, func(c *cdn.EdgeConfig) {
 		c.TTL = time.Hour
 		c.PollInterval = pollEvery
 	})
 	if err != nil {
 		return err
 	}
-	defer fleet.close()
-	e := fleet.edges["edge1"]
+	defer fleet.Close()
+	e := fleet.Edge("edge1")
 	e.Start()
 	rep.PollInterval = pollEvery
 
-	if err := fetchOK(fleet.fetchVia(ctx, "edge1", workload.CDNPagePath(0))); err != nil {
+	if err := fetchOK(fleet.Fetch(ctx, "edge1", workload.CDNPagePath(0))); err != nil {
 		return fmt.Errorf("warming: %w", err)
 	}
-	fleet.subscribePush("edge1")
+	fleet.Subscribe("edge1", e.LastSeq())
 
 	// Healthy path: the push must land; the poller would get there
 	// too, so the measured latency only shows push winning when it
 	// comes in well under the poll interval on average.
 	start := time.Now()
-	fleet.origin.Invalidate([]string{workload.CDNPagePath(0)})
-	for e.LastSeq() < fleet.origin.Seq() {
+	fleet.Primary().Invalidate([]string{workload.CDNPagePath(0)})
+	for e.LastSeq() < fleet.Primary().Seq() {
 		if time.Since(start) > 5*time.Second {
 			return fmt.Errorf("healthy push never applied")
 		}
@@ -435,28 +277,28 @@ func selfHealPushLoss(ctx context.Context, rep *SelfHealReport) error {
 
 	// Partition: sever the push link and the upstream, loudly, then
 	// invalidate a batch the edge cannot hear about.
-	fleet.pushCrash["edge1"].Kill()
-	fleet.originCrash["edge1"].Kill()
+	fleet.Link("edge1").Push.Kill()
+	fleet.Link("edge1").Up.Kill()
 	lost := []string{}
 	for i := 1; i < edgeTierPages; i++ {
 		lost = append(lost, workload.CDNPagePath(i))
-		fleet.origin.Invalidate([]string{workload.CDNPagePath(i)})
+		fleet.Primary().Invalidate([]string{workload.CDNPagePath(i)})
 	}
 	rep.LostInvals = len(lost)
-	if e.LastSeq() >= fleet.origin.Seq() {
+	if e.LastSeq() >= fleet.Primary().Seq() {
 		return fmt.Errorf("partitioned edge somehow heard %d invalidations", len(lost))
 	}
 
 	// Heal and time the catch-up. The poller owns this repair: its
 	// next jittered tick (plus at most the error backoff it built up
 	// during the partition) must bring the edge current.
-	fleet.originCrash["edge1"].Restart()
-	fleet.pushCrash["edge1"].Restart()
+	fleet.Link("edge1").Up.Restart()
+	fleet.Link("edge1").Push.Restart()
 	healed := time.Now()
-	for e.LastSeq() < fleet.origin.Seq() {
+	for e.LastSeq() < fleet.Primary().Seq() {
 		if time.Since(healed) > 10*time.Second {
 			return fmt.Errorf("anti-entropy never reconciled: seq %d < %d",
-				e.LastSeq(), fleet.origin.Seq())
+				e.LastSeq(), fleet.Primary().Seq())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -473,21 +315,17 @@ func selfHealPeerFill(ctx context.Context, rep *SelfHealReport, rounds int) erro
 	if err != nil {
 		return err
 	}
-	defer fleet.close()
+	defer fleet.Close()
 
 	// Warm only edge2, let the entries age past TTL, then blackhole
 	// the origin (silent sink: the breaker has to earn its open state).
 	for i := 0; i < edgeTierPages; i++ {
-		if err := fetchOK(fleet.fetchVia(ctx, "edge2", workload.CDNPagePath(i))); err != nil {
+		if err := fetchOK(fleet.Fetch(ctx, "edge2", workload.CDNPagePath(i))); err != nil {
 			return fmt.Errorf("warming edge2 page %d: %w", i, err)
 		}
 	}
 	time.Sleep(60 * time.Millisecond)
-	fleet.originSink.Store(true)
-	fleet.originCrash["edge1"].Kill()
-	fleet.originCrash["edge2"].Kill()
-	fleet.originCrash["edge1"].Restart() // redials now land in the sink
-	fleet.originCrash["edge2"].Restart()
+	fleet.SeverOrigin()
 
 	// One unmeasured round per edge pays the breaker-opening retry
 	// ladder (and, on edge1, the one-time peer fills); the measured
@@ -500,9 +338,10 @@ func selfHealPeerFill(ctx context.Context, rep *SelfHealReport, rounds int) erro
 	// is that the regimes are equivalent, which any one clean trial
 	// demonstrates, while a dirty trial only shows the host was busy.
 	rounds *= 20
-	fleet.measurePaired(ctx, "edge2", "edge1", 1)
+	warm, cold := fleet.Client("edge2"), fleet.Client("edge1")
+	measurePaired(ctx, warm, cold, 1)
 	for trial := 0; trial < 3; trial++ {
-		base, fill := fleet.measurePaired(ctx, "edge2", "edge1", rounds)
+		base, fill := measurePaired(ctx, warm, cold, rounds)
 		if base.OK == 0 {
 			return fmt.Errorf("serve-stale baseline served nothing")
 		}
@@ -514,7 +353,7 @@ func selfHealPeerFill(ctx context.Context, rep *SelfHealReport, rounds int) erro
 			rep.Baseline, rep.PeerFill, rep.FillGoodputRatio = base, fill, ratio
 		}
 	}
-	rep.PeerFills = fleet.edges["edge1"].Stats().PeerFills
-	rep.PeerServes = fleet.edges["edge2"].Stats().PeerServes
+	rep.PeerFills = fleet.Edge("edge1").Stats().PeerFills
+	rep.PeerServes = fleet.Edge("edge2").Stats().PeerServes
 	return nil
 }

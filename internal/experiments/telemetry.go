@@ -43,17 +43,14 @@ type TelemetryResult struct {
 	// CountersMatchTraces is the invariant above.
 	CountersMatchTraces bool `json:"counters_match_traces"`
 
-	// Client-side latency over the paced fetch loops, measured two
-	// ways from the same requests: Legacy from each actual send,
-	// Sched from the request's intended slot on the pacing schedule
+	// Client-side latency over the paced fetch loops, measured from
+	// each request's intended slot on the pacing schedule
 	// (telemetry.ScheduleClock). The loops are sequential, so any
-	// fetch overrunning its slot delays the next send; the legacy
-	// numbers silently forgive that backlog (coordinated omission),
-	// the schedule-based ones charge it to the requests that waited.
-	ClientLegacyP50ms float64 `json:"client_legacy_p50_ms"`
-	ClientLegacyP99ms float64 `json:"client_legacy_p99_ms"`
-	ClientSchedP50ms  float64 `json:"client_sched_p50_ms"`
-	ClientSchedP99ms  float64 `json:"client_sched_p99_ms"`
+	// fetch overrunning its slot delays the next send; timing from the
+	// actual send would silently forgive that backlog (coordinated
+	// omission), this charges it to the requests that waited.
+	ClientSchedP50ms float64 `json:"client_sched_p50_ms"`
+	ClientSchedP99ms float64 `json:"client_sched_p99_ms"`
 }
 
 // telemetryPage builds a page with one generatable image; withOriginal
@@ -142,10 +139,9 @@ func TelemetrySweep(quick bool) (*TelemetryResult, error) {
 	}
 	defer plain.Close()
 
-	// Each repeat loop is paced on a schedule and timed twice: from
-	// the actual send (legacy) and from the intended slot (corrected).
+	// Each repeat loop is paced on a schedule and timed from the
+	// intended slot.
 	schedHist := telemetry.NewHistogram(nil)
-	legacyHist := telemetry.NewHistogram(nil)
 	pacedFetch := func(cl *core.Client, path string, n int) error {
 		const interval = 5 * time.Millisecond
 		clock := telemetry.StartSchedule(time.Now())
@@ -154,11 +150,9 @@ func TelemetrySweep(quick bool) (*TelemetryResult, error) {
 			if d := time.Until(clock.Intended(intended)); d > 0 {
 				time.Sleep(d)
 			}
-			t0 := time.Now()
 			if _, err := cl.Fetch(path); err != nil {
 				return err
 			}
-			legacyHist.Observe(time.Since(t0))
 			clock.ObserveSince(schedHist, intended)
 		}
 		return nil
@@ -236,9 +230,7 @@ func TelemetrySweep(quick bool) (*TelemetryResult, error) {
 		}
 	}
 	res.CountersMatchTraces = counted == uint64(res.TracesFinished) && counted > 0
-	legacy, sched := legacyHist.Snapshot(), schedHist.Snapshot()
-	res.ClientLegacyP50ms = float64(legacy.P50) / float64(time.Millisecond)
-	res.ClientLegacyP99ms = float64(legacy.P99) / float64(time.Millisecond)
+	sched := schedHist.Snapshot()
 	res.ClientSchedP50ms = float64(sched.P50) / float64(time.Millisecond)
 	res.ClientSchedP99ms = float64(sched.P99) / float64(time.Millisecond)
 	return res, nil

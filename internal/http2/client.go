@@ -50,6 +50,7 @@ type ClientConn struct {
 func NewClientConn(nc net.Conn, cfg Config) (*ClientConn, error) {
 	c := newConn(nc, cfg, false)
 	if _, err := io.WriteString(nc, ClientPreface); err != nil {
+		c.aw.close() // newConn started the writer goroutine
 		nc.Close()
 		return nil, fmt.Errorf("http2: writing preface: %w", err)
 	}
