@@ -342,7 +342,7 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 		e.unindex(value.(*edgeEntry).path, key)
 	})
 	e.h2 = &http2.Server{
-		Handler: http2.HandlerFunc(e.serve),
+		Handler: edgeHandler{e},
 		Config:  http2.Config{GenAbility: cfg.Ability},
 	}
 	e.buildMesh()
@@ -465,20 +465,43 @@ func (e *Edge) noteUpstreamFenced() {
 // StartConn serves one terminal-client connection in the background.
 func (e *Edge) StartConn(c net.Conn) *http2.ServerConn { return e.h2.StartConn(c) }
 
+// edgeHandler is the Edge as http2 sees it: every request on a
+// goroutine of its own, and — first, for requests that arrived whole —
+// an attempt on the connection's read loop.
+type edgeHandler struct{ e *Edge }
+
+func (h edgeHandler) ServeSWW(w *http2.ResponseWriter, r *http2.Request) { h.e.serve(w, r, false) }
+
+func (h edgeHandler) TryServeSWW(w *http2.ResponseWriter, r *http2.Request) bool {
+	return h.e.serve(w, r, true)
+}
+
 // serve answers one terminal-client request: local cache first,
 // origin pull on miss, peer-fill when the origin is written off, then
 // stale fallback.
-func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request) {
+//
+// With inline set it is an attempt on a connection's read loop, which
+// must not wait: it answers a fresh shard hit or a peer's fill request
+// from the shard, and declines (false: nothing sent, nothing counted)
+// the control surface and everything from the miss ladder down. A
+// declined request comes back with inline unset.
+func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) bool {
 	path := r.Path
 	if strings.HasPrefix(path, ControlPrefix) {
+		if inline {
+			return false // applying a push takes feedMu
+		}
 		e.serveControl(w, r)
-		return
+		return true
 	}
-	e.requests.Add(1)
 	if r.Method != "GET" {
+		if inline {
+			return false
+		}
+		e.requests.Add(1)
 		e.errors.Add(1)
 		writeControl(w, 405, "text/plain; charset=utf-8", []byte("method not allowed\n"))
-		return
+		return true
 	}
 	// The effective ability is the connection's negotiated one unless
 	// a peer edge forwarded its own client's ability — peer-fill must
@@ -491,25 +514,32 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request) {
 	// no origin pull, no recursion — the asking edge owns the retry
 	// and fallback ladder for its client.
 	if r.HeaderValue(peerFillHeader) != "" {
-		e.peerServe(w, key, now)
-		return
+		return e.peerServe(w, key, now, inline)
 	}
 
 	// Ring check: a request for a key the ring places on another edge
 	// means the client's picker failed over to us (or the ring
 	// resharded after an edge death). Count it and serve anyway.
-	if owner := e.ring.Lookup(path); owner != "" && owner != e.cfg.Name {
-		e.failovers.Add(1)
-	}
+	owner := e.ring.Lookup(path)
+	failover := owner != "" && owner != e.cfg.Name
 
 	if v, ok := e.cache.Get(key); ok {
 		ent := v.(*edgeEntry)
 		if age := now.Sub(ent.added); age <= e.cfg.ttl() {
+			// Reply, then count: an attempt the transport declines
+			// must leave no count behind.
+			if !e.reply(w, ent.raw, "hit", 0, inline) {
+				return false
+			}
+			e.countRequest(failover)
 			e.hits.Add(1)
-			e.reply(w, ent.raw, "hit", 0)
-			return
+			return true
 		}
 	}
+	if inline {
+		return false
+	}
+	e.countRequest(failover)
 
 	// Miss (or expired). While some origin endpoint is still believed
 	// healthy, pull synchronously, coalescing concurrent misses for
@@ -533,8 +563,8 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request) {
 				e.store(key, path, raw)
 			}
 			e.misses.Add(1)
-			e.reply(w, raw, "miss", 0)
-			return
+			e.reply(w, raw, "miss", 0, false)
+			return true
 		}
 		e.upstreamErrors.Add(1)
 	} else {
@@ -553,8 +583,8 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request) {
 		if !e.hasServable(key, now) {
 			if raw, staleFor, ok := e.peerFill(r.Stream().Context(), key, path, gen); ok {
 				e.peerFills.Add(1)
-				e.reply(w, raw, "peer", staleFor)
-				return
+				e.reply(w, raw, "peer", staleFor, false)
+				return true
 			}
 		}
 	}
@@ -571,12 +601,22 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request) {
 				staleFor = 0
 			}
 			e.staleServes.Add(1)
-			e.reply(w, ent.raw, "stale", staleFor)
-			return
+			e.reply(w, ent.raw, "stale", staleFor, false)
+			return true
 		}
 	}
 	e.errors.Add(1)
 	writeControl(w, 502, "text/plain; charset=utf-8", []byte("origin unreachable and no warm copy\n"))
+	return true
+}
+
+// countRequest books one terminal-client request that this edge is
+// answering itself.
+func (e *Edge) countRequest(failover bool) {
+	e.requests.Add(1)
+	if failover {
+		e.failovers.Add(1)
+	}
 }
 
 // hasServable reports whether the shard holds a copy of key that is
@@ -592,22 +632,29 @@ func (e *Edge) hasServable(key string, now time.Time) bool {
 // peerServe answers one peer-fill request from the local shard:
 // fresh, stale-within-bounds, or an immediate 504 — never an origin
 // pull, so a mesh-wide cold key cannot recurse into a pull storm.
-func (e *Edge) peerServe(w *http2.ResponseWriter, key string, now time.Time) {
+// Like serve it counts a shard answer only once the reply is out.
+func (e *Edge) peerServe(w *http2.ResponseWriter, key string, now time.Time, inline bool) bool {
 	if v, ok := e.cache.Get(key); ok {
 		ent := v.(*edgeEntry)
-		age := now.Sub(ent.added)
-		if age <= e.cfg.ttl() {
+		if age := now.Sub(ent.added); age <= e.cfg.ttl()+e.cfg.maxStale() {
+			cache, staleFor := "hit", time.Duration(0)
+			if age > e.cfg.ttl() {
+				cache, staleFor = "stale", age-e.cfg.ttl()
+			}
+			if !e.reply(w, ent.raw, cache, staleFor, inline) {
+				return false
+			}
+			e.requests.Add(1)
 			e.peerServes.Add(1)
-			e.reply(w, ent.raw, "hit", 0)
-			return
-		}
-		if age <= e.cfg.ttl()+e.cfg.maxStale() {
-			e.peerServes.Add(1)
-			e.reply(w, ent.raw, "stale", age-e.cfg.ttl())
-			return
+			return true
 		}
 	}
+	if inline {
+		return false
+	}
+	e.requests.Add(1)
 	writeControl(w, 504, "text/plain; charset=utf-8", []byte("peer shard cold\n"))
+	return true
 }
 
 // peerFill consults up to PeerFillFanout alive ring-successor peers
@@ -779,12 +826,15 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string) {
 }
 
 // reply writes a raw reply back to the terminal client, stamped with
-// the edge observability headers.
-func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, cache string, staleFor time.Duration) {
-	// Pooled field list + retained body write: cached replies are
-	// immutable once stored, so a warm edge hit serves by reference
-	// through the same zero-copy path as the origin.
+// the edge observability headers. It is the edge's one reply-building
+// site; with try set it sends only if the transport takes the whole
+// reply without waiting, and reports whether it did.
+func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, cache string, staleFor time.Duration, try bool) bool {
+	// Pooled field list + retained body: cached replies are immutable
+	// once stored, so a warm edge hit serves by reference through the
+	// same zero-copy path as the origin.
 	fl := hpack.AcquireFieldList()
+	defer hpack.ReleaseFieldList(fl)
 	fl.Add("content-type", raw.ContentType)
 	fl.Add("content-length", strconv.Itoa(len(raw.Body)))
 	fl.Add(core.EdgeHeader, e.cfg.Name)
@@ -799,12 +849,12 @@ func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, cache string, 
 		}
 		fl.Add(core.EdgeStaleHeader, strconv.Itoa(secs))
 	}
-	err := w.WriteHeaders(raw.Status, fl.Fields...)
-	hpack.ReleaseFieldList(fl)
-	if err != nil {
-		return
+	if try {
+		return w.TryRespond(raw.Status, raw.Body, fl.Fields...)
 	}
-	w.WriteRetained(raw.Body)
+	// A failed write means the client is gone; there is no one to tell.
+	_ = w.Respond(raw.Status, raw.Body, fl.Fields...)
+	return true
 }
 
 func cacheKey(path string, gen http2.GenAbility) string {

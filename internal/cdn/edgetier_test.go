@@ -12,6 +12,7 @@ import (
 	"sww/internal/device"
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
+	"sww/internal/http2"
 	"sww/internal/tier"
 	"sww/internal/workload"
 )
@@ -375,5 +376,74 @@ func TestEdgeTierFailover(t *testing.T) {
 		if got := ec.Ring().Lookup(path); got != want {
 			t.Errorf("%s resharded to %s, LookupN predicted %s", path, got, want)
 		}
+	}
+}
+
+// TestEdgeCountsOncePerRequest: shard hits answered on the read loop
+// and shard hits the transport declines there (the narrow client's
+// stream window is smaller than the body, so its requests are served
+// again from a goroutine) each count once in requests, hits and
+// failovers; a declined attempt counts nothing.
+func TestEdgeCountsOncePerRequest(t *testing.T) {
+	h := newTier(t, []string{"edge1", "edge2"}, func(c *cdn.EdgeConfig) { c.TTL = time.Hour })
+	edge := h.Edge("edge1")
+	dial := func(window uint32) *http2.ClientConn {
+		nc, err := h.Dial("edge1")()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, err := http2.NewClientConn(nc, http2.Config{GenAbility: http2.GenFull, InitialWindowSize: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cc.Close() })
+		return cc
+	}
+	wide, narrow := dial(0), dial(64)
+
+	// One page edge1 owns and one it does not: every request for the
+	// second is a failover.
+	var own, other string
+	for i := 0; i < tier.Pages; i++ {
+		if p := workload.CDNPagePath(i); edge.Ring().Lookup(p) == "edge1" {
+			own = p
+		} else {
+			other = p
+		}
+	}
+	if own == "" || other == "" {
+		t.Fatal("the ring gave one edge every page")
+	}
+	var requests uint64
+	get := func(cc *http2.ClientConn, path, cache string) {
+		t.Helper()
+		requests++
+		resp, err := cc.Get(path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, err := http2.ReadAllBody(resp)
+		if err != nil || resp.Status != 200 || len(body) <= 64 {
+			t.Fatalf("GET %s = %d, %d bytes, %v", path, resp.Status, len(body), err)
+		}
+		if got := resp.HeaderValue(core.EdgeCacheHeader); got != cache {
+			t.Fatalf("GET %s: %s = %q, want %q", path, core.EdgeCacheHeader, got, cache)
+		}
+	}
+	get(wide, own, "miss")
+	get(wide, other, "miss")
+	const rounds = 10
+	for i := 0; i < rounds; i++ {
+		get(wide, own, "hit")
+		get(narrow, own, "hit")
+		get(wide, other, "hit")
+		get(narrow, other, "hit")
+	}
+	// The last reply can reach the client before the edge has counted it.
+	waitFor(t, "the edge to count the last request", func() bool { return edge.Stats().Requests >= requests })
+	s := edge.Stats()
+	if s.Requests != requests || s.Hits != requests-2 || s.Misses != 2 || s.Failovers != 1+2*rounds {
+		t.Errorf("requests %d hits %d misses %d failovers %d; want %d, %d, 2, %d",
+			s.Requests, s.Hits, s.Misses, s.Failovers, requests, requests-2, 1+2*rounds)
 	}
 }

@@ -846,12 +846,14 @@ func parseFeedQuery(query string) (InvalidationFeed, error) {
 	return feed, nil
 }
 
+// writeControl answers a control request. body must be a fresh buffer:
+// it goes to the transport by reference.
 func writeControl(w *http2.ResponseWriter, status int, contentType string, body []byte) {
-	w.WriteHeaders(status,
+	// A failed write means the asking node is gone; it will ask again.
+	_ = w.Respond(status, body,
 		hpack.HeaderField{Name: "content-type", Value: contentType},
 		hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(body))},
 	)
-	w.Write(body)
 }
 
 // OriginStats is a snapshot of the origin's HA counters — the same

@@ -4,6 +4,7 @@ package core
 
 import (
 	"context"
+	"net"
 	"testing"
 
 	"sww/internal/http2"
@@ -20,12 +21,53 @@ func TestBeginRequestTelemetryOffAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
-		rctx, tr, _ := srv.beginRequest(ctx, "h2", "/page", http2.GenFull|http2.GenUpscaleOnly)
+		rctx, tr, _ := srv.beginRequest(ctx, "h2", "/page", http2.GenFull|http2.GenUpscaleOnly, false)
 		if tr != nil || rctx != ctx {
 			t.Fatal("telemetry is off, yet beginRequest opened a trace")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("beginRequest with telemetry off: %v allocs, want 0", allocs)
+	}
+}
+
+// TestInlinePromptServeAllocs: a warm prompt page fetched over h2 is
+// answered on the connection's read loop, and one such GET costs the
+// two endpoints what http2 alone accounts for (its getAllocBudget): a
+// Stream on each side, the client's receive buffer and the body it
+// returns. There is no room in that for a stream context (two
+// objects), a handler goroutine's closure or an escaping payload — one
+// inline prompt serve builds none of them.
+func TestInlinePromptServeAllocs(t *testing.T) {
+	srv, err := NewServer("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := overloadGenPage(0)
+	srv.AddPage(page)
+	cEnd, sEnd := net.Pipe()
+	sc := srv.StartConn(sEnd)
+	cc, err := http2.NewClientConn(cEnd, http2.Config{GenAbility: http2.GenFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	defer cc.Close()
+
+	get := func() {
+		resp, err := cc.Get(page.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := http2.ReadAllBody(resp)
+		if err != nil || len(body) != len(page.PromptBytes()) || resp.HeaderValue(ModeHeader) != ModeGenerative {
+			t.Fatalf("GET = %d bytes, %v, headers %v", len(body), err, resp.Header)
+		}
+	}
+	for i := 0; i < 100; i++ { // fill the dynamic tables and the pools
+		get()
+	}
+	if allocs := testing.AllocsPerRun(200, get); allocs > 4 {
+		t.Fatalf("one warm prompt GET allocates %v objects, want at most 4", allocs)
 	}
 }

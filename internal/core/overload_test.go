@@ -96,7 +96,7 @@ func TestConcurrentMissSingleGeneration(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pl := srv.resolve(context.Background(), "GET", p.Path, http2.GenNone)
+			pl, _ := srv.resolve(context.Background(), "GET", p.Path, http2.GenNone, false)
 			if pl.status != 200 {
 				errs[i] = fmt.Errorf("status %d: %s", pl.status, pl.body)
 			}
@@ -147,7 +147,7 @@ func TestBreakerTransitionsThroughServer(t *testing.T) {
 	srv.serverProc.SimBudget = time.Nanosecond
 
 	for i := 0; i < 3; i++ {
-		pl := srv.resolve(context.Background(), "GET", overloadGenPage(i).Path, http2.GenNone)
+		pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(i).Path, http2.GenNone, false)
 		if pl.status != 500 {
 			t.Fatalf("failing backend request %d: status %d, want 500", i, pl.status)
 		}
@@ -157,7 +157,7 @@ func TestBreakerTransitionsThroughServer(t *testing.T) {
 	}
 
 	// Open: fail fast with 503 + Retry-After, no backend run.
-	pl := srv.resolve(context.Background(), "GET", overloadGenPage(3).Path, http2.GenNone)
+	pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(3).Path, http2.GenNone, false)
 	if pl.status != 503 || pl.shed != "breaker-open" || pl.retryAfter < 1 {
 		t.Fatalf("open-breaker reply = status %d shed %q retryAfter %d", pl.status, pl.shed, pl.retryAfter)
 	}
@@ -168,7 +168,7 @@ func TestBreakerTransitionsThroughServer(t *testing.T) {
 	mu.Lock()
 	now = now.Add(2 * time.Minute)
 	mu.Unlock()
-	pl = srv.resolve(context.Background(), "GET", overloadGenPage(4).Path, http2.GenNone)
+	pl, _ = srv.resolve(context.Background(), "GET", overloadGenPage(4).Path, http2.GenNone, false)
 	if pl.status != 200 {
 		t.Fatalf("probe request: status %d: %s", pl.status, pl.body)
 	}
@@ -202,18 +202,18 @@ func TestShedLadderOrder(t *testing.T) {
 	capable := http2.GenBasic | http2.GenFull
 
 	// Rung 1 — healthy: capable clients get prompts.
-	pl := srv.resolve(context.Background(), "GET", orig.Path, capable)
+	pl, _ := srv.resolve(context.Background(), "GET", orig.Path, capable, false)
 	if pl.status != 200 || pl.mode != ModeGenerative || pl.shed != "" {
 		t.Fatalf("healthy capable reply = %d %q shed %q, want generative prompts", pl.status, pl.mode, pl.shed)
 	}
 
 	// Rung 2 — cached traditional: generate once, then serve from the
 	// LRU.
-	if pl := srv.resolve(context.Background(), "GET", cached.Path, http2.GenNone); pl.status != 200 {
+	if pl, _ := srv.resolve(context.Background(), "GET", cached.Path, http2.GenNone, false); pl.status != 200 {
 		t.Fatalf("warming cache: status %d: %s", pl.status, pl.body)
 	}
 	before := srv.OverloadStats()
-	pl = srv.resolve(context.Background(), "GET", cached.Path, http2.GenNone)
+	pl, _ = srv.resolve(context.Background(), "GET", cached.Path, http2.GenNone, false)
 	after := srv.OverloadStats()
 	if pl.status != 200 || pl.mode != ModeTraditional {
 		t.Fatalf("cached traditional reply = %d %q", pl.status, pl.mode)
@@ -252,14 +252,14 @@ func TestShedLadderOrder(t *testing.T) {
 
 	// Rung 3 — policy flip: the capable client is switched to the
 	// pre-rendered traditional form.
-	pl = srv.resolve(context.Background(), "GET", orig.Path, capable)
+	pl, _ = srv.resolve(context.Background(), "GET", orig.Path, capable, false)
 	if pl.status != 200 || pl.mode != ModeTraditional || pl.shed != shedPolicyFlip {
 		t.Fatalf("saturated capable reply = %d %q shed %q, want traditional policy-flip", pl.status, pl.mode, pl.shed)
 	}
 
 	// Rung 4 — 503 + Retry-After: a cold page with no originals needs
 	// a generation the server cannot afford.
-	pl = srv.resolve(context.Background(), "GET", cold.Path, http2.GenNone)
+	pl, _ = srv.resolve(context.Background(), "GET", cold.Path, http2.GenNone, false)
 	if pl.status != 503 || pl.retryAfter < 1 {
 		t.Fatalf("saturated cold reply = status %d retryAfter %d, want 503 with Retry-After", pl.status, pl.retryAfter)
 	}
@@ -315,7 +315,7 @@ func TestAdmittedGoodputUnderOverload(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				pl := srv.resolve(context.Background(), "GET", overloadGenPage(i).Path, http2.GenNone)
+				pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(i).Path, http2.GenNone, false)
 				if pl.status == 200 {
 					mu.Lock()
 					ok++
@@ -358,7 +358,7 @@ func TestGenCacheEvictionDropsAssets(t *testing.T) {
 	// first.
 	sizer := newOverloadServer(t, overload.Config{})
 	sizer.AddPage(overloadGenPage(0))
-	if pl := sizer.resolve(context.Background(), "GET", overloadGenPage(0).Path, http2.GenNone); pl.status != 200 {
+	if pl, _ := sizer.resolve(context.Background(), "GET", overloadGenPage(0).Path, http2.GenNone, false); pl.status != 200 {
 		t.Fatalf("sizing generation: status %d", pl.status)
 	}
 	pageBytes := sizer.Overload().Cache().Bytes()
@@ -370,7 +370,7 @@ func TestGenCacheEvictionDropsAssets(t *testing.T) {
 	a, b := overloadGenPage(0), overloadGenPage(1)
 	srv.AddPage(a)
 	srv.AddPage(b)
-	if pl := srv.resolve(context.Background(), "GET", a.Path, http2.GenNone); pl.status != 200 {
+	if pl, _ := srv.resolve(context.Background(), "GET", a.Path, http2.GenNone, false); pl.status != 200 {
 		t.Fatalf("generating a: status %d", pl.status)
 	}
 	var aAssets []string
@@ -385,7 +385,7 @@ func TestGenCacheEvictionDropsAssets(t *testing.T) {
 		t.Fatal("page a published no generated assets")
 	}
 
-	if pl := srv.resolve(context.Background(), "GET", b.Path, http2.GenNone); pl.status != 200 {
+	if pl, _ := srv.resolve(context.Background(), "GET", b.Path, http2.GenNone, false); pl.status != 200 {
 		t.Fatalf("generating b: status %d", pl.status)
 	}
 
@@ -397,12 +397,12 @@ func TestGenCacheEvictionDropsAssets(t *testing.T) {
 		t.Error("evicted page still has a cached generation report")
 	}
 	for _, path := range aAssets {
-		if pl := srv.resolve(context.Background(), "GET", path, http2.GenNone); pl.status != 404 {
+		if pl, _ := srv.resolve(context.Background(), "GET", path, http2.GenNone, false); pl.status != 404 {
 			t.Errorf("evicted asset %s: status %d, want 404", path, pl.status)
 		}
 	}
 	// The evicted page regenerates on demand.
-	if pl := srv.resolve(context.Background(), "GET", a.Path, http2.GenNone); pl.status != 200 {
+	if pl, _ := srv.resolve(context.Background(), "GET", a.Path, http2.GenNone, false); pl.status != 200 {
 		t.Errorf("regenerating evicted page: status %d", pl.status)
 	}
 	if st := srv.OverloadStats(); st.GenRuns != 3 {

@@ -172,7 +172,7 @@ func NewServer(imageModel, textModel string) (*Server, error) {
 	cfg.OnStreamRefused = s.countRefusedStream
 	cfg.OnAbuse = s.countAbuse
 	s.h2 = &http2.Server{
-		Handler: http2.HandlerFunc(s.serve),
+		Handler: h2Handler{s},
 		Config:  cfg,
 	}
 	return s, nil
@@ -222,7 +222,8 @@ func (s *Server) SetOnUnpublish(fn func(paths []string)) {
 // SetControl intercepts requests whose path starts with prefix and
 // hands them to h instead of SWW resolution (HTTP/2 only). The CDN
 // origin mounts its invalidation feed here so edges and site traffic
-// share one listener.
+// share one listener. h always runs on a goroutine of its own and may
+// block.
 func (s *Server) SetControl(prefix string, h func(w *http2.ResponseWriter, r *http2.Request)) {
 	s.mu.Lock()
 	s.controlPrefix, s.controlHandler = prefix, h
@@ -443,9 +444,17 @@ type payload struct {
 // the SWW serving decision for a peer with the given negotiated
 // ability, regardless of whether the bytes travel over HTTP/2 or
 // HTTP/3.
-func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2.GenAbility) payload {
+//
+// With inline set it runs on a connection's read loop and may only
+// look things up: it answers what is already in memory — an asset, a
+// memoized prompt page, a generated page still in the LRU, 404, 405 —
+// and declines (false) what would render, generate or wait: a page
+// served from stored originals, the policy flip, a cache miss. A
+// declined resolve has counted nothing; the request is resolved again,
+// in full, on a goroutine of its own.
+func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2.GenAbility, inline bool) (payload, bool) {
 	if method != "GET" {
-		return payload{status: 405, contentType: "text/plain", outcome: OutcomeError, body: []byte("method not allowed")}
+		return payload{status: 405, contentType: "text/plain", outcome: OutcomeError, body: []byte("method not allowed")}, true
 	}
 	tr := traceFrom(ctx)
 	lookup := tr.StartSpan("lookup")
@@ -461,7 +470,7 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 		if ct == "" {
 			ct = "application/octet-stream"
 		}
-		return payload{status: 200, contentType: ct, outcome: OutcomeAsset, body: asset.Data}
+		return payload{status: 200, contentType: ct, outcome: OutcomeAsset, body: asset.Data}, true
 
 	case isPage:
 		generative := s.Policy == PolicyGenerative &&
@@ -477,6 +486,9 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 			// capacity is gone. Pre-rendered bytes carry no such risk
 			// and cost no generation.
 			if len(page.Originals) > 0 && s.Overload().Level() >= overload.LevelSaturated {
+				if inline {
+					return payload{}, false
+				}
 				if doc, err := page.TraditionalDoc(); err == nil {
 					s.Overload().Counters().ShedPolicyFlip.Add(1)
 					tr.Note("shed", "policy flip at "+s.Overload().Level().String())
@@ -487,7 +499,7 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 						shed:        shedPolicyFlip,
 						outcome:     OutcomePolicyFlip,
 						body:        []byte(htmlRender(doc)),
-					}
+					}, true
 				}
 			}
 			// Rung 1: prompts as usual — the memoized render, served by
@@ -499,13 +511,13 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 				outcome:     OutcomePrompt,
 				body:        page.PromptBytes(),
 				bodyLen:     page.PromptLen(),
-			}
+			}, true
 		}
-		return s.resolveTraditional(ctx, page)
+		return s.resolveTraditional(ctx, page, inline)
 
 	default:
 		return payload{status: 404, contentType: "text/plain", outcome: OutcomeNotFound,
-			body: []byte(fmt.Sprintf("no such path %q", path))}
+			body: []byte(fmt.Sprintf("no such path %q", path))}, true
 	}
 }
 
@@ -514,8 +526,11 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 // admission-controlled server-side generation last. A shed generation
 // becomes 503 + Retry-After (rung 4) — the bottom of the ladder,
 // reached only when no cheaper form of the page exists.
-func (s *Server) resolveTraditional(ctx context.Context, p *Page) payload {
+func (s *Server) resolveTraditional(ctx context.Context, p *Page, inline bool) (payload, bool) {
 	if len(p.Originals) > 0 {
+		if inline {
+			return payload{}, false
+		}
 		if doc, err := p.TraditionalDoc(); err == nil {
 			return payload{
 				status:      200,
@@ -523,11 +538,14 @@ func (s *Server) resolveTraditional(ctx context.Context, p *Page) payload {
 				mode:        ModeTraditional,
 				outcome:     OutcomeTraditional,
 				body:        []byte(htmlRender(doc)),
-			}
+			}, true
 		}
 	}
-	st, cached, err := s.generateTraditional(ctx, p)
+	st, cached, err := s.generateTraditional(ctx, p, inline)
 	if err != nil {
+		if errors.Is(err, errNotCached) {
+			return payload{}, false
+		}
 		var shed *overload.ShedError
 		if errors.As(err, &shed) {
 			s.Overload().Counters().Shed503.Add(1)
@@ -543,10 +561,10 @@ func (s *Server) resolveTraditional(ctx context.Context, p *Page) payload {
 				outcome:     OutcomeShed,
 				retryAfter:  secs,
 				body:        []byte(fmt.Sprintf("server overloaded (%s); retry after %ds", shed.Reason, secs)),
-			}
+			}, true
 		}
 		return payload{status: 500, contentType: "text/plain", outcome: OutcomeError,
-			body: []byte(fmt.Sprintf("server-side generation failed: %v", err))}
+			body: []byte(fmt.Sprintf("server-side generation failed: %v", err))}, true
 	}
 	outcome := OutcomeTraditional
 	if cached {
@@ -559,29 +577,42 @@ func (s *Server) resolveTraditional(ctx context.Context, p *Page) payload {
 		outcome:     outcome,
 		body:        st.body,
 		bodyLen:     st.lenStr,
-	}
+	}, true
 }
 
 // A transportResponder serializes one resolved payload onto a
 // specific transport: the status line, the shared header vocabulary
 // (content-type, mode, shed rung, retry-after) in the transport's
 // native field encoding, then the body — by reference, since payload
-// bodies are immutable (see payload).
+// bodies are immutable (see payload). With try set it sends only if
+// the transport takes the whole reply without waiting, and reports
+// whether it did; without, it always reports true.
 type transportResponder interface {
-	respond(pl *payload) error
+	respond(pl payload, try bool) bool
 }
 
 // serveRequest is the single serve core both transports flow through:
 // telemetry begin, the SWW resolution ladder, transport-specific
 // serialization, telemetry finish. Everything protocol-dependent
 // lives behind the responder.
-func (s *Server) serveRequest(ctx context.Context, proto, method, path string, peerGen http2.GenAbility, w transportResponder) {
-	ctx, tr, start := s.beginRequest(ctx, proto, path, peerGen)
-	pl := s.resolve(ctx, method, path, peerGen)
+//
+// inline is the same core as an attempt on a connection's read loop
+// (see resolve): it reports false, having sent, counted and traced
+// nothing, when the request needs more than a lookup or the transport
+// cannot take the reply now. Its context is never waited on.
+func (s *Server) serveRequest(ctx context.Context, proto, method, path string, peerGen http2.GenAbility, w transportResponder, inline bool) bool {
+	ctx, tr, start := s.beginRequest(ctx, proto, path, peerGen, inline)
+	pl, ok := s.resolve(ctx, method, path, peerGen, inline)
+	if !ok {
+		return false
+	}
 	sp := tr.StartSpan("serve")
-	w.respond(&pl)
+	if !w.respond(pl, inline) {
+		return false
+	}
 	sp.End()
-	s.finishRequest(tr, pl, start)
+	s.finishRequest(tr, pl, start, inline)
+	return true
 }
 
 // EffectivePeerGen applies the edge relay override: an edge stamps
@@ -604,8 +635,9 @@ func EffectivePeerGen(negotiated http2.GenAbility, edgeHdr string) http2.GenAbil
 // from pools, and the body goes out as a retained write.
 type h2Responder struct{ w *http2.ResponseWriter }
 
-func (r h2Responder) respond(pl *payload) error {
+func (r h2Responder) respond(pl payload, try bool) bool {
 	fl := hpack.AcquireFieldList()
+	defer hpack.ReleaseFieldList(fl)
 	fl.Add("content-type", pl.contentType)
 	cl := pl.bodyLen
 	if cl == "" {
@@ -621,13 +653,12 @@ func (r h2Responder) respond(pl *payload) error {
 	if pl.retryAfter > 0 {
 		fl.Add(RetryAfterHeader, strconv.Itoa(pl.retryAfter))
 	}
-	err := r.w.WriteHeaders(pl.status, fl.Fields...)
-	hpack.ReleaseFieldList(fl)
-	if err != nil {
-		return err
+	if try {
+		return r.w.TryRespond(pl.status, pl.body, fl.Fields...)
 	}
-	_, err = r.w.WriteRetained(pl.body)
-	return err
+	// A failed write means the client is gone; there is no one to tell.
+	_ = r.w.Respond(pl.status, pl.body, fl.Fields...)
+	return true
 }
 
 // h3Responder serializes payloads as HTTP/3 responses. The HTTP/3
@@ -635,7 +666,10 @@ func (r h2Responder) respond(pl *payload) error {
 // content-length field is emitted.
 type h3Responder struct{ w *http3.ResponseWriter }
 
-func (r h3Responder) respond(pl *payload) error {
+func (r h3Responder) respond(pl payload, try bool) bool {
+	if try {
+		return false // HTTP/3 requests are never offered inline
+	}
 	fl := http3.AcquireFieldList()
 	fl.Add("content-type", pl.contentType)
 	if pl.mode != "" {
@@ -649,30 +683,50 @@ func (r h3Responder) respond(pl *payload) error {
 	}
 	r.w.WriteHeaders(pl.status, fl.Fields...)
 	http3.ReleaseFieldList(fl)
-	_, err := r.w.WriteRetained(pl.body)
-	return err
+	r.w.WriteRetained(pl.body)
+	return true
+}
+
+// h2Handler is the Server as http2 sees it: every request on a
+// goroutine of its own, and — first, for requests that arrived whole —
+// an attempt on the connection's read loop.
+type h2Handler struct{ s *Server }
+
+func (h h2Handler) ServeSWW(w *http2.ResponseWriter, r *http2.Request) { h.s.serve(w, r, false) }
+
+func (h h2Handler) TryServeSWW(w *http2.ResponseWriter, r *http2.Request) bool {
+	return h.s.serve(w, r, true)
 }
 
 // serve adapts HTTP/2 to the shared core. The stream context makes
 // resets effective: a canceled request stops waiting for (or holding)
-// a generation worker. The control-prefix intercept stays here — the
-// CDN origin's invalidation feed is an h2-only wire protocol.
-func (s *Server) serve(w *http2.ResponseWriter, r *http2.Request) {
+// a generation worker; an inline attempt waits for nothing and builds
+// none. The control-prefix intercept stays here — the CDN origin's
+// invalidation feed is an h2-only wire protocol, and its handlers may
+// block, so they are never tried inline.
+func (s *Server) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) bool {
 	s.mu.RLock()
 	ctlPrefix, ctl := s.controlPrefix, s.controlHandler
 	s.mu.RUnlock()
 	if ctl != nil && ctlPrefix != "" && strings.HasPrefix(r.Path, ctlPrefix) {
+		if inline {
+			return false
+		}
 		ctl(w, r)
-		return
+		return true
 	}
 	peerGen := EffectivePeerGen(r.PeerGen, r.HeaderValue(EdgeGenHeader))
-	s.serveRequest(r.Stream().Context(), "h2", r.Method, r.Path, peerGen, h2Responder{w})
+	ctx := context.Background()
+	if !inline {
+		ctx = r.Stream().Context()
+	}
+	return s.serveRequest(ctx, "h2", r.Method, r.Path, peerGen, h2Responder{w}, inline)
 }
 
 // serveH3 adapts HTTP/3 to the shared core.
 func (s *Server) serveH3(w *http3.ResponseWriter, r *http3.Request) {
 	peerGen := EffectivePeerGen(r.PeerGen, r.HeaderValue(EdgeGenHeader))
-	s.serveRequest(context.Background(), "h3", r.Method, r.Path, peerGen, h3Responder{w})
+	s.serveRequest(context.Background(), "h3", r.Method, r.Path, peerGen, h3Responder{w}, false)
 }
 
 // H3Server returns an HTTP/3 server serving this site (§3.1: the
@@ -704,6 +758,10 @@ func (s *Server) cachedTraditional(path string) (*servedTraditional, bool) {
 	return nil, false
 }
 
+// errNotCached is how an inline generateTraditional declines a page
+// that would have to be generated.
+var errNotCached = errors.New("core: page not in the generated-content cache")
+
 // flightOut is the singleflight value for a generated page: the
 // content plus whether it came from the generated-content cache (the
 // in-flight recheck) rather than a fresh pipeline run.
@@ -717,17 +775,24 @@ type flightOut struct {
 // served assets. Concurrent misses of the same cold page coalesce
 // into a single generation (singleflight), so a dogpile costs one
 // admission token and one worker, not N. cached reports whether the
-// content came from the LRU instead of a pipeline run.
-func (s *Server) generateTraditional(ctx context.Context, p *Page) (st *servedTraditional, cached bool, err error) {
+// content came from the LRU instead of a pipeline run. An inline call
+// stops at the LRU: errNotCached on a miss, and a hit left for
+// finishRequest to count once the reply is out.
+func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) (st *servedTraditional, cached bool, err error) {
 	g := s.Overload()
 	tr := traceFrom(ctx)
 	lookup := tr.StartSpan("cache")
 	if st, ok := s.cachedTraditional(p.Path); ok {
 		lookup.EndNote("hit")
-		g.Counters().CacheHits.Add(1)
+		if !inline {
+			g.Counters().CacheHits.Add(1)
+		}
 		return st, true, nil
 	}
 	lookup.EndNote("miss")
+	if inline {
+		return nil, false, errNotCached
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}

@@ -89,21 +89,36 @@ func traceFrom(ctx context.Context) *telemetry.Trace {
 }
 
 // beginRequest opens a trace for one request and stamps the SETTINGS
-// negotiation result on it.
-func (s *Server) beginRequest(ctx context.Context, proto, path string, peerGen http2.GenAbility) (context.Context, *telemetry.Trace, time.Time) {
-	tr := s.Telemetry().Trace(proto, path)
-	if tr != nil {
-		// Note is nil-safe, but its argument is built regardless.
+// negotiation result on it. An inline attempt's trace stays out of the
+// ring until finishRequest: a declined attempt just drops it.
+func (s *Server) beginRequest(ctx context.Context, proto, path string, peerGen http2.GenAbility, inline bool) (context.Context, *telemetry.Trace, time.Time) {
+	var tr *telemetry.Trace
+	if set := s.Telemetry(); set != nil {
+		if inline {
+			tr = set.Traces.Open(proto, path)
+		} else {
+			tr = set.Trace(proto, path)
+		}
 		tr.Note("negotiate", "peer "+peerGen.String())
 	}
 	return withTrace(ctx, tr), tr, time.Now()
 }
 
 // finishRequest closes the trace with the payload's outcome and feeds
-// the per-outcome request counter and latency histogram.
-func (s *Server) finishRequest(tr *telemetry.Trace, pl payload, start time.Time) {
-	tr.Finish(pl.outcome)
+// the per-outcome request counter and latency histogram. For an inline
+// attempt it is also the moment the attempt became a served request:
+// what it held back while it could still be declined lands here.
+func (s *Server) finishRequest(tr *telemetry.Trace, pl payload, start time.Time, inline bool) {
 	set := s.Telemetry()
+	if inline {
+		if pl.outcome == OutcomeCached {
+			s.Overload().Counters().CacheHits.Add(1)
+		}
+		if set != nil {
+			set.Traces.Publish(tr)
+		}
+	}
+	tr.Finish(pl.outcome)
 	if set == nil {
 		return
 	}

@@ -260,3 +260,104 @@ func TestClientTelemetryCounters(t *testing.T) {
 		t.Errorf("backoff observations = %d, want 2", got)
 	}
 }
+
+// TestInlineAccountingWithDeclines: requests answered on the read
+// loop, requests the handler declines there (a generation), and
+// requests the transport declines there (a body past one frame, a
+// stream window too small for the body) together leave exactly one
+// finished trace and one outcome count per request — an attempt that
+// was declined and served again from a goroutine is not seen twice —
+// and a generated page's LRU hit is counted once.
+func TestInlineAccountingWithDeclines(t *testing.T) {
+	set := telemetry.NewSet()
+	srv := newOverloadServer(t, overload.Config{MaxGenWorkers: 2})
+	page := overloadGenPage(0)
+	big := overloadGenPage(1)
+	big.Unique = []Asset{{Path: "/asset/big", ContentType: "image/png", Data: make([]byte, 40<<10)}}
+	srv.AddPage(page)
+	srv.AddPage(big)
+	srv.EnableTelemetry(set)
+
+	dial := func(cfg http2.Config) *http2.ClientConn {
+		cEnd, sEnd := net.Pipe()
+		srv.StartConn(sEnd)
+		cc, err := http2.NewClientConn(cEnd, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cc.Close() })
+		return cc
+	}
+	capable := dial(http2.Config{GenAbility: http2.GenFull})
+	narrow := dial(http2.Config{GenAbility: http2.GenFull, InitialWindowSize: 64})
+	legacy := dial(http2.Config{})
+
+	requests := 0
+	get := func(cc *http2.ClientConn, path string, status int, mode string) {
+		t.Helper()
+		requests++
+		resp, err := cc.Get(path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		if _, err := http2.ReadAllBody(resp); err != nil {
+			t.Fatalf("GET %s body: %v", path, err)
+		}
+		if resp.Status != status || resp.HeaderValue(ModeHeader) != mode {
+			t.Fatalf("GET %s = %d mode %q, want %d %q", path, resp.Status, resp.HeaderValue(ModeHeader), status, mode)
+		}
+	}
+	if len(page.PromptBytes()) <= 64 {
+		t.Fatal("the prompt page fits the narrow client's window; it would not be declined")
+	}
+	hitsBefore := srv.OverloadStats().CacheHits
+	for i := 0; i < 3; i++ {
+		get(capable, page.Path, 200, ModeGenerative) // inline
+		get(narrow, page.Path, 200, ModeGenerative)  // window declines
+		get(capable, "/asset/big", 200, "")          // frame size declines
+		get(capable, "/no/such/page", 404, "")       // inline
+		get(legacy, page.Path, 200, ModeTraditional) // generates once, then inline LRU hits
+		get(narrow, "/asset/big", 200, "")           // both decline
+	}
+
+	outcomes := func() (sum uint64, by map[string]uint64) {
+		snap := set.Registry.Snapshot()
+		by = map[string]uint64{}
+		for _, o := range requestOutcomes {
+			n := snap.Counters[telemetry.WithLabel("sww_requests_total", "outcome", o)]
+			by[o] = n
+			sum += n
+		}
+		return sum, by
+	}
+	// The last reply can reach the client before its handler has
+	// finished the request.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if sum, _ := outcomes(); sum >= uint64(requests) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sum, by := outcomes()
+	if sum != uint64(requests) {
+		t.Errorf("outcome counters sum to %d, want %d requests: %v", sum, requests, by)
+	}
+	want := map[string]uint64{OutcomePrompt: 6, OutcomeAsset: 6, OutcomeNotFound: 3, OutcomeTraditional: 1, OutcomeCached: 2}
+	for o, n := range want {
+		if by[o] != n {
+			t.Errorf("outcome %q counted %d times, want %d", o, by[o], n)
+		}
+	}
+	if got := set.Traces.Total(); got != uint64(requests) {
+		t.Errorf("%d traces started for %d requests", got, requests)
+	}
+	for _, ts := range set.Traces.Snapshot() {
+		if !ts.Done || ts.Outcome == "" {
+			t.Errorf("trace %d for %s left unfinished", ts.ID, ts.Path)
+		}
+	}
+	if got := srv.OverloadStats().CacheHits - hitsBefore; got != want[OutcomeCached] {
+		t.Errorf("cache hits counted %d times for %d cached replies", got, want[OutcomeCached])
+	}
+}

@@ -1,6 +1,7 @@
 package http2
 
 import (
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -180,28 +181,38 @@ func TestRapidResetStormGoAway(t *testing.T) {
 	}
 	p := dialRawCfg(t, cfg, blockingHandler(t))
 
-	// 5×budget HEADERS+RST pairs, written from a goroutine because
-	// net.Pipe is synchronous: the main goroutine must keep reading or
-	// the server's responses (and its GOAWAY) could never be sent. The
-	// write loop tolerates the server closing mid-storm.
-	go func() {
-		henc := hpack.NewEncoder()
-		for i := 0; i < 25; i++ {
-			id := uint32(1 + 2*i)
-			block := henc.AppendFields(nil, []hpack.HeaderField{
-				{Name: ":method", Value: "GET"},
-				{Name: ":scheme", Value: "https"},
-				{Name: ":path", Value: "/storm"},
-			})
-			if err := p.fr.WriteHeaders(id, true, true, block); err != nil {
-				return
-			}
-			if err := p.fr.WriteRSTStream(id, ErrCodeCancel); err != nil {
-				return
-			}
-		}
-	}()
+	go p.resetStorm(25, "/storm", nil) // 5×budget
+	expectCalmThenGoAway(t, p, rec)
+}
 
+// resetStorm opens n streams on path and resets each behind its
+// HEADERS — right behind them, or after settle if one is given. Run it
+// on a goroutine: net.Pipe is synchronous, so the test must keep
+// reading or the server's responses (and its GOAWAY) could never be
+// sent. It gives up quietly when the server closes mid-storm.
+func (p *rawPeer) resetStorm(n int, path string, settle func()) {
+	for i := 0; i < n; i++ {
+		id := uint32(1 + 2*i)
+		block := p.henc.AppendFields(nil, []hpack.HeaderField{
+			{Name: ":method", Value: "GET"},
+			{Name: ":scheme", Value: "https"},
+			{Name: ":path", Value: path},
+		})
+		if p.fr.WriteHeaders(id, true, true, block) != nil {
+			return
+		}
+		if settle != nil {
+			settle()
+		}
+		if p.fr.WriteRSTStream(id, ErrCodeCancel) != nil {
+			return
+		}
+	}
+}
+
+// expectCalmThenGoAway reads until the storm has drawn its GOAWAY.
+func expectCalmThenGoAway(t *testing.T, p *rawPeer, rec *abuseRecorder) {
+	t.Helper()
 	sawCalmRST := false
 	var ga Frame
 	for i := 0; i < 200; i++ {
@@ -226,6 +237,39 @@ func TestRapidResetStormGoAway(t *testing.T) {
 	if rec.count(AbuseRapidReset, AbuseKill) == 0 {
 		t.Error("OnAbuse never reported the rapid-reset kill")
 	}
+}
+
+// TestRapidResetZeroWindowStillScored: a peer that advertises a zero
+// stream window parks every handler that writes a body before its first
+// DATA frame. Those streams have sent the peer nothing, so resetting
+// them is as rapid a reset as against a handler that never writes, and
+// must be scored: "wrote data" means a DATA frame was queued, not that
+// the handler asked for one.
+func TestRapidResetZeroWindowStillScored(t *testing.T) {
+	rec := &abuseRecorder{}
+	cfg := Config{
+		AbusePolicy: &AbusePolicy{RapidResetBudget: 5},
+		OnAbuse:     rec.hook,
+	}
+	writing := make(chan struct{}, 1)
+	h := HandlerFunc(func(w *ResponseWriter, r *Request) {
+		w.WriteHeaders(200)
+		writing <- struct{}{}
+		io.WriteString(w, "a body the peer left no window for")
+	})
+	p, _ := dialRawConn(t, cfg, h, Setting{SettingInitialWindowSize, 0})
+	// Each reset gives its handler time to get as far as the window.
+	// Whether it did changes nothing now; it used to be what made the
+	// reset look like a mid-response cancellation. Streams refused on
+	// the flagged connection never reach the handler at all.
+	go p.resetStorm(25, "/storm", func() {
+		select {
+		case <-writing:
+			time.Sleep(2 * time.Millisecond)
+		case <-time.After(20 * time.Millisecond):
+		}
+	})
+	expectCalmThenGoAway(t, p, rec)
 }
 
 // TestPingFloodStopsAcks: past the budget, PING ACKs stop (no write

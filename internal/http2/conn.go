@@ -223,8 +223,10 @@ type conn struct {
 	// on the client role or when the policy is Disabled.
 	abuse *abuseLedger
 
-	// handler receives peer-initiated streams (server role).
+	// handler receives peer-initiated streams (server role); inline is
+	// the same handler when it can also answer on the read loop.
 	handler Handler
+	inline  InlineHandler
 }
 
 func newConn(nc net.Conn, cfg Config, server bool) *conn {
@@ -378,7 +380,10 @@ func (c *conn) readFrames() error {
 			// retryable.
 			return &TransportError{Op: "read", Err: err}
 		}
-		c.lastFrame.Store(time.Now().UnixNano())
+		if c.cfg.KeepAliveInterval > 0 {
+			// keepAliveLoop is lastFrame's only reader.
+			c.lastFrame.Store(time.Now().UnixNano())
+		}
 		if c.cfg.Logf != nil {
 			// Guarded at the call site: boxing fr.FrameHeader into the
 			// variadic ...any escapes per frame, a hot-loop allocation
@@ -828,25 +833,55 @@ func (c *conn) acceptStream(id uint32, fields []hpack.HeaderField, endStream boo
 	if err := st.initRequest(); err != nil {
 		return err
 	}
+	st.rw.stream = st
+	// A request that is complete (no body to come) is first offered to
+	// the handler here, on the read loop; see InlineHandler.
+	if endStream && c.inline != nil && c.serveInline(st) {
+		return nil
+	}
 	go c.runHandler(st)
 	return nil
 }
 
-func (c *conn) runHandler(st *Stream) {
+// serveInline offers st's request to the inline handler and reports
+// whether the stream is finished with. It runs on the read loop, so
+// everything it reaches must return without waiting: TryServeSWW by
+// contract, TryRespond by construction. A handler that claims to have
+// served but sent no complete response is treated as having declined.
+func (c *conn) serveInline(st *Stream) (served bool) {
 	w := &st.rw
-	w.stream = st
 	defer func() {
 		if r := recover(); r != nil {
-			c.logf("handler panic on stream %d: %v", st.id, r)
-			if !w.wroteHeaders {
-				w.WriteHeaders(500, hpack.HeaderField{Name: "content-type", Value: "text/plain"})
-			}
-			st.c.resetStream(st.id, ErrCodeInternal)
-			st.closeWithError(streamError(st.id, ErrCodeInternal, "handler panic"))
+			c.handlerPanicked(st, w, r)
+			served = true
+		}
+		if served {
+			c.finishServerStream(st, w)
+		}
+	}()
+	return c.inline.TryServeSWW(w, &st.req) && w.finished
+}
+
+func (c *conn) runHandler(st *Stream) {
+	w := &st.rw
+	defer func() {
+		if r := recover(); r != nil {
+			c.handlerPanicked(st, w, r)
 		}
 		c.finishServerStream(st, w)
 	}()
 	c.handler.ServeSWW(w, &st.req)
+}
+
+// handlerPanicked turns a handler panic into a 500 (if no response
+// has begun) and RST_STREAM(INTERNAL_ERROR); the connection lives on.
+func (c *conn) handlerPanicked(st *Stream, w *ResponseWriter, r any) {
+	c.logf("handler panic on stream %d: %v", st.id, r)
+	if !w.wroteHeaders {
+		w.WriteHeaders(500, hpack.HeaderField{Name: "content-type", Value: "text/plain"})
+	}
+	c.resetStream(st.id, ErrCodeInternal)
+	st.closeWithError(streamError(st.id, ErrCodeInternal, "handler panic"))
 }
 
 func (c *conn) finishServerStream(st *Stream, w *ResponseWriter) {
@@ -1089,14 +1124,17 @@ func (c *conn) writeHeaderBlock(streamID uint32, fields []hpack.HeaderField, end
 // guarantees data is immutable); otherwise each chunk is copied into
 // a pooled frame buffer.
 func (c *conn) writeData(st *Stream, data []byte, endStream, retained bool) error {
-	st.wroteData.Store(true)
 	if len(data) == 0 {
 		if !endStream {
 			return nil
 		}
 		c.wmu.Lock()
 		defer c.wmu.Unlock()
-		return c.fr.WriteData(st.id, true, nil)
+		err := c.fr.WriteData(st.id, true, nil)
+		if err == nil {
+			st.wroteData.Store(true)
+		}
+		return err
 	}
 	for len(data) > 0 {
 		c.mu.Lock()
@@ -1130,13 +1168,100 @@ func (c *conn) writeData(st *Stream, data []byte, endStream, retained bool) erro
 		if err != nil {
 			return err
 		}
-		if c.abuse != nil {
-			// Flow-consuming DATA earns the peer WINDOW_UPDATE budget:
-			// its future updates for this data are legitimate.
-			c.abuse.noteDataSent()
-		}
+		c.noteDataQueued(st)
 	}
 	return nil
+}
+
+// noteDataQueued records that a flow-consuming DATA frame of st has
+// entered the writer queue. Only from here on is a reset of st a
+// mid-response cancellation and not a rapid reset: a handler still
+// parked on a closed window has sent the peer nothing.
+func (c *conn) noteDataQueued(st *Stream) {
+	st.wroteData.Store(true)
+	if c.abuse != nil {
+		// Flow-consuming DATA earns the peer WINDOW_UPDATE budget:
+		// its future updates for this data are legitimate.
+		c.abuse.noteDataSent()
+	}
+}
+
+// headerBlockBound is an upper bound on the HPACK encoding of a
+// response with these fields: every field a literal with a new name,
+// no Huffman gain, both pending table-size updates. It lets tryRespond
+// size the block before it encodes it; once encoded, a block has
+// changed the dynamic table and can no longer be declined.
+func headerBlockBound(fields []hpack.HeaderField) int {
+	n := 16 * (len(fields) + 2) // per-field prefixes; :status; size updates
+	for _, f := range fields {
+		n += len(f.Name) + len(f.Value)
+	}
+	return n
+}
+
+// tryRespond is the never-waiting complete-response emitter behind
+// ResponseWriter.TryRespond: HEADERS, one retained DATA frame and the
+// empty END_STREAM DATA frame — the frames WriteHeaders + WriteRetained
+// + Finish would write, byte for byte — queued as one unit, or nothing
+// at all. It declines (false, no byte queued, no window kept, encoder
+// untouched) when the body or the header block may not fit one frame,
+// when either send window cannot cover the whole body now, and when
+// the write lock is held or the writer queue is saturated or gone.
+func (c *conn) tryRespond(st *Stream, status int, body []byte, fields []hpack.HeaderField) bool {
+	c.mu.Lock()
+	maxFrame := int(c.peer.maxFrameSize)
+	c.mu.Unlock()
+	n := len(body)
+	if n > maxFrame || headerBlockBound(fields) > maxFrame {
+		return false
+	}
+	// A dead stream's window is failed, so tryTake also declines those.
+	if !st.send.tryTake(n) {
+		return false
+	}
+	if !c.connSend.tryTake(n) {
+		st.send.add(int32(n))
+		return false
+	}
+	// A writer asleep in a saturated queue sleeps holding wmu, so even
+	// the write lock is only tried; a frame being written elsewhere at
+	// this instant declines the attempt too, which costs a goroutine.
+	locked := c.wmu.TryLock()
+	if locked && !c.aw.tryLock() {
+		c.wmu.Unlock()
+		locked = false
+	}
+	if !locked {
+		c.connSend.add(int32(n))
+		st.send.add(int32(n))
+		return false
+	}
+	// One slab carries all three frame headers and the header block,
+	// queued as two entries around the retained body. The second owns
+	// the slab: the run loop recycles a slab only after everything
+	// queued before it has been written.
+	s := getWireSlab()
+	s.b = appendFrameHeader(s.b, 0, FrameHeaders, FlagEndHeaders, st.id)
+	s.b = c.henc.AppendField(s.b, hpack.HeaderField{Name: ":status", Value: statusText(status)})
+	s.b = c.henc.AppendFields(s.b, fields)
+	block := len(s.b) - frameHeaderLen
+	s.b[0], s.b[1], s.b[2] = byte(block>>16), byte(block>>8), byte(block)
+	if n > 0 { // an empty body is no frame, as in writeData
+		s.b = appendFrameHeader(s.b, n, FrameData, 0, st.id)
+	}
+	tail := len(s.b)
+	s.b = appendFrameHeader(s.b, 0, FrameData, FlagEndStream, st.id)
+	c.aw.appendLocked(wireEntry{b: s.b[:tail]}, wireEntry{b: body}, wireEntry{b: s.b[tail:], slab: s})
+	c.wmu.Unlock()
+	if n > 0 {
+		c.noteDataQueued(st)
+	} else {
+		st.wroteData.Store(true)
+	}
+	st.mu.Lock()
+	st.sendEnded = true
+	st.mu.Unlock()
+	return true
 }
 
 // openStream allocates a locally initiated stream (client role).

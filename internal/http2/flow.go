@@ -46,6 +46,19 @@ func (f *sendFlow) take(n int) (int, error) {
 	return int(got), nil
 }
 
+// tryTake claims exactly n bytes of window, or nothing: it never waits
+// and never claims a part. A dead window declines like an empty one;
+// the caller that can wait learns the error from take.
+func (f *sendFlow) tryTake(n int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil || f.window < int64(n) {
+		return false
+	}
+	f.window -= int64(n)
+	return true
+}
+
 // add returns window. It reports false if the window would exceed
 // 2^31-1, which is a flow-control protocol violation (RFC 9113
 // §6.9.1). The check happens before the mutation: a rejected stream

@@ -25,26 +25,7 @@ type rawPeer struct {
 // the preface + SETTINGS exchange.
 func dialRaw(t *testing.T, h Handler) *rawPeer {
 	t.Helper()
-	cEnd, sEnd := net.Pipe()
-	srv := &Server{Handler: h}
-	go srv.ServeConn(sEnd)
-	if _, err := io.WriteString(cEnd, ClientPreface); err != nil {
-		t.Fatal(err)
-	}
-	p := &rawPeer{t: t, nc: cEnd, fr: NewFramer(cEnd, cEnd), henc: hpack.NewEncoder()}
-	if err := p.fr.WriteSettings(); err != nil {
-		t.Fatal(err)
-	}
-	// Consume the server SETTINGS and ACK it.
-	fr := p.read()
-	if fr.Type != FrameSettings {
-		t.Fatalf("first server frame %v", fr.Type)
-	}
-	if err := p.fr.WriteSettingsAck(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cEnd.Close() })
-	return p
+	return dialRawCfg(t, Config{}, h)
 }
 
 func (p *rawPeer) read() Frame {

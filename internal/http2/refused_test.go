@@ -2,11 +2,8 @@ package http2
 
 import (
 	"io"
-	"net"
 	"sync/atomic"
 	"testing"
-
-	"sww/internal/hpack"
 )
 
 // dialRawCfg is dialRaw with an explicit server Config, for tests
@@ -14,24 +11,7 @@ import (
 // hit (the client transport self-limits in openStream).
 func dialRawCfg(t *testing.T, cfg Config, h Handler) *rawPeer {
 	t.Helper()
-	cEnd, sEnd := net.Pipe()
-	srv := &Server{Handler: h, Config: cfg}
-	go srv.ServeConn(sEnd)
-	if _, err := io.WriteString(cEnd, ClientPreface); err != nil {
-		t.Fatal(err)
-	}
-	p := &rawPeer{t: t, nc: cEnd, fr: NewFramer(cEnd, cEnd), henc: hpack.NewEncoder()}
-	if err := p.fr.WriteSettings(); err != nil {
-		t.Fatal(err)
-	}
-	fr := p.read()
-	if fr.Type != FrameSettings {
-		t.Fatalf("first server frame %v", fr.Type)
-	}
-	if err := p.fr.WriteSettingsAck(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cEnd.Close() })
+	p, _ := dialRawConn(t, cfg, h)
 	return p
 }
 

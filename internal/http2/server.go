@@ -12,9 +12,29 @@ import (
 )
 
 // A Handler serves SWW/HTTP2 requests. Each request runs in its own
-// goroutine.
+// goroutine, unless the handler is also an InlineHandler and served it
+// on the read loop.
 type Handler interface {
 	ServeSWW(w *ResponseWriter, r *Request)
+}
+
+// An InlineHandler is a Handler that can answer some requests without
+// waiting for anything — a lookup in memory, then TryRespond with bytes
+// it already holds. The connection offers it every request that arrived
+// complete (END_STREAM on its HEADERS) on the read loop itself, before
+// any goroutine is spent on it.
+//
+// TryServeSWW reports whether it served the request with one successful
+// TryRespond. On false it must have sent nothing, and the same request
+// then goes to ServeSWW on a goroutine of its own, as if never offered.
+// It runs on the goroutine that reads the connection's frames, so while
+// it runs no other stream of the connection makes progress: it must not
+// block — no I/O, no channel or lock wait of unbounded length, no
+// generation — and it must not ask for Stream.Context, which nothing
+// would ever need to cancel.
+type InlineHandler interface {
+	Handler
+	TryServeSWW(w *ResponseWriter, r *Request) bool
 }
 
 // HandlerFunc adapts a function to the Handler interface.
@@ -163,6 +183,46 @@ func (w *ResponseWriter) WriteRetained(p []byte) (int, error) {
 	return w.stream.WriteRetained(p)
 }
 
+// Respond sends a complete response: status and fields, the whole body,
+// end of stream. It is the one call a handler needs when it holds the
+// body, and the only emitter of complete responses. body goes to the
+// transport by reference, as with WriteRetained: it must be immutable
+// from here on. When the peer can take the reply as it stands, its
+// frames enter the writer queue as one unit (see TryRespond); otherwise
+// Respond is WriteHeaders + WriteRetained + Finish and waits like them.
+func (w *ResponseWriter) Respond(status int, body []byte, fields ...hpack.HeaderField) error {
+	if w.TryRespond(status, body, fields...) {
+		return nil
+	}
+	if err := w.WriteHeaders(status, fields...); err != nil {
+		return err
+	}
+	if _, err := w.WriteRetained(body); err != nil {
+		return err
+	}
+	return w.Finish()
+}
+
+// TryRespond is Respond for a caller that must not wait. It sends the
+// complete response — the same frames and bytes Respond's long form
+// would write, queued together — or, reporting false, nothing: when a
+// response has already begun, when body or header block could exceed
+// the peer's maximum frame size, when the stream's or the connection's
+// send window does not cover the whole body now, or when another frame
+// is being written at this instant or the writer queue is full or
+// closed. A false TryRespond leaves the writer as it found it, so the
+// caller (or another goroutine) may respond later.
+func (w *ResponseWriter) TryRespond(status int, body []byte, fields ...hpack.HeaderField) bool {
+	if w.wroteHeaders || w.finished {
+		return false
+	}
+	if !w.stream.c.tryRespond(w.stream, status, body, fields) {
+		return false
+	}
+	w.wroteHeaders, w.finished = true, true
+	return true
+}
+
 // Finish half-closes the response. The server calls it automatically
 // when the handler returns.
 func (w *ResponseWriter) Finish() error {
@@ -219,6 +279,7 @@ func (s *Server) newServerConn(nc net.Conn) (*conn, error) {
 	}
 	c := newConn(nc, s.Config, true)
 	c.handler = s.Handler
+	c.inline, _ = s.Handler.(InlineHandler)
 	if err := c.sendInitial(); err != nil {
 		return nil, err
 	}

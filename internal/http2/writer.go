@@ -108,10 +108,6 @@ func newAsyncWriter(nc io.Writer) *asyncWriter {
 // when the queue is saturated. Slab-backed entries are recycled here
 // on failure; on success ownership passes to the run loop.
 func (w *asyncWriter) enqueue(entries ...wireEntry) error {
-	n := 0
-	for _, e := range entries {
-		n += len(e.b)
-	}
 	w.mu.Lock()
 	for w.queued >= maxQueuedBytes && w.err == nil && !w.closed {
 		w.cond.Wait()
@@ -129,11 +125,39 @@ func (w *asyncWriter) enqueue(entries ...wireEntry) error {
 		}
 		return err
 	}
+	w.appendLocked(entries...)
+	return nil
+}
+
+// tryLock and appendLocked are enqueue for a caller that must not wait
+// — the read loop answering a request in place: a tryEnqueue in two
+// steps. Where enqueue would sleep or fail (queue saturated, writer
+// closed or failed) tryLock reports false and holds nothing. After
+// true the queue is locked and the caller owes exactly one
+// appendLocked, so check and append happen under one hold of mu. They
+// are two calls because what runs between them cannot be taken back: a
+// header block, once encoded, has changed the HPACK dynamic table and
+// must reach the peer, so the check for room has to come before the
+// encoding and still hold at the append. Keep what runs under the lock
+// short.
+func (w *asyncWriter) tryLock() bool {
+	w.mu.Lock()
+	if w.queued >= maxQueuedBytes || w.err != nil || w.closed {
+		w.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// appendLocked queues entries as one unit, wakes the run loop and
+// releases the lock enqueue or tryLock took.
+func (w *asyncWriter) appendLocked(entries ...wireEntry) {
+	for _, e := range entries {
+		w.queued += len(e.b)
+	}
 	w.queue = append(w.queue, entries...)
-	w.queued += n
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	return nil
 }
 
 // Write enqueues one complete frame, copying p into a pooled slab.

@@ -29,10 +29,29 @@ func NewTracer(capacity int) *Tracer {
 // a nil trace, whose span methods all no-op — the disabled-telemetry
 // fast path costs one nil check per call site.
 func (t *Tracer) Start(proto, path string) *Trace {
+	tr := t.Open(proto, path)
+	t.Publish(tr)
+	return tr
+}
+
+// Open is Start without the ring: the trace takes spans like any
+// other, but it has no id, is not counted and appears nowhere until
+// Publish. It is for a request that may yet be handed to someone else
+// unanswered — the attempt then simply drops its trace, and the one
+// who does answer starts a trace of their own.
+func (t *Tracer) Open(proto, path string) *Trace {
 	if t == nil {
 		return nil
 	}
-	tr := &Trace{proto: proto, path: path, start: time.Now()}
+	return &Trace{proto: proto, path: path, start: time.Now()}
+}
+
+// Publish enters an Open trace into the ring. Call it at most once per
+// trace.
+func (t *Tracer) Publish(tr *Trace) {
+	if t == nil || tr == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
@@ -40,11 +59,10 @@ func (t *Tracer) Start(proto, path string) *Trace {
 	tr.id = t.seq
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, tr)
-		return tr
+		return
 	}
 	t.ring[t.next] = tr
 	t.next = (t.next + 1) % cap(t.ring)
-	return tr
 }
 
 // Total reports how many traces were ever started.
