@@ -139,6 +139,15 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Errorf("RetryAfter = %v, want >= 1s", busy.RetryAfter)
 	}
 
+	// The 503 can reach the client before its handler goroutine has
+	// finished the request; the duration histogram is the last thing
+	// finishRequest touches.
+	shedSeen := telemetry.WithLabel("sww_request_duration_seconds", "outcome", OutcomeShed)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if set.Registry.Snapshot().Histograms[shedSeen].Count > 0 {
+			break
+		}
+	}
 	snaps := set.Traces.Snapshot()
 	// One complete trace per rung, with the stages that decision took.
 	prompt, ok := findTrace(snaps, orig.Path, OutcomePrompt)

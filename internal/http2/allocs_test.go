@@ -11,15 +11,15 @@ import (
 
 // getAllocBudget is what one GET may allocate across both endpoints of
 // a net.Pipe pair when the handler answers on the read loop: the
-// client's Stream, the body ReadAllBody returns and the stream's
-// receive buffer behind it; the server's Stream. Everything else a
-// request used to allocate — send window, condition variables, header
-// channel, header lists, Request, ResponseWriter, Response, body
-// adapter, the client's stream context — lives inside the two Streams.
+// client's Stream and its receive buffer, which is the body ReadAllBody
+// returns; the server's Stream. Everything else a request used to
+// allocate — send window, condition variables, header channel, header
+// lists, Request, ResponseWriter, Response, body adapter, the client's
+// stream context — lives inside the two Streams.
 // A handler that is served from a goroutine pays one object more: the
 // closure of its go statement.
 const (
-	getAllocBudget          = 4
+	getAllocBudget          = 3
 	getAllocBudgetGoroutine = getAllocBudget + 1
 )
 

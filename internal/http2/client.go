@@ -213,11 +213,18 @@ type responseBody struct {
 
 func (b *responseBody) Read(p []byte) (int, error) {
 	n, err := b.st.Read(p)
-	if err == io.EOF && !b.done {
+	if err == io.EOF {
+		b.finish()
+	}
+	return n, err
+}
+
+// finish records a clean end of the body: the stream is done with.
+func (b *responseBody) finish() {
+	if !b.done {
 		b.done = true
 		b.st.c.removeStream(b.st.id)
 	}
-	return n, err
 }
 
 func (b *responseBody) Close() error {
@@ -228,34 +235,22 @@ func (b *responseBody) Close() error {
 	return b.st.Close()
 }
 
-// maxBodyPresize bounds how much ReadAllBody allocates on the word of
-// a content-length header alone.
-const maxBodyPresize = 1 << 20
-
-// ReadAllBody drains and closes a response body. It is io.ReadAll
-// started at the size content-length announces, so a body that keeps
-// its word costs one buffer; one that does not is still read to EOF.
+// ReadAllBody drains and closes a response body. The body is not
+// copied: once it is complete the stream's receive buffer, sized from
+// content-length, is returned as it is and belongs to the caller. Only
+// a Body that is not the one DoContext installed is read with
+// io.ReadAll.
 func ReadAllBody(resp *Response) ([]byte, error) {
 	defer resp.Body.Close()
-	size := 512
-	if n, err := strconv.Atoi(resp.HeaderValue("content-length")); err == nil && n >= 0 {
-		// One spare byte: the read that reports io.EOF needs room too.
-		size = min(n, maxBodyPresize) + 1
+	b, ok := resp.Body.(*responseBody)
+	if !ok {
+		return io.ReadAll(resp.Body)
 	}
-	b := make([]byte, 0, size)
-	for {
-		n, err := resp.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
+	body, err := b.st.takeBody()
+	if err == nil {
+		b.finish()
 	}
+	return body, err
 }
 
 // ReadAllBodyContext drains and closes a response body under a

@@ -896,6 +896,7 @@ func (c *conn) finishServerStream(st *Stream, w *ResponseWriter) {
 		c.peerStreams--
 	}
 	c.mu.Unlock()
+	st.abandon() // whatever of the request body the handler left unread
 }
 
 func (c *conn) lookupStream(id uint32) *Stream {

@@ -89,7 +89,9 @@ func (h FrameHeader) String() string {
 }
 
 // A Frame is a decoded frame: its header plus the raw payload. The
-// payload slice is only valid until the next ReadFrame call.
+// payload is a slice of the Framer's read buffer, valid only until the
+// next ReadFrame call; its capacity ends where it does, so appending to
+// it copies instead of writing over bytes read ahead.
 type Frame struct {
 	FrameHeader
 	Payload []byte
@@ -112,12 +114,19 @@ type Framer struct {
 	// i.e. its own advertised SETTINGS_MAX_FRAME_SIZE.
 	maxReadSize uint32
 
-	rbuf []byte
-	hbuf [frameHeaderLen]byte
+	// rbuf is the only read buffer, one largest frame long. Every Read
+	// of r lands in it and takes whatever the transport has — a burst
+	// of frames costs one Read — and frames are parsed where they lie:
+	// rbuf[rpos:rend] is what has been read but not yet returned.
+	rbuf       []byte
+	rpos, rend int
+
 	wbuf []byte
 }
 
-// NewFramer returns a Framer that reads from r and writes to w.
+// NewFramer returns a Framer that reads from r and writes to w. The
+// Framer owns r from here on: it reads ahead of the frame it returns,
+// so bytes read from r by anyone else are bytes it may already hold.
 func NewFramer(w io.Writer, r io.Reader) *Framer {
 	aw, _ := w.(*asyncWriter)
 	return &Framer{
@@ -125,11 +134,12 @@ func NewFramer(w io.Writer, r io.Reader) *Framer {
 		w:           w,
 		bw:          aw,
 		maxReadSize: minMaxFrameSize,
-		rbuf:        make([]byte, minMaxFrameSize),
+		rbuf:        make([]byte, frameHeaderLen+minMaxFrameSize),
 	}
 }
 
 // SetMaxReadFrameSize raises the payload ceiling for incoming frames.
+// Bytes already read ahead are kept.
 func (f *Framer) SetMaxReadFrameSize(n uint32) {
 	if n < minMaxFrameSize {
 		n = minMaxFrameSize
@@ -138,35 +148,65 @@ func (f *Framer) SetMaxReadFrameSize(n uint32) {
 		n = maxMaxFrameSize
 	}
 	f.maxReadSize = n
-	if uint32(len(f.rbuf)) < n {
-		f.rbuf = make([]byte, n)
+	if size := frameHeaderLen + int(n); len(f.rbuf) < size {
+		rbuf := make([]byte, size)
+		f.rend = copy(rbuf, f.rbuf[f.rpos:f.rend])
+		f.rpos = 0
+		f.rbuf = rbuf
 	}
 }
 
-// ReadFrame reads one frame. The returned payload is reused by the
-// next call.
+// ReadFrame returns the next frame, reading from the transport only
+// when the buffer does not already hold it. At the end of the input it
+// returns io.EOF between frames and io.ErrUnexpectedEOF inside one. A
+// Read error consumes nothing: the bytes of a frame cut short by it (a
+// deadline, say) stay buffered and the next call resumes there.
 func (f *Framer) ReadFrame() (Frame, error) {
-	if _, err := io.ReadFull(f.r, f.hbuf[:]); err != nil {
+	if err := f.fill(frameHeaderLen); err != nil {
 		return Frame{}, err
 	}
-	length := uint32(f.hbuf[0])<<16 | uint32(f.hbuf[1])<<8 | uint32(f.hbuf[2])
+	h := f.rbuf[f.rpos:]
+	length := uint32(h[0])<<16 | uint32(h[1])<<8 | uint32(h[2])
 	fr := Frame{FrameHeader: FrameHeader{
 		Length:   length,
-		Type:     FrameType(f.hbuf[3]),
-		Flags:    f.hbuf[4],
-		StreamID: binary.BigEndian.Uint32(f.hbuf[5:]) & 0x7fffffff,
+		Type:     FrameType(h[3]),
+		Flags:    h[4],
+		StreamID: binary.BigEndian.Uint32(h[5:]) & 0x7fffffff,
 	}}
 	if length > f.maxReadSize {
 		return fr, connError(ErrCodeFrameSize, "frame of %d bytes exceeds limit %d", length, f.maxReadSize)
 	}
-	fr.Payload = f.rbuf[:length]
-	if _, err := io.ReadFull(f.r, fr.Payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if err := f.fill(frameHeaderLen + int(length)); err != nil {
 		return Frame{}, err
 	}
+	start := f.rpos + frameHeaderLen
+	f.rpos = start + int(length)
+	fr.Payload = f.rbuf[start:f.rpos:f.rpos]
 	return fr, nil
+}
+
+// fill reads until at least n unreturned bytes are buffered, n being at
+// most one largest frame. It moves them to the front of rbuf only when
+// they would not fit where they are, which overwrites the previous
+// frame's payload — the reuse ReadFrame announces.
+func (f *Framer) fill(n int) error {
+	if f.rpos == f.rend {
+		f.rpos, f.rend = 0, 0
+	} else if f.rpos+n > len(f.rbuf) {
+		f.rend = copy(f.rbuf, f.rbuf[f.rpos:f.rend])
+		f.rpos = 0
+	}
+	for f.rend-f.rpos < n {
+		m, err := f.r.Read(f.rbuf[f.rend:])
+		f.rend += m
+		if err != nil && f.rend-f.rpos < n {
+			if err == io.EOF && f.rend > f.rpos {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // appendFrameHeader appends the fixed 9-octet frame header.

@@ -2,7 +2,12 @@ package http2
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -144,6 +149,203 @@ func TestOversizedFrameRejected(t *testing.T) {
 	ce, ok := err.(ConnectionError)
 	if !ok || ce.Code != ErrCodeFrameSize {
 		t.Errorf("err = %v, want FRAME_SIZE connection error", err)
+	}
+}
+
+// frameWire returns the wire bytes of a frame sequence and the offset
+// at which each frame ends. With big set it is several read buffers
+// long, so read-ahead has to move a partial frame to the front of the
+// buffer more than once.
+func frameWire(t testing.TB, big bool) (wire []byte, ends []int) {
+	t.Helper()
+	var buf bytes.Buffer
+	fw := NewFramer(&buf, nil)
+	mark := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	mark(fw.WriteSettings(Setting{SettingMaxFrameSize, 1 << 15}, Setting{SettingGenAbility, uint32(GenFull)}))
+	mark(fw.WriteSettingsAck())
+	mark(fw.WriteHeaders(1, false, true, []byte("a header block fragment")))
+	mark(fw.WriteData(1, false, []byte("body")))
+	mark(fw.WriteData(1, true, nil))
+	mark(fw.WritePing(false, [8]byte{1, 2, 3, 4, 5, 6, 7, 8}))
+	mark(fw.WriteWindowUpdate(0, 1<<20))
+	mark(fw.WriteRSTStream(3, ErrCodeCancel))
+	if big {
+		fill := make([]byte, minMaxFrameSize)
+		for i := range fill {
+			fill[i] = byte(i * 7)
+		}
+		for _, n := range []int{minMaxFrameSize, 10000, 1, minMaxFrameSize - 1, 9000, 12000} {
+			mark(fw.WriteData(5, false, fill[:n]))
+		}
+	}
+	mark(fw.WriteGoAway(5, ErrCodeNo, []byte("bye")))
+	return buf.Bytes(), ends
+}
+
+// readFrames reads up to limit frames from r through a fresh Framer,
+// copying every payload, and returns them with the error that ended
+// the sequence. A timeout is retried: the Framer must have kept the
+// bytes it had.
+func readFrames(r io.Reader, limit int) ([]Frame, error) {
+	fr := NewFramer(nil, r)
+	var out []Frame
+	for len(out) < limit {
+		f, err := fr.ReadFrame()
+		if errors.Is(err, iotest.ErrTimeout) {
+			continue
+		}
+		if err != nil {
+			return out, err
+		}
+		f.Payload = append([]byte(nil), f.Payload...)
+		out = append(out, f)
+	}
+	return out, nil
+}
+
+func sameFrames(a, b []Frame) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d frames, want %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].FrameHeader != b[i].FrameHeader || !bytes.Equal(a[i].Payload, b[i].Payload) {
+			return fmt.Errorf("frame %d is %v (%d payload bytes), want %v", i, a[i].FrameHeader, len(a[i].Payload), b[i].FrameHeader)
+		}
+	}
+	return nil
+}
+
+// choppyReader hands out its bytes in seeded random pieces and fails
+// about one Read in four with a timeout that consumed nothing.
+type choppyReader struct {
+	rng  *rand.Rand
+	rest []byte
+}
+
+func (c *choppyReader) Read(p []byte) (int, error) {
+	if c.rng.Intn(4) == 0 {
+		return 0, iotest.ErrTimeout
+	}
+	if len(c.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), len(c.rest), 1+c.rng.Intn(1<<uint(c.rng.Intn(15))))
+	copy(p, c.rest[:n])
+	c.rest = c.rest[n:]
+	return n, nil
+}
+
+// TestReadFrameSplitInvariance: however the transport cuts the byte
+// stream up — and wherever it reports an error between two pieces — the
+// Framer returns the frames an unsplit read returns, then io.EOF.
+func TestReadFrameSplitInvariance(t *testing.T) {
+	wire, ends := frameWire(t, true)
+	want, err := readFrames(bytes.NewReader(wire), 1<<10)
+	if err != io.EOF || len(want) != len(ends) {
+		t.Fatalf("unsplit: %d frames, %v; want %d and io.EOF", len(want), err, len(ends))
+	}
+	readers := map[string]func() io.Reader{
+		"OneByteReader": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(wire)) },
+		"HalfReader":    func() io.Reader { return iotest.HalfReader(bytes.NewReader(wire)) },
+		"DataErrReader": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(wire)) },
+		"TimeoutReader": func() io.Reader { return iotest.TimeoutReader(iotest.HalfReader(bytes.NewReader(wire))) },
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		seed := seed
+		readers[fmt.Sprintf("choppy/seed=%d", seed)] = func() io.Reader {
+			return &choppyReader{rng: rand.New(rand.NewSource(seed)), rest: wire}
+		}
+	}
+	for name, mk := range readers {
+		got, err := readFrames(mk(), 1<<10)
+		if err != io.EOF {
+			t.Errorf("%s: sequence ended with %v, want io.EOF", name, err)
+		}
+		if err := sameFrames(got, want); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestReadFrameTruncation: input cut at every byte offset yields the
+// frames that are complete, then io.EOF exactly when the cut falls
+// between two frames and io.ErrUnexpectedEOF when it falls inside one.
+func TestReadFrameTruncation(t *testing.T) {
+	wire, ends := frameWire(t, false)
+	boundary := map[int]int{0: 0} // offset -> frames complete there
+	for i, end := range ends {
+		boundary[end] = i + 1
+	}
+	complete := 0
+	for cut := 0; cut <= len(wire); cut++ {
+		wantErr := io.ErrUnexpectedEOF
+		if n, ok := boundary[cut]; ok {
+			complete, wantErr = n, io.EOF
+		}
+		for name, r := range map[string]io.Reader{
+			"whole":    bytes.NewReader(wire[:cut]),
+			"bytewise": iotest.OneByteReader(bytes.NewReader(wire[:cut])),
+		} {
+			got, err := readFrames(r, 1<<10)
+			if err != wantErr || len(got) != complete {
+				t.Fatalf("cut at %d (%s): %d frames then %v, want %d then %v", cut, name, len(got), err, complete, wantErr)
+			}
+		}
+	}
+}
+
+// TestPayloadIsCapLimited: a payload ends where its capacity does, so
+// appending to frame n cannot write over frame n+1, which read-ahead
+// has already placed right behind it.
+func TestPayloadIsCapLimited(t *testing.T) {
+	wire, _ := frameWire(t, false)
+	want, _ := readFrames(bytes.NewReader(wire), 1<<10)
+	fr := NewFramer(nil, bytes.NewReader(wire))
+	for i := range want {
+		f, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(f.Payload) != len(f.Payload) {
+			t.Fatalf("frame %d: payload of %d bytes has capacity %d", i, len(f.Payload), cap(f.Payload))
+		}
+		if err := sameFrames([]Frame{f}, want[i:i+1]); err != nil {
+			t.Fatalf("after appending to its predecessor: %v", err)
+		}
+		_ = append(f.Payload, bytes.Repeat([]byte{0xff}, 64)...)
+	}
+}
+
+// TestSetMaxReadFrameSizeKeepsReadAhead: raising the ceiling swaps the
+// read buffer; what was read ahead moves with it, and a frame of the
+// new size is then accepted.
+func TestSetMaxReadFrameSizeKeepsReadAhead(t *testing.T) {
+	var buf bytes.Buffer
+	fw := NewFramer(&buf, nil)
+	fw.WriteData(1, false, []byte("first"))
+	fw.WriteData(1, false, []byte("second"))
+	large := bytes.Repeat([]byte{'L'}, 3*minMaxFrameSize)
+	fw.WriteData(1, true, large)
+
+	fr := NewFramer(nil, &buf)
+	if f, err := fr.ReadFrame(); err != nil || string(f.Payload) != "first" {
+		t.Fatalf("first frame %q, %v", f.Payload, err)
+	}
+	if fr.rend == fr.rpos {
+		t.Fatal("nothing was read ahead; the test needs the second frame buffered")
+	}
+	fr.SetMaxReadFrameSize(4 * minMaxFrameSize)
+	if f, err := fr.ReadFrame(); err != nil || string(f.Payload) != "second" {
+		t.Fatalf("second frame %q, %v", f.Payload, err)
+	}
+	if f, err := fr.ReadFrame(); err != nil || !bytes.Equal(f.Payload, large) || !f.Has(FlagEndStream) {
+		t.Fatalf("large frame: %d bytes, %v", len(f.Payload), err)
 	}
 }
 

@@ -8,9 +8,11 @@ package http2
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -29,8 +31,17 @@ func FuzzFrameParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFramer(io.Discard, bytes.NewReader(data))
 		fr.SetMaxReadFrameSize(1 << 16)
+		// The same input one byte at a time: where the transport cuts
+		// the stream must change neither a frame nor the error.
+		slow := NewFramer(io.Discard, iotest.OneByteReader(bytes.NewReader(data)))
+		slow.SetMaxReadFrameSize(1 << 16)
 		for i := 0; i < 64; i++ {
 			frame, err := fr.ReadFrame()
+			again, errAgain := slow.ReadFrame()
+			if frame.FrameHeader != again.FrameHeader || !bytes.Equal(frame.Payload, again.Payload) || fmt.Sprint(err) != fmt.Sprint(errAgain) {
+				t.Fatalf("frame %d: %v (%d bytes), %v; read bytewise: %v (%d bytes), %v", i,
+					frame.FrameHeader, len(frame.Payload), err, again.FrameHeader, len(again.Payload), errAgain)
+			}
 			if err != nil {
 				return
 			}

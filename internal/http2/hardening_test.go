@@ -4,6 +4,7 @@ package http2
 // against a real server and checks the mandated error handling.
 
 import (
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -430,6 +431,170 @@ func acceptRaw(t *testing.T) (*ClientConn, *rawServer) {
 	return cc, s
 }
 
+// awaitRequest reads until the client's next request HEADERS and
+// returns its stream id.
+func (s *rawServer) awaitRequest() uint32 {
+	s.t.Helper()
+	for {
+		fr, err := s.fr.ReadFrame()
+		if err != nil {
+			s.t.Fatal(err)
+		}
+		if fr.Type == FrameHeaders {
+			return fr.StreamID
+		}
+	}
+}
+
+// fetched is what a GET and ReadAllBody came to.
+type fetched struct {
+	body []byte
+	err  error
+}
+
+// fetchAsync runs a GET and ReadAllBody on a goroutine of their own:
+// against a rawServer the test's goroutine has to play the server.
+func fetchAsync(cc *ClientConn, path string) <-chan fetched {
+	done := make(chan fetched, 1)
+	go func() {
+		resp, err := cc.Get(path)
+		if err != nil {
+			done <- fetched{nil, err}
+			return
+		}
+		body, err := ReadAllBody(resp)
+		done <- fetched{body, err}
+	}()
+	return done
+}
+
+// respond writes a 200 response HEADERS frame with the given fields.
+func (s *rawServer) respond(id uint32, endStream bool, fields ...hpack.HeaderField) {
+	s.t.Helper()
+	block := s.henc.AppendFields(nil, append([]hpack.HeaderField{{Name: ":status", Value: "200"}}, fields...))
+	if err := s.fr.WriteHeaders(id, endStream, true, block); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// TestContentLengthMismatchRejected: a body shorter or longer than its
+// content-length is a malformed message (RFC 9113 §8.1.1): the stream
+// fails with PROTOCOL_ERROR instead of handing the caller a truncated
+// page, and the connection carries on. A body that keeps its word, or
+// gives none, is accepted.
+func TestContentLengthMismatchRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		announce string
+		frames   []int // DATA payload sizes; the last one ends the stream
+		trailers bool  // ... unless trailers do
+		reject   bool
+	}{
+		{name: "short", announce: "100", frames: []int{60}, reject: true},
+		{name: "short before trailers", announce: "100", frames: []int{60}, trailers: true, reject: true},
+		{name: "long", announce: "10", frames: []int{20}, reject: true},
+		{name: "long in a later frame", announce: "10", frames: []int{6, 6}, reject: true},
+		{name: "exact", announce: "100", frames: []int{60, 40}},
+		{name: "exact before trailers", announce: "100", frames: []int{100}, trailers: true},
+		{name: "not announced", frames: []int{60}},
+		{name: "not a number", announce: "many", frames: []int{60}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cc, s := acceptRaw(t)
+			done := fetchAsync(cc, "/page")
+			id := s.awaitRequest()
+			var fields []hpack.HeaderField
+			if tc.announce != "" {
+				fields = append(fields, hpack.HeaderField{Name: "content-length", Value: tc.announce})
+			}
+			s.respond(id, false, fields...)
+			sent := 0
+			for i, n := range tc.frames {
+				s.fr.WriteData(id, i == len(tc.frames)-1 && !tc.trailers, make([]byte, n))
+				sent += n
+			}
+			if tc.trailers {
+				s.fr.WriteHeaders(id, true, true, s.henc.AppendFields(nil, []hpack.HeaderField{{Name: "x-checksum", Value: "abc"}}))
+			}
+			if tc.reject {
+				s.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+				for {
+					fr, err := s.fr.ReadFrame()
+					if err != nil {
+						t.Fatalf("waiting for RST_STREAM: %v", err)
+					}
+					if fr.Type == FrameRSTStream && fr.StreamID == id {
+						if code := rstCode(fr); code != ErrCodeProtocol {
+							t.Errorf("RST_STREAM(%v), want PROTOCOL_ERROR", code)
+						}
+						break
+					}
+				}
+			}
+			r := <-done
+			var se StreamError
+			switch {
+			case tc.reject && (!errors.As(r.err, &se) || se.Code != ErrCodeProtocol):
+				t.Fatalf("ReadAllBody = %d bytes, %v; want a PROTOCOL_ERROR stream error", len(r.body), r.err)
+			case !tc.reject && (r.err != nil || len(r.body) != sent):
+				t.Fatalf("ReadAllBody = %d bytes, %v; want %d", len(r.body), r.err, sent)
+			}
+
+			// The connection lives: the next request is answered.
+			done = fetchAsync(cc, "/next")
+			id = s.awaitRequest()
+			s.respond(id, false)
+			s.fr.WriteData(id, true, []byte("next"))
+			if r := <-done; r.err != nil || string(r.body) != "next" {
+				t.Fatalf("request after the mismatch: %q, %v", r.body, r.err)
+			}
+		})
+	}
+}
+
+// TestRequestContentLengthMismatchRejected: the server holds a request
+// body to its content-length as the client holds a response. The stream
+// is reset with PROTOCOL_ERROR, the handler's read fails instead of
+// ending short, the DATA goes back to the connection's window and the
+// connection carries on.
+func TestRequestContentLengthMismatchRejected(t *testing.T) {
+	readErr := make(chan error, 1)
+	p, sc := dialRawConn(t, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+		if r.Method == "POST" {
+			_, err := io.ReadAll(r.Body)
+			readErr <- err
+			return
+		}
+		okHandler(w, r)
+	}))
+	block := p.henc.AppendFields(nil, []hpack.HeaderField{
+		{Name: ":method", Value: "POST"},
+		{Name: ":scheme", Value: "https"},
+		{Name: ":path", Value: "/upload"},
+		{Name: "content-length", Value: "10"},
+	})
+	p.fr.WriteHeaders(1, false, true, block)
+	p.fr.WriteData(1, true, []byte("sixsix"))
+	if rst := p.readUntil(FrameRSTStream); rst.StreamID != 1 || rstCode(rst) != ErrCodeProtocol {
+		t.Fatalf("RST_STREAM(%v) on stream %d, want PROTOCOL_ERROR on 1", rstCode(rst), rst.StreamID)
+	}
+	var se StreamError
+	if err := <-readErr; !errors.As(err, &se) || se.Code != ErrCodeProtocol {
+		t.Errorf("handler read the short body with %v, want a PROTOCOL_ERROR stream error", err)
+	}
+	if !sc.recvBalanced() {
+		t.Errorf("connection window not whole after the rejected DATA: %+v", sc.connRecv)
+	}
+	p.request(3, "/")
+	df := p.readUntil(FrameData)
+	for df.StreamID != 3 { // the returning handler may still end stream 1
+		df = p.readUntil(FrameData)
+	}
+	if string(df.Payload) != "ok" {
+		t.Fatalf("request after the mismatch answered %q", df.Payload)
+	}
+}
+
 // TestClientReceivesTrailers: a response with a trailing header block
 // surfaces via Stream.Trailers after EOF.
 func TestClientReceivesTrailers(t *testing.T) {
@@ -444,16 +609,7 @@ func TestClientReceivesTrailers(t *testing.T) {
 		}
 		respCh <- resp
 	}()
-	// Consume the request HEADERS (and its ACK traffic).
-	for {
-		fr, err := s.fr.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.Type == FrameHeaders {
-			break
-		}
-	}
+	s.awaitRequest() // and the ACK traffic before it
 	// Response: HEADERS, DATA, trailers HEADERS with END_STREAM.
 	hdr := s.henc.AppendFields(nil, []hpack.HeaderField{{Name: ":status", Value: "200"}})
 	s.fr.WriteHeaders(1, false, true, hdr)
@@ -492,15 +648,7 @@ func TestClientRejectsMissingStatus(t *testing.T) {
 		_, err := cc.Get("/no-status")
 		errCh <- err
 	}()
-	for {
-		fr, err := s.fr.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.Type == FrameHeaders {
-			break
-		}
-	}
+	s.awaitRequest()
 	hdr := s.henc.AppendFields(nil, []hpack.HeaderField{{Name: "content-type", Value: "text/plain"}})
 	s.fr.WriteHeaders(1, true, true, hdr)
 	select {

@@ -1,13 +1,17 @@
 package http2
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -319,7 +323,7 @@ func (c *conn) liveStreams() (int, uint32) {
 // body to come goes straight to its goroutine.
 func TestInlineRequestWithBodyNotOffered(t *testing.T) {
 	var tried, served pathLog
-	cc, _ := startPair(t, Config{}, Config{}, echoInline(&tried, &served))
+	cc, sc := startPair(t, Config{}, Config{}, echoInline(&tried, &served))
 	resp, err := cc.Do(&Request{Method: "POST", Path: "/upload", Body: strings.NewReader("payload")})
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +331,13 @@ func TestInlineRequestWithBodyNotOffered(t *testing.T) {
 	if body, err := ReadAllBody(resp); err != nil || string(body) != "/upload" {
 		t.Fatalf("POST reply = %q, %v", body, err)
 	}
+	// The client has the whole reply while the /upload goroutine may
+	// still hold the write lock behind its last frame; an inline attempt
+	// that meets it there rightly declines.
+	waitCond(t, "the /upload handler to return", func() bool {
+		n, _ := sc.c.liveStreams()
+		return n == 0
+	})
 	resp, err = cc.Get("/page")
 	if err != nil {
 		t.Fatal(err)
@@ -636,4 +647,492 @@ func TestInlineSpawnsNoGoroutine(t *testing.T) {
 	if got := served.get(); len(got) != 0 {
 		t.Fatalf("%d requests reached ServeSWW", len(got))
 	}
+}
+
+// countingConn counts the Read calls made on a connection.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestOneReadPerGet: over a transport that buffers, a request reaches
+// the server in one Read and the whole reply — HEADERS, DATA and
+// END_STREAM, queued as one unit — reaches the client in one.
+func TestOneReadPerGet(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	body := []byte(strings.Repeat("a prompt page ", 30))
+	srv := &Server{Handler: inlineFuncs{
+		try: func(w *ResponseWriter, r *Request) bool {
+			return w.TryRespond(200, body, hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(body))})
+		},
+		serve: func(w *ResponseWriter, r *Request) { w.Respond(200, body) },
+	}}
+	accepted := make(chan *countingConn, 1)
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+			close(accepted)
+			return
+		}
+		accepted <- &countingConn{Conn: nc}
+	}()
+	nc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientEnd := &countingConn{Conn: nc}
+	serverEnd := <-accepted
+	if serverEnd == nil {
+		t.FailNow()
+	}
+	sc := srv.StartConn(serverEnd)
+	cc, err := NewClientConn(clientEnd, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	defer cc.Close()
+
+	get := func() {
+		resp, err := cc.Get("/page")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadAllBody(resp); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("GET = %d bytes, %v", len(got), err)
+		}
+	}
+	for i := 0; i < 20; i++ { // past the handshake's frames
+		get()
+	}
+	const gets = 500
+	clientBefore, serverBefore := clientEnd.reads.Load(), serverEnd.reads.Load()
+	for i := 0; i < gets; i++ {
+		get()
+	}
+	for side, n := range map[string]int64{
+		"client": clientEnd.reads.Load() - clientBefore,
+		"server": serverEnd.reads.Load() - serverBefore,
+	} {
+		t.Logf("%s: %d Reads for %d GETs", side, n, gets)
+		if per := float64(n) / gets; per > 1.1 {
+			t.Errorf("%s: %.2f Reads per GET, want at most 1.1", side, per)
+		}
+	}
+}
+
+// recvBalanced reports whether every DATA byte the connection has
+// received has gone back to its receive window: what the peer may still
+// send plus what is consumed but not yet announced is the whole window.
+func (c *conn) recvBalanced() bool {
+	c.recvMu.Lock()
+	defer c.recvMu.Unlock()
+	return c.connRecv.granted+c.connRecv.unacked == c.connRecv.target
+}
+
+func patterned(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i * 31)
+	}
+	return b
+}
+
+// readAllWithin is ReadAllBody that fails the test instead of hanging.
+func readAllWithin(t *testing.T, resp *Response) ([]byte, error) {
+	t.Helper()
+	done := make(chan fetched, 1)
+	go func() {
+		body, err := ReadAllBody(resp)
+		done <- fetched{body, err}
+	}()
+	select {
+	case r := <-done:
+		return r.body, r.err
+	case <-time.After(10 * time.Second):
+		t.Fatal("ReadAllBody is stuck")
+		return nil, nil
+	}
+}
+
+// TestLentBodyLargerThanWindow: a lent body is credited as it arrives,
+// so 1 MiB flows through the default 64 KiB windows with nobody calling
+// Read — announced (one presized buffer) or not (a grown one).
+func TestLentBodyLargerThanWindow(t *testing.T) {
+	big := patterned(1 << 20)
+	for _, announced := range []bool{true, false} {
+		h := HandlerFunc(func(w *ResponseWriter, r *Request) {
+			var fields []hpack.HeaderField
+			if announced {
+				fields = append(fields, hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(big))})
+			}
+			w.WriteHeaders(200, fields...)
+			w.Write(big)
+		})
+		cc, _ := startPair(t, Config{}, Config{}, h)
+		resp, err := cc.Get("/big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := readAllWithin(t, resp)
+		if err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("announced=%v: %d bytes, %v", announced, len(got), err)
+		}
+		if announced && cap(got) != len(big) {
+			t.Errorf("announced body sits in a buffer of %d bytes, want exactly %d", cap(got), len(big))
+		}
+		if !cc.c.recvBalanced() {
+			t.Errorf("announced=%v: connection window not whole after the body: %+v", announced, cc.c.connRecv)
+		}
+	}
+}
+
+// TestLentBodyAfterPartialRead: ReadAllBody returns what Read left.
+func TestLentBodyAfterPartialRead(t *testing.T) {
+	cc, _ := startPair(t, Config{}, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+		w.Respond(200, []byte("0123456789"))
+	}))
+	resp, err := cc.Get("/digits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, 4)
+	if _, err := io.ReadFull(resp.Body, head); err != nil || string(head) != "0123" {
+		t.Fatalf("Read = %q, %v", head, err)
+	}
+	if rest, err := readAllWithin(t, resp); err != nil || string(rest) != "456789" {
+		t.Fatalf("ReadAllBody after a partial Read = %q, %v", rest, err)
+	}
+	if !cc.c.recvBalanced() {
+		t.Errorf("connection window not whole: %+v", cc.c.connRecv)
+	}
+}
+
+// TestLentBodyErrorMidBody: a stream that dies mid-body still yields
+// the bytes that arrived, with the error behind them, as Read does.
+func TestLentBodyErrorMidBody(t *testing.T) {
+	cc, s := acceptRaw(t)
+	done := fetchAsync(cc, "/dies")
+	id := s.awaitRequest()
+	s.respond(id, false)
+	s.fr.WriteData(id, false, []byte("partial"))
+	s.fr.WriteRSTStream(id, ErrCodeInternal)
+	select {
+	case r := <-done:
+		var se StreamError
+		if string(r.body) != "partial" || !errors.As(r.err, &se) || se.Code != ErrCodeInternal {
+			t.Fatalf("ReadAllBody = %q, %v; want the partial body and the reset", r.body, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadAllBody is stuck on a reset stream")
+	}
+}
+
+// TestLentBodyCanceledMidBody: a local cancel orders things as a peer's
+// reset does — the bytes that arrived, then the error — whichever of
+// the canceller and the woken reader takes the stream's lock first.
+func TestLentBodyCanceledMidBody(t *testing.T) {
+	cc, s := acceptRaw(t)
+	respCh := make(chan *Response, 1)
+	done := make(chan fetched, 1)
+	go func() {
+		resp, err := cc.Get("/canceled")
+		if err != nil {
+			done <- fetched{nil, err}
+			return
+		}
+		respCh <- resp
+		body, err := ReadAllBody(resp)
+		done <- fetched{body, err}
+	}()
+	id := s.awaitRequest()
+	s.respond(id, false)
+	s.fr.WriteData(id, false, []byte("partial"))
+	go io.Copy(io.Discard, s.nc) // the RST_STREAM needs a reader on a pipe
+	st := (<-respCh).Stream()
+	waitCond(t, "the first block to arrive in the lent buffer", func() bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.lent && len(st.buf) == len("partial")
+	})
+	gone := errors.New("caller went away")
+	st.cancel(gone)
+	select {
+	case r := <-done:
+		if string(r.body) != "partial" || r.err != gone {
+			t.Fatalf("ReadAllBody = %q, %v; want the partial body and %v", r.body, r.err, gone)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadAllBody is stuck on a canceled stream")
+	}
+	if !cc.c.recvBalanced() {
+		t.Errorf("connection window not whole: %+v", cc.c.connRecv)
+	}
+}
+
+// TestStreamedBodyHoldsOneWindow: content-length sizes the whole buffer
+// only for a body that is lent. A caller that streams with Read pins no
+// more than the receive window it granted, however much was announced.
+func TestStreamedBodyHoldsOneWindow(t *testing.T) {
+	big := patterned(1 << 20)
+	cc, _ := startPair(t, Config{}, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+		w.WriteHeaders(200, hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(big))})
+		w.Write(big)
+	}))
+	resp, err := cc.Get("/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := resp.Stream()
+	var got []byte
+	for p := make([]byte, 1000); ; {
+		n, err := resp.Body.Read(p)
+		got = append(got, p[:n]...)
+		st.mu.Lock()
+		held, window := cap(st.buf), int(st.recv.target)
+		st.mu.Unlock()
+		if held > window {
+			t.Fatalf("%d bytes read, %d held for a window of %d", len(got), held, window)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, big) {
+		t.Fatalf("streamed %d bytes, want %d intact", len(got), len(big))
+	}
+	if !cc.c.recvBalanced() {
+		t.Errorf("connection window not whole: %+v", cc.c.connRecv)
+	}
+}
+
+// bodyFunc is a response body that is not the stream's own.
+type bodyFunc func(p []byte) (int, error)
+
+func (f bodyFunc) Read(p []byte) (int, error) { return f(p) }
+func (bodyFunc) Close() error                 { return nil }
+
+// TestReadAllBodyOfReplacedBody: a Body the caller swapped in is read
+// to its end like any reader; only the stream's own is lent.
+func TestReadAllBodyOfReplacedBody(t *testing.T) {
+	cc, _ := startPair(t, Config{}, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+		w.Respond(200, []byte("abc"))
+	}))
+	resp, err := cc.Get("/abc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := resp.Body
+	defer inner.Close()
+	resp.Body = bodyFunc(func(p []byte) (int, error) {
+		n, err := inner.Read(p)
+		copy(p, bytes.ToUpper(p[:n]))
+		return n, err
+	})
+	if got, err := ReadAllBody(resp); err != nil || string(got) != "ABC" {
+		t.Fatalf("ReadAllBody through a decorator = %q, %v", got, err)
+	}
+	if !cc.c.recvBalanced() {
+		t.Errorf("connection window not whole: %+v", cc.c.connRecv)
+	}
+}
+
+// TestLentBodyNotTouchedByLaterTraffic: the slice ReadAllBody returns
+// is the caller's; nothing the connection receives later lands in it.
+func TestLentBodyNotTouchedByLaterTraffic(t *testing.T) {
+	var tried, served pathLog
+	cc, _ := startPair(t, Config{}, Config{}, echoInline(&tried, &served))
+	fetch := func(path string) []byte {
+		resp, err := cc.Get(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := readAllWithin(t, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	first := fetch("/i/first")
+	for i := 0; i < 100; i++ {
+		path := fmt.Sprintf("/%c/later/%d", "ig"[i%2], i)
+		if got := fetch(path); string(got) != path {
+			t.Fatalf("%s answered %q", path, got)
+		}
+	}
+	if string(first) != "/i/first" || string(first[:cap(first)]) != "/i/first" {
+		t.Fatalf("the first body now reads %q (capacity %d)", first, cap(first))
+	}
+}
+
+// TestLentBodyCloseSendsNoReset: a stream whose body was lent and
+// ended cleanly is finished; closing it afterwards resets nothing.
+func TestLentBodyCloseSendsNoReset(t *testing.T) {
+	cc, s := acceptRaw(t)
+	closed := make(chan error, 1)
+	go func() {
+		resp, err := cc.Get("/clean")
+		if err == nil {
+			_, err = ReadAllBody(resp)
+		}
+		if err == nil {
+			resp.Stream().Close()
+			err = resp.Body.Close()
+		}
+		closed <- err
+		cc.Ping(time.Second) // a frame the peer can wait for
+	}()
+	id := s.awaitRequest()
+	s.respond(id, false)
+	s.fr.WriteData(id, true, []byte("all of it"))
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	for {
+		fr, err := s.fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Type == FrameRSTStream {
+			t.Fatalf("RST_STREAM(%v) for a stream that ended cleanly", rstCode(fr))
+		}
+		if fr.Type == FramePing {
+			return
+		}
+	}
+}
+
+// TestConnWindowRefundedOnAbandonedBody: DATA nobody will read goes
+// back to the connection's receive window, which all streams share —
+// whether the body was closed unread, cancelled while lent, or left
+// behind by a handler. Each variant abandons more than a whole window
+// and then moves a body through the connection in full.
+func TestConnWindowRefundedOnAbandonedBody(t *testing.T) {
+	page := patterned(16 << 10)
+	const abandons = 8 // two connection windows' worth
+	fullGet := func(t *testing.T, cc *ClientConn) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		resp, err := cc.GetContext(ctx, "/page")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadAllBodyContext(ctx, resp); err != nil || !bytes.Equal(got, page) {
+			t.Fatalf("GET after %d abandoned bodies: %d bytes, %v", abandons, len(got), err)
+		}
+	}
+	whole := func(t *testing.T, c *conn) {
+		t.Helper()
+		waitCond(t, "the connection's receive window to be whole again", c.recvBalanced)
+	}
+
+	t.Run("closed unread", func(t *testing.T) {
+		cc, _ := startPair(t, Config{}, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+			w.Respond(200, page)
+		}))
+		for i := 0; i < abandons; i++ {
+			resp, err := cc.Get("/page")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%4 != 0 { // mostly buffered when dropped, sometimes still on its way
+				st := resp.Stream()
+				waitCond(t, "the page to arrive", func() bool {
+					st.mu.Lock()
+					defer st.mu.Unlock()
+					return len(st.buf) == len(page)
+				})
+			}
+			resp.Body.Close()
+		}
+		fullGet(t, cc)
+		whole(t, cc.c)
+	})
+
+	t.Run("canceled while lent", func(t *testing.T) {
+		cc, _ := startPair(t, Config{}, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+			if r.Path == "/page" {
+				w.Respond(200, page)
+				return
+			}
+			w.WriteHeaders(200)
+			w.Write(page)
+			<-r.Stream().Context().Done() // the body never ends
+		}))
+		for i := 0; i < abandons; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			resp, err := cc.GetContext(ctx, "/stall")
+			if err != nil {
+				t.Fatal(err)
+			}
+			result := make(chan error, 1)
+			go func() {
+				_, err := ReadAllBodyContext(ctx, resp)
+				result <- err
+			}()
+			st := resp.Stream()
+			waitCond(t, "the page to arrive in the lent buffer", func() bool {
+				st.mu.Lock()
+				defer st.mu.Unlock()
+				return st.lent && len(st.buf) == len(page)
+			})
+			cancel()
+			// The server ends a reset stream with an empty END_STREAM
+			// frame, which can reach the reader before its own cancel
+			// does: then the body simply ended.
+			if err := <-result; err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("ReadAllBodyContext = %v, want %v", err, context.Canceled)
+			}
+		}
+		whole(t, cc.c) // credited on arrival, and not a second time by the cancel
+		fullGet(t, cc)
+		whole(t, cc.c)
+	})
+
+	t.Run("request body left unread", func(t *testing.T) {
+		cc, sc := startPair(t, Config{}, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+			if r.Path == "/echo" {
+				body, _ := io.ReadAll(r.Body)
+				w.Respond(200, body)
+				return
+			}
+			r.Body.Read(make([]byte, 1)) // the upload has begun to arrive
+			w.Respond(200, nil)          // and is answered unread
+		}))
+		post := func(path string) ([]byte, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			resp, err := cc.DoContext(ctx, &Request{Method: "POST", Path: path, Body: bytes.NewReader(page)})
+			if err != nil {
+				return nil, err
+			}
+			return ReadAllBodyContext(ctx, resp)
+		}
+		for i := 0; i < abandons; i++ {
+			// The reply may overtake the upload and reset it; either
+			// way the server was sent DATA its handler never read.
+			if _, err := post("/ignore"); errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("upload %d is stuck: %v", i, err)
+			}
+		}
+		if got, err := post("/echo"); err != nil || !bytes.Equal(got, page) {
+			t.Fatalf("upload after %d unread ones: %d bytes, %v", abandons, len(got), err)
+		}
+		whole(t, sc.c)
+		whole(t, cc.c)
+	})
 }

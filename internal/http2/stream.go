@@ -1,9 +1,9 @@
 package http2
 
 import (
-	"bytes"
 	"context"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -33,11 +33,24 @@ type Stream struct {
 
 	mu        sync.Mutex
 	cond      sync.Cond // L is &mu
-	buf       bytes.Buffer
 	recv      recvFlow
 	recvEnded bool // peer sent END_STREAM
 	sendEnded bool // we sent END_STREAM
 	err       error
+
+	// buf holds received DATA; buf[rd:] is what no reader has taken.
+	// Every DATA byte goes back to the connection's receive window
+	// exactly once: when Read consumes it, on arrival once the body is
+	// lent to takeBody, when abandon drops it unread, or straight from
+	// onData when it arrives for nobody (DESIGN.md "Receiving").
+	buf       []byte
+	rd        int
+	lent      bool // takeBody is collecting the body: DATA is credited as it arrives
+	abandoned bool // nobody will read: DATA is refunded as it arrives
+
+	// owed is how many DATA bytes the first header block's
+	// content-length still announces, -1 when it announced none.
+	owed int64
 
 	// ctx is canceled when the stream dies for any reason — peer
 	// RST_STREAM, connection teardown, local close — so handler work
@@ -78,6 +91,7 @@ func newStream(c *conn, id uint32, peerWindow int32) *Stream {
 		c:    c,
 		id:   id,
 		recv: newRecvFlow(c.cfg.initialWindow()),
+		owed: -1,
 	}
 	st.send.init(peerWindow)
 	st.cond.L = &st.mu
@@ -115,28 +129,75 @@ func (s *Stream) endContext() {
 func (s *Stream) ID() uint32 { return s.id }
 
 // onData is called from the read loop with an unpadded payload.
-// flowLen is the full frame length for flow accounting.
+// flowLen is the full frame length for flow accounting; the connection
+// window has already been charged with it.
 func (s *Stream) onData(data []byte, flowLen int32, endStream bool) error {
 	s.mu.Lock()
-	if s.recvEnded {
-		s.mu.Unlock()
-		return streamError(s.id, ErrCodeStreamClosed, "DATA after END_STREAM")
+	var err error
+	switch n := int64(len(data)); {
+	case s.recvEnded:
+		err = streamError(s.id, ErrCodeStreamClosed, "DATA after END_STREAM")
+	case !s.recv.onData(flowLen):
+		err = streamError(s.id, ErrCodeFlowControl, "stream flow window exceeded")
+	case s.owed >= 0 && (n > s.owed || endStream && n < s.owed):
+		// RFC 9113 §8.1.1: a body that disagrees with its
+		// content-length is malformed, not a shorter or longer page.
+		err = streamError(s.id, ErrCodeProtocol, "DATA of %d bytes (END_STREAM=%t) with %d left of content-length", n, endStream, s.owed)
+	case s.owed >= 0:
+		s.owed -= n
 	}
-	if !s.recv.onData(flowLen) {
+	if err != nil || s.err != nil || s.abandoned {
+		// Rejected, or dead on arrival: it is buffered for nobody.
 		s.mu.Unlock()
-		return streamError(s.id, ErrCodeFlowControl, "stream flow window exceeded")
+		s.c.returnConnWindow(flowLen)
+		return err
 	}
-	s.buf.Write(data)
+	if len(s.buf)+len(data) > cap(s.buf) {
+		s.growLocked(len(data))
+	}
+	s.buf = append(s.buf, data...)
 	if endStream {
 		s.recvEnded = true
 	}
-	// Padding never reaches the application, so refund it directly.
-	if pad := flowLen - int32(len(data)); pad > 0 {
-		s.creditLocked(pad)
+	// Padding never reaches the application, so refund it directly; a
+	// lent body has no reader to wait for either.
+	credit := flowLen - int32(len(data))
+	if s.lent {
+		credit = flowLen
+	}
+	if credit > 0 {
+		s.creditLocked(credit)
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	return nil
+}
+
+// maxBodyPresize bounds how much a body's buffer is sized on the word
+// of a content-length header alone.
+const maxBodyPresize = 1 << 20
+
+// growLocked makes room for n more bytes of DATA, leaving behind what
+// Read has taken. A response keeps its word or fails in onData, so its
+// content-length sizes the buffer and a body costs one: all that is
+// still owed once the body is lent, but no more than a receive window
+// while a streaming reader may yet drain it piece by piece.
+func (s *Stream) growLocked(n int) {
+	unread := s.buf[s.rd:]
+	if s.owed >= 0 && !s.c.server {
+		limit := int64(maxBodyPresize)
+		if !s.lent {
+			limit = min(limit, int64(s.recv.target))
+		}
+		need := int64(len(unread) + n)
+		if size := min(need+s.owed, limit); size >= need && size > int64(cap(s.buf)) {
+			s.buf = append(make([]byte, 0, size), unread...)
+			s.rd = 0
+			return
+		}
+	}
+	s.buf = s.buf[:copy(s.buf, unread)]
+	s.rd = 0
 }
 
 // setHeadersLocked takes the stream's first header block out of the
@@ -145,6 +206,14 @@ func (s *Stream) onData(data []byte, flowLen int32, endStream bool) error {
 func (s *Stream) setHeadersLocked(fields []hpack.HeaderField) {
 	s.hdr = append(s.hdrStore[:0], fields...)
 	s.hdrReady = true
+	for _, f := range fields {
+		if f.Name == "content-length" {
+			if n, err := strconv.ParseInt(f.Value, 10, 64); err == nil && n >= 0 {
+				s.owed = n
+			}
+			break
+		}
+	}
 }
 
 // onHeaders delivers a header block that arrived on an existing
@@ -152,17 +221,23 @@ func (s *Stream) setHeadersLocked(fields []hpack.HeaderField) {
 // fields belongs to the caller and is copied.
 func (s *Stream) onHeaders(fields []hpack.HeaderField, endStream bool) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
 	case s.hdrReady:
+		if endStream && s.owed > 0 {
+			return streamError(s.id, ErrCodeProtocol, "body ended %d bytes short of its content-length", s.owed)
+		}
 		s.trailers = append(s.trailers, fields...)
 	case s.err == nil:
+		// A first block that also ends the stream is not held to its
+		// content-length: the answer to a HEAD request announces a body
+		// it does not carry, and the stream does not know the method.
 		s.setHeadersLocked(fields)
 	}
 	if endStream {
 		s.recvEnded = true
 	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -183,22 +258,61 @@ func (s *Stream) awaitHeaders() ([]hpack.HeaderField, error) {
 // Read implements io.Reader over the stream's DATA payload.
 func (s *Stream) Read(p []byte) (int, error) {
 	s.mu.Lock()
-	for s.buf.Len() == 0 {
+	defer s.mu.Unlock()
+	for s.rd == len(s.buf) {
 		if s.err != nil {
-			err := s.err
-			s.mu.Unlock()
-			return 0, err
+			return 0, s.err
 		}
 		if s.recvEnded {
-			s.mu.Unlock()
 			return 0, io.EOF
 		}
 		s.cond.Wait()
 	}
-	n, _ := s.buf.Read(p)
+	n := copy(p, s.buf[s.rd:])
+	s.rd += n
+	if s.rd == len(s.buf) {
+		s.buf, s.rd = s.buf[:0], 0
+	}
 	s.creditLocked(int32(n))
-	s.mu.Unlock()
 	return n, nil
+}
+
+// takeBody waits for the rest of the body — END_STREAM or the stream's
+// death — and returns the receive buffer itself, from the read offset
+// on, instead of copying it out; the stream keeps no reference. While
+// it waits the body is lent: DATA is credited to both windows as it
+// arrives, so a body larger than the window keeps flowing. The error is
+// the one Read would report after the last byte.
+func (s *Stream) takeBody() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if unread := len(s.buf) - s.rd; unread > 0 && !s.lent {
+		s.creditLocked(int32(unread))
+	}
+	s.lent = true
+	for !s.recvEnded && s.err == nil {
+		s.cond.Wait()
+	}
+	body := s.buf[s.rd:]
+	s.buf, s.rd = nil, 0
+	return body, s.err
+}
+
+// abandon gives up on the receive side: nobody will read what is
+// buffered or still to come, so it goes back to the connection's
+// receive window, which the peer shares among all its streams.
+func (s *Stream) abandon() {
+	s.mu.Lock()
+	unread := 0
+	if !s.lent { // a lent body was credited on arrival and is takeBody's to take
+		unread = len(s.buf) - s.rd
+		s.buf, s.rd = nil, 0
+	}
+	s.abandoned = true
+	s.mu.Unlock()
+	if unread > 0 {
+		s.c.returnConnWindow(int32(unread))
+	}
 }
 
 // creditLocked returns consumed bytes to the peer via WINDOW_UPDATE
@@ -270,7 +384,7 @@ func (s *Stream) CloseSend() error {
 // finished cleanly in both directions.
 func (s *Stream) Close() error {
 	s.mu.Lock()
-	done := s.recvEnded && s.sendEnded && s.buf.Len() == 0
+	done := s.recvEnded && s.sendEnded && s.rd == len(s.buf)
 	s.mu.Unlock()
 	if !done {
 		s.c.resetStream(s.id, ErrCodeCancel)
@@ -278,6 +392,7 @@ func (s *Stream) Close() error {
 	}
 	s.endContext()
 	s.c.removeStream(s.id)
+	s.abandon()
 	return nil
 }
 
@@ -288,6 +403,7 @@ func (s *Stream) cancel(err error) {
 	s.c.resetStream(s.id, ErrCodeCancel)
 	s.closeWithError(err)
 	s.c.removeStream(s.id)
+	s.abandon()
 }
 
 // Trailers returns any trailer fields received after the response
