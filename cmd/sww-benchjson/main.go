@@ -37,7 +37,7 @@
 // wire benchmarks.
 //
 //	go test -bench 'FramerWrite|HPACKDecode|WarmServeWire' -benchtime 10000x -benchmem ./... \
-//	  | sww-benchjson -gate BENCH_PR23.json > BENCH_PR23_ci.json
+//	  | sww-benchjson -gate BENCH_PR24.json > BENCH_PR24_ci.json
 //
 // -capacity merges an E27 capacity-curve artifact (the JSON
 // `sww-bench -capacity-out` writes) into the document, and

@@ -830,30 +830,29 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string) {
 // site; with try set it sends only if the transport takes the whole
 // reply without waiting, and reports whether it did.
 func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, cache string, staleFor time.Duration, try bool) bool {
-	// Pooled field list + retained body: cached replies are immutable
-	// once stored, so a warm edge hit serves by reference through the
-	// same zero-copy path as the origin.
-	fl := hpack.AcquireFieldList()
-	defer hpack.ReleaseFieldList(fl)
-	fl.Add("content-type", raw.ContentType)
-	fl.Add("content-length", strconv.Itoa(len(raw.Body)))
-	fl.Add(core.EdgeHeader, e.cfg.Name)
-	fl.Add(core.EdgeCacheHeader, cache)
+	// The field list lives on the stack; a warm edge hit is sent through
+	// the same emitter as the origin's, which copies the body once.
+	var store [6]hpack.HeaderField
+	fields := append(store[:0],
+		hpack.HeaderField{Name: "content-type", Value: raw.ContentType},
+		hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(raw.Body))},
+		hpack.HeaderField{Name: core.EdgeHeader, Value: e.cfg.Name},
+		hpack.HeaderField{Name: core.EdgeCacheHeader, Value: cache})
 	if raw.Mode != "" {
-		fl.Add(core.ModeHeader, raw.Mode)
+		fields = append(fields, hpack.HeaderField{Name: core.ModeHeader, Value: raw.Mode})
 	}
 	if staleFor > 0 {
 		secs := int(staleFor / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
-		fl.Add(core.EdgeStaleHeader, strconv.Itoa(secs))
+		fields = append(fields, hpack.HeaderField{Name: core.EdgeStaleHeader, Value: strconv.Itoa(secs)})
 	}
 	if try {
-		return w.TryRespond(raw.Status, raw.Body, fl.Fields...)
+		return w.TryRespond(raw.Status, raw.Body, fields...)
 	}
 	// A failed write means the client is gone; there is no one to tell.
-	_ = w.Respond(raw.Status, raw.Body, fl.Fields...)
+	_ = w.Respond(raw.Status, raw.Body, fields...)
 	return true
 }
 

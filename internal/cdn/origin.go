@@ -846,8 +846,7 @@ func parseFeedQuery(query string) (InvalidationFeed, error) {
 	return feed, nil
 }
 
-// writeControl answers a control request. body must be a fresh buffer:
-// it goes to the transport by reference.
+// writeControl answers a control request.
 func writeControl(w *http2.ResponseWriter, status int, contentType string, body []byte) {
 	// A failed write means the asking node is gone; it will ask again.
 	_ = w.Respond(status, body,

@@ -47,10 +47,10 @@ type Page struct {
 func (p *Page) HTML() string { return html.RenderString(p.Doc) }
 
 // PromptBytes returns the page's SWW (prompt) form as immutable
-// bytes, rendered once and memoized. The serve path hands these bytes
-// to the transport by reference, so a warm prompt serve does no
-// per-request render and no body copy. Callers must not mutate the
-// returned slice — or Doc, once the page is served.
+// bytes, rendered once and memoized: a warm prompt serve does no
+// per-request render, and every request is sent the same bytes.
+// Callers must not mutate the returned slice — or Doc, once the page
+// is served.
 func (p *Page) PromptBytes() []byte {
 	p.promptOnce.Do(func() {
 		p.promptBytes = []byte(html.RenderString(p.Doc))

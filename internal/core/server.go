@@ -132,7 +132,7 @@ type Server struct {
 
 type servedTraditional struct {
 	html       string
-	body       []byte // html as immutable bytes, served by reference
+	body       []byte // html as immutable bytes, shared by every serve
 	lenStr     string // strconv of len(body), for content-length
 	assets     map[string][]byte
 	report     *ProcessReport
@@ -423,12 +423,12 @@ func (s *Server) SetConfig(cfg http2.Config) {
 // payload is the protocol-agnostic form of one response; the HTTP/2
 // and HTTP/3 adapters serialize it with their own header encodings.
 //
-// body is always safe to hand to the transport by reference: every
-// producer fills it with either immutable cached bytes (asset data,
-// memoized prompt pages, the generated-content cache) or a fresh
-// buffer that is never touched again. The responders exploit this
-// with retained writes — a warm serve never copies the body into a
-// frame buffer.
+// body is never written to once a payload holds it: every producer
+// fills it with either cached bytes (asset data, memoized prompt pages,
+// the generated-content cache) or a fresh buffer. HTTP/3 relies on
+// that — its response keeps the slice until the handler returns;
+// HTTP/2 copies the body into the connection's write buffer before
+// Respond returns, once.
 type payload struct {
 	status      int
 	contentType string
@@ -583,8 +583,7 @@ func (s *Server) resolveTraditional(ctx context.Context, p *Page, inline bool) (
 // A transportResponder serializes one resolved payload onto a
 // specific transport: the status line, the shared header vocabulary
 // (content-type, mode, shed rung, retry-after) in the transport's
-// native field encoding, then the body — by reference, since payload
-// bodies are immutable (see payload). With try set it sends only if
+// native field encoding, then the body. With try set it sends only if
 // the transport takes the whole reply without waiting, and reports
 // whether it did; without, it always reports true.
 type transportResponder interface {
@@ -631,33 +630,33 @@ func EffectivePeerGen(negotiated http2.GenAbility, edgeHdr string) http2.GenAbil
 }
 
 // h2Responder serializes payloads as HTTP/2 responses. HTTP/2 carries
-// an explicit content-length; the field list and header block come
-// from pools, and the body goes out as a retained write.
+// an explicit content-length; the field list lives on the stack, and
+// header block and body are built in the connection's write buffer.
 type h2Responder struct{ w *http2.ResponseWriter }
 
 func (r h2Responder) respond(pl payload, try bool) bool {
-	fl := hpack.AcquireFieldList()
-	defer hpack.ReleaseFieldList(fl)
-	fl.Add("content-type", pl.contentType)
 	cl := pl.bodyLen
 	if cl == "" {
 		cl = strconv.Itoa(len(pl.body))
 	}
-	fl.Add("content-length", cl)
+	var store [5]hpack.HeaderField
+	fields := append(store[:0],
+		hpack.HeaderField{Name: "content-type", Value: pl.contentType},
+		hpack.HeaderField{Name: "content-length", Value: cl})
 	if pl.mode != "" {
-		fl.Add(ModeHeader, pl.mode)
+		fields = append(fields, hpack.HeaderField{Name: ModeHeader, Value: pl.mode})
 	}
 	if pl.shed != "" {
-		fl.Add(ShedHeader, pl.shed)
+		fields = append(fields, hpack.HeaderField{Name: ShedHeader, Value: pl.shed})
 	}
 	if pl.retryAfter > 0 {
-		fl.Add(RetryAfterHeader, strconv.Itoa(pl.retryAfter))
+		fields = append(fields, hpack.HeaderField{Name: RetryAfterHeader, Value: strconv.Itoa(pl.retryAfter)})
 	}
 	if try {
-		return r.w.TryRespond(pl.status, pl.body, fl.Fields...)
+		return r.w.TryRespond(pl.status, pl.body, fields...)
 	}
 	// A failed write means the client is gone; there is no one to tell.
-	_ = r.w.Respond(pl.status, pl.body, fl.Fields...)
+	_ = r.w.Respond(pl.status, pl.body, fields...)
 	return true
 }
 
@@ -670,19 +669,18 @@ func (r h3Responder) respond(pl payload, try bool) bool {
 	if try {
 		return false // HTTP/3 requests are never offered inline
 	}
-	fl := http3.AcquireFieldList()
-	fl.Add("content-type", pl.contentType)
+	var store [4]http3.Field
+	fields := append(store[:0], http3.Field{Name: "content-type", Value: pl.contentType})
 	if pl.mode != "" {
-		fl.Add(ModeHeader, pl.mode)
+		fields = append(fields, http3.Field{Name: ModeHeader, Value: pl.mode})
 	}
 	if pl.shed != "" {
-		fl.Add(ShedHeader, pl.shed)
+		fields = append(fields, http3.Field{Name: ShedHeader, Value: pl.shed})
 	}
 	if pl.retryAfter > 0 {
-		fl.Add(RetryAfterHeader, strconv.Itoa(pl.retryAfter))
+		fields = append(fields, http3.Field{Name: RetryAfterHeader, Value: strconv.Itoa(pl.retryAfter)})
 	}
-	r.w.WriteHeaders(pl.status, fl.Fields...)
-	http3.ReleaseFieldList(fl)
+	r.w.WriteHeaders(pl.status, fields...)
 	r.w.WriteRetained(pl.body)
 	return true
 }

@@ -29,15 +29,15 @@ const (
 func TestGetAllocBudget(t *testing.T) {
 	body := []byte("<html><body>prompt page</body></html>")
 	respond := func(w *ResponseWriter, try bool) bool {
-		fl := hpack.AcquireFieldList()
-		defer hpack.ReleaseFieldList(fl)
-		fl.Add("content-type", "text/html; charset=utf-8")
-		fl.Add("content-length", "37")
-		fl.Add("x-sww-mode", "generative")
-		if try {
-			return w.TryRespond(200, body, fl.Fields...)
+		fields := [...]hpack.HeaderField{
+			{Name: "content-type", Value: "text/html; charset=utf-8"},
+			{Name: "content-length", Value: "37"},
+			{Name: "x-sww-mode", Value: "generative"},
 		}
-		return w.Respond(200, body, fl.Fields...) == nil
+		if try {
+			return w.TryRespond(200, body, fields[:]...)
+		}
+		return w.Respond(200, body, fields[:]...) == nil
 	}
 	plain := HandlerFunc(func(w *ResponseWriter, r *Request) { respond(w, false) })
 	inline := inlineFuncs{

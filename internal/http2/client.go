@@ -121,7 +121,6 @@ func (cc *ClientConn) DoContext(ctx context.Context, req *Request) (*Response, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	fl := hpack.AcquireFieldList()
 	method := req.Method
 	if method == "" {
 		method = "GET"
@@ -134,13 +133,15 @@ func (cc *ClientConn) DoContext(ctx context.Context, req *Request) (*Response, e
 	if path == "" {
 		path = "/"
 	}
-	fl.Add(":method", method)
-	fl.Add(":scheme", scheme)
-	fl.Add(":path", path)
+	var store [12]hpack.HeaderField // on the stack; a longer list spills to the heap
+	fields := append(store[:0],
+		hpack.HeaderField{Name: ":method", Value: method},
+		hpack.HeaderField{Name: ":scheme", Value: scheme},
+		hpack.HeaderField{Name: ":path", Value: path})
 	if req.Authority != "" {
-		fl.Add(":authority", req.Authority)
+		fields = append(fields, hpack.HeaderField{Name: ":authority", Value: req.Authority})
 	}
-	fl.Fields = append(fl.Fields, req.Header...)
+	fields = append(fields, req.Header...)
 
 	endStream := req.Body == nil
 
@@ -152,12 +153,10 @@ func (cc *ClientConn) DoContext(ctx context.Context, req *Request) (*Response, e
 	st, err := cc.c.openStream()
 	if err != nil {
 		cc.c.openMu.Unlock()
-		hpack.ReleaseFieldList(fl)
 		return nil, err
 	}
-	err = cc.c.writeHeaderBlock(st.id, fl.Fields, endStream)
+	err = cc.c.writeHeaderBlock(st.id, fields, endStream)
 	cc.c.openMu.Unlock()
-	hpack.ReleaseFieldList(fl)
 	if err != nil {
 		st.Close()
 		return nil, err

@@ -1090,7 +1090,7 @@ func (c *conn) writeHeaderBlock(streamID uint32, fields []hpack.HeaderField, end
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	// Encode into the connection-owned scratch block (guarded by wmu,
-	// like henc). The framer copies each chunk into a pooled slab
+	// like henc). The framer copies each chunk into the writer's buffer
 	// before WriteHeaders returns, so reusing the scratch across
 	// responses is safe.
 	c.hblock = c.henc.AppendFields(c.hblock[:0], fields)
@@ -1120,11 +1120,9 @@ func (c *conn) writeHeaderBlock(streamID uint32, fields []hpack.HeaderField, end
 }
 
 // writeData sends data on the stream, honoring both flow-control
-// windows and the peer's maximum frame size. When retained is true
-// the chunks are handed to the transport by reference (the caller
-// guarantees data is immutable); otherwise each chunk is copied into
-// a pooled frame buffer.
-func (c *conn) writeData(st *Stream, data []byte, endStream, retained bool) error {
+// windows and the peer's maximum frame size. Each chunk is copied into
+// the writer's buffer before writeData returns.
+func (c *conn) writeData(st *Stream, data []byte, endStream bool) error {
 	if len(data) == 0 {
 		if !endStream {
 			return nil
@@ -1156,15 +1154,23 @@ func (c *conn) writeData(st *Stream, data []byte, endStream, retained bool) erro
 		if m < n {
 			st.send.add(int32(n - m)) // refund the difference
 		}
+		// A peer that grants window faster than it reads is waited for
+		// here, with the window claimed but the write lock free: the read
+		// loop needs wmu for its WINDOW_UPDATEs and acks.
+		if err := c.aw.waitRoom(); err != nil {
+			return err
+		}
+		if err := st.sendErr(); err != nil {
+			// Reset while parked. The claim goes back to the window all
+			// streams share; the stream's own died with it.
+			c.connSend.add(int32(m))
+			return err
+		}
 		chunk := data[:m]
 		data = data[m:]
 		end := endStream && len(data) == 0
 		c.wmu.Lock()
-		if retained {
-			err = c.fr.WriteDataRetained(st.id, end, chunk)
-		} else {
-			err = c.fr.WriteData(st.id, end, chunk)
-		}
+		err = c.fr.WriteData(st.id, end, chunk)
 		c.wmu.Unlock()
 		if err != nil {
 			return err
@@ -1201,13 +1207,14 @@ func headerBlockBound(fields []hpack.HeaderField) int {
 }
 
 // tryRespond is the never-waiting complete-response emitter behind
-// ResponseWriter.TryRespond: HEADERS, one retained DATA frame and the
-// empty END_STREAM DATA frame — the frames WriteHeaders + WriteRetained
-// + Finish would write, byte for byte — queued as one unit, or nothing
-// at all. It declines (false, no byte queued, no window kept, encoder
-// untouched) when the body or the header block may not fit one frame,
-// when either send window cannot cover the whole body now, and when
-// the write lock is held or the writer queue is saturated or gone.
+// ResponseWriter.TryRespond: HEADERS, one DATA frame and the empty
+// END_STREAM DATA frame — the frames WriteHeaders + Write + Finish
+// would write, byte for byte — built in the writer's buffer under one
+// hold of its lock, or nothing at all. It declines (false, no byte
+// queued, no window kept, encoder untouched) when the body or the
+// header block may not fit one frame, when either send window cannot
+// cover the whole body now, and when the write lock is held or the
+// writer has maxQueuedData waiting or is gone.
 func (c *conn) tryRespond(st *Stream, status int, body []byte, fields []hpack.HeaderField) bool {
 	c.mu.Lock()
 	maxFrame := int(c.peer.maxFrameSize)
@@ -1224,9 +1231,10 @@ func (c *conn) tryRespond(st *Stream, status int, body []byte, fields []hpack.He
 		st.send.add(int32(n))
 		return false
 	}
-	// A writer asleep in a saturated queue sleeps holding wmu, so even
-	// the write lock is only tried; a frame being written elsewhere at
-	// this instant declines the attempt too, which costs a goroutine.
+	// A control frame written into a queue of maxQueuedBytes sleeps
+	// holding wmu, so even the write lock is only tried; a frame being
+	// written elsewhere at this instant declines the attempt too, which
+	// costs a goroutine.
 	locked := c.wmu.TryLock()
 	if locked && !c.aw.tryLock() {
 		c.wmu.Unlock()
@@ -1237,22 +1245,21 @@ func (c *conn) tryRespond(st *Stream, status int, body []byte, fields []hpack.He
 		st.send.add(int32(n))
 		return false
 	}
-	// One slab carries all three frame headers and the header block,
-	// queued as two entries around the retained body. The second owns
-	// the slab: the run loop recycles a slab only after everything
-	// queued before it has been written.
-	s := getWireSlab()
-	s.b = appendFrameHeader(s.b, 0, FrameHeaders, FlagEndHeaders, st.id)
-	s.b = c.henc.AppendField(s.b, hpack.HeaderField{Name: ":status", Value: statusText(status)})
-	s.b = c.henc.AppendFields(s.b, fields)
-	block := len(s.b) - frameHeaderLen
-	s.b[0], s.b[1], s.b[2] = byte(block>>16), byte(block>>8), byte(block)
+	// The HEADERS length is known only once the block is encoded, and
+	// the block is encoded where it will be written from.
+	b := c.aw.buf
+	start := len(b)
+	b = appendFrameHeader(b, 0, FrameHeaders, FlagEndHeaders, st.id)
+	b = c.henc.AppendField(b, hpack.HeaderField{Name: ":status", Value: statusText(status)})
+	b = c.henc.AppendFields(b, fields)
+	block := len(b) - start - frameHeaderLen
+	b[start], b[start+1], b[start+2] = byte(block>>16), byte(block>>8), byte(block)
 	if n > 0 { // an empty body is no frame, as in writeData
-		s.b = appendFrameHeader(s.b, n, FrameData, 0, st.id)
+		b = appendFrameHeader(b, n, FrameData, 0, st.id)
+		b = append(b, body...)
 	}
-	tail := len(s.b)
-	s.b = appendFrameHeader(s.b, 0, FrameData, FlagEndStream, st.id)
-	c.aw.appendLocked(wireEntry{b: s.b[:tail]}, wireEntry{b: body}, wireEntry{b: s.b[tail:], slab: s})
+	c.aw.buf = appendFrameHeader(b, 0, FrameData, FlagEndStream, st.id)
+	c.aw.unlock()
 	c.wmu.Unlock()
 	if n > 0 {
 		c.noteDataQueued(st)
@@ -1275,14 +1282,10 @@ func (c *conn) openStream() (*Stream, error) {
 	if c.goAway != nil {
 		return nil, *c.goAway
 	}
-	local := uint32(0)
-	for id := range c.streams {
-		if c.initiatedLocally(id) {
-			local++
-		}
-	}
-	if local >= c.peer.maxStreams {
-		return nil, fmt.Errorf("http2: too many concurrent streams (%d)", local)
+	// Every stream of a client connection is its own: the peer may not
+	// open any (PUSH_PROMISE is a connection error, see dispatch).
+	if n := len(c.streams); uint32(n) >= c.peer.maxStreams {
+		return nil, fmt.Errorf("http2: too many concurrent streams (%d)", n)
 	}
 	id := c.nextID
 	c.nextID += 2

@@ -391,31 +391,57 @@ func TestFirstFrameMustBeSettings(t *testing.T) {
 	}
 }
 
+// TestRefusedStreamOverLimit: a client counts its open streams against
+// the peer's SETTINGS_MAX_CONCURRENT_STREAMS. At the limit the next
+// request fails before anything is sent, and a stream that finishes
+// frees its slot.
 func TestRefusedStreamOverLimit(t *testing.T) {
-	block := make(chan struct{})
+	release := make(chan struct{})
 	h := HandlerFunc(func(w *ResponseWriter, r *Request) {
-		<-block
+		if r.Path == "/hold" {
+			<-release
+		}
 		w.WriteHeaders(200)
 	})
-	cc, _ := startPair(t, Config{MaxConcurrentStreams: 2}, Config{}, h)
-	defer close(block)
+	cc, sc := startPair(t, Config{MaxConcurrentStreams: 2}, Config{}, h)
 
 	// Occupy both slots.
-	results := make(chan error, 3)
+	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			resp, err := cc.Get("/hold")
 			if err == nil {
-				ReadAllBody(resp)
+				_, err = ReadAllBody(resp)
 			}
 			results <- err
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
-	// Client-side accounting should refuse the third.
-	_, err := cc.Get("/extra")
-	if err == nil {
-		t.Error("third concurrent stream should be refused")
+	waitCond(t, "both requests to reach their handlers", func() bool {
+		_, peers := sc.c.liveStreams()
+		return peers == 2
+	})
+	if _, err := cc.Get("/extra"); err == nil || !strings.Contains(err.Error(), "too many concurrent streams") {
+		t.Errorf("third concurrent stream: %v, want the client's own refusal", err)
+	}
+	sc.c.mu.Lock()
+	last := sc.c.lastPeerID
+	sc.c.mu.Unlock()
+	if last != 3 {
+		t.Errorf("the server has seen stream %d, want no stream past 3", last)
+	}
+
+	release <- struct{}{}
+	if err := <-results; err != nil {
+		t.Fatal(err)
+	}
+	resp, err := cc.Get("/extra")
+	if err != nil {
+		t.Fatalf("request into the freed slot: %v", err)
+	}
+	ReadAllBody(resp)
+	close(release)
+	if err := <-results; err != nil {
+		t.Fatal(err)
 	}
 }
 

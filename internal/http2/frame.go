@@ -104,10 +104,9 @@ type Framer struct {
 	r io.Reader
 	w io.Writer
 
-	// bw is set when w is the connection's asyncWriter. Frames are
-	// then assembled straight into pooled buffers and enqueued — no
-	// per-frame allocation and no intermediate wbuf copy — and the
-	// retained DATA path becomes available.
+	// bw is set when w is the connection's asyncWriter. Frames are then
+	// built at the end of its buffer, where they are written from: no
+	// per-frame allocation and no intermediate wbuf copy.
 	bw *asyncWriter
 
 	// maxReadSize is the largest payload this endpoint accepts,
@@ -226,12 +225,16 @@ func (f *Framer) writeFrame(t FrameType, flags uint8, streamID uint32, parts ...
 		return connError(ErrCodeFrameSize, "attempted %d byte frame", length)
 	}
 	if f.bw != nil {
-		s := getWireSlab()
-		s.b = appendFrameHeader(s.b, length, t, flags, streamID)
-		for _, p := range parts {
-			s.b = append(s.b, p...)
+		if err := f.bw.lock(); err != nil {
+			return err
 		}
-		return f.bw.enqueue(wireEntry{b: s.b, slab: s})
+		b := appendFrameHeader(f.bw.buf, length, t, flags, streamID)
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		f.bw.buf = b
+		f.bw.unlock()
+		return nil
 	}
 	f.wbuf = f.wbuf[:0]
 	f.wbuf = appendFrameHeader(f.wbuf, length, t, flags, streamID)
@@ -250,30 +253,6 @@ func (f *Framer) WriteData(streamID uint32, endStream bool, data []byte) error {
 		flags |= FlagEndStream
 	}
 	return f.writeFrame(FrameData, flags, streamID, data)
-}
-
-// WriteDataRetained writes a DATA frame whose payload is passed to
-// the transport by reference: only the 9-octet header is assembled in
-// a pooled buffer, and data itself is never copied into a frame
-// buffer. The caller must guarantee data is not mutated or reused
-// until the connection is done with it — in practice, that it is
-// immutable for the connection's lifetime (cached reply bytes). Falls
-// back to the copying path when the writer does not support retained
-// entries.
-func (f *Framer) WriteDataRetained(streamID uint32, endStream bool, data []byte) error {
-	if f.bw == nil || len(data) == 0 {
-		return f.WriteData(streamID, endStream, data)
-	}
-	if len(data) > maxMaxFrameSize {
-		return connError(ErrCodeFrameSize, "attempted %d byte frame", len(data))
-	}
-	var flags uint8
-	if endStream {
-		flags |= FlagEndStream
-	}
-	s := getWireSlab()
-	s.b = appendFrameHeader(s.b, len(data), FrameData, flags, streamID)
-	return f.bw.enqueue(wireEntry{b: s.b, slab: s}, wireEntry{b: data})
 }
 
 // WriteHeaders writes a HEADERS frame carrying a header block

@@ -419,8 +419,16 @@ func TestInlineDeclinesOnShortWindow(t *testing.T) {
 	}
 }
 
+// queued returns the bytes waiting in the connection's writer: appended
+// and not yet taken, or taken and not yet written.
+func (c *conn) queued() int {
+	c.aw.mu.Lock()
+	defer c.aw.mu.Unlock()
+	return len(c.aw.buf) + c.aw.writing
+}
+
 // TestInlineDeclinesOnSaturatedWriter: against a peer that has stopped
-// reading, with maxQueuedBytes waiting in the writer, an inline attempt
+// reading, with maxQueuedData waiting in the writer, an inline attempt
 // is declined — it does not sleep in the queue. The read loop goes on
 // to apply the peer's WINDOW_UPDATE and RST_STREAM, and answers its PING
 // once the peer reads again.
@@ -442,35 +450,38 @@ func TestInlineDeclinesOnSaturatedWriter(t *testing.T) {
 				return
 			}
 			w.WriteHeaders(200)
-			for i := 0; i < 2*maxQueuedBytes/len(chunk); i++ {
+			for i := 0; i < 2*maxQueuedData/len(chunk); i++ {
 				if _, err := w.Write(chunk); err != nil {
 					return
 				}
 			}
 		},
 	}
-	p, c := dialRawConn(t, Config{}, h, Setting{SettingInitialWindowSize, 1 << 30})
-	if err := p.fr.WriteWindowUpdate(0, 1<<30); err != nil {
+	const window = 1 << 30
+	p, c := dialRawConn(t, Config{}, h, Setting{SettingInitialWindowSize, window})
+	if err := p.fr.WriteWindowUpdate(0, window); err != nil {
 		t.Fatal(err)
 	}
 	p.request(1, "/flood")
-	queued := func() int {
-		c.aw.mu.Lock()
-		defer c.aw.mu.Unlock()
-		return c.aw.queued
-	}
-	waitCond(t, "the writer queue to saturate", func() bool { return queued() >= maxQueuedBytes })
+	waitCond(t, "the writer queue to saturate", func() bool { return c.queued() >= maxQueuedData })
+	flood := c.lookupStream(1)
 
 	p.request(3, "/small")
 	select {
 	case d := <-declined:
 		if !d {
-			t.Fatal("TryRespond queued a reply past maxQueuedBytes")
+			t.Fatal("TryRespond queued a reply past maxQueuedData")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the inline attempt is stuck behind the saturated writer")
 	}
-	before := c.connSend.available()
+	small := c.lookupStream(3)
+	// Both handlers now wait for room with window claimed, /small from
+	// its goroutine. Whatever they hold of it, what the connection window
+	// has left plus what its streams took is what the peer has granted.
+	granted := func() int64 {
+		return c.connSend.available() + 2*window - flood.send.available() - small.send.available()
+	}
 	if err := p.fr.WriteWindowUpdate(0, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +489,7 @@ func TestInlineDeclinesOnSaturatedWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "WINDOW_UPDATE and RST_STREAM to be applied", func() bool {
-		return c.connSend.available() == before+1000 && c.lookupStream(1) == nil
+		return granted() == defaultWindowSize+window+1000 && c.lookupStream(1) == nil
 	})
 
 	// The peer reads again; the PING is written from a goroutine because
@@ -649,10 +660,12 @@ func TestInlineSpawnsNoGoroutine(t *testing.T) {
 	}
 }
 
-// countingConn counts the Read calls made on a connection.
+// countingConn counts the Read and Write calls made on a connection.
+// Like any wrapper it hides the TCP connection's writev from the layer
+// above.
 type countingConn struct {
 	net.Conn
-	reads atomic.Int64
+	reads, writes atomic.Int64
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
@@ -660,21 +673,32 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// TestOneReadPerGet: over a transport that buffers, a request reaches
-// the server in one Read and the whole reply — HEADERS, DATA and
-// END_STREAM, queued as one unit — reaches the client in one.
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestOneReadPerGet: over a transport that buffers, a request leaves
+// the client in one Write and reaches the server in one Read, and the
+// whole reply — HEADERS, DATA and END_STREAM, built as one unit — leaves
+// the server in one Write, whatever the size of its body, and reaches
+// the client in one Read.
 func TestOneReadPerGet(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	body := []byte(strings.Repeat("a prompt page ", 30))
+	bodies := map[string][]byte{
+		"/page":  []byte(strings.Repeat("a prompt page ", 30)),
+		"/frame": patterned(minMaxFrameSize),
+	}
 	srv := &Server{Handler: inlineFuncs{
 		try: func(w *ResponseWriter, r *Request) bool {
+			body := bodies[r.Path]
 			return w.TryRespond(200, body, hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(body))})
 		},
-		serve: func(w *ResponseWriter, r *Request) { w.Respond(200, body) },
+		serve: func(w *ResponseWriter, r *Request) { w.Respond(200, bodies[r.Path]) },
 	}}
 	accepted := make(chan *countingConn, 1)
 	go func() {
@@ -703,31 +727,147 @@ func TestOneReadPerGet(t *testing.T) {
 	defer sc.Close()
 	defer cc.Close()
 
-	get := func() {
-		resp, err := cc.Get("/page")
+	get := func(path string) {
+		resp, err := cc.Get(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := ReadAllBody(resp); err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("GET = %d bytes, %v", len(got), err)
+		if got, err := ReadAllBody(resp); err != nil || !bytes.Equal(got, bodies[path]) {
+			t.Fatalf("GET %s = %d bytes, %v", path, len(got), err)
 		}
 	}
 	for i := 0; i < 20; i++ { // past the handshake's frames
-		get()
+		get("/page")
 	}
 	const gets = 500
-	clientBefore, serverBefore := clientEnd.reads.Load(), serverEnd.reads.Load()
-	for i := 0; i < gets; i++ {
-		get()
+	counters := map[string]*atomic.Int64{
+		"client Reads": &clientEnd.reads, "client Writes": &clientEnd.writes,
+		"server Reads": &serverEnd.reads, "server Writes": &serverEnd.writes,
 	}
-	for side, n := range map[string]int64{
-		"client": clientEnd.reads.Load() - clientBefore,
-		"server": serverEnd.reads.Load() - serverBefore,
-	} {
-		t.Logf("%s: %d Reads for %d GETs", side, n, gets)
+	before := map[string]int64{}
+	for name, c := range counters {
+		before[name] = c.Load()
+	}
+	for i := 0; i < gets; i++ {
+		get("/page")
+	}
+	// A client also writes a WINDOW_UPDATE for every half connection
+	// window of bodies, by itself or with its next request.
+	for name, c := range counters {
+		n := c.Load() - before[name]
+		t.Logf("%s: %d for %d GETs", name, n, gets)
 		if per := float64(n) / gets; per > 1.1 {
-			t.Errorf("%s: %.2f Reads per GET, want at most 1.1", side, per)
+			t.Errorf("%s: %.2f per GET, want at most 1.1", name, per)
 		}
+	}
+
+	// A body of one full frame is still one Write: nothing about the
+	// reply depends on the transport gathering several buffers.
+	const frames = 20
+	writes := serverEnd.writes.Load()
+	for i := 0; i < frames; i++ {
+		get("/frame")
+	}
+	if n := serverEnd.writes.Load() - writes; n != frames {
+		t.Errorf("server: %d Writes for %d replies of %d bytes, want one each", n, frames, minMaxFrameSize)
+	}
+}
+
+// TestRespondBodyMayBeReused: Respond has copied the body when it
+// returns, on its long form (this body is two frames) as on its short
+// one, so a handler may write over its buffer at once.
+func TestRespondBodyMayBeReused(t *testing.T) {
+	want := patterned(32 << 10)
+	cc, _ := startPair(t, Config{}, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+		buf := append([]byte(nil), want...)
+		if r.Path == "/short" {
+			buf = buf[:1<<10]
+		}
+		w.Respond(200, buf)
+		clear(buf)
+	}))
+	for i := 0; i < 200; i++ {
+		path, n := "/long", len(want)
+		if i%2 == 1 {
+			path, n = "/short", 1<<10
+		}
+		resp, err := cc.Get(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readAllWithin(t, resp); err != nil || !bytes.Equal(got, want[:n]) {
+			t.Fatalf("GET %d %s: %d bytes (the handler's are %d), %v", i, path, len(got), n, err)
+		}
+	}
+}
+
+// TestSlowReaderHoldsBoundedQueue: a peer that grants a window of a
+// gigabyte and then reads slowly is sent DATA at the pace it reads. The
+// writer never holds more than maxQueuedData and the frame that crossed
+// it; the handler waits for room outside the write lock (the PING is
+// answered) and, reset while it waits, gives back the connection window
+// it had claimed; and the writer's two buffers end no larger than the
+// bound allows.
+func TestSlowReaderHoldsBoundedQueue(t *testing.T) {
+	const window = 1 << 30
+	returned := make(chan struct{})
+	chunk := make([]byte, 64<<10)
+	p, c := dialRawConn(t, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+		defer close(returned)
+		w.WriteHeaders(200)
+		for i := 0; i < window/len(chunk); i++ {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}), Setting{SettingInitialWindowSize, window})
+	if err := p.fr.WriteWindowUpdate(0, window); err != nil {
+		t.Fatal(err)
+	}
+	p.request(1, "/bulk")
+
+	received := 0 // DATA bytes, all of which the server charged to both windows
+	readOne := func() Frame {
+		fr := p.read()
+		if fr.Type == FrameData {
+			received += len(fr.Payload)
+		}
+		if q, limit := c.queued(), maxQueuedData+frameHeaderLen+minMaxFrameSize; q >= limit {
+			t.Fatalf("%d bytes queued after %d were read, want fewer than %d", q, received, limit)
+		}
+		return fr
+	}
+	for received < 8<<20 {
+		readOne()
+	}
+	waitCond(t, "the writer to fill up again", func() bool { return c.queued() >= maxQueuedData })
+	if err := p.fr.WriteRSTStream(1, ErrCodeCancel); err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		select {
+		case <-returned:
+			done = true
+		default:
+			readOne() // at the latest, the END_STREAM the server adds when the handler returns
+		}
+	}
+	// Nothing is queued behind the PING's ACK: the handler has returned.
+	ping := [8]byte{'s', 'l', 'o', 'w'}
+	go p.fr.WritePing(false, ping) // net.Pipe: the server's writer may be waiting for this reader
+	for {
+		if fr := readOne(); fr.Type == FramePing && fr.Has(FlagAck) {
+			break
+		}
+	}
+	if got, want := c.connSend.available(), int64(defaultWindowSize+window-received); got != want {
+		t.Errorf("connection send window %d after %d bytes of DATA, want %d: %d claimed and neither sent nor returned",
+			got, received, want, want-got)
+	}
+	c.aw.mu.Lock()
+	defer c.aw.mu.Unlock()
+	if a, b := cap(c.aw.buf), cap(c.aw.spare); a > 2*maxQueuedData || b > 2*maxQueuedData {
+		t.Errorf("writer buffers of %d and %d bytes kept, want at most %d", a, b, 2*maxQueuedData)
 	}
 }
 

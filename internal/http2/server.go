@@ -137,12 +137,10 @@ func (w *ResponseWriter) WriteHeaders(status int, fields ...hpack.HeaderField) e
 		return fmt.Errorf("http2: WriteHeaders called twice on stream %d", w.stream.id)
 	}
 	w.wroteHeaders = true
-	fl := hpack.AcquireFieldList()
-	fl.Add(":status", statusText(status))
-	fl.Fields = append(fl.Fields, fields...)
-	err := w.stream.c.writeHeaderBlock(w.stream.id, fl.Fields, false)
-	hpack.ReleaseFieldList(fl)
-	return err
+	var store [12]hpack.HeaderField // on the stack; a longer list spills to the heap
+	all := append(store[:0], hpack.HeaderField{Name: ":status", Value: statusText(status)})
+	all = append(all, fields...)
+	return w.stream.c.writeHeaderBlock(w.stream.id, all, false)
 }
 
 // statusText is strconv.Itoa for :status, without the allocation for
@@ -170,26 +168,13 @@ func (w *ResponseWriter) Write(p []byte) (int, error) {
 	return w.stream.Write(p)
 }
 
-// WriteRetained sends response body bytes by reference — the
-// transport writes p in place, so p must be immutable from here on
-// (cached page bytes, CDN shard entries). Emits default 200 headers
-// first if the handler has not sent any.
-func (w *ResponseWriter) WriteRetained(p []byte) (int, error) {
-	if !w.wroteHeaders {
-		if err := w.WriteHeaders(200); err != nil {
-			return 0, err
-		}
-	}
-	return w.stream.WriteRetained(p)
-}
-
 // Respond sends a complete response: status and fields, the whole body,
 // end of stream. It is the one call a handler needs when it holds the
-// body, and the only emitter of complete responses. body goes to the
-// transport by reference, as with WriteRetained: it must be immutable
-// from here on. When the peer can take the reply as it stands, its
-// frames enter the writer queue as one unit (see TryRespond); otherwise
-// Respond is WriteHeaders + WriteRetained + Finish and waits like them.
+// body, and the only emitter of complete responses. body is copied
+// before Respond returns and is the caller's to reuse from then on.
+// When the peer can take the reply as it stands, its frames enter the
+// writer's buffer as one unit (see TryRespond); otherwise Respond is
+// WriteHeaders + Write + Finish and waits like them.
 func (w *ResponseWriter) Respond(status int, body []byte, fields ...hpack.HeaderField) error {
 	if w.TryRespond(status, body, fields...) {
 		return nil
@@ -197,7 +182,7 @@ func (w *ResponseWriter) Respond(status int, body []byte, fields ...hpack.Header
 	if err := w.WriteHeaders(status, fields...); err != nil {
 		return err
 	}
-	if _, err := w.WriteRetained(body); err != nil {
+	if _, err := w.Write(body); err != nil {
 		return err
 	}
 	return w.Finish()
@@ -209,9 +194,10 @@ func (w *ResponseWriter) Respond(status int, body []byte, fields ...hpack.Header
 // response has already begun, when body or header block could exceed
 // the peer's maximum frame size, when the stream's or the connection's
 // send window does not cover the whole body now, or when another frame
-// is being written at this instant or the writer queue is full or
+// is being written at this instant or the writer's buffer is full or
 // closed. A false TryRespond leaves the writer as it found it, so the
-// caller (or another goroutine) may respond later.
+// caller (or another goroutine) may respond later; a true one has copied
+// body, as Respond does.
 func (w *ResponseWriter) TryRespond(status int, body []byte, fields ...hpack.HeaderField) bool {
 	if w.wroteHeaders || w.finished {
 		return false

@@ -335,21 +335,9 @@ func (s *Stream) creditLocked(n int32) {
 	}
 }
 
-// Write sends data on the stream.
+// Write sends data on the stream. p is the caller's again when it
+// returns.
 func (s *Stream) Write(p []byte) (int, error) {
-	return s.write(p, false)
-}
-
-// WriteRetained sends data on the stream without copying it into
-// frame buffers: the transport writes p's bytes in place. The caller
-// must not mutate or reuse p afterward — it is meant for immutable
-// cached bytes (a registry page, a CDN shard entry) that outlive the
-// write.
-func (s *Stream) WriteRetained(p []byte) (int, error) {
-	return s.write(p, true)
-}
-
-func (s *Stream) write(p []byte, retained bool) (int, error) {
 	s.mu.Lock()
 	if s.sendEnded {
 		s.mu.Unlock()
@@ -361,10 +349,17 @@ func (s *Stream) write(p []byte, retained bool) (int, error) {
 		return 0, err
 	}
 	s.mu.Unlock()
-	if err := s.c.writeData(s, p, false, retained); err != nil {
+	if err := s.c.writeData(s, p, false); err != nil {
 		return 0, err
 	}
 	return len(p), nil
+}
+
+// sendErr reports why the stream can send no more, if it has died.
+func (s *Stream) sendErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // CloseSend half-closes the stream in the send direction by emitting
@@ -377,7 +372,7 @@ func (s *Stream) CloseSend() error {
 	}
 	s.sendEnded = true
 	s.mu.Unlock()
-	return s.c.writeData(s, nil, true, false)
+	return s.c.writeData(s, nil, true)
 }
 
 // Close cancels the stream with RST_STREAM(CANCEL) unless it already

@@ -36,7 +36,7 @@ func TestDrainWedgedWriterNoGoroutineLeak(t *testing.T) {
 	}
 	w.close()
 
-	// Let the run loop pick up the entry and wedge in ww.Write.
+	// Let the run loop take the buffer and wedge in ww.Write.
 	time.Sleep(10 * time.Millisecond)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
@@ -80,12 +80,11 @@ func (c *collectWriter) bytes() []byte {
 }
 
 // TestAsyncWriterConcurrentWriters hammers one writer from many
-// goroutines with records of mixed sizes — some small enough to
-// coalesce, some large enough to ride as their own writev element,
-// some retained (slab-less) — and verifies every record arrives
-// intact, contiguous, and in per-writer order. Run with -race this
-// doubles as the concurrent-writers data-race check for the pooled
-// slab and coalesce paths.
+// goroutines with records of mixed sizes — a few bytes, a frame's
+// worth, and one appended in two steps under a single hold of the lock,
+// as a reply's frames are — and verifies every record arrives intact,
+// contiguous, and in per-writer order. Run with -race this doubles as
+// the data-race check for the buffer swap.
 func TestAsyncWriterConcurrentWriters(t *testing.T) {
 	const (
 		writers = 8
@@ -100,16 +99,7 @@ func TestAsyncWriterConcurrentWriters(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for seq := 0; seq < records; seq++ {
-				// Cycle through the three enqueue shapes.
-				var payloadLen int
-				switch seq % 3 {
-				case 0:
-					payloadLen = 16 // coalesced
-				case 1:
-					payloadLen = smallWriteLimit + 100 // own writev element
-				case 2:
-					payloadLen = 512 // retained two-entry enqueue
-				}
+				payloadLen := [...]int{16, 4<<10 + 100, 512}[seq%3]
 				rec := make([]byte, 12+payloadLen)
 				binary.BigEndian.PutUint32(rec[0:], uint32(id))
 				binary.BigEndian.PutUint32(rec[4:], uint32(seq))
@@ -119,11 +109,12 @@ func TestAsyncWriterConcurrentWriters(t *testing.T) {
 				}
 				var err error
 				if seq%3 == 2 {
-					// Header in a slab, payload retained — the shape
-					// WriteDataRetained produces. Both must stay adjacent.
-					s := getWireSlab()
-					s.b = append(s.b, rec[:12]...)
-					err = w.enqueue(wireEntry{b: s.b, slab: s}, wireEntry{b: rec[12:]})
+					// Header, then payload: both must stay adjacent.
+					if err = w.lock(); err == nil {
+						w.buf = append(w.buf, rec[:12]...)
+						w.buf = append(w.buf, rec[12:]...)
+						w.unlock()
+					}
 				} else {
 					_, err = w.Write(rec)
 				}

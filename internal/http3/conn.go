@@ -273,8 +273,7 @@ type ResponseWriter struct {
 }
 
 // WriteHeaders sets the response status and headers. The fields are
-// copied, so callers may reuse (or release to a pool) their slice as
-// soon as this returns.
+// copied, so callers may reuse their slice as soon as this returns.
 func (w *ResponseWriter) WriteHeaders(status int, fields ...Field) {
 	w.status = status
 	w.header = append(w.header[:0], fields...)
@@ -387,11 +386,9 @@ func (s *Server) serveStream(c *conn, st *quic.Stream) {
 	}
 	w := &ResponseWriter{status: 200}
 	s.Handler.ServeSWW3(w, req)
-	fl := AcquireFieldList()
-	fl.Add(":status", strconv.Itoa(w.status))
-	fl.Fields = append(fl.Fields, w.header...)
-	writeMessage(st, fl.Fields, w.body)
-	ReleaseFieldList(fl)
+	var store [8]Field // on the stack; a longer list spills to the heap
+	all := append(store[:0], Field{Name: ":status", Value: strconv.Itoa(w.status)})
+	writeMessage(st, append(all, w.header...), w.body)
 }
 
 // A ClientConn is the client end of an HTTP/3 session.

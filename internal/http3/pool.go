@@ -2,43 +2,9 @@ package http3
 
 import "sync"
 
-// Pooled per-message scratch, mirroring internal/hpack's field-list
-// pool: one encode buffer and one field slice per in-flight message,
-// recycled instead of reallocated. Pools store stable pointers so
+// Pooled per-message scratch: one encode buffer per in-flight message,
+// recycled instead of reallocated. The pool stores stable pointers so
 // recycling never re-boxes a slice header.
-
-// A FieldList is a reusable field slice for assembling one message's
-// field set. The acquirer owns it until ReleaseFieldList; encoding
-// does not retain the slice.
-type FieldList struct {
-	Fields []Field
-}
-
-var fieldListPool = sync.Pool{
-	New: func() any {
-		return &FieldList{Fields: make([]Field, 0, 16)}
-	},
-}
-
-// AcquireFieldList returns an empty field list from the pool.
-func AcquireFieldList() *FieldList {
-	return fieldListPool.Get().(*FieldList)
-}
-
-// ReleaseFieldList clears l (dropping string references so the pool
-// does not pin field values) and returns it to the pool.
-func ReleaseFieldList(l *FieldList) {
-	for i := range l.Fields {
-		l.Fields[i] = Field{}
-	}
-	l.Fields = l.Fields[:0]
-	fieldListPool.Put(l)
-}
-
-// Add appends a field.
-func (l *FieldList) Add(name, value string) {
-	l.Fields = append(l.Fields, Field{Name: name, Value: value})
-}
 
 type encodeScratch struct{ b []byte }
 
