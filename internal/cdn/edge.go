@@ -222,9 +222,10 @@ const peerFillHeader = "x-sww-peer-fill"
 
 // edgeEntry is one cached raw reply with its freshness clock.
 type edgeEntry struct {
-	raw   *core.RawReply
-	path  string // bare path, for the invalidation index
-	added time.Time
+	raw     *core.RawReply
+	path    string // bare path, for the invalidation index
+	bodyLen string // strconv of len(raw.Body), for content-length
+	added   time.Time
 }
 
 // meshPeer is one dialable fleet peer: the transport behind both the
@@ -507,14 +508,17 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 	// a peer edge forwarded its own client's ability — peer-fill must
 	// hit the same ability-keyed entry the terminal client would.
 	gen := core.EffectivePeerGen(r.PeerGen, r.HeaderValue(core.EdgeGenHeader))
-	key := cacheKey(path, gen)
+	// The shard key is built on the stack and a hit looks it up as
+	// bytes; only the miss ladder below makes a string of it.
+	var buf [128]byte
+	kb := appendCacheKey(buf[:0], path, gen)
 	now := e.now()
 
 	// A fill request from a peer edge answers from the shard only:
 	// no origin pull, no recursion — the asking edge owns the retry
 	// and fallback ladder for its client.
 	if r.HeaderValue(peerFillHeader) != "" {
-		return e.peerServe(w, key, now, inline)
+		return e.peerServe(w, kb, now, inline)
 	}
 
 	// Ring check: a request for a key the ring places on another edge
@@ -523,12 +527,12 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 	owner := e.ring.Lookup(path)
 	failover := owner != "" && owner != e.cfg.Name
 
-	if v, ok := e.cache.Get(key); ok {
+	if v, ok := e.cache.GetBytes(kb); ok {
 		ent := v.(*edgeEntry)
 		if age := now.Sub(ent.added); age <= e.cfg.ttl() {
 			// Reply, then count: an attempt the transport declines
 			// must leave no count behind.
-			if !e.reply(w, ent.raw, "hit", 0, inline) {
+			if !e.reply(w, ent.raw, ent.bodyLen, "hit", 0, inline) {
 				return false
 			}
 			e.countRequest(failover)
@@ -540,6 +544,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 		return false
 	}
 	e.countRequest(failover)
+	key := string(kb)
 
 	// Miss (or expired). While some origin endpoint is still believed
 	// healthy, pull synchronously, coalescing concurrent misses for
@@ -563,7 +568,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 				e.store(key, path, raw)
 			}
 			e.misses.Add(1)
-			e.reply(w, raw, "miss", 0, false)
+			e.reply(w, raw, "", "miss", 0, false)
 			return true
 		}
 		e.upstreamErrors.Add(1)
@@ -583,7 +588,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 		if !e.hasServable(key, now) {
 			if raw, staleFor, ok := e.peerFill(r.Stream().Context(), key, path, gen); ok {
 				e.peerFills.Add(1)
-				e.reply(w, raw, "peer", staleFor, false)
+				e.reply(w, raw, "", "peer", staleFor, false)
 				return true
 			}
 		}
@@ -601,7 +606,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 				staleFor = 0
 			}
 			e.staleServes.Add(1)
-			e.reply(w, ent.raw, "stale", staleFor, false)
+			e.reply(w, ent.raw, ent.bodyLen, "stale", staleFor, false)
 			return true
 		}
 	}
@@ -632,16 +637,17 @@ func (e *Edge) hasServable(key string, now time.Time) bool {
 // peerServe answers one peer-fill request from the local shard:
 // fresh, stale-within-bounds, or an immediate 504 — never an origin
 // pull, so a mesh-wide cold key cannot recurse into a pull storm.
-// Like serve it counts a shard answer only once the reply is out.
-func (e *Edge) peerServe(w *http2.ResponseWriter, key string, now time.Time, inline bool) bool {
-	if v, ok := e.cache.Get(key); ok {
+// Like serve it counts a shard answer only once the reply is out, and
+// it looks the key up as the bytes serve built it in.
+func (e *Edge) peerServe(w *http2.ResponseWriter, key []byte, now time.Time, inline bool) bool {
+	if v, ok := e.cache.GetBytes(key); ok {
 		ent := v.(*edgeEntry)
 		if age := now.Sub(ent.added); age <= e.cfg.ttl()+e.cfg.maxStale() {
 			cache, staleFor := "hit", time.Duration(0)
 			if age > e.cfg.ttl() {
 				cache, staleFor = "stale", age-e.cfg.ttl()
 			}
-			if !e.reply(w, ent.raw, cache, staleFor, inline) {
+			if !e.reply(w, ent.raw, ent.bodyLen, cache, staleFor, inline) {
 				return false
 			}
 			e.requests.Add(1)
@@ -740,7 +746,7 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 			if staleFor > 0 {
 				added = added.Add(-(e.cfg.ttl() + staleFor))
 			}
-			e.storeAt(cacheKey(path, gen), path, raw, added)
+			e.storeAt(key, path, raw, added)
 			return raw, staleFor, true
 		}
 	}
@@ -828,14 +834,18 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string) {
 // reply writes a raw reply back to the terminal client, stamped with
 // the edge observability headers. It is the edge's one reply-building
 // site; with try set it sends only if the transport takes the whole
-// reply without waiting, and reports whether it did.
-func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, cache string, staleFor time.Duration, try bool) bool {
+// reply without waiting, and reports whether it did. bodyLen is the
+// content-length a cached entry memoized, "" to format it here.
+func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, bodyLen, cache string, staleFor time.Duration, try bool) bool {
+	if bodyLen == "" {
+		bodyLen = strconv.Itoa(len(raw.Body))
+	}
 	// The field list lives on the stack; a warm edge hit is sent through
 	// the same emitter as the origin's, which copies the body once.
 	var store [6]hpack.HeaderField
 	fields := append(store[:0],
 		hpack.HeaderField{Name: "content-type", Value: raw.ContentType},
-		hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(raw.Body))},
+		hpack.HeaderField{Name: "content-length", Value: bodyLen},
 		hpack.HeaderField{Name: core.EdgeHeader, Value: e.cfg.Name},
 		hpack.HeaderField{Name: core.EdgeCacheHeader, Value: cache})
 	if raw.Mode != "" {
@@ -856,8 +866,17 @@ func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, cache string, 
 	return true
 }
 
+// cacheKey is the shard key of path for a client of ability gen,
+// "path|gen", as the string the shard and its index store.
 func cacheKey(path string, gen http2.GenAbility) string {
-	return path + "|" + strconv.FormatUint(uint64(gen), 10)
+	var buf [128]byte
+	return string(appendCacheKey(buf[:0], path, gen))
+}
+
+// appendCacheKey appends cacheKey(path, gen) to dst.
+func appendCacheKey(dst []byte, path string, gen http2.GenAbility) []byte {
+	dst = append(append(dst, path...), '|')
+	return strconv.AppendUint(dst, uint64(gen), 10)
 }
 
 // store caches one raw reply and indexes its key under the bare path
@@ -875,7 +894,7 @@ func (e *Edge) store(key, path string, raw *core.RawReply) {
 // Any removal pass bumps storeEpoch; a store that observes the bump
 // withdraws its own entry, trading a rare extra miss for correctness.
 func (e *Edge) storeAt(key, path string, raw *core.RawReply, added time.Time) {
-	ent := &edgeEntry{raw: raw, path: path, added: added}
+	ent := &edgeEntry{raw: raw, path: path, bodyLen: strconv.Itoa(len(raw.Body)), added: added}
 	e.mu.Lock()
 	epoch := e.storeEpoch
 	keys := e.byPath[path]

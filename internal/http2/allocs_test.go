@@ -12,19 +12,20 @@ import (
 // getAllocBudget is what one GET may allocate across both endpoints of
 // a net.Pipe pair when the handler answers on the read loop: the
 // client's Stream and its receive buffer, which is the body ReadAllBody
-// returns; the server's Stream. Everything else a request used to
-// allocate — send window, condition variables, header channel, header
-// lists, Request, ResponseWriter, Response, body adapter, the client's
-// stream context — lives inside the two Streams.
-// A handler that is served from a goroutine pays one object more: the
-// closure of its go statement.
+// returns. Everything else a request used to allocate — send window,
+// condition variables, header channel, header lists, Request,
+// ResponseWriter, Response, body adapter, the client's stream context —
+// lives inside the client's Stream, and the server answers in the
+// Stream its previous inline reply left spare.
+// A handler that is served from a goroutine pays two objects more: a
+// Stream of its own on the server and the closure of its go statement.
 const (
-	getAllocBudget          = 3
-	getAllocBudgetGoroutine = getAllocBudget + 1
+	getAllocBudget          = 2
+	getAllocBudgetGoroutine = getAllocBudget + 2
 )
 
-// TestGetAllocBudget pins the request lifecycle at one Stream per
-// side, for a plain Handler and for an InlineHandler. (The race
+// TestGetAllocBudget pins the request lifecycle at the client's Stream
+// and body, plus the server's Stream for a plain Handler. (The race
 // detector's instrumentation allocates; hence the build tag.)
 func TestGetAllocBudget(t *testing.T) {
 	body := []byte("<html><body>prompt page</body></html>")
@@ -72,11 +73,11 @@ func TestGetAllocBudget(t *testing.T) {
 					t.Fatalf("GET = %q, %v, headers %v", got, err, resp.Header)
 				}
 			}
-			for i := 0; i < 100; i++ { // fill the dynamic tables and the pools
+			for i := 0; i < 100; i++ { // fill the dynamic tables and the writer's buffers
 				get()
 			}
 			if allocs := testing.AllocsPerRun(200, get); allocs > tc.budget {
-				t.Fatalf("one GET allocates %v objects, budget %v (one Stream per side)", allocs, tc.budget)
+				t.Fatalf("one GET allocates %v objects, budget %v", allocs, tc.budget)
 			}
 		})
 	}

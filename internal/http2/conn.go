@@ -227,6 +227,11 @@ type conn struct {
 	// the same handler when it can also answer on the read loop.
 	handler Handler
 	inline  InlineHandler
+
+	// spare is the Stream of the last request answered on the read
+	// loop, for the next accepted stream to reuse. Only the read loop
+	// touches it.
+	spare *Stream
 }
 
 func newConn(nc net.Conn, cfg Config, server bool) *conn {
@@ -331,8 +336,10 @@ func (c *conn) waitPeerSettings() error {
 func (c *conn) negotiated() GenAbility {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cfg.GenAbility.Intersect(c.peer.genAbility)
+	return c.negotiatedLocked()
 }
+
+func (c *conn) negotiatedLocked() GenAbility { return c.cfg.GenAbility.Intersect(c.peer.genAbility) }
 
 // peerGenAbility returns what the peer advertised, and whether it
 // advertised the setting at all.
@@ -786,7 +793,13 @@ func (c *conn) onHeaders(fr Frame) error {
 	return streamError(fr.StreamID, ErrCodeStreamClosed, "HEADERS on unknown stream")
 }
 
-// acceptStream admits a new peer-initiated stream on the server side.
+// acceptStream admits a new peer-initiated stream on the server side,
+// in the stream the last inline reply left spare if there is one. A
+// request that is complete (no body to come) is first offered to the
+// handler here, on the read loop; see InlineHandler. That attempt is not
+// in the stream map — nothing but the read loop, which is busy with it,
+// could look it up — and a stream enters the map only on its way to a
+// handler goroutine.
 func (c *conn) acceptStream(id uint32, fields []hpack.HeaderField, endStream bool) error {
 	c.mu.Lock()
 	if id%2 == 0 {
@@ -823,21 +836,33 @@ func (c *conn) acceptStream(id uint32, fields []hpack.HeaderField, endStream boo
 		c.mu.Unlock()
 		return streamError(id, ErrCodeRefusedStream, "connection is shutting down")
 	}
-	st := newStream(c, id, c.peer.initialWindow)
+	st := c.spare
+	if st == nil {
+		st = new(Stream)
+	}
+	c.spare = nil
+	st.init(c, id, c.peer.initialWindow)
 	st.setHeadersLocked(fields) // not yet shared
 	st.recvEnded = endStream
-	c.streams[id] = st
-	c.peerStreams++
+	err := st.initRequest()
 	c.mu.Unlock()
-
-	if err := st.initRequest(); err != nil {
+	if err != nil {
 		return err
 	}
 	st.rw.stream = st
-	// A request that is complete (no body to come) is first offered to
-	// the handler here, on the read loop; see InlineHandler.
+
 	if endStream && c.inline != nil && c.serveInline(st) {
 		return nil
+	}
+	c.mu.Lock()
+	err = c.closeErr
+	if err == nil {
+		c.streams[id] = st
+		c.peerStreams++
+	}
+	c.mu.Unlock()
+	if err != nil {
+		st.closeWithError(err) // torn down meanwhile: the handler finds it dead
 	}
 	go c.runHandler(st)
 	return nil
@@ -848,18 +873,29 @@ func (c *conn) acceptStream(id uint32, fields []hpack.HeaderField, endStream boo
 // everything it reaches must return without waiting: TryServeSWW by
 // contract, TryRespond by construction. A handler that claims to have
 // served but sent no complete response is treated as having declined.
+//
+// A served stream has nothing left to finish — its reply is complete,
+// its request had no body, it was never in the map — and becomes the
+// connection's spare. Two kinds are left to the garbage collector
+// instead: one whose handler asked for its context, which is cancelled
+// here, and one whose handler panicked.
 func (c *conn) serveInline(st *Stream) (served bool) {
 	w := &st.rw
 	defer func() {
 		if r := recover(); r != nil {
-			c.handlerPanicked(st, w, r)
+			c.handlerPanicked(st, w, r) // the stream is dead: nothing more is sent on it
 			served = true
 		}
-		if served {
-			c.finishServerStream(st, w)
-		}
 	}()
-	return c.inline.TryServeSWW(w, &st.req) && w.finished
+	if !c.inline.TryServeSWW(w, &st.req) || !w.finished {
+		return false
+	}
+	if st.ctx != nil {
+		st.endContext()
+	} else {
+		c.spare = st
+	}
+	return true
 }
 
 func (c *conn) runHandler(st *Stream) {
@@ -1289,7 +1325,8 @@ func (c *conn) openStream() (*Stream, error) {
 	}
 	id := c.nextID
 	c.nextID += 2
-	st := newStream(c, id, c.peer.initialWindow)
+	st := new(Stream)
+	st.init(c, id, c.peer.initialWindow)
 	c.streams[id] = st
 	return st, nil
 }

@@ -294,7 +294,13 @@ func dialRawConn(t *testing.T, cfg Config, h Handler, settings ...Setting) (*raw
 	if err := sc.WaitClientSettings(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cEnd.Close() })
+	t.Cleanup(func() {
+		// Clearing the deadline stops its timer, whose callback would
+		// otherwise run on a goroutine of its own in some later test
+		// (TestInlineSpawnsNoGoroutine counts them).
+		cEnd.SetDeadline(time.Time{})
+		cEnd.Close()
+	})
 	return p, sc.c
 }
 
@@ -475,6 +481,9 @@ func TestInlineDeclinesOnSaturatedWriter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the inline attempt is stuck behind the saturated writer")
 	}
+	// A declined stream enters the map after the attempt, on its way to
+	// its goroutine.
+	waitCond(t, "stream 3 to be handed to its goroutine", func() bool { return c.lookupStream(3) != nil })
 	small := c.lookupStream(3)
 	// Both handlers now wait for room with window claimed, /small from
 	// its goroutine. Whatever they hold of it, what the connection window
@@ -844,22 +853,26 @@ func TestSlowReaderHoldsBoundedQueue(t *testing.T) {
 	if err := p.fr.WriteRSTStream(1, ErrCodeCancel); err != nil {
 		t.Fatal(err)
 	}
-	for done := false; !done; {
-		select {
-		case <-returned:
-			done = true
-		default:
-			readOne() // at the latest, the END_STREAM the server adds when the handler returns
+	// Nothing more is sent on the dead stream, so the peer reads only up
+	// to frames that are sure to come: a PING's ACK. The first drains what
+	// was queued before the reset, and the parked handler gets room, sees
+	// the reset and returns; the second reads the DATA frame it may have
+	// been writing at that instant, and nothing is queued behind it.
+	pingAck := func(data [8]byte) {
+		go p.fr.WritePing(false, data) // net.Pipe: the server's writer may be waiting for this reader
+		for {
+			if fr := readOne(); fr.Type == FramePing && fr.Has(FlagAck) && string(fr.Payload) == string(data[:]) {
+				return
+			}
 		}
 	}
-	// Nothing is queued behind the PING's ACK: the handler has returned.
-	ping := [8]byte{'s', 'l', 'o', 'w'}
-	go p.fr.WritePing(false, ping) // net.Pipe: the server's writer may be waiting for this reader
-	for {
-		if fr := readOne(); fr.Type == FramePing && fr.Has(FlagAck) {
-			break
-		}
+	pingAck([8]byte{'r', 'e', 's', 'e', 't'})
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler waiting for room did not return after the reset")
 	}
+	pingAck([8]byte{'s', 'l', 'o', 'w'})
 	if got, want := c.connSend.available(), int64(defaultWindowSize+window-received); got != want {
 		t.Errorf("connection send window %d after %d bytes of DATA, want %d: %d claimed and neither sent nor returned",
 			got, received, want, want-got)
@@ -1231,10 +1244,9 @@ func TestConnWindowRefundedOnAbandonedBody(t *testing.T) {
 				return st.lent && len(st.buf) == len(page)
 			})
 			cancel()
-			// The server ends a reset stream with an empty END_STREAM
-			// frame, which can reach the reader before its own cancel
-			// does: then the body simply ended.
-			if err := <-result; err != nil && !errors.Is(err, context.Canceled) {
+			// The server sends nothing more on the reset stream, so the
+			// body cannot end before the cancel reaches the reader.
+			if err := <-result; !errors.Is(err, context.Canceled) {
 				t.Fatalf("ReadAllBodyContext = %v, want %v", err, context.Canceled)
 			}
 		}

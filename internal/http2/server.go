@@ -32,6 +32,12 @@ type Handler interface {
 // block — no I/O, no channel or lock wait of unbounded length, no
 // generation — and it must not ask for Stream.Context, which nothing
 // would ever need to cancel.
+//
+// Once TryServeSWW has returned true, w, r and everything reached
+// through them (r.Header, r.Stream(), w.Stream()) belong to the
+// connection again, which reuses them for a later request. A handler
+// keeps values — the strings in them — never the pointers. A request
+// declined with false, and every request ServeSWW sees, is not reused.
 type InlineHandler interface {
 	Handler
 	TryServeSWW(w *ResponseWriter, r *Request) bool
@@ -87,11 +93,17 @@ func (r *Request) Stream() *Stream { return r.stream }
 
 // initRequest validates the pseudo-header section (RFC 9113 §8.3) of
 // an accepted stream's header block and fills in the stream's Request.
-// Request.Header is the block's regular section, in place.
+// Request.Header is the block's regular section, in place. It is called
+// with c.mu held, which guards the negotiated state it copies.
 func (st *Stream) initRequest() error {
-	req := &st.req
-	*req = Request{stream: st, Body: st, PeerGen: st.c.negotiated()}
-	req.PeerImageModelID, req.PeerTextModelID = st.c.peerModelIDs()
+	c, req := st.c, &st.req
+	*req = Request{
+		stream:           st,
+		Body:             st,
+		PeerGen:          c.negotiatedLocked(),
+		PeerImageModelID: c.peer.imageModelID,
+		PeerTextModelID:  c.peer.textModelID,
+	}
 	n := 0
 	for ; n < len(st.hdr) && st.hdr[n].IsPseudo(); n++ {
 		f := st.hdr[n]
@@ -131,10 +143,14 @@ type ResponseWriter struct {
 }
 
 // WriteHeaders sends the response HEADERS frame with :status and the
-// supplied fields. It may be called once.
+// supplied fields. It may be called once. On a stream that has died it
+// encodes and sends nothing and reports why.
 func (w *ResponseWriter) WriteHeaders(status int, fields ...hpack.HeaderField) error {
 	if w.wroteHeaders {
 		return fmt.Errorf("http2: WriteHeaders called twice on stream %d", w.stream.id)
+	}
+	if err := w.stream.sendErr(); err != nil {
+		return err
 	}
 	w.wroteHeaders = true
 	var store [12]hpack.HeaderField // on the stack; a longer list spills to the heap

@@ -17,8 +17,10 @@ import (
 // A Stream is one heap object: its send window, its condition variable,
 // its first header block and the Request/ResponseWriter (server) or
 // Response/body (client) handed to callers all live inside it. Those
-// values therefore alias the stream and stay valid exactly as long as
-// they are reachable; a stream is never pooled or reused.
+// values therefore alias the stream. A stream answered on the read loop
+// (see InlineHandler) is reused for the connection's next request, so
+// what TryServeSWW was handed is valid only until it returns; every
+// other stream stays valid exactly as long as it is reachable.
 type Stream struct {
 	c  *conn
 	id uint32
@@ -84,18 +86,17 @@ type Stream struct {
 	body responseBody
 }
 
-// newStream is called with c.mu held; peerWindow is the peer's
-// current SETTINGS_INITIAL_WINDOW_SIZE.
-func newStream(c *conn, id uint32, peerWindow int32) *Stream {
-	st := &Stream{
-		c:    c,
-		id:   id,
-		recv: newRecvFlow(c.cfg.initialWindow()),
-		owed: -1,
-	}
+// init readies st as stream id of c, resetting whatever a previous
+// request left in it. It is called with c.mu held, on a stream nobody
+// else can reach; peerWindow is the peer's current
+// SETTINGS_INITIAL_WINDOW_SIZE.
+func (st *Stream) init(c *conn, id uint32, peerWindow int32) {
+	*st = Stream{} // in place: a literal with fields is built on the stack and copied
+	st.c, st.id = c, id
+	st.recv = newRecvFlow(c.cfg.initialWindow())
+	st.owed = -1
 	st.send.init(peerWindow)
 	st.cond.L = &st.mu
-	return st
 }
 
 // Context is canceled when the stream is reset or closed. Handlers
@@ -363,12 +364,18 @@ func (s *Stream) sendErr() error {
 }
 
 // CloseSend half-closes the stream in the send direction by emitting
-// an empty DATA frame with END_STREAM.
+// an empty DATA frame with END_STREAM. A stream that has died sends
+// nothing more (RFC 9113 §5.1) and reports why.
 func (s *Stream) CloseSend() error {
 	s.mu.Lock()
 	if s.sendEnded {
 		s.mu.Unlock()
 		return nil
+	}
+	if s.err != nil {
+		err := s.err
+		s.mu.Unlock()
+		return err
 	}
 	s.sendEnded = true
 	s.mu.Unlock()
@@ -409,9 +416,10 @@ func (s *Stream) Trailers() []hpack.HeaderField {
 	return append([]hpack.HeaderField(nil), s.trailers...)
 }
 
-// closeWithError fails pending readers, writers and the header wait.
+// closeWithError fails pending readers, writers and the header wait,
+// then cancels the context: a handler woken by the cancellation finds
+// the stream already dead and finishes it without a frame.
 func (s *Stream) closeWithError(err error) {
-	s.endContext()
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
@@ -419,4 +427,5 @@ func (s *Stream) closeWithError(err error) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.send.fail(err)
+	s.endContext()
 }

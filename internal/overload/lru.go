@@ -43,11 +43,23 @@ func (l *ByteLRU) SetOnEvict(fn func(key string, value any, size int64)) { l.onE
 func (l *ByteLRU) Get(key string) (any, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e, ok := l.items[key]; ok {
-		l.order.MoveToFront(e)
-		return e.Value.(*lruEntry).value, true
+	return l.promoteLocked(l.items[key])
+}
+
+// GetBytes is Get for a key held as bytes. The lookup builds no string:
+// the compiler indexes the map with the bytes in place.
+func (l *ByteLRU) GetBytes(key []byte) (any, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.promoteLocked(l.items[string(key)])
+}
+
+func (l *ByteLRU) promoteLocked(e *list.Element) (any, bool) {
+	if e == nil {
+		return nil, false
 	}
-	return nil, false
+	l.order.MoveToFront(e)
+	return e.Value.(*lruEntry).value, true
 }
 
 // Peek returns the cached value without promoting it.

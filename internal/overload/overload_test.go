@@ -267,6 +267,18 @@ func TestByteLRUEviction(t *testing.T) {
 	if len(evicted) != 2 || evicted[1] != "c" {
 		t.Fatalf("evicted %v, want [a c]", evicted)
 	}
+	// GetBytes is Get for a key held as bytes: it finds and promotes b,
+	// so d is the next victim.
+	if v, ok := l.GetBytes([]byte("b")); !ok || v != "B" {
+		t.Fatalf("GetBytes(b) = %v, %v", v, ok)
+	}
+	if _, ok := l.GetBytes([]byte("c")); ok {
+		t.Fatal("GetBytes found an evicted key")
+	}
+	l.Add("e", "E", 40)
+	if len(evicted) != 3 || evicted[2] != "d" {
+		t.Fatalf("evicted %v, want [a c d]", evicted)
+	}
 	if l.Bytes() != 80 || l.Len() != 2 {
 		t.Fatalf("size %d len %d", l.Bytes(), l.Len())
 	}
