@@ -483,17 +483,14 @@ func (h edgeHandler) TryServeSWW(w *http2.ResponseWriter, r *http2.Request) bool
 //
 // With inline set it is an attempt on a connection's read loop, which
 // must not wait: it answers a fresh shard hit or a peer's fill request
-// from the shard, and declines (false: nothing sent, nothing counted)
-// the control surface and everything from the miss ladder down. A
-// declined request comes back with inline unset.
+// from the shard, a health probe, and a push it can apply without
+// waiting (see servePush), and declines (false: nothing sent, nothing
+// counted) everything from the miss ladder down. A declined request
+// comes back with inline unset.
 func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) bool {
 	path := r.Path
 	if strings.HasPrefix(path, ControlPrefix) {
-		if inline {
-			return false // applying a push takes feedMu
-		}
-		e.serveControl(w, r)
-		return true
+		return e.serveControl(w, r, inline)
 	}
 	if r.Method != "GET" {
 		if inline {
@@ -755,17 +752,21 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 }
 
 // serveControl answers the edge's own /sww-cdn/ surface: health for
-// membership heartbeats, push for origin invalidation fan-out.
-func (e *Edge) serveControl(w *http2.ResponseWriter, r *http2.Request) {
+// membership heartbeats, push for origin invalidation fan-out. With
+// inline set it is a read-loop attempt, as serve's.
+func (e *Edge) serveControl(w *http2.ResponseWriter, r *http2.Request, inline bool) bool {
 	path, query, _ := strings.Cut(r.Path, "?")
 	switch path {
 	case healthPath:
-		writeControl(w, 200, "text/plain; charset=utf-8", []byte("ok\n"))
+		return replyControl(w, 200, "text/plain; charset=utf-8", []byte("ok\n"), inline)
 	case pushPath:
-		e.servePush(w, query)
-	default:
-		writeControl(w, 404, "text/plain; charset=utf-8", []byte("unknown control endpoint\n"))
+		return e.servePush(w, query, inline)
 	}
+	if inline {
+		return false
+	}
+	writeControl(w, 404, "text/plain; charset=utf-8", []byte("unknown control endpoint\n"))
+	return true
 }
 
 // servePush applies one pushed invalidation batch and acks with the
@@ -773,23 +774,40 @@ func (e *Edge) serveControl(w *http2.ResponseWriter, r *http2.Request) {
 // "still behind, re-push from ack" — so a gap (a push lost to a
 // partition) self-heals the moment any later push lands, without
 // waiting for the anti-entropy poller.
-func (e *Edge) servePush(w *http2.ResponseWriter, query string) {
+//
+// With inline set it runs on the read loop and takes only the common
+// cases: a push that continues exactly from lastSeq, applied, and a
+// duplicate, acked. It declines before changing anything when it would
+// wait or count — feedMu held by a poll or a snapshot, a reset (a flush
+// may walk the whole shard), a stale epoch, a gap or an overlap — and
+// the goroutine re-serve handles the push from scratch. A push applied
+// whose ack the transport then declines is re-served as a duplicate:
+// acked, not applied again.
+func (e *Edge) servePush(w *http2.ResponseWriter, query string, inline bool) bool {
 	feed, err := parseFeedQuery(query)
 	if err != nil {
+		if inline {
+			return false
+		}
 		writeControl(w, 400, "text/plain; charset=utf-8", []byte("bad push query\n"))
-		return
+		return true
 	}
 	if !e.observeOriginEpoch(feed.Epoch) {
+		if inline {
+			return false
+		}
 		// A fenced zombie is still pushing. Refuse the batch — its
 		// view of the sequence space is dead — and ack our position
 		// with the newer epoch, which is how the zombie learns.
 		e.epochFenced.Add(1)
-		body, _ := json.Marshal(pushAck{Ack: e.lastSeq.Load(), Epoch: e.originEpoch.Load()})
-		writeControl(w, 200, "application/json", body)
-		return
+		return writePushAck(w, e.lastSeq.Load(), e.originEpoch.Load(), false)
 	}
 
-	e.feedMu.Lock()
+	if !inline {
+		e.feedMu.Lock()
+	} else if feed.Reset || !e.feedMu.TryLock() {
+		return false
+	}
 	last := e.lastSeq.Load()
 	switch {
 	case feed.Reset:
@@ -803,6 +821,10 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string) {
 		// would silently skip invalidations, so refuse; the ack below
 		// tells the origin where we really are and the poller would
 		// repair it anyway.
+		if inline {
+			e.feedMu.Unlock()
+			return false
+		}
 		e.pushGaps.Add(1)
 	case feed.Seq <= last:
 		// Duplicate or stale push (the poller already caught us up).
@@ -813,6 +835,10 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string) {
 		// those would drop entries legitimately re-cached since. Skip;
 		// the ack below resyncs the origin's watermark and its push
 		// loop re-sends exactly (last, Seq].
+		if inline {
+			e.feedMu.Unlock()
+			return false
+		}
 		e.pushOverlaps.Add(1)
 	default:
 		// feed.Since == last: the push continues precisely from our
@@ -826,9 +852,7 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string) {
 	}
 	ack := e.lastSeq.Load()
 	e.feedMu.Unlock()
-
-	body, _ := json.Marshal(pushAck{Ack: ack, Epoch: e.originEpoch.Load()})
-	writeControl(w, 200, "application/json", body)
+	return writePushAck(w, ack, e.originEpoch.Load(), inline)
 }
 
 // reply writes a raw reply back to the terminal client, stamped with

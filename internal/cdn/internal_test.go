@@ -488,6 +488,25 @@ func TestOriginSnapshotCorruptRejected(t *testing.T) {
 	if got := o2.Seq(); got != 0 {
 		t.Fatalf("future-version snapshot adopted: seq %d", got)
 	}
+
+	// Entries out of order cannot be searched by seq: the log is dropped
+	// and every position below the head resets, none is answered short.
+	dir3 := t.TempDir()
+	snap, _ = json.Marshal(originSnapshot{Version: originLogVersion, Seq: 5, Entries: []walEntry{
+		{Seq: 5, Paths: []string{"/e"}}, {Seq: 1, Paths: []string{"/a"}}, {Seq: 4, Paths: []string{"/d"}},
+	}})
+	os.WriteFile(filepath.Join(dir3, originSnapName), snap, 0o644)
+	o3, err := NewOriginWithConfig(newHAServer(t), OriginConfig{LogDir: dir3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o3.Close()
+	if feed := o3.Feed(2); !feed.Reset {
+		t.Fatalf("out-of-order snapshot: Feed(2) = %+v, want a reset", feed)
+	}
+	if feed := o3.Feed(5); feed.Reset || len(feed.Paths) != 0 {
+		t.Fatalf("out-of-order snapshot: Feed(5) = %+v, want current", feed)
+	}
 }
 
 // TestEdgeSnapshotCorruptRejected: garbage where the edge's shard

@@ -10,9 +10,10 @@ package cdn
 //     last acked sequence (since) and the new head (seq). The edge
 //     acks with the sequence it now stands at; an ack behind the head
 //     means "still missing deliveries, re-push from here", so lost
-//     pushes heal on the next successful one. One push loop runs per
-//     subscriber — a dead edge costs one error per invalidation
-//     burst, never a stuck fan-out for the others.
+//     pushes heal on the next successful one. One pusher goroutine
+//     runs per subscriber for the life of the subscription — a dead
+//     edge costs one error per invalidation burst, never a stuck
+//     fan-out for the others.
 //   - Pull (anti-entropy): edges keep polling the control endpoint on
 //     a jittered interval. A partitioned edge misses nothing, because
 //     on reconnect its next poll resumes from the last sequence it
@@ -47,11 +48,13 @@ package cdn
 //     zombie cannot split the sequence space.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
-	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -103,7 +106,8 @@ const statusFenced = 409
 // further behind than that flushes and refills, which is always safe.
 const DefaultInvalidationLog = 1024
 
-// pushTimeout bounds one push delivery to one subscriber.
+// pushTimeout bounds one push delivery to one subscriber, and the dial
+// of a subscriber that advertised a TCP address.
 const pushTimeout = 2 * time.Second
 
 // An InvalidationFeed is one poll's (or push's) answer, in wire form.
@@ -136,20 +140,115 @@ type pushAck struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
+// appendPushAck appends the ack's JSON, the bytes json.Marshal of
+// pushAck{ack, epoch} produces, to dst.
+func appendPushAck(dst []byte, ack, epoch uint64) []byte {
+	dst = strconv.AppendUint(append(dst, `{"ack":`...), ack, 10)
+	if epoch != 0 {
+		dst = strconv.AppendUint(append(dst, `,"epoch":`...), epoch, 10)
+	}
+	return append(dst, '}')
+}
+
+// writePushAck answers a push with its ack, built on the stack; with
+// try set it sends only if the transport takes the reply whole now.
+func writePushAck(w *http2.ResponseWriter, ack, epoch uint64, try bool) bool {
+	var buf [64]byte
+	return replyControl(w, 200, "application/json", appendPushAck(buf[:0], ack, epoch), try)
+}
+
+// invalEntry is one retained log entry. The log's seq strictly
+// increases, which is what lets feedLocked binary-search it.
 type invalEntry struct {
 	seq   uint64
 	paths []string
 }
 
-// subscriber is one edge registered for push fan-out.
+// subscriber is one edge registered for push fan-out, with the one
+// goroutine (pusher) that feeds it for the life of the subscription.
 type subscriber struct {
 	name string
 	addr string
 	rc   *core.ResilientClient
 
-	mu      sync.Mutex
-	acked   uint64 // newest sequence the edge confirmed applying
-	pushing bool   // one push loop at a time
+	// kick holds at most one wake-up for the pusher. A kick that lands
+	// while a push is in flight stays queued, so the pusher looks at the
+	// head again after it: no Invalidate can fall between its last look
+	// and its sleep.
+	kick chan struct{}
+	stop chan struct{} // closed by halt: the subscription is over
+	done chan struct{} // closed by the pusher as it exits
+	path []byte        // the pusher's scratch: one push request path
+
+	// watchdog cuts the transport when a push goes unanswered for
+	// pushTimeout; conn is the transport rc dialled last. The pusher
+	// arms it at its first push: a stopped timer can stay in the
+	// runtime's heap, holding s, until its first deadline passes.
+	watchdog *time.Timer
+	connMu   sync.Mutex
+	conn     net.Conn
+
+	mu    sync.Mutex
+	acked uint64 // newest sequence the edge confirmed applying
+}
+
+// errUnsubscribed fails a dial for a subscription that has ended.
+var errUnsubscribed = errors.New("cdn: subscription ended")
+
+func newSubscriber(name, addr string, acked uint64, dial core.DialFunc) *subscriber {
+	s := &subscriber{
+		name:  name,
+		addr:  addr,
+		acked: acked,
+		kick:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	s.rc = core.NewResilientClient(func() (net.Conn, error) {
+		select {
+		case <-s.stop:
+			return nil, errUnsubscribed
+		default:
+		}
+		nc, err := dial()
+		if err == nil {
+			s.connMu.Lock()
+			s.conn = nc
+			s.connMu.Unlock()
+		}
+		return nc, err
+	}, device.Workstation, nil, core.RetryPolicy{MaxAttempts: 1}, nil)
+	return s
+}
+
+// wake asks the pusher to bring the edge to the head; a wake-up
+// already pending covers this one.
+func (s *subscriber) wake() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
+}
+
+// cut closes the transport rc dialled last, failing whatever push is
+// in flight on it (a blackholed handshake included).
+func (s *subscriber) cut() {
+	s.connMu.Lock()
+	nc := s.conn
+	s.connMu.Unlock()
+	if nc != nil {
+		nc.Close()
+	}
+}
+
+// halt ends the subscription and returns once the pusher has exited:
+// a push in flight fails now rather than at its deadline, and a dial
+// after this refuses. Whoever removes s from Origin.subs calls it,
+// once, holding no lock.
+func (s *subscriber) halt() {
+	close(s.stop)
+	s.cut()
+	<-s.done
 }
 
 // OriginRole is an origin's place in the HA pair. The gauge values
@@ -285,6 +384,12 @@ func NewOriginWithConfig(srv *core.Server, cfg OriginConfig) (*Origin, error) {
 		o.seq, o.floor = st.seq, st.floor
 		o.logTorn.Add(uint64(st.torn))
 		for _, e := range st.entries {
+			if n := len(o.log); e.Seq > o.seq || n > 0 && e.Seq <= o.log[n-1].seq {
+				// Out of order, which only a damaged file can say: keep
+				// no entry, so every position below the head resets.
+				o.log, o.floor = nil, o.seq
+				break
+			}
 			o.log = append(o.log, invalEntry{seq: e.Seq, paths: e.Paths})
 		}
 		if over := len(o.log) - maxLog; over > 0 {
@@ -400,10 +505,10 @@ func (o *Origin) feedLocked(since uint64) InvalidationFeed {
 		feed.Reset = true
 		return feed
 	}
-	for _, e := range o.log {
-		if e.seq > since {
-			feed.Paths = append(feed.Paths, e.paths...)
-		}
+	// The log is in seq order, so the entries after since are a suffix.
+	from := sort.Search(len(o.log), func(i int) bool { return o.log[i].seq > since })
+	for _, e := range o.log[from:] {
+		feed.Paths = append(feed.Paths, e.paths...)
 	}
 	return feed
 }
@@ -457,7 +562,7 @@ func (o *Origin) raiseEpochLocked(epoch uint64) {
 // Promote turns a standby into the primary: the epoch is bumped past
 // everything the old primary ever used, durably first, and only then
 // does the role flip — whoever sees a primary sees its new epoch — and
-// the push loops drain anything subscribers are missing. Idempotent;
+// the pushers drain anything subscribers are missing. Idempotent;
 // returns the epoch in force.
 func (o *Origin) Promote() uint64 {
 	o.epochMu.Lock()
@@ -532,31 +637,27 @@ func (o *Origin) MirrorFeed(feed InvalidationFeed) uint64 {
 // Subscribe registers (or re-dials) an edge for push fan-out and
 // immediately brings it current. since is the newest sequence the edge
 // has already applied — a new subscriber is born at that watermark, so
-// the racing push loop cannot deliver the whole retained log (or a
-// spurious reset) to an edge that is in fact current. Called
-// automatically when a poll carries the subscription headers; exported
-// for in-process wiring.
+// its pusher cannot deliver the whole retained log (or a spurious
+// reset) to an edge that is in fact current. A re-dial replaces the
+// subscriber and stops the old one's pusher. Called automatically when
+// a poll carries the subscription headers; exported for in-process
+// wiring.
 func (o *Origin) Subscribe(name, addr string, since uint64, dial core.DialFunc) {
 	o.subMu.Lock()
-	s, ok := o.subs[name]
-	if ok && s.addr == addr && addr != "" {
+	old, ok := o.subs[name]
+	if ok && old.addr == addr && addr != "" {
 		o.subMu.Unlock()
-		o.schedulePush(s)
+		old.wake()
 		return
 	}
-	if ok && s.rc != nil {
-		s.rc.Close()
-	}
-	s = &subscriber{
-		name:  name,
-		addr:  addr,
-		acked: since,
-		rc: core.NewResilientClient(dial, device.Workstation, nil,
-			core.RetryPolicy{MaxAttempts: 1}, nil),
-	}
+	s := newSubscriber(name, addr, since, dial)
 	o.subs[name] = s
 	o.subMu.Unlock()
-	o.schedulePush(s)
+	go o.pusher(s)
+	s.wake()
+	if ok {
+		old.halt()
+	}
 }
 
 // Unsubscribe drops an edge from push fan-out (it can still poll).
@@ -565,8 +666,8 @@ func (o *Origin) Unsubscribe(name string) {
 	s, ok := o.subs[name]
 	delete(o.subs, name)
 	o.subMu.Unlock()
-	if ok && s.rc != nil {
-		s.rc.Close()
+	if ok {
+		s.halt()
 	}
 }
 
@@ -595,20 +696,16 @@ func (o *Origin) SubscriberAck(name string) (uint64, bool) {
 	return s.acked, true
 }
 
-// Close drops every subscriber transport and the durable log handle.
-// In-flight push loops fail fast and exit.
+// Close ends every subscription — in-flight pushes fail fast and the
+// pushers have exited when it returns — and drops the durable log
+// handle.
 func (o *Origin) Close() {
 	o.subMu.Lock()
-	subs := make([]*subscriber, 0, len(o.subs))
-	for _, s := range o.subs {
-		subs = append(subs, s)
-	}
+	subs := o.subs
 	o.subs = map[string]*subscriber{}
 	o.subMu.Unlock()
 	for _, s := range subs {
-		if s.rc != nil {
-			s.rc.Close()
-		}
+		s.halt()
 	}
 	o.mu.Lock()
 	if o.dlog != nil {
@@ -618,60 +715,51 @@ func (o *Origin) Close() {
 	o.mu.Unlock()
 }
 
-// pushAll schedules a push loop for every subscriber that is behind.
+// pushAll wakes every subscriber's pusher.
 func (o *Origin) pushAll() {
 	o.subMu.Lock()
-	subs := make([]*subscriber, 0, len(o.subs))
 	for _, s := range o.subs {
-		subs = append(subs, s)
+		s.wake()
 	}
 	o.subMu.Unlock()
-	for _, s := range subs {
-		o.schedulePush(s)
-	}
 }
 
-// schedulePush starts s's push loop unless one is already draining.
-// Only a primary pushes: a standby's subscribers are kept registered
-// (so promotion inherits the fan-out list warm) but not fed — the
-// primary is already pushing them the same entries — and a fenced
-// origin must go quiet.
-func (o *Origin) schedulePush(s *subscriber) {
-	if o.Role() != RolePrimary {
-		return
-	}
-	s.mu.Lock()
-	if s.pushing {
-		s.mu.Unlock()
-		return
-	}
-	s.pushing = true
-	s.mu.Unlock()
-	go o.pushLoop(s)
-}
-
-// pushLoop drains one subscriber: push from its acked position, adopt
-// the ack, repeat until the edge stands at the head or delivery
-// fails. Failures are abandoned, not retried in place — the edge's
-// anti-entropy poll repairs the gap, and the next Invalidate (or the
-// next poll observation) schedules a fresh loop.
-func (o *Origin) pushLoop(s *subscriber) {
-	defer func() {
-		s.mu.Lock()
-		s.pushing = false
-		s.mu.Unlock()
-	}()
+// pusher feeds one subscriber for the life of its subscription: each
+// wake-up drains it to the head. On exit it drops the transport, which
+// a push racing halt may have dialled after halt cut the last one.
+func (o *Origin) pusher(s *subscriber) {
+	defer close(s.done)
+	defer s.rc.Close()
 	for {
+		select {
+		case <-s.stop:
+			return
+		case <-s.kick:
+		}
+		o.drain(s)
+	}
+}
+
+// drain pushes s from its acked position and adopts the ack, until the
+// edge stands at the head or delivery fails. Only a primary pushes: a
+// standby's subscribers are kept registered (so promotion inherits the
+// fan-out list warm) but not fed — the primary is already pushing them
+// the same entries — and a fenced origin must go quiet. Failures are
+// abandoned, not retried in place: the edge's anti-entropy poll repairs
+// the gap, and the next Invalidate (or poll observation) wakes the
+// pusher again.
+func (o *Origin) drain(s *subscriber) {
+	for o.Role() == RolePrimary {
 		s.mu.Lock()
 		acked := s.acked
 		s.mu.Unlock()
 		o.mu.Lock()
-		head := o.seq
-		feed := o.feedLocked(acked)
-		o.mu.Unlock()
-		if acked >= head {
+		if acked >= o.seq {
+			o.mu.Unlock()
 			return
 		}
+		feed := o.feedLocked(acked)
+		o.mu.Unlock()
 		ack, err := o.pushOnce(s, feed)
 		if err != nil {
 			o.pushErrors.Add(1)
@@ -693,30 +781,21 @@ func (o *Origin) pushLoop(s *subscriber) {
 }
 
 // pushOnce delivers one feed to one subscriber and returns its ack.
+// The request path is built in the pusher's scratch and made a string
+// once; the watchdog, not a per-push context, bounds the wait.
 func (o *Origin) pushOnce(s *subscriber, feed InvalidationFeed) (uint64, error) {
 	o.pushes.Add(1)
 	if feed.Reset {
 		o.pushResets.Add(1)
 	}
-	q := url.Values{}
-	q.Set("since", strconv.FormatUint(feed.Since, 10))
-	q.Set("seq", strconv.FormatUint(feed.Seq, 10))
-	q.Set("epoch", strconv.FormatUint(feed.Epoch, 10))
-	if feed.Reset {
-		q.Set("reset", "1")
+	s.path = appendPushPath(s.path[:0], feed)
+	if s.watchdog == nil {
+		s.watchdog = time.AfterFunc(pushTimeout, s.cut)
+	} else {
+		s.watchdog.Reset(pushTimeout)
 	}
-	if len(feed.Paths) > 0 {
-		// Escape each path before joining: the comma separator must
-		// survive paths that contain commas themselves.
-		escaped := make([]string, len(feed.Paths))
-		for i, p := range feed.Paths {
-			escaped[i] = url.QueryEscape(p)
-		}
-		q.Set("paths", strings.Join(escaped, ","))
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
-	defer cancel()
-	raw, err := s.rc.FetchRawContext(ctx, pushPath+"?"+q.Encode())
+	raw, err := s.rc.FetchRawContext(context.Background(), string(s.path))
+	s.watchdog.Stop()
 	if err != nil {
 		return 0, err
 	}
@@ -729,7 +808,7 @@ func (o *Origin) pushOnce(s *subscriber, feed InvalidationFeed) (uint64, error) 
 	}
 	if !o.observeEpoch(ack.Epoch) {
 		// The edge has seen a newer epoch than ours: we are the
-		// zombie. observeEpoch already fenced us; stop this loop.
+		// zombie. observeEpoch already fenced us; stop this drain.
 		return 0, fmt.Errorf("fenced by subscriber ack (epoch %d > %d)", ack.Epoch, o.epoch.Load())
 	}
 	return ack.Ack, nil
@@ -758,7 +837,7 @@ func (o *Origin) observePoll(name, addr string, since uint64) {
 		if !sameAddr {
 			addr := addr
 			o.Subscribe(name, addr, since, func() (net.Conn, error) {
-				return net.Dial("tcp", addr)
+				return net.DialTimeout("tcp", addr, pushTimeout)
 			})
 		}
 	}
@@ -816,43 +895,201 @@ func (o *Origin) control(w *http2.ResponseWriter, r *http2.Request) {
 			writeControl(w, 400, "text/plain; charset=utf-8", []byte("bad push query\n"))
 			return
 		}
-		ack := o.MirrorFeed(feed)
-		body, _ := json.Marshal(pushAck{Ack: ack, Epoch: o.epoch.Load()})
-		writeControl(w, 200, "application/json", body)
+		writePushAck(w, o.MirrorFeed(feed), o.epoch.Load(), false)
 	default:
 		writeControl(w, 404, "text/plain; charset=utf-8", []byte("unknown control endpoint\n"))
 	}
 }
 
-// parseFeedQuery decodes the push wire form (query parameters, see
-// pushOnce) back into a feed. Shared by the edge's push surface and
-// the origin's standby mirror surface.
-func parseFeedQuery(query string) (InvalidationFeed, error) {
-	q, err := url.ParseQuery(query)
-	if err != nil {
-		return InvalidationFeed{}, err
+// The push wire form is the feed as a query, keys in sorted order —
+// the bytes url.Values.Encode gives for it, so a peer that reads it
+// with url.ParseQuery gets the same feed:
+//
+//	/sww-cdn/push?epoch=E&paths=P&reset=1&seq=N&since=S
+//
+// paths is the comma-joined list of the paths, each query-escaped, and
+// the list escaped once more as the value, so a comma or '%' in a path
+// survives both decodings; reset appears only when set, paths only
+// when the feed has any.
+
+// appendPushPath appends the push request path for feed to dst.
+func appendPushPath(dst []byte, feed InvalidationFeed) []byte {
+	dst = strconv.AppendUint(append(dst, pushPath+"?epoch="...), feed.Epoch, 10)
+	if len(feed.Paths) > 0 {
+		dst = append(dst, "&paths="...)
+		for i, p := range feed.Paths {
+			if i > 0 {
+				dst = append(dst, "%2C"...)
+			}
+			dst = appendPathEscaped(dst, p)
+		}
 	}
-	feed := InvalidationFeed{Reset: q.Get("reset") == "1"}
-	feed.Seq, _ = strconv.ParseUint(q.Get("seq"), 10, 64)
-	feed.Since, _ = strconv.ParseUint(q.Get("since"), 10, 64)
-	feed.Epoch, _ = strconv.ParseUint(q.Get("epoch"), 10, 64)
-	if raw := q.Get("paths"); raw != "" {
-		for _, p := range strings.Split(raw, ",") {
-			if u, err := url.QueryUnescape(p); err == nil && u != "" {
-				feed.Paths = append(feed.Paths, u)
+	if feed.Reset {
+		dst = append(dst, "&reset=1"...)
+	}
+	dst = strconv.AppendUint(append(dst, "&seq="...), feed.Seq, 10)
+	return strconv.AppendUint(append(dst, "&since="...), feed.Since, 10)
+}
+
+// appendPathEscaped appends p query-escaped twice, as
+// url.QueryEscape(url.QueryEscape(p)): unreserved bytes stay, a space
+// becomes "%2B" (the first pass's '+', escaped), and any other byte
+// "%25XX" (its "%XX", escaped).
+func appendPathEscaped(dst []byte, p string) []byte {
+	const hex = "0123456789ABCDEF"
+	for i := 0; i < len(p); i++ {
+		switch c := p[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '_', c == '.', c == '~':
+			dst = append(dst, c)
+		case c == ' ':
+			dst = append(dst, "%2B"...)
+		default:
+			dst = append(dst, '%', '2', '5', hex[c>>4], hex[c&15])
+		}
+	}
+	return dst
+}
+
+// The ways a push query fails to parse, as url.ParseQuery words them.
+var (
+	errQuerySemicolon = errors.New("invalid semicolon separator in query")
+	errQueryEscape    = errors.New("invalid URL escape in query")
+)
+
+// parseFeedQuery decodes the push wire form back into a feed exactly as
+// url.ParseQuery and url.Values.Get would: pairs split on '&', a ';' in
+// any pair or a malformed escape in any key or value is an error, the
+// first value of a key wins, and a path that is empty or badly escaped
+// is dropped. It walks the query in place, so a well-formed push costs
+// the paths it carries and nothing more. Shared by the edge's push
+// surface and the origin's standby mirror surface.
+func parseFeedQuery(query string) (InvalidationFeed, error) {
+	var (
+		feed    InvalidationFeed
+		seen    uint8 // one bit per key taken
+		scratch [256]byte
+	)
+	first := func(bit uint8) bool {
+		taken := seen&bit != 0
+		seen |= bit
+		return !taken
+	}
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if strings.Contains(pair, ";") {
+			return InvalidationFeed{}, errQuerySemicolon
+		}
+		if pair == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		key, ok := unescapeQuery(scratch[:0], k)
+		var val []byte
+		if ok {
+			val, ok = unescapeQuery(key[len(key):], v) // after the key, which stays readable
+		}
+		if !ok {
+			return InvalidationFeed{}, errQueryEscape
+		}
+		switch string(key) {
+		case "epoch":
+			if first(1) {
+				feed.Epoch, _ = strconv.ParseUint(string(val), 10, 64)
+			}
+		case "paths":
+			if first(2) {
+				feed.Paths = splitPaths(val)
+			}
+		case "reset":
+			if first(4) {
+				feed.Reset = string(val) == "1"
+			}
+		case "seq":
+			if first(8) {
+				feed.Seq, _ = strconv.ParseUint(string(val), 10, 64)
+			}
+		case "since":
+			if first(16) {
+				feed.Since, _ = strconv.ParseUint(string(val), 10, 64)
 			}
 		}
 	}
 	return feed, nil
 }
 
+// splitPaths decodes the once-unescaped paths value: comma-separated,
+// each element unescaped again in place; empty and badly escaped
+// elements are dropped.
+func splitPaths(list []byte) []string {
+	var paths []string
+	for len(list) > 0 {
+		var elem []byte
+		elem, list, _ = bytes.Cut(list, []byte{','})
+		if p, ok := unescapeQuery(elem[:0], elem); ok && len(p) > 0 {
+			paths = append(paths, string(p))
+		}
+	}
+	return paths
+}
+
+// unescapeQuery appends s, decoded as url.QueryUnescape decodes it, to
+// dst: "+" is a space and "%XX" one byte. It reports false where
+// QueryUnescape fails, on a '%' without two hex digits after it.
+// Decoding never writes ahead of what it has read, so dst may be
+// s[:0] when s is a byte slice.
+func unescapeQuery[S string | []byte](dst []byte, s S) ([]byte, bool) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '%':
+			if i+2 >= len(s) || !isHex(s[i+1]) || !isHex(s[i+2]) {
+				return dst, false
+			}
+			dst = append(dst, unhex(s[i+1])<<4|unhex(s[i+2]))
+			i += 2
+		case '+':
+			dst = append(dst, ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst, true
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func unhex(c byte) byte {
+	switch {
+	case c <= '9':
+		return c - '0'
+	case c <= 'F':
+		return c - 'A' + 10
+	}
+	return c - 'a' + 10
+}
+
 // writeControl answers a control request.
 func writeControl(w *http2.ResponseWriter, status int, contentType string, body []byte) {
 	// A failed write means the asking node is gone; it will ask again.
-	_ = w.Respond(status, body,
+	replyControl(w, status, contentType, body, false)
+}
+
+// replyControl sends one control reply; with try set it sends only if
+// the transport takes the whole reply now (TryRespond), and reports
+// whether it did. body is copied before it returns.
+func replyControl(w *http2.ResponseWriter, status int, contentType string, body []byte, try bool) bool {
+	var store [2]hpack.HeaderField
+	fields := append(store[:0],
 		hpack.HeaderField{Name: "content-type", Value: contentType},
-		hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(body))},
-	)
+		hpack.HeaderField{Name: "content-length", Value: strconv.Itoa(len(body))})
+	if try {
+		return w.TryRespond(status, body, fields...)
+	}
+	_ = w.Respond(status, body, fields...)
+	return true
 }
 
 // OriginStats is a snapshot of the origin's HA counters — the same
