@@ -353,6 +353,13 @@ func runH3() error {
 	for _, r := range rows {
 		fmt.Printf("%-14s %-18s %v\n", r.Scenario, r.Negotiated, r.OK)
 	}
+	// Only both-support may negotiate an ability, and every scenario
+	// must still complete its request.
+	for _, r := range rows {
+		if !r.OK || (r.Negotiated != 0) != (r.Scenario == "both-support") {
+			return fmt.Errorf("E14 %s: negotiated %v, request ok %v", r.Scenario, r.Negotiated, r.OK)
+		}
+	}
 	return nil
 }
 

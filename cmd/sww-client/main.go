@@ -8,9 +8,12 @@
 //
 //	sww-client [-addr localhost:8420] [-path /wiki/landscape]
 //	           [-device laptop|workstation|mobile] [-out ./rendered]
-//	           [-traditional] [-image-model ...] [-text-model ...]
+//	           [-traditional]
 //	           [-peers edge1=localhost:8430,edge2=localhost:8431]
 //	           [-probe-peers]
+//
+// A generative client generates with SD3-medium images and
+// DeepSeek-R1-8B text; -traditional fetches as a legacy client.
 //
 // -peers switches to ring routing through an edge fleet: the path's
 // consistent-hash owner is tried first, then its ring successors, so
@@ -47,9 +50,6 @@ func main() {
 	dev := flag.String("device", "laptop", "device profile: laptop|workstation|mobile")
 	out := flag.String("out", "rendered", "output directory")
 	traditional := flag.Bool("traditional", false, "act as a non-generative (legacy) client")
-	imageModel := flag.String("image-model", imagegen.SD3Medium, "local image model")
-	textModel := flag.String("text-model", textgen.DeepSeek8, "local text model")
-	useH3 := flag.Bool("h3", false, "connect with the HTTP/3 mapping instead of HTTP/2")
 	peers := flag.String("peers", "", "ring-route through an edge fleet: comma-separated name=addr list")
 	probePeers := flag.Bool("probe-peers", false, "health-probe the fleet first and drop dead edges from the ring")
 	flag.Parse()
@@ -60,7 +60,7 @@ func main() {
 	}
 	var proc *core.PageProcessor
 	if !*traditional {
-		proc, err = core.NewPageProcessor(profile, *imageModel, *textModel)
+		proc, err = core.NewPageProcessor(profile, imagegen.SD3Medium, textgen.DeepSeek8)
 		if err != nil {
 			log.Fatalf("building pipeline: %v", err)
 		}
@@ -75,12 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("dial: %v", err)
 	}
-	var client *core.Client
-	if *useH3 {
-		client, err = core.NewClientH3(nc, profile, proc)
-	} else {
-		client, err = core.NewClient(nc, profile, proc)
-	}
+	client, err := core.NewClient(nc, profile, proc)
 	if err != nil {
 		log.Fatalf("handshake: %v", err)
 	}
@@ -112,20 +107,14 @@ func main() {
 }
 
 // fetchThroughEdges ring-routes one fetch through the edge fleet in
-// spec ("name=addr,name=addr"), printing which edge served it. With
-// probe set, a synchronous membership round runs first: unresponsive
-// edges are declared dead and removed from the ring before routing.
+// spec ("name=addr,name=addr", read by cdn.ParsePeers as the edges
+// read it), printing which edge served it. With probe set, a
+// synchronous membership round runs first: unresponsive edges are
+// declared dead and removed from the ring before routing.
 func fetchThroughEdges(spec, path, out string, probe bool, profile device.Profile, proc *core.PageProcessor) {
-	dials := map[string]core.DialFunc{}
-	for _, pair := range strings.Split(spec, ",") {
-		name, addr, ok := strings.Cut(pair, "=")
-		if !ok {
-			log.Fatalf("bad -peers entry %q (want name=addr)", pair)
-		}
-		target := addr
-		dials[name] = func() (net.Conn, error) {
-			return net.DialTimeout("tcp", target, 5*time.Second)
-		}
+	names, dials := cdn.ParsePeers(spec, "")
+	if len(dials) != len(names) {
+		log.Fatalf("bad -peers %q: every entry must be name=addr", spec)
 	}
 	ec := cdn.NewEdgeClient(cdn.EdgeClientConfig{
 		Device: profile,

@@ -6,18 +6,8 @@
 //
 // Usage:
 //
-//	sww-server [-role origin|standby|edge] [-addr :8420] [-image-model sd3-medium]
-//	           [-text-model deepseek-r1-8b] [-policy generative|traditional]
-//	           [-max-gen-workers 4] [-gen-queue-deadline 500ms]
-//	           [-admit-rps 0] [-admit-burst 0]
-//	           [-breaker-failures 5] [-breaker-cooldown 1s] [-breaker-probes 1]
-//	           [-gen-cache-bytes 67108864] [-retry-after 1s]
-//	           [-artifact-cache-bytes 67108864] [-gen-parallel 0]
-//	           [-abuse-off] [-abuse-window 10s] [-abuse-rst-budget 100]
-//	           [-abuse-ping-budget 100] [-abuse-settings-budget 20]
-//	           [-abuse-window-update-budget 4000] [-abuse-empty-data-budget 100]
-//	           [-ops-addr 127.0.0.1:8421]
-//	           [-inval-log 1024] [-drain-timeout 5s]
+//	sww-server [-role origin|standby|edge] [-addr :8420]
+//	           [-ops-addr 127.0.0.1:8421] [-mutex-profile-fraction 0]
 //	           [-origin-log /var/lib/sww/origin] [-origin-epoch-dir /var/lib/sww/origin]
 //	sww-server -role standby -origin-addr localhost:8420
 //	           [-addr :8425] [-origin-log /var/lib/sww/standby]
@@ -27,18 +17,15 @@
 //	           [-addr :8430] [-edge-name edge1]
 //	           [-peers edge1=127.0.0.1:8430,edge2=127.0.0.1:8440]
 //	           [-edge-advertise 127.0.0.1:8430]
-//	           [-edge-cache-bytes 8388608] [-edge-ttl 30s]
-//	           [-edge-max-stale 10m] [-edge-poll 250ms]
+//	           [-edge-ttl 30s] [-edge-max-stale 10m]
 //	           [-edge-heartbeat 500ms] [-edge-suspect-after 1.5s]
-//	           [-edge-dead-after 3s] [-edge-peer-fill 2]
+//	           [-edge-dead-after 3s]
 //	           [-edge-snapshot /var/lib/sww/edge1.snap]
-//	           [-edge-snapshot-interval 5s]
-//	           [-origin-attempts 3] [-origin-attempt-timeout 2s]
-//	           [-origin-breaker-failures 3] [-origin-probe-cooldown 500ms]
 //	           [-retry-budget 0.2]
-//	           [-ops-addr 127.0.0.1:8431] [-drain-timeout 5s]
 //
-// -role origin (the default) runs the generative server with the CDN
+// -role origin (the default) runs the generative server (SD3-medium
+// images, DeepSeek-R1-8B text, the generative serve policy and the
+// library's overload, abuse and artifact-cache defaults) with the CDN
 // control surface attached: the /sww-cdn/ invalidation feed that edge
 // replicas poll, fed by unpublishes and cache evictions, plus push
 // fan-out to any edge that advertises a push address. -origin-log
@@ -76,26 +63,17 @@
 // shard and invalidation position are snapshotted there periodically
 // and on shutdown, and reloaded on boot.
 //
-// Both roles drain gracefully on SIGTERM/SIGINT: the listener closes,
-// in-flight streams get -drain-timeout to finish (GOAWAY first, so
-// clients stop sending new streams), and an edge flushes its
-// persistence snapshot before exiting.
+// Every role drains gracefully on SIGTERM/SIGINT: the listener closes,
+// in-flight streams get 5s to finish (GOAWAY first, so clients stop
+// sending new streams), and an edge flushes its persistence snapshot
+// before exiting.
 //
 // -ops-addr starts an operations listener (off by default): Prometheus
 // metrics at /metrics, a JSON snapshot at /statusz, recent request
 // traces at /tracez, and net/http/pprof under /debug/pprof/. Keep it
 // on a loopback or otherwise private address — it is unauthenticated.
-//
-// The overload flags shape the server-side load-shed ladder: a
-// bounded generation worker pool with a queue deadline, token-bucket
-// admission (off when -admit-rps is 0), a circuit breaker over the
-// generation backend, a byte-capped cache of generated traditional
-// content, and the Retry-After advice attached to 503 replies.
-//
-// The abuse flags set the per-connection abuse-ledger budgets
-// (events per sliding window). Exceeding a budget first ignores the
-// flooding frame kind, then refuses new streams with
-// ENHANCE_YOUR_CALM, then kills the connection with GOAWAY.
+// -mutex-profile-fraction n records 1/n mutex-contention events for
+// /debug/pprof/mutex (off by default: sampling costs the hot loop).
 //
 // The demo site contains /wiki/landscape (Figure 2), /news/article
 // (§6.2 text experiment) and /blog/hike (§2.1 travel blog).
@@ -120,103 +98,63 @@ import (
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
 	"sww/internal/http2"
-	"sww/internal/overload"
 	"sww/internal/telemetry"
 	"sww/internal/workload"
 )
 
+// drainTimeout is the grace in-flight streams get on SIGTERM/SIGINT.
+const drainTimeout = 5 * time.Second
+
 func main() {
-	role := flag.String("role", "origin", "process role: origin|edge")
+	role := flag.String("role", "origin", "process role: origin|standby|edge")
 	addr := flag.String("addr", ":8420", "listen address")
-	imageModel := flag.String("image-model", imagegen.SD3Medium, "server-side image model")
-	textModel := flag.String("text-model", textgen.DeepSeek8, "server-side text model")
-	policy := flag.String("policy", "generative", "serve policy: generative|traditional")
-	useH3 := flag.Bool("h3", false, "serve the HTTP/3 mapping instead of HTTP/2")
-	maxGenWorkers := flag.Int("max-gen-workers", 4, "concurrent server-side generations")
-	queueDeadline := flag.Duration("gen-queue-deadline", 500*time.Millisecond, "max wait for a free generation worker")
-	admitRPS := flag.Float64("admit-rps", 0, "sustained generation admission rate (0 disables)")
-	admitBurst := flag.Int("admit-burst", 0, "admission token-bucket depth (0 = 2x workers)")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive generation failures that open the breaker (<0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before half-open probes")
-	breakerProbes := flag.Int("breaker-probes", 1, "concurrent half-open probes")
-	genCacheBytes := flag.Int64("gen-cache-bytes", 64<<20, "byte cap on cached generated traditional content")
-	artifactCacheBytes := flag.Int64("artifact-cache-bytes", 64<<20, "byte cap on the content-addressed artifact cache (0 disables)")
-	genParallel := flag.Int("gen-parallel", 0, "per-page placeholder synthesis workers (0 = device default)")
-	retryAfter := flag.Duration("retry-after", time.Second, "default Retry-After advice on 503 replies")
-	abuseOff := flag.Bool("abuse-off", false, "disable the per-connection abuse ledger")
-	abuseWindow := flag.Duration("abuse-window", 10*time.Second, "abuse-budget sliding window")
-	abuseRSTBudget := flag.Int("abuse-rst-budget", 100, "rapid resets tolerated per window")
-	abusePingBudget := flag.Int("abuse-ping-budget", 100, "non-ACK PINGs tolerated per window")
-	abuseSettingsBudget := flag.Int("abuse-settings-budget", 20, "SETTINGS frames tolerated per window")
-	abuseWUBudget := flag.Int("abuse-window-update-budget", 4000, "WINDOW_UPDATEs tolerated per window")
-	abuseEmptyDataBudget := flag.Int("abuse-empty-data-budget", 100, "empty DATA frames tolerated per window")
 	opsAddr := flag.String("ops-addr", "", "operations listener address for /metrics, /statusz, /tracez, /debug/pprof (empty disables)")
 	mutexProfileFraction := flag.Int("mutex-profile-fraction", 0, "runtime mutex-contention sampling: 1/n events recorded for /debug/pprof/mutex (0 disables)")
-	blockProfileRate := flag.Int("block-profile-rate", 0, "runtime blocking-event sampling: one event per n ns blocked for /debug/pprof/block (0 disables)")
-	invalLog := flag.Int("inval-log", cdn.DefaultInvalidationLog, "origin invalidation log depth")
 	originLogDir := flag.String("origin-log", "", "origin/standby role: directory for the durable invalidation log (fsynced WAL + snapshot; empty = in-memory only)")
 	originEpochDir := flag.String("origin-epoch-dir", "", "origin/standby role: directory persisting the fencing epoch (empty = the -origin-log directory)")
 	standbyAdvertise := flag.String("standby-advertise", "", "standby role: address the primary pushes feeds to (empty = poll only)")
 	standbyPoll := flag.Duration("standby-poll", 250*time.Millisecond, "standby role: mirror poll interval")
 	promoteAfter := flag.Duration("promote-after", 2*time.Second, "standby role: primary silence before self-promotion")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "grace for in-flight streams on SIGTERM/SIGINT")
 	originAddr := flag.String("origin-addr", "", "edge role: comma-separated origin addresses to pull misses from (primary first); standby role: the primary to mirror")
 	retryBudget := flag.Float64("retry-budget", 0.2, "edge role: retry deposit per upstream request (token-bucket storm guard; 0 = default, negative disables)")
 	edgeName := flag.String("edge-name", "edge1", "edge role: this edge's ring name")
 	peerNames := flag.String("peers", "", "edge role: comma-separated fleet, name or name=addr (addr joins the health/peer-fill mesh)")
 	edgeAdvertise := flag.String("edge-advertise", "", "edge role: address advertised to the origin for push invalidation (empty = pull only)")
-	edgeCacheBytes := flag.Int64("edge-cache-bytes", 8<<20, "edge role: byte cap on the local cache shard")
 	edgeTTL := flag.Duration("edge-ttl", 30*time.Second, "edge role: cached entry freshness")
 	edgeMaxStale := flag.Duration("edge-max-stale", 10*time.Minute, "edge role: how far past TTL an entry may be served when the origin is down")
-	edgePoll := flag.Duration("edge-poll", 250*time.Millisecond, "edge role: invalidation poll interval (±20% jitter per tick)")
 	edgeHeartbeat := flag.Duration("edge-heartbeat", 500*time.Millisecond, "edge role: peer heartbeat interval")
 	edgeSuspectAfter := flag.Duration("edge-suspect-after", 0, "edge role: silence before a peer is suspected (0 = 3x heartbeat)")
 	edgeDeadAfter := flag.Duration("edge-dead-after", 0, "edge role: silence before a peer is declared dead and removed from the ring (0 = 2x suspect)")
-	edgePeerFill := flag.Int("edge-peer-fill", 0, "edge role: ring successors consulted on a breaker-open miss (0 = 2, negative disables)")
 	edgeSnapshot := flag.String("edge-snapshot", "", "edge role: shard snapshot path for crash-safe warm restart (empty disables)")
-	edgeSnapshotInterval := flag.Duration("edge-snapshot-interval", 5*time.Second, "edge role: background snapshot interval")
-	originAttempts := flag.Int("origin-attempts", 3, "edge role: upstream attempts per pull")
-	originAttemptTimeout := flag.Duration("origin-attempt-timeout", 2*time.Second, "edge role: per-attempt upstream timeout")
-	originBreakerFailures := flag.Int("origin-breaker-failures", 3, "edge role: consecutive upstream failures that open the origin breaker")
-	originProbeCooldown := flag.Duration("origin-probe-cooldown", 500*time.Millisecond, "edge role: open-breaker cooldown before a probe")
 	flag.Parse()
 
 	// Contention profiling for the wire fast path: off by default
 	// (sampling costs the hot loop), switched on per run when pprof's
-	// mutex/block profiles need data. Set before any serving starts so
-	// the profiles cover the whole process lifetime.
+	// mutex profile needs data. Set before any serving starts so the
+	// profile covers the whole process lifetime.
 	if *mutexProfileFraction > 0 {
 		runtime.SetMutexProfileFraction(*mutexProfileFraction)
 	}
-	if *blockProfileRate > 0 {
-		runtime.SetBlockProfileRate(*blockProfileRate)
-	}
 
 	if *role == "edge" {
-		runEdge(edgeOpts{
-			addr:             *addr,
-			originAddr:       *originAddr,
-			name:             *edgeName,
-			peers:            *peerNames,
-			advertise:        *edgeAdvertise,
-			cacheBytes:       *edgeCacheBytes,
-			ttl:              *edgeTTL,
-			maxStale:         *edgeMaxStale,
-			poll:             *edgePoll,
-			heartbeat:        *edgeHeartbeat,
-			suspectAfter:     *edgeSuspectAfter,
-			deadAfter:        *edgeDeadAfter,
-			peerFill:         *edgePeerFill,
-			snapshot:         *edgeSnapshot,
-			snapshotInterval: *edgeSnapshotInterval,
-			attempts:         *originAttempts,
-			attemptTimeout:   *originAttemptTimeout,
-			breakerFailures:  *originBreakerFailures,
-			probeCooldown:    *originProbeCooldown,
-			retryBudget:      *retryBudget,
-			opsAddr:          *opsAddr,
-			drainTimeout:     *drainTimeout,
-		})
+		peers, peerDials := cdn.ParsePeers(*peerNames, *edgeName)
+		runEdge(cdn.EdgeConfig{
+			Name:     *edgeName,
+			TTL:      *edgeTTL,
+			MaxStale: *edgeMaxStale,
+			// 3 attempts of 2s keep the edge's whole upstream ladder
+			// inside one sww-client attempt (10s), so a slow origin
+			// never makes the client retry work the edge is still doing.
+			Retry:            core.RetryPolicy{MaxAttempts: 3, AttemptTimeout: 2 * time.Second},
+			Peers:            peers,
+			PeerDials:        peerDials,
+			AdvertiseAddr:    *edgeAdvertise,
+			Heartbeat:        *edgeHeartbeat,
+			SuspectAfter:     *edgeSuspectAfter,
+			DeadAfter:        *edgeDeadAfter,
+			SnapshotPath:     *edgeSnapshot,
+			RetryBudgetRatio: *retryBudget,
+		}, *addr, *originAddr, *opsAddr)
 		return
 	}
 	if *role != "origin" && *role != "standby" {
@@ -227,41 +165,9 @@ func main() {
 		log.Fatal("-role standby requires -origin-addr (the primary to mirror)")
 	}
 
-	srv, err := core.NewServer(*imageModel, *textModel)
+	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
 	if err != nil {
 		log.Fatalf("building server: %v", err)
-	}
-	srv.SetOverload(overload.Config{
-		MaxGenWorkers: *maxGenWorkers,
-		QueueDeadline: *queueDeadline,
-		AdmitRPS:      *admitRPS,
-		AdmitBurst:    *admitBurst,
-		Breaker: overload.BreakerConfig{
-			FailureThreshold: *breakerFailures,
-			Cooldown:         *breakerCooldown,
-			ProbeBudget:      *breakerProbes,
-		},
-		CacheBytes: *genCacheBytes,
-		RetryAfter: *retryAfter,
-	})
-	srv.SetArtifactCacheBytes(*artifactCacheBytes)
-	srv.SetGenWorkers(*genParallel)
-	srv.SetAbusePolicy(&http2.AbusePolicy{
-		Disabled:           *abuseOff,
-		Window:             *abuseWindow,
-		RapidResetBudget:   *abuseRSTBudget,
-		PingBudget:         *abusePingBudget,
-		SettingsBudget:     *abuseSettingsBudget,
-		WindowUpdateBudget: *abuseWUBudget,
-		EmptyDataBudget:    *abuseEmptyDataBudget,
-	})
-	switch *policy {
-	case "generative":
-		srv.Policy = core.PolicyGenerative
-	case "traditional":
-		srv.Policy = core.PolicyTraditional
-	default:
-		log.Fatalf("unknown policy %q", *policy)
 	}
 
 	pages := []*core.Page{
@@ -282,7 +188,6 @@ func main() {
 		epochDir = *originLogDir
 	}
 	origin, err := cdn.NewOriginWithConfig(srv, cdn.OriginConfig{
-		MaxLog:   *invalLog,
 		LogDir:   *originLogDir,
 		EpochDir: epochDir,
 		Standby:  isStandby,
@@ -291,7 +196,7 @@ func main() {
 		log.Fatalf("origin log: %v", err)
 	}
 	fmt.Printf("cdn: invalidation feed on %s (log depth %d, role %s, epoch %d, seq %d)\n",
-		cdn.ControlPrefix, *invalLog, origin.Role(), origin.Epoch(), origin.Seq())
+		cdn.ControlPrefix, cdn.DefaultInvalidationLog, origin.Role(), origin.Epoch(), origin.Seq())
 	if *originLogDir != "" {
 		fmt.Printf("cdn: durable invalidation log in %s\n", *originLogDir)
 	}
@@ -313,8 +218,6 @@ func main() {
 			primary, *standbyPoll, *promoteAfter)
 	}
 
-	// Telemetry attaches after the overload/cache flags above so the
-	// adopted counters are the ones actually serving.
 	if *opsAddr != "" {
 		set := telemetry.NewSet()
 		srv.EnableTelemetry(set)
@@ -333,41 +236,13 @@ func main() {
 	sww, trad := srv.StorageBytes()
 	fmt.Printf("storage: %d B as SWW vs %d B traditional (%.1fx)\n",
 		sww, trad, float64(trad)/float64(sww))
-	fmt.Printf("overload: %d gen workers, queue deadline %v, admit %.0f rps, gen cache %d B\n",
-		*maxGenWorkers, *queueDeadline, *admitRPS, *genCacheBytes)
-	fmt.Printf("fast path: artifact cache %d B, gen parallelism %d (0 = device default)\n",
-		*artifactCacheBytes, *genParallel)
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	proto := "h2c"
-	if *useH3 {
-		proto = "h3 (QUIC-shaped over TCP)"
-	}
-	fmt.Printf("sww-server listening on %s (%s, policy=%s)\n", l.Addr(), proto, *policy)
-	if *useH3 {
-		// The h3 mapping has no graceful GOAWAY drain yet; a signal
-		// closes the listener and exits after the grace period.
-		stop := notifyShutdown()
-		go func() {
-			<-stop
-			fmt.Println("shutdown: closing listener")
-			l.Close()
-			time.Sleep(*drainTimeout)
-			os.Exit(0)
-		}()
-		h3 := srv.H3Server()
-		for {
-			nc, err := l.Accept()
-			if err != nil {
-				log.Fatal(err)
-			}
-			go h3.ServeConn(nc)
-		}
-	}
-	serveDraining(l, srv.StartConn, *drainTimeout, func() {
+	fmt.Printf("sww-server listening on %s (h2c)\n", l.Addr())
+	serveDraining(l, srv.StartConn, func() {
 		if standby != nil {
 			standby.Close()
 		}
@@ -418,9 +293,10 @@ func (t *connTable) snapshot() []*http2.ServerConn {
 
 // serveDraining accepts connections through start until SIGTERM or
 // SIGINT, then drains: the listener closes (no new connections), every
-// live connection gets a GOAWAY and up to timeout for its in-flight
-// streams to finish, then onDrained runs and the process exits 0.
-func serveDraining(l net.Listener, start func(net.Conn) *http2.ServerConn, timeout time.Duration, onDrained func()) {
+// live connection gets a GOAWAY and up to drainTimeout for its
+// in-flight streams to finish, then onDrained runs and the process
+// exits 0.
+func serveDraining(l net.Listener, start func(net.Conn) *http2.ServerConn, onDrained func()) {
 	table := newConnTable()
 	stop := notifyShutdown()
 	done := make(chan struct{})
@@ -438,7 +314,7 @@ func serveDraining(l net.Listener, start func(net.Conn) *http2.ServerConn, timeo
 	fmt.Println("shutdown: draining in-flight streams")
 	l.Close()
 	<-done
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, sc := range table.snapshot() {
@@ -455,67 +331,20 @@ func serveDraining(l net.Listener, start func(net.Conn) *http2.ServerConn, timeo
 	fmt.Println("shutdown: drained")
 }
 
-type edgeOpts struct {
-	addr, originAddr, name, peers string
-	advertise                     string
-	cacheBytes                    int64
-	ttl, maxStale, poll           time.Duration
-	heartbeat                     time.Duration
-	suspectAfter, deadAfter       time.Duration
-	peerFill                      int
-	snapshot                      string
-	snapshotInterval              time.Duration
-	attempts                      int
-	attemptTimeout                time.Duration
-	breakerFailures               int
-	probeCooldown                 time.Duration
-	retryBudget                   float64
-	opsAddr                       string
-	drainTimeout                  time.Duration
-}
-
-// parsePeers splits the -peers flag into ring names and the dialable
-// subset. Each entry is "name" (placement only) or "name=addr"
-// (placement plus mesh membership, heartbeats and peer-fill).
-func parsePeers(spec, self string) (names []string, dials map[string]core.DialFunc) {
-	dials = map[string]core.DialFunc{}
-	if spec == "" {
-		return []string{self}, dials
-	}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, addr, hasAddr := strings.Cut(entry, "=")
-		names = append(names, name)
-		if hasAddr && name != self {
-			addr := addr
-			dials[name] = func() (net.Conn, error) {
-				return net.DialTimeout("tcp", addr, 5*time.Second)
-			}
-		}
-	}
-	return names, dials
-}
-
 // runEdge runs one edge replica: a local cache shard in front of the
-// origin, serving terminal clients, heartbeating its mesh peers, and
-// reconciling the invalidation feed by push and anti-entropy poll.
-func runEdge(o edgeOpts) {
-	if o.originAddr == "" {
+// origins in originAddr, serving terminal clients on listenAddr,
+// heartbeating its mesh peers, and reconciling the invalidation feed
+// by push and anti-entropy poll.
+func runEdge(cfg cdn.EdgeConfig, listenAddr, originAddr, opsAddr string) {
+	if originAddr == "" {
 		log.Fatal("-role edge requires -origin-addr")
 	}
-	peers, peerDials := parsePeers(o.peers, o.name)
-	origins := core.NewEndpointSet(core.EndpointHealthConfig{
-		FailureThreshold: o.breakerFailures,
-		ProbeCooldown:    o.probeCooldown,
-	})
+	origins := core.NewEndpointSet(core.EndpointHealthConfig{})
 	// -origin-addr is a failover list: the first entry (the primary)
 	// is preferred while healthy, later ones (a warm standby) take
 	// over when its breaker opens or it answers fenced.
 	var originAddrs []string
-	for i, addr := range strings.Split(o.originAddr, ",") {
+	for i, addr := range strings.Split(originAddr, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
 			continue
@@ -524,7 +353,6 @@ func runEdge(o edgeOpts) {
 		if i > 0 {
 			name = fmt.Sprintf("origin%d", i+1)
 		}
-		addr := addr
 		origins.Add(name, func() (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		})
@@ -533,31 +361,11 @@ func runEdge(o edgeOpts) {
 	if len(originAddrs) == 0 {
 		log.Fatal("-role edge requires at least one address in -origin-addr")
 	}
-	e := cdn.NewEdge(cdn.EdgeConfig{
-		Name:         o.name,
-		CacheBytes:   o.cacheBytes,
-		TTL:          o.ttl,
-		MaxStale:     o.maxStale,
-		PollInterval: o.poll,
-		Retry: core.RetryPolicy{
-			MaxAttempts:    o.attempts,
-			AttemptTimeout: o.attemptTimeout,
-		},
-		Peers:            peers,
-		PeerDials:        peerDials,
-		AdvertiseAddr:    o.advertise,
-		Heartbeat:        o.heartbeat,
-		SuspectAfter:     o.suspectAfter,
-		DeadAfter:        o.deadAfter,
-		PeerFillFanout:   o.peerFill,
-		SnapshotPath:     o.snapshot,
-		SnapshotInterval: o.snapshotInterval,
-		RetryBudgetRatio: o.retryBudget,
-	}, origins)
-	if o.opsAddr != "" {
+	e := cdn.NewEdge(cfg, origins)
+	if opsAddr != "" {
 		set := telemetry.NewSet()
 		e.Register(set.Registry)
-		ol, err := net.Listen("tcp", o.opsAddr)
+		ol, err := net.Listen("tcp", opsAddr)
 		if err != nil {
 			log.Fatalf("ops listen: %v", err)
 		}
@@ -566,21 +374,21 @@ func runEdge(o edgeOpts) {
 	}
 	if s := e.Stats(); s.SnapshotLoaded > 0 {
 		fmt.Printf("edge: restored %d entries from %s (seq %d)\n",
-			s.SnapshotLoaded, o.snapshot, s.LastSeq)
+			s.SnapshotLoaded, cfg.SnapshotPath, s.LastSeq)
 	}
 	e.Start()
 
-	l, err := net.Listen("tcp", o.addr)
+	l, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
 	fmt.Printf("sww-edge %q listening on %s, origins %v, fleet %v (%d mesh peers)\n",
-		o.name, l.Addr(), originAddrs, peers, len(peerDials))
-	fmt.Printf("edge: cache %d B, ttl %v, max-stale %v, poll %v, snapshot %q\n",
-		o.cacheBytes, o.ttl, o.maxStale, o.poll, o.snapshot)
+		cfg.Name, l.Addr(), originAddrs, cfg.Peers, len(cfg.PeerDials))
+	fmt.Printf("edge: ttl %v, max-stale %v, snapshot %q\n",
+		cfg.TTL, cfg.MaxStale, cfg.SnapshotPath)
 	// Close flushes the final snapshot after the drain, so entries
 	// cached by the very last in-flight streams survive the restart.
-	serveDraining(l, e.StartConn, o.drainTimeout, func() {
+	serveDraining(l, e.StartConn, func() {
 		if err := e.Close(); err != nil {
 			log.Printf("edge close: %v", err)
 		}

@@ -12,6 +12,9 @@ package cdn
 import (
 	"context"
 	"fmt"
+	"net"
+	"strings"
+	"time"
 
 	"sww/internal/core"
 	"sww/internal/device"
@@ -69,6 +72,35 @@ func NewEdgeClient(cfg EdgeClientConfig, dials map[string]core.DialFunc) *EdgeCl
 		c.AddPeer(name, dial)
 	}
 	return c
+}
+
+// ParsePeers reads a fleet spec, the -peers flag of both binaries: a
+// comma-separated list whose entries are "name" (a ring member only)
+// or "name=addr" (a ring member that is also dialed). Spaces around
+// entries, names and addresses are trimmed and empty entries skipped,
+// so every process given the same fleet builds the same ring. names
+// lists every member in spec order; dials holds a TCP dial for each
+// addressed member except self. A spec with no entries is the
+// one-member fleet of self.
+func ParsePeers(spec, self string) (names []string, dials map[string]core.DialFunc) {
+	dials = map[string]core.DialFunc{}
+	for _, entry := range strings.Split(spec, ",") {
+		if strings.TrimSpace(entry) == "" {
+			continue
+		}
+		name, addr, hasAddr := strings.Cut(entry, "=")
+		name, addr = strings.TrimSpace(name), strings.TrimSpace(addr)
+		names = append(names, name)
+		if hasAddr && name != self {
+			dials[name] = func() (net.Conn, error) {
+				return net.DialTimeout("tcp", addr, 5*time.Second)
+			}
+		}
+	}
+	if len(names) == 0 {
+		names = []string{self}
+	}
+	return names, dials
 }
 
 // AddPeer registers one more edge on the ring with its own transport

@@ -120,10 +120,6 @@ type EdgeConfig struct {
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
 
-	// PeerFillFanout is how many ring-successor peers a breaker-open
-	// miss consults. 0 means 2; negative disables peer-fill.
-	PeerFillFanout int
-
 	// SnapshotPath, when set, enables crash-safe warm restart: the
 	// shard index and lastSeq are snapshotted there periodically and
 	// on Close, and reloaded by NewEdge.
@@ -177,16 +173,6 @@ func (c EdgeConfig) pollInterval() time.Duration {
 	return c.PollInterval
 }
 
-func (c EdgeConfig) peerFillFanout() int {
-	if c.PeerFillFanout < 0 {
-		return 0
-	}
-	if c.PeerFillFanout == 0 {
-		return 2
-	}
-	return c.PeerFillFanout
-}
-
 func (c EdgeConfig) snapshotInterval() time.Duration {
 	if c.SnapshotInterval <= 0 {
 		return 5 * time.Second
@@ -207,10 +193,12 @@ func (c EdgeConfig) seed() int64 {
 	return s
 }
 
-// peerFillTimeout bounds one whole hedged peer consultation;
+// peerFillFanout is how many ring-successor peers a breaker-open miss
+// consults; peerFillTimeout bounds one whole hedged consultation;
 // hedgeDelay staggers the candidates so the second peer is only asked
 // when the first is slow.
 const (
+	peerFillFanout  = 2
 	peerFillTimeout = 250 * time.Millisecond
 	hedgeDelay      = 50 * time.Millisecond
 )
@@ -660,14 +648,13 @@ func (e *Edge) peerServe(w *http2.ResponseWriter, key []byte, now time.Time, inl
 	return true
 }
 
-// peerFill consults up to PeerFillFanout alive ring-successor peers
+// peerFill consults up to peerFillFanout alive ring-successor peers
 // for path, hedged: the first is asked immediately, each further
 // candidate only after hedgeDelay more of silence, and the first 200
 // wins. The filled entry joins the shard backdated by the peer's
 // stale age, so staleness accounting survives the hop.
 func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbility) (*core.RawReply, time.Duration, bool) {
-	fanout := e.cfg.peerFillFanout()
-	if e.mesh == nil || fanout == 0 {
+	if e.mesh == nil {
 		return nil, 0, false
 	}
 	var cands []*meshPeer
@@ -680,7 +667,7 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 			continue
 		}
 		cands = append(cands, p)
-		if len(cands) == fanout {
+		if len(cands) == peerFillFanout {
 			break
 		}
 	}

@@ -2,6 +2,9 @@ package cdn
 
 import (
 	"fmt"
+	"net"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -122,4 +125,48 @@ func TestRingEmpty(t *testing.T) {
 	if got := r.LookupN("/x", 5); len(got) != 1 {
 		t.Fatalf("LookupN beyond fleet size = %v", got)
 	}
+}
+
+// TestParsePeers: the edges and the routing client read -peers with
+// one parser, so they build the same ring from the same spec. Spaces
+// and empty entries (a trailing comma) must not change the fleet.
+func TestParsePeers(t *testing.T) {
+	cases := []struct {
+		name, spec, self string
+		names, dials     []string
+	}{
+		{"empty", "", "edge1", []string{"edge1"}, nil},
+		{"only commas", " , ", "edge1", []string{"edge1"}, nil},
+		{"bare names", "edge1,edge2", "edge1", []string{"edge1", "edge2"}, nil},
+		{"name=addr", "edge1=a:1,edge2=b:2", "", []string{"edge1", "edge2"}, []string{"edge1", "edge2"}},
+		{"self not dialed", "edge1=a:1,edge2=b:2", "edge1", []string{"edge1", "edge2"}, []string{"edge2"}},
+		{"spaces", " edge1 = a:1, edge2=b:2 ", "", []string{"edge1", "edge2"}, []string{"edge1", "edge2"}},
+		{"empty entries", "edge1=a:1,,edge2=b:2,", "", []string{"edge1", "edge2"}, []string{"edge1", "edge2"}},
+		{"mixed", "edge1, edge2=b:2,edge3", "edge3", []string{"edge1", "edge2", "edge3"}, []string{"edge2"}},
+	}
+	for _, c := range cases {
+		names, dials := ParsePeers(c.spec, c.self)
+		var dialed []string
+		for n := range dials {
+			dialed = append(dialed, n)
+		}
+		sort.Strings(dialed)
+		if !reflect.DeepEqual(names, c.names) || !reflect.DeepEqual(dialed, c.dials) {
+			t.Errorf("%s: ParsePeers(%q, %q) = %q, dials %q; want %q, dials %q",
+				c.name, c.spec, c.self, names, dialed, c.names, c.dials)
+		}
+	}
+
+	// A dial reaches the trimmed address.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	_, dials := ParsePeers(fmt.Sprintf("edge1 , edge2= %s ", l.Addr()), "edge1")
+	nc, err := dials["edge2"]()
+	if err != nil {
+		t.Fatalf("dial edge2: %v", err)
+	}
+	nc.Close()
 }

@@ -120,9 +120,9 @@ func TestConcurrentMissSingleGeneration(t *testing.T) {
 
 // TestBreakerTransitionsThroughServer drives the circuit breaker's
 // full closed → open → half-open → closed cycle through the serving
-// path: a failing generation backend opens the breaker, open sheds
-// with 503 + Retry-After, cooldown admits a probe, and a healed
-// backend closes it again.
+// path: a failing generation backend opens the breaker (5 failures),
+// open sheds with 503 + Retry-After, cooldown admits probes, and two
+// probes to a healed backend close it again.
 func TestBreakerTransitionsThroughServer(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
@@ -130,15 +130,10 @@ func TestBreakerTransitionsThroughServer(t *testing.T) {
 
 	srv := newOverloadServer(t, overload.Config{
 		MaxGenWorkers: 2,
-		Breaker: overload.BreakerConfig{
-			FailureThreshold: 3,
-			Cooldown:         time.Minute,
-			ProbeBudget:      1,
-			SuccessThreshold: 1,
-		},
-		Clock: clock,
+		Clock:         clock,
 	})
-	for i := 0; i < 6; i++ {
+	const failures = 5
+	for i := 0; i < failures+3; i++ {
 		srv.AddPage(overloadGenPage(i))
 	}
 
@@ -146,39 +141,42 @@ func TestBreakerTransitionsThroughServer(t *testing.T) {
 	// with ErrGenDeadline — a genuine generation failure, not a shed.
 	srv.serverProc.SimBudget = time.Nanosecond
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failures; i++ {
 		pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(i).Path, http2.GenNone, false)
 		if pl.status != 500 {
 			t.Fatalf("failing backend request %d: status %d, want 500", i, pl.status)
 		}
 	}
 	if st := srv.Overload().Breaker().State(); st != overload.BreakerOpen {
-		t.Fatalf("breaker %v after %d failures, want open", st, 3)
+		t.Fatalf("breaker %v after %d failures, want open", st, failures)
 	}
 
 	// Open: fail fast with 503 + Retry-After, no backend run.
-	pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(3).Path, http2.GenNone, false)
+	pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(failures).Path, http2.GenNone, false)
 	if pl.status != 503 || pl.shed != "breaker-open" || pl.retryAfter < 1 {
 		t.Fatalf("open-breaker reply = status %d shed %q retryAfter %d", pl.status, pl.shed, pl.retryAfter)
 	}
 
-	// Heal the backend and pass the cooldown: the half-open probe must
-	// succeed and close the breaker.
+	// Heal the backend and pass the cooldown: two half-open probes
+	// must succeed, the first leaving the breaker half-open and the
+	// second closing it.
 	srv.serverProc.SimBudget = 0
 	mu.Lock()
-	now = now.Add(2 * time.Minute)
+	now = now.Add(2 * time.Second)
 	mu.Unlock()
-	pl, _ = srv.resolve(context.Background(), "GET", overloadGenPage(4).Path, http2.GenNone, false)
-	if pl.status != 200 {
-		t.Fatalf("probe request: status %d: %s", pl.status, pl.body)
-	}
-	if st := srv.Overload().Breaker().State(); st != overload.BreakerClosed {
-		t.Fatalf("breaker %v after successful probe, want closed", st)
+	for i, want := range []overload.BreakerState{overload.BreakerHalfOpen, overload.BreakerClosed} {
+		pl, _ = srv.resolve(context.Background(), "GET", overloadGenPage(failures+1+i).Path, http2.GenNone, false)
+		if pl.status != 200 {
+			t.Fatalf("probe request %d: status %d: %s", i, pl.status, pl.body)
+		}
+		if st := srv.Overload().Breaker().State(); st != want {
+			t.Fatalf("breaker %v after successful probe %d, want %v", st, i, want)
+		}
 	}
 
 	st := srv.OverloadStats()
-	if st.GenFailures != 3 || st.BreakerOpens != 1 || st.BreakerRejects != 1 || st.Shed503 != 1 {
-		t.Errorf("counters = %+v, want 3 gen failures, 1 open, 1 reject, 1 shed 503", st)
+	if st.GenFailures != failures || st.BreakerOpens != 1 || st.BreakerRejects != 1 || st.Shed503 != 1 {
+		t.Errorf("counters = %+v, want %d gen failures, 1 open, 1 reject, 1 shed 503", st, failures)
 	}
 }
 

@@ -297,14 +297,6 @@ func (s *Server) SetArtifactCacheBytes(maxBytes int64) {
 	s.serverProc.Pipeline.Cache = genai.NewArtifactCache(maxBytes)
 }
 
-// SetGenWorkers bounds the server-side placeholder worker pool (0
-// restores the device default).
-func (s *Server) SetGenWorkers(n int) {
-	if s.serverProc != nil {
-		s.serverProc.Workers = n
-	}
-}
-
 // Overload returns the active overload guard (for tests, experiments
 // and metrics scraping).
 func (s *Server) Overload() *overload.Guard {
@@ -727,9 +719,9 @@ func (s *Server) serveH3(w *http3.ResponseWriter, r *http3.Request) {
 	s.serveRequest(context.Background(), "h3", r.Method, r.Path, peerGen, h3Responder{w}, false)
 }
 
-// H3Server returns an HTTP/3 server serving this site (§3.1: the
-// same SWW semantics over the HTTP/3 mapping).
-func (s *Server) H3Server() *http3.Server {
+// StartConnH3 serves one connection over HTTP/3 in the background
+// (§3.1: the same SWW semantics over the HTTP/3 mapping).
+func (s *Server) StartConnH3(c net.Conn) *http3.ServerConn {
 	cfg := http3.Config{GenAbility: s.Ability}
 	if s.serverProc != nil && s.serverProc.Pipeline != nil {
 		if m := s.serverProc.Pipeline.ImageModel(); m != nil {
@@ -739,12 +731,8 @@ func (s *Server) H3Server() *http3.Server {
 			cfg.TextModelID = genai.ModelID(m.Name())
 		}
 	}
-	return &http3.Server{Handler: http3.HandlerFunc(s.serveH3), Config: cfg}
-}
-
-// StartConnH3 serves one connection over HTTP/3 in the background.
-func (s *Server) StartConnH3(c net.Conn) *http3.ServerConn {
-	return s.H3Server().StartConn(c)
+	h3 := &http3.Server{Handler: http3.HandlerFunc(s.serveH3), Config: cfg}
+	return h3.StartConn(c)
 }
 
 // cachedTraditional returns the generated form of a page from the

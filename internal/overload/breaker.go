@@ -36,53 +36,15 @@ func (s BreakerState) String() string {
 // open (or the half-open probe budget is spent).
 var ErrBreakerOpen = errors.New("overload: circuit breaker open")
 
-// BreakerConfig tunes a Breaker. The zero value means: trip after 5
-// consecutive failures, cool down 1s, probe with 1 request at a time,
-// close after 2 consecutive probe successes.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that trips
-	// the breaker. Zero means 5; negative disables the breaker.
-	FailureThreshold int
-
-	// Cooldown is how long the breaker stays open before allowing
-	// half-open probes. Zero means 1s.
-	Cooldown time.Duration
-
-	// ProbeBudget bounds concurrent half-open probes. Zero means 1.
-	ProbeBudget int
-
-	// SuccessThreshold is the consecutive probe successes needed to
-	// close again. Zero means 2.
-	SuccessThreshold int
-}
-
-func (c BreakerConfig) failureThreshold() int {
-	if c.FailureThreshold == 0 {
-		return 5
-	}
-	return c.FailureThreshold
-}
-
-func (c BreakerConfig) cooldown() time.Duration {
-	if c.Cooldown <= 0 {
-		return time.Second
-	}
-	return c.Cooldown
-}
-
-func (c BreakerConfig) probeBudget() int {
-	if c.ProbeBudget <= 0 {
-		return 1
-	}
-	return c.ProbeBudget
-}
-
-func (c BreakerConfig) successThreshold() int {
-	if c.SuccessThreshold <= 0 {
-		return 2
-	}
-	return c.SuccessThreshold
-}
+// The breaker's thresholds: trip after 5 consecutive failures, cool
+// down 1s, probe with 1 request at a time, close after 2 consecutive
+// probe successes.
+const (
+	breakerFailures  = 5
+	breakerCooldown  = time.Second
+	breakerProbes    = 1
+	breakerSuccesses = 2
+)
 
 // A Breaker protects one generation backend: closed → open after a
 // run of failures, open → half-open after a cooldown, half-open →
@@ -93,7 +55,6 @@ type Breaker struct {
 	// breaker trips from closed or half-open to open.
 	OnOpen func()
 
-	cfg BreakerConfig
 	now func() time.Time
 
 	mu        sync.Mutex
@@ -106,11 +67,11 @@ type Breaker struct {
 
 // NewBreaker builds a closed breaker. now may be nil for the wall
 // clock.
-func NewBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
+func NewBreaker(now func() time.Time) *Breaker {
 	if now == nil {
 		now = time.Now
 	}
-	return &Breaker{cfg: cfg, now: now}
+	return &Breaker{now: now}
 }
 
 // State reports the current position, applying any due open→half-open
@@ -123,7 +84,7 @@ func (b *Breaker) State() BreakerState {
 }
 
 func (b *Breaker) maybeHalfOpenLocked() {
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.cooldown() {
+	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= breakerCooldown {
 		b.state = BreakerHalfOpen
 		b.probes = 0
 		b.successes = 0
@@ -139,17 +100,13 @@ func (b *Breaker) UntilProbe() time.Duration {
 	if b.state != BreakerOpen {
 		return 0
 	}
-	return b.cfg.cooldown() - b.now().Sub(b.openedAt)
+	return breakerCooldown - b.now().Sub(b.openedAt)
 }
 
 // Allow asks to pass one request. On success it returns a done
 // callback that must be invoked exactly once with the backend
-// outcome; on rejection it returns ErrBreakerOpen. A disabled breaker
-// (FailureThreshold < 0) always allows with a no-op callback.
+// outcome; on rejection it returns ErrBreakerOpen.
 func (b *Breaker) Allow() (done func(ok bool), err error) {
-	if b.cfg.FailureThreshold < 0 {
-		return func(bool) {}, nil
-	}
 	b.mu.Lock()
 	b.maybeHalfOpenLocked()
 	switch b.state {
@@ -157,7 +114,7 @@ func (b *Breaker) Allow() (done func(ok bool), err error) {
 		b.mu.Unlock()
 		return nil, ErrBreakerOpen
 	case BreakerHalfOpen:
-		if b.probes >= b.cfg.probeBudget() {
+		if b.probes >= breakerProbes {
 			b.mu.Unlock()
 			return nil, ErrBreakerOpen
 		}
@@ -177,7 +134,7 @@ func (b *Breaker) record(ok bool) {
 			break
 		}
 		b.failures++
-		if b.failures >= b.cfg.failureThreshold() {
+		if b.failures >= breakerFailures {
 			b.tripLocked()
 			tripped = true
 		}
@@ -191,7 +148,7 @@ func (b *Breaker) record(ok bool) {
 			break
 		}
 		b.successes++
-		if b.successes >= b.cfg.successThreshold() {
+		if b.successes >= breakerSuccesses {
 			b.state = BreakerClosed
 			b.failures = 0
 			b.successes = 0

@@ -88,7 +88,8 @@ func (e *ShedError) Error() string {
 
 // Config parameterizes a Guard. The zero value yields permissive
 // defaults: a small worker pool and cache bound, no admission rate
-// limit, breaker enabled with lenient thresholds.
+// limit. The breaker's thresholds and the 1s Retry-After advice for
+// queue timeouts are fixed.
 type Config struct {
 	// MaxGenWorkers bounds concurrent server-side generation. Zero
 	// means 4; negative means 1.
@@ -107,17 +108,10 @@ type Config struct {
 	// 2×MaxGenWorkers.
 	AdmitBurst int
 
-	// Breaker configures the generation-backend circuit breaker.
-	Breaker BreakerConfig
-
 	// CacheBytes caps the generated-traditional LRU in bytes (HTML
 	// plus generated assets). Zero means 64 MiB; negative means an
 	// effectively unbounded cache.
 	CacheBytes int64
-
-	// RetryAfter is the default Retry-After advice for sheds that
-	// carry no better estimate (queue timeouts). Zero means 1s.
-	RetryAfter time.Duration
 
 	// GenWallScale models real inference occupancy: a generation
 	// holds its worker slot for SimGenTime × GenWallScale of wall
@@ -167,12 +161,9 @@ func (c Config) cacheBytes() int64 {
 	}
 }
 
-func (c Config) retryAfter() time.Duration {
-	if c.RetryAfter <= 0 {
-		return time.Second
-	}
-	return c.RetryAfter
-}
+// retryAfter is the Retry-After advice for sheds that carry no better
+// estimate (queue timeouts), and the floor under the estimates.
+const retryAfter = time.Second
 
 func (c Config) clock() func() time.Time {
 	if c.Clock == nil {
@@ -205,7 +196,7 @@ func NewGuard(cfg Config) *Guard {
 	if cfg.AdmitRPS > 0 {
 		g.bucket = NewTokenBucket(cfg.AdmitRPS, float64(cfg.admitBurst()), cfg.clock())
 	}
-	g.breaker = NewBreaker(cfg.Breaker, cfg.clock())
+	g.breaker = NewBreaker(cfg.clock())
 	g.breaker.OnOpen = func() { g.ctr.BreakerOpens.Add(1) }
 	g.cache = NewByteLRU(cfg.cacheBytes())
 	return g
@@ -278,7 +269,7 @@ func (g *Guard) AdmitGen(ctx context.Context) (release func(ok bool), err error)
 			return nil, ctx.Err()
 		}
 		g.ctr.QueueTimeouts.Add(1)
-		return nil, &ShedError{Reason: "queue-timeout", RetryAfter: g.cfg.retryAfter()}
+		return nil, &ShedError{Reason: "queue-timeout", RetryAfter: retryAfter}
 	}
 	g.ctr.Admitted.Add(1)
 	return func(ok bool) {
@@ -288,22 +279,13 @@ func (g *Guard) AdmitGen(ctx context.Context) (release func(ok bool), err error)
 }
 
 // retryAfterBucket estimates when the next token lands, floored at
-// the configured default so clients do not hammer a nearly-empty
-// bucket.
+// retryAfter so clients do not hammer a nearly-empty bucket.
 func (g *Guard) retryAfterBucket() time.Duration {
-	d := g.bucket.UntilNextToken()
-	if d < g.cfg.retryAfter() {
-		return g.cfg.retryAfter()
-	}
-	return d
+	return max(g.bucket.UntilNextToken(), retryAfter)
 }
 
 // retryAfterBreaker estimates the remaining cooldown before the
-// breaker half-opens.
+// breaker half-opens, floored at retryAfter.
 func (g *Guard) retryAfterBreaker() time.Duration {
-	d := g.breaker.UntilProbe()
-	if d < g.cfg.retryAfter() {
-		return g.cfg.retryAfter()
-	}
-	return d
+	return max(g.breaker.UntilProbe(), retryAfter)
 }

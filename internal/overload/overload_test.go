@@ -171,12 +171,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 func TestBreakerTransitions(t *testing.T) {
 	clk := newFakeClock()
 	var opens atomic.Int32
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold: 3,
-		Cooldown:         time.Second,
-		ProbeBudget:      1,
-		SuccessThreshold: 2,
-	}, clk.Now)
+	b := NewBreaker(clk.Now)
 	b.OnOpen = func() { opens.Add(1) }
 
 	fail := func() {
@@ -186,8 +181,9 @@ func TestBreakerTransitions(t *testing.T) {
 		}
 		done(false)
 	}
-	fail()
-	fail()
+	for i := 1; i < breakerFailures; i++ {
+		fail()
+	}
 	if b.State() != BreakerClosed {
 		t.Fatal("breaker tripped before threshold")
 	}
@@ -198,11 +194,11 @@ func TestBreakerTransitions(t *testing.T) {
 	if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker allowed: %v", err)
 	}
-	if got := b.UntilProbe(); got != time.Second {
+	if got := b.UntilProbe(); got != breakerCooldown {
 		t.Fatalf("UntilProbe = %v", got)
 	}
 
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	if b.State() != BreakerHalfOpen {
 		t.Fatal("breaker not half-open after cooldown")
 	}
@@ -223,9 +219,9 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("OnOpen fired %d times, want 2", got)
 	}
 
-	// Cooldown again, then two successful probes close it.
-	clk.Advance(time.Second)
-	for i := 0; i < 2; i++ {
+	// Cooldown again, then a run of successful probes closes it.
+	clk.Advance(breakerCooldown)
+	for i := 0; i < breakerSuccesses; i++ {
 		done, err := b.Allow()
 		if err != nil {
 			t.Fatalf("probe %d rejected: %v", i, err)
@@ -236,8 +232,9 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("breaker not closed after probe successes")
 	}
 	// And a success resets the failure run.
-	fail()
-	fail()
+	for i := 1; i < breakerFailures; i++ {
+		fail()
+	}
 	done, _ := b.Allow()
 	done(true)
 	fail()
@@ -305,8 +302,6 @@ func TestGuardAdmissionLadder(t *testing.T) {
 		QueueDeadline: 20 * time.Millisecond,
 		AdmitRPS:      1,
 		AdmitBurst:    2,
-		RetryAfter:    time.Second,
-		Breaker:       BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute},
 		Clock:         clk.Now,
 	})
 
@@ -338,9 +333,10 @@ func TestGuardAdmissionLadder(t *testing.T) {
 	}
 	rel1(true)
 
-	// Two backend failures trip the breaker → critical, fail fast.
-	clk.Advance(10 * time.Second) // refill bucket
-	for i := 0; i < 2; i++ {
+	// A run of backend failures trips the breaker → critical, fail
+	// fast.
+	for i := 0; i < breakerFailures; i++ {
+		clk.Advance(10 * time.Second) // refill bucket
 		rel, err := g.AdmitGen(context.Background())
 		if err != nil {
 			t.Fatalf("admit %d: %v", i, err)
@@ -356,7 +352,7 @@ func TestGuardAdmissionLadder(t *testing.T) {
 	}
 
 	s := g.Counters().Snapshot()
-	if s.Admitted != 3 || s.QueueTimeouts != 1 || s.AdmitRejects != 1 ||
+	if s.Admitted != 1+breakerFailures || s.QueueTimeouts != 1 || s.AdmitRejects != 1 ||
 		s.BreakerRejects != 1 || s.BreakerOpens != 1 {
 		t.Fatalf("counters: %+v", s)
 	}
@@ -372,16 +368,15 @@ func TestGuardShedDoesNotFeedBreaker(t *testing.T) {
 		QueueDeadline: 5 * time.Millisecond,
 		AdmitRPS:      1000,
 		AdmitBurst:    1000,
-		Breaker:       BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
 		Clock:         clk.Now,
 	})
 	rel, err := g.AdmitGen(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue timeouts while the worker is held must not trip a
-	// FailureThreshold=1 breaker: sheds are not backend failures.
-	for i := 0; i < 3; i++ {
+	// A threshold's worth of queue timeouts while the worker is held
+	// must not trip the breaker: sheds are not backend failures.
+	for i := 0; i < breakerFailures; i++ {
 		if _, err := g.AdmitGen(context.Background()); err == nil {
 			t.Fatal("expected queue-timeout shed")
 		}
