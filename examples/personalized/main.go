@@ -55,12 +55,13 @@ func main() {
 func renderPrompts(pz *core.Personalizer) []string {
 	page := workload.TravelBlog()
 	if pz != nil {
-		phs := page.Placeholders()
-		pz.PersonalizeDoc(phs)
+		pz.PersonalizeDoc(page.Placeholders())
 	}
-	// What the generators would actually be asked for:
+	// What the generators would actually be asked for, read from the
+	// rewritten document (Placeholders keeps the page's neutral divs):
+	phs, _ := core.FindPlaceholders(page.Doc)
 	var prompts []string
-	for _, ph := range page.Placeholders() {
+	for _, ph := range phs {
 		switch ph.Content.Type {
 		case core.ContentImage:
 			prompts = append(prompts, ph.Content.Meta.Prompt)

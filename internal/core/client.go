@@ -18,9 +18,6 @@ import (
 	"sww/internal/http3"
 )
 
-// htmlRender is a tiny alias keeping server.go readable.
-func htmlRender(n *html.Node) string { return html.RenderString(n) }
-
 // fetchReply is one transport-agnostic response: status, the SWW
 // headers the client logic reads, and the full body.
 type fetchReply struct {

@@ -287,10 +287,18 @@ func TestTraditionalDoc(t *testing.T) {
 	if len(p.Doc.ByClass(GeneratedClass)) != 1 {
 		t.Error("TraditionalDoc mutated the SWW form")
 	}
+	// What the server sends is the same page, written from the compiled
+	// holes.
+	if body, err := p.originalsBody(); err != nil || string(body) != html.RenderString(trad) {
+		t.Errorf("originalsBody = %q, %v; want %q", body, err, html.RenderString(trad))
+	}
 	// Missing originals fail.
 	p2 := &Page{Path: "/p2", Doc: doc.Clone()}
 	if _, err := p2.TraditionalDoc(); err == nil {
 		t.Error("missing originals should fail")
+	}
+	if _, err := p2.originalsBody(); err == nil {
+		t.Error("missing originals should fail the compiled page too")
 	}
 }
 

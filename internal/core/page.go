@@ -32,15 +32,23 @@ type Page struct {
 	Unique    []Asset
 	Originals []Asset
 
-	// Serving memos, computed lazily on first use. Doc is never
-	// mutated once a page is being served (derived forms clone it), so
-	// the rendered prompt bytes and the capability requirements are
-	// stable for the page's lifetime.
+	// Serving memos, computed lazily on first use. Doc must not change
+	// once a page is being served (derived forms never touch it), so
+	// the rendered prompt bytes, the parsed placeholders and the
+	// compiled traditional form are stable for the page's lifetime.
 	promptOnce  sync.Once
 	promptBytes []byte
 	promptLen   string // strconv of len(promptBytes), for content-length
-	reqOnce     sync.Once
-	req         http2.GenAbility
+
+	parseOnce sync.Once
+	phs       []Placeholder
+	phErr     error // what ProcessContext fails with on this page's malformed divs
+	req       http2.GenAbility
+
+	// compiled is built by the first traditional serve, never by the
+	// prompt path.
+	compileOnce sync.Once
+	compiled    *compiledPage
 }
 
 // HTML renders the page's SWW form.
@@ -53,7 +61,7 @@ func (p *Page) HTML() string { return html.RenderString(p.Doc) }
 // is served.
 func (p *Page) PromptBytes() []byte {
 	p.promptOnce.Do(func() {
-		p.promptBytes = []byte(html.RenderString(p.Doc))
+		p.promptBytes = html.AppendRender(make([]byte, 0, html.RenderLen(p.Doc)), p.Doc)
 		p.promptLen = strconv.Itoa(len(p.promptBytes))
 	})
 	return p.promptBytes
@@ -66,16 +74,40 @@ func (p *Page) PromptLen() string {
 	return p.promptLen
 }
 
-// Placeholders returns the page's generated-content divs.
+// Placeholders returns the page's generated-content divs, parsed once
+// and shared: callers must not modify the slice. Doc must not change
+// after the first call; a caller that rewrites Doc (as PersonalizeDoc
+// does) reads the result with FindPlaceholders(p.Doc).
 func (p *Page) Placeholders() []Placeholder {
-	ph, _ := FindPlaceholders(p.Doc)
-	return ph
+	phs, _ := p.parsed()
+	return phs
+}
+
+// parsed memoizes FindPlaceholders(p.Doc): the well-formed
+// placeholders, the error ProcessContext gives for the malformed ones
+// (nil when there are none), and the capability they require.
+func (p *Page) parsed() ([]Placeholder, error) {
+	p.parseOnce.Do(func() {
+		phs, errs := FindPlaceholders(p.Doc)
+		p.phs, p.phErr = phs, malformed(errs)
+		for _, ph := range phs {
+			switch ph.Content.Type {
+			case ContentImage:
+				p.req |= http2.GenBasic | http2.GenImage
+			case ContentText:
+				p.req |= http2.GenBasic | http2.GenText
+			case ContentUpscale:
+				p.req |= http2.GenBasic | http2.GenUpscaleOnly
+			}
+		}
+	})
+	return p.phs, p.phErr
 }
 
 // SWWWireBytes returns the bytes a generative client receives for the
 // page itself: the baseline HTML (which embeds all prompt metadata).
 func (p *Page) SWWWireBytes() int {
-	return len(p.HTML())
+	return html.RenderLen(p.Doc)
 }
 
 // MetadataBytes sums the JSON wire size of all placeholder metadata.
@@ -102,17 +134,15 @@ func (p *Page) MetadataContentBytes() int {
 // replaced: explicit OriginalBytes metadata when present, otherwise
 // the stored original asset of the same name.
 func (p *Page) OriginalMediaBytes() int {
-	byPath := map[string]int{}
-	for _, a := range p.Originals {
-		byPath[a.Path] = len(a.Data)
-	}
 	total := 0
 	for _, ph := range p.Placeholders() {
 		if ob := ph.Content.Meta.OriginalBytes; ob > 0 {
 			total += ob
 			continue
 		}
-		total += byPath[originalPath(ph.Content.Meta.Name)]
+		if a, ok := p.original(originalPath(ph.Content.Meta.Name)); ok {
+			total += len(a.Data)
+		}
 	}
 	return total
 }
@@ -136,20 +166,7 @@ func (p *Page) MediaCompressionRatio() float64 {
 // pages traditionally, per §3's "more complex support options, such
 // as upscale-only").
 func (p *Page) Requirements() http2.GenAbility {
-	p.reqOnce.Do(func() {
-		req := http2.GenNone
-		for _, ph := range p.Placeholders() {
-			switch ph.Content.Type {
-			case ContentImage:
-				req |= http2.GenBasic | http2.GenImage
-			case ContentText:
-				req |= http2.GenBasic | http2.GenText
-			case ContentUpscale:
-				req |= http2.GenBasic | http2.GenUpscaleOnly
-			}
-		}
-		p.req = req
-	})
+	p.parsed()
 	return p.req
 }
 
@@ -158,39 +175,148 @@ func (p *Page) Requirements() http2.GenAbility {
 // pointing at the original photo, or the original text. It fails if
 // the page has no originals for some placeholder.
 func (p *Page) TraditionalDoc() (*html.Node, error) {
-	byName := map[string]Asset{}
-	for _, a := range p.Originals {
-		byName[a.Path] = a
-	}
 	doc := p.Doc.Clone()
 	phs, _ := FindPlaceholders(doc)
 	for _, ph := range phs {
-		switch ph.Content.Type {
-		case ContentImage, ContentUpscale:
-			path := originalPath(ph.Content.Meta.Name)
-			if _, ok := byName[path]; !ok {
-				return nil, fmt.Errorf("core: no original asset %q", path)
-			}
-			img := html.NewElement("img",
-				html.Attribute{Name: "src", Value: path},
-				html.Attribute{Name: "alt", Value: ph.Content.Meta.Prompt},
-			)
-			ph.Node.Parent.ReplaceChild(ph.Node, img)
-		case ContentText:
-			// The traditional text form is the full prose; bullets
-			// are its lossless summary, so the original is carried as
-			// an asset too.
-			path := originalPath(ph.Content.Meta.Name)
-			a, ok := byName[path]
-			if !ok {
-				return nil, fmt.Errorf("core: no original text %q", path)
-			}
-			par := html.NewElement("p")
-			par.AppendChild(html.NewText(string(a.Data)))
-			ph.Node.Parent.ReplaceChild(ph.Node, par)
+		n, err := p.originalNode(ph)
+		if err != nil {
+			return nil, err
 		}
+		ph.Node.Parent.ReplaceChild(ph.Node, n)
 	}
 	return doc, nil
+}
+
+// originalsBody renders the page's traditional form from its stored
+// originals: the bytes of TraditionalDoc, written from the compiled
+// page instead of a clone of Doc.
+func (p *Page) originalsBody() ([]byte, error) {
+	c := p.compile()
+	pl := c.placement()
+	for i, ph := range c.phs {
+		n, err := p.originalNode(ph)
+		if err != nil {
+			return nil, err
+		}
+		pl.place(i, n)
+	}
+	return c.body(pl.nodes), nil
+}
+
+// originalNode is the traditional stand-in for one placeholder: an
+// <img> of its original photo, or a paragraph of its original text.
+func (p *Page) originalNode(ph Placeholder) (*html.Node, error) {
+	path := originalPath(ph.Content.Meta.Name)
+	a, ok := p.original(path)
+	switch ph.Content.Type {
+	case ContentImage, ContentUpscale:
+		if !ok {
+			return nil, fmt.Errorf("core: no original asset %q", path)
+		}
+		return html.NewElement("img",
+			html.Attribute{Name: "src", Value: path},
+			html.Attribute{Name: "alt", Value: ph.Content.Meta.Prompt},
+		), nil
+	case ContentText:
+		// The traditional text form is the full prose; bullets are its
+		// lossless summary, so the original is carried as an asset too.
+		if !ok {
+			return nil, fmt.Errorf("core: no original text %q", path)
+		}
+		par := html.NewElement("p")
+		par.AppendChild(html.NewText(string(a.Data)))
+		return par, nil
+	}
+	return nil, fmt.Errorf("core: unsupported content type %q", ph.Content.Type)
+}
+
+// original finds the stored original at path; of several with the same
+// path, the last wins, as it does in the server's asset map.
+func (p *Page) original(path string) (Asset, bool) {
+	for i := len(p.Originals) - 1; i >= 0; i-- {
+		if p.Originals[i].Path == path {
+			return p.Originals[i], true
+		}
+	}
+	return Asset{}, false
+}
+
+// A compiledPage is a page compiled for traditional serving, so that a
+// traditional render pays only for what differs per fetch: the static
+// HTML between its top-level placeholders, the hole each placeholder
+// fills, and each placeholder's metadata sizes.
+type compiledPage struct {
+	phs    []Placeholder // the page's well-formed placeholders
+	items  []compiledItem
+	segs   []string // static HTML around the holes: one more than there are holes
+	static int      // total length of segs
+}
+
+// A compiledItem is what a compiledPage knows of one placeholder.
+type compiledItem struct {
+	// hole is the placeholder's hole, or -1 when it sits inside another
+	// placeholder, whose replacement takes it along (as ReplaceChild of
+	// the outer div does in a document).
+	hole          int
+	wire, content int // WireSize, ContentSize
+}
+
+// compile memoizes the page's compiledPage. Malformed divs are not
+// holes: like TraditionalDoc, the compiled page renders them as they
+// are.
+func (p *Page) compile() *compiledPage {
+	p.compileOnce.Do(func() {
+		phs, _ := p.parsed()
+		c := &compiledPage{phs: phs, items: make([]compiledItem, len(phs))}
+		holes := make([]*html.Node, 0, len(phs))
+		for i, ph := range phs {
+			it := &c.items[i]
+			it.wire, it.content = ph.Content.WireSize(), ph.Content.ContentSize()
+			// Placeholders come in document order, so one inside another
+			// follows it before any later top-level one.
+			if len(holes) > 0 && isAncestor(holes[len(holes)-1], ph.Node) {
+				it.hole = -1
+				continue
+			}
+			it.hole = len(holes)
+			holes = append(holes, ph.Node)
+		}
+		c.segs = html.Segments(p.Doc, holes)
+		for _, s := range c.segs {
+			c.static += len(s)
+		}
+		p.compiled = c
+	})
+	return p.compiled
+}
+
+func isAncestor(a, n *html.Node) bool {
+	for n = n.Parent; n != nil; n = n.Parent {
+		if n == a {
+			return true
+		}
+	}
+	return false
+}
+
+// placement returns an empty placement into c's holes.
+func (c *compiledPage) placement() placement {
+	return placement{phs: c.phs, page: c, nodes: make([]*html.Node, len(c.segs)-1)}
+}
+
+// body writes segs[0], nodes[0]'s rendering, segs[1], … into one
+// exactly-sized buffer.
+func (c *compiledPage) body(nodes []*html.Node) []byte {
+	n := c.static
+	for _, nd := range nodes {
+		n += html.RenderLen(nd)
+	}
+	b := append(make([]byte, 0, n), c.segs[0]...)
+	for k, nd := range nodes {
+		b = html.AppendRender(b, nd)
+		b = append(b, c.segs[k+1]...)
+	}
+	return b
 }
 
 // originalPath is where a placeholder's original media lives on the

@@ -13,6 +13,7 @@ import (
 	"image"
 	"image/png"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
 	"sww/internal/html"
+	"sww/internal/http2"
 )
 
 // mixedPage builds a page of image and text placeholders with
@@ -77,6 +79,11 @@ type procOutcome struct {
 	report *ProcessReport
 	html   string
 	err    error
+
+	// body and bodyErr are the server's traditional pass over the same
+	// page, written from its compiled holes.
+	body    string
+	bodyErr error
 }
 
 func runProc(t *testing.T, workers int, page string, budget time.Duration) procOutcome {
@@ -85,7 +92,9 @@ func runProc(t *testing.T, workers int, page string, budget time.Duration) procO
 	proc.SimBudget = budget
 	doc := html.Parse(page)
 	assets, report, err := proc.Process(doc)
-	return procOutcome{assets: assets, report: report, html: html.RenderString(doc), err: err}
+	body, _, _, bodyErr := proc.processTraditional(context.Background(), &Page{Path: "/p", Doc: html.Parse(page)})
+	return procOutcome{assets: assets, report: report, html: html.RenderString(doc), err: err,
+		body: string(body), bodyErr: bodyErr}
 }
 
 var workerCounts = []int{1, 2, 8}
@@ -99,10 +108,16 @@ func TestParallelEquivalence(t *testing.T) {
 	if len(base.report.Items) != 7 {
 		t.Fatalf("%d items", len(base.report.Items))
 	}
+	if base.bodyErr != nil || base.body != base.html {
+		t.Fatalf("compiled traditional body differs from the processed document (%v)", base.bodyErr)
+	}
 	for _, w := range workerCounts[1:] {
 		got := runProc(t, w, page, 0)
 		if got.err != nil {
 			t.Fatalf("workers=%d: %v", w, got.err)
+		}
+		if got.body != base.html {
+			t.Errorf("workers=%d: compiled traditional body differs from the sequential document (%v)", w, got.bodyErr)
 		}
 		if len(got.assets) != len(base.assets) {
 			t.Fatalf("workers=%d: %d assets, want %d", w, len(got.assets), len(base.assets))
@@ -152,6 +167,9 @@ func TestParallelBudgetCutoff(t *testing.T) {
 		}
 		if got.err.Error() != base.err.Error() {
 			t.Errorf("workers=%d: cut-off error %q, sequential %q", w, got.err, base.err)
+		}
+		if got.bodyErr == nil || got.bodyErr.Error() != base.err.Error() {
+			t.Errorf("workers=%d: traditional pass cut off with %v, sequential %q", w, got.bodyErr, base.err)
 		}
 	}
 }
@@ -235,4 +253,33 @@ func TestUpscaleSeedPerPath(t *testing.T) {
 	if bytes.Equal(a, bb) {
 		t.Error("equal-length source paths produced identical upscales (seed collision)")
 	}
+}
+
+// TestCompiledPageConcurrentFirstUse: goroutines racing to be a page's
+// first traditional render, and its first prompt-path reader, all see
+// the one parse and the one compilation, and render the same body (run
+// under -race).
+func TestCompiledPageConcurrentFirstUse(t *testing.T) {
+	src := mixedPage(t, 2, 1)
+	want := runProc(t, 1, src, 0).html
+	page := &Page{Path: "/p", Doc: html.Parse(src)}
+	proc := newParallelProc(t, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 1 {
+				if req := page.Requirements(); !req.Supports(http2.GenImage | http2.GenText) {
+					t.Errorf("requirements %v", req)
+				}
+				return
+			}
+			body, _, _, err := proc.processTraditional(context.Background(), page)
+			if err != nil || string(body) != want {
+				t.Errorf("goroutine %d: body differs from the processed document (%v)", g, err)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

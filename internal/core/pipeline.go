@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"image/png"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,21 +154,80 @@ func (pp *PageProcessor) Process(doc *html.Node) (map[string][]byte, *ProcessRep
 // stream, and the abuse ledger can only bound how often that happens,
 // not how much each one costs.
 func (pp *PageProcessor) ProcessContext(ctx context.Context, doc *html.Node) (map[string][]byte, *ProcessReport, error) {
-	// A malformed placeholder fails the whole pass with a typed error:
-	// the client's degradation ladder re-fetches the page traditionally
-	// rather than rendering a half-generated document.
 	placeholders, parseErrs := FindPlaceholders(doc)
-	if len(parseErrs) > 0 {
-		return nil, nil, fmt.Errorf("core: %d malformed placeholders, first: %w", len(parseErrs), parseErrs[0])
+	if err := malformed(parseErrs); err != nil {
+		return nil, nil, err
 	}
+	return pp.process(ctx, placement{phs: placeholders})
+}
+
+// malformed is the error a pass fails with when a page has malformed
+// placeholders: the client's degradation ladder re-fetches the page
+// traditionally rather than rendering a half-generated document.
+func malformed(parseErrs []error) error {
+	if len(parseErrs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("core: %d malformed placeholders, first: %w", len(parseErrs), parseErrs[0])
+}
+
+// processTraditional generates page p server-side: the engine of
+// ProcessContext over the page's memoized placeholders, with the
+// results written into its compiled holes. body is, byte for byte, what
+// ProcessContext on a clone of p.Doc renders to; errors are its errors.
+func (pp *PageProcessor) processTraditional(ctx context.Context, p *Page) (body []byte, assets map[string][]byte, report *ProcessReport, err error) {
+	if _, err := p.parsed(); err != nil {
+		return nil, nil, nil, err
+	}
+	c := p.compile()
+	pl := c.placement()
+	if assets, report, err = pp.process(ctx, pl); err != nil {
+		return nil, nil, nil, err
+	}
+	return c.body(pl.nodes), assets, report, nil
+}
+
+func (pp *PageProcessor) process(ctx context.Context, pl placement) (map[string][]byte, *ProcessReport, error) {
 	loadBefore := pp.pipelineLoadTime()
 	assets := make(map[string][]byte)
 	report := &ProcessReport{}
-	if err := pp.runPlaceholders(ctx, placeholders, assets, report); err != nil {
+	if err := pp.runPlaceholders(ctx, pl, assets, report); err != nil {
 		return nil, nil, err
 	}
 	report.SimLoadTime = pp.pipelineLoadTime() - loadBefore
 	return assets, report, nil
+}
+
+// A placement is what one pass generates and where each result goes, in
+// document order: phs's divs replaced in their document (the client's
+// pass, page nil), or page's holes filled in (the server's traditional
+// pass, see Page.compile).
+type placement struct {
+	phs   []Placeholder
+	page  *compiledPage
+	nodes []*html.Node // page's holes, as filled
+}
+
+// sizes is placeholder i's WireSize and ContentSize.
+func (pl placement) sizes(i int) (wire, content int) {
+	if pl.page != nil {
+		it := pl.page.items[i]
+		return it.wire, it.content
+	}
+	c := pl.phs[i].Content
+	return c.WireSize(), c.ContentSize()
+}
+
+// place puts n where placeholder i was.
+func (pl placement) place(i int, n *html.Node) {
+	if pl.page == nil {
+		ph := pl.phs[i]
+		ph.Node.Parent.ReplaceChild(ph.Node, n)
+		return
+	}
+	if h := pl.page.items[i].hole; h >= 0 {
+		pl.nodes[h] = n
+	}
 }
 
 // genResult is one placeholder's generation output, produced by a
@@ -193,20 +253,20 @@ func (pp *PageProcessor) genWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runPlaceholders generates all placeholders on a bounded worker pool
+// runPlaceholders generates pl's placeholders on a bounded worker pool
 // and assembles results strictly in document order, so every
-// observable outcome — asset bytes, DOM mutations, report contents,
+// observable outcome — asset bytes, placements, report contents,
 // SimBudget cut-off point, and which error is returned — is identical
 // to a sequential pass. Simulated generation time remains the
 // sequential sum (§6.2 accounting); only the reproduction's own
 // wall-clock is parallelized.
 //
-// Cancellation: workers observe the internal context, which is
-// canceled as soon as assembly selects an error. Items before the
-// failing one in document order are already applied (matching the
-// sequential pass); later results are discarded with the whole
-// report, as before.
-func (pp *PageProcessor) runPlaceholders(ctx context.Context, placeholders []Placeholder, assets map[string][]byte, report *ProcessReport) error {
+// Cancellation: workers observe ctx, and stop as soon as assembly
+// selects an error. Items before the failing one in document order are
+// already applied (matching the sequential pass); later results are
+// discarded with the whole report.
+func (pp *PageProcessor) runPlaceholders(ctx context.Context, pl placement, assets map[string][]byte, report *ProcessReport) error {
+	placeholders := pl.phs
 	n := len(placeholders)
 	if n == 0 {
 		return nil
@@ -215,9 +275,7 @@ func (pp *PageProcessor) runPlaceholders(ctx context.Context, placeholders []Pla
 	if workers > n {
 		workers = n
 	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	var stop atomic.Bool // set once assembly has its error
 	results := make([]genResult, n)
 	ready := make(chan int, n) // buffered: workers never block, even if assembly stops early
 	var next atomic.Int64
@@ -232,10 +290,11 @@ func (pp *PageProcessor) runPlaceholders(ctx context.Context, placeholders []Pla
 					return
 				}
 				// Same cooperative-cancellation granularity as the
-				// sequential loop: checked once before each item.
-				if err := gctx.Err(); err != nil {
+				// sequential loop: checked once before each item. (After
+				// stop the result is never read.)
+				if err := ctx.Err(); err != nil {
 					results[i] = genResult{err: err}
-				} else {
+				} else if !stop.Load() {
 					results[i] = pp.generateOne(placeholders[i])
 				}
 				ready <- i
@@ -250,23 +309,22 @@ func (pp *PageProcessor) runPlaceholders(ctx context.Context, placeholders []Pla
 		i := <-ready
 		arrived[i] = true
 		for retErr == nil && applied < n && arrived[applied] {
-			retErr = pp.applyResult(placeholders[applied], &results[applied], assets, report)
+			retErr = pp.applyResult(pl, applied, &results[applied], assets, report)
 			applied++
 		}
 	}
 	// Stop in-flight work and wait for the pool before returning:
 	// workers use caller-owned state (FetchAsset closures in
 	// particular) that must not outlive the Process call.
-	cancel()
+	stop.Store(true)
 	wg.Wait()
 	return retErr
 }
 
-// applyResult performs one placeholder's document-order side effects:
-// DOM replacement, asset publication, and report accounting — the
-// exact sequence (and budget cut-off semantics) of the sequential
-// loop.
-func (pp *PageProcessor) applyResult(ph Placeholder, r *genResult, assets map[string][]byte, report *ProcessReport) error {
+// applyResult performs placeholder i's document-order side effects:
+// placement, asset publication, and report accounting — the exact
+// sequence (and budget cut-off semantics) of the sequential loop.
+func (pp *PageProcessor) applyResult(pl placement, i int, r *genResult, assets map[string][]byte, report *ProcessReport) error {
 	if r.err != nil {
 		return r.err
 	}
@@ -274,9 +332,15 @@ func (pp *PageProcessor) applyResult(ph Placeholder, r *genResult, assets map[st
 		assets[r.path] = r.data
 	}
 	if r.node != nil {
-		ph.Node.Parent.ReplaceChild(ph.Node, r.node)
+		pl.place(i, r.node)
 	}
 	item := r.item
+	wire, content := pl.sizes(i)
+	item.WireBytes += wire
+	item.ContentBytes = content
+	if report.Items == nil {
+		report.Items = make([]ItemReport, 0, len(pl.phs))
+	}
 	report.Items = append(report.Items, item)
 	report.SimGenTime += item.SimTime
 	if pp.SimBudget > 0 && report.SimGenTime > pp.SimBudget {
@@ -307,11 +371,11 @@ func (pp *PageProcessor) pipelineLoadTime() time.Duration {
 // safe to run concurrently for distinct placeholders.
 func (pp *PageProcessor) generateOne(ph Placeholder) genResult {
 	meta := ph.Content.Meta
+	// WireBytes and ContentBytes are the placement's to add, in
+	// applyResult.
 	r := genResult{item: ItemReport{
 		Name:          meta.Name,
 		Type:          ph.Content.Type,
-		WireBytes:     ph.Content.WireSize(),
-		ContentBytes:  ph.Content.ContentSize(),
 		OriginalBytes: meta.OriginalBytes,
 	}}
 	switch ph.Content.Type {
@@ -332,15 +396,19 @@ func (pp *PageProcessor) generateOne(ph Placeholder) genResult {
 		}
 		r.path = generatedPath(meta.Name)
 		r.data = res.PNG
-		img := html.NewElement("img",
+		// Room for every attribute the image may carry: width, height
+		// and the verification flag append without regrowing.
+		attrs := append(make([]html.Attribute, 0, 6),
 			html.Attribute{Name: "src", Value: r.path},
 			html.Attribute{Name: "alt", Value: meta.Prompt},
 			html.Attribute{Name: "class", Value: "sww-generated"},
 		)
 		if meta.Width > 0 {
-			img.SetAttr("width", fmt.Sprint(meta.Width))
-			img.SetAttr("height", fmt.Sprint(meta.Height))
+			attrs = append(attrs,
+				html.Attribute{Name: "width", Value: strconv.Itoa(meta.Width)},
+				html.Attribute{Name: "height", Value: strconv.Itoa(meta.Height)})
 		}
+		img := html.NewElement("img", attrs...)
 		r.node = img
 		r.item.OutputBytes = len(res.PNG)
 		r.item.SimTime = res.SimTime

@@ -131,8 +131,7 @@ type Server struct {
 }
 
 type servedTraditional struct {
-	html       string
-	body       []byte // html as immutable bytes, shared by every serve
+	body       []byte // the page's HTML, immutable, shared by every serve
 	lenStr     string // strconv of len(body), for content-length
 	assets     map[string][]byte
 	report     *ProcessReport
@@ -374,8 +373,8 @@ func (s *Server) StorageBytes() (sww, traditional int64) {
 			sww += int64(len(a.Data))
 			traditional += int64(len(a.Data))
 		}
-		if doc, err := p.TraditionalDoc(); err == nil {
-			traditional += int64(len(htmlRender(doc)))
+		if body, err := p.originalsBody(); err == nil {
+			traditional += int64(len(body))
 		} else {
 			traditional += int64(p.SWWWireBytes())
 		}
@@ -481,7 +480,7 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 				if inline {
 					return payload{}, false
 				}
-				if doc, err := page.TraditionalDoc(); err == nil {
+				if body, err := page.originalsBody(); err == nil {
 					s.Overload().Counters().ShedPolicyFlip.Add(1)
 					tr.Note("shed", "policy flip at "+s.Overload().Level().String())
 					return payload{
@@ -490,7 +489,7 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 						mode:        ModeTraditional,
 						shed:        shedPolicyFlip,
 						outcome:     OutcomePolicyFlip,
-						body:        []byte(htmlRender(doc)),
+						body:        body,
 					}, true
 				}
 			}
@@ -523,13 +522,13 @@ func (s *Server) resolveTraditional(ctx context.Context, p *Page, inline bool) (
 		if inline {
 			return payload{}, false
 		}
-		if doc, err := p.TraditionalDoc(); err == nil {
+		if body, err := p.originalsBody(); err == nil {
 			return payload{
 				status:      200,
 				contentType: "text/html; charset=utf-8",
 				mode:        ModeTraditional,
 				outcome:     OutcomeTraditional,
-				body:        []byte(htmlRender(doc)),
+				body:        body,
 			}, true
 		}
 	}
@@ -815,8 +814,7 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 		g.Counters().GenRuns.Add(1)
 		gen := tr.StartSpan("generate")
 		genStart := time.Now()
-		doc := p.Doc.Clone()
-		assets, report, err := s.serverProc.ProcessContext(ctx, doc)
+		body, assets, report, err := s.serverProc.processTraditional(ctx, p)
 		s.observeDuration("sww_generation_duration_seconds", time.Since(genStart))
 		if err != nil {
 			gen.EndNote(err.Error())
@@ -831,10 +829,14 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 		}
 		gen.End()
 		ok = true
-		st := &servedTraditional{html: htmlRender(doc), assets: assets, report: report}
-		st.body = []byte(st.html)
-		st.lenStr = strconv.Itoa(len(st.body))
-		st.bytes = int64(len(st.html))
+		st := &servedTraditional{
+			body:       body,
+			lenStr:     strconv.Itoa(len(body)),
+			assets:     assets,
+			report:     report,
+			assetPaths: make([]string, 0, len(assets)),
+			bytes:      int64(len(body)),
+		}
 		for path, data := range assets {
 			st.assetPaths = append(st.assetPaths, path)
 			st.bytes += int64(len(data))

@@ -197,8 +197,11 @@ func PersonalizationExperiment() (*PersonalizationResult, error) {
 		if pz != nil {
 			pz.PersonalizeDoc(page.Placeholders())
 		}
+		// Personalizing rewrote the divs: read them from the document,
+		// not the page's memo of the neutral ones.
+		phs, _ := core.FindPlaceholders(page.Doc)
 		var prompts []string
-		for _, ph := range page.Placeholders() {
+		for _, ph := range phs {
 			if ph.Content.Type == core.ContentImage {
 				prompts = append(prompts, ph.Content.Meta.Prompt)
 			} else {

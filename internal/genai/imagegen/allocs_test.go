@@ -10,11 +10,12 @@ import (
 )
 
 // TestGenerateAllocs pins a warm generation at the LoadPage shape to
-// the 23 objects it makes today — the same count the RGBA kernel had —
-// so the palette cannot drift back to being built per image: a
+// the 11 objects it makes today (23 before the synthesis scratch), so
+// the palette cannot drift back to being built per image (a
 // color.Palette of an image's ~100 luminances is one slice plus one
-// boxed colour per entry. One spare object covers a GC emptying the
-// encoder's pools mid-run. (The race detector's instrumentation
+// boxed colour per entry), nor the scratch back to per-image buffers
+// or a fresh 607-word random source. One spare object covers a GC
+// emptying the pools mid-run. (The race detector's instrumentation
 // allocates; hence the build tag.)
 func TestGenerateAllocs(t *testing.T) {
 	req := genai.ImageRequest{Prompt: "a red sailboat at dawn", Width: 128, Height: 128, Class: device.ClassLaptop, Seed: 7}
@@ -26,7 +27,7 @@ func TestGenerateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 24 {
-		t.Fatalf("Generate 128×128: %v allocs, want ≤ 24", allocs)
+	if allocs > 12 {
+		t.Fatalf("Generate 128×128: %v allocs, want ≤ 12", allocs)
 	}
 }

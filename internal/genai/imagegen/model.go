@@ -7,7 +7,6 @@ import (
 	"image"
 	"image/png"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -144,9 +143,11 @@ func (m *diffusionModel) seedAndTarget(req genai.ImageRequest) (seed int64, targ
 	// generations of the same model, and very low step counts cost a
 	// little adherence (the paper: "only minor changes to CLIP score"
 	// across 10–60 steps).
-	rng := rand.New(rand.NewSource(seed ^ 0x5ee1))
+	sc := scratches.Get().(*scratch)
+	sc.rng.Seed(seed ^ 0x5ee1)
 	target = metrics.AlignmentForCLIP(m.clipTarget)
-	target += rng.NormFloat64() * 0.015
+	target += sc.rng.NormFloat64() * 0.015
+	scratches.Put(sc)
 	if req.Steps < 10 {
 		target -= 0.02 * float64(10-req.Steps) / 10
 	}

@@ -30,34 +30,29 @@ const (
 	texAmp   = 22  // amplitude of the in-cell texture
 )
 
-// Scratch-buffer pools. A busy server synthesizes thousands of
-// images; the w·h texture plane is the dominant transient allocation,
-// so it (and the small per-axis index scratch) is recycled rather
-// than reallocated per image.
-var (
-	floatPool sync.Pool // *[]float64
-	intPool   sync.Pool // *[]int
-)
-
-func getFloats(n int) []float64 {
-	if p, _ := floatPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		s := (*p)[:n]
-		clear(s)
-		return s
-	}
-	return make([]float64, n)
+// A scratch is one synthesis's working memory. A busy server
+// synthesizes thousands of images, and the w·h texture plane is the
+// dominant transient allocation, so scratches are recycled whole, with
+// the generator the synthesis draws from.
+type scratch struct {
+	rng   *rand.Rand // re-seeded per use: the sequence rand.New(rand.NewSource(seed)) draws
+	tex   []float64  // w·h texture plane
+	table []float64  // one octave's lattice values
+	fades []float64  // per column: faded in-lattice fraction
+	cols  []int      // per column: lattice index, then feature cell
+	row0  []float64  // per column: the horizontal lerp along lattice row iy,
+	row1  []float64  // and along iy+1
 }
 
-func putFloats(s []float64) { floatPool.Put(&s) }
+var scratches = sync.Pool{New: func() any { return &scratch{rng: rand.New(rand.NewSource(1))} }}
 
-func getInts(n int) []int {
-	if p, _ := intPool.Get().(*[]int); p != nil && cap(*p) >= n {
-		return (*p)[:n]
+// resize returns s with length n, reusing its storage when it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return make([]int, n)
+	return s[:n]
 }
-
-func putInts(s []int) { intPool.Put(&s) }
 
 // synthesize renders a w×h image that encodes a feature vector with
 // the given target prompt alignment. It returns the image, the
@@ -80,7 +75,10 @@ func putInts(s []int) { intPool.Put(&s) }
 // left-associative), so hoisting per-cell and per-column terms into
 // tables keeps the output byte-for-byte identical.
 func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, []float64) {
-	rng := rand.New(rand.NewSource(seed))
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	rng := sc.rng
+	rng.Seed(seed)
 
 	// Build the planted vector in the zero-mean subspace that
 	// metrics.EmbedImage measures.
@@ -110,20 +108,17 @@ func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*imag
 	}
 
 	img := image.NewPaletted(image.Rect(0, 0, w, h), nil)
-	tex := cellZeroMeanNoise(rng.Int63(), w, h)
+	tex := sc.cellZeroMeanNoise(rng.Int63(), w, h)
 
 	// baseLuma + featAmp*v[cell] + tex[i] associates as
 	// (baseLuma + featAmp*v[cell]) + tex[i], so the first addition can
 	// be folded into a per-cell table. The x→cell map likewise depends
-	// only on the column.
+	// only on the column; the noise pass left it in sc.cols.
 	var cellBase [grid * grid]float64
 	for c := range cellBase {
 		cellBase[c] = baseLuma + featAmp*v[c]
 	}
-	xCell := getInts(w)
-	for x := 0; x < w; x++ {
-		xCell[x] = x * grid / w
-	}
+	xCell := sc.cols
 	lo, hi := uint8(255), uint8(0)
 	for y := 0; y < h; y++ {
 		rowCell := (y * grid / h) * grid
@@ -136,8 +131,6 @@ func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*imag
 			hi = max(hi, k)
 		}
 	}
-	putInts(xCell)
-	putFloats(tex)
 	// PLTE is stored uncompressed, three bytes an entry, so carry only
 	// the luminances between the darkest and brightest pixel (~100 of
 	// the 256 for a 128² image) and index from the darkest.
@@ -158,24 +151,31 @@ var octaves = [...]struct {
 
 // cellZeroMeanNoise renders multi-octave value noise and removes each
 // feature cell's mean so texture cannot disturb the planted features.
-// The returned buffer comes from floatPool; the caller releases it
-// with putFloats.
+// The returned plane is sc.tex, and sc.cols is left holding each
+// column's feature cell.
 //
 // Per octave the lattice is sampled on at most ⌈freq⌉+1 integer
 // coordinates per axis, so all lattice values are precomputed into a
 // small table once per image — the naive formulation re-hashed four
-// lattice corners per pixel per octave. Column geometry (cell index,
-// faded in-cell fraction) depends only on x and is likewise hoisted
-// out of the row loop. All arithmetic matches the naive expression's
-// association, keeping the texture bit-identical.
-func cellZeroMeanNoise(seed int64, w, h int) []float64 {
-	out := getFloats(w * h)
-	ixs := getInts(w)
-	txs := getFloats(w)
+// lattice corners per pixel per octave. Column geometry (lattice index,
+// faded in-cell fraction) depends only on x, and the two horizontal
+// lerps only on x and the lattice row, so they are computed once per
+// column and once per lattice row rather than per pixel. All
+// arithmetic matches the naive expression's association, keeping the
+// texture bit-identical.
+func (sc *scratch) cellZeroMeanNoise(seed int64, w, h int) []float64 {
+	sc.tex = resize(sc.tex, w*h)
+	sc.cols = resize(sc.cols, w)
+	sc.fades = resize(sc.fades, w)
+	sc.row0 = resize(sc.row0, w)
+	sc.row1 = resize(sc.row1, w)
+	out, ixs, txs, row0, row1 := sc.tex, sc.cols, sc.fades, sc.row0, sc.row1
+	clear(out)
 	for oct, conf := range octaves {
-		lat := newLattice(seed + int64(oct)*7919)
 		n := int(conf.freq) + 2 // ix < freq, plus the ix+1 corner
-		table := lat.table(n)
+		sc.table = resize(sc.table, n*n)
+		table := sc.table
+		newLattice(seed+int64(oct)*7919).fill(table, n)
 		amp := conf.amp * texAmp
 		for x := 0; x < w; x++ {
 			fx := float64(x) / float64(w) * conf.freq
@@ -183,22 +183,27 @@ func cellZeroMeanNoise(seed int64, w, h int) []float64 {
 			ixs[x] = ix
 			txs[x] = fade(fx - float64(ix))
 		}
+		rowIY := -1
 		for y := 0; y < h; y++ {
 			fy := float64(y) / float64(h) * conf.freq
 			iy := int(math.Floor(fy))
 			ty := fade(fy - float64(iy))
-			r0 := table[iy*n:]
-			r1 := table[(iy+1)*n:]
+			if iy != rowIY {
+				r0 := table[iy*n:]
+				r1 := table[(iy+1)*n:]
+				for x := 0; x < w; x++ {
+					ix, tx := ixs[x], txs[x]
+					row0[x] = lerp(r0[ix], r0[ix+1], tx)
+					row1[x] = lerp(r1[ix], r1[ix+1], tx)
+				}
+				rowIY = iy
+			}
 			o := out[y*w:]
 			for x := 0; x < w; x++ {
-				ix, tx := ixs[x], txs[x]
-				v := lerp(lerp(r0[ix], r0[ix+1], tx), lerp(r1[ix], r1[ix+1], tx), ty)
-				o[x] += amp * v
+				o[x] += amp * lerp(row0[x], row1[x], ty)
 			}
 		}
-		putFloats(table)
 	}
-	putFloats(txs)
 
 	// Remove per-cell means. Counting and summing walk pixels in the
 	// original order; the per-cell quotient is hoisted (same single
@@ -231,7 +236,6 @@ func cellZeroMeanNoise(seed int64, w, h int) []float64 {
 			o[x] -= means[rowCell+xCell[x]]
 		}
 	}
-	putInts(xCell)
 	return out
 }
 
@@ -240,6 +244,8 @@ type lattice struct{ seed int64 }
 
 func newLattice(seed int64) lattice { return lattice{seed} }
 
+// value hashes the seed, ix and iy (each eight little-endian bytes)
+// with FNV-1a and maps the hash into [-1, 1].
 func (l lattice) value(ix, iy int) float64 {
 	h := fnv.New64a()
 	var b [24]byte
@@ -247,19 +253,35 @@ func (l lattice) value(ix, iy int) float64 {
 	putInt64(b[8:], int64(ix))
 	putInt64(b[16:], int64(iy))
 	h.Write(b[:])
-	return float64(h.Sum64()%2048)/1023.5 - 1 // [-1, 1]
+	return unit(h.Sum64())
 }
 
-// table precomputes the n×n lattice values at integer coordinates
-// [0,n)², row-major, in a pooled buffer (release with putFloats).
-func (l lattice) table(n int) []float64 {
-	t := getFloats(n * n)
-	for iy := 0; iy < n; iy++ {
-		for ix := 0; ix < n; ix++ {
-			t[iy*n+ix] = l.value(ix, iy)
+func unit(hash uint64) float64 { return float64(hash%2048)/1023.5 - 1 }
+
+// fill writes the n×n lattice values at integer coordinates [0,n)² into
+// t, row-major. It is value's hash, with the FNV-1a state after the
+// seed and after ix each computed once instead of once per entry.
+func (l lattice) fill(t []float64, n int) {
+	seeded := fnvInt64(fnvOffset, l.seed)
+	for ix := 0; ix < n; ix++ {
+		col := fnvInt64(seeded, int64(ix))
+		for iy := 0; iy < n; iy++ {
+			t[iy*n+ix] = unit(fnvInt64(col, int64(iy)))
 		}
 	}
-	return t
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvInt64 continues FNV-1a state h over v's eight little-endian bytes.
+func fnvInt64(h uint64, v int64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime
+	}
+	return h
 }
 
 func (l lattice) at(x, y float64) float64 {

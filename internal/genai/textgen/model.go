@@ -16,7 +16,10 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"sww/internal/device"
 	"sww/internal/genai"
@@ -56,6 +59,14 @@ type expanderModel struct {
 	overthink float64
 
 	loadTime map[device.Class]time.Duration
+
+	jitterMu sync.Mutex
+	jitters  map[jitterKey]float64 // see jitter
+}
+
+type jitterKey struct {
+	class device.Class
+	words int
 }
 
 const maxOvershoot = 0.20
@@ -91,14 +102,35 @@ func (m *expanderModel) GenTime(class device.Class, words int) (time.Duration, e
 		return 0, fmt.Errorf("textgen: %s cannot run on %v", m.name, class)
 	}
 	f := m.lengthFactor(words) / m.lengthFactor(250)
-	// Small deterministic jitter: decode time varies run to run.
-	rng := rand.New(rand.NewSource(seedOf(m.name, fmt.Sprint(class), fmt.Sprint(words))))
-	jitter := 1 + 0.05*rng.NormFloat64()
-	if jitter < 0.9 {
-		jitter = 0.9
-	}
-	return time.Duration(base * f * jitter * float64(time.Second)), nil
+	return time.Duration(base * f * m.jitter(class, words) * float64(time.Second)), nil
 }
+
+// jitter is GenTime's small deterministic factor modelling that decode
+// time varies run to run. Drawing it takes a seeded 607-word source, so
+// it is memoized: one entry per device class and word count requested.
+func (m *expanderModel) jitter(class device.Class, words int) float64 {
+	k := jitterKey{class, words}
+	m.jitterMu.Lock()
+	defer m.jitterMu.Unlock()
+	if j, ok := m.jitters[k]; ok {
+		return j
+	}
+	rng := rand.New(rand.NewSource(seedOf(m.name, fmt.Sprint(class), fmt.Sprint(words))))
+	j := 1 + 0.05*rng.NormFloat64()
+	if j < 0.9 {
+		j = 0.9
+	}
+	if m.jitters == nil {
+		m.jitters = make(map[jitterKey]float64)
+	}
+	m.jitters[k] = j
+	return j
+}
+
+// rngs recycles Expand's generators: re-seeding one draws the same
+// sequence as a fresh rand.New(rand.NewSource(seed)), without
+// allocating its 607-word state.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 func (m *expanderModel) Expand(req genai.TextRequest) (*genai.TextResult, error) {
 	if req.TargetWords == 0 {
@@ -110,9 +142,11 @@ func (m *expanderModel) Expand(req genai.TextRequest) (*genai.TextResult, error)
 	}
 	seed := req.Seed
 	if seed == 0 {
-		seed = seedOf(m.name, strings.Join(req.Bullets, "\n"))
+		seed = bulletsSeed(m.name, req.Bullets)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(seed)
 
 	// Draw the overshoot for this generation.
 	delta := m.overshootMean + m.overshootSigma*rng.NormFloat64()
@@ -141,15 +175,16 @@ func (m *expanderModel) Expand(req genai.TextRequest) (*genai.TextResult, error)
 func (m *expanderModel) compose(rng *rand.Rand, bullets []string, words int) string {
 	// Pool of content words from the bullets, cycled in order so all
 	// points are covered.
-	var pool []string
+	var buf [64]string // a page's bullets, without a heap slice
+	pool := buf[:0]
 	for _, b := range bullets {
-		pool = append(pool, metrics.ContentWords(b)...)
+		pool = metrics.AppendContentWords(pool, b)
 	}
 	if len(pool) == 0 {
-		pool = []string{"content"}
+		pool = append(pool, "content")
 	}
 
-	var out []string
+	out := make([]string, 0, words)
 	poolIdx := 0
 	sentenceLen := 0
 	for len(out) < words {
@@ -171,23 +206,44 @@ func (m *expanderModel) compose(rng *rand.Rand, bullets []string, words int) str
 			sentenceLen = 0
 		}
 	}
-	out = out[:words]
 
-	// Punctuate into sentences for readability.
+	// Punctuate into sentences for readability: each one's words joined
+	// by spaces, its first letter capitalized, a full stop after it and
+	// a space between sentences. Every sentence but the last has at
+	// least ten words, which bounds the full stops.
+	size := len(out) + len(out)/10 + 1
+	for _, w := range out {
+		size += len(w)
+	}
 	var b strings.Builder
-	start := 0
-	for start < len(out) {
-		end := start + 10 + rng.Intn(6)
-		if end > len(out) {
-			end = len(out)
+	b.Grow(size)
+	for start := 0; start < len(out); {
+		end := min(start+10+rng.Intn(6), len(out))
+		if start > 0 {
+			b.WriteByte(' ')
 		}
-		sentence := strings.Join(out[start:end], " ")
-		b.WriteString(strings.ToUpper(sentence[:1]))
-		b.WriteString(sentence[1:])
-		b.WriteString(". ")
+		writeCapitalized(&b, out[start])
+		for _, w := range out[start+1 : end] {
+			b.WriteByte(' ')
+			b.WriteString(w)
+		}
+		b.WriteByte('.')
 		start = end
 	}
-	return strings.TrimSpace(b.String())
+	return b.String()
+}
+
+// writeCapitalized writes w with its first byte upper-cased the way
+// strings.ToUpper(w[:1]) does it: an ASCII letter is capitalized, and
+// the lead byte of a multi-byte rune, invalid UTF-8 on its own, becomes
+// U+FFFD. Expanded text is pinned byte for byte, quirk included.
+func writeCapitalized(b *strings.Builder, w string) {
+	if c := w[0]; c < utf8.RuneSelf {
+		b.WriteByte(byte(unicode.ToUpper(rune(c))))
+	} else {
+		b.WriteRune(utf8.RuneError)
+	}
+	b.WriteString(w[1:])
 }
 
 var openers = []string{
@@ -211,6 +267,28 @@ func seedOf(parts ...string) int64 {
 		h.Write([]byte{0x1f})
 	}
 	return int64(h.Sum64())
+}
+
+// bulletsSeed is seedOf(model, strings.Join(bullets, "\n")), hashed
+// without building the joined string.
+func bulletsSeed(model string, bullets []string) int64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	write := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+	}
+	write(model)
+	write("\x1f")
+	for i, b := range bullets {
+		if i > 0 {
+			write("\n")
+		}
+		write(b)
+	}
+	write("\x1f")
+	return int64(h)
 }
 
 // Models returns the calibrated models for experiment code.

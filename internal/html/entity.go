@@ -108,20 +108,29 @@ func EscapeString(s string) string {
 	var b strings.Builder
 	b.Grow(len(s) + 8)
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\'':
-			b.WriteString("&#39;")
-		default:
+		if e := escapeOf(s[i]); e != "" {
+			b.WriteString(e)
+		} else {
 			b.WriteByte(s[i])
 		}
 	}
 	return b.String()
+}
+
+// escapeOf is the entity EscapeString writes for c, or "" when c is
+// written as itself.
+func escapeOf(c byte) string {
+	switch c {
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '"':
+		return "&quot;"
+	case '\'':
+		return "&#39;"
+	}
+	return ""
 }

@@ -18,6 +18,7 @@ func FuzzPromptPageParse(f *testing.F) {
 	f.Add(`<!-- comment --><!DOCTYPE html><img src=x><br/><p>&amp;&lt;&#65;&bogus;`)
 	f.Add(`</div></p></html>stray end tags`)
 	f.Add("<div class='generated-content' metadata='{\"broken\":'>text</div>")
+	f.Add("<title>\xff\xff\xff\xff</title") // raw text that lowers to more bytes
 
 	f.Fuzz(func(t *testing.T, src string) {
 		doc := Parse(src)
@@ -40,6 +41,9 @@ func FuzzPromptPageParse(f *testing.F) {
 		// The recursive consumers must survive whatever Parse built,
 		// and the serialized form must itself reparse.
 		out := RenderString(doc)
+		if n := RenderLen(doc); n != len(out) {
+			t.Fatalf("RenderLen = %d, rendered %d bytes", n, len(out))
+		}
 		doc.Clone()
 		doc.ByClass("generated-content")
 		doc.ByTag("div")

@@ -229,6 +229,57 @@ func TestRenderScriptVerbatim(t *testing.T) {
 	}
 }
 
+// TestSegments: the segments around a page's holes, joined with each
+// hole's own rendering, are the page's rendering; a hole's descendants
+// go with it, and holes out of order, nested or outside the tree panic.
+func TestSegments(t *testing.T) {
+	doc := Parse(`<body><div id="a"><i id="in">x</i></div><p>mid &amp; more</p><div id="b"></div></body>`)
+	a, b := doc.ByID("a"), doc.ByID("b")
+	segs := Segments(doc, []*Node{a, b})
+	want := []string{`<body>`, `<p>mid &amp; more</p>`, `</body>`}
+	if len(segs) != len(want) {
+		t.Fatalf("%d segments, want %d: %q", len(segs), len(want), segs)
+	}
+	for i := range want {
+		if segs[i] != want[i] {
+			t.Errorf("segment %d = %q, want %q", i, segs[i], want[i])
+		}
+	}
+	if got := segs[0] + RenderString(a) + segs[1] + RenderString(b) + segs[2]; got != RenderString(doc) {
+		t.Errorf("joined = %q, want %q", got, RenderString(doc))
+	}
+	if got := Segments(doc, nil); len(got) != 1 || got[0] != RenderString(doc) {
+		t.Errorf("no holes: %q", got)
+	}
+	for name, holes := range map[string][]*Node{
+		"out of order": {b, a},
+		"nested":       {a, doc.ByID("in")},
+		"detached":     {NewElement("div")},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s holes: no panic", name)
+				}
+			}()
+			Segments(doc, holes)
+		}()
+	}
+}
+
+// TestRenderLenAndAppend: the counting pass and the appending pass
+// agree with RenderString, and AppendRender keeps what dst held.
+func TestRenderLenAndAppend(t *testing.T) {
+	doc := Parse(`<!DOCTYPE html><title>a<b</title><p class='q"x'>1 &lt; 2 &amp; 'three'</p><!-- c --><br x=>`)
+	out := RenderString(doc)
+	if n := RenderLen(doc); n != len(out) {
+		t.Errorf("RenderLen = %d, len(RenderString) = %d", n, len(out))
+	}
+	if got := string(AppendRender([]byte("prefix:"), doc)); got != "prefix:"+out {
+		t.Errorf("AppendRender = %q", got)
+	}
+}
+
 func TestNodeManipulation(t *testing.T) {
 	doc := Parse(`<div><span>old</span></div>`)
 	div := doc.ByTag("div")[0]

@@ -124,9 +124,7 @@ func (z *Tokenizer) text() Token {
 
 // rawText scans until the matching </tag> of a raw text element.
 func (z *Tokenizer) rawText() Token {
-	end := "</" + z.rawEnd
-	lower := strings.ToLower(z.src[z.pos:])
-	idx := strings.Index(lower, end)
+	idx := indexEndTag(z.src[z.pos:], z.rawEnd)
 	if idx < 0 {
 		data := z.src[z.pos:]
 		z.pos = len(z.src)
@@ -142,6 +140,42 @@ func (z *Tokenizer) rawText() Token {
 	z.pos += idx
 	z.rawEnd = ""
 	return Token{Type: TextToken, Data: data}
+}
+
+// indexEndTag is the offset in s of the first "</"+name, name matched
+// ASCII-case-insensitively (name is lower case), or -1. Matching in s
+// itself keeps the offset an offset into s: lowering s first would move
+// it past every byte that lowers to a different length (invalid UTF-8
+// lowers to the three bytes of U+FFFD).
+func indexEndTag(s, name string) int {
+	for i := 0; ; i++ {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if hasPrefixFold(s[i+2:], name) {
+			return i
+		}
+	}
+}
+
+// hasPrefixFold reports whether s begins with prefix, a lower-case
+// ASCII word, matching s's ASCII letters in either case.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (z *Tokenizer) tag() Token {

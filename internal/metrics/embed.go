@@ -14,7 +14,6 @@
 package metrics
 
 import (
-	"hash/fnv"
 	"image"
 	"image/color"
 	"math"
@@ -36,28 +35,56 @@ var stopwords = map[string]bool{
 	"this": true, "that": true, "be": true, "from": true,
 }
 
-// Tokenize lowercases s and splits it into word tokens.
-func Tokenize(s string) []string {
-	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsNumber(r)
-	})
-}
+// Tokenize lowercases s and splits it into word tokens: the maximal
+// runs of letters and numbers.
+func Tokenize(s string) []string { return appendWords(nil, s, false) }
 
 // ContentWords returns Tokenize(s) minus stopwords.
-func ContentWords(s string) []string {
-	var out []string
-	for _, w := range Tokenize(s) {
-		if !stopwords[w] {
-			out = append(out, w)
+func ContentWords(s string) []string { return AppendContentWords(nil, s) }
+
+// AppendContentWords appends ContentWords(s) to dst.
+func AppendContentWords(dst []string, s string) []string { return appendWords(dst, s, true) }
+
+// appendWords appends Tokenize(s)'s tokens to dst, less stopwords when
+// content is set. The tokens are substrings of lowered s.
+func appendWords(dst []string, s string, content bool) []string {
+	s = strings.ToLower(s)
+	start := -1
+	for i, r := range s {
+		switch {
+		case isWordRune(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst = appendWord(dst, s[start:i], content)
+			start = -1
 		}
 	}
-	return out
+	if start >= 0 {
+		dst = appendWord(dst, s[start:], content)
+	}
+	return dst
 }
 
-func hashToken(tok string) (idx int, sign float64) {
-	h := fnv.New64a()
-	h.Write([]byte(tok))
-	v := h.Sum64()
+func appendWord(dst []string, w string, content bool) []string {
+	if content && stopwords[w] {
+		return dst
+	}
+	return append(dst, w)
+}
+
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsNumber(r) }
+
+// hashToken places a token in the embedding by its 64-bit FNV-1a hash.
+func hashToken(tok string) (idx int, sign float64) { return hashIndex(fnv1a(fnvOffset, tok)) }
+
+// hashBigram is hashToken(a + "_" + b), without building the string.
+func hashBigram(a, b string) (idx int, sign float64) {
+	return hashIndex(fnv1a(fnv1a(fnv1a(fnvOffset, a), "_"), b))
+}
+
+func hashIndex(v uint64) (idx int, sign float64) {
 	idx = int(v % EmbedDim)
 	if (v>>32)&1 == 0 {
 		return idx, 1
@@ -65,17 +92,31 @@ func hashToken(tok string) (idx int, sign float64) {
 	return idx, -1
 }
 
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a continues FNV-1a state h (hash/fnv's New64a) over s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
 // EmbedText embeds s by signed feature hashing of its content words
 // and word bigrams, L2-normalized. The zero vector is returned for
 // text with no content words.
 func EmbedText(s string) []float64 {
-	words := ContentWords(s)
+	var buf [32]string // a prompt's words, without a heap slice
+	words := AppendContentWords(buf[:0], s)
 	v := make([]float64, EmbedDim)
 	for i, w := range words {
 		idx, sign := hashToken(w)
 		v[idx] += sign
 		if i+1 < len(words) {
-			idx, sign := hashToken(words[i] + "_" + words[i+1])
+			idx, sign := hashBigram(words[i], words[i+1])
 			v[idx] += sign * 0.5
 		}
 	}

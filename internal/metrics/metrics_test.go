@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"hash/fnv"
 	"image"
 	"image/color"
 	"math"
@@ -32,6 +33,30 @@ func TestContentWords(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("word %d = %q", i, got[i])
 		}
+	}
+}
+
+// TestHashTokenMatchesFNV: the in-place hashes place tokens and bigrams
+// where hash/fnv's FNV-1a of the token, or of a + "_" + b, does.
+func TestHashTokenMatchesFNV(t *testing.T) {
+	ref := func(tok string) (int, float64) {
+		h := fnv.New64a()
+		h.Write([]byte(tok))
+		v := h.Sum64()
+		if (v>>32)&1 == 0 {
+			return int(v % EmbedDim), 1
+		}
+		return int(v % EmbedDim), -1
+	}
+	f := func(a, b string) bool {
+		i, s := hashToken(a)
+		ri, rs := ref(a)
+		bi, bs := hashBigram(a, b)
+		rbi, rbs := ref(a + "_" + b)
+		return i == ri && s == rs && bi == rbi && bs == rbs
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package metrics
 
-import "math"
+import (
+	"math"
+	"unicode"
+)
 
 // SBERT-score analogue, paper §6.3.2: semantic similarity between the
 // bullet points sent over the wire and the paragraph a text model
@@ -42,8 +45,21 @@ func embedBag(s string) []float64 {
 	return normalize(v)
 }
 
-// WordCount returns the number of word tokens in s.
-func WordCount(s string) int { return len(Tokenize(s)) }
+// WordCount returns the number of word tokens in s, len(Tokenize(s)),
+// without building them. It lowers each rune as strings.ToLower would,
+// so that whether a rune is part of a word is judged on the rune
+// Tokenize sees.
+func WordCount(s string) int {
+	n, in := 0, false
+	for _, r := range s {
+		w := isWordRune(unicode.ToLower(r))
+		if w && !in {
+			n++
+		}
+		in = w
+	}
+	return n
+}
 
 // Overshoot returns the relative deviation of got from want word
 // counts, as a fraction: +0.10 means 10% too long (paper §6.3.2,

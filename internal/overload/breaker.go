@@ -107,21 +107,28 @@ func (b *Breaker) UntilProbe() time.Duration {
 // callback that must be invoked exactly once with the backend
 // outcome; on rejection it returns ErrBreakerOpen.
 func (b *Breaker) Allow() (done func(ok bool), err error) {
+	if err := b.allow(); err != nil {
+		return nil, err
+	}
+	return b.record, nil
+}
+
+// allow is Allow without the callback: a nil error must be answered
+// by exactly one record.
+func (b *Breaker) allow() error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.maybeHalfOpenLocked()
 	switch b.state {
 	case BreakerOpen:
-		b.mu.Unlock()
-		return nil, ErrBreakerOpen
+		return ErrBreakerOpen
 	case BreakerHalfOpen:
 		if b.probes >= breakerProbes {
-			b.mu.Unlock()
-			return nil, ErrBreakerOpen
+			return ErrBreakerOpen
 		}
 		b.probes++
 	}
-	b.mu.Unlock()
-	return func(ok bool) { b.record(ok) }, nil
+	return nil
 }
 
 func (b *Breaker) record(ok bool) {

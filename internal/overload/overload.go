@@ -248,34 +248,50 @@ func (g *Guard) Level() Level {
 // function that must be called exactly once with the backend outcome
 // (ok=false feeds the breaker's failure accounting). On rejection it
 // returns a *ShedError carrying Retry-After advice.
+//
+// A free worker is taken without waiting, and without the queue
+// deadline's context and timer, which only a request that queues needs.
 func (g *Guard) AdmitGen(ctx context.Context) (release func(ok bool), err error) {
-	done, err := g.breaker.Allow()
-	if err != nil {
+	if err := g.breaker.allow(); err != nil {
 		g.ctr.BreakerRejects.Add(1)
 		return nil, &ShedError{Reason: "breaker-open", RetryAfter: g.retryAfterBreaker()}
 	}
 	if g.bucket != nil && !g.bucket.Allow() {
-		done(true) // the breaker saw no backend outcome; don't count a failure
+		g.breaker.record(true) // the breaker saw no backend outcome; don't count a failure
 		g.ctr.AdmitRejects.Add(1)
 		return nil, &ShedError{Reason: "admission", RetryAfter: g.retryAfterBucket()}
 	}
+	if !g.pool.TryAcquire() {
+		if err := g.queue(ctx); err != nil {
+			g.breaker.record(true)
+			return nil, err
+		}
+	}
+	g.ctr.Admitted.Add(1)
+	return g.release, nil
+}
+
+// queue waits for a worker, at most the queue deadline.
+func (g *Guard) queue(ctx context.Context) error {
 	qctx, cancel := context.WithTimeout(ctx, g.cfg.queueDeadline())
 	defer cancel()
-	if aerr := g.pool.Acquire(qctx); aerr != nil {
-		done(true)
+	if err := g.pool.Acquire(qctx); err != nil {
 		// A caller that vanished mid-queue (stream reset, client gone)
 		// is not queue pressure: report its own error, not a shed.
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		g.ctr.QueueTimeouts.Add(1)
-		return nil, &ShedError{Reason: "queue-timeout", RetryAfter: retryAfter}
+		return &ShedError{Reason: "queue-timeout", RetryAfter: retryAfter}
 	}
-	g.ctr.Admitted.Add(1)
-	return func(ok bool) {
-		g.pool.Release()
-		done(ok)
-	}, nil
+	return nil
+}
+
+// release returns an admitted request's worker and reports its backend
+// outcome to the breaker.
+func (g *Guard) release(ok bool) {
+	g.pool.Release()
+	g.breaker.record(ok)
 }
 
 // retryAfterBucket estimates when the next token lands, floored at
