@@ -1,50 +1,15 @@
 package imagegen
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
-	"image"
-	"image/png"
 	"math"
-	"sync"
 	"time"
 
 	"sww/internal/device"
 	"sww/internal/genai"
 	"sww/internal/metrics"
 )
-
-// pngEnc recycles the encoder's internal zlib and row buffers across
-// encodes (png.Encode allocates them fresh per call). Encoding
-// parameters are the defaults, so output bytes are identical to
-// png.Encode's.
-var pngEnc = png.Encoder{BufferPool: &pngBufferPool{}}
-
-// EncodePNG is the one PNG encode site: generated images and
-// client-side upscales both go through the pooled encoder. The buffer
-// is presized to w*h/2: an indexed synth image at the LoadPage shape
-// (128²) measures 0.43 B/px and larger ones less (0.28 at 224², 0.15
-// at 512²), so generation never regrows; smaller images and upscaled
-// RGBA (0.2–0.9 B/px) may, which bytes.Buffer absorbs.
-func EncodePNG(img image.Image) ([]byte, error) {
-	var buf bytes.Buffer
-	b := img.Bounds()
-	buf.Grow(b.Dx() * b.Dy() / 2)
-	if err := pngEnc.Encode(&buf, img); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-type pngBufferPool struct{ pool sync.Pool }
-
-func (p *pngBufferPool) Get() *png.EncoderBuffer {
-	b, _ := p.pool.Get().(*png.EncoderBuffer)
-	return b // nil is fine: the encoder allocates on demand
-}
-
-func (p *pngBufferPool) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
 
 // Model names, registered at init.
 const (

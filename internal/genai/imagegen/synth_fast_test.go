@@ -284,27 +284,6 @@ func TestSynthPooledBuffersDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestPNGEncoderPoolIdentical: recycling encoder buffers changes no
-// byte — EncodePNG emits what a fresh png.Encoder with the same
-// settings does for the indexed image, cold and warm.
-func TestPNGEncoderPoolIdentical(t *testing.T) {
-	img, _, _ := synthesize("encoder pool check", 128, 96, 5, 0.5)
-	fresh := png.Encoder{CompressionLevel: pngEnc.CompressionLevel}
-	var want bytes.Buffer
-	if err := fresh.Encode(&want, img); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ { // i>0 exercises recycled encoder buffers
-		got, err := EncodePNG(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("pass %d: pooled encoder output differs from a fresh encoder's", i)
-		}
-	}
-}
-
 // BenchmarkSynthKernel measures the raw synthesis kernel per size. At
 // 256², six runs interleaved with the kernel before its pooled scratch
 // and once-per-lattice-row lerps (2-vCPU Xeon, -benchtime 2s) read
