@@ -2,9 +2,12 @@ package imagegen_test
 
 import (
 	"bytes"
+	"compress/zlib"
+	"encoding/binary"
 	"image"
 	"image/color"
 	"image/png"
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -15,53 +18,98 @@ import (
 	"sww/internal/workload"
 )
 
-// meanPNGBytes is the mean PNG size of the 49 workload.LandscapePrompt
-// images generated at size², each at its prompt's own seed.
-func meanPNGBytes(t *testing.T, size int) float64 {
-	t.Helper()
+// landscapePNGs generates the 49 workload.LandscapePrompt images at
+// size², each at its prompt's own seed, and returns their PNGs.
+func landscapePNGs(tb testing.TB, size int) [][]byte {
+	tb.Helper()
 	m, err := genai.ImageModelByName(imagegen.SD3Medium)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	const prompts = 49
-	total := 0
-	for i := 0; i < prompts; i++ {
+	pngs := make([][]byte, 49)
+	for i := range pngs {
 		res, err := m.Generate(genai.ImageRequest{
 			Prompt: workload.LandscapePrompt(i), Width: size, Height: size, Class: device.ClassWorkstation})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		total += len(res.PNG)
+		pngs[i] = res.PNG
 	}
-	return float64(total) / prompts
+	return pngs
+}
+
+// filterTypes inflates a PNG's IDAT stream and returns each row's
+// filter byte, for an 8-bit single-channel image of width w.
+func filterTypes(t *testing.T, b []byte, w int) []byte {
+	t.Helper()
+	var idat []byte
+	for b = b[8:]; len(b) >= 12; { // past the signature: length, type, data, CRC
+		n := binary.BigEndian.Uint32(b)
+		if string(b[4:8]) == "IDAT" {
+			idat = append(idat, b[8:8+n]...)
+		}
+		b = b[12+n:]
+	}
+	zr, err := zlib.NewReader(bytes.NewReader(idat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw)%(1+w) != 0 {
+		t.Fatalf("inflated IDAT is %d B, not whole rows of %d", len(raw), 1+w)
+	}
+	var filters []byte
+	for ; len(raw) > 0; raw = raw[1+w:] {
+		filters = append(filters, raw[0])
+	}
+	return filters
 }
 
 // TestGeneratedPNGBytes holds the bytes a generated image costs on the
-// wire, the paper's quantity. Every generated shape a page serves must
-// stay below what image/png's unfiltered level-6 encoding of the same
-// image measured (`before`, the same mean), and the LoadPage shape and
-// the default 224² are pinned both ways at ±1%, so a byte regression
-// fails here rather than in an experiment's output.
+// wire, the paper's quantity. Every generated shape listed must
+// stay below what Up-filtered rows deflated at BestSpeed measured
+// (`before`, the same mean), and the LoadPage shape and the default
+// 224² are pinned both ways at ±1%, so a byte regression fails here
+// rather than in an experiment's output. Every row is Paeth-filtered.
 func TestGeneratedPNGBytes(t *testing.T) {
 	shapes := []struct {
 		size   int
-		before float64 // mean bytes with image/png
+		before float64 // mean bytes with Up rows at BestSpeed
 		pin    float64 // mean bytes now, 0 where unpinned
 	}{
-		{32, 994.6, 0},          // workload.AbusePage
-		{64, 2838.1, 0},         // the telemetry experiment's page
-		{128, 7017.7, 5380.1},   // workload.LoadPage, PhotoGallery's sources
-		{224, 13889.7, 12342.8}, // the request default
-		{240, 15107.8, 0},       // workload.WikimediaLandscape
-		{256, 16599.2, 0},       // workload.TravelBlog, sww-convert's default
+		{32, 911.1, 0},         // workload.AbusePage
+		{64, 2188.2, 0},        // the telemetry experiment's page
+		{128, 5380.1, 3921.1},  // workload.LoadPage, PhotoGallery's sources
+		{224, 12342.8, 9446.3}, // the request default
+		{240, 13754.6, 0},      // workload.WikimediaLandscape
+		{256, 15308.3, 0},      // workload.TravelBlog, sww-convert's default
+		{512, 44224.5, 0},      // Table 2's medium image
 	}
 	for _, s := range shapes {
-		got := meanPNGBytes(t, s.size)
+		pngs := landscapePNGs(t, s.size)
+		total := 0
+		for _, b := range pngs {
+			total += len(b)
+		}
+		got := float64(total) / float64(len(pngs))
 		if got >= s.before {
-			t.Errorf("%d²: mean PNG %.1f B, want below image/png's %.1f B", s.size, got, s.before)
+			t.Errorf("%d²: mean PNG %.1f B, want below Up/BestSpeed's %.1f B", s.size, got, s.before)
 		}
 		if s.pin != 0 && math.Abs(got-s.pin) > 0.01*s.pin {
 			t.Errorf("%d²: mean PNG %.1f B, want %.1f B ± 1%%", s.size, got, s.pin)
+		}
+		filters := filterTypes(t, pngs[0], s.size)
+		if len(filters) != s.size {
+			t.Errorf("%d²: %d rows in the IDAT", s.size, len(filters))
+		}
+		for y, f := range filters {
+			if f != 4 {
+				t.Errorf("%d²: row %d has filter %d, want 4 (Paeth)", s.size, y, f)
+				break
+			}
 		}
 	}
 
@@ -93,6 +141,21 @@ func TestGeneratedPNGBytes(t *testing.T) {
 		}
 		if !bytes.Equal(warm, cold) {
 			t.Fatalf("pass %d: a recycled scratch's encoding differs from a fresh one's", i)
+		}
+	}
+}
+
+// BenchmarkDecodeGenerated128 is the decoder's side of encodeIndexed's
+// trade, beside BenchmarkGenerate128: png.Decode of the 49 LoadPage-
+// shaped landscape PNGs, one per op. Paeth rows under Huffman-only
+// deflate cost image/png more to decode than Up rows at BestSpeed did.
+func BenchmarkDecodeGenerated128(b *testing.B) {
+	pngs := landscapePNGs(b, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := png.Decode(bytes.NewReader(pngs[i%len(pngs)])); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

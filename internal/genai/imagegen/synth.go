@@ -36,12 +36,28 @@ const (
 // the generator the synthesis draws from.
 type scratch struct {
 	rng   *rand.Rand // re-seeded per use: the sequence rand.New(rand.NewSource(seed)) draws
-	tex   []float64  // w·h texture plane
-	table []float64  // one octave's lattice values
-	fades []float64  // per column: faded in-lattice fraction
-	cols  []int      // per column: lattice index, then feature cell
-	row0  []float64  // per column: the horizontal lerp along lattice row iy,
-	row1  []float64  // and along iy+1
+	tex   []float64  // w·h texture plane, before the cell means are removed
+	oct   [len(octaves)]octaveRows
+	cells cellStats
+}
+
+// octaveRows is one octave's lattice and the per-column state the
+// texture pass reads it through.
+type octaveRows struct {
+	table []float64 // n×n lattice values
+	n     int
+	cols  []int     // per column: lattice index
+	fades []float64 // per column: faded in-lattice fraction
+	iy    int       // the lattice row row0 and row1 were built for
+	row0  []float64 // per column: the horizontal lerp along lattice row iy,
+	row1  []float64 // and along iy+1
+}
+
+// cellStats is what the texture pass learns about each feature cell.
+type cellStats struct {
+	n        [grid * grid]int
+	mean     [grid * grid]float64
+	min, max [grid * grid]float64 // the cell's least and greatest texture value
 }
 
 var scratches = sync.Pool{New: func() any { return &scratch{rng: rand.New(rand.NewSource(1))} }}
@@ -108,34 +124,40 @@ func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*imag
 	}
 
 	img := image.NewPaletted(image.Rect(0, 0, w, h), nil)
-	tex := sc.cellZeroMeanNoise(rng.Int63(), w, h)
+	tex := sc.texture(rng.Int63(), w, h)
+	cs := &sc.cells
 
-	// baseLuma + featAmp*v[cell] + tex[i] associates as
-	// (baseLuma + featAmp*v[cell]) + tex[i], so the first addition can
-	// be folded into a per-cell table. The x→cell map likewise depends
-	// only on the column; the noise pass left it in sc.cols.
+	// baseLuma + featAmp*v[cell] + (tex[i] - mean[cell]) associates as
+	// (baseLuma + featAmp*v[cell]) + (tex[i] - mean[cell]), so the first
+	// addition can be folded into a per-cell table.
 	var cellBase [grid * grid]float64
 	for c := range cellBase {
 		cellBase[c] = baseLuma + featAmp*v[c]
 	}
-	xCell := sc.cols
-	lo, hi := uint8(255), uint8(0)
-	for y := 0; y < h; y++ {
-		rowCell := (y * grid / h) * grid
-		row := img.Pix[y*img.Stride:]
-		trow := tex[y*w:]
-		for x := 0; x < w; x++ {
-			k := clampByte(cellBase[rowCell+xCell[x]] + trow[x])
-			row[x] = k
-			lo = min(lo, k)
-			hi = max(hi, k)
-		}
-	}
 	// PLTE is stored uncompressed, three bytes an entry, so carry only
 	// the luminances between the darkest and brightest pixel (~100 of
-	// the 256 for a 128² image) and index from the darkest.
-	for i := range img.Pix {
-		img.Pix[i] -= lo
+	// the 256 for a 128² image) and index from the darkest. Float + and
+	// − round monotonically and clampByte is monotone, so a cell's
+	// darkest pixel is its least texture value's and its brightest its
+	// greatest's: the extremes come from the cells, not another pass.
+	lo, hi := uint8(255), uint8(0)
+	for c, n := range cs.n {
+		if n > 0 {
+			lo = min(lo, clampByte(cellBase[c]+(cs.min[c]-cs.mean[c])))
+			hi = max(hi, clampByte(cellBase[c]+(cs.max[c]-cs.mean[c])))
+		}
+	}
+	runs := cellRuns(w)
+	for y := 0; y < h; y++ {
+		rowCell := (y * grid / h) * grid
+		row := img.Pix[y*img.Stride:][:w]
+		trow := tex[y*w:][:w]
+		for cx := 0; cx < grid; cx++ {
+			base, mean := cellBase[rowCell+cx], cs.mean[rowCell+cx]
+			for x := runs[cx]; x < runs[cx+1]; x++ {
+				row[x] = clampByte(base+(trow[x]-mean)) - lo
+			}
+		}
 	}
 	// Capped at its length: an append by a consumer reallocates instead
 	// of landing in the shared table's next entries.
@@ -149,94 +171,121 @@ var octaves = [...]struct {
 	amp  float64
 }{{6, 0.55}, {13, 0.3}, {29, 0.15}}
 
-// cellZeroMeanNoise renders multi-octave value noise and removes each
-// feature cell's mean so texture cannot disturb the planted features.
-// The returned plane is sc.tex, and sc.cols is left holding each
-// column's feature cell.
+// cellRuns returns where each feature-cell column starts in a w-wide
+// row, and w at the end: column x is in cell column x*grid/w, the cx
+// whose run [runs[cx], runs[cx+1]) holds it. A run is empty when w <
+// grid leaves its cell column without pixels.
+func cellRuns(w int) (runs [grid + 1]int) {
+	for cx := range runs {
+		runs[cx] = (cx*w + grid - 1) / grid // the least x with x*grid >= cx*w
+	}
+	return runs
+}
+
+// texture renders multi-octave value noise into sc.tex in one pass
+// and leaves in sc.cells each feature cell's pixel count, mean, and
+// least and greatest value. Subtracting the mean, which keeps texture
+// from disturbing the planted features, is left to the quantizing pass.
 //
 // Per octave the lattice is sampled on at most ⌈freq⌉+1 integer
 // coordinates per axis, so all lattice values are precomputed into a
 // small table once per image — the naive formulation re-hashed four
 // lattice corners per pixel per octave. Column geometry (lattice index,
-// faded in-cell fraction) depends only on x, and the two horizontal
-// lerps only on x and the lattice row, so they are computed once per
-// column and once per lattice row rather than per pixel. All
-// arithmetic matches the naive expression's association, keeping the
-// texture bit-identical.
-func (sc *scratch) cellZeroMeanNoise(seed int64, w, h int) []float64 {
+// faded in-cell fraction) depends only on x, and each octave's two
+// horizontal lerps only on x and its lattice row, so they are computed
+// once per column and once per lattice row rather than per pixel. A
+// pixel sums its octaves from zero in octave order, as the naive
+// kernel's per-octave += over a zeroed plane does, and a cell's pixels
+// are summed in row-major order, so texture and means are bit-identical
+// to the naive expression's. The pixel loop is written out for the
+// three octaves.
+func (sc *scratch) texture(seed int64, w, h int) []float64 {
 	sc.tex = resize(sc.tex, w*h)
-	sc.cols = resize(sc.cols, w)
-	sc.fades = resize(sc.fades, w)
-	sc.row0 = resize(sc.row0, w)
-	sc.row1 = resize(sc.row1, w)
-	out, ixs, txs, row0, row1 := sc.tex, sc.cols, sc.fades, sc.row0, sc.row1
-	clear(out)
-	for oct, conf := range octaves {
-		n := int(conf.freq) + 2 // ix < freq, plus the ix+1 corner
-		sc.table = resize(sc.table, n*n)
-		table := sc.table
-		newLattice(seed+int64(oct)*7919).fill(table, n)
-		amp := conf.amp * texAmp
+	var amp, ty [len(octaves)]float64
+	for i, conf := range octaves {
+		o := &sc.oct[i]
+		o.n = int(conf.freq) + 2 // ix < freq, plus the ix+1 corner
+		o.table = resize(o.table, o.n*o.n)
+		newLattice(seed+int64(i)*7919).fill(o.table, o.n)
+		o.cols = resize(o.cols, w)
+		o.fades = resize(o.fades, w)
+		o.row0 = resize(o.row0, w)
+		o.row1 = resize(o.row1, w)
+		o.iy = -1
 		for x := 0; x < w; x++ {
 			fx := float64(x) / float64(w) * conf.freq
 			ix := int(math.Floor(fx))
-			ixs[x] = ix
-			txs[x] = fade(fx - float64(ix))
+			o.cols[x] = ix
+			o.fades[x] = fade(fx - float64(ix))
 		}
-		rowIY := -1
-		for y := 0; y < h; y++ {
-			fy := float64(y) / float64(h) * conf.freq
-			iy := int(math.Floor(fy))
-			ty := fade(fy - float64(iy))
-			if iy != rowIY {
-				r0 := table[iy*n:]
-				r1 := table[(iy+1)*n:]
-				for x := 0; x < w; x++ {
-					ix, tx := ixs[x], txs[x]
-					row0[x] = lerp(r0[ix], r0[ix+1], tx)
-					row1[x] = lerp(r1[ix], r1[ix+1], tx)
-				}
-				rowIY = iy
-			}
-			o := out[y*w:]
-			for x := 0; x < w; x++ {
-				o[x] += amp * lerp(row0[x], row1[x], ty)
-			}
-		}
+		amp[i] = conf.amp * texAmp
 	}
 
-	// Remove per-cell means. Counting and summing walk pixels in the
-	// original order; the per-cell quotient is hoisted (same single
-	// division, applied per pixel as before).
+	cs := &sc.cells
 	var sums [grid * grid]float64
-	var counts [grid * grid]int
-	xCell := ixs // reuse: same width
-	for x := 0; x < w; x++ {
-		xCell[x] = x * grid / w
+	cs.n = [grid * grid]int{}
+	for c := range cs.min {
+		cs.min[c], cs.max[c] = math.Inf(1), math.Inf(-1)
 	}
+	runs := cellRuns(w)
+	a0, a1, a2 := amp[0], amp[1], amp[2]
+	o0, o1, o2 := &sc.oct[0], &sc.oct[1], &sc.oct[2]
 	for y := 0; y < h; y++ {
+		for i, conf := range octaves {
+			fy := float64(y) / float64(h) * conf.freq
+			iy := int(math.Floor(fy))
+			ty[i] = fade(fy - float64(iy))
+			if o := &sc.oct[i]; iy != o.iy {
+				o.lerpRows(iy)
+			}
+		}
+		ty0, ty1, ty2 := ty[0], ty[1], ty[2]
+		r00, r01 := o0.row0[:w], o0.row1[:w]
+		r10, r11 := o1.row0[:w], o1.row1[:w]
+		r20, r21 := o2.row0[:w], o2.row1[:w]
+		out := sc.tex[y*w:][:w]
 		rowCell := (y * grid / h) * grid
-		o := out[y*w:]
-		for x := 0; x < w; x++ {
-			c := rowCell + xCell[x]
-			sums[c] += o[x]
-			counts[c]++
+		for cx := 0; cx < grid; cx++ {
+			c := rowCell + cx
+			sum, lo, hi := sums[c], cs.min[c], cs.max[c]
+			for x := runs[cx]; x < runs[cx+1]; x++ {
+				t := 0.0
+				t += a0 * lerp(r00[x], r01[x], ty0)
+				t += a1 * lerp(r10[x], r11[x], ty1)
+				t += a2 * lerp(r20[x], r21[x], ty2)
+				out[x] = t
+				sum += t
+				if t < lo {
+					lo = t
+				}
+				if t > hi {
+					hi = t
+				}
+			}
+			sums[c], cs.min[c], cs.max[c] = sum, lo, hi
+			cs.n[c] += runs[cx+1] - runs[cx]
 		}
 	}
-	var means [grid * grid]float64
-	for c := range means {
-		if counts[c] > 0 {
-			means[c] = sums[c] / float64(counts[c])
+	for c, n := range cs.n {
+		cs.mean[c] = 0
+		if n > 0 {
+			cs.mean[c] = sums[c] / float64(n)
 		}
 	}
-	for y := 0; y < h; y++ {
-		rowCell := (y * grid / h) * grid
-		o := out[y*w:]
-		for x := 0; x < w; x++ {
-			o[x] -= means[rowCell+xCell[x]]
-		}
+	return sc.tex
+}
+
+// lerpRows builds the octave's horizontal lerps along lattice rows iy
+// and iy+1.
+func (o *octaveRows) lerpRows(iy int) {
+	r0 := o.table[iy*o.n:]
+	r1 := o.table[(iy+1)*o.n:]
+	for x, ix := range o.cols {
+		tx := o.fades[x]
+		o.row0[x] = lerp(r0[ix], r0[ix+1], tx)
+		o.row1[x] = lerp(r1[ix], r1[ix+1], tx)
 	}
-	return out
+	o.iy = iy
 }
 
 // lattice is seeded 2-D value noise with bilinear interpolation.

@@ -152,6 +152,13 @@ func TestSynthMatchesReference(t *testing.T) {
 		// generates.
 		{"a sweeping alpine valley with a turquoise glacial lake, photographed at sunrise with soft mist in the lowlands, wide angle landscape photograph, high detail", 128, 128, 2024, 0.5},
 		{"one pixel", 1, 1, 3, 0.5},
+		// Cell shapes the per-cell extremes must survive: empty cell
+		// columns or rows (3 wide or tall), one-pixel cells (8×8), and
+		// runs of uneven length in both axes (129×127).
+		{"narrow column", 3, 200, 31, 0.5},
+		{"narrow row", 200, 3, 32, 0.5},
+		{"one pixel a cell", 8, 8, 33, 0.5},
+		{"uneven runs", 129, 127, 34, 0.5},
 	}
 	for _, tc := range cases {
 		tc := tc
