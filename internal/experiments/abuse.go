@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync/atomic"
@@ -379,6 +380,35 @@ func AbuseSweep(quick bool) (*AbuseReport, error) {
 	rep.ServerStats = srv.OverloadStats()
 	if rep.BaselineGoodputRPS > 0 {
 		rep.GoodputRatio = rep.AttackGoodputRPS / rep.BaselineGoodputRPS
+	}
+	return rep, nil
+}
+
+// reportAbuse prints E20 as JSON (the acceptance numbers — legit
+// goodput with and without attack, shed/GOAWAY counts — are the
+// deliverable) and fails if the defense missed its bars.
+func reportAbuse(w io.Writer, quick bool) (any, error) {
+	rep, err := AbuseSweep(quick)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeJSON(w, rep); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "legit goodput %.0f/s baseline vs %.0f/s under attack (ratio %.2f)\n",
+		rep.BaselineGoodputRPS, rep.AttackGoodputRPS, rep.GoodputRatio)
+	fmt.Fprintf(w, "rapid-reset attacker: %d conns, %d pairs, %d calm RSTs, %d GOAWAYs; "+
+		"ping flooder: %d conns, %d pings, %d GOAWAYs\n",
+		rep.RapidReset.Conns, rep.RapidReset.Sent, rep.RapidReset.CalmRSTs, rep.RapidReset.GoAways,
+		rep.PingFlood.Conns, rep.PingFlood.Sent, rep.PingFlood.GoAways)
+	switch {
+	case rep.GoodputRatio < 0.75:
+		return rep, fmt.Errorf("legit goodput under attack fell to %.2fx of baseline (want >= 0.75)",
+			rep.GoodputRatio)
+	case rep.RapidReset.GoAways == 0 && rep.RapidReset.CalmRSTs == 0:
+		return rep, errors.New("rapid-reset attacker was never escalated")
+	case rep.PingFlood.GoAways == 0:
+		return rep, errors.New("ping flooder was never killed")
 	}
 	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -496,4 +497,45 @@ func capacityKnee(rows []CapacityRow) float64 {
 		return prev.RealizedRPS + frac*(r.RealizedRPS-prev.RealizedRPS)
 	}
 	return 0
+}
+
+// reportCapacity prints E27: the calibrated capacity model, the
+// measured open-loop capacity curve with its schedule-based latency
+// tails, the interpolated knee from two identical-seed runs, and the
+// diurnal demonstration leg. It returns the *CapacityResult, which
+// sww-bench -capacity-out writes as a benchmark-JSON artifact.
+func reportCapacity(w io.Writer, quick bool) (any, error) {
+	res, err := CapacitySweep(quick)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "model: %d workers × %v hold → %.0f gen/s; mix %.0f%% incapable; ",
+		res.GenWorkers, res.GenHold, res.GenCapacityRPS, 100*res.IncapableShare)
+	fmt.Fprintf(w, "Zipf(1.1) over %d pages, cache = top %d (miss share %.2f)\n",
+		res.CorpusPages, res.CacheTopPages, res.MissShare)
+	fmt.Fprintf(w, "predicted knee %.0f/s (shed > %.0f%%)\n",
+		res.PredictedKneeRPS, 100*KneeShedThreshold)
+	fmt.Fprintf(w, "%-5s %9s %9s %6s %6s %5s %4s %9s %6s %6s %8s %8s %8s\n",
+		"mult", "offered", "realized", "reqs", "ok", "shed", "err", "goodput", "gp_x", "shed%", "p50", "p95", "p99")
+	for _, r := range res.Rows {
+		fmt.Fprintf(w, "%4.1fx %7.0f/s %7.0f/s %6d %6d %5d %4d %7.0f/s %6.2f %5.1f%% %8v %8v %8v\n",
+			r.Multiplier, r.OfferedRPS, r.RealizedRPS, r.Requests, r.OK, r.Shed, r.Errors,
+			r.GoodputRPS, r.GoodputX, 100*r.ShedRate,
+			r.P50.Round(time.Millisecond), r.P95.Round(time.Millisecond), r.P99.Round(time.Millisecond))
+	}
+	if res.KneeRPS <= 0 {
+		fmt.Fprintf(w, "knee: not reached within the sweep\n")
+	} else {
+		delta := 0.0
+		if res.KneeRPS2 > 0 {
+			delta = 100 * (res.KneeRPS2 - res.KneeRPS) / res.KneeRPS
+		}
+		fmt.Fprintf(w, "measured knee %.0f/s (run2 %.0f/s, delta %+.1f%%; knee_x %.2f)\n",
+			res.KneeRPS, res.KneeRPS2, delta, res.KneeRPS/res.GenCapacityRPS)
+	}
+	if res.DiurnalPeakShed >= 0 {
+		fmt.Fprintf(w, "diurnal day at knee rate: peak shed %.1f%%, trough shed %.1f%%\n",
+			100*res.DiurnalPeakShed, 100*res.DiurnalTroughShed)
+	}
+	return res, nil
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -122,6 +124,31 @@ func ChaosSweep() ([]ChaosRow, error) {
 			row.WireBytes = res.WireBytes
 		}
 		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+func reportChaos(w io.Writer, _ bool) (any, error) {
+	rows, err := ChaosSweep()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "resilient fetch of the travel blog under injected faults;\n")
+	fmt.Fprintf(w, "every recovering row must render the clean row's asset count\n")
+	fmt.Fprintf(w, "%-22s %-4s %8s %6s %-12s %7s %9s %s\n",
+		"scenario", "ok", "attempts", "dials", "mode", "assets", "wire[B]", "note")
+	for _, r := range rows {
+		note := ""
+		if r.Degraded {
+			note = "degraded: " + r.DegradeReason
+		} else if r.Err != nil {
+			note = r.Err.Error()
+		}
+		if len(note) > 48 {
+			note = note[:48] + "…"
+		}
+		fmt.Fprintf(w, "%-22s %-4v %8d %6d %-12s %7d %9d %s\n",
+			r.Scenario, r.OK, r.Attempts, r.Dials, r.Mode, r.Assets, r.WireBytes, note)
 	}
 	return rows, nil
 }

@@ -26,6 +26,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -223,6 +224,43 @@ func EdgeTierSweep(quick bool) (*EdgeTierReport, error) {
 	rep.ReconciledIn = time.Since(healed)
 	if _, _, err := ec.FetchContext(ctx, path); err != nil {
 		rep.InvalidatedGone = true
+	}
+	return rep, nil
+}
+
+// reportEdgeTier prints E23 as JSON and fails if the edge tier missed
+// its availability bars: stale serving at >= 0.8x baseline goodput
+// through an origin blackhole, a sub-1% client error rate with one of
+// three edges dead, a reshard matching LookupN's prediction, and a
+// partition-delayed invalidation reconciled on reconnect.
+func reportEdgeTier(w io.Writer, quick bool) (any, error) {
+	rep, err := EdgeTierSweep(quick)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeJSON(w, rep); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "goodput: baseline %.0f/s, origin blackholed %.0f/s (%.2fx, %d stale serves)\n",
+		rep.Baseline.GoodputRPS, rep.Blackhole.GoodputRPS, rep.StaleGoodputRatio, rep.StaleServes)
+	fmt.Fprintf(w, "edge kill: error rate %.2f%% over %d fetches, %d failovers; "+
+		"reshard of %d keys correct: %v\n",
+		rep.KillErrorRate*100, rep.Kill.Fetches, rep.Failovers, rep.ReshardKeys, rep.ReshardCorrect)
+	fmt.Fprintf(w, "partition: warm copy served %v, reconciled in %v, unpublished page gone %v\n",
+		rep.PartitionWarmServed, rep.ReconciledIn.Round(time.Millisecond), rep.InvalidatedGone)
+	switch {
+	case rep.StaleServes == 0:
+		return rep, fmt.Errorf("origin blackhole produced no stale serves")
+	case rep.StaleGoodputRatio < 0.8:
+		return rep, fmt.Errorf("stale goodput fell to %.2fx of baseline (want >= 0.8)", rep.StaleGoodputRatio)
+	case rep.KillErrorRate >= 0.01:
+		return rep, fmt.Errorf("error rate with one edge dead = %.2f%% (want < 1%%)", rep.KillErrorRate*100)
+	case !rep.ReshardCorrect:
+		return rep, fmt.Errorf("reshard after edge death did not match LookupN's prediction")
+	case !rep.PartitionWarmServed:
+		return rep, fmt.Errorf("partitioned edge dropped its warm copy")
+	case !rep.InvalidatedGone:
+		return rep, fmt.Errorf("invalidation issued during the partition never landed")
 	}
 	return rep, nil
 }

@@ -1,14 +1,18 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§6) plus the quantified claims of §2.2, §3.2
-// and §7. Each experiment returns a structured result that
-// cmd/sww-bench renders as a paper-vs-measured table and that the
-// repository-root benchmarks drive under testing.B.
+// and §7. Each experiment returns a structured result, and its report
+// (beside it) prints that result as a paper-vs-measured table and
+// checks the experiment's acceptance bars. Experiments lists the
+// reports in the order cmd/sww-bench runs them; TestGoldenReports pins
+// the bytes of every report that repeats.
 //
 // See DESIGN.md's per-experiment index (E1–E13) for the mapping from
 // paper artifact to the functions here.
 package experiments
 
 import (
+	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -17,6 +21,7 @@ import (
 	"sww/internal/genai"
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
+	"sww/internal/http2"
 	"sww/internal/metrics"
 	"sww/internal/workload"
 )
@@ -97,6 +102,27 @@ func Table1() ([]Table1Row, error) {
 	return rows, nil
 }
 
+func reportTable1(w io.Writer, _ bool) (any, error) {
+	rows, err := Table1()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "%-14s %10s %10s %10s %10s %12s %14s\n",
+		"model", "paper ELO", "ELO", "paper CLIP", "CLIP", "laptop t/st", "workstn t/st")
+	for _, r := range rows {
+		lap, wkst := "–", "–"
+		if r.LaptopStep > 0 {
+			lap = fmt.Sprintf("%.2fs", r.LaptopStep.Seconds())
+		}
+		if r.WorkstationStep > 0 {
+			wkst = fmt.Sprintf("%.2fs", r.WorkstationStep.Seconds())
+		}
+		fmt.Fprintf(w, "%-14s %10.0f %10.0f %10.2f %10.3f %12s %14s\n",
+			r.Model, r.PaperELO, r.ELO, r.PaperCLIP, r.CLIP, lap, wkst)
+	}
+	return rows, nil
+}
+
 // StepSweepRow is one point of the §6.3.1 inference-step scaling
 // experiment.
 type StepSweepRow struct {
@@ -134,6 +160,19 @@ func StepSweep() ([]StepSweepRow, error) {
 	return rows, nil
 }
 
+func reportSteps(w io.Writer, _ bool) (any, error) {
+	rows, err := StepSweep()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper: CLIP ~flat from 10..60 steps, time linear in steps (laptop, SD3)\n")
+	fmt.Fprintf(w, "%6s %8s %10s\n", "steps", "CLIP", "gen time")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%6d %8.3f %9.1fs\n", r.Steps, r.CLIP, r.GenTime.Seconds())
+	}
+	return rows, nil
+}
+
 // SizeSweepRow is one point of the §6.3.1 image-size scaling
 // experiment.
 type SizeSweepRow struct {
@@ -146,24 +185,30 @@ type SizeSweepRow struct {
 // grows roughly with pixels; the laptop hits the attention-splitting
 // wall at 1024² (310 s).
 func SizeSweep() ([]SizeSweepRow, error) {
-	m, err := genai.ImageModelByName(imagegen.SD3Medium)
-	if err != nil {
-		return nil, err
-	}
-	dm := m.(interface {
-		GenTime(device.Class, int, int, int) (time.Duration, error)
-	})
 	var rows []SizeSweepRow
 	for _, dim := range []int{224, 256, 384, 512, 768, 1024} {
-		lt, err := dm.GenTime(device.ClassLaptop, dim, dim, 15)
+		lt, err := sd3GenTime(device.ClassLaptop, dim, dim, 15)
 		if err != nil {
 			return nil, err
 		}
-		wt, err := dm.GenTime(device.ClassWorkstation, dim, dim, 15)
+		wt, err := sd3GenTime(device.ClassWorkstation, dim, dim, 15)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, SizeSweepRow{Dim: dim, Laptop: lt, Workstation: wt})
+	}
+	return rows, nil
+}
+
+func reportSizes(w io.Writer, _ bool) (any, error) {
+	rows, err := SizeSweep()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper anchors (SD3, 15 steps): laptop 7/19/310s, workstation 1.0/1.7/6.2s\n")
+	fmt.Fprintf(w, "%10s %12s %14s\n", "size", "laptop", "workstation")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%5dx%-4d %11.1fs %13.2fs\n", r.Dim, r.Dim, r.Laptop.Seconds(), r.Workstation.Seconds())
 	}
 	return rows, nil
 }
@@ -245,6 +290,37 @@ func Text2Text() ([]TextModelRow, error) {
 	return rows, nil
 }
 
+func reportText(w io.Writer, _ bool) (any, error) {
+	rows, err := Text2Text()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper: SBERT 0.82-0.91; overshoot mean ~1.3%%, quartiles often >10%%, max 20%%;\n")
+	fmt.Fprintf(w, "       times 6.98-14.33s (workstation) / 16.06-34.04s (laptop); benefit only 2.5x\n")
+	fmt.Fprintf(w, "%-18s %11s %7s %9s %9s %9s %8s\n",
+		"model", "paper SBERT", "SBERT", "ovsh mean", "p25", "p75", "speedup")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-18s %11.2f %7.3f %8.1f%% %8.1f%% %8.1f%% %7.2fx\n",
+			r.Model, r.PaperSBERT, r.SBERT,
+			100*r.OvershootMean, 100*r.OvershootP25, 100*r.OvershootP75,
+			r.SpeedupWorkstation)
+	}
+	fmt.Fprintf(w, "\n%-18s", "gen time (wkst/laptop)")
+	for _, words := range textWordTargets {
+		fmt.Fprintf(w, " %12dw", words)
+	}
+	fmt.Fprintln(w)
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-18s", r.Model)
+		for _, words := range textWordTargets {
+			t := r.Times[words]
+			fmt.Fprintf(w, " %5.1f/%-6.1fs", t.Workstation.Seconds(), t.Laptop.Seconds())
+		}
+		fmt.Fprintln(w)
+	}
+	return rows, nil
+}
+
 // Table2Row is one media row of Table 2.
 type Table2Row struct {
 	Label         string
@@ -314,6 +390,24 @@ func Table2() ([]Table2Row, error) {
 			}
 		}
 		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+func reportTable2(w io.Writer, _ bool) (any, error) {
+	rows, err := Table2()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper rows: 19.14x/7s/0.02Wh/1.0s/0.04Wh; 76.56x/19s/0.05Wh/1.7s/0.06Wh;\n")
+	fmt.Fprintf(w, "            306.24x/310s/0.90Wh/6.2s/0.21Wh; 1.93x/32s/0.01Wh/13.0s/0.51Wh\n")
+	fmt.Fprintf(w, "%-16s %9s %9s %8s %10s %10s %10s %10s\n",
+		"media", "size[B]", "meta[B]", "ratio", "lap gen", "lap Wh", "wkst gen", "wkst Wh")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-16s %9d %9d %8.2f %9.1fs %10.3f %9.1fs %10.3f\n",
+			r.Label, r.SizeBytes, r.MetadataBytes, r.Ratio,
+			r.LaptopGen.Seconds(), r.LaptopEnergyWh,
+			r.WorkstationGen.Seconds(), r.WorkstationWhGen)
 	}
 	return rows, nil
 }
@@ -400,14 +494,7 @@ func Fig2Wikimedia() (*Fig2Result, error) {
 	// workstation pipeline generates all 49 images.
 	srvPage := workload.WikimediaLandscape()
 	srvPage.Originals = nil
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		return nil, err
-	}
-	srv.AddPage(srvPage)
-	cEnd, sEnd := net.Pipe()
-	srv.StartConn(sEnd)
-	client, err := core.NewClient(cEnd, device.Laptop, nil)
+	srv, client, err := pipeClient(srvPage, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -422,6 +509,28 @@ func Fig2Wikimedia() (*Fig2Result, error) {
 	return res, nil
 }
 
+func reportFig2(w io.Writer, _ bool) (any, error) {
+	r, err := Fig2Wikimedia()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper: 49 images, 1400kB -> 8.92kB (157x, worst case 68x);\n")
+	fmt.Fprintf(w, "       laptop 310s (6.32s/image), workstation ~49s (~1s/image)\n\n")
+	fmt.Fprintf(w, "images:                 %d\n", r.Images)
+	fmt.Fprintf(w, "original media:         %d B\n", r.OriginalBytes)
+	fmt.Fprintf(w, "prompt metadata:        %d B\n", r.MetadataBytes)
+	fmt.Fprintf(w, "compression factor:     %.1fx (worst case %.1fx)\n", r.CompressionFactor, r.WorstCaseFactor)
+	fmt.Fprintf(w, "wire bytes generative:  %d B\n", r.GenerativeWireBytes)
+	fmt.Fprintf(w, "wire bytes traditional: %d B (page-level factor %.1fx)\n", r.TraditionalWireBytes, r.WireFactor)
+	fmt.Fprintf(w, "laptop generation:      %.0fs (%.2fs/image), %.2f Wh\n",
+		r.LaptopGen.Seconds(), r.LaptopPerImage.Seconds(), r.LaptopGenWh)
+	fmt.Fprintf(w, "server generation:      %.0fs (%.2fs/image)\n",
+		r.ServerGen.Seconds(), r.ServerPerImage.Seconds())
+	fmt.Fprintf(w, "mean CLIP of page:      %.3f\n", r.MeanCLIP)
+	fmt.Fprintf(w, "transmit energy saved:  %.4f Wh\n", r.TransmitSavedWh)
+	return r, nil
+}
+
 // FetchWikimediaGeneratively serves the Figure 2 page to a generative
 // laptop client over an in-process connection and returns the full
 // fetch result, including the generated assets (used by examples).
@@ -432,26 +541,36 @@ func FetchWikimediaGeneratively() (*core.FetchResult, error) {
 // fetchAs serves page on a fresh in-process connection and fetches it
 // with a generative or traditional client.
 func fetchAs(page *core.Page, generative bool) (*core.FetchResult, error) {
-	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		return nil, err
-	}
-	srv.AddPage(page)
-	cEnd, sEnd := net.Pipe()
-	srv.StartConn(sEnd)
-	var proc *core.PageProcessor
-	if generative {
-		proc, err = core.NewPageProcessor(device.Laptop, imagegen.SD3Medium, textgen.DeepSeek8)
-		if err != nil {
-			return nil, err
-		}
-	}
-	client, err := core.NewClient(cEnd, device.Laptop, proc)
+	_, client, err := pipeClient(page, nil, generative)
 	if err != nil {
 		return nil, err
 	}
 	defer client.Close()
 	return client.Fetch(page.Path)
+}
+
+// pipeClient boots an SD3/DeepSeek server holding page, with cfg as
+// its HTTP/2 config when cfg is not nil, and connects a laptop client
+// to it over a net.Pipe: a generative client when generative is set.
+func pipeClient(page *core.Page, cfg *http2.Config, generative bool) (*core.Server, *core.Client, error) {
+	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg != nil {
+		srv.SetConfig(*cfg)
+	}
+	srv.AddPage(page)
+	var proc *core.PageProcessor
+	if generative {
+		if proc, err = core.NewPageProcessor(device.Laptop, imagegen.SD3Medium, textgen.DeepSeek8); err != nil {
+			return nil, nil, err
+		}
+	}
+	cEnd, sEnd := net.Pipe()
+	srv.StartConn(sEnd)
+	client, err := core.NewClient(cEnd, device.Laptop, proc)
+	return srv, client, err
 }
 
 // TextArticleResult is the §6.2 text experiment.
@@ -485,10 +604,7 @@ func TextArticle() (*TextArticleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	timer := m.(interface {
-		GenTime(device.Class, int) (time.Duration, error)
-	})
-	wt, err := timer.GenTime(device.ClassWorkstation, ph.Content.Meta.Words)
+	wt, err := m.(genai.ExpandTimer).GenTime(device.ClassWorkstation, ph.Content.Meta.Words)
 	if err != nil {
 		return nil, err
 	}
@@ -503,4 +619,19 @@ func TextArticle() (*TextArticleResult, error) {
 	}
 	res.SBERT = metrics.SBERTScore(orig, expanded.Text)
 	return res, nil
+}
+
+func reportArticle(w io.Writer, _ bool) (any, error) {
+	r, err := TextArticle()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper: 2400B -> 778B (3.1x); laptop 41.9s, workstation >10s\n\n")
+	fmt.Fprintf(w, "original:        %d B\n", r.OriginalBytes)
+	fmt.Fprintf(w, "prompt form:     %d B\n", r.PromptBytes)
+	fmt.Fprintf(w, "compression:     %.2fx\n", r.Compression)
+	fmt.Fprintf(w, "laptop gen:      %.1fs\n", r.LaptopGen.Seconds())
+	fmt.Fprintf(w, "workstation gen: %.1fs\n", r.WorkstationGen.Seconds())
+	fmt.Fprintf(w, "SBERT vs source: %.3f\n", r.SBERT)
+	return r, nil
 }

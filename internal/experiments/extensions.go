@@ -6,11 +6,13 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"time"
 
 	"sww/internal/core"
 	"sww/internal/device"
+	"sww/internal/genai"
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
 	"sww/internal/http2"
@@ -67,6 +69,26 @@ func H3CapabilityMatrix() ([]H3Row, error) {
 	return rows, nil
 }
 
+// reportH3 prints E14 and fails unless only both-support negotiated an
+// ability and every scenario still completed its request.
+func reportH3(w io.Writer, _ bool) (any, error) {
+	rows, err := H3CapabilityMatrix()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper §3.1: \"similar use of SETTINGS under HTTP/3 can allow to advertise\"\n")
+	fmt.Fprintf(w, "%-14s %-18s %s\n", "scenario", "negotiated", "ok")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-14s %-18s %v\n", r.Scenario, r.Negotiated, r.OK)
+	}
+	for _, r := range rows {
+		if !r.OK || (r.Negotiated != 0) != (r.Scenario == "both-support") {
+			return rows, fmt.Errorf("E14 %s: negotiated %v, request ok %v", r.Scenario, r.Negotiated, r.OK)
+		}
+	}
+	return rows, nil
+}
+
 // UpscaleResult is the §2.2 upscaling experiment on the photo
 // gallery.
 type UpscaleResult struct {
@@ -115,23 +137,28 @@ func UpscaleExperiment() (*UpscaleResult, error) {
 	return res, nil
 }
 
+func reportUpscale(w io.Writer, _ bool) (any, error) {
+	r, err := UpscaleExperiment()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper §2.2: upscaling reduces unique-content storage and is\n")
+	fmt.Fprintf(w, "\"usually faster than content generation, with sub-second inference\"\n\n")
+	fmt.Fprintf(w, "photos:            %d (128² stored, 512² rendered)\n", r.Photos)
+	fmt.Fprintf(w, "wire, upscale:     %d B\n", r.UpscaleWireBytes)
+	fmt.Fprintf(w, "wire, traditional: %d B (%.1fx savings)\n", r.TraditionalWireBytes, r.WireSavings)
+	fmt.Fprintf(w, "upscale time:      %.2fs (laptop, all photos)\n", r.UpscaleTime.Seconds())
+	fmt.Fprintf(w, "generate instead:  %.1fs (%.0fx slower)\n", r.GenerateTime.Seconds(), r.SpeedFactor)
+	return r, nil
+}
+
+// sd3GenTime is SD 3 Medium's modelled generation time.
 func sd3GenTime(class device.Class, w, h, steps int) (time.Duration, error) {
-	m, err := imagegenModel()
+	m, err := genai.ImageModelByName(imagegen.SD3Medium)
 	if err != nil {
 		return 0, err
 	}
-	return m.GenTime(class, w, h, steps)
-}
-
-func imagegenModel() (interface {
-	GenTime(device.Class, int, int, int) (time.Duration, error)
-}, error) {
-	for _, m := range imagegen.Models() {
-		if m.Name() == imagegen.SD3Medium {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: sd3-medium not registered")
+	return m.(genai.GenTimer).GenTime(class, w, h, steps)
 }
 
 // StreamingRow is one §3.2 playback simulation outcome.
@@ -248,4 +275,16 @@ func PersonalizationExperiment() (*PersonalizationResult, error) {
 	}
 	res.Drift = res.PersonalizedIndex - res.NeutralIndex
 	return res, nil
+}
+
+func reportPersonalize(w io.Writer, _ bool) (any, error) {
+	r, err := PersonalizationExperiment()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper §2.3: on-device personalization; \"potential for harm ... echo chamber\"\n\n")
+	fmt.Fprintf(w, "echo-chamber index, neutral:      %.3f\n", r.NeutralIndex)
+	fmt.Fprintf(w, "echo-chamber index, personalized: %.3f (drift +%.3f)\n", r.PersonalizedIndex, r.Drift)
+	fmt.Fprintf(w, "prompt adherence:  %.3f -> %.3f (preserved)\n", r.NeutralCLIP, r.PersonalizedCLIP)
+	return r, nil
 }

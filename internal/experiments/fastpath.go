@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -105,4 +106,29 @@ func FastPathSweep(quick bool) (*FastPathResult, error) {
 		res.ClientCache = proc.Pipeline.Cache.Stats()
 	}
 	return res, nil
+}
+
+// reportFastpath prints E21 as JSON and fails unless the warm fetches
+// byte-matched the cold one and hit the artifact cache.
+func reportFastpath(w io.Writer, quick bool) (any, error) {
+	rep, err := FastPathSweep(quick)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeJSON(w, rep); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "cold fetch %.1fms, warm mean %.2fms over %d repeats (%.1fx); "+
+		"client cache: %d hits / %d misses, %d entries, %d B\n",
+		rep.ColdWall.Seconds()*1e3, rep.WarmWall.Seconds()*1e3, rep.Fetches-1, rep.Speedup,
+		rep.ClientCache.Hits, rep.ClientCache.Misses, rep.ClientCache.Entries, rep.ClientCache.Bytes)
+	fmt.Fprintf(w, "invariants: sim gen time %v, media compression %.1fx on every fetch\n",
+		rep.SimGenTime, rep.CompressionX)
+	switch {
+	case !rep.AssetsIdentical:
+		return rep, fmt.Errorf("warm fetches did not byte-match the cold fetch's assets")
+	case rep.ClientCache.Hits == 0:
+		return rep, fmt.Errorf("artifact cache recorded no hits across %d repeat fetches", rep.Fetches-1)
+	}
+	return rep, nil
 }

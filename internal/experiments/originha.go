@@ -24,6 +24,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/url"
 	"strconv"
 	"time"
@@ -281,4 +282,61 @@ func originHAStorm(ctx context.Context, rep *OriginHAReport, quick bool) error {
 	rep.RetryCeiling = float64(burst) + ratio*float64(fetches)
 	rep.BudgetExhausted = budgeted.Stats().RetryBudgetExhausted
 	return nil
+}
+
+// reportOriginHA prints E25 as JSON and fails if origin high
+// availability missed its bars: a restarted origin resumes its durable
+// sequence and the edge reconciles with zero resets; a killed
+// primary's standby promotes with zero lost sequences and the edge
+// fails over to it; the restarted zombie is epoch-fenced; and the
+// retry budget holds a blackhole storm's upstream attempts to burst +
+// ratio x pulls.
+func reportOriginHA(w io.Writer, quick bool) (any, error) {
+	rep, err := OriginHASweep(quick)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeJSON(w, rep); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "warm restart: seq %d -> %d, %d edge resets, caught up %v\n",
+		rep.SeqBeforeRestart, rep.SeqAfterRestart, rep.RestartResets, rep.RestartCaughtUp)
+	fmt.Fprintf(w, "failover: primary died at seq %d; standby promoted to epoch %d at seq %d "+
+		"in %v (%d lost seqs); edge failovers %d, resets %d, fresh invalidation served %v\n",
+		rep.PrimarySeqAtKill, rep.PromotedEpoch, rep.PromotedSeq,
+		rep.FailoverAfter.Round(time.Millisecond), rep.LostSeqs,
+		rep.EdgeFailovers, rep.FailoverResets, rep.FreshInvalServed)
+	fmt.Fprintf(w, "fencing: zombie returned at epoch %d, fenced %v (%d refusals); "+
+		"edge refused %d stale-epoch feeds\n",
+		rep.ZombieEpoch, rep.ZombieFenced, rep.FenceRefusals, rep.EdgeEpochFenced)
+	fmt.Fprintf(w, "retry storm: %d pulls vs blackholed origin; budgeted %d retries "+
+		"(ceiling %.0f, exhausted %d), unbudgeted %d retries\n",
+		rep.StormFetches, rep.BudgetedRetries, rep.RetryCeiling,
+		rep.BudgetExhausted, rep.UnbudgetedRetries)
+	switch {
+	case rep.RestartResets != 0:
+		return rep, fmt.Errorf("origin restart flushed the edge %d times (want 0)", rep.RestartResets)
+	case !rep.RestartCaughtUp:
+		return rep, fmt.Errorf("edge never reconciled the post-restart feed")
+	case rep.LostSeqs != 0:
+		return rep, fmt.Errorf("failover lost %d invalidation sequences (want 0)", rep.LostSeqs)
+	case rep.EdgeFailovers == 0:
+		return rep, fmt.Errorf("edge never adopted the promoted standby's epoch")
+	case rep.FailoverResets != 0:
+		return rep, fmt.Errorf("failover flushed the edge %d times (want 0)", rep.FailoverResets)
+	case !rep.FreshInvalServed:
+		return rep, fmt.Errorf("post-failover invalidation was not refilled fresh")
+	case !rep.ZombieFenced:
+		return rep, fmt.Errorf("restarted old primary was never fenced")
+	case rep.EdgeEpochFenced == 0:
+		return rep, fmt.Errorf("edge accepted the zombie's stale-epoch push")
+	// The budget's whole point: retries bounded by deposit flow, not by
+	// MaxAttempts x pulls. Allow one bucket of slack for rounding.
+	case float64(rep.BudgetedRetries) > rep.RetryCeiling+float64(rep.BudgetBurst):
+		return rep, fmt.Errorf("budgeted storm spent %d retries (ceiling %.0f)",
+			rep.BudgetedRetries, rep.RetryCeiling)
+	case rep.BudgetExhausted == 0:
+		return rep, fmt.Errorf("retry budget never reported exhaustion under a storm")
+	}
+	return rep, nil
 }

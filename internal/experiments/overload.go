@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -183,6 +185,26 @@ func OverloadSweep(quick bool) ([]OverloadRow, error) {
 		row.P50, row.P99 = percentiles(okSched)
 		row.Stats = srv.OverloadStats()
 		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+func reportOverload(w io.Writer, quick bool) (any, error) {
+	rows, err := OverloadSweep(quick)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "capacity-limited generative server at multiples of admitted generation\n")
+	fmt.Fprintf(w, "capacity; healthy signature: flat goodput beyond 1x, excess shed as 503.\n")
+	fmt.Fprintf(w, "p50/p99 measure from each request's intended send slot.\n")
+	fmt.Fprintf(w, "%-5s %9s %6s %5s %6s %5s %9s %7s %9s %9s %6s\n",
+		"mult", "offered", "reqs", "ok", "shed", "err", "goodput", "shed%", "p50", "p99", "flips")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4.1fx %7.0f/s %6d %5d %6d %5d %7.0f/s %6.1f%% %9v %9v %6d\n",
+			r.Multiplier, r.OfferedRPS, r.Requests, r.OK, r.Shed, r.Errors,
+			r.GoodputRPS, 100*r.ShedRate,
+			r.P50.Round(time.Millisecond), r.P99.Round(time.Millisecond),
+			r.Stats.ShedPolicyFlip)
 	}
 	return rows, nil
 }

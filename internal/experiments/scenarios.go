@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
-	"net"
 	"time"
 
 	"sww/internal/cdn"
@@ -43,23 +43,7 @@ func CapabilityMatrix() ([]CapabilityRow, error) {
 	}
 	var rows []CapabilityRow
 	for _, c := range cases {
-		srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
-		if err != nil {
-			return nil, err
-		}
-		srv.SetConfig(http2.Config{GenAbility: c.server})
-		srv.AddPage(workload.NewsArticle())
-
-		cEnd, sEnd := net.Pipe()
-		srv.StartConn(sEnd)
-		var proc *core.PageProcessor
-		if c.client != http2.GenNone {
-			proc, err = core.NewPageProcessor(device.Laptop, imagegen.SD3Medium, textgen.DeepSeek8)
-			if err != nil {
-				return nil, err
-			}
-		}
-		client, err := core.NewClient(cEnd, device.Laptop, proc)
+		_, client, err := pipeClient(workload.NewsArticle(), &http2.Config{GenAbility: c.server}, c.client != http2.GenNone)
 		if err != nil {
 			return nil, err
 		}
@@ -76,6 +60,21 @@ func CapabilityMatrix() ([]CapabilityRow, error) {
 		}
 		client.Close()
 		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+func reportMatrix(w io.Writer, _ bool) (any, error) {
+	rows, err := CapabilityMatrix()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper: only both-support uses generation; all else default HTTP/2\n")
+	fmt.Fprintf(w, "%-14s %-18s %-18s %-18s %-12s %s\n",
+		"scenario", "server", "client", "negotiated", "served", "ok")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-14s %-18s %-18s %-18s %-12s %v\n",
+			r.Scenario, r.Server, r.Client, r.Negotiated, r.ServedMode, r.OK)
 	}
 	return rows, nil
 }
@@ -133,6 +132,46 @@ func CDNSweep(objects, requests int, capacity int64) ([]CDNRow, error) {
 	return rows, nil
 }
 
+func reportCDN(w io.Writer, _ bool) (any, error) {
+	rows, err := CDNSweep(2000, 30000, 64<<20)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper §2.2: prompt caching keeps storage benefit; edge generation\n")
+	fmt.Fprintf(w, "loses transmission benefit; energy trade-off at the edge\n")
+	fmt.Fprintf(w, "%-16s %12s %8s %14s %14s %10s %12s\n",
+		"mode", "cache[B]", "hit", "to users[B]", "from origin[B]", "gen[Wh]", "embodied[kg]")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-16s %12d %7.1f%% %14d %14d %10.1f %12.6f\n",
+			r.Mode, r.CacheBytes, 100*r.HitRate, r.BytesToUsers, r.BytesFromOrigin,
+			r.EdgeGenEnergyWh, r.EmbodiedKg)
+	}
+	return rows, nil
+}
+
+// reportPlacement prints E17, the cdn package's placement model under
+// its default load.
+func reportPlacement(w io.Writer, _ bool) (any, error) {
+	load := cdn.DefaultPlacementLoad()
+	rows := cdn.PlacementSweep(load)
+	fmt.Fprintf(w, "paper §7: traffic reduction \"provides more flexibility in cache placement,\n")
+	fmt.Fprintf(w, "without breaching backbone traffic constraints\"; latency becomes minor\n")
+	fmt.Fprintf(w, "(%.0f req/s, %.0f Gbps backbone, %.0f%% hit rate)\n\n",
+		load.RequestsPerSecond, load.BackboneCapacityGbps, 100*load.HitRate)
+	fmt.Fprintf(w, "%-14s %-7s %6s %14s %10s %14s %12s\n",
+		"placement", "mode", "sites", "backbone", "feasible", "page latency", "rtt share")
+	for _, r := range rows {
+		mode := "media"
+		if r.SWW {
+			mode = "sww"
+		}
+		fmt.Fprintf(w, "%-14s %-7s %6d %11.3fGbps %10v %14v %11.2f%%\n",
+			r.Placement.Name, mode, r.StorageSites, r.BackboneGbps, r.Feasible,
+			r.PageLatency.Round(time.Millisecond), 100*r.LatencyShare)
+	}
+	return rows, nil
+}
+
 // VideoRow is one §3.2 video negotiation outcome.
 type VideoRow struct {
 	Requested core.VideoProfile
@@ -159,6 +198,31 @@ func VideoSweep() []VideoRow {
 		})
 	}
 	return rows
+}
+
+// reportVideo prints E13: the negotiation sweep, then the playback
+// simulation of StreamingExperiment.
+func reportVideo(w io.Writer, _ bool) (any, error) {
+	rows := VideoSweep()
+	fmt.Fprintf(w, "paper §3.2: 60->30fps halves data; 4K->HD saves 2.3x (7GB/h -> 3GB/h)\n")
+	fmt.Fprintf(w, "%-34s %-24s %10s\n", "client ability", "delivered", "savings")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-34s %-24s %9.2fx\n", r.Ability, r.Delivered.Name, r.Savings)
+	}
+	srows, err := StreamingExperiment()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "\n10-minute 4K60 playback simulation (the evaluation §3.2 defers):\n")
+	fmt.Fprintf(w, "%-24s %-22s %8s %9s %8s %10s %10s\n",
+		"device", "ability", "wire", "savings", "rebuf", "rt-factor", "boost[Wh]")
+	for _, r := range srows {
+		rep := r.Report
+		fmt.Fprintf(w, "%-24s %-22s %7.2fG %8.2fx %8d %10.2f %10.3f\n",
+			r.Device, r.Ability, float64(rep.BytesDownloaded)/1e9,
+			rep.SavingsFactor, rep.Rebuffers, rep.RealTimeFactor, rep.BoostEnergyWh)
+	}
+	return srows, nil
 }
 
 // AblationNegotiation compares the paper's SETTINGS-based capability
@@ -233,6 +297,21 @@ func PreloadAblation() (*AblationPreload, error) {
 	return res, nil
 }
 
+func reportAblations(w io.Writer, _ bool) (any, error) {
+	n := NegotiationAblation(50)
+	fmt.Fprintf(w, "SETTINGS vs per-request header (50 requests/conn):\n")
+	fmt.Fprintf(w, "  SETTINGS total: %d B; header total: %d B\n",
+		n.SettingsTotalBytes, n.HeaderTotalBytes)
+	p, err := PreloadAblation()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "pipeline preloading (§4.1) on the %d-image page:\n", p.Items)
+	fmt.Fprintf(w, "  preload load time: %v; per-invocation reload: %v (%.0f%% overhead)\n",
+		p.PreloadLoadTime, p.ReloadLoadTime, p.ReloadOverheadPct)
+	return p, nil
+}
+
 // StorageResult is the §2.1/§2.2 server-storage comparison.
 type StorageResult struct {
 	SWWBytes         int64
@@ -256,4 +335,16 @@ func StorageComparison() (*StorageResult, error) {
 		TraditionalBytes: trad,
 		Ratio:            float64(trad) / float64(sww),
 	}, nil
+}
+
+func reportStorage(w io.Writer, _ bool) (any, error) {
+	s, err := StorageComparison()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "paper §2.1: servers store prompts rather than content\n\n")
+	fmt.Fprintf(w, "SWW storage:         %d B\n", s.SWWBytes)
+	fmt.Fprintf(w, "traditional storage: %d B\n", s.TraditionalBytes)
+	fmt.Fprintf(w, "ratio:               %.1fx\n", s.Ratio)
+	return s, nil
 }

@@ -25,6 +25,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -356,4 +357,52 @@ func selfHealPeerFill(ctx context.Context, rep *SelfHealReport, rounds int) erro
 	rep.PeerFills = fleet.Edge("edge1").Stats().PeerFills
 	rep.PeerServes = fleet.Edge("edge2").Stats().PeerServes
 	return nil
+}
+
+// reportSelfHeal prints E24 as JSON and fails if the mesh missed its
+// self-healing bars: a killed edge restarts warm from its snapshot
+// with zero origin pulls and reconciles the invalidations it missed;
+// pushes lost to a partition are repaired by the anti-entropy poller
+// shortly after the heal; and a cold edge fills from its ring peer at
+// >= 0.9x the warm edge's serve-stale goodput with the origin down.
+func reportSelfHeal(w io.Writer, quick bool) (any, error) {
+	rep, err := SelfHealSweep(quick)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeJSON(w, rep); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "warm restart: %d snapshot entries, %d warm hits, %d origin pulls; "+
+		"seq reconciled %v, stale entry dropped %v\n",
+		rep.SnapshotEntries, rep.WarmHits, rep.RestartPulls,
+		rep.SeqReconciled, rep.RestartInvalGone)
+	fmt.Fprintf(w, "push loss: healthy push in %v; %d invalidations lost to the partition, "+
+		"reconciled %v after heal (%.1f repair intervals of %v)\n",
+		rep.PushLatency.Round(time.Microsecond), rep.LostInvals,
+		rep.ReconcileAfter.Round(time.Millisecond), rep.ReconcileBounds, rep.PollInterval)
+	fmt.Fprintf(w, "peer-fill: baseline %.0f/s, cold edge %.0f/s (%.2fx); "+
+		"%d fills, %d peer serves\n",
+		rep.Baseline.GoodputRPS, rep.PeerFill.GoodputRPS, rep.FillGoodputRatio,
+		rep.PeerFills, rep.PeerServes)
+	switch {
+	case rep.RestartPulls != 0:
+		return rep, fmt.Errorf("warm restart pulled the origin %d times (want 0)", rep.RestartPulls)
+	case !rep.SeqReconciled:
+		return rep, fmt.Errorf("restarted edge never caught up with the invalidation feed")
+	case !rep.RestartInvalGone:
+		return rep, fmt.Errorf("invalidation issued during the outage was served stale after restart")
+	case rep.PushApplied == 0:
+		return rep, fmt.Errorf("healthy-path push was never applied")
+	// "Shortly after the heal": one jittered poll tick plus the error
+	// backoff the partition built up — comfortably inside 10 intervals.
+	case rep.ReconcileBounds > 10:
+		return rep, fmt.Errorf("anti-entropy took %.1f repair intervals (want <= 10)", rep.ReconcileBounds)
+	case rep.PeerFills == 0:
+		return rep, fmt.Errorf("cold edge never peer-filled")
+	case rep.FillGoodputRatio < 0.9:
+		return rep, fmt.Errorf("peer-fill goodput fell to %.2fx of serve-stale baseline (want >= 0.9)",
+			rep.FillGoodputRatio)
+	}
+	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"time"
@@ -234,4 +235,29 @@ func TelemetrySweep(quick bool) (*TelemetryResult, error) {
 	res.ClientSchedP50ms = float64(sched.P50) / float64(time.Millisecond)
 	res.ClientSchedP99ms = float64(sched.P99) / float64(time.Millisecond)
 	return res, nil
+}
+
+// reportTelemetry prints E22: the shed ladder observed purely through
+// the ops surface (registry, trace ring and event log), with
+// per-outcome request counts, latency percentiles, and the
+// counters-equal-traces invariant it fails without.
+func reportTelemetry(w io.Writer, quick bool) (any, error) {
+	rep, err := TelemetrySweep(quick)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "per-outcome requests and latency, read back from the ops registry:\n")
+	fmt.Fprintf(w, "%-14s %9s %9s %9s %9s\n", "outcome", "requests", "p50", "p95", "p99")
+	for _, r := range rep.Rows {
+		fmt.Fprintf(w, "%-14s %9d %7.2fms %7.2fms %7.2fms\n",
+			r.Outcome, r.Requests, r.P50ms, r.P95ms, r.P99ms)
+	}
+	fmt.Fprintf(w, "traces: %d finished / %d total; events: %d; counters==traces: %v\n",
+		rep.TracesFinished, rep.TracesTotal, rep.EventsTotal, rep.CountersMatchTraces)
+	fmt.Fprintf(w, "client-side paced loops: p50/p99 %.2f/%.2fms from intended slots\n",
+		rep.ClientSchedP50ms, rep.ClientSchedP99ms)
+	if !rep.CountersMatchTraces {
+		return rep, errors.New("per-outcome counters do not sum to finished traces")
+	}
+	return rep, nil
 }
