@@ -11,6 +11,7 @@ import (
 
 	"sww/internal/core"
 	"sww/internal/http2"
+	"sww/internal/workload"
 )
 
 // TestEdgeHitAllocs: a GET answered from the edge's shard costs the
@@ -55,13 +56,15 @@ func TestEdgeHitAllocs(t *testing.T) {
 }
 
 // TestPushAllocs: one Invalidate pushed to one subscribed edge and
-// acked back costs about what a fetch costs, counted process-wide. The
-// origin builds the push path in the pusher's scratch and waits on no
-// per-push context; the edge parses the query in place and applies and
-// acks on its read loop. 14 objects at this writing (58 before the push
-// was built in place): the log entry and its feed, the path string, the
-// client's Stream, RawReply, body and ack decoding on the origin; the
-// path header, feed paths and their slice on the edge.
+// acked back costs what a fetch costs, counted process-wide. The origin
+// builds the push path from the log entry in the pusher's scratch,
+// waits on no per-push context and reads the ack in place; the edge
+// parses the query in place, looks its paths up as bytes, and applies
+// and acks on its read loop. 6 objects at this writing (14 before the
+// feed, the ack and the pushed paths were read in place, 58 before the
+// push was built in place): the log entry's paths, the path string, and
+// the client's Stream, RawReply and body on the origin; the path header
+// on the edge.
 func TestPushAllocs(t *testing.T) {
 	o := NewOrigin(newHAServer(t), 64) // a short log stops growing after warm-up
 	defer o.Close()
@@ -85,7 +88,71 @@ func TestPushAllocs(t *testing.T) {
 	for i := 0; i < 200; i++ { // dial, fill the dynamic tables, grow the log to its cap
 		push()
 	}
-	if allocs := testing.AllocsPerRun(500, push); allocs > 16 {
-		t.Fatalf("one invalidation pushed and acked allocates %v objects, want at most 16", allocs)
+	if allocs := testing.AllocsPerRun(500, push); allocs > 7 {
+		t.Fatalf("one invalidation pushed and acked allocates %v objects, want at most 7", allocs)
+	}
+}
+
+// TestRefillAllocs: one invalidation of a cached page, pushed to the
+// edge, and the next GET of that page — a miss, pulled from the origin
+// and cached again — counted process-wide. The miss builds what the
+// shard keeps and what its transports need, nothing else: the pull runs
+// under no request's context, names the client's ability with a shared
+// header list, is cached once for every request coalesced on it, and is
+// indexed in place. 31 objects at this writing (44 before), among them
+// the push's 6; on the edge the key, the singleflight call, the entry,
+// its shard node, and the handler goroutine and the Stream that replaces
+// the one it took; the pull's Stream, RawReply and body; the client's
+// Stream and body. The other 13 are the pull's own deadline, the one
+// thing that ends a pull the origin never answers (fetchUpstream): the
+// context and its timer, and the two cancel hooks the h2 client
+// registers on it.
+func TestRefillAllocs(t *testing.T) {
+	srv := newHAServer(t)
+	srv.AddPage(workload.LoadPage(0))
+	path := workload.LoadPagePath(0)
+	o := NewOrigin(srv, 64)
+	defer o.Close()
+	origins := core.NewEndpointSet(core.EndpointHealthConfig{})
+	origins.Add("origin", func() (net.Conn, error) {
+		cEnd, sEnd := net.Pipe()
+		srv.StartConn(sEnd)
+		return cEnd, nil
+	})
+	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, origins)
+	defer e.Close()
+	o.Subscribe("edge1", "", 0, func() (net.Conn, error) {
+		cEnd, sEnd := net.Pipe()
+		e.StartConn(sEnd)
+		return cEnd, nil
+	})
+	cEnd, sEnd := net.Pipe()
+	sc := e.StartConn(sEnd)
+	cc, err := http2.NewClientConn(cEnd, http2.Config{GenAbility: http2.GenFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	defer cc.Close()
+	paths := []string{path}
+	refill := func() {
+		o.Invalidate(paths)
+		for e.LastSeq() != o.Seq() {
+			runtime.Gosched()
+		}
+		resp, err := cc.Get(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := http2.ReadAllBody(resp)
+		if err != nil || resp.Status != 200 || len(body) == 0 || resp.HeaderValue(core.EdgeCacheHeader) != "miss" {
+			t.Fatalf("GET after invalidation = %d, %d bytes, %v, headers %v", resp.Status, len(body), err, resp.Header)
+		}
+	}
+	for i := 0; i < 200; i++ { // dial both ways, fill the dynamic tables, grow the log to its cap
+		refill()
+	}
+	if allocs := testing.AllocsPerRun(500, refill); allocs > 32 {
+		t.Fatalf("one invalidation and the miss that refills it allocate %v objects, want at most 32", allocs)
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -216,6 +217,43 @@ type edgeEntry struct {
 	added   time.Time
 }
 
+// pathKeys is the invalidation index's entry for one path: the shard
+// keys cached under it, one per client ability. A path is almost always
+// cached for one ability, so the first key lives in the entry itself
+// and indexing it allocates nothing.
+type pathKeys struct {
+	path string // the index key, for deleting by a path held as bytes
+	key  string // "" when the entry is empty
+	more []string
+}
+
+// add indexes key, once.
+func (k *pathKeys) add(key string) {
+	switch {
+	case k.key == "":
+		k.key = key
+	case !k.has(key):
+		k.more = append(k.more, key)
+	}
+}
+
+func (k pathKeys) has(key string) bool {
+	return key != "" && (k.key == key || slices.Contains(k.more, key))
+}
+
+// remove drops key and reports whether the entry is now empty.
+func (k *pathKeys) remove(key string) (empty bool) {
+	if k.key == key {
+		k.key = ""
+		if n := len(k.more); n > 0 {
+			k.key, k.more = k.more[n-1], k.more[:n-1]
+		}
+	} else if i := slices.Index(k.more, key); i >= 0 {
+		k.more = slices.Delete(k.more, i, i+1)
+	}
+	return k.key == ""
+}
+
 // meshPeer is one dialable fleet peer: the transport behind both the
 // membership heartbeat and peer-fill.
 type meshPeer struct {
@@ -234,7 +272,7 @@ type Edge struct {
 	sf    overload.Group
 
 	mu     sync.Mutex
-	byPath map[string]map[string]struct{} // path → cache keys (one per ability)
+	byPath map[string]pathKeys // path → its cache keys (one per ability)
 	// storeEpoch is bumped by Flush and InvalidatePath; store
 	// re-checks it after inserting into the cache and withdraws the
 	// entry when a removal pass raced it (see store).
@@ -266,7 +304,8 @@ type Edge struct {
 	// is that prober — the serve path then stays allocation-free.
 	pollerOn atomic.Bool
 
-	// baseCtx scopes background revalidations; Close cancels it.
+	// baseCtx scopes the edge's own upstream fetches (fetchUpstream:
+	// pulls and revalidations); Close cancels it.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -318,7 +357,7 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 		ring:      NewRing(0, peers...),
 		upstream:  core.NewResilientClientEndpoints(origins, device.Workstation, nil, cfg.Retry, nil),
 		cache:     overload.NewByteLRU(cfg.cacheBytes()),
-		byPath:    map[string]map[string]struct{}{},
+		byPath:    map[string]pathKeys{},
 		meshPeers: map[string]*meshPeer{},
 		now:       time.Now,
 	}
@@ -540,20 +579,11 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 	// and a background revalidation (which doubles as the endpoint
 	// probe) notices the heal.
 	if e.upstream.Endpoints().AnyHealthy() {
-		v, err, _ := e.sf.Do(key, func() (any, error) {
-			ctx := r.Stream().Context()
-			return e.upstream.FetchRawContext(ctx, path, hpack.HeaderField{
-				Name:  core.EdgeGenHeader,
-				Value: strconv.FormatUint(uint64(gen), 10),
-			})
-		})
+		v, err, _ := e.sf.Do(key, func() (any, error) { return e.pull(key, path, gen) })
 		if err == nil {
-			raw := v.(*core.RawReply)
-			if raw.Status == 200 {
-				e.store(key, path, raw)
-			}
+			ent := v.(*edgeEntry)
 			e.misses.Add(1)
-			e.reply(w, raw, "", "miss", 0, false)
+			e.reply(w, ent.raw, ent.bodyLen, "miss", 0, false)
 			return true
 		}
 		e.upstreamErrors.Add(1)
@@ -598,6 +628,42 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 	e.errors.Add(1)
 	writeControl(w, 502, "text/plain; charset=utf-8", []byte("origin unreachable and no warm copy\n"))
 	return true
+}
+
+// pull fetches key's reply from the origin and caches it if it is a
+// 200. One pull answers every request coalesced on key, so it runs
+// under none of their contexts — one client going away must not fail
+// the others — but under the edge's own (see fetchUpstream). An
+// uncached reply comes back in an entry of its own.
+func (e *Edge) pull(key, path string, gen http2.GenAbility) (*edgeEntry, error) {
+	raw, err := e.fetchUpstream(path, gen)
+	if err != nil {
+		return nil, err
+	}
+	if raw.Status != 200 {
+		return &edgeEntry{raw: raw}, nil
+	}
+	return e.store(key, path, raw), nil
+}
+
+// genHeaders[g] forwards ability g upstream, for every combination of
+// the ability bits http2 defines: the lists are built once, shared and
+// only read, so a pull names its client's ability without building a
+// header.
+var genHeaders = func() (t [64][]hpack.HeaderField) {
+	for g := range t {
+		t[g] = []hpack.HeaderField{{Name: core.EdgeGenHeader, Value: strconv.Itoa(g)}}
+	}
+	return t
+}()
+
+// genHeader is the request header list that forwards ability gen
+// upstream.
+func genHeader(gen http2.GenAbility) []hpack.HeaderField {
+	if int(gen) < len(genHeaders) {
+		return genHeaders[gen]
+	}
+	return []hpack.HeaderField{{Name: core.EdgeGenHeader, Value: strconv.FormatUint(uint64(gen), 10)}}
 }
 
 // countRequest books one terminal-client request that this edge is
@@ -771,7 +837,7 @@ func (e *Edge) serveControl(w *http2.ResponseWriter, r *http2.Request, inline bo
 // whose ack the transport then declines is re-served as a duplicate:
 // acked, not applied again.
 func (e *Edge) servePush(w *http2.ResponseWriter, query string, inline bool) bool {
-	feed, err := parseFeedQuery(query)
+	feed, paths, err := parsePush(query)
 	if err != nil {
 		if inline {
 			return false
@@ -829,10 +895,12 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string, inline bool) boo
 		e.pushOverlaps.Add(1)
 	default:
 		// feed.Since == last: the push continues precisely from our
-		// position.
-		for _, p := range feed.Paths {
-			n := e.InvalidatePath(p)
-			e.invalApplied.Add(uint64(n))
+		// position. Its paths are decoded into the stack and looked up
+		// as bytes.
+		var scratch [256]byte
+		list, _ := unescapeQuery(scratch[:0], paths) // parsePush checked it
+		for p, rest, ok := nextPath(list); ok; p, rest, ok = nextPath(rest) {
+			e.invalApplied.Add(uint64(e.invalidateBytes(p)))
 			e.pushApplied.Add(1)
 		}
 		e.lastSeq.Store(feed.Seq)
@@ -891,9 +959,11 @@ func appendCacheKey(dst []byte, path string, gen http2.GenAbility) []byte {
 }
 
 // store caches one raw reply and indexes its key under the bare path
-// so invalidations (which speak paths, not keys) can find it.
-func (e *Edge) store(key, path string, raw *core.RawReply) {
-	e.storeAt(key, path, raw, e.now())
+// so invalidations (which speak paths, not keys) can find it. It
+// returns the entry, whose content-length the reply that brought it in
+// can send.
+func (e *Edge) store(key, path string, raw *core.RawReply) *edgeEntry {
+	return e.storeAt(key, path, raw, e.now())
 }
 
 // storeAt is store with an explicit freshness clock (peer fills and
@@ -904,31 +974,25 @@ func (e *Edge) store(key, path string, raw *core.RawReply) {
 // the entry — leaking an uninvalidatable reply into a flushed shard.
 // Any removal pass bumps storeEpoch; a store that observes the bump
 // withdraws its own entry, trading a rare extra miss for correctness.
-func (e *Edge) storeAt(key, path string, raw *core.RawReply, added time.Time) {
+func (e *Edge) storeAt(key, path string, raw *core.RawReply, added time.Time) *edgeEntry {
 	ent := &edgeEntry{raw: raw, path: path, bodyLen: strconv.Itoa(len(raw.Body)), added: added}
 	e.mu.Lock()
 	epoch := e.storeEpoch
 	keys := e.byPath[path]
-	if keys == nil {
-		keys = map[string]struct{}{}
-		e.byPath[path] = keys
-	}
-	keys[key] = struct{}{}
+	keys.path = path
+	keys.add(key)
+	e.byPath[path] = keys
 	e.mu.Unlock()
 	e.cache.Add(key, ent, int64(len(raw.Body))+int64(len(key))+64)
 	e.mu.Lock()
 	if e.storeEpoch != epoch {
-		if keys := e.byPath[path]; keys != nil {
-			delete(keys, key)
-			if len(keys) == 0 {
-				delete(e.byPath, path)
-			}
-		}
+		e.unindexLocked(path, key)
 		e.mu.Unlock()
 		e.cache.Remove(key)
-		return
+		return ent
 	}
 	e.mu.Unlock()
+	return ent
 }
 
 // revalidate refreshes key in the background. The singleflight keeps
@@ -939,12 +1003,7 @@ func (e *Edge) storeAt(key, path string, raw *core.RawReply, added time.Time) {
 // pull path.
 func (e *Edge) revalidate(key, path string, gen http2.GenAbility) {
 	go e.sf.Do("reval|"+key, func() (any, error) {
-		ctx, cancel := context.WithTimeout(e.baseCtx, e.revalBudget())
-		defer cancel()
-		raw, err := e.upstream.FetchRawContext(ctx, path, hpack.HeaderField{
-			Name:  core.EdgeGenHeader,
-			Value: strconv.FormatUint(uint64(gen), 10),
-		})
+		raw, err := e.fetchUpstream(path, gen)
 		if err == nil && raw.Status == 200 {
 			e.store(key, path, raw)
 		}
@@ -952,9 +1011,21 @@ func (e *Edge) revalidate(key, path string, gen http2.GenAbility) {
 	})
 }
 
-// revalBudget bounds one background revalidation: a full upstream
-// retry ladder plus backoff slack.
-func (e *Edge) revalBudget() time.Duration {
+// fetchUpstream fetches path from the origin for a client of ability
+// gen, on the edge's behalf rather than any one request's: a pull or a
+// revalidation. Close ends it, and so does upstreamBudget, which holds
+// however EdgeConfig.Retry is set — a zero Retry puts no deadline on an
+// attempt, and an origin that takes a request and never answers must
+// not hold the key's coalesced requests forever.
+func (e *Edge) fetchUpstream(path string, gen http2.GenAbility) (*core.RawReply, error) {
+	ctx, cancel := context.WithTimeout(e.baseCtx, e.upstreamBudget())
+	defer cancel()
+	return e.upstream.FetchRawContext(ctx, path, genHeader(gen)...)
+}
+
+// upstreamBudget bounds one fetchUpstream: a full upstream retry
+// ladder plus backoff slack.
+func (e *Edge) upstreamBudget() time.Duration {
 	attempts := e.cfg.Retry.MaxAttempts
 	if attempts <= 0 {
 		attempts = 4
@@ -969,29 +1040,52 @@ func (e *Edge) revalBudget() time.Duration {
 // unindex drops one key from the path index (eviction callback).
 func (e *Edge) unindex(path, key string) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if keys := e.byPath[path]; keys != nil {
-		delete(keys, key)
-		if len(keys) == 0 {
-			delete(e.byPath, path)
-		}
+	e.unindexLocked(path, key)
+	e.mu.Unlock()
+}
+
+func (e *Edge) unindexLocked(path, key string) {
+	keys, ok := e.byPath[path]
+	if !ok {
+		return
+	}
+	if keys.remove(key) {
+		delete(e.byPath, path)
+	} else {
+		e.byPath[path] = keys
 	}
 }
 
 // InvalidatePath drops every cached form of path.
 func (e *Edge) InvalidatePath(path string) int {
 	e.mu.Lock()
+	return e.invalidateLocked(e.byPath[path])
+}
+
+// invalidateBytes is InvalidatePath for a path held as bytes: the index
+// is read with the bytes in place, so a pushed path is applied without
+// being made a string.
+func (e *Edge) invalidateBytes(path []byte) int {
+	e.mu.Lock()
+	return e.invalidateLocked(e.byPath[string(path)])
+}
+
+// invalidateLocked drops keys, the index entry of one path, from the
+// index, releases e.mu, and then drops them from the shard. The caller
+// holds e.mu.
+func (e *Edge) invalidateLocked(keys pathKeys) int {
 	e.storeEpoch++
-	keys := make([]string, 0, len(e.byPath[path]))
-	for k := range e.byPath[path] {
-		keys = append(keys, k)
+	if keys.key == "" {
+		e.mu.Unlock()
+		return 0
 	}
-	delete(e.byPath, path)
+	delete(e.byPath, keys.path)
 	e.mu.Unlock()
-	for _, k := range keys {
+	e.cache.Remove(keys.key)
+	for _, k := range keys.more {
 		e.cache.Remove(k)
 	}
-	return len(keys)
+	return 1 + len(keys.more)
 }
 
 // Flush drops the whole shard — the response to a feed reset, where
@@ -1008,11 +1102,9 @@ func (e *Edge) flushLocked() {
 	e.storeEpoch++
 	all := make([]string, 0, len(e.byPath))
 	for _, keys := range e.byPath {
-		for k := range keys {
-			all = append(all, k)
-		}
+		all = append(append(all, keys.key), keys.more...)
 	}
-	e.byPath = map[string]map[string]struct{}{}
+	e.byPath = map[string]pathKeys{}
 	e.mu.Unlock()
 	for _, k := range all {
 		e.cache.Remove(k)

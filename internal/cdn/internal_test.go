@@ -14,6 +14,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +26,7 @@ import (
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
 	"sww/internal/hpack"
+	"sww/internal/http2"
 	"sww/internal/workload"
 )
 
@@ -277,7 +280,7 @@ func TestStoreFlushRace(t *testing.T) {
 	e.cache.Each(func(key string, v any, _ int64) {
 		ent := v.(*edgeEntry)
 		e.mu.Lock()
-		_, indexed := e.byPath[ent.path][key]
+		indexed := e.byPath[ent.path].has(key)
 		e.mu.Unlock()
 		if !indexed {
 			leaked++
@@ -286,6 +289,140 @@ func TestStoreFlushRace(t *testing.T) {
 	if leaked > 0 {
 		t.Fatalf("%d cache entries leaked past the flush (present but unindexed)", leaked)
 	}
+}
+
+// TestPullOutlivesLeaderCancel: a miss's origin pull answers every
+// request coalesced on its key, so the request that started it going
+// away must not fail the others. The pull runs on, is cached once, and
+// answers the request that waited on it.
+func TestPullOutlivesLeaderCancel(t *testing.T) {
+	entered, release := make(chan struct{}, 4), make(chan struct{})
+	dropped := make(chan struct{}, 4) // an origin request its puller reset
+	var pulls atomic.Int32
+	e, dial := pullFixture(t, EdgeConfig{Name: "edge1", TTL: time.Hour}, func(w *http2.ResponseWriter, r *http2.Request) {
+		pulls.Add(1)
+		entered <- struct{}{}
+		select {
+		case <-release:
+			writeControl(w, 200, "text/html; charset=utf-8", []byte("fresh\n"))
+		case <-r.Stream().Context().Done():
+			dropped <- struct{}{}
+		}
+	})
+
+	leader, waiter := dial(), dial()
+	ctx, cancel := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := leader.GetContext(ctx, "/p")
+		leaderErr <- err
+	}()
+	<-entered
+	type reply struct{ cache, got string }
+	waited := make(chan reply, 1)
+	go func() {
+		cache, got, err := pullGet(waiter)
+		if err != nil {
+			got = err.Error()
+		}
+		waited <- reply{cache, got}
+	}()
+	for e.requests.Load() < 2 { // the waiter has reached the edge
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-leaderErr; err == nil {
+		t.Fatal("the cancelled request got a reply")
+	}
+	// A pull that took the leader's context resets its origin request
+	// now; let that land before the origin answers, so such a pull
+	// always fails its waiter.
+	select {
+	case <-dropped:
+		t.Error("the leader's cancel reached the origin request")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if r := <-waited; r != (reply{"miss", "200 fresh\n"}) {
+		t.Errorf("the coalesced request got %+v, want the pull's 200 as a miss", r)
+	}
+	if cache, got, err := pullGet(waiter); err != nil || cache != "hit" || got != "200 fresh\n" {
+		t.Errorf("the next request got %q %q, %v; want the cached 200 as a hit", cache, got, err)
+	}
+	if n := pulls.Load(); n != 1 {
+		t.Errorf("%d origin pulls, want 1", n)
+	}
+}
+
+// TestPullBoundedWithoutAttemptTimeout: a pull runs under no request's
+// context, so with no per-attempt deadline (AttemptTimeout zero, as in
+// a zero Retry) the edge's own budget must still end it. An origin
+// that takes the request and never answers gets every request
+// coalesced on the key its 502 — here within one 2 s attempt plus 1 s
+// of slack — instead of holding them forever.
+func TestPullBoundedWithoutAttemptTimeout(t *testing.T) {
+	cfg := EdgeConfig{Name: "edge1", TTL: time.Hour, Retry: core.RetryPolicy{MaxAttempts: 1}}
+	_, dial := pullFixture(t, cfg, func(w *http2.ResponseWriter, r *http2.Request) {
+		<-r.Stream().Context().Done() // never answers; unwinds when the edge gives up
+	})
+	replies := make(chan string, 2)
+	for range 2 {
+		cc := dial()
+		go func() {
+			_, got, err := pullGet(cc)
+			if err != nil {
+				got = err.Error()
+			}
+			replies <- got
+		}()
+	}
+	deadline := time.After(10 * time.Second)
+	for range 2 {
+		select {
+		case got := <-replies:
+			if !strings.HasPrefix(got, "502 ") {
+				t.Errorf("a request on the hung pull got %q, want a 502", got)
+			}
+		case <-deadline:
+			t.Fatal("a request coalesced on a pull the origin never answers got no reply in 10 s")
+		}
+	}
+}
+
+// pullFixture starts an edge with cfg in front of an origin served by
+// handler, both over net.Pipe, and returns it with a dialer for
+// GenFull clients; the test's cleanup closes them all.
+func pullFixture(t *testing.T, cfg EdgeConfig, handler http2.HandlerFunc) (*Edge, func() *http2.ClientConn) {
+	origin := &http2.Server{Handler: handler}
+	origins := core.NewEndpointSet(core.EndpointHealthConfig{})
+	origins.Add("origin", func() (net.Conn, error) {
+		cEnd, sEnd := net.Pipe()
+		origin.StartConn(sEnd)
+		return cEnd, nil
+	})
+	e := NewEdge(cfg, origins)
+	t.Cleanup(func() { e.Close() })
+	return e, func() *http2.ClientConn {
+		cEnd, sEnd := net.Pipe()
+		e.StartConn(sEnd)
+		cc, err := http2.NewClientConn(cEnd, http2.Config{GenAbility: http2.GenFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cc.Close() })
+		return cc
+	}
+}
+
+// pullGet fetches /p on cc: the reply's edge cache header, and its
+// status and body as one string.
+func pullGet(cc *http2.ClientConn) (cache, got string, err error) {
+	resp, err := cc.Get("/p")
+	if err != nil {
+		return "", "", err
+	}
+	body, err := http2.ReadAllBody(resp)
+	return resp.HeaderValue(core.EdgeCacheHeader), fmt.Sprintf("%d %s", resp.Status, body), err
 }
 
 // TestRingConcurrentSurgery: LookupN callers racing Remove/Add (the

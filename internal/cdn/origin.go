@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,6 +149,36 @@ func appendPushAck(dst []byte, ack, epoch uint64) []byte {
 		dst = strconv.AppendUint(append(dst, `,"epoch":`...), epoch, 10)
 	}
 	return append(dst, '}')
+}
+
+// parsePushAck reads an ack in place. Both push surfaces answer with
+// appendPushAck, so a body that is not exactly the bytes appendPushAck
+// builds for the numbers read is an error: the numbers are read
+// loosely, then the body is checked against their re-encoding.
+func parsePushAck(body []byte) (pushAck, error) {
+	var a pushAck
+	rest, _ := bytes.CutPrefix(body, []byte(`{"ack":`))
+	a.Ack, rest = cutDigits(rest)
+	if tail, ok := bytes.CutPrefix(rest, []byte(`,"epoch":`)); ok {
+		a.Epoch, _ = cutDigits(tail)
+	}
+	var buf [64]byte
+	if !bytes.Equal(body, appendPushAck(buf[:0], a.Ack, a.Epoch)) {
+		return pushAck{}, fmt.Errorf("malformed push ack %q", body)
+	}
+	return a, nil
+}
+
+// cutDigits reads the decimal digits at the front of b, wrapping past
+// 2⁶⁴ — parsePushAck's re-encoding check rejects what wrapped — and
+// returns the rest of b.
+func cutDigits(b []byte) (uint64, []byte) {
+	var v uint64
+	n := 0
+	for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
+		v = v*10 + uint64(b[n]-'0')
+	}
+	return v, b[n:]
 }
 
 // writePushAck answers a push with its ack, built on the stack; with
@@ -471,7 +502,8 @@ func (o *Origin) Seq() uint64 {
 }
 
 // Feed answers one poll: everything invalidated after since, or a
-// reset when the log no longer reaches back that far.
+// reset when the log no longer reaches back that far. Its Paths are
+// the caller's own.
 func (o *Origin) Feed(since uint64) InvalidationFeed {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -480,10 +512,12 @@ func (o *Origin) Feed(since uint64) InvalidationFeed {
 	if feed.Reset {
 		o.feedResets.Add(1)
 	}
+	feed.Paths = slices.Clone(feed.Paths) // feedLocked may lend the log's
 	return feed
 }
 
-// feedLocked builds the feed for one position; callers hold o.mu.
+// feedLocked builds the feed for one position; callers hold o.mu. Its
+// Paths may be the log's own (see below): they are only to be read.
 func (o *Origin) feedLocked(since uint64) InvalidationFeed {
 	feed := InvalidationFeed{Seq: o.seq, Since: since, Epoch: o.epoch.Load()}
 	if since > o.seq {
@@ -506,7 +540,15 @@ func (o *Origin) feedLocked(since uint64) InvalidationFeed {
 		return feed
 	}
 	// The log is in seq order, so the entries after since are a suffix.
+	// A suffix of one entry, the push fan-out's usual case, lends that
+	// entry's paths: a log entry's paths never change, and the full
+	// slice expression keeps an append from writing into them.
 	from := sort.Search(len(o.log), func(i int) bool { return o.log[i].seq > since })
+	if tail := o.log[from:]; len(tail) == 1 {
+		p := tail[0].paths
+		feed.Paths = p[:len(p):len(p)]
+		return feed
+	}
 	for _, e := range o.log[from:] {
 		feed.Paths = append(feed.Paths, e.paths...)
 	}
@@ -802,8 +844,8 @@ func (o *Origin) pushOnce(s *subscriber, feed InvalidationFeed) (uint64, error) 
 	if raw.Status != 200 {
 		return 0, fmt.Errorf("push status %d", raw.Status)
 	}
-	var ack pushAck
-	if err := json.Unmarshal(raw.Body, &ack); err != nil {
+	ack, err := parsePushAck(raw.Body)
+	if err != nil {
 		return 0, err
 	}
 	if !o.observeEpoch(ack.Epoch) {
@@ -961,12 +1003,26 @@ var (
 // url.ParseQuery and url.Values.Get would: pairs split on '&', a ';' in
 // any pair or a malformed escape in any key or value is an error, the
 // first value of a key wins, and a path that is empty or badly escaped
-// is dropped. It walks the query in place, so a well-formed push costs
-// the paths it carries and nothing more. Shared by the edge's push
-// surface and the origin's standby mirror surface.
+// is dropped. The standby mirror surface keeps the paths it decodes.
 func parseFeedQuery(query string) (InvalidationFeed, error) {
+	feed, paths, err := parsePush(query)
+	if err != nil {
+		return InvalidationFeed{}, err
+	}
+	var scratch [256]byte
+	list, _ := unescapeQuery(scratch[:0], paths) // parsePush checked it
+	for p, rest, ok := nextPath(list); ok; p, rest, ok = nextPath(rest) {
+		feed.Paths = append(feed.Paths, string(p))
+	}
+	return feed, nil
+}
+
+// parsePush is parseFeedQuery less the paths: it returns the feed
+// without them and the paths value as it came, still escaped. It walks
+// the query in place and builds nothing, so the edge, which only looks
+// its pushed paths up, applies a push without a string of its own.
+func parsePush(query string) (feed InvalidationFeed, paths string, err error) {
 	var (
-		feed    InvalidationFeed
 		seen    uint8 // one bit per key taken
 		scratch [256]byte
 	)
@@ -979,7 +1035,7 @@ func parseFeedQuery(query string) (InvalidationFeed, error) {
 		var pair string
 		pair, query, _ = strings.Cut(query, "&")
 		if strings.Contains(pair, ";") {
-			return InvalidationFeed{}, errQuerySemicolon
+			return InvalidationFeed{}, "", errQuerySemicolon
 		}
 		if pair == "" {
 			continue
@@ -991,7 +1047,7 @@ func parseFeedQuery(query string) (InvalidationFeed, error) {
 			val, ok = unescapeQuery(key[len(key):], v) // after the key, which stays readable
 		}
 		if !ok {
-			return InvalidationFeed{}, errQueryEscape
+			return InvalidationFeed{}, "", errQueryEscape
 		}
 		switch string(key) {
 		case "epoch":
@@ -1000,7 +1056,7 @@ func parseFeedQuery(query string) (InvalidationFeed, error) {
 			}
 		case "paths":
 			if first(2) {
-				feed.Paths = splitPaths(val)
+				paths = v
 			}
 		case "reset":
 			if first(4) {
@@ -1016,22 +1072,21 @@ func parseFeedQuery(query string) (InvalidationFeed, error) {
 			}
 		}
 	}
-	return feed, nil
+	return feed, paths, nil
 }
 
-// splitPaths decodes the once-unescaped paths value: comma-separated,
-// each element unescaped again in place; empty and badly escaped
-// elements are dropped.
-func splitPaths(list []byte) []string {
-	var paths []string
+// nextPath cuts the next path off list, the once-unescaped paths value
+// (comma-separated), unescaping it again in place. Empty and badly
+// escaped elements are skipped; ok is false once list is spent.
+func nextPath(list []byte) (path, rest []byte, ok bool) {
 	for len(list) > 0 {
 		var elem []byte
 		elem, list, _ = bytes.Cut(list, []byte{','})
 		if p, ok := unescapeQuery(elem[:0], elem); ok && len(p) > 0 {
-			paths = append(paths, string(p))
+			return p, list, true
 		}
 	}
-	return paths
+	return nil, nil, false
 }
 
 // unescapeQuery appends s, decoded as url.QueryUnescape decodes it, to

@@ -6,6 +6,7 @@ package cdn
 // a handler goroutine, and the pusher's watchdog and wake-up.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -121,6 +122,48 @@ func FuzzFeedQuery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzPushAck: parsePushAck reads every ack appendPushAck builds back
+// to its numbers, and accepts nothing else — a body it takes is
+// appendPushAck's bytes for what it read, and json.Unmarshal reads it
+// the same.
+func FuzzPushAck(f *testing.F) {
+	for _, b := range []string{
+		`{"ack":7}`, `{"ack":7,"epoch":1}`, `{"ack":18446744073709551615,"epoch":18446744073709551615}`,
+		`{"ack":18446744073709551616}`, `{"ack":07}`, `{"ack":7,"epoch":0}`, `{"ack":-1}`, `{"ack":1.0}`,
+		`{"ack":7,"epoch":1} `, `{"epoch":1,"ack":7}`, `{"ack":"7"}`, `{"ack":}`, `{"ack":7`, ``, `{}`,
+	} {
+		f.Add([]byte(b), uint64(7), uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, ack, epoch uint64) {
+		if got, err := parsePushAck(body); err == nil {
+			var want pushAck
+			if wire := appendPushAck(nil, got.Ack, got.Epoch); !bytes.Equal(body, wire) {
+				t.Fatalf("parsePushAck(%q) = %+v, but appendPushAck builds %s", body, got, wire)
+			}
+			if err := json.Unmarshal(body, &want); err != nil || got != want {
+				t.Fatalf("parsePushAck(%q) = %+v; json.Unmarshal %+v, %v", body, got, want, err)
+			}
+		}
+		wire := appendPushAck(nil, ack, epoch)
+		if got, err := parsePushAck(wire); err != nil || got != (pushAck{ack, epoch}) {
+			t.Fatalf("parsePushAck(%s) = %+v, %v; want {%d %d}", wire, got, err, ack, epoch)
+		}
+	})
+}
+
+// TestFeedPathsAreTheCallers: the push fan-out reads a one-entry feed's
+// paths straight from the log, but Feed hands out a copy, so a caller
+// writing to it changes no later feed.
+func TestFeedPathsAreTheCallers(t *testing.T) {
+	o := NewOrigin(newHAServer(t), 64)
+	defer o.Close()
+	o.Invalidate([]string{"/a", "/b"})
+	o.Feed(0).Paths[0] = "/x"
+	if got := o.Feed(0).Paths; !reflect.DeepEqual(got, []string{"/a", "/b"}) {
+		t.Fatalf("Feed(0).Paths = %q after a caller wrote to an earlier feed, want [/a /b]", got)
+	}
 }
 
 // TestPushAckBytes: the ack built in place is json.Marshal's, with and

@@ -232,8 +232,10 @@ func (s *EndpointSet) Pick(prefer string) (*Endpoint, error) {
 // locally instead of parking on a retry ladder, and leaves probing to
 // background work.
 func (s *EndpointSet) AnyHealthy() bool {
+	// The set only grows, and Add writes nothing below the length read
+	// here, so the slice stays valid without the lock and without a copy.
 	s.mu.Lock()
-	eps := append([]*Endpoint(nil), s.eps...)
+	eps := s.eps
 	s.mu.Unlock()
 	for _, ep := range eps {
 		if ep.Healthy() {

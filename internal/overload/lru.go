@@ -1,15 +1,15 @@
 package overload
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
-// lruEntry is one cached value with its byte accounting.
+// lruEntry is one cached value with its byte accounting, linked into the
+// cache's recency list in place: an insert allocates this and nothing
+// else.
 type lruEntry struct {
-	key   string
-	value any
-	size  int64
+	key        string
+	value      any
+	size       int64
+	prev, next *lruEntry
 }
 
 // A ByteLRU is a byte-capped least-recently-used cache. Eviction is
@@ -22,8 +22,8 @@ type ByteLRU struct {
 	mu      sync.Mutex
 	max     int64
 	size    int64
-	order   *list.List // front = most recent
-	items   map[string]*list.Element
+	root    lruEntry // sentinel: root.next is the most recent, root.prev the least
+	items   map[string]*lruEntry
 	onEvict func(key string, value any, size int64)
 }
 
@@ -32,7 +32,9 @@ func NewByteLRU(max int64) *ByteLRU {
 	if max < 1 {
 		max = 1
 	}
-	return &ByteLRU{max: max, order: list.New(), items: make(map[string]*list.Element)}
+	l := &ByteLRU{max: max, items: make(map[string]*lruEntry)}
+	l.root.prev, l.root.next = &l.root, &l.root
+	return l
 }
 
 // SetOnEvict installs the eviction callback. It must be set before
@@ -54,12 +56,30 @@ func (l *ByteLRU) GetBytes(key []byte) (any, bool) {
 	return l.promoteLocked(l.items[string(key)])
 }
 
-func (l *ByteLRU) promoteLocked(e *list.Element) (any, bool) {
+func (l *ByteLRU) promoteLocked(e *lruEntry) (any, bool) {
 	if e == nil {
 		return nil, false
 	}
-	l.order.MoveToFront(e)
-	return e.Value.(*lruEntry).value, true
+	l.moveToFrontLocked(e)
+	return e.value, true
+}
+
+func (l *ByteLRU) moveToFrontLocked(e *lruEntry) {
+	if l.root.next != e {
+		l.unlinkLocked(e)
+		l.pushFrontLocked(e)
+	}
+}
+
+func (l *ByteLRU) pushFrontLocked(e *lruEntry) {
+	e.prev, e.next = &l.root, l.root.next
+	e.next.prev = e
+	l.root.next = e
+}
+
+func (l *ByteLRU) unlinkLocked(e *lruEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // Peek returns the cached value without promoting it.
@@ -67,7 +87,7 @@ func (l *ByteLRU) Peek(key string) (any, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if e, ok := l.items[key]; ok {
-		return e.Value.(*lruEntry).value, true
+		return e.value, true
 	}
 	return nil, false
 }
@@ -80,32 +100,40 @@ func (l *ByteLRU) Peek(key string) (any, bool) {
 func (l *ByteLRU) Add(key string, value any, size int64) int {
 	l.mu.Lock()
 	if e, ok := l.items[key]; ok {
-		old := e.Value.(*lruEntry)
-		l.size += size - old.size
-		old.value, old.size = value, size
-		l.order.MoveToFront(e)
+		l.size += size - e.size
+		e.value, e.size = value, size
+		l.moveToFrontLocked(e)
 	} else {
-		e := l.order.PushFront(&lruEntry{key: key, value: value, size: size})
+		e := &lruEntry{key: key, value: value, size: size}
+		l.pushFrontLocked(e)
 		l.items[key] = e
 		l.size += size
 	}
-	var evicted []*lruEntry
-	for l.size > l.max && l.order.Len() > 0 {
-		back := l.order.Back()
-		ent := back.Value.(*lruEntry)
-		l.order.Remove(back)
-		delete(l.items, ent.key)
-		l.size -= ent.size
-		evicted = append(evicted, ent)
+	// Evicted entries are chained through next, oldest first, once
+	// unlinked: collecting them builds nothing.
+	var evicted, last *lruEntry
+	count := 0
+	for l.size > l.max && len(l.items) > 0 {
+		back := l.root.prev
+		l.unlinkLocked(back)
+		delete(l.items, back.key)
+		l.size -= back.size
+		if last == nil {
+			evicted = back
+		} else {
+			last.next = back
+		}
+		last = back
+		count++
 	}
 	cb := l.onEvict
 	l.mu.Unlock()
 	if cb != nil {
-		for _, ent := range evicted {
+		for ent := evicted; ent != nil; ent = ent.next {
 			cb(ent.key, ent.value, ent.size)
 		}
 	}
-	return len(evicted)
+	return count
 }
 
 // Remove deletes key without firing the eviction callback (the caller
@@ -117,10 +145,9 @@ func (l *ByteLRU) Remove(key string) bool {
 	if !ok {
 		return false
 	}
-	ent := e.Value.(*lruEntry)
-	l.order.Remove(e)
+	l.unlinkLocked(e)
 	delete(l.items, key)
-	l.size -= ent.size
+	l.size -= e.size
 	return true
 }
 
@@ -130,9 +157,9 @@ func (l *ByteLRU) Remove(key string) bool {
 // removed after Each begins may or may not be reflected.
 func (l *ByteLRU) Each(fn func(key string, value any, size int64)) {
 	l.mu.Lock()
-	snap := make([]lruEntry, 0, l.order.Len())
-	for e := l.order.Front(); e != nil; e = e.Next() {
-		snap = append(snap, *e.Value.(*lruEntry))
+	snap := make([]lruEntry, 0, len(l.items))
+	for e := l.root.next; e != &l.root; e = e.next {
+		snap = append(snap, lruEntry{key: e.key, value: e.value, size: e.size})
 	}
 	l.mu.Unlock()
 	for _, ent := range snap {
@@ -144,7 +171,7 @@ func (l *ByteLRU) Each(fn func(key string, value any, size int64)) {
 func (l *ByteLRU) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.order.Len()
+	return len(l.items)
 }
 
 // Bytes returns the current total size.

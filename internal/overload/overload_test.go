@@ -3,6 +3,7 @@ package overload
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,8 +280,14 @@ func TestByteLRUEviction(t *testing.T) {
 	if l.Bytes() != 80 || l.Len() != 2 {
 		t.Fatalf("size %d len %d", l.Bytes(), l.Len())
 	}
-	// Oversized entry: admitted then immediately evicted; cap holds.
-	l.Add("huge", "H", 1000)
+	// Oversized entry: admitted then immediately evicted, after the
+	// entries older than it, oldest first; the cap holds.
+	if n := l.Add("huge", "H", 1000); n != 3 {
+		t.Fatalf("oversized add evicted %d entries, want 3", n)
+	}
+	if got := strings.Join(evicted[3:], " "); got != "b e huge" {
+		t.Fatalf("oversized add evicted %q, want \"b e huge\"", got)
+	}
 	if _, ok := l.Peek("huge"); ok {
 		t.Fatal("oversized entry stayed cached")
 	}
