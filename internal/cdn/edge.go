@@ -305,9 +305,14 @@ type Edge struct {
 	pollerOn atomic.Bool
 
 	// baseCtx scopes the edge's own upstream fetches (fetchUpstream:
-	// pulls and revalidations); Close cancels it.
+	// pulls and revalidations); Close cancels it. upCtx is the deadline
+	// context the fetches starting now share (upstreamCtx), upDeadline
+	// its deadline; both are guarded by upMu.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
+	upMu       sync.Mutex
+	upCtx      context.Context
+	upDeadline time.Time
 
 	pollCtx    context.Context
 	pollCancel context.CancelFunc
@@ -1013,15 +1018,37 @@ func (e *Edge) revalidate(key, path string, gen http2.GenAbility) {
 
 // fetchUpstream fetches path from the origin for a client of ability
 // gen, on the edge's behalf rather than any one request's: a pull or a
-// revalidation. Close ends it, and so does upstreamBudget, which holds
-// however EdgeConfig.Retry is set — a zero Retry puts no deadline on an
-// attempt, and an origin that takes a request and never answers must
-// not hold the key's coalesced requests forever.
+// revalidation. Close ends it, and so does its deadline (upstreamCtx),
+// which holds however EdgeConfig.Retry is set — a zero Retry puts no
+// deadline on an attempt, and an origin that takes a request and never
+// answers must not hold the key's coalesced requests forever.
 func (e *Edge) fetchUpstream(path string, gen http2.GenAbility) (*core.RawReply, error) {
-	ctx, cancel := context.WithTimeout(e.baseCtx, e.upstreamBudget())
-	defer cancel()
-	return e.upstream.FetchRawContext(ctx, path, genHeader(gen)...)
+	return e.upstream.FetchRawContext(e.upstreamCtx(), path, genHeader(gen)...)
 }
+
+// upstreamCtx returns the context a fetchUpstream starting now runs
+// under. Fetches that start within upstreamSlack of one another share
+// one, whose deadline is upstreamBudget after the first of them: each
+// gets at least a full retry ladder and at most the budget, and none
+// builds a context or a timer of its own. A replaced context is left to
+// its deadline, since fetches may still run under it; Close ends them
+// all through baseCtx.
+func (e *Edge) upstreamCtx() context.Context {
+	now := time.Now()
+	budget := e.upstreamBudget()
+	e.upMu.Lock()
+	defer e.upMu.Unlock()
+	if e.upCtx == nil || e.upDeadline.Sub(now) < budget-upstreamSlack {
+		ctx, cancel := context.WithDeadline(e.baseCtx, now.Add(budget))
+		_ = cancel // its deadline or baseCtx ends it; see above
+		e.upCtx, e.upDeadline = ctx, now.Add(budget)
+	}
+	return e.upCtx
+}
+
+// upstreamSlack is what upstreamBudget allows for backoff beyond a full
+// retry ladder.
+const upstreamSlack = time.Second
 
 // upstreamBudget bounds one fetchUpstream: a full upstream retry
 // ladder plus backoff slack.
@@ -1034,7 +1061,7 @@ func (e *Edge) upstreamBudget() time.Duration {
 	if per <= 0 {
 		per = 2 * time.Second
 	}
-	return time.Duration(attempts)*per + time.Second
+	return time.Duration(attempts)*per + upstreamSlack
 }
 
 // unindex drops one key from the path index (eviction callback).

@@ -98,6 +98,9 @@ func TestEdgeTierServes(t *testing.T) {
 			t.Fatalf("second round fetch: %v", err)
 		}
 	}
+	// An edge counts a hit after its reply has gone out, so the last
+	// reply can reach the client before its hit is counted.
+	waitFor(t, "the second round's hits", func() bool { return h.Stats().Hits-first.Hits >= tier.Pages })
 	second := h.Stats()
 	if hits := second.Hits - first.Hits; hits != tier.Pages {
 		t.Errorf("second round hits = %d, want %d", hits, tier.Pages)

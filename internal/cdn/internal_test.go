@@ -389,6 +389,38 @@ func TestPullBoundedWithoutAttemptTimeout(t *testing.T) {
 	}
 }
 
+// TestUpstreamCtxShared: the fetches that start within upstreamSlack
+// of one another share one deadline context, which leaves each at least
+// a full retry ladder and at most upstreamBudget. A later fetch gets a
+// new context and the old one runs on for the fetches under it; Close
+// ends both.
+func TestUpstreamCtxShared(t *testing.T) {
+	e := NewEdge(EdgeConfig{Name: "edge1", Retry: core.RetryPolicy{MaxAttempts: 2, AttemptTimeout: time.Second}},
+		core.NewEndpointSet(core.EndpointHealthConfig{}))
+	budget := e.upstreamBudget()
+	start := time.Now()
+	first := e.upstreamCtx()
+	if second := e.upstreamCtx(); second != first {
+		t.Fatal("two fetches a moment apart got different contexts")
+	}
+	if dl, ok := first.Deadline(); !ok || dl.Before(start.Add(budget-upstreamSlack)) || dl.After(time.Now().Add(budget)) {
+		t.Fatalf("deadline %v after the fetch began, want within [%v, %v]", dl.Sub(start), budget-upstreamSlack, budget)
+	}
+	// A fetch starting upstreamSlack later would get less than a ladder
+	// from the shared deadline.
+	e.upMu.Lock()
+	e.upDeadline = time.Now().Add(budget - upstreamSlack - time.Millisecond)
+	e.upMu.Unlock()
+	later := e.upstreamCtx()
+	if later == first || first.Err() != nil {
+		t.Fatalf("a later fetch got the same context (%v) or ended the old one (%v)", later == first, first.Err())
+	}
+	e.Close()
+	if first.Err() == nil || later.Err() == nil {
+		t.Fatal("Close left a shared upstream context running")
+	}
+}
+
 // pullFixture starts an edge with cfg in front of an origin served by
 // handler, both over net.Pipe, and returns it with a dialer for
 // GenFull clients; the test's cleanup closes them all.

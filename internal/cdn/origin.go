@@ -345,6 +345,10 @@ type Origin struct {
 	maxLog int
 	dlog   *originLog // durable WAL + snapshot; nil without LogDir
 
+	// pushPath is the push request path a pusher built last: the
+	// subscribers that stand at the same position share it (drain).
+	pushPath string
+
 	epoch atomic.Uint64 // this incarnation's fencing epoch
 	role  atomic.Int32  // OriginRole
 	// epochMu serializes the writers of epoch (Promote, adoptEpoch) and
@@ -415,12 +419,6 @@ func NewOriginWithConfig(srv *core.Server, cfg OriginConfig) (*Origin, error) {
 		o.seq, o.floor = st.seq, st.floor
 		o.logTorn.Add(uint64(st.torn))
 		for _, e := range st.entries {
-			if n := len(o.log); e.Seq > o.seq || n > 0 && e.Seq <= o.log[n-1].seq {
-				// Out of order, which only a damaged file can say: keep
-				// no entry, so every position below the head resets.
-				o.log, o.floor = nil, o.seq
-				break
-			}
 			o.log = append(o.log, invalEntry{seq: e.Seq, paths: e.Paths})
 		}
 		if over := len(o.log) - maxLog; over > 0 {
@@ -801,8 +799,16 @@ func (o *Origin) drain(s *subscriber) {
 			return
 		}
 		feed := o.feedLocked(acked)
+		// The pusher builds the path in its scratch; only a path no
+		// other pusher made last becomes a string, so the edges that
+		// stand at the head share one per log entry.
+		s.path = appendPushPath(s.path[:0], feed)
+		if string(s.path) != o.pushPath {
+			o.pushPath = string(s.path)
+		}
+		path := o.pushPath
 		o.mu.Unlock()
-		ack, err := o.pushOnce(s, feed)
+		ack, err := o.pushOnce(s, path, feed.Reset)
 		if err != nil {
 			o.pushErrors.Add(1)
 			return
@@ -822,21 +828,20 @@ func (o *Origin) drain(s *subscriber) {
 	}
 }
 
-// pushOnce delivers one feed to one subscriber and returns its ack.
-// The request path is built in the pusher's scratch and made a string
-// once; the watchdog, not a per-push context, bounds the wait.
-func (o *Origin) pushOnce(s *subscriber, feed InvalidationFeed) (uint64, error) {
+// pushOnce delivers one feed, as its push request path, to one
+// subscriber and returns its ack. The watchdog, not a per-push
+// context, bounds the wait.
+func (o *Origin) pushOnce(s *subscriber, path string, reset bool) (uint64, error) {
 	o.pushes.Add(1)
-	if feed.Reset {
+	if reset {
 		o.pushResets.Add(1)
 	}
-	s.path = appendPushPath(s.path[:0], feed)
 	if s.watchdog == nil {
 		s.watchdog = time.AfterFunc(pushTimeout, s.cut)
 	} else {
 		s.watchdog.Reset(pushTimeout)
 	}
-	raw, err := s.rc.FetchRawContext(context.Background(), string(s.path))
+	raw, err := s.rc.FetchRawContext(context.Background(), path)
 	s.watchdog.Stop()
 	if err != nil {
 		return 0, err

@@ -27,7 +27,6 @@ package cdn
 // prefix the fsync ordering guarantees durable.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -83,50 +82,76 @@ type originLog struct {
 // openOriginLog recovers the durable log from dir (creating it when
 // missing) and returns the handle plus the recovered state.
 func openOriginLog(dir string) (*originLog, originLogState, error) {
-	var st originLogState
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, st, err
+		return nil, originLogState{}, err
 	}
-	// Snapshot first: it is the compacted prefix.
-	if data, err := os.ReadFile(filepath.Join(dir, originSnapName)); err == nil {
-		var snap originSnapshot
-		if err := json.Unmarshal(data, &snap); err == nil && snap.Version == originLogVersion {
-			st.seq, st.floor, st.entries = snap.Seq, snap.Floor, snap.Entries
-		}
-	}
-	// Then the WAL: replay every complete line beyond the snapshot.
+	// A file that cannot be read recovers as a missing one; an
+	// unwritable WAL fails the open below.
+	snap, _ := os.ReadFile(filepath.Join(dir, originSnapName))
 	walPath := filepath.Join(dir, originWALName)
-	pending := 0
-	if data, err := os.ReadFile(walPath); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			var e walEntry
-			if err := json.Unmarshal([]byte(line), &e); err != nil {
-				// Torn tail: the crash interrupted this append, and
-				// nothing after it was acknowledged either.
-				st.torn++
-				break
-			}
-			pending++
-			if e.Seq <= st.seq {
-				// Already covered by the snapshot (a crash landed
-				// between snapshot write and WAL truncate).
-				continue
-			}
-			st.entries = append(st.entries, e)
-			st.seq = e.Seq
-		}
-	}
+	walData, _ := os.ReadFile(walPath)
+	st, pending := recoverOriginLog(snap, walData)
 	wal, err := os.OpenFile(walPath, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, st, err
 	}
 	return &originLog{dir: dir, wal: wal, pending: pending}, st, nil
+}
+
+// recoverOriginLog rebuilds the log from a snapshot's and a WAL's
+// bytes, either of them empty, damaged or torn, and reports how many
+// WAL entries it read. What it returns is a log the Origin can serve
+// from: entries in strictly increasing seq, the last of them at seq.
+func recoverOriginLog(snapData, walData []byte) (st originLogState, pending int) {
+	// Snapshot first: it is the compacted prefix.
+	var snap originSnapshot
+	if err := json.Unmarshal(snapData, &snap); err == nil && snap.Version == originLogVersion {
+		st.seq, st.floor, st.entries = snap.Seq, snap.Floor, snap.Entries
+		if !servable(snap) {
+			// Out of order, or short of the head, which only a damaged
+			// file can say: keep no entry, so every position below the
+			// head resets.
+			st.floor, st.entries = st.seq, nil
+		}
+	}
+	// Then the WAL: replay every complete line beyond the snapshot. An
+	// append writes its entry and the newline in one write, so a line
+	// without one is the append a crash interrupted, whatever it holds.
+	for rest := walData; len(rest) > 0; {
+		line, tail, complete := bytes.Cut(rest, []byte{'\n'})
+		rest = tail
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		var e walEntry
+		if !complete || json.Unmarshal(line, &e) != nil {
+			// Torn tail: nothing after it was acknowledged either.
+			st.torn++
+			break
+		}
+		pending++
+		if e.Seq <= st.seq {
+			// Already covered by the snapshot (a crash landed
+			// between snapshot write and WAL truncate).
+			continue
+		}
+		st.entries = append(st.entries, e)
+		st.seq = e.Seq
+	}
+	return st, pending
+}
+
+// servable reports whether a snapshot's entries are in strictly
+// increasing seq and end at its seq, as compaction writes them.
+func servable(snap originSnapshot) bool {
+	for i, e := range snap.Entries {
+		if i > 0 && e.Seq <= snap.Entries[i-1].Seq {
+			return false
+		}
+	}
+	n := len(snap.Entries)
+	return n == 0 || snap.Entries[n-1].Seq == snap.Seq
 }
 
 // append durably appends one entry: marshal, write one line, fsync.

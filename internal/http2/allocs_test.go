@@ -3,7 +3,9 @@
 package http2
 
 import (
+	"context"
 	"net"
+	"runtime"
 	"testing"
 
 	"sww/internal/hpack"
@@ -19,15 +21,85 @@ import (
 // Stream its previous inline reply left spare.
 // A handler that is served from a goroutine pays two objects more: a
 // Stream of its own on the server and the closure of its go statement.
+// A request under a cancelable context pays for its one cancel hook:
+// context.AfterFunc's context and stop function, and the closure that
+// cancels the stream.
 const (
 	getAllocBudget          = 2
 	getAllocBudgetGoroutine = getAllocBudget + 2
+	getAllocBudgetCancel    = getAllocBudget + 3
 )
 
 // TestGetAllocBudget pins the request lifecycle at the client's Stream
-// and body, plus the server's Stream for a plain Handler. (The race
-// detector's instrumentation allocates; hence the build tag.)
+// and body, plus the server's Stream for a plain Handler and the cancel
+// hook for a cancelable context. (The race detector's instrumentation
+// allocates; hence the build tag.)
 func TestGetAllocBudget(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inline, plain := allocsHandlers()
+	for _, tc := range []struct {
+		name   string
+		h      Handler
+		ctx    context.Context
+		budget float64
+	}{
+		{"goroutine", plain, context.Background(), getAllocBudgetGoroutine},
+		{"inline", inline, context.Background(), getAllocBudget},
+		{"inline-cancelable", inline, ctx, getAllocBudgetCancel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			get := allocsClient(t, tc.h, tc.ctx)
+			for i := 0; i < 100; i++ { // fill the dynamic tables and the writer's buffers
+				get()
+			}
+			if allocs := testing.AllocsPerRun(200, get); allocs > tc.budget {
+				t.Fatalf("one GET allocates %v objects, budget %v", allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// TestCancelHookReleased: the cancel hook an exchange registers on its
+// context is gone once the body is read, so 10k sequential exchanges
+// under one long-lived cancelable context leave nothing on it — the
+// count per exchange stays flat and the live heap does not grow with
+// the exchanges.
+func TestCancelHookReleased(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inline, _ := allocsHandlers()
+	get := allocsClient(t, inline, ctx)
+	for i := 0; i < 100; i++ {
+		get()
+	}
+	before := testing.AllocsPerRun(200, get)
+	heap0 := liveHeap()
+	for i := 0; i < 10000; i++ {
+		get()
+	}
+	heap1 := liveHeap()
+	if after := testing.AllocsPerRun(200, get); after != before {
+		t.Errorf("a GET allocates %v objects after 10k exchanges, %v before", after, before)
+	}
+	// A hook left registered keeps its closure and Stream alive: about
+	// a kilobyte an exchange, 10 MB for 10k.
+	if grew := int64(heap1) - int64(heap0); grew > 1<<20 {
+		t.Errorf("10k exchanges under one context grew the live heap by %d bytes", grew)
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// allocsHandlers returns one handler answering a 37-byte page on the
+// read loop and one answering it from a handler goroutine.
+func allocsHandlers() (inline, plain Handler) {
 	body := []byte("<html><body>prompt page</body></html>")
 	respond := func(w *ResponseWriter, try bool) bool {
 		fields := [...]hpack.HeaderField{
@@ -40,45 +112,35 @@ func TestGetAllocBudget(t *testing.T) {
 		}
 		return w.Respond(200, body, fields[:]...) == nil
 	}
-	plain := HandlerFunc(func(w *ResponseWriter, r *Request) { respond(w, false) })
-	inline := inlineFuncs{
+	p := HandlerFunc(func(w *ResponseWriter, r *Request) { respond(w, false) })
+	return inlineFuncs{
 		try:   func(w *ResponseWriter, r *Request) bool { return respond(w, true) },
-		serve: plain,
-	}
-	for _, tc := range []struct {
-		name   string
-		h      Handler
-		budget float64
-	}{
-		{"goroutine", plain, getAllocBudgetGoroutine},
-		{"inline", inline, getAllocBudget},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cEnd, sEnd := net.Pipe()
-			sc := (&Server{Handler: tc.h}).StartConn(sEnd)
-			cc, err := NewClientConn(cEnd, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sc.Close()
-			defer cc.Close()
+		serve: p,
+	}, p
+}
 
-			get := func() {
-				resp, err := cc.Get("/page")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ReadAllBody(resp)
-				if err != nil || len(got) != len(body) || resp.HeaderValue("x-sww-mode") != "generative" {
-					t.Fatalf("GET = %q, %v, headers %v", got, err, resp.Header)
-				}
-			}
-			for i := 0; i < 100; i++ { // fill the dynamic tables and the writer's buffers
-				get()
-			}
-			if allocs := testing.AllocsPerRun(200, get); allocs > tc.budget {
-				t.Fatalf("one GET allocates %v objects, budget %v", allocs, tc.budget)
-			}
-		})
+// allocsClient serves h on one end of a net.Pipe and returns a GET of
+// its page under ctx from a client on the other; the test's cleanup
+// closes both.
+func allocsClient(t *testing.T, h Handler, ctx context.Context) func() {
+	cEnd, sEnd := net.Pipe()
+	sc := (&Server{Handler: h}).StartConn(sEnd)
+	cc, err := NewClientConn(cEnd, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cc.Close()
+		sc.Close()
+	})
+	return func() {
+		resp, err := cc.GetContext(ctx, "/page")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAllBodyContext(ctx, resp)
+		if err != nil || len(got) != 37 || resp.HeaderValue("x-sww-mode") != "generative" {
+			t.Fatalf("GET = %q, %v, headers %v", got, err, resp.Header)
+		}
 	}
 }

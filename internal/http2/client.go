@@ -111,12 +111,12 @@ func (cc *ClientConn) Do(req *Request) (*Response, error) {
 }
 
 // DoContext is Do under a context. The context governs the whole
-// request phase — header write, body copy, and the wait for response
-// headers; when it fires, the stream is cancelled so blocked
-// flow-control writers and header waits unwind promptly. The
-// returned response's body is NOT governed by ctx; use
-// ReadAllBodyContext (or a per-read deadline of the caller's choice)
-// to bound body streaming.
+// exchange — header write, body copy, the wait for response headers
+// and the response body, until the body is read to its end or closed;
+// when it fires, the stream is cancelled so blocked flow-control
+// writers, header waits and body reads unwind promptly. A cancelable
+// context gets one hook for all of it, which ReadAllBodyContext under
+// the same context reuses.
 func (cc *ClientConn) DoContext(ctx context.Context, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -162,10 +162,7 @@ func (cc *ClientConn) DoContext(ctx context.Context, req *Request) (*Response, e
 		return nil, err
 	}
 	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			st.cancel(fmt.Errorf("http2: request canceled: %w", context.Cause(ctx)))
-		})
-		defer stop()
+		st.hookContext(ctx)
 	}
 	if endStream {
 		st.mu.Lock()
@@ -222,6 +219,7 @@ func (b *responseBody) Read(p []byte) (int, error) {
 func (b *responseBody) finish() {
 	if !b.done {
 		b.done = true
+		b.st.unhookContext()
 		b.st.c.removeStream(b.st.id)
 	}
 }
@@ -255,15 +253,16 @@ func ReadAllBody(resp *Response) ([]byte, error) {
 // ReadAllBodyContext drains and closes a response body under a
 // context: when ctx fires mid-stream (a stalled or blackholed peer),
 // the underlying stream is cancelled so the read unwinds instead of
-// hanging on a window that never refills.
+// hanging on a window that never refills. Under the context the
+// request was made with, DoContext's hook already does that; any other
+// cancelable context is hooked for the length of the read.
 func ReadAllBodyContext(ctx context.Context, resp *Response) ([]byte, error) {
-	if ctx.Done() == nil {
-		return ReadAllBody(resp)
+	if done := ctx.Done(); done != nil && !resp.stream.hookedOn(done) {
+		stop := context.AfterFunc(ctx, func() {
+			resp.stream.cancel(fmt.Errorf("http2: body read canceled: %w", context.Cause(ctx)))
+		})
+		defer stop()
 	}
-	stop := context.AfterFunc(ctx, func() {
-		resp.stream.cancel(fmt.Errorf("http2: body read canceled: %w", context.Cause(ctx)))
-	})
-	defer stop()
 	body, err := ReadAllBody(resp)
 	if err != nil && ctx.Err() != nil {
 		return nil, ctx.Err()

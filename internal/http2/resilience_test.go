@@ -139,6 +139,37 @@ func TestBodyReadContextDeadline(t *testing.T) {
 	}
 }
 
+// TestBodyCanceledAfterHeaders: the one cancel hook DoContext
+// registers outlives the response headers, so a context canceled with
+// the body still in flight unwinds ReadAllBodyContext under it with
+// ctx.Err(), though that read registers no hook of its own.
+func TestBodyCanceledAfterHeaders(t *testing.T) {
+	cEnd, sEnd := net.Pipe()
+	release := make(chan struct{})
+	defer close(release)
+	srv := &Server{Handler: HandlerFunc(func(w *ResponseWriter, r *Request) {
+		w.WriteHeaders(200, hpack.HeaderField{Name: "content-type", Value: "text/plain"})
+		w.Write([]byte("partial"))
+		<-release // stalls mid-body, END_STREAM never sent
+	})}
+	srv.StartConn(sEnd)
+	cc, err := NewClientConn(cEnd, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	resp, err := cc.GetContext(ctx, "/stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := ReadAllBodyContext(ctx, resp); err != context.Canceled {
+		t.Errorf("body read err = %v, want context.Canceled", err)
+	}
+}
+
 func TestCloseContextHonorsDeadline(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	srv := &Server{Handler: HandlerFunc(func(w *ResponseWriter, r *Request) {})}

@@ -2,6 +2,7 @@ package http2
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -67,6 +68,15 @@ type Stream struct {
 	cancelCtx context.CancelFunc
 	ctxDead   bool
 
+	// unhook stops the cancel hook DoContext registered on the
+	// caller's context, and hookDone is that context's Done channel
+	// (both nil when it registered none). One hook serves the whole
+	// exchange: it stays until the body is taken or the stream is
+	// closed, so ReadAllBodyContext under the same context adds none.
+	// Guarded by mu.
+	unhook   func() bool
+	hookDone <-chan struct{}
+
 	// hdr is the peer's first header block (the request on the server,
 	// the response on the client), copied out of the read loop's
 	// scratch into hdrStore, or to the heap beyond eight fields.
@@ -123,6 +133,35 @@ func (s *Stream) endContext() {
 	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
+	}
+}
+
+// hookContext cancels the stream when ctx ends, until unhookContext:
+// the exchange's one cancel hook.
+func (s *Stream) hookContext(ctx context.Context) {
+	stop := context.AfterFunc(ctx, func() {
+		s.cancel(fmt.Errorf("http2: request canceled: %w", context.Cause(ctx)))
+	})
+	s.mu.Lock()
+	s.unhook, s.hookDone = stop, ctx.Done()
+	s.mu.Unlock()
+}
+
+// hookedOn reports whether the stream's cancel hook watches done.
+func (s *Stream) hookedOn(done <-chan struct{}) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hookDone == done
+}
+
+// unhookContext stops the stream's cancel hook, if it holds one.
+func (s *Stream) unhookContext() {
+	s.mu.Lock()
+	stop := s.unhook
+	s.unhook = nil
+	s.mu.Unlock()
+	if stop != nil {
+		stop()
 	}
 }
 
@@ -388,6 +427,7 @@ func (s *Stream) Close() error {
 	s.mu.Lock()
 	done := s.recvEnded && s.sendEnded && s.rd == len(s.buf)
 	s.mu.Unlock()
+	s.unhookContext()
 	if !done {
 		s.c.resetStream(s.id, ErrCodeCancel)
 		s.closeWithError(streamError(s.id, ErrCodeCancel, "closed locally"))
