@@ -34,9 +34,6 @@ type EdgeClientConfig struct {
 
 	// Health shapes each edge's breaker (zero value = defaults).
 	Health core.EndpointHealthConfig
-
-	// Factory builds the per-connection client; nil means HTTP/2.
-	Factory core.ClientFactory
 }
 
 type edgePeer struct {
@@ -109,7 +106,7 @@ func ParsePeers(spec, self string) (names []string, dials map[string]core.DialFu
 func (c *EdgeClient) AddPeer(name string, dial core.DialFunc) {
 	set := core.NewEndpointSet(c.cfg.Health)
 	ep := set.Add(name, dial)
-	rc := core.NewResilientClientEndpoints(set, c.cfg.Device, c.cfg.Proc, c.cfg.Retry, c.cfg.Factory)
+	rc := core.NewResilientClientEndpoints(set, c.cfg.Device, c.cfg.Proc, c.cfg.Retry)
 	c.peers[name] = &edgePeer{name: name, ep: ep, rc: rc}
 	c.ring.Add(name)
 }

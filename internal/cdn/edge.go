@@ -73,9 +73,6 @@ type EdgeConfig struct {
 	// response header, and in peer lists.
 	Name string
 
-	// CacheBytes caps the local cache shard. <= 0 means 8 MiB.
-	CacheBytes int64
-
 	// TTL is how long a cached entry is fresh. <= 0 means 30s.
 	TTL time.Duration
 
@@ -113,11 +110,11 @@ type EdgeConfig struct {
 	// where to dial). Empty means pull-only invalidation.
 	AdvertiseAddr string
 
-	// Heartbeat, ProbeTimeout, SuspectAfter and DeadAfter shape the
-	// membership sweep over PeerDials (zeros mean the MemberConfig
-	// defaults: 500ms / heartbeat / 3x heartbeat / 2x suspect).
+	// Heartbeat, SuspectAfter and DeadAfter shape the membership
+	// sweep over PeerDials (zeros mean the MemberConfig defaults:
+	// 500ms / 3x heartbeat / 2x suspect); a probe may take one
+	// heartbeat.
 	Heartbeat    time.Duration
-	ProbeTimeout time.Duration
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
 
@@ -139,19 +136,10 @@ type EdgeConfig struct {
 	// Seed drives the poll/membership jitter; 0 derives one from
 	// Name, so a fleet desynchronizes by default.
 	Seed int64
-
-	// Ability is what this edge advertises to terminal clients in its
-	// own SETTINGS. Zero means GenFull — the edge itself never
-	// generates, it relays the client's ability upstream.
-	Ability http2.GenAbility
 }
 
-func (c EdgeConfig) cacheBytes() int64 {
-	if c.CacheBytes <= 0 {
-		return 8 << 20
-	}
-	return c.CacheBytes
-}
+// edgeCacheBytes caps an edge's local cache shard.
+const edgeCacheBytes = 8 << 20
 
 func (c EdgeConfig) ttl() time.Duration {
 	if c.TTL <= 0 {
@@ -350,9 +338,6 @@ type Edge struct {
 // serves. Call Start to run the invalidation poller, membership sweep
 // and snapshot loop; StartConn to serve terminal clients.
 func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
-	if cfg.Ability == 0 {
-		cfg.Ability = http2.GenFull
-	}
 	peers := cfg.Peers
 	if len(peers) == 0 {
 		peers = []string{cfg.Name}
@@ -360,8 +345,8 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 	e := &Edge{
 		cfg:       cfg,
 		ring:      NewRing(0, peers...),
-		upstream:  core.NewResilientClientEndpoints(origins, device.Workstation, nil, cfg.Retry, nil),
-		cache:     overload.NewByteLRU(cfg.cacheBytes()),
+		upstream:  core.NewResilientClientEndpoints(origins, device.Workstation, nil, cfg.Retry),
+		cache:     overload.NewByteLRU(edgeCacheBytes),
 		byPath:    map[string]pathKeys{},
 		meshPeers: map[string]*meshPeer{},
 		now:       time.Now,
@@ -376,7 +361,9 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 	})
 	e.h2 = &http2.Server{
 		Handler: edgeHandler{e},
-		Config:  http2.Config{GenAbility: cfg.Ability},
+		// The edge advertises GenFull to terminal clients: it never
+		// generates itself, it relays the client's ability upstream.
+		Config: http2.Config{GenAbility: http2.GenFull},
 	}
 	e.buildMesh()
 	if cfg.SnapshotPath != "" {
@@ -395,7 +382,7 @@ func (e *Edge) buildMesh() {
 			continue
 		}
 		rc := core.NewResilientClient(dial, device.Workstation, nil,
-			core.RetryPolicy{MaxAttempts: 1}, nil)
+			core.RetryPolicy{MaxAttempts: 1})
 		// Peer transports draw on the same budget as the upstream:
 		// "pull paths" is one pool, so a dead origin plus dead peers
 		// cannot each claim their own retry allowance.
@@ -408,7 +395,6 @@ func (e *Edge) buildMesh() {
 	}
 	e.mesh = NewMembership(MemberConfig{
 		Heartbeat:    e.cfg.Heartbeat,
-		ProbeTimeout: e.cfg.ProbeTimeout,
 		SuspectAfter: e.cfg.SuspectAfter,
 		DeadAfter:    e.cfg.DeadAfter,
 		Seed:         e.cfg.seed(),

@@ -129,7 +129,7 @@ func TestEdgeTierAbilityKeying(t *testing.T) {
 	dial := h.Dial("edge1")
 	// Traditional client first: the edge must pull and cache the
 	// rendered form.
-	trad := core.NewResilientClient(dial, device.Laptop, nil, tier.ClientRetry, nil)
+	trad := core.NewResilientClient(dial, device.Laptop, nil, tier.ClientRetry)
 	defer trad.Close()
 	tres, err := trad.FetchContext(ctx, path)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestEdgeTierAbilityKeying(t *testing.T) {
 	// cached rendered bytes — ability keying forces a second pull that
 	// returns the prompt form.
 	proc := newProc(t)
-	gen := core.NewResilientClient(dial, device.Laptop, proc, tier.ClientRetry, nil)
+	gen := core.NewResilientClient(dial, device.Laptop, proc, tier.ClientRetry)
 	defer gen.Close()
 	gres, err := gen.FetchContext(ctx, path)
 	if err != nil {

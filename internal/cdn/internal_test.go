@@ -795,7 +795,7 @@ func TestZombieFencing(t *testing.T) {
 		srv.StartConn(sEnd)
 		return cEnd, nil
 	}
-	rc := core.NewResilientClient(dial, device.Workstation, nil, core.RetryPolicy{}, nil)
+	rc := core.NewResilientClient(dial, device.Workstation, nil, core.RetryPolicy{})
 	defer rc.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

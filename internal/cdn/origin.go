@@ -248,7 +248,7 @@ func newSubscriber(name, addr string, acked uint64, dial core.DialFunc) *subscri
 			s.connMu.Unlock()
 		}
 		return nc, err
-	}, device.Workstation, nil, core.RetryPolicy{MaxAttempts: 1}, nil)
+	}, device.Workstation, nil, core.RetryPolicy{MaxAttempts: 1})
 	return s
 }
 
@@ -698,28 +698,6 @@ func (o *Origin) Subscribe(name, addr string, since uint64, dial core.DialFunc) 
 	if ok {
 		old.halt()
 	}
-}
-
-// Unsubscribe drops an edge from push fan-out (it can still poll).
-func (o *Origin) Unsubscribe(name string) {
-	o.subMu.Lock()
-	s, ok := o.subs[name]
-	delete(o.subs, name)
-	o.subMu.Unlock()
-	if ok {
-		s.halt()
-	}
-}
-
-// Subscribers returns the names of the currently subscribed edges.
-func (o *Origin) Subscribers() []string {
-	o.subMu.Lock()
-	defer o.subMu.Unlock()
-	names := make([]string, 0, len(o.subs))
-	for n := range o.subs {
-		names = append(names, n)
-	}
-	return names
 }
 
 // SubscriberAck returns the last sequence an edge acked (0, false if

@@ -29,7 +29,7 @@ func TestForwardedAbilityAgrees(t *testing.T) {
 		cEnd, sEnd := net.Pipe()
 		h.Primary().Server().StartConn(sEnd)
 		return cEnd, nil
-	}, device.Workstation, nil, tier.ClientRetry, nil)
+	}, device.Workstation, nil, tier.ClientRetry)
 	defer origin.Close()
 	edge := h.Client("edge1")
 

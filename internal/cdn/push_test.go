@@ -194,7 +194,7 @@ func TestPushAckBytes(t *testing.T) {
 			cEnd, sEnd := net.Pipe()
 			serve(sEnd)
 			return cEnd, nil
-		}, device.Workstation, nil, core.RetryPolicy{MaxAttempts: 1}, nil)
+		}, device.Workstation, nil, core.RetryPolicy{MaxAttempts: 1})
 		defer rc.Close()
 		raw, err := rc.FetchRawContext(ctx, pushPath+"?epoch=1&paths=%252Fa&seq=4&since=0")
 		if err != nil || raw.Status != 200 {

@@ -98,17 +98,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Nodes returns the current node names in unspecified order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Len returns the node count.
 func (r *Ring) Len() int {
 	r.mu.RLock()

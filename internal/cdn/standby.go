@@ -126,7 +126,7 @@ func NewStandby(origin *Origin, cfg StandbyConfig) *Standby {
 	s := &Standby{
 		cfg:    cfg,
 		origin: origin,
-		rc:     core.NewResilientClient(cfg.PrimaryDial, device.Workstation, nil, cfg.Retry, nil),
+		rc:     core.NewResilientClient(cfg.PrimaryDial, device.Workstation, nil, cfg.Retry),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.lastHeard = cfg.Clock()

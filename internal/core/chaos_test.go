@@ -60,7 +60,7 @@ func baselineAssets(t *testing.T) int {
 	t.Helper()
 	srv := chaosSite(t)
 	rc := core.NewResilientClient(planDialer(srv, faultnet.NewPlan(faultnet.Config{})),
-		device.Laptop, chaosProcessor(t), core.RetryPolicy{}, nil)
+		device.Laptop, chaosProcessor(t), core.RetryPolicy{})
 	defer rc.Close()
 	res, err := rc.Fetch(workload.TravelBlogPath)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestChaosTruncationAndReset(t *testing.T) {
 		faultnet.Config{}, // then the network heals
 	)
 	rc := core.NewResilientClient(planDialer(srv, plan), device.Laptop, chaosProcessor(t),
-		core.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 42}, nil)
+		core.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 42})
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -191,7 +191,7 @@ func TestChaosFaultClasses(t *testing.T) {
 			srv := chaosSite(t)
 			plan := faultnet.NewPlan(tc.fault, faultnet.Config{})
 			rc := core.NewResilientClient(planDialer(srv, plan), device.Laptop,
-				chaosProcessor(t), tc.policy, nil)
+				chaosProcessor(t), tc.policy)
 			defer rc.Close()
 
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -247,7 +247,7 @@ func TestChaosDegradeToTraditional(t *testing.T) {
 	proc := chaosProcessor(t)
 	proc.SimBudget = time.Second // the blog needs tens of simulated seconds
 	rc := core.NewResilientClient(planDialer(srv, faultnet.NewPlan(faultnet.Config{})),
-		device.Laptop, proc, core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}, nil)
+		device.Laptop, proc, core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond})
 	defer rc.Close()
 
 	res, err := rc.Fetch(workload.TravelBlogPath)
@@ -291,7 +291,7 @@ func TestChaosDegradeUnderFaults(t *testing.T) {
 		faultnet.Config{},
 	)
 	rc := core.NewResilientClient(planDialer(srv, plan), device.Laptop, proc,
-		core.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 11}, nil)
+		core.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 11})
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -314,7 +314,7 @@ func TestChaosRetriesExhausted(t *testing.T) {
 	srv := chaosSite(t)
 	plan := faultnet.NewPlan(faultnet.Config{Seed: 5, ResetAfter: 4_000}) // every dial resets
 	rc := core.NewResilientClient(planDialer(srv, plan), device.Laptop, chaosProcessor(t),
-		core.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 13}, nil)
+		core.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 13})
 	defer rc.Close()
 
 	_, err := rc.Fetch(workload.TravelBlogPath)

@@ -264,15 +264,6 @@ type FetchResult struct {
 	Attempts int
 }
 
-// TotalSimTime returns transmit time plus on-device generation time.
-func (r *FetchResult) TotalSimTime() time.Duration {
-	t := r.TransmitTime
-	if r.Report != nil {
-		t += r.Report.SimGenTime
-	}
-	return t
-}
-
 // A GenerationError marks a fetch that failed in the local
 // generation stage — the transport delivered the prompt page, but
 // synthesizing its content failed or overran the generation budget.

@@ -441,7 +441,7 @@ func TestResilientClientHonoursRetryAfter(t *testing.T) {
 		return cEnd, nil
 	}
 	rc := NewResilientClient(dial, device.Laptop, nil,
-		RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7}, nil)
+		RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7})
 	defer rc.Close()
 
 	start := time.Now()

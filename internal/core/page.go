@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -366,9 +365,4 @@ func AssetPaths(doc *html.Node) []string {
 		out = append(out, src)
 	}
 	return out
-}
-
-// SortAssets orders assets by path for deterministic serving tables.
-func SortAssets(assets []Asset) {
-	sort.Slice(assets, func(i, j int) bool { return assets[i].Path < assets[j].Path })
 }

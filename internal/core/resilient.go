@@ -20,11 +20,6 @@ import (
 // plans (faultnet.Plan) can hand each dial a different failure mode.
 type DialFunc func() (net.Conn, error)
 
-// A ClientFactory builds the SWW client over a freshly dialed
-// connection. NewClient is the HTTP/2 default; pass NewClientH3 to
-// run the same retry machinery over the HTTP/3 mapping.
-type ClientFactory func(nc net.Conn, dev device.Profile, proc *PageProcessor) (*Client, error)
-
 // A RetryPolicy shapes the backoff between connection attempts.
 type RetryPolicy struct {
 	// MaxAttempts bounds connection-level tries per fetch (dial +
@@ -144,11 +139,10 @@ func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 // degrade rung is exempt — it is a mode switch, not a re-send, and
 // suppressing it would trade load for a worse answer.
 type ResilientClient struct {
-	dial    DialFunc
-	factory ClientFactory
-	dev     device.Profile
-	proc    *PageProcessor
-	policy  RetryPolicy
+	dial   DialFunc
+	dev    device.Profile
+	proc   *PageProcessor
+	policy RetryPolicy
 
 	// endpoints, when set, replaces the single dial with a health-
 	// tracked fleet: each reconnect picks a usable endpoint (sticky to
@@ -179,22 +173,18 @@ type ResilientClient struct {
 
 // NewResilientClient builds a resilient generative client. proc may be
 // nil for an always-traditional client (then only the retry ladder
-// applies). factory nil means NewClient (HTTP/2).
-func NewResilientClient(dial DialFunc, dev device.Profile, proc *PageProcessor, policy RetryPolicy, factory ClientFactory) *ResilientClient {
-	if factory == nil {
-		factory = NewClient
-	}
+// applies).
+func NewResilientClient(dial DialFunc, dev device.Profile, proc *PageProcessor, policy RetryPolicy) *ResilientClient {
 	seed := policy.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	return &ResilientClient{
-		dial:    dial,
-		factory: factory,
-		dev:     dev,
-		proc:    proc,
-		policy:  policy,
-		rng:     rand.New(rand.NewSource(seed)),
+		dial:   dial,
+		dev:    dev,
+		proc:   proc,
+		policy: policy,
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -202,8 +192,8 @@ func NewResilientClient(dial DialFunc, dev device.Profile, proc *PageProcessor, 
 // of endpoints instead of a single dial: reconnects pick a usable
 // endpoint from the set (failing over away from broken ones), and
 // every attempt's transport outcome feeds that endpoint's breaker.
-func NewResilientClientEndpoints(eps *EndpointSet, dev device.Profile, proc *PageProcessor, policy RetryPolicy, factory ClientFactory) *ResilientClient {
-	rc := NewResilientClient(nil, dev, proc, policy, factory)
+func NewResilientClientEndpoints(eps *EndpointSet, dev device.Profile, proc *PageProcessor, policy RetryPolicy) *ResilientClient {
+	rc := NewResilientClient(nil, dev, proc, policy)
 	rc.endpoints = eps
 	return rc
 }
@@ -306,7 +296,7 @@ func (rc *ResilientClient) connect(ctx context.Context, dial DialFunc, degraded 
 			return
 		}
 		dialed <- nc
-		cl, err := rc.factory(nc, rc.dev, proc)
+		cl, err := NewClient(nc, rc.dev, proc)
 		if err != nil {
 			nc.Close()
 			done <- result{nil, &http2.TransportError{Op: "handshake", Err: err}}

@@ -96,7 +96,7 @@ func TestRetryAfterDeadlineCap(t *testing.T) {
 		return cEnd, nil
 	}
 	rc := NewResilientClient(dial, device.Laptop, nil,
-		RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 3}, nil)
+		RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 3})
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

@@ -87,7 +87,7 @@ func TestRetryBudgetCapsRetryStorm(t *testing.T) {
 		BaseDelay:      time.Millisecond,
 		MaxDelay:       2 * time.Millisecond,
 		Seed:           7,
-	}, nil)
+	})
 	defer rc.Close()
 	const burst, ratio = 3, 0.25
 	rc.SetRetryBudget(NewRetryBudget(ratio, burst))

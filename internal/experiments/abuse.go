@@ -128,7 +128,7 @@ func abuseLegitRound(srv *core.Server, requests int, interval time.Duration) (ok
 		srv.StartConn(sEnd)
 		return cEnd, nil
 	}
-	rc := core.NewResilientClient(dial, device.Laptop, nil, core.RetryPolicy{}, nil)
+	rc := core.NewResilientClient(dial, device.Laptop, nil, core.RetryPolicy{})
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -387,13 +387,13 @@ func AbuseSweep(quick bool) (*AbuseReport, error) {
 // reportAbuse prints E20 as JSON (the acceptance numbers — legit
 // goodput with and without attack, shed/GOAWAY counts — are the
 // deliverable) and fails if the defense missed its bars.
-func reportAbuse(w io.Writer, quick bool) (any, error) {
+func reportAbuse(w io.Writer, quick bool) error {
 	rep, err := AbuseSweep(quick)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := writeJSON(w, rep); err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "legit goodput %.0f/s baseline vs %.0f/s under attack (ratio %.2f)\n",
 		rep.BaselineGoodputRPS, rep.AttackGoodputRPS, rep.GoodputRatio)
@@ -403,12 +403,12 @@ func reportAbuse(w io.Writer, quick bool) (any, error) {
 		rep.PingFlood.Conns, rep.PingFlood.Sent, rep.PingFlood.GoAways)
 	switch {
 	case rep.GoodputRatio < 0.75:
-		return rep, fmt.Errorf("legit goodput under attack fell to %.2fx of baseline (want >= 0.75)",
+		return fmt.Errorf("legit goodput under attack fell to %.2fx of baseline (want >= 0.75)",
 			rep.GoodputRatio)
 	case rep.RapidReset.GoAways == 0 && rep.RapidReset.CalmRSTs == 0:
-		return rep, errors.New("rapid-reset attacker was never escalated")
+		return errors.New("rapid-reset attacker was never escalated")
 	case rep.PingFlood.GoAways == 0:
-		return rep, errors.New("ping flooder was never killed")
+		return errors.New("ping flooder was never killed")
 	}
-	return rep, nil
+	return nil
 }

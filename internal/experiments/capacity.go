@@ -44,7 +44,8 @@ type CapacityRow struct {
 	// (machine-comparable scale). GoodputFrac is OK/Requests — the
 	// admitted fraction of the offered stream, which is independent of
 	// both the machine and the seeded schedule's realized rate, so it
-	// is what the CI gate compares against the stored curve.
+	// is what the sweep's acceptance compares against the recorded
+	// curve (capacityGoodput).
 	GoodputRPS  float64
 	GoodputX    float64
 	GoodputFrac float64
@@ -91,9 +92,13 @@ type CapacityResult struct {
 	// KneeRPS is the interpolated offered rate where the measured
 	// shed rate first crosses 5%; KneeRPS2 is the same knee from an
 	// identical-seed second sweep (schedules are byte-identical, so
-	// the delta is pure measurement noise). Zero means the sweep
-	// never crossed 5%.
+	// the delta is pure measurement noise). A KneeRPS2 of zero means
+	// the second sweep never crossed 5%; the first must.
 	KneeRPS, KneeRPS2 float64
+
+	// GoodputFrac is the curve's request-weighted goodput_frac, and
+	// GoodputFloor the least it may be (see capacityGoodput).
+	GoodputFrac, GoodputFloor float64
 
 	// DiurnalPeakShed / DiurnalTroughShed are the shed rates inside
 	// the peak (≈1.8×) and trough (≈0.2×) windows of a diurnal-ramp
@@ -103,6 +108,61 @@ type CapacityResult struct {
 	DiurnalPeakShed, DiurnalTroughShed float64
 
 	Quick bool
+}
+
+// capacityMultipliers are the offered loads of the full sweep, in
+// units of the predicted knee; the quick sweep keeps a subset, so each
+// of its rows has a recorded counterpart in capacityBaseline.
+var (
+	capacityMultipliers      = []float64{0.5, 0.8, 1.2, 1.7, 2.4}
+	capacityQuickMultipliers = []float64{0.5, 1.2, 2.4}
+)
+
+// capacityBaseline is the full-mode curve of BENCH_PR10.json: each
+// multiplier's goodput_frac and request count.
+var capacityBaseline = []struct {
+	mult, goodputFrac float64
+	requests          int
+}{
+	{0.5, 1, 300},
+	{0.8, 0.9939024390243902, 328},
+	{1.2, 0.9822834645669292, 508},
+	{1.7, 0.8519900497512438, 804},
+	{2.4, 0.8688888888888889, 900},
+}
+
+// capacityGoodputMin is the share of the baseline's goodput_frac a
+// sweep must keep.
+const capacityGoodputMin = 0.9
+
+// capacityGoodput returns the request-weighted goodput_frac of the
+// rows at a baseline multiplier and their floor: capacityGoodputMin of
+// the baseline's request-weighted goodput_frac at the same
+// multipliers. It fails when the rows fall below the floor. The
+// fraction is a ratio of counts, so it does not depend on the
+// machine's speed, and weighting by requests lets a small row shed a
+// few extra requests without failing the curve.
+func capacityGoodput(rows []CapacityRow) (frac, floor float64, err error) {
+	var gotSum, gotW, wantSum, wantW float64
+	for _, r := range rows {
+		for _, b := range capacityBaseline {
+			if b.mult == r.Multiplier {
+				gotSum += r.GoodputFrac * float64(r.Requests)
+				gotW += float64(r.Requests)
+				wantSum += b.goodputFrac * float64(b.requests)
+				wantW += float64(b.requests)
+			}
+		}
+	}
+	if gotW == 0 {
+		return 0, 0, errors.New("capacity sweep: no row at a recorded multiplier")
+	}
+	frac, floor = gotSum/gotW, wantSum/wantW*capacityGoodputMin
+	if frac < floor {
+		return frac, floor, fmt.Errorf("capacity goodput_frac %.3f below its floor %.3f (%.0f%% of the recorded curve's)",
+			frac, floor, 100*capacityGoodputMin)
+	}
+	return frac, floor, nil
 }
 
 // KneeShedThreshold defines the capacity knee: the first offered load
@@ -122,13 +182,10 @@ const capacitySeed int64 = 27_000
 // measurement noise, then (full mode) replays a diurnal day at the
 // knee rate to show the peak shedding while the trough coasts.
 func CapacitySweep(quick bool) (*CapacityResult, error) {
-	// Quick mode keeps a strict subset of the full multipliers so a CI
-	// quick run shares row names with a committed full-sweep baseline
-	// and the goodput gate has rows to compare.
-	multipliers := []float64{0.5, 0.8, 1.2, 1.7, 2.4}
+	multipliers := capacityMultipliers
 	roundDur := 1200 * time.Millisecond
 	if quick {
-		multipliers = []float64{0.5, 1.2, 2.4}
+		multipliers = capacityQuickMultipliers
 		roundDur = 600 * time.Millisecond
 	}
 	const (
@@ -220,8 +277,10 @@ func CapacitySweep(quick bool) (*CapacityResult, error) {
 
 	// Acceptance, asserted here so both the CLI and tests inherit it:
 	// the sweep steps offered load strictly upward, the server never
-	// hard-errors (shed is the only legal refusal), and the knee is
-	// reproducible — two identical-seed runs must land within ±10%.
+	// hard-errors (shed is the only legal refusal), the knee is
+	// reproducible — two identical-seed runs must land within ±10% —
+	// the analytic model predicts it within 2×, and the curve admits
+	// as much of its offered stream as the recorded one did.
 	for i, r := range res.Rows {
 		if i > 0 && r.OfferedRPS <= res.Rows[i-1].OfferedRPS {
 			return nil, fmt.Errorf("capacity sweep not monotone: offered %.0f/s at %.1fx after %.0f/s",
@@ -237,6 +296,17 @@ func CapacitySweep(quick bool) (*CapacityResult, error) {
 			return nil, fmt.Errorf("capacity knee not stable: %.0f/s vs %.0f/s (%.1f%%) across identical-seed runs",
 				res.KneeRPS, res.KneeRPS2, d*100)
 		}
+	}
+	if res.KneeRPS <= 0 {
+		return nil, fmt.Errorf("capacity knee not reached by %.1fx of the predicted %.0f/s, so the model is not within 2×",
+			multipliers[len(multipliers)-1], res.PredictedKneeRPS)
+	}
+	if r := res.KneeRPS / res.PredictedKneeRPS; r > 2 || r < 0.5 {
+		return nil, fmt.Errorf("capacity model off by more than 2×: predicted knee %.0f/s, measured %.0f/s",
+			res.PredictedKneeRPS, res.KneeRPS)
+	}
+	if res.GoodputFrac, res.GoodputFloor, err = capacityGoodput(res.Rows); err != nil {
+		return nil, err
 	}
 
 	if !quick {
@@ -502,12 +572,11 @@ func capacityKnee(rows []CapacityRow) float64 {
 // reportCapacity prints E27: the calibrated capacity model, the
 // measured open-loop capacity curve with its schedule-based latency
 // tails, the interpolated knee from two identical-seed runs, and the
-// diurnal demonstration leg. It returns the *CapacityResult, which
-// sww-bench -capacity-out writes as a benchmark-JSON artifact.
-func reportCapacity(w io.Writer, quick bool) (any, error) {
+// diurnal demonstration leg.
+func reportCapacity(w io.Writer, quick bool) error {
 	res, err := CapacitySweep(quick)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "model: %d workers × %v hold → %.0f gen/s; mix %.0f%% incapable; ",
 		res.GenWorkers, res.GenHold, res.GenCapacityRPS, 100*res.IncapableShare)
@@ -523,19 +592,16 @@ func reportCapacity(w io.Writer, quick bool) (any, error) {
 			r.GoodputRPS, r.GoodputX, 100*r.ShedRate,
 			r.P50.Round(time.Millisecond), r.P95.Round(time.Millisecond), r.P99.Round(time.Millisecond))
 	}
-	if res.KneeRPS <= 0 {
-		fmt.Fprintf(w, "knee: not reached within the sweep\n")
-	} else {
-		delta := 0.0
-		if res.KneeRPS2 > 0 {
-			delta = 100 * (res.KneeRPS2 - res.KneeRPS) / res.KneeRPS
-		}
-		fmt.Fprintf(w, "measured knee %.0f/s (run2 %.0f/s, delta %+.1f%%; knee_x %.2f)\n",
-			res.KneeRPS, res.KneeRPS2, delta, res.KneeRPS/res.GenCapacityRPS)
+	delta := 0.0
+	if res.KneeRPS2 > 0 {
+		delta = 100 * (res.KneeRPS2 - res.KneeRPS) / res.KneeRPS
 	}
+	fmt.Fprintf(w, "measured knee %.0f/s (run2 %.0f/s, delta %+.1f%%; knee_x %.2f)\n",
+		res.KneeRPS, res.KneeRPS2, delta, res.KneeRPS/res.GenCapacityRPS)
+	fmt.Fprintf(w, "goodput_frac %.3f (floor %.3f)\n", res.GoodputFrac, res.GoodputFloor)
 	if res.DiurnalPeakShed >= 0 {
 		fmt.Fprintf(w, "diurnal day at knee rate: peak shed %.1f%%, trough shed %.1f%%\n",
 			100*res.DiurnalPeakShed, 100*res.DiurnalTroughShed)
 	}
-	return res, nil
+	return nil
 }

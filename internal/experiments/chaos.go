@@ -108,7 +108,7 @@ func ChaosSweep() ([]ChaosRow, error) {
 			srv.StartConn(faulted)
 			return cli, nil
 		}
-		rc := core.NewResilientClient(dial, device.Laptop, proc, sc.policy, nil)
+		rc := core.NewResilientClient(dial, device.Laptop, proc, sc.policy)
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		res, err := rc.FetchContext(ctx, workload.TravelBlogPath)
 		cancel()
@@ -128,10 +128,10 @@ func ChaosSweep() ([]ChaosRow, error) {
 	return rows, nil
 }
 
-func reportChaos(w io.Writer, _ bool) (any, error) {
+func reportChaos(w io.Writer, _ bool) error {
 	rows, err := ChaosSweep()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "resilient fetch of the travel blog under injected faults;\n")
 	fmt.Fprintf(w, "every recovering row must render the clean row's asset count\n")
@@ -150,5 +150,5 @@ func reportChaos(w io.Writer, _ bool) (any, error) {
 		fmt.Fprintf(w, "%-22s %-4v %8d %6d %-12s %7d %9d %s\n",
 			r.Scenario, r.OK, r.Attempts, r.Dials, r.Mode, r.Assets, r.WireBytes, note)
 	}
-	return rows, nil
+	return nil
 }

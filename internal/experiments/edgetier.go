@@ -233,13 +233,13 @@ func EdgeTierSweep(quick bool) (*EdgeTierReport, error) {
 // through an origin blackhole, a sub-1% client error rate with one of
 // three edges dead, a reshard matching LookupN's prediction, and a
 // partition-delayed invalidation reconciled on reconnect.
-func reportEdgeTier(w io.Writer, quick bool) (any, error) {
+func reportEdgeTier(w io.Writer, quick bool) error {
 	rep, err := EdgeTierSweep(quick)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := writeJSON(w, rep); err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "goodput: baseline %.0f/s, origin blackholed %.0f/s (%.2fx, %d stale serves)\n",
 		rep.Baseline.GoodputRPS, rep.Blackhole.GoodputRPS, rep.StaleGoodputRatio, rep.StaleServes)
@@ -250,19 +250,19 @@ func reportEdgeTier(w io.Writer, quick bool) (any, error) {
 		rep.PartitionWarmServed, rep.ReconciledIn.Round(time.Millisecond), rep.InvalidatedGone)
 	switch {
 	case rep.StaleServes == 0:
-		return rep, fmt.Errorf("origin blackhole produced no stale serves")
+		return fmt.Errorf("origin blackhole produced no stale serves")
 	case rep.StaleGoodputRatio < 0.8:
-		return rep, fmt.Errorf("stale goodput fell to %.2fx of baseline (want >= 0.8)", rep.StaleGoodputRatio)
+		return fmt.Errorf("stale goodput fell to %.2fx of baseline (want >= 0.8)", rep.StaleGoodputRatio)
 	case rep.KillErrorRate >= 0.01:
-		return rep, fmt.Errorf("error rate with one edge dead = %.2f%% (want < 1%%)", rep.KillErrorRate*100)
+		return fmt.Errorf("error rate with one edge dead = %.2f%% (want < 1%%)", rep.KillErrorRate*100)
 	case !rep.ReshardCorrect:
-		return rep, fmt.Errorf("reshard after edge death did not match LookupN's prediction")
+		return fmt.Errorf("reshard after edge death did not match LookupN's prediction")
 	case !rep.PartitionWarmServed:
-		return rep, fmt.Errorf("partitioned edge dropped its warm copy")
+		return fmt.Errorf("partitioned edge dropped its warm copy")
 	case !rep.InvalidatedGone:
-		return rep, fmt.Errorf("invalidation issued during the partition never landed")
+		return fmt.Errorf("invalidation issued during the partition never landed")
 	}
-	return rep, nil
+	return nil
 }
 
 func pageIndex(path string) int {

@@ -52,10 +52,10 @@ func CompareEnergy() (*EnergyComparison, error) {
 	return c, nil
 }
 
-func reportEnergy(w io.Writer, _ bool) (any, error) {
+func reportEnergy(w io.Writer, _ bool) error {
 	c, err := CompareEnergy()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper: large image transmit ~10ms vs 6.2s generation (620x);\n")
 	fmt.Fprintf(w, "       transmit ~0.005Wh = 2.5%% of workstation generation (0.21Wh)\n\n")
@@ -64,7 +64,7 @@ func reportEnergy(w io.Writer, _ bool) (any, error) {
 	fmt.Fprintf(w, "generation slowdown: %.0fx\n", c.SlowdownFactor)
 	fmt.Fprintf(w, "transmit share:      %.1f%%\n", 100*c.TransmitShare)
 	fmt.Fprintf(w, "laptop gen energy:   %.2f Wh\n", c.LaptopGenerationWh)
-	return c, nil
+	return nil
 }
 
 // CarbonResult quantifies §6.4's embodied-carbon argument.
@@ -97,10 +97,10 @@ func CarbonSavings(compressionFactor float64) *CarbonResult {
 }
 
 // reportCarbon prints E10 at the media compression Figure 2 measures.
-func reportCarbon(w io.Writer, _ bool) (any, error) {
+func reportCarbon(w io.Writer, _ bool) error {
 	fig2, err := Fig2Wikimedia()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c := CarbonSavings(fig2.CompressionFactor)
 	fmt.Fprintf(w, "paper: 6-7 kgCO2e/TB SSD; exabyte-scale compression saves millions of kg\n\n")
@@ -108,7 +108,7 @@ func reportCarbon(w io.Writer, _ bool) (any, error) {
 	fmt.Fprintf(w, "1 EB media x10 sites:  %.2e kgCO2e\n", c.MediaExabyteKg)
 	fmt.Fprintf(w, "as prompts (%.0fx):     %.2e kgCO2e\n", fig2.CompressionFactor, c.PromptExabyteKg)
 	fmt.Fprintf(w, "saved:                 %.2e kgCO2e (millions: %v)\n", c.SavedKg, c.SavedKg > 1e6)
-	return c, nil
+	return nil
 }
 
 // TrafficResult is §7's mobile-web projection.
@@ -129,15 +129,15 @@ func ProjectTraffic(compressionFactor float64) *TrafficResult {
 }
 
 // reportTraffic prints E11 at the media compression Figure 2 measures.
-func reportTraffic(w io.Writer, _ bool) (any, error) {
+func reportTraffic(w io.Writer, _ bool) error {
 	fig2, err := Fig2Wikimedia()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t := ProjectTraffic(fig2.CompressionFactor)
 	fmt.Fprintf(w, "paper: 2-3 EB/month mobile web -> tens of PB at ~two orders of magnitude\n\n")
 	fmt.Fprintf(w, "baseline:   %.1f EB/month\n", t.BaselineEBPerMonth)
 	fmt.Fprintf(w, "compression: %.0fx (measured, Figure 2 media ratio)\n", t.CompressionFactor)
 	fmt.Fprintf(w, "projected:  %.1f PB/month\n", t.ProjectedPBPerMonth)
-	return t, nil
+	return nil
 }

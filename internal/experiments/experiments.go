@@ -102,10 +102,10 @@ func Table1() ([]Table1Row, error) {
 	return rows, nil
 }
 
-func reportTable1(w io.Writer, _ bool) (any, error) {
+func reportTable1(w io.Writer, _ bool) error {
 	rows, err := Table1()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "%-14s %10s %10s %10s %10s %12s %14s\n",
 		"model", "paper ELO", "ELO", "paper CLIP", "CLIP", "laptop t/st", "workstn t/st")
@@ -120,7 +120,7 @@ func reportTable1(w io.Writer, _ bool) (any, error) {
 		fmt.Fprintf(w, "%-14s %10.0f %10.0f %10.2f %10.3f %12s %14s\n",
 			r.Model, r.PaperELO, r.ELO, r.PaperCLIP, r.CLIP, lap, wkst)
 	}
-	return rows, nil
+	return nil
 }
 
 // StepSweepRow is one point of the §6.3.1 inference-step scaling
@@ -160,17 +160,17 @@ func StepSweep() ([]StepSweepRow, error) {
 	return rows, nil
 }
 
-func reportSteps(w io.Writer, _ bool) (any, error) {
+func reportSteps(w io.Writer, _ bool) error {
 	rows, err := StepSweep()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper: CLIP ~flat from 10..60 steps, time linear in steps (laptop, SD3)\n")
 	fmt.Fprintf(w, "%6s %8s %10s\n", "steps", "CLIP", "gen time")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%6d %8.3f %9.1fs\n", r.Steps, r.CLIP, r.GenTime.Seconds())
 	}
-	return rows, nil
+	return nil
 }
 
 // SizeSweepRow is one point of the §6.3.1 image-size scaling
@@ -200,17 +200,17 @@ func SizeSweep() ([]SizeSweepRow, error) {
 	return rows, nil
 }
 
-func reportSizes(w io.Writer, _ bool) (any, error) {
+func reportSizes(w io.Writer, _ bool) error {
 	rows, err := SizeSweep()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper anchors (SD3, 15 steps): laptop 7/19/310s, workstation 1.0/1.7/6.2s\n")
 	fmt.Fprintf(w, "%10s %12s %14s\n", "size", "laptop", "workstation")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%5dx%-4d %11.1fs %13.2fs\n", r.Dim, r.Dim, r.Laptop.Seconds(), r.Workstation.Seconds())
 	}
-	return rows, nil
+	return nil
 }
 
 // TextModelRow summarizes one text model of §6.3.2 across word
@@ -290,10 +290,10 @@ func Text2Text() ([]TextModelRow, error) {
 	return rows, nil
 }
 
-func reportText(w io.Writer, _ bool) (any, error) {
+func reportText(w io.Writer, _ bool) error {
 	rows, err := Text2Text()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper: SBERT 0.82-0.91; overshoot mean ~1.3%%, quartiles often >10%%, max 20%%;\n")
 	fmt.Fprintf(w, "       times 6.98-14.33s (workstation) / 16.06-34.04s (laptop); benefit only 2.5x\n")
@@ -318,7 +318,7 @@ func reportText(w io.Writer, _ bool) (any, error) {
 		}
 		fmt.Fprintln(w)
 	}
-	return rows, nil
+	return nil
 }
 
 // Table2Row is one media row of Table 2.
@@ -394,10 +394,10 @@ func Table2() ([]Table2Row, error) {
 	return rows, nil
 }
 
-func reportTable2(w io.Writer, _ bool) (any, error) {
+func reportTable2(w io.Writer, _ bool) error {
 	rows, err := Table2()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper rows: 19.14x/7s/0.02Wh/1.0s/0.04Wh; 76.56x/19s/0.05Wh/1.7s/0.06Wh;\n")
 	fmt.Fprintf(w, "            306.24x/310s/0.90Wh/6.2s/0.21Wh; 1.93x/32s/0.01Wh/13.0s/0.51Wh\n")
@@ -409,7 +409,7 @@ func reportTable2(w io.Writer, _ bool) (any, error) {
 			r.LaptopGen.Seconds(), r.LaptopEnergyWh,
 			r.WorkstationGen.Seconds(), r.WorkstationWhGen)
 	}
-	return rows, nil
+	return nil
 }
 
 func profileFor(class device.Class) device.Profile {
@@ -509,10 +509,10 @@ func Fig2Wikimedia() (*Fig2Result, error) {
 	return res, nil
 }
 
-func reportFig2(w io.Writer, _ bool) (any, error) {
+func reportFig2(w io.Writer, _ bool) error {
 	r, err := Fig2Wikimedia()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper: 49 images, 1400kB -> 8.92kB (157x, worst case 68x);\n")
 	fmt.Fprintf(w, "       laptop 310s (6.32s/image), workstation ~49s (~1s/image)\n\n")
@@ -528,7 +528,7 @@ func reportFig2(w io.Writer, _ bool) (any, error) {
 		r.ServerGen.Seconds(), r.ServerPerImage.Seconds())
 	fmt.Fprintf(w, "mean CLIP of page:      %.3f\n", r.MeanCLIP)
 	fmt.Fprintf(w, "transmit energy saved:  %.4f Wh\n", r.TransmitSavedWh)
-	return r, nil
+	return nil
 }
 
 // FetchWikimediaGeneratively serves the Figure 2 page to a generative
@@ -621,10 +621,10 @@ func TextArticle() (*TextArticleResult, error) {
 	return res, nil
 }
 
-func reportArticle(w io.Writer, _ bool) (any, error) {
+func reportArticle(w io.Writer, _ bool) error {
 	r, err := TextArticle()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper: 2400B -> 778B (3.1x); laptop 41.9s, workstation >10s\n\n")
 	fmt.Fprintf(w, "original:        %d B\n", r.OriginalBytes)
@@ -633,5 +633,5 @@ func reportArticle(w io.Writer, _ bool) (any, error) {
 	fmt.Fprintf(w, "laptop gen:      %.1fs\n", r.LaptopGen.Seconds())
 	fmt.Fprintf(w, "workstation gen: %.1fs\n", r.WorkstationGen.Seconds())
 	fmt.Fprintf(w, "SBERT vs source: %.3f\n", r.SBERT)
-	return r, nil
+	return nil
 }

@@ -71,10 +71,10 @@ func H3CapabilityMatrix() ([]H3Row, error) {
 
 // reportH3 prints E14 and fails unless only both-support negotiated an
 // ability and every scenario still completed its request.
-func reportH3(w io.Writer, _ bool) (any, error) {
+func reportH3(w io.Writer, _ bool) error {
 	rows, err := H3CapabilityMatrix()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper §3.1: \"similar use of SETTINGS under HTTP/3 can allow to advertise\"\n")
 	fmt.Fprintf(w, "%-14s %-18s %s\n", "scenario", "negotiated", "ok")
@@ -83,10 +83,10 @@ func reportH3(w io.Writer, _ bool) (any, error) {
 	}
 	for _, r := range rows {
 		if !r.OK || (r.Negotiated != 0) != (r.Scenario == "both-support") {
-			return rows, fmt.Errorf("E14 %s: negotiated %v, request ok %v", r.Scenario, r.Negotiated, r.OK)
+			return fmt.Errorf("E14 %s: negotiated %v, request ok %v", r.Scenario, r.Negotiated, r.OK)
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // UpscaleResult is the §2.2 upscaling experiment on the photo
@@ -137,10 +137,10 @@ func UpscaleExperiment() (*UpscaleResult, error) {
 	return res, nil
 }
 
-func reportUpscale(w io.Writer, _ bool) (any, error) {
+func reportUpscale(w io.Writer, _ bool) error {
 	r, err := UpscaleExperiment()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper §2.2: upscaling reduces unique-content storage and is\n")
 	fmt.Fprintf(w, "\"usually faster than content generation, with sub-second inference\"\n\n")
@@ -149,7 +149,7 @@ func reportUpscale(w io.Writer, _ bool) (any, error) {
 	fmt.Fprintf(w, "wire, traditional: %d B (%.1fx savings)\n", r.TraditionalWireBytes, r.WireSavings)
 	fmt.Fprintf(w, "upscale time:      %.2fs (laptop, all photos)\n", r.UpscaleTime.Seconds())
 	fmt.Fprintf(w, "generate instead:  %.1fs (%.0fx slower)\n", r.GenerateTime.Seconds(), r.SpeedFactor)
-	return r, nil
+	return nil
 }
 
 // sd3GenTime is SD 3 Medium's modelled generation time.
@@ -277,14 +277,14 @@ func PersonalizationExperiment() (*PersonalizationResult, error) {
 	return res, nil
 }
 
-func reportPersonalize(w io.Writer, _ bool) (any, error) {
+func reportPersonalize(w io.Writer, _ bool) error {
 	r, err := PersonalizationExperiment()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper §2.3: on-device personalization; \"potential for harm ... echo chamber\"\n\n")
 	fmt.Fprintf(w, "echo-chamber index, neutral:      %.3f\n", r.NeutralIndex)
 	fmt.Fprintf(w, "echo-chamber index, personalized: %.3f (drift +%.3f)\n", r.PersonalizedIndex, r.Drift)
 	fmt.Fprintf(w, "prompt adherence:  %.3f -> %.3f (preserved)\n", r.NeutralCLIP, r.PersonalizedCLIP)
-	return r, nil
+	return nil
 }

@@ -110,13 +110,13 @@ func FastPathSweep(quick bool) (*FastPathResult, error) {
 
 // reportFastpath prints E21 as JSON and fails unless the warm fetches
 // byte-matched the cold one and hit the artifact cache.
-func reportFastpath(w io.Writer, quick bool) (any, error) {
+func reportFastpath(w io.Writer, quick bool) error {
 	rep, err := FastPathSweep(quick)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := writeJSON(w, rep); err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "cold fetch %.1fms, warm mean %.2fms over %d repeats (%.1fx); "+
 		"client cache: %d hits / %d misses, %d entries, %d B\n",
@@ -126,9 +126,9 @@ func reportFastpath(w io.Writer, quick bool) (any, error) {
 		rep.SimGenTime, rep.CompressionX)
 	switch {
 	case !rep.AssetsIdentical:
-		return rep, fmt.Errorf("warm fetches did not byte-match the cold fetch's assets")
+		return fmt.Errorf("warm fetches did not byte-match the cold fetch's assets")
 	case rep.ClientCache.Hits == 0:
-		return rep, fmt.Errorf("artifact cache recorded no hits across %d repeat fetches", rep.Fetches-1)
+		return fmt.Errorf("artifact cache recorded no hits across %d repeat fetches", rep.Fetches-1)
 	}
-	return rep, nil
+	return nil
 }

@@ -291,13 +291,13 @@ func originHAStorm(ctx context.Context, rep *OriginHAReport, quick bool) error {
 // fails over to it; the restarted zombie is epoch-fenced; and the
 // retry budget holds a blackhole storm's upstream attempts to burst +
 // ratio x pulls.
-func reportOriginHA(w io.Writer, quick bool) (any, error) {
+func reportOriginHA(w io.Writer, quick bool) error {
 	rep, err := OriginHASweep(quick)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := writeJSON(w, rep); err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "warm restart: seq %d -> %d, %d edge resets, caught up %v\n",
 		rep.SeqBeforeRestart, rep.SeqAfterRestart, rep.RestartResets, rep.RestartCaughtUp)
@@ -315,28 +315,28 @@ func reportOriginHA(w io.Writer, quick bool) (any, error) {
 		rep.BudgetExhausted, rep.UnbudgetedRetries)
 	switch {
 	case rep.RestartResets != 0:
-		return rep, fmt.Errorf("origin restart flushed the edge %d times (want 0)", rep.RestartResets)
+		return fmt.Errorf("origin restart flushed the edge %d times (want 0)", rep.RestartResets)
 	case !rep.RestartCaughtUp:
-		return rep, fmt.Errorf("edge never reconciled the post-restart feed")
+		return fmt.Errorf("edge never reconciled the post-restart feed")
 	case rep.LostSeqs != 0:
-		return rep, fmt.Errorf("failover lost %d invalidation sequences (want 0)", rep.LostSeqs)
+		return fmt.Errorf("failover lost %d invalidation sequences (want 0)", rep.LostSeqs)
 	case rep.EdgeFailovers == 0:
-		return rep, fmt.Errorf("edge never adopted the promoted standby's epoch")
+		return fmt.Errorf("edge never adopted the promoted standby's epoch")
 	case rep.FailoverResets != 0:
-		return rep, fmt.Errorf("failover flushed the edge %d times (want 0)", rep.FailoverResets)
+		return fmt.Errorf("failover flushed the edge %d times (want 0)", rep.FailoverResets)
 	case !rep.FreshInvalServed:
-		return rep, fmt.Errorf("post-failover invalidation was not refilled fresh")
+		return fmt.Errorf("post-failover invalidation was not refilled fresh")
 	case !rep.ZombieFenced:
-		return rep, fmt.Errorf("restarted old primary was never fenced")
+		return fmt.Errorf("restarted old primary was never fenced")
 	case rep.EdgeEpochFenced == 0:
-		return rep, fmt.Errorf("edge accepted the zombie's stale-epoch push")
+		return fmt.Errorf("edge accepted the zombie's stale-epoch push")
 	// The budget's whole point: retries bounded by deposit flow, not by
 	// MaxAttempts x pulls. Allow one bucket of slack for rounding.
 	case float64(rep.BudgetedRetries) > rep.RetryCeiling+float64(rep.BudgetBurst):
-		return rep, fmt.Errorf("budgeted storm spent %d retries (ceiling %.0f)",
+		return fmt.Errorf("budgeted storm spent %d retries (ceiling %.0f)",
 			rep.BudgetedRetries, rep.RetryCeiling)
 	case rep.BudgetExhausted == 0:
-		return rep, fmt.Errorf("retry budget never reported exhaustion under a storm")
+		return fmt.Errorf("retry budget never reported exhaustion under a storm")
 	}
-	return rep, nil
+	return nil
 }

@@ -189,10 +189,10 @@ func OverloadSweep(quick bool) ([]OverloadRow, error) {
 	return rows, nil
 }
 
-func reportOverload(w io.Writer, quick bool) (any, error) {
+func reportOverload(w io.Writer, quick bool) error {
 	rows, err := OverloadSweep(quick)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "capacity-limited generative server at multiples of admitted generation\n")
 	fmt.Fprintf(w, "capacity; healthy signature: flat goodput beyond 1x, excess shed as 503.\n")
@@ -206,7 +206,7 @@ func reportOverload(w io.Writer, quick bool) (any, error) {
 			r.P50.Round(time.Millisecond), r.P99.Round(time.Millisecond),
 			r.Stats.ShedPolicyFlip)
 	}
-	return rows, nil
+	return nil
 }
 
 // percentiles returns the 50th and 99th percentile of durs (zeros for

@@ -11,7 +11,7 @@ import (
 // runs it, prints its paper-vs-measured table and checks its bars.
 type Experiment struct {
 	Key, Title string
-	report     func(w io.Writer, quick bool) (any, error)
+	report     func(w io.Writer, quick bool) error
 }
 
 // Experiments lists every experiment in the order sww-bench runs them.
@@ -47,10 +47,9 @@ var Experiments = []Experiment{
 }
 
 // Run writes e's header and report to w; quick trims the heavier
-// sweeps. It returns the result the report printed, and an error if
-// the experiment failed or, once its report is written, missed one of
-// its acceptance bars.
-func (e Experiment) Run(w io.Writer, quick bool) (any, error) {
+// sweeps. It returns an error if the experiment failed or, once its
+// report is written, missed one of its acceptance bars.
+func (e Experiment) Run(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "\n=== %s ===\n", e.Title)
 	return e.report(w, quick)
 }

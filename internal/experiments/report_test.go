@@ -67,7 +67,7 @@ func TestGoldenReports(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if _, err := e.Run(&got, true); err != nil {
+			if err := e.Run(&got, true); err != nil {
 				t.Errorf("report failed: %v", err)
 			}
 			if d := lineDiff(string(want), got.String()); d != "" {

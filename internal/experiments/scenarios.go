@@ -64,10 +64,10 @@ func CapabilityMatrix() ([]CapabilityRow, error) {
 	return rows, nil
 }
 
-func reportMatrix(w io.Writer, _ bool) (any, error) {
+func reportMatrix(w io.Writer, _ bool) error {
 	rows, err := CapabilityMatrix()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper: only both-support uses generation; all else default HTTP/2\n")
 	fmt.Fprintf(w, "%-14s %-18s %-18s %-18s %-12s %s\n",
@@ -76,7 +76,7 @@ func reportMatrix(w io.Writer, _ bool) (any, error) {
 		fmt.Fprintf(w, "%-14s %-18s %-18s %-18s %-12s %v\n",
 			r.Scenario, r.Server, r.Client, r.Negotiated, r.ServedMode, r.OK)
 	}
-	return rows, nil
+	return nil
 }
 
 // CDNRow is one mode of the §2.2 CDN sweep.
@@ -132,10 +132,10 @@ func CDNSweep(objects, requests int, capacity int64) ([]CDNRow, error) {
 	return rows, nil
 }
 
-func reportCDN(w io.Writer, _ bool) (any, error) {
+func reportCDN(w io.Writer, _ bool) error {
 	rows, err := CDNSweep(2000, 30000, 64<<20)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper §2.2: prompt caching keeps storage benefit; edge generation\n")
 	fmt.Fprintf(w, "loses transmission benefit; energy trade-off at the edge\n")
@@ -146,12 +146,12 @@ func reportCDN(w io.Writer, _ bool) (any, error) {
 			r.Mode, r.CacheBytes, 100*r.HitRate, r.BytesToUsers, r.BytesFromOrigin,
 			r.EdgeGenEnergyWh, r.EmbodiedKg)
 	}
-	return rows, nil
+	return nil
 }
 
 // reportPlacement prints E17, the cdn package's placement model under
 // its default load.
-func reportPlacement(w io.Writer, _ bool) (any, error) {
+func reportPlacement(w io.Writer, _ bool) error {
 	load := cdn.DefaultPlacementLoad()
 	rows := cdn.PlacementSweep(load)
 	fmt.Fprintf(w, "paper §7: traffic reduction \"provides more flexibility in cache placement,\n")
@@ -169,7 +169,7 @@ func reportPlacement(w io.Writer, _ bool) (any, error) {
 			r.Placement.Name, mode, r.StorageSites, r.BackboneGbps, r.Feasible,
 			r.PageLatency.Round(time.Millisecond), 100*r.LatencyShare)
 	}
-	return rows, nil
+	return nil
 }
 
 // VideoRow is one §3.2 video negotiation outcome.
@@ -202,7 +202,7 @@ func VideoSweep() []VideoRow {
 
 // reportVideo prints E13: the negotiation sweep, then the playback
 // simulation of StreamingExperiment.
-func reportVideo(w io.Writer, _ bool) (any, error) {
+func reportVideo(w io.Writer, _ bool) error {
 	rows := VideoSweep()
 	fmt.Fprintf(w, "paper §3.2: 60->30fps halves data; 4K->HD saves 2.3x (7GB/h -> 3GB/h)\n")
 	fmt.Fprintf(w, "%-34s %-24s %10s\n", "client ability", "delivered", "savings")
@@ -211,7 +211,7 @@ func reportVideo(w io.Writer, _ bool) (any, error) {
 	}
 	srows, err := StreamingExperiment()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "\n10-minute 4K60 playback simulation (the evaluation §3.2 defers):\n")
 	fmt.Fprintf(w, "%-24s %-22s %8s %9s %8s %10s %10s\n",
@@ -222,7 +222,7 @@ func reportVideo(w io.Writer, _ bool) (any, error) {
 			r.Device, r.Ability, float64(rep.BytesDownloaded)/1e9,
 			rep.SavingsFactor, rep.Rebuffers, rep.RealTimeFactor, rep.BoostEnergyWh)
 	}
-	return srows, nil
+	return nil
 }
 
 // AblationNegotiation compares the paper's SETTINGS-based capability
@@ -297,19 +297,19 @@ func PreloadAblation() (*AblationPreload, error) {
 	return res, nil
 }
 
-func reportAblations(w io.Writer, _ bool) (any, error) {
+func reportAblations(w io.Writer, _ bool) error {
 	n := NegotiationAblation(50)
 	fmt.Fprintf(w, "SETTINGS vs per-request header (50 requests/conn):\n")
 	fmt.Fprintf(w, "  SETTINGS total: %d B; header total: %d B\n",
 		n.SettingsTotalBytes, n.HeaderTotalBytes)
 	p, err := PreloadAblation()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "pipeline preloading (§4.1) on the %d-image page:\n", p.Items)
 	fmt.Fprintf(w, "  preload load time: %v; per-invocation reload: %v (%.0f%% overhead)\n",
 		p.PreloadLoadTime, p.ReloadLoadTime, p.ReloadOverheadPct)
-	return p, nil
+	return nil
 }
 
 // StorageResult is the §2.1/§2.2 server-storage comparison.
@@ -337,14 +337,14 @@ func StorageComparison() (*StorageResult, error) {
 	}, nil
 }
 
-func reportStorage(w io.Writer, _ bool) (any, error) {
+func reportStorage(w io.Writer, _ bool) error {
 	s, err := StorageComparison()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "paper §2.1: servers store prompts rather than content\n\n")
 	fmt.Fprintf(w, "SWW storage:         %d B\n", s.SWWBytes)
 	fmt.Fprintf(w, "traditional storage: %d B\n", s.TraditionalBytes)
 	fmt.Fprintf(w, "ratio:               %.1fx\n", s.Ratio)
-	return s, nil
+	return nil
 }

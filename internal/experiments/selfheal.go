@@ -365,13 +365,13 @@ func selfHealPeerFill(ctx context.Context, rep *SelfHealReport, rounds int) erro
 // pushes lost to a partition are repaired by the anti-entropy poller
 // shortly after the heal; and a cold edge fills from its ring peer at
 // >= 0.9x the warm edge's serve-stale goodput with the origin down.
-func reportSelfHeal(w io.Writer, quick bool) (any, error) {
+func reportSelfHeal(w io.Writer, quick bool) error {
 	rep, err := SelfHealSweep(quick)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := writeJSON(w, rep); err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "warm restart: %d snapshot entries, %d warm hits, %d origin pulls; "+
 		"seq reconciled %v, stale entry dropped %v\n",
@@ -387,22 +387,22 @@ func reportSelfHeal(w io.Writer, quick bool) (any, error) {
 		rep.PeerFills, rep.PeerServes)
 	switch {
 	case rep.RestartPulls != 0:
-		return rep, fmt.Errorf("warm restart pulled the origin %d times (want 0)", rep.RestartPulls)
+		return fmt.Errorf("warm restart pulled the origin %d times (want 0)", rep.RestartPulls)
 	case !rep.SeqReconciled:
-		return rep, fmt.Errorf("restarted edge never caught up with the invalidation feed")
+		return fmt.Errorf("restarted edge never caught up with the invalidation feed")
 	case !rep.RestartInvalGone:
-		return rep, fmt.Errorf("invalidation issued during the outage was served stale after restart")
+		return fmt.Errorf("invalidation issued during the outage was served stale after restart")
 	case rep.PushApplied == 0:
-		return rep, fmt.Errorf("healthy-path push was never applied")
+		return fmt.Errorf("healthy-path push was never applied")
 	// "Shortly after the heal": one jittered poll tick plus the error
 	// backoff the partition built up — comfortably inside 10 intervals.
 	case rep.ReconcileBounds > 10:
-		return rep, fmt.Errorf("anti-entropy took %.1f repair intervals (want <= 10)", rep.ReconcileBounds)
+		return fmt.Errorf("anti-entropy took %.1f repair intervals (want <= 10)", rep.ReconcileBounds)
 	case rep.PeerFills == 0:
-		return rep, fmt.Errorf("cold edge never peer-filled")
+		return fmt.Errorf("cold edge never peer-filled")
 	case rep.FillGoodputRatio < 0.9:
-		return rep, fmt.Errorf("peer-fill goodput fell to %.2fx of serve-stale baseline (want >= 0.9)",
+		return fmt.Errorf("peer-fill goodput fell to %.2fx of serve-stale baseline (want >= 0.9)",
 			rep.FillGoodputRatio)
 	}
-	return rep, nil
+	return nil
 }

@@ -241,10 +241,10 @@ func TelemetrySweep(quick bool) (*TelemetryResult, error) {
 // the ops surface (registry, trace ring and event log), with
 // per-outcome request counts, latency percentiles, and the
 // counters-equal-traces invariant it fails without.
-func reportTelemetry(w io.Writer, quick bool) (any, error) {
+func reportTelemetry(w io.Writer, quick bool) error {
 	rep, err := TelemetrySweep(quick)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(w, "per-outcome requests and latency, read back from the ops registry:\n")
 	fmt.Fprintf(w, "%-14s %9s %9s %9s %9s\n", "outcome", "requests", "p50", "p95", "p99")
@@ -257,7 +257,7 @@ func reportTelemetry(w io.Writer, quick bool) (any, error) {
 	fmt.Fprintf(w, "client-side paced loops: p50/p99 %.2f/%.2fms from intended slots\n",
 		rep.ClientSchedP50ms, rep.ClientSchedP99ms)
 	if !rep.CountersMatchTraces {
-		return rep, errors.New("per-outcome counters do not sum to finished traces")
+		return errors.New("per-outcome counters do not sum to finished traces")
 	}
-	return rep, nil
+	return nil
 }

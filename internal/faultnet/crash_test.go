@@ -35,7 +35,7 @@ func TestCrashLoudAndSilent(t *testing.T) {
 	})
 	const attempt = 40 * time.Millisecond
 	rc := core.NewResilientClient(dial, device.Workstation, nil,
-		core.RetryPolicy{MaxAttempts: 1, AttemptTimeout: attempt}, nil)
+		core.RetryPolicy{MaxAttempts: 1, AttemptTimeout: attempt})
 	defer rc.Close()
 	ctx := context.Background()
 	fetch := func() error {

@@ -42,10 +42,9 @@ type diffusionModel struct {
 	loadTime map[device.Class]time.Duration
 }
 
-func (m *diffusionModel) Name() string        { return m.name }
-func (m *diffusionModel) ServerOnly() bool    { return m.serverOnly }
-func (m *diffusionModel) CLIPTarget() float64 { return m.clipTarget }
-func (m *diffusionModel) EloLatent() float64  { return m.eloLatent }
+func (m *diffusionModel) Name() string       { return m.name }
+func (m *diffusionModel) ServerOnly() bool   { return m.serverOnly }
+func (m *diffusionModel) EloLatent() float64 { return m.eloLatent }
 
 func (m *diffusionModel) LoadTime(class device.Class) time.Duration {
 	return m.loadTime[class]

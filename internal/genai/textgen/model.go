@@ -72,7 +72,6 @@ type jitterKey struct {
 const maxOvershoot = 0.20
 
 func (m *expanderModel) Name() string         { return m.name }
-func (m *expanderModel) Retention() float64   { return m.retention }
 func (m *expanderModel) SBERTTarget() float64 { return m.sbertTarget }
 
 func (m *expanderModel) LoadTime(class device.Class) time.Duration {

@@ -24,3 +24,13 @@ func TestDecodeAppendSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("decoded %v", fields)
 	}
 }
+
+// TestAppendResponseBlockAllocs pins the encode half: a warm response
+// block costs the slice it is encoded into and nothing else.
+func TestAppendResponseBlockAllocs(t *testing.T) {
+	enc := NewEncoder()
+	appendResponseBlock(enc) // fills the dynamic table
+	if allocs := testing.AllocsPerRun(100, func() { appendResponseBlock(enc) }); allocs > 1 {
+		t.Fatalf("encoding a warm response block: %v allocs, want at most 1", allocs)
+	}
+}

@@ -71,16 +71,6 @@ func (n *Node) SetAttr(name, value string) {
 	n.Attr = append(n.Attr, Attribute{Name: name, Value: value})
 }
 
-// RemoveAttr deletes an attribute if present.
-func (n *Node) RemoveAttr(name string) {
-	for i, a := range n.Attr {
-		if a.Name == name {
-			n.Attr = append(n.Attr[:i], n.Attr[i+1:]...)
-			return
-		}
-	}
-}
-
 // HasClass reports whether the element's class list contains name.
 func (n *Node) HasClass(name string) bool {
 	classes, _ := n.AttrValue("class")

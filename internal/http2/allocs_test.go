@@ -32,29 +32,55 @@ const (
 
 // TestGetAllocBudget pins the request lifecycle at the client's Stream
 // and body, plus the server's Stream for a plain Handler and the cancel
-// hook for a cancelable context. (The race detector's instrumentation
-// allocates; hence the build tag.)
+// hook for a cancelable context. BenchmarkRespondBody's GETs over
+// loopback TCP are goroutine-served and pay what a goroutine-served GET
+// on a net.Pipe does, whatever the body's size. (The race detector's
+// instrumentation allocates; hence the build tag.)
 func TestGetAllocBudget(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	inline, plain := allocsHandlers()
-	for _, tc := range []struct {
+	type pin struct {
 		name   string
-		h      Handler
-		ctx    context.Context
+		get    func(t *testing.T) func()
 		budget float64
-	}{
-		{"goroutine", plain, context.Background(), getAllocBudgetGoroutine},
-		{"inline", inline, context.Background(), getAllocBudget},
-		{"inline-cancelable", inline, ctx, getAllocBudgetCancel},
-	} {
+	}
+	pins := []pin{
+		{"goroutine", func(t *testing.T) func() { return allocsClient(t, plain, context.Background()) }, getAllocBudgetGoroutine},
+		{"inline", func(t *testing.T) func() { return allocsClient(t, inline, context.Background()) }, getAllocBudget},
+		{"inline-cancelable", func(t *testing.T) func() { return allocsClient(t, inline, ctx) }, getAllocBudgetCancel},
+	}
+	for _, size := range respondBodySizes {
+		pins = append(pins, pin{"RespondBody/" + size.name, func(t *testing.T) func() { return respondBodyGet(t, size.n) }, getAllocBudgetGoroutine})
+	}
+	for _, tc := range pins {
 		t.Run(tc.name, func(t *testing.T) {
-			get := allocsClient(t, tc.h, tc.ctx)
+			get := tc.get(t)
 			for i := 0; i < 100; i++ { // fill the dynamic tables and the writer's buffers
 				get()
 			}
 			if allocs := testing.AllocsPerRun(200, get); allocs > tc.budget {
 				t.Fatalf("one GET allocates %v objects, budget %v", allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// TestFramerAllocs: BenchmarkFramerWrite's frames are built in the
+// writer's buffer and BenchmarkFrameReadData's frame is read into the
+// framer's, so neither allocates once the buffers have grown.
+func TestFramerAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{{"FramerWrite", framerWrite}, {"FrameReadData", frameReadData}} {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.op(t)
+			for i := 0; i < 100; i++ {
+				op()
+			}
+			if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+				t.Fatalf("%s: %v allocs an op, want 0", tc.name, allocs)
 			}
 		})
 	}

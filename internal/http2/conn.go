@@ -19,10 +19,10 @@ import (
 const ClientPreface = "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
 
 const (
-	defaultWindowSize      = 65535
-	defaultMaxStreams      = 100
-	defaultHandshakePeriod = 10 * time.Second
-	defaultDrainPeriod     = 200 * time.Millisecond
+	defaultWindowSize  = 65535
+	defaultMaxStreams  = 100
+	handshakeTimeout   = 10 * time.Second // for the peer's first SETTINGS
+	defaultDrainPeriod = 200 * time.Millisecond
 
 	// maxHeaderBlockBytes caps an assembled header block across
 	// HEADERS + CONTINUATION frames.
@@ -49,10 +49,6 @@ type Config struct {
 	ImageModelID uint32
 	TextModelID  uint32
 
-	// MaxFrameSize is the advertised SETTINGS_MAX_FRAME_SIZE.
-	// Values below 16384 mean the default.
-	MaxFrameSize uint32
-
 	// InitialWindowSize is the advertised per-stream receive window.
 	// Zero means the protocol default of 65535.
 	InitialWindowSize uint32
@@ -60,10 +56,6 @@ type Config struct {
 	// MaxConcurrentStreams caps peer-initiated concurrent streams.
 	// Zero means defaultMaxStreams.
 	MaxConcurrentStreams uint32
-
-	// HandshakeTimeout bounds the wait for the peer's first SETTINGS
-	// frame. Zero means 10s.
-	HandshakeTimeout time.Duration
 
 	// DrainTimeout bounds how long teardown and shutdown wait for
 	// already-queued frames (the GOAWAY in particular) to flush to a
@@ -107,16 +99,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) maxFrameSize() uint32 {
-	if c.MaxFrameSize < minMaxFrameSize {
-		return minMaxFrameSize
-	}
-	if c.MaxFrameSize > maxMaxFrameSize {
-		return maxMaxFrameSize
-	}
-	return c.MaxFrameSize
-}
-
 func (c Config) initialWindow() int32 {
 	if c.InitialWindowSize == 0 || c.InitialWindowSize > 1<<31-1 {
 		return defaultWindowSize
@@ -129,13 +111,6 @@ func (c Config) maxStreams() uint32 {
 		return defaultMaxStreams
 	}
 	return c.MaxConcurrentStreams
-}
-
-func (c Config) handshakeTimeout() time.Duration {
-	if c.HandshakeTimeout <= 0 {
-		return defaultHandshakePeriod
-	}
-	return c.HandshakeTimeout
 }
 
 func (c Config) drainTimeout() time.Duration {
@@ -256,7 +231,6 @@ func newConn(nc net.Conn, cfg Config, server bool) *conn {
 		initialWindow: defaultWindowSize,
 		maxStreams:    1<<32 - 1,
 	}
-	c.fr.SetMaxReadFrameSize(cfg.maxFrameSize())
 	if server {
 		c.nextID = 2
 		if cfg.AbusePolicy == nil || !cfg.AbusePolicy.Disabled {
@@ -277,7 +251,7 @@ func (c *conn) logf(format string, args ...any) {
 // initialSettings builds this endpoint's first SETTINGS frame.
 func (c *conn) initialSettings() []Setting {
 	s := []Setting{
-		{SettingMaxFrameSize, c.cfg.maxFrameSize()},
+		{SettingMaxFrameSize, minMaxFrameSize},
 		{SettingInitialWindowSize, uint32(c.cfg.initialWindow())},
 		{SettingMaxConcurrentStreams, c.cfg.maxStreams()},
 		{SettingEnablePush, 0},
@@ -319,7 +293,7 @@ func (c *conn) sendInitial() error {
 func (c *conn) waitPeerSettings() error {
 	// Stopped on return: a handshake that completes in microseconds
 	// must not leave its timeout armed for the full period.
-	timer := time.NewTimer(c.cfg.handshakeTimeout())
+	timer := time.NewTimer(handshakeTimeout)
 	defer timer.Stop()
 	select {
 	case <-c.peerSeenCh:

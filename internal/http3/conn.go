@@ -23,18 +23,11 @@ type Config struct {
 	// ImageModelID / TextModelID mirror §7 model negotiation.
 	ImageModelID uint32
 	TextModelID  uint32
-
-	// HandshakeTimeout bounds the wait for the peer's control-stream
-	// SETTINGS. Zero means 10 s.
-	HandshakeTimeout time.Duration
 }
 
-func (c Config) handshakeTimeout() time.Duration {
-	if c.HandshakeTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return c.HandshakeTimeout
-}
+// handshakeTimeout bounds the wait for the peer's control-stream
+// SETTINGS.
+const handshakeTimeout = 10 * time.Second
 
 // conn is the shared endpoint machinery: control streams in both
 // directions plus the peer's settings.
@@ -126,7 +119,7 @@ func (c *conn) consumeUniStreams() {
 func (c *conn) waitPeerSettings() error {
 	timer := timeutil.New()
 	defer timer.Stop()
-	if timer.Wait(c.peerSeen, c.cfg.handshakeTimeout()) {
+	if timer.Wait(c.peerSeen, handshakeTimeout) {
 		return fmt.Errorf("http3: no SETTINGS from peer")
 	}
 	return nil

@@ -365,7 +365,7 @@ func (t *Tier) Client(name string) *core.ResilientClient {
 }
 
 func (t *Tier) newClient(name string) *core.ResilientClient {
-	return core.NewResilientClient(t.Dial(name), device.Workstation, nil, ClientRetry, nil)
+	return core.NewResilientClient(t.Dial(name), device.Workstation, nil, ClientRetry)
 }
 
 func (t *Tier) own(c io.Closer) {
