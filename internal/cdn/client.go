@@ -116,12 +116,17 @@ func (c *EdgeClient) AddPeer(name string, dial core.DialFunc) {
 // transport, walked alive→suspect→dead on silence, removed from the
 // placement ring when declared dead, and re-admitted on recovery.
 // Unlike RemovePeer, ring surgery here keeps the peer's client — the
-// probes need it to notice the edge coming back. Transport outcomes
-// from regular fetches feed the same ladder via the endpoint breaker,
-// so a dead edge starts being suspected by the very request that
-// found it dead, not a heartbeat round later. Returns the membership
-// (started; Close stops it with the client) so callers can inspect
-// states. Call once, after the fleet is built.
+// probes need it to notice the edge coming back. Regular fetches feed
+// the same ladder through the endpoint breaker: each time an edge's
+// breaker marks it down, Membership gets one ReportFailure, and each
+// probe success that brings it back one ReportSuccess. Membership
+// suspects the edge after suspectFailures (3) such failures in a row,
+// or at the first one once SuspectAfter has passed without a
+// successful heartbeat; a recovery or a heartbeat resets the count.
+// So a single trip does not suspect a peer its heartbeats still
+// reach. Returns the membership (started; Close stops it with the
+// client) so callers can inspect states. Call once, after the fleet
+// is built.
 func (c *EdgeClient) EnableMembership(cfg MemberConfig) *Membership {
 	onAlive, onDead := cfg.OnAlive, cfg.OnDead
 	cfg.OnDead = func(name string) {

@@ -468,17 +468,13 @@ func (e *Edge) observeOriginEpoch(epoch uint64) bool {
 }
 
 // noteUpstreamFenced records a feed refused for a stale epoch and
-// counts the serving endpoint down: the transport is healthy (it
-// answered), so without an explicit failure report the sticky
-// endpoint preference would keep polling the zombie forever while a
+// rotates off the serving endpoint. The transport is healthy (it
+// answered, and the ladder counted that as a success), so no failure
+// count would ever move the sticky connection off the zombie while a
 // promoted standby sits unused in the set.
 func (e *Edge) noteUpstreamFenced() {
 	e.epochFenced.Add(1)
-	if eps := e.upstream.Endpoints(); eps != nil {
-		if ep := eps.Get(e.upstream.CurrentEndpoint()); ep != nil {
-			ep.ReportFailure()
-		}
-	}
+	e.upstream.Rotate()
 }
 
 // StartConn serves one terminal-client connection in the background.
@@ -1201,7 +1197,7 @@ func (e *Edge) PollOnce(ctx context.Context) error {
 	}
 	if raw.Status != 200 {
 		// A fenced origin answers 409: the transport is healthy, so
-		// only an explicit failure report moves the sticky endpoint
+		// only an explicit rotation moves the sticky endpoint
 		// preference off the zombie and onto the promoted standby.
 		e.pollErrors.Add(1)
 		if raw.Status == statusFenced {

@@ -457,6 +457,49 @@ func pullGet(cc *http2.ClientConn) (cache, got string, err error) {
 	return resp.HeaderValue(core.EdgeCacheHeader), fmt.Sprintf("%d %s", resp.Status, body), err
 }
 
+// TestEdgeLeavesFencedOrigin: a 409 from the origin an edge polls is
+// a rotation signal. With the zombie first in the set and the promoted
+// origin second, the poll after the first 409 is answered by the
+// promoted origin at any failure threshold: the zombie answers, so no
+// failure count would move the edge off it.
+func TestEdgeLeavesFencedOrigin(t *testing.T) {
+	for _, threshold := range []int{1, 2, 3} {
+		t.Run(fmt.Sprint("threshold=", threshold), func(t *testing.T) {
+			origins := core.NewEndpointSet(core.EndpointHealthConfig{FailureThreshold: threshold, ProbeCooldown: time.Minute})
+			serve := func(name string, status int, body string) {
+				srv := &http2.Server{Handler: http2.HandlerFunc(func(w *http2.ResponseWriter, _ *http2.Request) {
+					writeControl(w, status, "application/json", []byte(body))
+				})}
+				origins.Add(name, func() (net.Conn, error) {
+					cEnd, sEnd := net.Pipe()
+					srv.StartConn(sEnd)
+					return cEnd, nil
+				})
+			}
+			serve("zombie", statusFenced, "fenced\n")
+			serve("promoted", 200, `{"seq":7,"epoch":2}`)
+			e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, origins)
+			defer e.Close()
+			e.observeOriginEpoch(2)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+
+			if err := e.PollOnce(ctx); err == nil {
+				t.Fatal("the zombie's poll succeeded")
+			}
+			if err := e.PollOnce(ctx); err != nil {
+				t.Fatalf("poll after the 409: %v (endpoint %q)", err, e.upstream.CurrentEndpoint())
+			}
+			if got := e.upstream.CurrentEndpoint(); got != "promoted" || e.LastSeq() != 7 {
+				t.Fatalf("endpoint %q, lastSeq %d; want promoted, 7", got, e.LastSeq())
+			}
+			if got := e.Stats().EpochFenced; got != 1 {
+				t.Fatalf("epoch-fenced counter = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // TestRingConcurrentSurgery: LookupN callers racing Remove/Add (the
 // membership callbacks) — correctness under -race plus basic sanity
 // on every lookup result.

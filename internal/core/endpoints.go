@@ -3,18 +3,19 @@ package core
 // Per-endpoint health for multi-node fetching: the edge tier's
 // client side (edge→origin pulls, terminal-client→edge picks) needs
 // to know which peers it currently considers dead, fail over away
-// from them, and probe them back to life. Each Endpoint carries a
-// consecutive-failure breaker: FailureThreshold straight failures
-// mark it down, and after ProbeCooldown one caller at a time may try
-// it again (half-open probe). The state is exported as telemetry
-// gauges so /statusz shows exactly which origin or edge an instance
-// has written off.
+// from them, and probe them back to life. Each Endpoint runs an
+// overload.Breaker: FailureThreshold straight failures mark it down,
+// after ProbeCooldown one caller at a time may try it again
+// (half-open probe), and one probe success brings it back. The state
+// is exported as telemetry gauges so /statusz shows exactly which
+// origin or edge an instance has written off.
 
 import (
 	"errors"
 	"sync"
 	"time"
 
+	"sww/internal/overload"
 	"sww/internal/telemetry"
 )
 
@@ -34,37 +35,28 @@ type EndpointHealthConfig struct {
 	ProbeCooldown time.Duration
 }
 
-func (c EndpointHealthConfig) threshold() int {
-	if c.FailureThreshold <= 0 {
-		return 3
+// breaker builds one endpoint's breaker: a single probe success
+// brings a down endpoint back.
+func (c EndpointHealthConfig) breaker(now func() time.Time) *overload.Breaker {
+	threshold, cooldown := c.FailureThreshold, c.ProbeCooldown
+	if threshold <= 0 {
+		threshold = 3
 	}
-	return c.FailureThreshold
+	if cooldown <= 0 {
+		cooldown = 500 * time.Millisecond
+	}
+	return overload.NewBreaker(threshold, cooldown, 1, now)
 }
 
-func (c EndpointHealthConfig) cooldown() time.Duration {
-	if c.ProbeCooldown <= 0 {
-		return 500 * time.Millisecond
-	}
-	return c.ProbeCooldown
-}
-
-// An Endpoint is one named dialable peer with breaker state.
+// An Endpoint is one named dialable peer with breaker state. It is
+// healthy while its breaker is closed; an outcome reported while it is
+// down moves it only as the answer to a claimed probe (see
+// overload.Breaker).
 type Endpoint struct {
 	Name string
 	Dial DialFunc
 
-	cfg EndpointHealthConfig
-	now func() time.Time
-
-	mu          sync.Mutex
-	consecFails int
-	down        bool
-	lastFail    time.Time
-	probing     bool // a probe is in flight; others must not pile on
-
-	// onStateChange fires outside the lock whenever the endpoint
-	// crosses the down threshold or recovers (see SetOnStateChange).
-	onStateChange func(healthy bool)
+	br *overload.Breaker
 
 	failures  telemetry.Counter
 	successes telemetry.Counter
@@ -83,84 +75,52 @@ type EndpointHealth struct {
 
 // usable reports whether a caller may try this endpoint now. A down
 // endpoint becomes usable again one probe at a time once its cooldown
-// has passed; the probe slot is claimed here and released by the next
+// has passed; the probe slot is claimed here and answered by the next
 // ReportSuccess/ReportFailure.
 func (e *Endpoint) usable() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.down {
-		return true
-	}
-	if e.probing {
-		return false
-	}
-	if e.now().Sub(e.lastFail) >= e.cfg.cooldown() {
-		e.probing = true
+	probe, err := e.br.Allow()
+	if probe {
 		e.probes.Add(1)
-		return true
 	}
-	return false
+	return err == nil
 }
 
-// SetOnStateChange installs a hook fired (outside the endpoint lock)
-// whenever the breaker transitions: false when the endpoint crosses
-// the failure threshold and is marked down, true when a success
-// brings a down endpoint back. Transport outcomes thus double as
-// membership evidence — the edge mesh feeds them into its
-// suspect/revive ladder without a second health channel. Set it
-// before concurrent use.
-func (e *Endpoint) SetOnStateChange(fn func(healthy bool)) { e.onStateChange = fn }
+// SetOnStateChange installs a hook fired (outside the breaker's lock)
+// whenever the endpoint crosses between healthy and down: false when
+// the failure threshold marks it down, true when a probe success
+// brings it back. Transport outcomes thus double as membership
+// evidence — the edge mesh feeds them into its suspect/revive ladder
+// without a second health channel. Set it before concurrent use.
+func (e *Endpoint) SetOnStateChange(fn func(healthy bool)) {
+	e.br.OnChange = func(from, to overload.BreakerState) {
+		if from == overload.BreakerClosed || to == overload.BreakerClosed {
+			fn(to == overload.BreakerClosed)
+		}
+	}
+}
 
 // ReportSuccess records a completed request: the endpoint is healthy.
 func (e *Endpoint) ReportSuccess() {
-	e.mu.Lock()
 	e.successes.Add(1)
-	e.consecFails = 0
-	wasDown := e.down
-	e.down = false
-	e.probing = false
-	fn := e.onStateChange
-	e.mu.Unlock()
-	if wasDown && fn != nil {
-		fn(true)
-	}
+	e.br.Record(true)
 }
 
 // ReportFailure records a transport-level failure against the
 // endpoint; FailureThreshold in a row mark it down.
 func (e *Endpoint) ReportFailure() {
-	e.mu.Lock()
 	e.failures.Add(1)
-	e.consecFails++
-	e.lastFail = e.now()
-	e.probing = false
-	wentDown := false
-	if e.consecFails >= e.cfg.threshold() {
-		wentDown = !e.down
-		e.down = true
-	}
-	fn := e.onStateChange
-	e.mu.Unlock()
-	if wentDown && fn != nil {
-		fn(false)
-	}
+	e.br.Record(false)
 }
 
 // Healthy reports whether the endpoint is currently considered up.
-func (e *Endpoint) Healthy() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return !e.down
-}
+func (e *Endpoint) Healthy() bool { return e.br.State() == overload.BreakerClosed }
 
 // Health snapshots the endpoint state.
 func (e *Endpoint) Health() EndpointHealth {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return EndpointHealth{
 		Name:                e.Name,
-		Healthy:             !e.down,
-		ConsecutiveFailures: e.consecFails,
+		Healthy:             e.Healthy(),
+		ConsecutiveFailures: e.br.Failures(),
 		Failures:            e.failures.Load(),
 		Successes:           e.successes.Load(),
 		Probes:              e.probes.Load(),
@@ -174,6 +134,7 @@ type EndpointSet struct {
 	eps         []*Endpoint
 	by          map[string]*Endpoint
 	cfgTemplate EndpointHealthConfig
+	now         func() time.Time // the breakers' clock; nil is the wall clock
 }
 
 // NewEndpointSet builds an empty set; populate it with Add. cfg is
@@ -190,17 +151,10 @@ func (s *EndpointSet) Add(name string, dial DialFunc) *Endpoint {
 		ep.Dial = dial
 		return ep
 	}
-	ep := &Endpoint{Name: name, Dial: dial, cfg: s.cfgTemplate, now: time.Now}
+	ep := &Endpoint{Name: name, Dial: dial, br: s.cfgTemplate.breaker(s.now)}
 	s.eps = append(s.eps, ep)
 	s.by[name] = ep
 	return ep
-}
-
-// Get returns the named endpoint, nil when absent.
-func (s *EndpointSet) Get(name string) *Endpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.by[name]
 }
 
 // Pick returns a usable endpoint, preferring the named one (sticky
@@ -245,19 +199,6 @@ func (s *EndpointSet) AnyHealthy() bool {
 	return false
 }
 
-// Health snapshots every endpoint in registration order — the
-// /statusz view of who this instance considers dead.
-func (s *EndpointSet) Health() []EndpointHealth {
-	s.mu.Lock()
-	eps := append([]*Endpoint(nil), s.eps...)
-	s.mu.Unlock()
-	out := make([]EndpointHealth, 0, len(eps))
-	for _, ep := range eps {
-		out = append(out, ep.Health())
-	}
-	return out
-}
-
 // Register exports per-endpoint health onto reg: a 0/1
 // sww_endpoint_healthy gauge and consecutive-failure gauge per
 // endpoint (label "endpoint"), plus adopted success/failure/probe
@@ -278,9 +219,7 @@ func (s *EndpointSet) Register(reg *telemetry.Registry) {
 			return 0
 		})
 		reg.GaugeFunc(telemetry.WithLabel("sww_endpoint_consecutive_failures", "endpoint", ep.Name), func() float64 {
-			ep.mu.Lock()
-			defer ep.mu.Unlock()
-			return float64(ep.consecFails)
+			return float64(ep.br.Failures())
 		})
 		reg.Adopt(telemetry.WithLabel("sww_endpoint_failures_total", "endpoint", ep.Name), &ep.failures)
 		reg.Adopt(telemetry.WithLabel("sww_endpoint_successes_total", "endpoint", ep.Name), &ep.successes)

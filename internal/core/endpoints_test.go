@@ -17,13 +17,12 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestEndpoint(cfg EndpointHealthConfig, clock *fakeClock) *Endpoint {
 	set := NewEndpointSet(cfg)
-	ep := set.Add("origin", nil)
-	ep.now = clock.now
-	return ep
+	set.now = clock.now
+	return set.Add("origin", nil)
 }
 
 // TestEndpointBreakerThreshold: consecutive failures open the
-// breaker; a single success closes it and resets the count.
+// endpoint's breaker; a single success closes it and resets the count.
 func TestEndpointBreakerThreshold(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(0, 0)}
 	ep := newTestEndpoint(EndpointHealthConfig{FailureThreshold: 3, ProbeCooldown: time.Second}, clock)
@@ -86,13 +85,16 @@ func TestEndpointProbeCooldown(t *testing.T) {
 
 // TestEndpointSetPick: Pick is sticky to the preferred endpoint,
 // fails over in registration order when it is down, and returns
-// ErrNoEndpoints only when the whole set is down and cooling.
+// ErrNoEndpoints only when the whole set is down and cooling. (The
+// breaker itself is overload's TestBreakerTransitions.)
 func TestEndpointSetPick(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(0, 0)}
 	set := NewEndpointSet(EndpointHealthConfig{FailureThreshold: 1, ProbeCooldown: time.Minute})
+	set.now = clock.now
 	a := set.Add("a", nil)
 	b := set.Add("b", nil)
-	a.now, b.now = clock.now, clock.now
+	var edges []bool // a's healthy↔down hook
+	a.SetOnStateChange(func(healthy bool) { edges = append(edges, healthy) })
 
 	ep, err := set.Pick("b")
 	if err != nil || ep.Name != "b" {
@@ -112,6 +114,15 @@ func TestEndpointSetPick(t *testing.T) {
 	ep, err = set.Pick("a")
 	if err != nil || ep.Name != "a" {
 		t.Fatalf("post-cooldown Pick = %v, %v", ep, err)
+	}
+	// The probe's success brings a back; the counters saw every report
+	// and the one probe.
+	a.ReportSuccess()
+	if h := a.Health(); !h.Healthy || h.Failures != 1 || h.Successes != 1 || h.Probes != 1 {
+		t.Fatalf("a after its probe = %+v", h)
+	}
+	if len(edges) != 2 || edges[0] || !edges[1] {
+		t.Fatalf("a's state-change hook saw %v, want [false true]", edges)
 	}
 }
 

@@ -351,6 +351,20 @@ func (rc *ResilientClient) endpointFailure() {
 	}
 }
 
+// Rotate writes off the endpoint behind the cached connection for one
+// probe cooldown and drops the connection, so the next attempt picks
+// another endpoint. It is for a peer that answers but must get no
+// traffic — a fenced origin — which no transport outcome would move.
+func (rc *ResilientClient) Rotate() {
+	rc.mu.Lock()
+	ep := rc.curEp
+	rc.dropLocked()
+	rc.mu.Unlock()
+	if ep != nil {
+		ep.br.Trip()
+	}
+}
+
 // drop discards the cached connection after a failure.
 func (rc *ResilientClient) drop() {
 	rc.mu.Lock()

@@ -14,8 +14,8 @@ const (
 	BreakerClosed BreakerState = iota
 	// BreakerOpen: requests fail fast until the cooldown elapses.
 	BreakerOpen
-	// BreakerHalfOpen: a bounded budget of probe requests tests the
-	// backend; success closes, failure re-opens.
+	// BreakerHalfOpen: one probe request at a time tests the peer;
+	// a run of probe successes closes, a probe failure re-opens.
 	BreakerHalfOpen
 )
 
@@ -33,45 +33,50 @@ func (s BreakerState) String() string {
 }
 
 // ErrBreakerOpen reports a request rejected because the breaker is
-// open (or the half-open probe budget is spent).
+// open (or its half-open probe slot is taken).
 var ErrBreakerOpen = errors.New("overload: circuit breaker open")
 
-// The breaker's thresholds: trip after 5 consecutive failures, cool
-// down 1s, probe with 1 request at a time, close after 2 consecutive
-// probe successes.
-const (
-	breakerFailures  = 5
-	breakerCooldown  = time.Second
-	breakerProbes    = 1
-	breakerSuccesses = 2
-)
-
-// A Breaker protects one generation backend: closed → open after a
-// run of failures, open → half-open after a cooldown, half-open →
-// closed after a run of probe successes (or back to open on any probe
-// failure).
+// A Breaker is a consecutive-failure circuit breaker on an injected
+// clock, the one answer to "should I send this peer traffic?": closed
+// → open after a run of failures, open → half-open after a cooldown,
+// half-open → closed after a run of probe successes (or back to open on
+// a probe failure). Half-open lets one probe through at a time. The
+// Guard runs one over its generation backend, and every core.Endpoint
+// one over its peer.
+//
+// Only the outcome of a claimed probe moves a breaker that is not
+// closed. An outcome recorded while open, or half-open with no probe
+// claimed, is from a request let through before the trip and is
+// dropped: a late success does not close the breaker, and a late
+// failure does not restart its cooldown. While a probe is out, the
+// next outcome recorded is taken as its answer.
 type Breaker struct {
-	// OnOpen, when set, is called (outside the lock) each time the
-	// breaker trips from closed or half-open to open.
-	OnOpen func()
+	// OnChange, when set, is called (outside the lock) each time the
+	// state moves to open (a failure run, a failed probe, Trip) or to
+	// closed. Set it before concurrent use.
+	OnChange func(from, to BreakerState)
 
-	now func() time.Time
+	failuresToOpen   int
+	cooldown         time.Duration
+	successesToClose int
+	now              func() time.Time
 
 	mu        sync.Mutex
 	state     BreakerState
-	failures  int // consecutive failures while closed
-	successes int // consecutive successes while half-open
-	probes    int // in-flight half-open probes
+	failures  int  // consecutive failures; kept while open, reset on close
+	successes int  // consecutive probe successes while half-open
+	probing   bool // the half-open probe slot is claimed
 	openedAt  time.Time
 }
 
-// NewBreaker builds a closed breaker. now may be nil for the wall
-// clock.
-func NewBreaker(now func() time.Time) *Breaker {
+// NewBreaker builds a closed breaker that opens after failures
+// consecutive failures, rests for cooldown, and closes after successes
+// consecutive probe successes. now may be nil for the wall clock.
+func NewBreaker(failures int, cooldown time.Duration, successes int, now func() time.Time) *Breaker {
 	if now == nil {
 		now = time.Now
 	}
-	return &Breaker{now: now}
+	return &Breaker{failuresToOpen: failures, cooldown: cooldown, successesToClose: successes, now: now}
 }
 
 // State reports the current position, applying any due open→half-open
@@ -83,16 +88,23 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
+// Failures reports the current run of consecutive failures. It is
+// kept while the breaker is open and reset when it closes.
+func (b *Breaker) Failures() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.failures
+}
+
 func (b *Breaker) maybeHalfOpenLocked() {
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= breakerCooldown {
+	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
 		b.state = BreakerHalfOpen
-		b.probes = 0
 		b.successes = 0
 	}
 }
 
-// UntilProbe reports the remaining cooldown before half-open probes
-// are allowed (zero when not open).
+// UntilProbe reports the remaining cooldown before a half-open probe
+// is allowed (zero when not open).
 func (b *Breaker) UntilProbe() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -100,81 +112,89 @@ func (b *Breaker) UntilProbe() time.Duration {
 	if b.state != BreakerOpen {
 		return 0
 	}
-	return breakerCooldown - b.now().Sub(b.openedAt)
+	return b.cooldown - b.now().Sub(b.openedAt)
 }
 
-// Allow asks to pass one request. On success it returns a done
-// callback that must be invoked exactly once with the backend
-// outcome; on rejection it returns ErrBreakerOpen.
-func (b *Breaker) Allow() (done func(ok bool), err error) {
-	if err := b.allow(); err != nil {
-		return nil, err
-	}
-	return b.record, nil
-}
-
-// allow is Allow without the callback: a nil error must be answered
-// by exactly one record.
-func (b *Breaker) allow() error {
+// Allow asks to pass one request. Closed, it lets it through; half-open
+// with the probe slot free, it claims the slot and reports probe; else
+// it returns ErrBreakerOpen. A passed request is answered by exactly
+// one Record (its outcome) or Cancel (it never reached the peer).
+func (b *Breaker) Allow() (probe bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.maybeHalfOpenLocked()
-	switch b.state {
-	case BreakerOpen:
-		return ErrBreakerOpen
-	case BreakerHalfOpen:
-		if b.probes >= breakerProbes {
-			return ErrBreakerOpen
-		}
-		b.probes++
+	switch {
+	case b.state == BreakerClosed:
+		return false, nil
+	case b.state == BreakerOpen || b.probing:
+		return false, ErrBreakerOpen
 	}
-	return nil
+	b.probing = true
+	return true, nil
 }
 
-func (b *Breaker) record(ok bool) {
+// Cancel answers an Allow whose request never reached the peer (an
+// admission reject, a queue timeout), given Allow's probe: a claimed
+// probe slot is given back, and no outcome is recorded.
+func (b *Breaker) Cancel(probe bool) {
+	if !probe {
+		return
+	}
 	b.mu.Lock()
-	tripped := false
-	switch b.state {
-	case BreakerClosed:
+	b.probing = false
+	b.mu.Unlock()
+}
+
+// Record reports one request's outcome (see the type's rule for
+// outcomes that arrive while the breaker is not closed).
+func (b *Breaker) Record(ok bool) {
+	b.mu.Lock()
+	from := b.state
+	switch {
+	case b.state == BreakerClosed:
 		if ok {
 			b.failures = 0
-			break
+		} else if b.failures++; b.failures >= b.failuresToOpen {
+			b.tripLocked()
 		}
+	case !b.probing:
+		// A late outcome: no probe is out, so it moves nothing.
+	case !ok:
 		b.failures++
-		if b.failures >= breakerFailures {
-			b.tripLocked()
-			tripped = true
-		}
-	case BreakerHalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
-		if !ok {
-			b.tripLocked()
-			tripped = true
-			break
-		}
-		b.successes++
-		if b.successes >= breakerSuccesses {
+		b.tripLocked()
+	default:
+		b.probing = false
+		if b.successes++; b.successes >= b.successesToClose {
 			b.state = BreakerClosed
 			b.failures = 0
-			b.successes = 0
-			b.probes = 0
 		}
-	case BreakerOpen:
-		// A late outcome from before the trip; nothing to update.
 	}
-	cb := b.OnOpen
-	b.mu.Unlock()
-	if tripped && cb != nil {
-		cb()
-	}
+	b.unlock(from)
+}
+
+// Trip opens the breaker now, whatever its state, for a caller that
+// has learned the peer must get no traffic although it answers (a
+// fenced origin). An open breaker's cooldown restarts.
+func (b *Breaker) Trip() {
+	b.mu.Lock()
+	from := b.state
+	b.tripLocked()
+	b.unlock(from)
 }
 
 func (b *Breaker) tripLocked() {
 	b.state = BreakerOpen
 	b.openedAt = b.now()
-	b.failures = 0
 	b.successes = 0
-	b.probes = 0
+	b.probing = false
+}
+
+// unlock releases the lock and fires OnChange if the state moved away
+// from from.
+func (b *Breaker) unlock(from BreakerState) {
+	to, fn := b.state, b.OnChange
+	b.mu.Unlock()
+	if fn != nil && to != from {
+		fn(from, to)
+	}
 }

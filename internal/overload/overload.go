@@ -17,8 +17,9 @@
 //   - a token-bucket admission controller, so sustained offered load
 //     beyond the configured rate is rejected before it queues;
 //   - a circuit breaker over the generation backend (closed → open →
-//     half-open with a probe budget), so a failing pipeline fails fast
-//     instead of burning worker slots;
+//     half-open with one probe at a time), so a failing pipeline fails
+//     fast instead of burning worker slots — the same Breaker type
+//     every core.Endpoint runs on;
 //   - singleflight coalescing, so N concurrent misses of one cold page
 //     cost one generation, not N;
 //   - a byte-capped LRU for generated traditional forms, so one hot
@@ -172,6 +173,14 @@ func (c Config) clock() func() time.Time {
 	return c.Clock
 }
 
+// The generation backend's breaker opens after 5 consecutive
+// failures, cools down for 1s, and closes after 2 probe successes.
+const (
+	breakerFailures  = 5
+	breakerCooldown  = time.Second
+	breakerSuccesses = 2
+)
+
 // A Guard is the assembled protection: pool + bucket + breaker +
 // singleflight + cache + counters. One Guard protects one generation
 // backend.
@@ -196,8 +205,12 @@ func NewGuard(cfg Config) *Guard {
 	if cfg.AdmitRPS > 0 {
 		g.bucket = NewTokenBucket(cfg.AdmitRPS, float64(cfg.admitBurst()), cfg.clock())
 	}
-	g.breaker = NewBreaker(cfg.clock())
-	g.breaker.OnOpen = func() { g.ctr.BreakerOpens.Add(1) }
+	g.breaker = NewBreaker(breakerFailures, breakerCooldown, breakerSuccesses, cfg.clock())
+	g.breaker.OnChange = func(_, to BreakerState) {
+		if to == BreakerOpen {
+			g.ctr.BreakerOpens.Add(1)
+		}
+	}
 	g.cache = NewByteLRU(cfg.cacheBytes())
 	return g
 }
@@ -252,18 +265,21 @@ func (g *Guard) Level() Level {
 // A free worker is taken without waiting, and without the queue
 // deadline's context and timer, which only a request that queues needs.
 func (g *Guard) AdmitGen(ctx context.Context) (release func(ok bool), err error) {
-	if err := g.breaker.allow(); err != nil {
+	probe, err := g.breaker.Allow()
+	if err != nil {
 		g.ctr.BreakerRejects.Add(1)
 		return nil, &ShedError{Reason: "breaker-open", RetryAfter: g.retryAfterBreaker()}
 	}
+	// A request shed below the breaker never reached the backend: it
+	// gives back a probe slot it claimed and records no outcome.
 	if g.bucket != nil && !g.bucket.Allow() {
-		g.breaker.record(true) // the breaker saw no backend outcome; don't count a failure
+		g.breaker.Cancel(probe)
 		g.ctr.AdmitRejects.Add(1)
 		return nil, &ShedError{Reason: "admission", RetryAfter: g.retryAfterBucket()}
 	}
 	if !g.pool.TryAcquire() {
 		if err := g.queue(ctx); err != nil {
-			g.breaker.record(true)
+			g.breaker.Cancel(probe)
 			return nil, err
 		}
 	}
@@ -291,7 +307,7 @@ func (g *Guard) queue(ctx context.Context) error {
 // outcome to the breaker.
 func (g *Guard) release(ok bool) {
 	g.pool.Release()
-	g.breaker.record(ok)
+	g.breaker.Record(ok)
 }
 
 // retryAfterBucket estimates when the next token lands, floored at
