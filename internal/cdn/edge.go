@@ -739,13 +739,11 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 	for i, p := range cands {
 		go func(i int, p *meshPeer) {
 			if i > 0 {
-				t := time.NewTimer(time.Duration(i) * hedgeDelay)
 				select {
 				case <-fctx.Done():
-					t.Stop()
 					results <- fillResult{}
 					return
-				case <-t.C:
+				case <-time.After(time.Duration(i) * hedgeDelay):
 				}
 			}
 			raw, err := p.rc.FetchRawContext(fctx, path, fields...)
@@ -1245,13 +1243,11 @@ func (e *Edge) pollLoop() {
 	rng := newJitterRng(e.cfg.seed())
 	base := e.cfg.pollInterval()
 	interval := base
-	t := time.NewTimer(jitterDuration(interval, rng))
-	defer t.Stop()
 	for {
 		select {
 		case <-e.pollCtx.Done():
 			return
-		case <-t.C:
+		case <-time.After(jitterDuration(interval, rng)):
 		}
 		ctx, cancel := context.WithTimeout(e.pollCtx, 4*base)
 		err := e.PollOnce(ctx)
@@ -1264,7 +1260,6 @@ func (e *Edge) pollLoop() {
 		} else {
 			interval = base
 		}
-		t.Reset(jitterDuration(interval, rng))
 	}
 }
 
@@ -1275,12 +1270,10 @@ func (e *Edge) snapshotLoop() {
 	defer close(e.snapDone)
 	rng := newJitterRng(e.cfg.seed() + 1)
 	for {
-		t := time.NewTimer(jitterDuration(e.cfg.snapshotInterval(), rng))
 		select {
 		case <-e.pollCtx.Done():
-			t.Stop()
 			return
-		case <-t.C:
+		case <-time.After(jitterDuration(e.cfg.snapshotInterval(), rng)):
 		}
 		if err := e.SaveSnapshot(); err != nil {
 			e.snapErrors.Add(1)

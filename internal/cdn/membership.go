@@ -364,12 +364,10 @@ func (m *Membership) Start() {
 			m.mu.Lock()
 			d := jitterDuration(m.cfg.heartbeat(), m.rng)
 			m.mu.Unlock()
-			t := time.NewTimer(d)
 			select {
 			case <-ctx.Done():
-				t.Stop()
 				return
-			case <-t.C:
+			case <-time.After(d):
 			}
 			m.Tick(ctx)
 		}
@@ -403,7 +401,6 @@ func (m *Membership) Register(reg *telemetry.Registry) {
 	}
 	m.mu.Unlock()
 	for _, n := range names {
-		n := n
 		reg.GaugeFunc(telemetry.WithLabel("sww_member_peer_state", "peer", n), func() float64 {
 			return float64(m.State(n))
 		})

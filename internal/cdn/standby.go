@@ -48,7 +48,6 @@ import (
 	"sww/internal/device"
 	"sww/internal/hpack"
 	"sww/internal/telemetry"
-	"sww/internal/timeutil"
 )
 
 // StandbyConfig shapes the mirror/failover loop around a standby
@@ -179,16 +178,14 @@ func (s *Standby) loop() {
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// One reused timer for the whole loop: a per-iteration time.After
-	// leaks a live runtime timer every poll until it expires.
-	timer := timeutil.New()
-	defer timer.Stop()
 	for {
 		// Jittered cadence so a fleet of standbys (tests run many)
 		// doesn't poll in lockstep.
 		d := s.cfg.PollInterval + time.Duration(rng.Int63n(int64(s.cfg.PollInterval)/4+1))
-		if !timer.Wait(s.ctx.Done(), d) {
+		select {
+		case <-s.ctx.Done():
 			return
+		case <-time.After(d):
 		}
 		s.pollPrimary()
 		if s.origin.Role() == RoleStandby && s.sinceHeard() >= s.cfg.PromoteAfter {

@@ -211,7 +211,6 @@ func (s *EndpointSet) Register(reg *telemetry.Registry) {
 	eps := append([]*Endpoint(nil), s.eps...)
 	s.mu.Unlock()
 	for _, ep := range eps {
-		ep := ep
 		reg.GaugeFunc(telemetry.WithLabel("sww_endpoint_healthy", "endpoint", ep.Name), func() float64 {
 			if ep.Healthy() {
 				return 1

@@ -556,10 +556,8 @@ func (rc *ResilientClient) sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-time.After(d):
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

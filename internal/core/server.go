@@ -847,11 +847,9 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 		// is already computed, so it is still cached for the next
 		// fetch (coalesced waiters get it too).
 		if hold := g.GenHold(report.SimGenTime); hold > 0 {
-			tm := time.NewTimer(hold)
 			select {
-			case <-tm.C:
+			case <-time.After(hold):
 			case <-ctx.Done():
-				tm.Stop()
 			}
 		}
 		s.storeTraditional(p.Path, st)

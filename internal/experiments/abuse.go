@@ -17,7 +17,6 @@ import (
 	"sww/internal/hpack"
 	"sww/internal/http2"
 	"sww/internal/overload"
-	"sww/internal/timeutil"
 	"sww/internal/workload"
 )
 
@@ -179,11 +178,6 @@ const abuseRedialDelay = 50 * time.Millisecond
 // dial, handshake, write units at pace while a reader goroutine counts
 // ENHANCE_YOUR_CALM refusals, and redial after every GOAWAY.
 func runAttacker(srv *core.Server, stop <-chan struct{}, pace time.Duration, unit attackUnit, ctr *attackCounters) {
-	// Redial waits reuse one timer across the attack's lifetime; a
-	// per-redial time.After would pile up live timers for the whole
-	// soak.
-	timer := timeutil.New()
-	defer timer.Stop()
 	for {
 		select {
 		case <-stop:
@@ -191,8 +185,10 @@ func runAttacker(srv *core.Server, stop <-chan struct{}, pace time.Duration, uni
 		default:
 		}
 		attackOneConn(srv, stop, pace, unit, ctr)
-		if !timer.Wait(stop, abuseRedialDelay) {
+		select {
+		case <-stop:
 			return
+		case <-time.After(abuseRedialDelay):
 		}
 	}
 }

@@ -161,7 +161,6 @@ func TestSynthMatchesReference(t *testing.T) {
 		{"uneven runs", 129, 127, 34, 0.5},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(fmt.Sprintf("%dx%d_seed%d", tc.w, tc.h, tc.seed), func(t *testing.T) {
 			want, wantAlign := referenceSynthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
 			got, gotAlign, emb := synthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)

@@ -59,17 +59,21 @@ func TestIntegerProperty(t *testing.T) {
 }
 
 func TestIntegerErrors(t *testing.T) {
-	if _, _, err := readInteger(nil, 5); err != ErrTruncated {
-		t.Errorf("empty buf: %v, want ErrTruncated", err)
-	}
-	// Continuation never terminates.
-	if _, _, err := readInteger([]byte{0x1f, 0x80, 0x80}, 5); err != ErrTruncated {
-		t.Errorf("unterminated: %v, want ErrTruncated", err)
-	}
-	// Overflow.
-	over := []byte{0x1f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	if _, _, err := readInteger(over, 5); err != ErrIntegerOverflow {
-		t.Errorf("overflow: %v, want ErrIntegerOverflow", err)
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want error
+	}{
+		{"empty buf", nil, ErrTruncated},
+		{"unterminated", []byte{0x1f, 0x80, 0x80}, ErrTruncated},
+		{"overflow", []byte{0x1f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, ErrIntegerOverflow},
+		// Zero continuation bytes never raise the value, so only the
+		// shift bound stops them: ten take the shift past 63.
+		{"overlong zero continuations", append(append([]byte{0x1f}, bytes.Repeat([]byte{0x80}, 10)...), 0x00), ErrIntegerOverflow},
+	} {
+		if _, _, err := readInteger(tc.buf, 5); err != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -136,19 +140,25 @@ func TestHuffmanProperty(t *testing.T) {
 	}
 }
 
+// TestHuffmanInvalidPadding pins RFC 7541 §5.2: padding is fewer than
+// 8 bits of the EOS prefix, and EOS itself never appears.
 func TestHuffmanInvalidPadding(t *testing.T) {
-	// 'a' is 00011 (5 bits); pad the rest of the byte with zeros
-	// instead of ones: 00011000 = 0x18 decodes as "0/" prefix...
-	// actually 0x18 is two valid symbols. Use a byte that leaves a
-	// non-EOS partial: 0x00 is five 0 bits = '0' then 000 padding,
-	// which is not all-ones and must be rejected.
-	if _, err := DecodeHuffman(nil, []byte{0x00}); err != ErrInvalidHuffman {
-		t.Errorf("zero padding: %v, want ErrInvalidHuffman", err)
-	}
-	// A full byte of padding (EOS prefix longer than 7 bits).
-	enc := AppendHuffman(nil, "a")
-	if _, err := DecodeHuffman(nil, append(enc, 0xff)); err != ErrInvalidHuffman {
-		t.Errorf("8+ bit padding: %v, want ErrInvalidHuffman", err)
+	for _, tc := range []struct {
+		name string
+		src  []byte
+	}{
+		// '0' is 00000, so 0x00 pads with 000: not all ones.
+		{"zero padding", []byte{0x00}},
+		// 'a' is 00011: its own 3 ones of padding, then 8 more.
+		{"11 bit padding", append(AppendHuffman(nil, "a"), 0xff)},
+		// '&' is 11111000, a whole byte: 0xff is exactly 8 bits.
+		{"8 bit padding", append(AppendHuffman(nil, "&"), 0xff)},
+		// EOS (30 ones), then 'a', then 5 bits of padding.
+		{"EOS inside", []byte{0xff, 0xff, 0xff, 0xfc, 0x7f}},
+	} {
+		if _, err := DecodeHuffman(nil, tc.src); err != ErrInvalidHuffman {
+			t.Errorf("%s: %v, want ErrInvalidHuffman", tc.name, err)
+		}
 	}
 }
 
@@ -448,22 +458,26 @@ func TestTableSizeUpdate(t *testing.T) {
 }
 
 func TestDecoderErrors(t *testing.T) {
-	d := NewDecoder(8)
-	// String longer than decoder limit.
 	long := appendInteger(nil, 0x00, 4, 0)
 	long = appendString(long, "this-name-is-too-long", false)
 	long = appendString(long, "v", false)
-	if _, err := d.Decode(long); err != ErrStringTooLong {
-		t.Errorf("long string: %v, want ErrStringTooLong", err)
-	}
-	// Truncated literal.
-	d2 := NewDecoder(0)
-	if _, err := d2.Decode([]byte{0x40, 0x05, 'a', 'b'}); err != ErrTruncated {
-		t.Errorf("truncated: %v, want ErrTruncated", err)
-	}
-	// Index beyond tables.
-	if _, err := d2.Decode(appendInteger(nil, 0x80, 7, 200)); err != ErrInvalidIndex {
-		t.Errorf("bad index: %v, want ErrInvalidIndex", err)
+	for _, tc := range []struct {
+		name      string
+		maxString int
+		block     []byte
+		want      error
+	}{
+		{"long string", 8, long, ErrStringTooLong},
+		{"truncated", 0, []byte{0x40, 0x05, 'a', 'b'}, ErrTruncated},
+		{"bad index", 0, appendInteger(nil, 0x80, 7, 200), ErrInvalidIndex},
+		// Name :authority, then a value length whose 7-bit prefix
+		// promises a continuation byte the block does not have.
+		{"cut inside a string length", 0, []byte{0x01, 0x7f}, ErrTruncated},
+	} {
+		got, err := NewDecoder(tc.maxString).DecodeAppend(nil, tc.block)
+		if err != tc.want {
+			t.Errorf("%s: %v %q, want %v", tc.name, err, got, tc.want)
+		}
 	}
 }
 

@@ -291,16 +291,12 @@ func (c *conn) sendInitial() error {
 // waitPeerSettings blocks until the peer's first SETTINGS frame has
 // been processed, the connection dies, or the handshake times out.
 func (c *conn) waitPeerSettings() error {
-	// Stopped on return: a handshake that completes in microseconds
-	// must not leave its timeout armed for the full period.
-	timer := time.NewTimer(handshakeTimeout)
-	defer timer.Stop()
 	select {
 	case <-c.peerSeenCh:
 		return nil
 	case <-c.doneCh:
 		return c.closeError()
-	case <-timer.C:
+	case <-time.After(handshakeTimeout):
 		return connError(ErrCodeSettingsTimeout, "no SETTINGS from peer")
 	}
 }
@@ -1037,8 +1033,6 @@ func (c *conn) ping(timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	select {
 	case <-ch:
 		c.mu.Lock()
@@ -1050,7 +1044,7 @@ func (c *conn) ping(timeout time.Duration) error {
 		return nil
 	case <-c.doneCh:
 		return c.closeError()
-	case <-timer.C:
+	case <-time.After(timeout):
 		return fmt.Errorf("%w after %v", ErrPingTimeout, timeout)
 	}
 }

@@ -257,7 +257,6 @@ func TestReadFrameSplitInvariance(t *testing.T) {
 		"TimeoutReader": func() io.Reader { return iotest.TimeoutReader(iotest.HalfReader(bytes.NewReader(wire))) },
 	}
 	for seed := int64(1); seed <= 50; seed++ {
-		seed := seed
 		readers[fmt.Sprintf("choppy/seed=%d", seed)] = func() io.Reader {
 			return &choppyReader{rng: rand.New(rand.NewSource(seed)), rest: wire}
 		}

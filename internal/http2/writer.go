@@ -169,10 +169,8 @@ func (w *asyncWriter) close() {
 // drain simply returns, and the run loop remains the only goroutine
 // still (legitimately) blocked in the transport write.
 func (w *asyncWriter) drain(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
 	case <-w.flushed:
-	case <-t.C:
+	case <-time.After(d):
 	}
 }

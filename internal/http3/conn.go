@@ -11,7 +11,6 @@ import (
 
 	"sww/internal/http2"
 	"sww/internal/quic"
-	"sww/internal/timeutil"
 )
 
 // Config mirrors the SWW-relevant parts of the HTTP/2 configuration.
@@ -117,12 +116,12 @@ func (c *conn) consumeUniStreams() {
 }
 
 func (c *conn) waitPeerSettings() error {
-	timer := timeutil.New()
-	defer timer.Stop()
-	if timer.Wait(c.peerSeen, handshakeTimeout) {
+	select {
+	case <-c.peerSeen:
+		return nil
+	case <-time.After(handshakeTimeout):
 		return fmt.Errorf("http3: no SETTINGS from peer")
 	}
-	return nil
 }
 
 // peerGenAbility returns the ability the peer advertised.
