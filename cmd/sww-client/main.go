@@ -18,10 +18,11 @@
 // -peers switches to ring routing through an edge fleet: the path's
 // consistent-hash owner is tried first, then its ring successors, so
 // a dead edge is failed over without any extra flags. -addr is
-// ignored in this mode. -probe-peers additionally health-probes the
-// fleet before routing and removes unresponsive edges from the
-// placement ring — the ring then reflects live membership rather than
-// the flag's boot-time list, so no fetch is spent discovering a dead
+// ignored in this mode. -probe-peers additionally health-probes each
+// edge once before routing (2s for the whole round), prints every
+// edge as alive or dead, and removes the dead ones from the placement
+// ring — the ring then reflects live membership rather than the
+// flag's boot-time list, so no fetch is spent discovering a dead
 // owner the probe already found.
 package main
 
@@ -106,6 +107,9 @@ func main() {
 	fmt.Printf("rendered to %s\n", *out)
 }
 
+// probeTimeout bounds -probe-peers' one health round.
+const probeTimeout = 2 * time.Second
+
 // fetchThroughEdges ring-routes one fetch through the edge fleet in
 // spec ("name=addr,name=addr", read by cdn.ParsePeers as the edges
 // read it), printing which edge served it. With probe set, a
@@ -124,16 +128,9 @@ func fetchThroughEdges(spec, path, out string, probe bool, profile device.Profil
 	defer ec.Close()
 
 	if probe {
-		// One-shot client: a single failed probe is all the evidence
-		// we will ever gather, so the suspect/dead ladder collapses to
-		// "answered the probe or not" via nanosecond thresholds.
-		m := ec.EnableMembership(cdn.MemberConfig{
-			ProbeTimeout: 2 * time.Second,
-			SuspectAfter: time.Nanosecond,
-			DeadAfter:    time.Nanosecond,
-		})
-		m.Tick(context.Background())
-		states := m.States()
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+		states := ec.ProbePeers(ctx)
+		cancel()
 		names := make([]string, 0, len(states))
 		for n := range states {
 			names = append(names, n)

@@ -18,8 +18,7 @@
 //	           [-peers edge1=127.0.0.1:8430,edge2=127.0.0.1:8440]
 //	           [-edge-advertise 127.0.0.1:8430]
 //	           [-edge-ttl 30s] [-edge-max-stale 10m]
-//	           [-edge-heartbeat 500ms] [-edge-suspect-after 1.5s]
-//	           [-edge-dead-after 3s]
+//	           [-edge-heartbeat 500ms]
 //	           [-edge-snapshot /var/lib/sww/edge1.snap]
 //	           [-retry-budget 0.2]
 //
@@ -55,9 +54,10 @@
 // -peers names the edge fleet, either as bare names (placement ring
 // only, the pre-mesh behaviour) or as name=addr pairs, which
 // additionally join the self-healing mesh: the edge heartbeats every
-// addressable peer, walks silent ones alive→suspect→dead, removes
-// dead peers from the placement ring (re-admitting them on recovery),
-// and consults alive ring-successors for peer-fill when the origin's
+// addressable peer every -edge-heartbeat, suspects one after 3 failed
+// requests in a row and declares it dead after 6, removes dead peers
+// from the placement ring (re-admitting them on recovery), and
+// consults alive ring-successors for peer-fill when the origin's
 // breaker is open. -edge-advertise subscribes the edge to origin push
 // invalidation. -edge-snapshot enables crash-safe warm restart: the
 // shard and invalidation position are snapshotted there periodically
@@ -122,9 +122,7 @@ func main() {
 	edgeAdvertise := flag.String("edge-advertise", "", "edge role: address advertised to the origin for push invalidation (empty = pull only)")
 	edgeTTL := flag.Duration("edge-ttl", 30*time.Second, "edge role: cached entry freshness")
 	edgeMaxStale := flag.Duration("edge-max-stale", 10*time.Minute, "edge role: how far past TTL an entry may be served when the origin is down")
-	edgeHeartbeat := flag.Duration("edge-heartbeat", 500*time.Millisecond, "edge role: peer heartbeat interval")
-	edgeSuspectAfter := flag.Duration("edge-suspect-after", 0, "edge role: silence before a peer is suspected (0 = 3x heartbeat)")
-	edgeDeadAfter := flag.Duration("edge-dead-after", 0, "edge role: silence before a peer is declared dead and removed from the ring (0 = 2x suspect)")
+	edgeHeartbeat := flag.Duration("edge-heartbeat", 500*time.Millisecond, "edge role: peer heartbeat interval and per-request peer timeout (a peer is suspect after 3 failed requests in a row, dead after 6)")
 	edgeSnapshot := flag.String("edge-snapshot", "", "edge role: shard snapshot path for crash-safe warm restart (empty disables)")
 	flag.Parse()
 
@@ -150,8 +148,6 @@ func main() {
 			PeerDials:        peerDials,
 			AdvertiseAddr:    *edgeAdvertise,
 			Heartbeat:        *edgeHeartbeat,
-			SuspectAfter:     *edgeSuspectAfter,
-			DeadAfter:        *edgeDeadAfter,
 			SnapshotPath:     *edgeSnapshot,
 			RetryBudgetRatio: *retryBudget,
 		}, *addr, *originAddr, *opsAddr)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"sww/internal/core"
@@ -48,10 +49,6 @@ type EdgeClient struct {
 	cfg   EdgeClientConfig
 	ring  *Ring
 	peers map[string]*edgePeer
-
-	// mesh, when enabled, keeps the ring synced to live membership
-	// instead of the boot-time peer list (see EnableMembership).
-	mesh *Membership
 
 	rerouted  telemetry.Counter // fetches served by a non-owner edge
 	exhausted telemetry.Counter // fetches that failed on every edge
@@ -102,7 +99,7 @@ func ParsePeers(spec, self string) (names []string, dials map[string]core.DialFu
 
 // AddPeer registers one more edge on the ring with its own transport
 // and breaker. Not safe to call concurrently with fetches; build the
-// fleet before serving (membership handles liveness churn after that).
+// fleet before serving (the breakers handle liveness churn after that).
 func (c *EdgeClient) AddPeer(name string, dial core.DialFunc) {
 	set := core.NewEndpointSet(c.cfg.Health)
 	ep := set.Add(name, dial)
@@ -110,62 +107,6 @@ func (c *EdgeClient) AddPeer(name string, dial core.DialFunc) {
 	c.peers[name] = &edgePeer{name: name, ep: ep, rc: rc}
 	c.ring.Add(name)
 }
-
-// EnableMembership replaces "the boot-time peer list is the fleet"
-// with live membership: every peer is heartbeated through its own
-// transport, walked alive→suspect→dead on silence, removed from the
-// placement ring when declared dead, and re-admitted on recovery.
-// Unlike RemovePeer, ring surgery here keeps the peer's client — the
-// probes need it to notice the edge coming back. Regular fetches feed
-// the same ladder through the endpoint breaker: each time an edge's
-// breaker marks it down, Membership gets one ReportFailure, and each
-// probe success that brings it back one ReportSuccess. Membership
-// suspects the edge after suspectFailures (3) such failures in a row,
-// or at the first one once SuspectAfter has passed without a
-// successful heartbeat; a recovery or a heartbeat resets the count.
-// So a single trip does not suspect a peer its heartbeats still
-// reach. Returns the membership (started; Close stops it with the
-// client) so callers can inspect states. Call once, after the fleet
-// is built.
-func (c *EdgeClient) EnableMembership(cfg MemberConfig) *Membership {
-	onAlive, onDead := cfg.OnAlive, cfg.OnDead
-	cfg.OnDead = func(name string) {
-		c.ring.Remove(name)
-		if onDead != nil {
-			onDead(name)
-		}
-	}
-	cfg.OnAlive = func(name string) {
-		c.ring.Add(name)
-		if onAlive != nil {
-			onAlive(name)
-		}
-	}
-	m := NewMembership(cfg)
-	for name, p := range c.peers {
-		name, rc := name, p.rc
-		m.AddPeer(name, func(ctx context.Context) error {
-			raw, err := rc.FetchRawContext(ctx, healthPath)
-			if err == nil && raw.Status != 200 {
-				return errStatus(raw.Status)
-			}
-			return err
-		})
-		p.ep.SetOnStateChange(func(healthy bool) {
-			if healthy {
-				m.ReportSuccess(name)
-			} else {
-				m.ReportFailure(name)
-			}
-		})
-	}
-	c.mesh = m
-	m.Start()
-	return m
-}
-
-// Membership returns the live membership, nil unless enabled.
-func (c *EdgeClient) Membership() *Membership { return c.mesh }
 
 // Ring returns the client's placement ring.
 func (c *EdgeClient) Ring() *Ring { return c.ring }
@@ -182,6 +123,38 @@ func (c *EdgeClient) RemovePeer(name string) {
 	delete(c.peers, name)
 	c.ring.Remove(name)
 	p.rc.Close()
+}
+
+// ProbePeers is one synchronous membership round for a client that
+// lives for a fetch or two: it health-probes every edge once,
+// concurrently, through the edge's own client, and removes each edge
+// that does not answer with RemovePeer, so routing spends no fetch on
+// an owner the probe found dead. It reports each edge as alive or
+// dead. Not safe to call concurrently with fetches.
+func (c *EdgeClient) ProbePeers(ctx context.Context) map[string]MemberState {
+	states := make(map[string]MemberState, len(c.peers))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for name, p := range c.peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			state := MemberAlive
+			if probeHealth(ctx, p.rc) != nil {
+				state = MemberDead
+			}
+			mu.Lock()
+			states[name] = state
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	for name, state := range states {
+		if state == MemberDead {
+			c.RemovePeer(name)
+		}
+	}
+	return states
 }
 
 // Health reports each edge's breaker state, keyed by edge name.
@@ -237,12 +210,8 @@ func (c *EdgeClient) Fetch(path string) (*core.FetchResult, string, error) {
 	return c.FetchContext(context.Background(), path)
 }
 
-// Close drops every per-edge connection and stops the membership
-// sweep when one is running.
+// Close drops every per-edge connection.
 func (c *EdgeClient) Close() error {
-	if c.mesh != nil {
-		c.mesh.Close()
-	}
 	var first error
 	for _, p := range c.peers {
 		if err := p.rc.Close(); err != nil && first == nil {
@@ -261,8 +230,5 @@ func (c *EdgeClient) Register(reg *telemetry.Registry) {
 	reg.Adopt("sww_edgeclient_exhausted_total", &c.exhausted)
 	for _, p := range c.peers {
 		p.rc.Endpoints().Register(reg)
-	}
-	if c.mesh != nil {
-		c.mesh.Register(reg)
 	}
 }

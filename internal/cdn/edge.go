@@ -15,17 +15,17 @@ package cdn
 //     retry ladder total, not one per request.
 //   - Origin down AND the shard cold for a key: peer-fill. Before
 //     giving up to serve-stale/502, the edge consults the key's
-//     ring-successor peers (hedged, gated on membership saying they
-//     are alive) with a no-recurse marker; a warm peer turns N
+//     ring-successor peers (hedged, gated on each peer's breaker
+//     being closed) with a no-recurse marker; a warm peer turns N
 //     independent caches into one mesh. Peer-served staleness is
 //     preserved, not laundered: the filled entry is backdated by the
 //     peer's stale age so x-sww-stale-age keeps telling the truth.
-//   - A peer edge dead: the membership sweep walks it through
-//     suspect → dead, removes it from the placement ring (resharding
-//     its keys onto the survivors) and re-admits it when heartbeats
-//     return. Requests for keys the ring assigns to someone else are
-//     counted as failovers and served anyway (consistent hashing is
-//     placement advice, not an ACL).
+//   - A peer edge dead: its breaker opens (suspect), the membership
+//     sweep's probes carry its failure run on to dead, remove it from
+//     the placement ring (resharding its keys onto the survivors) and
+//     re-admit it when a heartbeat lands again. Requests for keys the
+//     ring assigns to someone else are counted as failovers and served
+//     anyway (consistent hashing is placement advice, not an ACL).
 //   - Origin unpublished content meanwhile: invalidations arrive
 //     twice — pushed by the origin to subscribed edges (acked, with
 //     per-edge sequence tracking) for low latency, and reconciled by
@@ -110,13 +110,11 @@ type EdgeConfig struct {
 	// where to dial). Empty means pull-only invalidation.
 	AdvertiseAddr string
 
-	// Heartbeat, SuspectAfter and DeadAfter shape the membership
-	// sweep over PeerDials (zeros mean the MemberConfig defaults:
-	// 500ms / 3x heartbeat / 2x suspect); a probe may take one
-	// heartbeat.
-	Heartbeat    time.Duration
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
+	// Heartbeat paces the membership sweep over PeerDials and bounds
+	// one request to a peer, probe or peer-fill. <= 0 means 500ms. A
+	// silent peer is suspect after about 3 heartbeats and dead after
+	// about 6 (see membership.go).
+	Heartbeat time.Duration
 
 	// SnapshotPath, when set, enables crash-safe warm restart: the
 	// shard index and lastSeq are snapshotted there periodically and
@@ -160,6 +158,13 @@ func (c EdgeConfig) pollInterval() time.Duration {
 		return 250 * time.Millisecond
 	}
 	return c.PollInterval
+}
+
+func (c EdgeConfig) heartbeat() time.Duration {
+	if c.Heartbeat <= 0 {
+		return 500 * time.Millisecond
+	}
+	return c.Heartbeat
 }
 
 func (c EdgeConfig) snapshotInterval() time.Duration {
@@ -242,13 +247,6 @@ func (k *pathKeys) remove(key string) (empty bool) {
 	return k.key == ""
 }
 
-// meshPeer is one dialable fleet peer: the transport behind both the
-// membership heartbeat and peer-fill.
-type meshPeer struct {
-	name string
-	rc   *core.ResilientClient
-}
-
 // An Edge is one live edge replica.
 type Edge struct {
 	cfg      EdgeConfig
@@ -284,8 +282,7 @@ type Edge struct {
 
 	// mesh is the live membership over PeerDials; nil when the edge
 	// has no dialable peers.
-	mesh      *Membership
-	meshPeers map[string]*meshPeer
+	mesh *Membership
 
 	// pollerOn gates request-path revalidation: the edge wants exactly
 	// one background prober, and when the invalidation poller runs it
@@ -306,6 +303,7 @@ type Edge struct {
 	pollCancel context.CancelFunc
 	pollDone   chan struct{}
 	snapDone   chan struct{}
+	sweepDone  chan struct{}
 
 	now func() time.Time
 
@@ -343,13 +341,12 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 		peers = []string{cfg.Name}
 	}
 	e := &Edge{
-		cfg:       cfg,
-		ring:      NewRing(0, peers...),
-		upstream:  core.NewResilientClientEndpoints(origins, device.Workstation, nil, cfg.Retry),
-		cache:     overload.NewByteLRU(edgeCacheBytes),
-		byPath:    map[string]pathKeys{},
-		meshPeers: map[string]*meshPeer{},
-		now:       time.Now,
+		cfg:      cfg,
+		ring:     NewRing(0, peers...),
+		upstream: core.NewResilientClientEndpoints(origins, device.Workstation, nil, cfg.Retry),
+		cache:    overload.NewByteLRU(edgeCacheBytes),
+		byPath:   map[string]pathKeys{},
+		now:      time.Now,
 	}
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
 	if cfg.RetryBudgetRatio >= 0 {
@@ -372,50 +369,28 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 	return e
 }
 
-// buildMesh wires the peer transports and the membership sweep over
-// every dialable peer. Membership drives the ring: a peer declared
-// dead is removed (its keys reshard onto survivors) and re-admitted
-// the moment a heartbeat lands again.
+// buildMesh wires one transport, and with it one breaker, to every
+// dialable peer. The membership sweep reads the ring off those
+// breakers: a peer declared dead is removed (its keys reshard onto
+// survivors) and re-admitted the moment a heartbeat lands again.
 func (e *Edge) buildMesh() {
+	peers := map[string]*meshPeer{}
 	for name, dial := range e.cfg.PeerDials {
 		if name == e.cfg.Name || dial == nil {
 			continue
 		}
-		rc := core.NewResilientClient(dial, device.Workstation, nil,
-			core.RetryPolicy{MaxAttempts: 1})
+		p := newMeshPeer(name, dial, e.cfg.heartbeat())
 		// Peer transports draw on the same budget as the upstream:
 		// "pull paths" is one pool, so a dead origin plus dead peers
 		// cannot each claim their own retry allowance.
-		rc.SetRetryBudget(e.budget)
-		e.meshPeers[name] = &meshPeer{name: name, rc: rc}
+		p.rc.SetRetryBudget(e.budget)
+		peers[name] = p
 		e.ring.Add(name)
 	}
-	if len(e.meshPeers) == 0 {
-		return
-	}
-	e.mesh = NewMembership(MemberConfig{
-		Heartbeat:    e.cfg.Heartbeat,
-		SuspectAfter: e.cfg.SuspectAfter,
-		DeadAfter:    e.cfg.DeadAfter,
-		Seed:         e.cfg.seed(),
-		OnDead:       func(name string) { e.ring.Remove(name) },
-		OnAlive:      func(name string) { e.ring.Add(name) },
-	})
-	for name, p := range e.meshPeers {
-		rc := p.rc
-		e.mesh.AddPeer(name, func(ctx context.Context) error {
-			raw, err := rc.FetchRawContext(ctx, healthPath)
-			if err == nil && raw.Status != 200 {
-				return errStatus(raw.Status)
-			}
-			return err
-		})
+	if len(peers) > 0 {
+		e.mesh = &Membership{ring: e.ring, peers: peers}
 	}
 }
-
-type errStatus int
-
-func (e errStatus) Error() string { return "unexpected status " + strconv.Itoa(int(e)) }
 
 // Name returns the edge's ring name.
 func (e *Edge) Name() string { return e.cfg.Name }
@@ -712,11 +687,8 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 	}
 	var cands []*meshPeer
 	for _, name := range e.ring.LookupN(path, e.ring.Len()) {
-		if name == e.cfg.Name {
-			continue
-		}
-		p := e.meshPeers[name]
-		if p == nil || !e.mesh.Alive(name) {
+		p := e.mesh.peers[name]
+		if p == nil || !p.ep.Healthy() {
 			continue
 		}
 		cands = append(cands, p)
@@ -746,18 +718,11 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 				case <-time.After(time.Duration(i) * hedgeDelay):
 				}
 			}
+			// The peer's client books the outcome on its breaker: a 504
+			// "shard cold" answer is proof of life, a transport fault a
+			// failure, and a loser cancelled by the winner nothing.
 			raw, err := p.rc.FetchRawContext(fctx, path, fields...)
-			if err != nil {
-				// Transport-level silence is membership evidence; a
-				// 504 "shard cold" answer is proof of life instead.
-				if fctx.Err() == nil {
-					e.mesh.ReportFailure(p.name)
-				}
-				results <- fillResult{}
-				return
-			}
-			e.mesh.ReportSuccess(p.name)
-			if raw.Status != 200 {
+			if err != nil || raw.Status != 200 {
 				results <- fillResult{}
 				return
 			}
@@ -1130,7 +1095,8 @@ func (e *Edge) Start() {
 	e.pollerOn.Store(true)
 	go e.pollLoop()
 	if e.mesh != nil {
-		e.mesh.Start()
+		e.sweepDone = make(chan struct{})
+		go e.sweepLoop()
 	}
 	if e.cfg.SnapshotPath != "" {
 		e.snapDone = make(chan struct{})
@@ -1149,9 +1115,9 @@ func (e *Edge) Close() error {
 		if e.snapDone != nil {
 			<-e.snapDone
 		}
-	}
-	if e.mesh != nil {
-		e.mesh.Close()
+		if e.sweepDone != nil {
+			<-e.sweepDone
+		}
 	}
 	e.baseCancel()
 	if e.cfg.SnapshotPath != "" {
@@ -1159,8 +1125,10 @@ func (e *Edge) Close() error {
 			e.snapErrors.Add(1)
 		}
 	}
-	for _, p := range e.meshPeers {
-		p.rc.Close()
+	if e.mesh != nil {
+		for _, p := range e.mesh.peers {
+			p.rc.Close()
+		}
 	}
 	return e.upstream.Close()
 }
@@ -1278,6 +1246,21 @@ func (e *Edge) snapshotLoop() {
 		if err := e.SaveSnapshot(); err != nil {
 			e.snapErrors.Add(1)
 		}
+	}
+}
+
+// sweepLoop runs the membership sweep every jittered heartbeat. Like
+// the snapshot loop it shares the poller's lifetime.
+func (e *Edge) sweepLoop() {
+	defer close(e.sweepDone)
+	rng := newJitterRng(e.cfg.seed())
+	for {
+		select {
+		case <-e.pollCtx.Done():
+			return
+		case <-time.After(jitterDuration(e.cfg.heartbeat(), rng)):
+		}
+		e.mesh.Tick(e.pollCtx)
 	}
 }
 

@@ -19,4 +19,7 @@ func (e *Edge) Cached(path string, gen http2.GenAbility) bool {
 
 func (o *Origin) ObservePoll(name, addr string, since uint64) { o.observePoll(name, addr, since) }
 
-const PeerFillHeader = peerFillHeader
+const (
+	PeerFillHeader = peerFillHeader
+	DeadFailures   = deadFailures
+)

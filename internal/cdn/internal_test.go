@@ -23,6 +23,7 @@ import (
 
 	"sww/internal/core"
 	"sww/internal/device"
+	"sww/internal/faultnet"
 	"sww/internal/genai/imagegen"
 	"sww/internal/genai/textgen"
 	"sww/internal/hpack"
@@ -30,169 +31,211 @@ import (
 	"sww/internal/workload"
 )
 
-// fakeClock is a hand-advanced clock for deterministic ladder tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+// meshOfOne builds edge e0 whose one mesh peer, p1, is a live edge
+// behind a kill switch, and neither edge's loops running: the test
+// drives the sweep by hand.
+func meshOfOne(t *testing.T) (*Edge, *faultnet.Crash) {
+	t.Helper()
+	peer := NewEdge(EdgeConfig{Name: "p1"}, core.NewEndpointSet(core.EndpointHealthConfig{}))
+	link := &faultnet.Crash{}
+	dial := link.Wrap(func() (net.Conn, error) {
+		cEnd, sEnd := net.Pipe()
+		peer.StartConn(sEnd)
+		return cEnd, nil
+	})
+	e := NewEdge(EdgeConfig{
+		Name:      "e0",
+		Peers:     []string{"e0", "p1"},
+		PeerDials: map[string]core.DialFunc{"p1": dial},
+	}, core.NewEndpointSet(core.EndpointHealthConfig{}))
+	t.Cleanup(func() {
+		e.Close()
+		peer.Close()
+	})
+	return e, link
 }
 
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
+// peerFillOnce is one data-path consultation of e0's mesh, for a key
+// no shard holds.
+func peerFillOnce(e *Edge) {
+	path := workload.CDNPagePath(0)
+	e.peerFill(context.Background(), cacheKey(path, http2.GenFull), path, http2.GenFull)
 }
 
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+// wantPeer checks p1's state, its run of failures, whether it is on
+// e0's ring, and how many transitions the sweep has counted.
+func wantPeer(t *testing.T, e *Edge, when string, state MemberState, run int, onRing bool, transitions uint64) {
+	t.Helper()
+	p := e.mesh.peers["p1"]
+	if got := p.state(); got != state {
+		t.Errorf("%s: p1 is %v, want %v", when, got, state)
+	}
+	if got := p.ep.Health().ConsecutiveFailures; got != run {
+		t.Errorf("%s: run of %d failures, want %d", when, got, run)
+	}
+	if got := e.ring.Len() == 2; got != onRing {
+		t.Errorf("%s: p1 on the ring = %v, want %v", when, got, onRing)
+	}
+	if got := e.mesh.transitions.Load(); got != transitions {
+		t.Errorf("%s: %d transitions, want %d", when, got, transitions)
+	}
 }
 
-// TestMembershipLadder walks one peer alive → suspect → dead on a
-// fake clock and back to alive on recovery, checking the ring
-// callbacks fire exactly on the dead and dead→alive transitions.
+// TestMembershipLadder walks one peer alive → suspect → dead on
+// failed probes and back to alive on one probe success, checking the
+// ring moves exactly on the dead and dead→alive transitions, once
+// each.
 func TestMembershipLadder(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	var failing atomic.Bool
-	var deaths, revivals []string
-	m := NewMembership(MemberConfig{
-		Heartbeat:    time.Second,
-		SuspectAfter: 3 * time.Second,
-		DeadAfter:    6 * time.Second,
-		Clock:        clock.now,
-		OnDead:       func(n string) { deaths = append(deaths, n) },
-		OnAlive:      func(n string) { revivals = append(revivals, n) },
-	})
-	m.AddPeer("p1", func(ctx context.Context) error {
-		if failing.Load() {
-			return errors.New("probe failed")
-		}
-		return nil
-	})
+	e, link := meshOfOne(t)
 	ctx := context.Background()
 
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("after healthy tick: %v", s)
-	}
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "healthy sweep", MemberAlive, 0, true, 0)
 
-	failing.Store(true)
-	clock.advance(2 * time.Second)
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("2s of silence should not suspect yet: %v", s)
+	link.Kill()
+	for i := 1; i < suspectFailures; i++ {
+		e.mesh.Tick(ctx)
 	}
-	clock.advance(2 * time.Second) // 4s silent ≥ SuspectAfter
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberSuspect {
-		t.Fatalf("4s of silence should suspect: %v", s)
+	wantPeer(t, e, "2 failed probes", MemberAlive, suspectFailures-1, true, 0)
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "3 failed probes", MemberSuspect, suspectFailures, true, 1)
+	for i := suspectFailures + 1; i < deadFailures; i++ {
+		e.mesh.Tick(ctx)
 	}
-	if len(deaths) != 0 {
-		t.Fatalf("suspect must not fire OnDead: %v", deaths)
-	}
-	clock.advance(3 * time.Second) // 7s silent ≥ DeadAfter
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberDead {
-		t.Fatalf("7s of silence should be dead: %v", s)
-	}
-	if len(deaths) != 1 || deaths[0] != "p1" {
-		t.Fatalf("OnDead = %v, want [p1]", deaths)
-	}
-	m.Tick(ctx) // still dead: no second callback
-	if len(deaths) != 1 {
-		t.Fatalf("repeated dead ticks re-fired OnDead: %v", deaths)
-	}
+	wantPeer(t, e, "5 failed probes", MemberSuspect, deadFailures-1, true, 1)
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "6 failed probes", MemberDead, deadFailures, false, 2)
 
-	failing.Store(false)
-	m.Tick(ctx)
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("recovery tick should revive: %v", s)
-	}
-	if len(revivals) != 1 || revivals[0] != "p1" {
-		t.Fatalf("OnAlive = %v, want [p1]", revivals)
-	}
-	if a, s, d := m.Counts(); a != 1 || s != 0 || d != 0 {
-		t.Fatalf("counts = %d/%d/%d", a, s, d)
+	// Still dead: the sweep acts on transitions, so a peer put back by
+	// someone else is not taken off again.
+	e.ring.Add("p1")
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "a 7th failed probe", MemberDead, deadFailures+1, true, 2)
+	e.ring.Remove("p1")
+
+	link.Restart()
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "one probe success", MemberAlive, 0, true, 3)
+	e.ring.Remove("p1")
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "a second healthy sweep", MemberAlive, 0, false, 3)
+	if s := e.Stats(); s.PeersAlive != 1 || s.PeersSuspect != 0 || s.PeersDead != 0 {
+		t.Fatalf("counts = %d/%d/%d", s.PeersAlive, s.PeersSuspect, s.PeersDead)
 	}
 }
 
-// TestMembershipDataPathEvidence: ReportFailure escalates to suspect
-// only after SuspectAfter of silence (one error burst cannot), never
-// to dead; ReportSuccess revives a dead peer instantly with OnAlive.
+// TestMembershipDataPathEvidence: peer-fill failures feed the same
+// run as probes — three suspect the peer without touching the ring —
+// but peer-fill asks only alive peers, so data-path failures alone
+// never make a peer dead; the sweep's probes carry the run on.
 func TestMembershipDataPathEvidence(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	var revived int
-	m := NewMembership(MemberConfig{
-		SuspectAfter: 3 * time.Second,
-		DeadAfter:    6 * time.Second,
-		Clock:        clock.now,
-		OnAlive:      func(string) { revived++ },
-	})
-	m.AddPeer("p1", nil)
+	e, link := meshOfOne(t)
+	ctx := context.Background()
 
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("fresh failure suspected a recently-heard peer: %v", s)
+	link.Kill()
+	for i := 0; i < suspectFailures; i++ {
+		peerFillOnce(e)
 	}
-	clock.advance(4 * time.Second)
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberSuspect {
-		t.Fatalf("failure after 4s of silence should suspect: %v", s)
+	wantPeer(t, e, "3 failed peer-fills", MemberSuspect, suspectFailures, true, 0)
+	for i := 0; i < 10*deadFailures; i++ {
+		peerFillOnce(e)
 	}
-	clock.advance(time.Hour)
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s == MemberDead {
-		t.Fatal("data-path failures must never declare death")
-	}
+	wantPeer(t, e, "peer-fills against a suspect", MemberSuspect, suspectFailures, true, 0)
 
-	// Walk it dead via the sweep, then revive via the data path.
-	m.AddPeer("p1", func(ctx context.Context) error { return errors.New("down") })
-	m.Tick(context.Background())
-	if s := m.State("p1"); s != MemberDead {
-		t.Fatalf("sweep after an hour of silence: %v", s)
+	// Mixed evidence: the sweep's probes extend the data path's run.
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "a failed probe after 3 failed peer-fills", MemberSuspect, suspectFailures+1, true, 1)
+	for i := suspectFailures + 1; i < deadFailures; i++ {
+		e.mesh.Tick(ctx)
 	}
-	m.ReportSuccess("p1")
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("ReportSuccess should revive: %v", s)
-	}
-	if revived != 1 {
-		t.Fatalf("OnAlive fired %d times, want 1", revived)
-	}
+	wantPeer(t, e, "3 failed peer-fills and 3 failed probes", MemberDead, deadFailures, false, 2)
+
+	link.Restart()
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "one probe success", MemberAlive, 0, true, 3)
 }
 
-// TestMembershipConsecutiveFailures: a streak of data-path failures
-// suspects an alive peer even while probes keep refreshing lastOK (a
-// peer whose probe port answers but whose data path is broken), a
-// success resets the streak, and the streak alone never declares
-// death.
+// TestMembershipConsecutiveFailures: only a run of failures suspects a
+// peer — a success from either source resets it — and probes and
+// peer-fill add to the same run.
 func TestMembershipConsecutiveFailures(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	m := NewMembership(MemberConfig{
-		SuspectAfter: time.Hour, // silence alone never triggers here
-		Clock:        clock.now,
-	})
-	m.AddPeer("p1", nil)
+	e, link := meshOfOne(t)
+	ctx := context.Background()
 
-	m.ReportFailure("p1")
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("%d failures suspected early: %v", suspectFailures-1, s)
+	link.Kill()
+	peerFillOnce(e)
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "a failed peer-fill and a failed probe", MemberAlive, 2, true, 0)
+	link.Restart()
+	peerFillOnce(e) // the peer's shard is cold: a 504, and proof of life
+	wantPeer(t, e, "a successful peer-fill", MemberAlive, 0, true, 0)
+
+	link.Kill()
+	e.mesh.Tick(ctx)
+	e.mesh.Tick(ctx)
+	link.Restart()
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "a successful probe", MemberAlive, 0, true, 0)
+
+	link.Kill()
+	e.mesh.Tick(ctx)
+	peerFillOnce(e)
+	wantPeer(t, e, "2 failures after the reset", MemberAlive, 2, true, 0)
+	e.mesh.Tick(ctx)
+	wantPeer(t, e, "3 consecutive failures", MemberSuspect, suspectFailures, true, 1)
+}
+
+// TestPeerFillHedgeLoserBooksNothing: when the first peer answers
+// after the hedge has asked the second, the winner cancels the loser
+// mid-connect, and that cancellation is no failure of the loser's.
+func TestPeerFillHedgeLoserBooksNothing(t *testing.T) {
+	path := workload.CDNPagePath(0)
+	key := cacheKey(path, http2.GenFull)
+	warm := NewEdge(EdgeConfig{Name: "warm"}, core.NewEndpointSet(core.EndpointHealthConfig{}))
+	defer warm.Close()
+	warm.store(key, path, &core.RawReply{Status: 200, ContentType: "text/html", Body: []byte("page 0")})
+
+	loserDialing, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	var winner, loser string
+	dial := func(name string) core.DialFunc {
+		return func() (net.Conn, error) {
+			if name == loser {
+				close(loserDialing)
+				<-release
+				return nil, errors.New("released")
+			}
+			<-loserDialing // answer only once the hedge has asked the loser
+			cEnd, sEnd := net.Pipe()
+			warm.StartConn(sEnd)
+			return cEnd, nil
+		}
 	}
-	m.ReportSuccess("p1")
-	m.ReportFailure("p1")
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberAlive {
-		t.Fatalf("success did not reset the failure streak: %v", s)
+	e := NewEdge(EdgeConfig{
+		Name:      "e0",
+		Peers:     []string{"e0", "p1", "p2"},
+		PeerDials: map[string]core.DialFunc{"p1": dial("p1"), "p2": dial("p2")},
+	}, core.NewEndpointSet(core.EndpointHealthConfig{}))
+	defer e.Close()
+	for _, name := range e.ring.LookupN(path, 3) {
+		switch {
+		case name == "e0":
+		case winner == "":
+			winner = name
+		default:
+			loser = name
+		}
 	}
-	m.ReportFailure("p1")
-	if s := m.State("p1"); s != MemberSuspect {
-		t.Fatalf("%d consecutive failures should suspect: %v", suspectFailures, s)
+
+	raw, _, ok := e.peerFill(context.Background(), key, path, http2.GenFull)
+	if !ok || string(raw.Body) != "page 0" {
+		t.Fatalf("peer-fill = %v, %v, want the winner's page", raw, ok)
 	}
-	for i := 0; i < 10*suspectFailures; i++ {
-		m.ReportFailure("p1")
-	}
-	if s := m.State("p1"); s == MemberDead {
-		t.Fatal("data-path failures must never declare death")
+	// The loser's connect holds its client's lock until it has booked
+	// its outcome; this waits for that.
+	e.mesh.peers[loser].rc.CurrentEndpoint()
+	if h := e.mesh.peers[loser].ep.Health(); !h.Healthy || h.Failures != 0 {
+		t.Fatalf("cancelled hedge loser %s: %+v, want healthy with no failures", loser, h)
 	}
 }
 

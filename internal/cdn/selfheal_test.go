@@ -2,7 +2,7 @@ package cdn_test
 
 // Scenario tests for the self-healing mesh: membership surfaced
 // through stats, push invalidation with gap refusal, peer-fill,
-// crash-safe warm restart, and router-side membership.
+// crash-safe warm restart, and the router's probe round.
 
 import (
 	"context"
@@ -40,11 +40,7 @@ func tripOriginBreaker(ctx context.Context, t *testing.T, h *tier.Tier, edge, co
 // and the telemetry gauges, and re-admitted on recovery.
 func TestEdgeMembershipStats(t *testing.T) {
 	names := []string{"edge1", "edge2", "edge3"}
-	h := newMesh(t, names, func(c *cdn.EdgeConfig) {
-		// One failed probe is conclusive: any silence exceeds these.
-		c.SuspectAfter = time.Nanosecond
-		c.DeadAfter = 2 * time.Nanosecond
-	})
+	h := newMesh(t, names, nil)
 	e := h.Edge("edge1")
 	reg := telemetry.NewRegistry()
 	e.Register(reg)
@@ -55,7 +51,9 @@ func TestEdgeMembershipStats(t *testing.T) {
 	}
 
 	h.Link("edge3").In.Kill()
-	e.Membership().Tick(ctx)
+	for i := 0; i < cdn.DeadFailures; i++ {
+		e.Membership().Tick(ctx)
+	}
 	s := e.Stats()
 	if s.PeersAlive != 1 || s.PeersDead != 1 {
 		t.Fatalf("after dead sweep: alive=%d dead=%d", s.PeersAlive, s.PeersDead)
@@ -476,44 +474,29 @@ func TestSnapshotRejectsForeign(t *testing.T) {
 	}
 }
 
-// TestEdgeClientMembership: EnableMembership prunes a dead edge from
-// the router's ring after the sweep declares it dead, and re-admits
-// it on recovery — the boot-time peer list stops being the fleet.
-// The kill is loud, not a blackhole: established probe connections
-// die with the process, as a real restart's would.
-func TestEdgeClientMembership(t *testing.T) {
+// TestEdgeClientProbePeers: one probe round finds a killed edge dead
+// and takes it off the router's ring before any fetch is routed, as
+// sww-client -probe-peers does.
+func TestEdgeClientProbePeers(t *testing.T) {
 	h := newMesh(t, []string{"edge1", "edge2"}, nil)
 	ec := h.EdgeClient()
-	m := ec.EnableMembership(cdn.MemberConfig{
-		Heartbeat:    time.Hour, // the test drives Tick itself
-		ProbeTimeout: 2 * time.Second,
-		SuspectAfter: time.Nanosecond,
-		DeadAfter:    2 * time.Nanosecond,
-	})
-	ctx := context.Background()
-
-	m.Tick(ctx)
-	if ec.Ring().Len() != 2 {
-		t.Fatalf("healthy sweep shrank the ring to %d", ec.Ring().Len())
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 
 	h.Link("edge2").In.Kill()
-	m.Tick(ctx)
+	states := ec.ProbePeers(ctx)
+	if states["edge1"] != cdn.MemberAlive || states["edge2"] != cdn.MemberDead || len(states) != 2 {
+		t.Fatalf("probe round states = %v, want edge1 alive and edge2 dead", states)
+	}
 	if ec.Ring().Len() != 1 {
 		t.Fatalf("dead edge2 still on the router ring (size %d)", ec.Ring().Len())
 	}
 	// Every path now routes to edge1 without burning a failover try.
-	if owner := ec.Ring().Lookup(workload.CDNPagePath(1)); owner != "edge1" {
-		t.Fatalf("lookup after surgery = %q", owner)
+	path := workload.CDNPagePath(1)
+	if owner := ec.Ring().Lookup(path); owner != "edge1" {
+		t.Fatalf("lookup after the round = %q", owner)
 	}
-
-	h.Link("edge2").In.Restart()
-	// The probe rides the per-edge breaker, which holds a 25ms probe
-	// cooldown after the failures that declared death; real sweeps run
-	// at heartbeat cadence (≫ cooldown), the test just waits it out.
-	time.Sleep(2 * tier.Health.ProbeCooldown)
-	m.Tick(ctx)
-	if ec.Ring().Len() != 2 {
-		t.Fatalf("recovered edge2 not re-admitted (size %d)", ec.Ring().Len())
+	if _, served, err := ec.FetchContext(ctx, path); err != nil || served != "edge1" {
+		t.Fatalf("fetch after the round: served by %q, %v", served, err)
 	}
 }

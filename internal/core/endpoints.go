@@ -73,30 +73,17 @@ type EndpointHealth struct {
 	Probes              uint64
 }
 
-// usable reports whether a caller may try this endpoint now. A down
-// endpoint becomes usable again one probe at a time once its cooldown
-// has passed; the probe slot is claimed here and answered by the next
-// ReportSuccess/ReportFailure.
-func (e *Endpoint) usable() bool {
+// usable reports whether a caller may try this endpoint now, and
+// whether that try is its probe. A down endpoint becomes usable again
+// one probe at a time once its cooldown has passed; the probe slot is
+// claimed here and answered by the next ReportSuccess/ReportFailure,
+// or given back by the breaker's Cancel.
+func (e *Endpoint) usable() (ok, probe bool) {
 	probe, err := e.br.Allow()
 	if probe {
 		e.probes.Add(1)
 	}
-	return err == nil
-}
-
-// SetOnStateChange installs a hook fired (outside the breaker's lock)
-// whenever the endpoint crosses between healthy and down: false when
-// the failure threshold marks it down, true when a probe success
-// brings it back. Transport outcomes thus double as membership
-// evidence — the edge mesh feeds them into its suspect/revive ladder
-// without a second health channel. Set it before concurrent use.
-func (e *Endpoint) SetOnStateChange(fn func(healthy bool)) {
-	e.br.OnChange = func(from, to overload.BreakerState) {
-		if from == overload.BreakerClosed || to == overload.BreakerClosed {
-			fn(to == overload.BreakerClosed)
-		}
-	}
+	return err == nil, probe
 }
 
 // ReportSuccess records a completed request: the endpoint is healthy.
@@ -158,9 +145,10 @@ func (s *EndpointSet) Add(name string, dial DialFunc) *Endpoint {
 }
 
 // Pick returns a usable endpoint, preferring the named one (sticky
-// connections), then the others in registration order. It returns
-// ErrNoEndpoints when everything is down and resting.
-func (s *EndpointSet) Pick(prefer string) (*Endpoint, error) {
+// connections), then the others in registration order, and whether
+// the pick claimed its probe slot. It returns ErrNoEndpoints when
+// everything is down and resting.
+func (s *EndpointSet) Pick(prefer string) (*Endpoint, bool, error) {
 	s.mu.Lock()
 	ordered := make([]*Endpoint, 0, len(s.eps))
 	if ep, ok := s.by[prefer]; ok {
@@ -173,11 +161,11 @@ func (s *EndpointSet) Pick(prefer string) (*Endpoint, error) {
 	}
 	s.mu.Unlock()
 	for _, ep := range ordered {
-		if ep.usable() {
-			return ep, nil
+		if ok, probe := ep.usable(); ok {
+			return ep, probe, nil
 		}
 	}
-	return nil, ErrNoEndpoints
+	return nil, false, ErrNoEndpoints
 }
 
 // AnyHealthy reports whether at least one endpoint is currently up,

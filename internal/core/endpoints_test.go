@@ -53,29 +53,30 @@ func TestEndpointBreakerThreshold(t *testing.T) {
 func TestEndpointProbeCooldown(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(0, 0)}
 	ep := newTestEndpoint(EndpointHealthConfig{FailureThreshold: 1, ProbeCooldown: time.Second}, clock)
+	usable := func() bool { ok, _ := ep.usable(); return ok }
 
 	ep.ReportFailure()
-	if ep.usable() {
+	if usable() {
 		t.Fatal("usable while down and cooling")
 	}
 	clock.advance(2 * time.Second)
-	if !ep.usable() {
+	if !usable() {
 		t.Fatal("probe not admitted after cooldown")
 	}
-	if ep.usable() {
+	if usable() {
 		t.Fatal("second probe admitted while first is in flight")
 	}
 	// Probe fails: back to cooling.
 	ep.ReportFailure()
-	if ep.usable() {
+	if usable() {
 		t.Fatal("usable right after failed probe")
 	}
 	clock.advance(2 * time.Second)
-	if !ep.usable() {
+	if !usable() {
 		t.Fatal("no second probe after another cooldown")
 	}
 	ep.ReportSuccess()
-	if !ep.Healthy() || !ep.usable() {
+	if !ep.Healthy() || !usable() {
 		t.Fatal("successful probe did not reopen the endpoint")
 	}
 	if h := ep.Health(); h.Probes != 2 {
@@ -84,8 +85,9 @@ func TestEndpointProbeCooldown(t *testing.T) {
 }
 
 // TestEndpointSetPick: Pick is sticky to the preferred endpoint,
-// fails over in registration order when it is down, and returns
-// ErrNoEndpoints only when the whole set is down and cooling. (The
+// fails over in registration order when it is down, says which pick
+// claimed a probe slot, and returns ErrNoEndpoints only when the
+// whole set is down and cooling. (The
 // breaker itself is overload's TestBreakerTransitions.)
 func TestEndpointSetPick(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(0, 0)}
@@ -93,36 +95,31 @@ func TestEndpointSetPick(t *testing.T) {
 	set.now = clock.now
 	a := set.Add("a", nil)
 	b := set.Add("b", nil)
-	var edges []bool // a's healthy↔down hook
-	a.SetOnStateChange(func(healthy bool) { edges = append(edges, healthy) })
 
-	ep, err := set.Pick("b")
-	if err != nil || ep.Name != "b" {
-		t.Fatalf("Pick(b) = %v, %v", ep, err)
+	ep, probe, err := set.Pick("b")
+	if err != nil || ep.Name != "b" || probe {
+		t.Fatalf("Pick(b) = %v, probe %v, %v", ep, probe, err)
 	}
 	b.ReportFailure()
-	ep, err = set.Pick("b")
-	if err != nil || ep.Name != "a" {
-		t.Fatalf("failover Pick = %v, %v, want a", ep, err)
+	ep, probe, err = set.Pick("b")
+	if err != nil || ep.Name != "a" || probe {
+		t.Fatalf("failover Pick = %v, probe %v, %v, want a", ep, probe, err)
 	}
 	a.ReportFailure()
-	if _, err := set.Pick("a"); !errors.Is(err, ErrNoEndpoints) {
+	if _, _, err := set.Pick("a"); !errors.Is(err, ErrNoEndpoints) {
 		t.Fatalf("whole set down: err = %v", err)
 	}
 	// Cooldown passes: a probe slot opens the set again.
 	clock.advance(2 * time.Minute)
-	ep, err = set.Pick("a")
-	if err != nil || ep.Name != "a" {
-		t.Fatalf("post-cooldown Pick = %v, %v", ep, err)
+	ep, probe, err = set.Pick("a")
+	if err != nil || ep.Name != "a" || !probe {
+		t.Fatalf("post-cooldown Pick = %v, probe %v, %v, want a's probe", ep, probe, err)
 	}
 	// The probe's success brings a back; the counters saw every report
 	// and the one probe.
 	a.ReportSuccess()
 	if h := a.Health(); !h.Healthy || h.Failures != 1 || h.Successes != 1 || h.Probes != 1 {
 		t.Fatalf("a after its probe = %+v", h)
-	}
-	if len(edges) != 2 || edges[0] || !edges[1] {
-		t.Fatalf("a's state-change hook saw %v, want [false true]", edges)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -122,5 +123,52 @@ func TestLadderAttemptTimeout(t *testing.T) {
 	}
 	if got := dials.Load(); got != 4 {
 		t.Errorf("dialed %d times, want 2 per fetch", got)
+	}
+}
+
+// TestConnectCancelBooksNothing: a caller that gives up while its
+// connect is still dialing books no failure against the endpoint and
+// gets its own cancellation back. Three such callers against a
+// threshold of three used to write a healthy endpoint off. A
+// cancelled probe gives its slot back, so the next caller probes.
+func TestConnectCancelBooksNothing(t *testing.T) {
+	srv, err := NewServer("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := NewEndpointSet(EndpointHealthConfig{FailureThreshold: 3, ProbeCooldown: time.Millisecond})
+	ep := set.Add("slow", func() (net.Conn, error) {
+		time.Sleep(30 * time.Millisecond)
+		cEnd, sEnd := net.Pipe()
+		srv.StartConn(sEnd)
+		return cEnd, nil
+	})
+	rc := NewResilientClientEndpoints(set, device.Workstation, nil, RetryPolicy{MaxAttempts: 1})
+	defer rc.Close()
+	cancelled := func(what string) {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(5*time.Millisecond, cancel)
+		_, err := rc.FetchRawContext(ctx, "/")
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v, want context.Canceled", what, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cancelled(fmt.Sprintf("cancelled fetch %d", i))
+	}
+	if h := ep.Health(); !h.Healthy || h.ConsecutiveFailures != 0 || h.Failures != 0 {
+		t.Fatalf("after three cancelled connects: %+v, want healthy with no failures", h)
+	}
+
+	ep.br.Trip()
+	time.Sleep(2 * time.Millisecond) // past the cooldown: the next connect is the probe
+	cancelled("cancelled probe")
+	if _, err := rc.FetchRawContext(context.Background(), "/"); err != nil {
+		t.Fatalf("probe after the cancelled one: %v", err)
+	}
+	if h := ep.Health(); !h.Healthy || h.Probes != 2 || h.Failures != 0 {
+		t.Fatalf("after the probes: %+v, want healthy after 2 probes and no failures", h)
 	}
 }

@@ -245,9 +245,10 @@ func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (*Clien
 	rc.dropLocked()
 	dial := rc.dial
 	var ep *Endpoint
+	var probe bool
 	if rc.endpoints != nil {
 		var err error
-		ep, err = rc.endpoints.Pick(rc.prefer)
+		ep, probe, err = rc.endpoints.Pick(rc.prefer)
 		if err != nil {
 			// Everything down and resting: a retryable condition — a
 			// backoff later some endpoint's probe cooldown may be over.
@@ -258,7 +259,13 @@ func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (*Clien
 	}
 	cl, err := rc.connect(ctx, dial, degraded)
 	if err != nil {
-		if ep != nil {
+		switch {
+		case ep == nil:
+		case errors.Is(err, context.Canceled):
+			// The caller gave up, not the endpoint: book nothing, and
+			// give back the probe slot if this connect held it.
+			ep.br.Cancel(probe)
+		default:
 			ep.ReportFailure()
 		}
 		// Setup failures are connect-phase faults (nothing was
@@ -275,9 +282,11 @@ func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (*Clien
 // the half-open conn so the abandoned handshake goroutine unblocks
 // and cleans up after itself; the stale-serve path depends on this
 // bound — an edge must learn its origin is gone within one attempt,
-// not one http2 handshake timeout. The context error is flattened
-// with %v on purpose: Retryable classifies wrapped context errors as
-// fatal, and this deadline was the attempt's, not the caller's.
+// not one http2 handshake timeout. A deadline is flattened with %v on
+// purpose: Retryable classifies wrapped context errors as fatal, and
+// a connect that outlived its deadline is a retryable fault of the
+// peer. A cancellation is wrapped: the caller gave up, and nothing is
+// retried or booked for it.
 func (rc *ResilientClient) connect(ctx context.Context, dial DialFunc, degraded bool) (*Client, error) {
 	proc := rc.proc
 	if degraded {
@@ -322,8 +331,11 @@ func (rc *ResilientClient) connect(ctx context.Context, dial DialFunc, degraded 
 				r.cl.Close()
 			}
 		}()
-		return nil, &http2.TransportError{Op: "connect",
-			Err: fmt.Errorf("connect aborted: %v", ctx.Err())}
+		err := ctx.Err()
+		if errors.Is(err, context.Canceled) {
+			return nil, &http2.TransportError{Op: "connect", Err: fmt.Errorf("connect aborted: %w", err)}
+		}
+		return nil, &http2.TransportError{Op: "connect", Err: fmt.Errorf("connect aborted: %v", err)}
 	}
 }
 

@@ -180,9 +180,9 @@ func Retryable(err error) bool {
 		return false
 	}
 	if errors.Is(err, ErrPingTimeout) || errors.Is(err, ErrPeerClosed) ||
-		errors.Is(err, ErrLocallyClosed) || errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, io.ErrClosedPipe) {
+		errors.Is(err, ErrLocallyClosed) || errors.Is(err, errWriterClosed) ||
+		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
 		return true
 	}
 	var ne net.Error

@@ -201,6 +201,7 @@ func TestRetryableTaxonomy(t *testing.T) {
 		{"conn-error", ConnectionError{Code: ErrCodeProtocol}, false},
 		{"ping-timeout", ErrPingTimeout, true},
 		{"peer-closed", ErrPeerClosed, true},
+		{"writer-closed", errWriterClosed, true}, // a request that lost the race with teardown
 		{"eof", io.EOF, true},
 		{"unexpected-eof", io.ErrUnexpectedEOF, true},
 		{"net-closed", net.ErrClosed, true},

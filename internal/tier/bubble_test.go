@@ -66,3 +66,51 @@ func TestBubbleInvalidateAndPromote(t *testing.T) {
 		t.Logf("%v of virtual time", time.Since(start))
 	})
 }
+
+// TestBubbleMeshDeadAndReadmit kills one mesh edge's listener and
+// times on virtual time how long a peer takes to write it off and to
+// take it back, at the default heartbeat: dead (off the ring) after
+// its sixth failed sweep, 3 to 8 heartbeats after the kill, and
+// re-admitted by the first sweep after the restart, within 2.
+func TestBubbleMeshDeadAndReadmit(t *testing.T) {
+	bubble(t, func(t *testing.T) {
+		const heartbeat = 500 * time.Millisecond // cdn.EdgeConfig's default
+		names := []string{"edge1", "edge2", "edge3"}
+		tr, err := New(Options{Edges: names, Mesh: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		ctx := context.Background()
+		for _, name := range names {
+			tr.Edge(name).Start()
+		}
+		e := tr.Edge("edge1")
+
+		killed := time.Now()
+		tr.Link("edge3").In.Kill()
+		if err := WaitUntil(ctx, "edge1 to write edge3 off", func() bool {
+			s := e.Stats()
+			return s.PeersDead == 1 && s.RingSize == 2
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(killed); took < 3*heartbeat || took > 8*heartbeat {
+			t.Errorf("edge3 declared dead %v after the kill, want 3 to 8 heartbeats (%v to %v)",
+				took, 3*heartbeat, 8*heartbeat)
+		}
+
+		restarted := time.Now()
+		tr.Link("edge3").In.Restart()
+		if err := WaitUntil(ctx, "edge1 to re-admit edge3", func() bool {
+			s := e.Stats()
+			return s.PeersAlive == 2 && s.RingSize == 3
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(restarted); took > 2*heartbeat {
+			t.Errorf("edge3 re-admitted %v after the restart, want within 2 heartbeats (%v)", took, 2*heartbeat)
+		}
+		t.Logf("dead after %v, re-admitted after %v of virtual time", restarted.Sub(killed), time.Since(restarted))
+	})
+}
