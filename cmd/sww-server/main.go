@@ -12,7 +12,7 @@
 //	sww-server -role standby -origin-addr localhost:8420
 //	           [-addr :8425] [-origin-log /var/lib/sww/standby]
 //	           [-standby-advertise 127.0.0.1:8425]
-//	           [-standby-poll 250ms] [-promote-after 2s]
+//	           [-standby-poll 250ms]
 //	sww-server -role edge -origin-addr localhost:8420,localhost:8425
 //	           [-addr :8430] [-edge-name edge1]
 //	           [-peers edge1=127.0.0.1:8430,edge2=127.0.0.1:8440]
@@ -35,11 +35,12 @@
 // the -origin-log directory).
 //
 // -role standby runs a warm-standby origin: it mirrors the primary at
-// -origin-addr over the same push/poll feed the edges use, and after
-// -promote-after of primary silence promotes itself — bumping and
-// persisting the fencing epoch so a returning old primary is refused
-// (409) rather than splitting the sequence space. List the standby in
-// every edge's -origin-addr so edges fail over to it.
+// -origin-addr over the same push/poll feed the edges use, polling
+// every -standby-poll, and after 8 polls of primary silence promotes
+// itself — bumping and persisting the fencing epoch so a returning old
+// primary is refused (409) rather than splitting the sequence space.
+// List the standby in every edge's -origin-addr so edges fail over to
+// it.
 //
 // -role edge runs an edge replica instead: it terminates SWW HTTP/2
 // from terminal clients, serves from a local cache shard, pulls misses
@@ -113,8 +114,7 @@ func main() {
 	originLogDir := flag.String("origin-log", "", "origin/standby role: directory for the durable invalidation log (fsynced WAL + snapshot; empty = in-memory only)")
 	originEpochDir := flag.String("origin-epoch-dir", "", "origin/standby role: directory persisting the fencing epoch (empty = the -origin-log directory)")
 	standbyAdvertise := flag.String("standby-advertise", "", "standby role: address the primary pushes feeds to (empty = poll only)")
-	standbyPoll := flag.Duration("standby-poll", 250*time.Millisecond, "standby role: mirror poll interval")
-	promoteAfter := flag.Duration("promote-after", 2*time.Second, "standby role: primary silence before self-promotion")
+	standbyPoll := flag.Duration("standby-poll", 250*time.Millisecond, "standby role: mirror poll interval (promotes after 8 polls of primary silence)")
 	originAddr := flag.String("origin-addr", "", "edge role: comma-separated origin addresses to pull misses from (primary first); standby role: the primary to mirror")
 	retryBudget := flag.Float64("retry-budget", 0.2, "edge role: retry deposit per upstream request (token-bucket storm guard; 0 = default, negative disables)")
 	edgeName := flag.String("edge-name", "edge1", "edge role: this edge's ring name")
@@ -196,31 +196,19 @@ func main() {
 	if *originLogDir != "" {
 		fmt.Printf("cdn: durable invalidation log in %s\n", *originLogDir)
 	}
-	var standby *cdn.Standby
 	if isStandby {
 		primary := *originAddr
-		standby = cdn.NewStandby(origin, cdn.StandbyConfig{
-			Name:          "standby",
-			AdvertiseAddr: *standbyAdvertise,
-			PrimaryDial: func() (net.Conn, error) {
-				return net.DialTimeout("tcp", primary, 5*time.Second)
-			},
-			PollInterval: *standbyPoll,
-			PromoteAfter: *promoteAfter,
-			Retry:        core.RetryPolicy{MaxAttempts: 1, AttemptTimeout: 2 * time.Second},
-		})
-		standby.Start()
-		fmt.Printf("cdn: standby mirroring %s (poll %v, promote after %v)\n",
-			primary, *standbyPoll, *promoteAfter)
+		origin.Follow(func() (net.Conn, error) {
+			return net.DialTimeout("tcp", primary, 5*time.Second)
+		}, *standbyAdvertise, *standbyPoll)
+		fmt.Printf("cdn: standby mirroring %s (poll %v, promote after 8 polls of silence)\n",
+			primary, *standbyPoll)
 	}
 
 	if *opsAddr != "" {
 		set := telemetry.NewSet()
 		srv.EnableTelemetry(set)
 		origin.Register(set.Registry)
-		if standby != nil {
-			standby.Register(set.Registry)
-		}
 		ol, err := net.Listen("tcp", *opsAddr)
 		if err != nil {
 			log.Fatalf("ops listen: %v", err)
@@ -238,12 +226,7 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	fmt.Printf("sww-server listening on %s (h2c)\n", l.Addr())
-	serveDraining(l, srv.StartConn, func() {
-		if standby != nil {
-			standby.Close()
-		}
-		origin.Close()
-	})
+	serveDraining(l, srv.StartConn, origin.Close)
 }
 
 // notifyShutdown returns a channel that fires on SIGTERM/SIGINT.

@@ -50,6 +50,7 @@ package cdn
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -130,10 +131,6 @@ type EdgeConfig struct {
 	// means core.DefaultRetryBudgetRatio; negative disables the
 	// budget.
 	RetryBudgetRatio float64
-
-	// Seed drives the poll/membership jitter; 0 derives one from
-	// Name, so a fleet desynchronizes by default.
-	Seed int64
 }
 
 // edgeCacheBytes caps an edge's local cache shard.
@@ -172,19 +169,6 @@ func (c EdgeConfig) snapshotInterval() time.Duration {
 		return 5 * time.Second
 	}
 	return c.SnapshotInterval
-}
-
-func (c EdgeConfig) seed() int64 {
-	if c.Seed != 0 {
-		return c.Seed
-	}
-	// Derive from the name so two edges configured identically still
-	// jitter apart; mask to keep it positive and non-zero.
-	s := int64(ringHash("jitter|"+c.Name) & 0x7fffffffffffffff)
-	if s == 0 {
-		s = 1
-	}
-	return s
 }
 
 // peerFillFanout is how many ring-successor peers a breaker-open miss
@@ -1144,36 +1128,15 @@ func (e *Edge) Close() error {
 // the push address when configured), so subscriptions survive an
 // origin restart without any extra control traffic.
 func (e *Edge) PollOnce(ctx context.Context) error {
-	path := invalidationsPath + "?since=" + strconv.FormatUint(e.lastSeq.Load(), 10)
-	fields := []hpack.HeaderField{{Name: edgeNameHeader, Value: e.cfg.Name}}
-	if e.cfg.AdvertiseAddr != "" {
-		fields = append(fields, hpack.HeaderField{Name: edgeAddrHeader, Value: e.cfg.AdvertiseAddr})
-	}
-	if ep := e.originEpoch.Load(); ep > 0 {
-		// Ride the highest seen epoch on the poll: a zombie origin
-		// fences itself the moment any edge that lived through the
-		// failover talks to it.
-		fields = append(fields, hpack.HeaderField{Name: originEpochHeader,
-			Value: strconv.FormatUint(ep, 10)})
-	}
-	raw, err := e.upstream.FetchRawContext(ctx, path, fields...)
+	feed, err := pollFeed(ctx, e.upstream, e.cfg.Name, e.cfg.AdvertiseAddr, e.lastSeq.Load(), e.originEpoch.Load())
 	if err != nil {
 		e.pollErrors.Add(1)
-		return err
-	}
-	if raw.Status != 200 {
-		// A fenced origin answers 409: the transport is healthy, so
-		// only an explicit rotation moves the sticky endpoint
-		// preference off the zombie and onto the promoted standby.
-		e.pollErrors.Add(1)
-		if raw.Status == statusFenced {
+		if errors.Is(err, errStatus(statusFenced)) {
+			// The transport is healthy, so only an explicit rotation
+			// moves the sticky endpoint preference off the zombie
+			// and onto the promoted standby.
 			e.noteUpstreamFenced()
 		}
-		return errStatus(raw.Status)
-	}
-	var feed InvalidationFeed
-	if err := json.Unmarshal(raw.Body, &feed); err != nil {
-		e.pollErrors.Add(1)
 		return err
 	}
 	if !e.observeOriginEpoch(feed.Epoch) {
@@ -1201,6 +1164,34 @@ func (e *Edge) PollOnce(ctx context.Context) error {
 	return nil
 }
 
+// pollFeed asks rc's origin for the invalidation feed after since: the
+// one poll of an edge and of a following standby. The request names the
+// poller, advertises its push address when set, and rides epoch, the
+// highest the poller has seen, when nonzero, so a zombie origin fences
+// itself the moment any node that lived through the failover talks to
+// it. A reply other than 200 is an errStatus; a fenced origin's is
+// errStatus(statusFenced).
+func pollFeed(ctx context.Context, rc *core.ResilientClient, name, advertise string, since, epoch uint64) (InvalidationFeed, error) {
+	var feed InvalidationFeed
+	path := invalidationsPath + "?since=" + strconv.FormatUint(since, 10)
+	fields := []hpack.HeaderField{{Name: edgeNameHeader, Value: name}}
+	if advertise != "" {
+		fields = append(fields, hpack.HeaderField{Name: edgeAddrHeader, Value: advertise})
+	}
+	if epoch > 0 {
+		fields = append(fields, hpack.HeaderField{Name: originEpochHeader, Value: strconv.FormatUint(epoch, 10)})
+	}
+	raw, err := rc.FetchRawContext(ctx, path, fields...)
+	if err != nil {
+		return feed, err
+	}
+	if raw.Status != 200 {
+		return feed, errStatus(raw.Status)
+	}
+	err = json.Unmarshal(raw.Body, &feed)
+	return feed, err
+}
+
 // pollLoop paces PollOnce with ±20% per-tick jitter (a fleet booted
 // by one script must not poll in lockstep — at N edges the aligned
 // ticks become a thundering herd on the origin), backing off up to 8×
@@ -1208,7 +1199,7 @@ func (e *Edge) PollOnce(ctx context.Context) error {
 // edge does not hammer its side of the partition.
 func (e *Edge) pollLoop() {
 	defer close(e.pollDone)
-	rng := newJitterRng(e.cfg.seed())
+	rng := newJitterRng(nameSeed(e.cfg.Name))
 	base := e.cfg.pollInterval()
 	interval := base
 	for {
@@ -1236,7 +1227,7 @@ func (e *Edge) pollLoop() {
 // lifetime: Close stops it and writes the final snapshot itself.
 func (e *Edge) snapshotLoop() {
 	defer close(e.snapDone)
-	rng := newJitterRng(e.cfg.seed() + 1)
+	rng := newJitterRng(nameSeed(e.cfg.Name) + 1)
 	for {
 		select {
 		case <-e.pollCtx.Done():
@@ -1253,7 +1244,7 @@ func (e *Edge) snapshotLoop() {
 // the snapshot loop it shares the poller's lifetime.
 func (e *Edge) sweepLoop() {
 	defer close(e.sweepDone)
-	rng := newJitterRng(e.cfg.seed())
+	rng := newJitterRng(nameSeed(e.cfg.Name))
 	for {
 		select {
 		case <-e.pollCtx.Done():

@@ -3,7 +3,8 @@ package cdn
 // Tests that reach inside the package: the membership ladder, poll
 // jitter, the store/Flush race fix, live ring surgery, the durable
 // invalidation log (WAL + snapshot compaction, torn tails, corrupted
-// snapshots), epoch persistence, mirroring and origin-side fencing.
+// snapshots), epoch persistence, mirroring, a following standby and
+// origin-side fencing.
 // The scenario tests that boot a whole tier live in package cdn_test.
 
 import (
@@ -28,6 +29,7 @@ import (
 	"sww/internal/genai/textgen"
 	"sww/internal/hpack"
 	"sww/internal/http2"
+	"sww/internal/telemetry"
 	"sww/internal/workload"
 )
 
@@ -269,8 +271,8 @@ func TestPollJitter(t *testing.T) {
 	}
 
 	// Two identically configured edges must not share a schedule.
-	s1 := EdgeConfig{Name: "edge1"}.seed()
-	s2 := EdgeConfig{Name: "edge2"}.seed()
+	s1 := nameSeed("edge1")
+	s2 := nameSeed("edge2")
 	if s1 == s2 || s1 == 0 || s2 == 0 {
 		t.Fatalf("name-derived seeds collide: %d vs %d", s1, s2)
 	}
@@ -278,9 +280,6 @@ func TestPollJitter(t *testing.T) {
 	d2 := jitterDuration(base, newJitterRng(s2))
 	if d1 == d2 {
 		t.Errorf("edge1 and edge2 first ticks coincide at %v", d1)
-	}
-	if got := (EdgeConfig{Name: "edge1", Seed: 99}).seed(); got != 99 {
-		t.Errorf("explicit seed not honoured: %d", got)
 	}
 }
 
@@ -864,6 +863,74 @@ func TestMirrorFeedLadder(t *testing.T) {
 	o.Invalidate([]string{"/mine"})
 	if o.Seq() != 11 {
 		t.Fatalf("promoted origin seq = %d, want 11", o.Seq())
+	}
+}
+
+// TestStandbyFollowsByPush: a standby that follows with an advertise
+// address is subscribed by its first poll, and the primary's next
+// invalidation reaches it by push, well before the next poll (at
+// least 800ms later).
+func TestStandbyFollowsByPush(t *testing.T) {
+	psrv := newHAServer(t)
+	primary := NewOrigin(psrv, 0)
+	defer primary.Close()
+	standby, err := NewOriginWithConfig(newHAServer(t), OriginConfig{Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			nc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			standby.Server().StartConn(nc)
+		}
+	}()
+	defer func() {
+		l.Close()
+		<-accepting
+	}()
+	defer standby.Close()
+
+	standby.Follow(func() (net.Conn, error) {
+		cEnd, sEnd := net.Pipe()
+		psrv.StartConn(sEnd)
+		return cEnd, nil
+	}, l.Addr().String(), time.Second)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := primary.SubscriberAck(standbyName); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the standby's first poll did not subscribe it")
+		}
+	}
+	pushed := time.Now()
+	primary.Invalidate([]string{"/a"})
+	for standby.Seq() != primary.Seq() {
+		if time.Since(pushed) > 300*time.Millisecond {
+			t.Fatalf("standby at seq %d 300ms after the invalidation, want %d by push", standby.Seq(), primary.Seq())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Only the standby exports the Follow loop's families.
+	preg, sreg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	primary.Register(preg)
+	standby.Register(sreg)
+	const polls = "sww_standby_mirror_polls_total"
+	if _, ok := preg.Snapshot().Counters[polls]; ok {
+		t.Errorf("primary exports %s", polls)
+	}
+	if _, ok := sreg.Snapshot().Counters[polls]; !ok {
+		t.Errorf("standby does not export %s", polls)
 	}
 }
 

@@ -197,6 +197,17 @@ func (m *Membership) Register(reg *telemetry.Registry) {
 	}
 }
 
+// nameSeed is the jitter seed of the node called name (an edge, the
+// standby): two nodes configured identically still jitter apart. It is
+// masked positive and never 0.
+func nameSeed(name string) int64 {
+	s := int64(ringHash("jitter|"+name) & 0x7fffffffffffffff)
+	if s == 0 {
+		s = 1
+	}
+	return s
+}
+
 // newJitterRng builds the seeded source behind a jittered loop; each
 // loop gets its own so none contend on a shared lock.
 func newJitterRng(seed int64) *rand.Rand {

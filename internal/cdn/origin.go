@@ -329,7 +329,7 @@ type OriginConfig struct {
 	EpochDir string
 
 	// Standby boots the origin in RoleStandby: mirroring a primary
-	// (see Standby in standby.go), not owning the sequence space.
+	// (see Follow), not owning the sequence space.
 	Standby bool
 }
 
@@ -355,9 +355,15 @@ type Origin struct {
 	// the standby → primary flip; readers use the atomics.
 	epochMu sync.Mutex
 
-	// onMirror, when set (by Standby), observes every accepted mirror
-	// feed — the standby's liveness evidence for its promotion timer.
-	onMirror func()
+	// heardAt is when the last mirror feed was accepted (or the origin
+	// was built): a standby's liveness evidence for its primary.
+	// Guarded by mu.
+	heardAt time.Time
+
+	// followCancel and followDone stop and await Follow's loop; nil
+	// until Follow.
+	followCancel context.CancelFunc
+	followDone   chan struct{}
 
 	subMu sync.Mutex
 	subs  map[string]*subscriber
@@ -374,6 +380,9 @@ type Origin struct {
 	promotions    telemetry.Counter // standby -> primary transitions
 	logErrors     telemetry.Counter // durable log / epoch persistence failures
 	logTorn       telemetry.Counter // torn WAL tail lines dropped at recovery
+	mirrorPolls   telemetry.Counter // successful Follow polls
+	mirrorErrors  telemetry.Counter // failed Follow polls (before and after promotion)
+	zombieSeen    telemetry.Counter // Follow polls the old primary answered fenced
 }
 
 // NewOrigin attaches the CDN control surface to srv: unpublish events
@@ -394,7 +403,7 @@ func NewOriginWithConfig(srv *core.Server, cfg OriginConfig) (*Origin, error) {
 	if maxLog <= 0 {
 		maxLog = DefaultInvalidationLog
 	}
-	o := &Origin{srv: srv, cfg: cfg, maxLog: maxLog, subs: map[string]*subscriber{}}
+	o := &Origin{srv: srv, cfg: cfg, maxLog: maxLog, subs: map[string]*subscriber{}, heardAt: time.Now()}
 	o.epoch.Store(1)
 	if cfg.Standby {
 		o.role.Store(int32(RoleStandby))
@@ -640,11 +649,9 @@ func (o *Origin) MirrorFeed(feed InvalidationFeed) uint64 {
 		return o.Seq()
 	}
 	o.observeEpoch(feed.Epoch)
-	if o.onMirror != nil {
-		o.onMirror()
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.heardAt = time.Now()
 	switch {
 	case feed.Reset || feed.Since > o.seq:
 		// The primary cannot bridge from our position (its log was
@@ -672,6 +679,83 @@ func (o *Origin) MirrorFeed(feed InvalidationFeed) uint64 {
 		o.mirrored.Add(1)
 	}
 	return o.seq
+}
+
+// standbyName is the name a following standby polls its primary under,
+// and so its entry in the primary's subscriber table.
+const standbyName = "standby"
+
+// Follow runs a standby's side of the failover ladder until Close. It
+// polls the primary at dial every poll (jittered ±20%; <= 0 means
+// 250ms), advertising advertise, when set, so that the primary also
+// pushes feeds between polls, and mirrors each feed through MirrorFeed.
+// Any accepted feed, pushed or polled, proves the primary alive, so
+// there is no heartbeat protocol to disagree with the data path:
+//
+//  1. After 8 polls of silence the standby calls Promote: the epoch is
+//     bumped past the primary's and persisted before the role flips.
+//  2. Edges list the standby after the primary in their origin
+//     EndpointSet: the dead primary's breaker opens, Pick falls through
+//     to the standby, and its higher epoch tells every edge a failover
+//     happened (adopted, never a reset: the sequence space continued).
+//  3. The promoted standby keeps polling the old primary with its new
+//     epoch on the request. A restarted zombie sees it, fences itself
+//     and answers 409, so it cannot split the sequence space even if
+//     some edge still has it sticky.
+//
+// The trigger is a silence timeout, not a quorum: the deployment is
+// one primary and one standby, the failure that matters is the
+// primary process dying, and the epoch fence bounds the damage of a
+// false positive. Call Follow once, on an origin built with
+// OriginConfig{Standby: true}.
+func (o *Origin) Follow(dial core.DialFunc, advertise string, poll time.Duration) {
+	if poll <= 0 {
+		poll = 250 * time.Millisecond
+	}
+	// One attempt a poll, bounded by the poll's context: a dead
+	// primary costs one failed dial per tick, not a retry storm.
+	rc := core.NewResilientClient(dial, device.Workstation, nil, core.RetryPolicy{MaxAttempts: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	o.followCancel, o.followDone = cancel, make(chan struct{})
+	go o.follow(ctx, rc, advertise, poll)
+}
+
+func (o *Origin) follow(ctx context.Context, rc *core.ResilientClient, advertise string, poll time.Duration) {
+	defer close(o.followDone)
+	defer rc.Close()
+	rng := newJitterRng(nameSeed(standbyName))
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(jitterDuration(poll, rng)):
+		}
+		pctx, cancel := context.WithTimeout(ctx, 4*poll)
+		feed, err := pollFeed(pctx, rc, standbyName, advertise, o.Seq(), o.Epoch())
+		cancel()
+		switch {
+		case errors.Is(err, errStatus(statusFenced)):
+			// Only a fenced origin answers 409: the old primary saw
+			// our (or someone's) newer epoch and stood down.
+			o.zombieSeen.Add(1)
+		case err != nil:
+			o.mirrorErrors.Add(1)
+		default:
+			// A no-op after promotion: the probe's outcome alone matters then.
+			o.MirrorFeed(feed)
+			o.mirrorPolls.Add(1)
+		}
+		if o.Role() == RoleStandby && o.silence() >= 8*poll {
+			o.Promote()
+		}
+	}
+}
+
+// silence is how long ago the last mirror feed was accepted.
+func (o *Origin) silence() time.Duration {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return time.Since(o.heardAt)
 }
 
 // Subscribe registers (or re-dials) an edge for push fan-out and
@@ -714,10 +798,14 @@ func (o *Origin) SubscriberAck(name string) (uint64, bool) {
 	return s.acked, true
 }
 
-// Close ends every subscription — in-flight pushes fail fast and the
-// pushers have exited when it returns — and drops the durable log
-// handle.
+// Close stops Follow's loop, ends every subscription — in-flight
+// pushes fail fast and the pushers have exited when it returns — and
+// drops the durable log handle.
 func (o *Origin) Close() {
+	if o.followCancel != nil {
+		o.followCancel()
+		<-o.followDone
+	}
 	o.subMu.Lock()
 	subs := o.subs
 	o.subs = map[string]*subscriber{}
@@ -1164,7 +1252,8 @@ func (o *Origin) Stats() OriginStats {
 }
 
 // Register exports the origin-side protocol counters and the current
-// sequence number onto reg.
+// sequence number onto reg, and on an origin built as a standby the
+// counters of its Follow loop.
 func (o *Origin) Register(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -1181,6 +1270,12 @@ func (o *Origin) Register(reg *telemetry.Registry) {
 	reg.Adopt("sww_origin_promotions_total", &o.promotions)
 	reg.Adopt("sww_origin_log_errors_total", &o.logErrors)
 	reg.Adopt("sww_origin_log_torn_total", &o.logTorn)
+	if o.cfg.Standby {
+		reg.Adopt("sww_standby_mirror_polls_total", &o.mirrorPolls)
+		reg.Adopt("sww_standby_mirror_errors_total", &o.mirrorErrors)
+		reg.Adopt("sww_standby_zombie_fenced_total", &o.zombieSeen)
+		reg.GaugeFunc("sww_standby_silence_seconds", func() float64 { return o.silence().Seconds() })
+	}
 	reg.GaugeFunc("sww_origin_role", func() float64 { return float64(o.role.Load()) })
 	reg.GaugeFunc("sww_origin_epoch", func() float64 { return float64(o.epoch.Load()) })
 	reg.GaugeFunc("sww_cdn_origin_seq", func() float64 { return float64(o.Seq()) })

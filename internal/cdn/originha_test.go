@@ -17,6 +17,7 @@ import (
 
 	"sww/internal/cdn"
 	"sww/internal/http2"
+	"sww/internal/telemetry"
 	"sww/internal/tier"
 	"sww/internal/workload"
 )
@@ -67,6 +68,8 @@ func TestEdgeRefusesStaleEpochPush(t *testing.T) {
 func TestStandbyMirrorsAndPromotes(t *testing.T) {
 	h := boot(t, tier.Options{Durable: true, Standby: true})
 	primary, standby := h.Primary(), h.StandbyOrigin
+	reg := telemetry.NewRegistry()
+	standby.Register(reg)
 
 	primary.Invalidate([]string{"/a"})
 	primary.Invalidate([]string{"/b", "/c"})
@@ -120,7 +123,9 @@ func TestStandbyMirrorsAndPromotes(t *testing.T) {
 		t.Fatalf("zombie booted at epoch %d", zombie.Epoch())
 	}
 	waitFor(t, "zombie fenced", func() bool { return zombie.Role() == cdn.RoleFenced })
-	waitFor(t, "zombie seen in stats", func() bool { return h.Standby.Stats().ZombieSeen > 0 })
+	waitFor(t, "zombie seen in metrics", func() bool {
+		return reg.Counter("sww_standby_zombie_fenced_total").Load() > 0
+	})
 	if zombie.Seq() < primarySeq {
 		t.Fatalf("zombie lost its durable log: seq %d", zombie.Seq())
 	}

@@ -94,9 +94,6 @@ type Config struct {
 	// on a flagged connection. It runs on the frame reader goroutine
 	// and must not block.
 	OnAbuse func(AbuseKind, AbuseAction)
-
-	// Logf, when set, receives debug lines.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) initialWindow() int32 {
@@ -242,12 +239,6 @@ func newConn(nc net.Conn, cfg Config, server bool) *conn {
 	return c
 }
 
-func (c *conn) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
 // initialSettings builds this endpoint's first SETTINGS frame.
 func (c *conn) initialSettings() []Setting {
 	s := []Setting{
@@ -361,12 +352,6 @@ func (c *conn) readFrames() error {
 			// keepAliveLoop is lastFrame's only reader.
 			c.lastFrame.Store(time.Now().UnixNano())
 		}
-		if c.cfg.Logf != nil {
-			// Guarded at the call site: boxing fr.FrameHeader into the
-			// variadic ...any escapes per frame, a hot-loop allocation
-			// when logging is off.
-			c.logf("%s read %v", c.role(), fr.FrameHeader)
-		}
 		if !sawSettings {
 			if fr.Type != FrameSettings || fr.Has(FlagAck) {
 				err := connError(ErrCodeProtocol, "first frame %v, want SETTINGS", fr.Type)
@@ -391,13 +376,6 @@ func (c *conn) readFrames() error {
 			}
 		}
 	}
-}
-
-func (c *conn) role() string {
-	if c.server {
-		return "server"
-	}
-	return "client"
 }
 
 func (c *conn) dispatch(fr Frame) error {
@@ -853,7 +831,7 @@ func (c *conn) serveInline(st *Stream) (served bool) {
 	w := &st.rw
 	defer func() {
 		if r := recover(); r != nil {
-			c.handlerPanicked(st, w, r) // the stream is dead: nothing more is sent on it
+			c.handlerPanicked(st, w) // the stream is dead: nothing more is sent on it
 			served = true
 		}
 	}()
@@ -872,7 +850,7 @@ func (c *conn) runHandler(st *Stream) {
 	w := &st.rw
 	defer func() {
 		if r := recover(); r != nil {
-			c.handlerPanicked(st, w, r)
+			c.handlerPanicked(st, w)
 		}
 		c.finishServerStream(st, w)
 	}()
@@ -881,8 +859,7 @@ func (c *conn) runHandler(st *Stream) {
 
 // handlerPanicked turns a handler panic into a 500 (if no response
 // has begun) and RST_STREAM(INTERNAL_ERROR); the connection lives on.
-func (c *conn) handlerPanicked(st *Stream, w *ResponseWriter, r any) {
-	c.logf("handler panic on stream %d: %v", st.id, r)
+func (c *conn) handlerPanicked(st *Stream, w *ResponseWriter) {
 	if !w.wroteHeaders {
 		w.WriteHeaders(500, hpack.HeaderField{Name: "content-type", Value: "text/plain"})
 	}
@@ -1076,7 +1053,6 @@ func (c *conn) keepAliveLoop() {
 			select {
 			case <-c.doneCh: // already dead; teardown done elsewhere
 			default:
-				c.logf("%s keepalive failed, closing: %v", c.role(), err)
 				c.teardown(fmt.Errorf("http2: keepalive: %w", err))
 			}
 			return

@@ -67,6 +67,39 @@ func TestBubbleInvalidateAndPromote(t *testing.T) {
 	})
 }
 
+// TestBubbleStandbyPromotes times on virtual time how long a standby
+// that has mirrored the primary for a second takes to promote once the
+// primary is killed. It promotes at 8 polls of silence, counted from
+// its last feed up to a jittered poll before the kill and checked
+// after each poll, and each poll of the blackholed primary runs to its
+// 4-poll context: 7 to 14 polls after the kill.
+func TestBubbleStandbyPromotes(t *testing.T) {
+	bubble(t, func(t *testing.T) {
+		tr, err := New(Options{Standby: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		time.Sleep(time.Second)
+		if s := tr.StandbyOrigin; s.Role() != cdn.RoleStandby {
+			t.Fatalf("standby is %v after mirroring for 1s, want standby", s.Role())
+		}
+
+		killed := time.Now()
+		tr.KillPrimary()
+		if err := WaitUntil(context.Background(), "standby promotion", func() bool {
+			return tr.StandbyOrigin.Role() == cdn.RolePrimary
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(killed); took < 7*standbyPoll || took > 14*standbyPoll {
+			t.Errorf("standby promoted %v after the kill, want 7 to 14 polls (%v to %v)",
+				took, 7*standbyPoll, 14*standbyPoll)
+		}
+		t.Logf("promoted %v after the kill, on virtual time", time.Since(killed))
+	})
+}
+
 // TestBubbleMeshDeadAndReadmit kills one mesh edge's listener and
 // times on virtual time how long a peer takes to write it off and to
 // take it back, at the default heartbeat: dead (off the ring) after

@@ -67,6 +67,10 @@ var EdgeRetry = core.RetryPolicy{
 // Options.Health overrides it.
 var Health = core.EndpointHealthConfig{FailureThreshold: 2, ProbeCooldown: 25 * time.Millisecond}
 
+// standbyPoll paces the standby's Follow loop: it promotes after 8
+// polls, 120ms, of silence.
+const standbyPoll = 15 * time.Millisecond
+
 // Options selects what New boots. The zero value is one origin and no
 // edges.
 type Options struct {
@@ -105,9 +109,8 @@ type Tier struct {
 
 	// Mirror is the standby→primary link.
 	Mirror faultnet.Crash
-	// StandbyOrigin and Standby are nil without Options.Standby.
+	// StandbyOrigin is nil without Options.Standby.
 	StandbyOrigin *cdn.Origin
-	Standby       *cdn.Standby
 
 	links map[string]*Links
 
@@ -150,14 +153,7 @@ func (t *Tier) boot() error {
 			return err
 		}
 		t.StandbyOrigin = o
-		t.Standby = cdn.NewStandby(o, cdn.StandbyConfig{
-			Name:         "standby",
-			PrimaryDial:  t.link(&t.Mirror, t.servePrimary),
-			PollInterval: 10 * time.Millisecond,
-			PromoteAfter: 120 * time.Millisecond,
-			Retry:        core.RetryPolicy{MaxAttempts: 1, AttemptTimeout: 30 * time.Millisecond},
-		})
-		t.Standby.Start()
+		o.Follow(t.link(&t.Mirror, t.servePrimary), "", standbyPoll)
 	}
 	for _, name := range t.opts.Edges {
 		t.links[name] = &Links{}
@@ -421,9 +417,6 @@ func (t *Tier) Close() {
 	t.mu.Unlock()
 	for _, c := range clients {
 		c.Close()
-	}
-	if t.Standby != nil {
-		t.Standby.Close()
 	}
 	for _, name := range t.opts.Edges {
 		t.mu.Lock()
