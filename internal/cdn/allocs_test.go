@@ -25,7 +25,7 @@ func TestEdgeHitAllocs(t *testing.T) {
 	defer e.Close()
 	const path = "/prompt/page"
 	body := bytes.Repeat([]byte("p"), 700)
-	e.store(cacheKey(path, http2.GenFull), path, &core.RawReply{
+	e.store(cacheKey(path, http2.GenFull), path, http2.GenFull, &core.RawReply{
 		Status: 200, ContentType: "text/html; charset=utf-8", Mode: core.ModeGenerative, Body: body,
 	})
 	cEnd, sEnd := net.Pipe()

@@ -157,15 +157,6 @@ func (c *EdgeClient) ProbePeers(ctx context.Context) map[string]MemberState {
 	return states
 }
 
-// Health reports each edge's breaker state, keyed by edge name.
-func (c *EdgeClient) Health() map[string]core.EndpointHealth {
-	out := make(map[string]core.EndpointHealth, len(c.peers))
-	for name, p := range c.peers {
-		out[name] = p.ep.Health()
-	}
-	return out
-}
-
 // FetchContext fetches path through the fleet: ring owner first, then
 // its successors. Edges whose breaker is open are skipped on the
 // first pass (no connection attempt wasted) and only probed on the

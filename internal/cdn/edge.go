@@ -35,7 +35,7 @@ package cdn
 //     past our position) flushes the whole shard; a push that would
 //     skip sequence numbers is refused and repaired by the poller.
 //   - The process itself dying: with SnapshotPath set, the shard
-//     index and lastSeq are periodically snapshotted to disk and
+//     and lastSeq are periodically snapshotted to disk and
 //     reloaded on boot, then re-validated against the invalidation
 //     log — a restarted edge serves warm instead of stampeding the
 //     origin with a cold shard's worth of misses.
@@ -52,8 +52,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,7 +118,7 @@ type EdgeConfig struct {
 	Heartbeat time.Duration
 
 	// SnapshotPath, when set, enables crash-safe warm restart: the
-	// shard index and lastSeq are snapshotted there periodically and
+	// shard and lastSeq are snapshotted there periodically and
 	// on Close, and reloaded by NewEdge.
 	SnapshotPath string
 
@@ -189,46 +189,9 @@ const peerFillHeader = "x-sww-peer-fill"
 // edgeEntry is one cached raw reply with its freshness clock.
 type edgeEntry struct {
 	raw     *core.RawReply
-	path    string // bare path, for the invalidation index
+	path    string // bare path, for the snapshot
 	bodyLen string // strconv of len(raw.Body), for content-length
 	added   time.Time
-}
-
-// pathKeys is the invalidation index's entry for one path: the shard
-// keys cached under it, one per client ability. A path is almost always
-// cached for one ability, so the first key lives in the entry itself
-// and indexing it allocates nothing.
-type pathKeys struct {
-	path string // the index key, for deleting by a path held as bytes
-	key  string // "" when the entry is empty
-	more []string
-}
-
-// add indexes key, once.
-func (k *pathKeys) add(key string) {
-	switch {
-	case k.key == "":
-		k.key = key
-	case !k.has(key):
-		k.more = append(k.more, key)
-	}
-}
-
-func (k pathKeys) has(key string) bool {
-	return key != "" && (k.key == key || slices.Contains(k.more, key))
-}
-
-// remove drops key and reports whether the entry is now empty.
-func (k *pathKeys) remove(key string) (empty bool) {
-	if k.key == key {
-		k.key = ""
-		if n := len(k.more); n > 0 {
-			k.key, k.more = k.more[n-1], k.more[:n-1]
-		}
-	} else if i := slices.Index(k.more, key); i >= 0 {
-		k.more = slices.Delete(k.more, i, i+1)
-	}
-	return k.key == ""
 }
 
 // An Edge is one live edge replica.
@@ -241,12 +204,12 @@ type Edge struct {
 	cache *overload.ByteLRU
 	sf    overload.Group
 
-	mu     sync.Mutex
-	byPath map[string]pathKeys // path → its cache keys (one per ability)
-	// storeEpoch is bumped by Flush and InvalidatePath; store
-	// re-checks it after inserting into the cache and withdraws the
-	// entry when a removal pass raced it (see store).
-	storeEpoch uint64
+	// gens has bit g set once an entry of ability g has been stored:
+	// the abilities whose shard keys an invalidation removes. A bit is
+	// never cleared, so no entry outlives its bit. Every g is at most
+	// http2.GenKnown: core.EffectivePeerGen masks a forwarded ability,
+	// and a negotiated one is within the GenFull the edge advertises.
+	gens atomic.Uint64
 
 	// feedMu serializes invalidation application between the
 	// anti-entropy poller and the push endpoint, so lastSeq moves
@@ -329,7 +292,6 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 		ring:     NewRing(0, peers...),
 		upstream: core.NewResilientClientEndpoints(origins, device.Workstation, nil, cfg.Retry),
 		cache:    overload.NewByteLRU(edgeCacheBytes),
-		byPath:   map[string]pathKeys{},
 		now:      time.Now,
 	}
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
@@ -337,9 +299,6 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 		e.budget = core.NewRetryBudget(cfg.RetryBudgetRatio, 0)
 		e.upstream.SetRetryBudget(e.budget)
 	}
-	e.cache.SetOnEvict(func(key string, value any, _ int64) {
-		e.unindex(value.(*edgeEntry).path, key)
-	})
 	e.h2 = &http2.Server{
 		Handler: edgeHandler{e},
 		// The edge advertises GenFull to terminal clients: it never
@@ -589,28 +548,19 @@ func (e *Edge) pull(key, path string, gen http2.GenAbility) (*edgeEntry, error) 
 	if raw.Status != 200 {
 		return &edgeEntry{raw: raw}, nil
 	}
-	return e.store(key, path, raw), nil
+	return e.store(key, path, gen, raw), nil
 }
 
-// genHeaders[g] forwards ability g upstream, for every combination of
-// the ability bits http2 defines: the lists are built once, shared and
-// only read, so a pull names its client's ability without building a
-// header.
-var genHeaders = func() (t [64][]hpack.HeaderField) {
+// genHeaders[g] forwards ability g upstream, for each of the 64
+// abilities an edge keys on (see Edge.gens): the lists are built once,
+// shared and only read, so a pull or a peer fill names its client's
+// ability without building a header.
+var genHeaders = func() (t [http2.GenKnown + 1][]hpack.HeaderField) {
 	for g := range t {
 		t[g] = []hpack.HeaderField{{Name: core.EdgeGenHeader, Value: strconv.Itoa(g)}}
 	}
 	return t
 }()
-
-// genHeader is the request header list that forwards ability gen
-// upstream.
-func genHeader(gen http2.GenAbility) []hpack.HeaderField {
-	if int(gen) < len(genHeaders) {
-		return genHeaders[gen]
-	}
-	return []hpack.HeaderField{{Name: core.EdgeGenHeader, Value: strconv.FormatUint(uint64(gen), 10)}}
-}
 
 // countRequest books one terminal-client request that this edge is
 // answering itself.
@@ -688,10 +638,7 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 	defer cancel()
 	type fillResult struct{ raw *core.RawReply }
 	results := make(chan fillResult, len(cands))
-	fields := []hpack.HeaderField{
-		{Name: core.EdgeGenHeader, Value: strconv.FormatUint(uint64(gen), 10)},
-		{Name: peerFillHeader, Value: "1"},
-	}
+	fields := []hpack.HeaderField{genHeaders[gen][0], {Name: peerFillHeader, Value: "1"}}
 	for i, p := range cands {
 		go func(i int, p *meshPeer) {
 			if i > 0 {
@@ -730,7 +677,7 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 			if staleFor > 0 {
 				added = added.Add(-(e.cfg.ttl() + staleFor))
 			}
-			e.storeAt(key, path, raw, added)
+			e.storeAt(key, path, gen, raw, added)
 			return raw, staleFor, true
 		}
 	}
@@ -829,12 +776,12 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string, inline bool) boo
 		e.pushOverlaps.Add(1)
 	default:
 		// feed.Since == last: the push continues precisely from our
-		// position. Its paths are decoded into the stack and looked up
-		// as bytes.
+		// position. Its paths are decoded into the stack and their keys
+		// removed as bytes.
 		var scratch [256]byte
 		list, _ := unescapeQuery(scratch[:0], paths) // parsePush checked it
 		for p, rest, ok := nextPath(list); ok; p, rest, ok = nextPath(rest) {
-			e.invalApplied.Add(uint64(e.invalidateBytes(p)))
+			e.invalApplied.Add(uint64(invalidate(e, p)))
 			e.pushApplied.Add(1)
 		}
 		e.lastSeq.Store(feed.Seq)
@@ -880,52 +827,33 @@ func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, bodyLen, cache
 }
 
 // cacheKey is the shard key of path for a client of ability gen,
-// "path|gen", as the string the shard and its index store.
+// "path|gen", as a string.
 func cacheKey(path string, gen http2.GenAbility) string {
 	var buf [128]byte
 	return string(appendCacheKey(buf[:0], path, gen))
 }
 
 // appendCacheKey appends cacheKey(path, gen) to dst.
-func appendCacheKey(dst []byte, path string, gen http2.GenAbility) []byte {
+func appendCacheKey[S string | []byte](dst []byte, path S, gen http2.GenAbility) []byte {
 	dst = append(append(dst, path...), '|')
 	return strconv.AppendUint(dst, uint64(gen), 10)
 }
 
-// store caches one raw reply and indexes its key under the bare path
-// so invalidations (which speak paths, not keys) can find it. It
+// store caches one raw reply under key, cacheKey(path, gen). It
 // returns the entry, whose content-length the reply that brought it in
 // can send.
-func (e *Edge) store(key, path string, raw *core.RawReply) *edgeEntry {
-	return e.storeAt(key, path, raw, e.now())
+func (e *Edge) store(key, path string, gen http2.GenAbility, raw *core.RawReply) *edgeEntry {
+	return e.storeAt(key, path, gen, raw, e.now())
 }
 
 // storeAt is store with an explicit freshness clock (peer fills and
-// snapshot restores backdate entries). The epoch re-check closes the
-// store/Flush race: the index insert and the cache insert cannot be
-// atomic (the cache's eviction callback takes e.mu), so a Flush or
-// InvalidatePath running between them could sweep the index but miss
-// the entry — leaking an uninvalidatable reply into a flushed shard.
-// Any removal pass bumps storeEpoch; a store that observes the bump
-// withdraws its own entry, trading a rare extra miss for correctness.
-func (e *Edge) storeAt(key, path string, raw *core.RawReply, added time.Time) *edgeEntry {
+// snapshot restores backdate entries). It marks gen in e.gens before
+// the entry enters the shard, so an invalidation that starts once the
+// entry is in removes it.
+func (e *Edge) storeAt(key, path string, gen http2.GenAbility, raw *core.RawReply, added time.Time) *edgeEntry {
 	ent := &edgeEntry{raw: raw, path: path, bodyLen: strconv.Itoa(len(raw.Body)), added: added}
-	e.mu.Lock()
-	epoch := e.storeEpoch
-	keys := e.byPath[path]
-	keys.path = path
-	keys.add(key)
-	e.byPath[path] = keys
-	e.mu.Unlock()
+	e.gens.Or(1 << gen)
 	e.cache.Add(key, ent, int64(len(raw.Body))+int64(len(key))+64)
-	e.mu.Lock()
-	if e.storeEpoch != epoch {
-		e.unindexLocked(path, key)
-		e.mu.Unlock()
-		e.cache.Remove(key)
-		return ent
-	}
-	e.mu.Unlock()
 	return ent
 }
 
@@ -939,7 +867,7 @@ func (e *Edge) revalidate(key, path string, gen http2.GenAbility) {
 	go e.sf.Do("reval|"+key, func() (any, error) {
 		raw, err := e.fetchUpstream(path, gen)
 		if err == nil && raw.Status == 200 {
-			e.store(key, path, raw)
+			e.store(key, path, gen, raw)
 		}
 		return nil, err
 	})
@@ -952,7 +880,7 @@ func (e *Edge) revalidate(key, path string, gen http2.GenAbility) {
 // deadline on an attempt, and an origin that takes a request and never
 // answers must not hold the key's coalesced requests forever.
 func (e *Edge) fetchUpstream(path string, gen http2.GenAbility) (*core.RawReply, error) {
-	return e.upstream.FetchRawContext(e.upstreamCtx(), path, genHeader(gen)...)
+	return e.upstream.FetchRawContext(e.upstreamCtx(), path, genHeaders[gen]...)
 }
 
 // upstreamCtx returns the context a fetchUpstream starting now runs
@@ -993,55 +921,24 @@ func (e *Edge) upstreamBudget() time.Duration {
 	return time.Duration(attempts)*per + upstreamSlack
 }
 
-// unindex drops one key from the path index (eviction callback).
-func (e *Edge) unindex(path, key string) {
-	e.mu.Lock()
-	e.unindexLocked(path, key)
-	e.mu.Unlock()
-}
+// InvalidatePath drops every cached form of path and reports how many
+// there were.
+func (e *Edge) InvalidatePath(path string) int { return invalidate(e, path) }
 
-func (e *Edge) unindexLocked(path, key string) {
-	keys, ok := e.byPath[path]
-	if !ok {
-		return
+// invalidate is InvalidatePath for a path held as a string or as bytes:
+// it removes path's key for every ability the edge has stored, each key
+// built on the stack and removed as bytes, so a pushed path is applied
+// without being made a string.
+func invalidate[S string | []byte](e *Edge, path S) int {
+	var buf [128]byte
+	n := 0
+	for gens := e.gens.Load(); gens != 0; gens &= gens - 1 {
+		gen := http2.GenAbility(bits.TrailingZeros64(gens))
+		if e.cache.RemoveBytes(appendCacheKey(buf[:0], path, gen)) {
+			n++
+		}
 	}
-	if keys.remove(key) {
-		delete(e.byPath, path)
-	} else {
-		e.byPath[path] = keys
-	}
-}
-
-// InvalidatePath drops every cached form of path.
-func (e *Edge) InvalidatePath(path string) int {
-	e.mu.Lock()
-	return e.invalidateLocked(e.byPath[path])
-}
-
-// invalidateBytes is InvalidatePath for a path held as bytes: the index
-// is read with the bytes in place, so a pushed path is applied without
-// being made a string.
-func (e *Edge) invalidateBytes(path []byte) int {
-	e.mu.Lock()
-	return e.invalidateLocked(e.byPath[string(path)])
-}
-
-// invalidateLocked drops keys, the index entry of one path, from the
-// index, releases e.mu, and then drops them from the shard. The caller
-// holds e.mu.
-func (e *Edge) invalidateLocked(keys pathKeys) int {
-	e.storeEpoch++
-	if keys.key == "" {
-		e.mu.Unlock()
-		return 0
-	}
-	delete(e.byPath, keys.path)
-	e.mu.Unlock()
-	e.cache.Remove(keys.key)
-	for _, k := range keys.more {
-		e.cache.Remove(k)
-	}
-	return 1 + len(keys.more)
+	return n
 }
 
 // Flush drops the whole shard — the response to a feed reset, where
@@ -1054,17 +951,7 @@ func (e *Edge) Flush() {
 
 // flushLocked is Flush for callers already holding feedMu.
 func (e *Edge) flushLocked() {
-	e.mu.Lock()
-	e.storeEpoch++
-	all := make([]string, 0, len(e.byPath))
-	for _, keys := range e.byPath {
-		all = append(append(all, keys.key), keys.more...)
-	}
-	e.byPath = map[string]pathKeys{}
-	e.mu.Unlock()
-	for _, k := range all {
-		e.cache.Remove(k)
-	}
+	e.cache.Each(func(key string, _ any, _ int64) { e.cache.Remove(key) })
 }
 
 // Start runs the background loops until Close: the anti-entropy
@@ -1153,14 +1040,18 @@ func (e *Edge) PollOnce(ctx context.Context) error {
 		e.lastSeq.Store(feed.Seq)
 		return nil
 	}
+	// A push may have moved lastSeq while the poll was in flight. As in
+	// servePush, only a feed that continues exactly from lastSeq
+	// applies: a duplicate (Seq <= lastSeq) brings nothing new, and an
+	// overlap (Since < lastSeq < Seq) would invalidate again paths
+	// refilled since; the next poll, from lastSeq, brings the rest.
+	if last := e.lastSeq.Load(); feed.Since != last || feed.Seq <= last {
+		return nil
+	}
 	for _, p := range feed.Paths {
 		e.invalApplied.Add(uint64(e.InvalidatePath(p)))
 	}
-	// Monotonic: a push may have advanced lastSeq past this poll's
-	// snapshot while the fetch was in flight.
-	if feed.Seq > e.lastSeq.Load() {
-		e.lastSeq.Store(feed.Seq)
-	}
+	e.lastSeq.Store(feed.Seq)
 	return nil
 }
 

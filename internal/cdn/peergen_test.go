@@ -16,11 +16,12 @@ import (
 )
 
 // TestForwardedAbilityAgrees: the ability an edge forwards in
-// x-sww-peer-gen is a uint32, and every hop must read it as one. The
-// origin, an edge and a peer-fill target all have to resolve the same
-// header to the same ability — the same bytes, under the same cache
-// key — including values past 8 bits, and fall back to the negotiated
-// ability together when the header is unparsable.
+// x-sww-peer-gen is a uint32 masked to the defined bits, and every hop
+// must read it so. The origin, an edge and a peer-fill target all have
+// to resolve the same header to the same ability — the same bytes,
+// under the same cache key — including values past 8 bits, and fall
+// back to the negotiated ability together when the header is
+// unparsable.
 func TestForwardedAbilityAgrees(t *testing.T) {
 	h := boot(t, tier.Options{Edges: []string{"edge1"}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -68,5 +69,31 @@ func TestForwardedAbilityAgrees(t *testing.T) {
 			t.Errorf("%s as a peer-fill target: status %d mode %q, %v; want 200 %q",
 				tc.header, fill.Status, fill.Mode, err, tc.mode)
 		}
+	}
+}
+
+// TestPeerGenSharesShardEntry: forwarded abilities that agree on every
+// defined bit are one ability to the edge. Five GETs of one path whose
+// x-sww-peer-gen headers differ only past http2.GenKnown make one
+// origin pull and one shard entry, not five.
+func TestPeerGenSharesShardEntry(t *testing.T) {
+	h := boot(t, tier.Options{Edges: []string{"edge1"}})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	edge := h.Client("edge1")
+	path := workload.CDNPagePath(0)
+	before := h.Edge("edge1").Stats()
+	for _, v := range []string{"71", "135", "199", "263", "327"} {
+		raw, err := edge.FetchRawContext(ctx, path, hpack.HeaderField{Name: core.EdgeGenHeader, Value: v})
+		if err != nil || raw.Status != 200 || raw.Mode != core.ModeGenerative {
+			t.Fatalf("GET with ability %s: %v, %v", v, raw, err)
+		}
+	}
+	after := h.Edge("edge1").Stats()
+	if pulls, entries := after.Misses-before.Misses, after.CacheEntries-before.CacheEntries; pulls != 1 || entries != 1 {
+		t.Fatalf("%d origin pulls and %d shard entries for one path, want 1 and 1", pulls, entries)
+	}
+	if !h.Edge("edge1").Cached(path, http2.GenFull) {
+		t.Fatalf("the entry is not keyed by the masked ability %d", http2.GenFull)
 	}
 }

@@ -26,9 +26,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"sww/internal/core"
+	"sww/internal/http2"
 )
 
 // atomicWriteFile writes data to path so a crash at any instant leaves
@@ -107,7 +110,7 @@ type snapshotEntry struct {
 	Body        []byte    `json:"body"`
 }
 
-// SaveSnapshot writes the current shard index and lastSeq to the
+// SaveSnapshot writes the current shard and lastSeq to the
 // configured snapshot path, atomically. No-op without a SnapshotPath.
 // Runs from the snapshot loop, from Close, and from the server's
 // graceful drain.
@@ -175,7 +178,8 @@ func (e *Edge) loadSnapshot() {
 	// is added last and ends up at the front of the rebuilt LRU.
 	for i := len(snap.Entries) - 1; i >= 0; i-- {
 		se := snap.Entries[i]
-		if se.Key == "" || se.Path == "" || now.Sub(se.Added) > limit {
+		gen, ok := snapshotGen(se)
+		if !ok || now.Sub(se.Added) > limit {
 			continue
 		}
 		raw := &core.RawReply{
@@ -184,9 +188,19 @@ func (e *Edge) loadSnapshot() {
 			ContentType: se.ContentType,
 			Body:        se.Body,
 		}
-		e.storeAt(se.Key, se.Path, raw, se.Added)
+		e.storeAt(se.Key, se.Path, gen, raw, se.Added)
 		restored++
 	}
 	e.lastSeq.Store(snap.LastSeq)
 	e.snapRestored.Store(int64(restored))
+}
+
+// snapshotGen returns the ability of a restored entry whose key is the
+// shard key of its path, cacheKey(Path, gen) with gen <= GenKnown: the
+// only keys an invalidation of the path can find. An entry keyed any
+// other way is dropped.
+func snapshotGen(se snapshotEntry) (http2.GenAbility, bool) {
+	g, err := strconv.ParseUint(se.Key[strings.LastIndexByte(se.Key, '|')+1:], 10, 8)
+	gen := http2.GenAbility(g)
+	return gen, err == nil && gen <= http2.GenKnown && cacheKey(se.Path, gen) == se.Key
 }

@@ -610,11 +610,14 @@ func (s *Server) serveRequest(ctx context.Context, proto, method, path string, p
 // Honoring the header unconditionally is safe: a direct client could
 // claim any ability in SETTINGS anyway, so this grants nothing new.
 // Every hop that keys on ability (origin, edge, peer-fill target)
-// resolves the header through here, so they cannot disagree.
+// resolves the header through here, so they cannot disagree. The
+// header loses the bits no ability defines: they mean nothing to any
+// hop, and an edge keys its shard on the result, which must stay one
+// of the 64 values up to http2.GenKnown.
 func EffectivePeerGen(negotiated http2.GenAbility, edgeHdr string) http2.GenAbility {
 	if edgeHdr != "" {
 		if g, err := strconv.ParseUint(edgeHdr, 10, 32); err == nil {
-			return http2.GenAbility(g)
+			return http2.GenAbility(g) & http2.GenKnown
 		}
 	}
 	return negotiated

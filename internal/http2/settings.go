@@ -135,14 +135,15 @@ func (a GenAbility) Intersect(b GenAbility) GenAbility {
 	return a & b
 }
 
-// genAbilityKnown masks the defined ability bits.
-const genAbilityKnown = GenBasic | GenImage | GenText | GenUpscaleOnly | GenVideoFrameRate | GenVideoResolution
+// GenKnown masks the defined ability bits. An ability within them is
+// one of 64 values, 0 through GenKnown.
+const GenKnown = GenBasic | GenImage | GenText | GenUpscaleOnly | GenVideoFrameRate | GenVideoResolution
 
 // genAbilityNames caches the formatted form of every combination of
 // known bits. String is on the response hot path (the mode header
 // carries it), so per-call formatting would allocate per request.
-var genAbilityNames = func() [genAbilityKnown + 1]string {
-	var names [genAbilityKnown + 1]string
+var genAbilityNames = func() [GenKnown + 1]string {
+	var names [GenKnown + 1]string
 	for a := range names {
 		names[a] = GenAbility(a).format()
 	}
@@ -150,7 +151,7 @@ var genAbilityNames = func() [genAbilityKnown + 1]string {
 }()
 
 func (a GenAbility) String() string {
-	if a <= genAbilityKnown {
+	if a <= GenKnown {
 		return genAbilityNames[a]
 	}
 	return a.format()
@@ -176,7 +177,7 @@ func (a GenAbility) format() string {
 			parts = append(parts, f.name)
 		}
 	}
-	if rest := a &^ genAbilityKnown; rest != 0 {
+	if rest := a &^ GenKnown; rest != 0 {
 		parts = append(parts, fmt.Sprintf("unknown(%#x)", uint32(rest)))
 	}
 	return strings.Join(parts, "+")

@@ -141,12 +141,23 @@ func (l *ByteLRU) Add(key string, value any, size int64) int {
 func (l *ByteLRU) Remove(key string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.items[key]
-	if !ok {
+	return l.removeLocked(l.items[key])
+}
+
+// RemoveBytes is Remove for a key held as bytes; like GetBytes it
+// builds no string.
+func (l *ByteLRU) RemoveBytes(key []byte) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.removeLocked(l.items[string(key)])
+}
+
+func (l *ByteLRU) removeLocked(e *lruEntry) bool {
+	if e == nil {
 		return false
 	}
 	l.unlinkLocked(e)
-	delete(l.items, key)
+	delete(l.items, e.key)
 	l.size -= e.size
 	return true
 }

@@ -402,6 +402,20 @@ func TestByteLRUEviction(t *testing.T) {
 	if len(evicted) != before {
 		t.Fatal("Remove fired the eviction callback")
 	}
+	// RemoveBytes is Remove for a key held as bytes: it drops the entry
+	// and its bytes, reports whether the key was cached, and fires no
+	// callback either.
+	l.Add("f", "F", 30)
+	l.Add("g", "G", 30)
+	if !l.RemoveBytes([]byte("f")) || l.RemoveBytes([]byte("f")) || l.RemoveBytes([]byte("x")) {
+		t.Fatal("RemoveBytes must report true once for a cached key, then false")
+	}
+	if _, ok := l.Peek("f"); ok || l.Len() != 1 || l.Bytes() != 30 {
+		t.Fatalf("after RemoveBytes(f): len %d size %d", l.Len(), l.Bytes())
+	}
+	if _, ok := l.Peek("g"); !ok || len(evicted) != before {
+		t.Fatalf("RemoveBytes touched g or fired the callback: evicted %v", evicted)
+	}
 }
 
 func TestGuardAdmissionLadder(t *testing.T) {
