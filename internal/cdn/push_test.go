@@ -333,70 +333,79 @@ func TestInlinePushDeclines(t *testing.T) {
 // TestPollRacingPushAppliesOnce: a poll whose reply a push overtook
 // applies nothing. The edge stands at seq 5 and polls; while the poll
 // is in flight a push applies seq 6, which unpublishes /a, and a miss
-// refills /a from the origin. The poll's reply, {since 5, seq 6,
-// [/a]}, re-covers what the push applied, and must not drop the fresh
-// /a again.
+// refills /a from the origin. The poll's reply re-covers what the push
+// applied, exactly ({since 5, seq 6}, a duplicate) or with more after
+// it ({since 5, seq 7}, an overlap). It must not drop the fresh /a
+// again nor move lastSeq past what the edge applied; the next poll,
+// from 6, brings the rest.
 func TestPollRacingPushAppliesOnce(t *testing.T) {
-	polled, release := make(chan struct{}), make(chan struct{})
-	origin := &http2.Server{Handler: http2.HandlerFunc(func(w *http2.ResponseWriter, r *http2.Request) {
-		if strings.HasPrefix(r.Path, invalidationsPath) {
-			close(polled)
-			<-release
-			writeControl(w, 200, "application/json", []byte(`{"since":5,"seq":6,"paths":["/a"],"epoch":1}`))
-			return
-		}
-		writeControl(w, 200, "text/html", []byte("page "+r.Path))
-	})}
-	origins := core.NewEndpointSet(core.EndpointHealthConfig{})
-	origins.Add("origin", func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		origin.StartConn(sEnd)
-		return cEnd, nil
-	})
-	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, origins)
-	defer e.Close()
-	e.SetLastSeq(5)
-	cEnd, sEnd := net.Pipe()
-	e.StartConn(sEnd)
-	cc, err := http2.NewClientConn(cEnd, http2.Config{GenAbility: http2.GenFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	get := func(path string) string {
-		t.Helper()
-		resp, err := cc.Get(path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, err := http2.ReadAllBody(resp)
-		if err != nil || resp.Status != 200 {
-			t.Fatalf("GET %s: status %d, %v", path, resp.Status, err)
-		}
-		return resp.HeaderValue(core.EdgeCacheHeader) + " " + string(body)
-	}
+	for _, tc := range []struct{ name, reply string }{
+		{"duplicate", `{"since":5,"seq":6,"paths":["/a"],"epoch":1}`},
+		{"overlap", `{"since":5,"seq":7,"paths":["/a","/b"],"epoch":1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			polled, release := make(chan struct{}), make(chan struct{})
+			origin := &http2.Server{Handler: http2.HandlerFunc(func(w *http2.ResponseWriter, r *http2.Request) {
+				if strings.HasPrefix(r.Path, invalidationsPath) {
+					close(polled)
+					<-release
+					writeControl(w, 200, "application/json", []byte(tc.reply))
+					return
+				}
+				writeControl(w, 200, "text/html", []byte("page "+r.Path))
+			})}
+			origins := core.NewEndpointSet(core.EndpointHealthConfig{})
+			origins.Add("origin", func() (net.Conn, error) {
+				cEnd, sEnd := net.Pipe()
+				origin.StartConn(sEnd)
+				return cEnd, nil
+			})
+			e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, origins)
+			defer e.Close()
+			e.SetLastSeq(5)
+			cEnd, sEnd := net.Pipe()
+			e.StartConn(sEnd)
+			cc, err := http2.NewClientConn(cEnd, http2.Config{GenAbility: http2.GenFull})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cc.Close()
+			get := func(path string) string {
+				t.Helper()
+				resp, err := cc.Get(path)
+				if err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+				body, err := http2.ReadAllBody(resp)
+				if err != nil || resp.Status != 200 {
+					t.Fatalf("GET %s: status %d, %v", path, resp.Status, err)
+				}
+				return resp.HeaderValue(core.EdgeCacheHeader) + " " + string(body)
+			}
 
-	get("/a") // warm at seq 5
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	pollErr := make(chan error, 1)
-	go func() { pollErr <- e.PollOnce(ctx) }()
-	<-polled
-	if got := get(pushPath + "?since=5&seq=6&epoch=1&paths=/a"); got != ` {"ack":6,"epoch":1}` {
-		t.Fatalf("push reply %q", got)
-	}
-	if got := get("/a"); got != "miss page /a" {
-		t.Fatalf("GET /a after the push = %q, want a miss that refills it", got)
-	}
-	close(release)
-	if err := <-pollErr; err != nil {
-		t.Fatal(err)
-	}
-	if got := get("/a"); got != "hit page /a" {
-		t.Errorf("GET /a after the raced poll = %q, want the refilled entry's hit", got)
-	}
-	if s := e.Stats(); s.LastSeq != 6 || s.InvalApplied != 1 {
-		t.Errorf("lastSeq %d, %d invalidations applied; want 6, 1 (the push's)", s.LastSeq, s.InvalApplied)
+			get("/a") // warm at seq 5
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			pollErr := make(chan error, 1)
+			go func() { pollErr <- e.PollOnce(ctx) }()
+			<-polled
+			if got := get(pushPath + "?since=5&seq=6&epoch=1&paths=/a"); got != ` {"ack":6,"epoch":1}` {
+				t.Fatalf("push reply %q", got)
+			}
+			if got := get("/a"); got != "miss page /a" {
+				t.Fatalf("GET /a after the push = %q, want a miss that refills it", got)
+			}
+			close(release)
+			if err := <-pollErr; err != nil {
+				t.Fatal(err)
+			}
+			if got := get("/a"); got != "hit page /a" {
+				t.Errorf("GET /a after the raced poll = %q, want the refilled entry's hit", got)
+			}
+			if s := e.Stats(); s.LastSeq != 6 || s.InvalApplied != 1 {
+				t.Errorf("lastSeq %d, %d invalidations applied; want 6, 1 (the push's)", s.LastSeq, s.InvalApplied)
+			}
+		})
 	}
 }
 

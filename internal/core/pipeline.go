@@ -158,7 +158,7 @@ func (pp *PageProcessor) ProcessContext(ctx context.Context, doc *html.Node) (ma
 	if err := malformed(parseErrs); err != nil {
 		return nil, nil, err
 	}
-	return pp.process(ctx, placement{phs: placeholders})
+	return pp.process(ctx, placement{phs: placeholders}, pp.genWorkers())
 }
 
 // malformed is the error a pass fails with when a page has malformed
@@ -175,23 +175,26 @@ func malformed(parseErrs []error) error {
 // ProcessContext over the page's memoized placeholders, with the
 // results written into its compiled holes. body is, byte for byte, what
 // ProcessContext on a clone of p.Doc renders to; errors are its errors.
+// The pass runs on the calling goroutine alone, whatever pp.Workers
+// says: the server calls it on a generation its guard has admitted, so
+// MaxGenWorkers is the one bound on server-side generation.
 func (pp *PageProcessor) processTraditional(ctx context.Context, p *Page) (body []byte, assets map[string][]byte, report *ProcessReport, err error) {
 	if _, err := p.parsed(); err != nil {
 		return nil, nil, nil, err
 	}
 	c := p.compile()
 	pl := c.placement()
-	if assets, report, err = pp.process(ctx, pl); err != nil {
+	if assets, report, err = pp.process(ctx, pl, 1); err != nil {
 		return nil, nil, nil, err
 	}
 	return c.body(pl.nodes), assets, report, nil
 }
 
-func (pp *PageProcessor) process(ctx context.Context, pl placement) (map[string][]byte, *ProcessReport, error) {
+func (pp *PageProcessor) process(ctx context.Context, pl placement, workers int) (map[string][]byte, *ProcessReport, error) {
 	loadBefore := pp.pipelineLoadTime()
 	assets := make(map[string][]byte)
 	report := &ProcessReport{}
-	if err := pp.runPlaceholders(ctx, pl, assets, report); err != nil {
+	if err := pp.runPlaceholders(ctx, pl, workers, assets, report); err != nil {
 		return nil, nil, err
 	}
 	report.SimLoadTime = pp.pipelineLoadTime() - loadBefore
@@ -253,72 +256,99 @@ func (pp *PageProcessor) genWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runPlaceholders generates pl's placeholders on a bounded worker pool
-// and assembles results strictly in document order, so every
-// observable outcome — asset bytes, placements, report contents,
-// SimBudget cut-off point, and which error is returned — is identical
-// to a sequential pass. Simulated generation time remains the
-// sequential sum (§6.2 accounting); only the reproduction's own
-// wall-clock is parallelized.
+// runPlaceholders generates pl's placeholders on at most workers
+// goroutines, the caller one of them, and assembles results strictly in
+// document order, so every observable outcome — asset bytes,
+// placements, report contents, SimBudget cut-off point, and which error
+// is returned — is identical to a sequential pass. Simulated generation
+// time remains the sequential sum (§6.2 accounting); only the
+// reproduction's own wall-clock is parallelized.
 //
-// Cancellation: workers observe ctx, and stop as soon as assembly
-// selects an error. Items before the failing one in document order are
-// already applied (matching the sequential pass); later results are
-// discarded with the whole report.
-func (pp *PageProcessor) runPlaceholders(ctx context.Context, pl placement, assets map[string][]byte, report *ProcessReport) error {
-	placeholders := pl.phs
-	n := len(placeholders)
-	if n == 0 {
-		return nil
+// The caller claims items like any worker and, between its own items,
+// applies every result that is next in document order. Alone, it applies
+// each item as it generates it: no goroutine, channel or result table.
+//
+// Cancellation: every worker observes ctx, and helpers stop as soon as
+// assembly selects an error. Items before the failing one in document
+// order are already applied (matching the sequential pass); later
+// results are discarded with the whole report.
+func (pp *PageProcessor) runPlaceholders(ctx context.Context, pl placement, workers int, assets map[string][]byte, report *ProcessReport) error {
+	n := len(pl.phs)
+	var h *helpers // nil when the caller works alone
+	if workers = min(workers, n); workers > 1 {
+		h = &helpers{results: make([]genResult, n), arrived: make([]bool, n), ready: make(chan int, n)}
+		h.wg.Add(workers - 1)
+		for k := 1; k < workers; k++ {
+			go h.work(ctx, pp, pl)
+		}
+		// Stop in-flight work and wait for the helpers before returning:
+		// they use caller-owned state (FetchAsset closures in particular)
+		// that must not outlive the Process call.
+		defer h.halt()
 	}
-	workers := pp.genWorkers()
-	if workers > n {
-		workers = n
-	}
-	var stop atomic.Bool // set once assembly has its error
-	results := make([]genResult, n)
-	ready := make(chan int, n) // buffered: workers never block, even if assembly stops early
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Same cooperative-cancellation granularity as the
-				// sequential loop: checked once before each item. (After
-				// stop the result is never read.)
-				if err := ctx.Err(); err != nil {
-					results[i] = genResult{err: err}
-				} else if !stop.Load() {
-					results[i] = pp.generateOne(placeholders[i])
-				}
-				ready <- i
+	var err error
+	for applied := 0; applied < n && err == nil; {
+		i := applied // alone, the caller has claimed exactly the items it applied
+		if h != nil {
+			i = h.claim()
+		}
+		if i < n {
+			r := pp.generateAt(ctx, pl, i)
+			if i == applied {
+				err = pp.applyResult(pl, i, &r, assets, report)
+				applied++
+			} else {
+				h.results[i], h.arrived[i] = r, true
 			}
-		}()
-	}
-
-	var retErr error
-	arrived := make([]bool, n)
-	applied := 0
-	for received := 0; received < n && retErr == nil; received++ {
-		i := <-ready
-		arrived[i] = true
-		for retErr == nil && applied < n && arrived[applied] {
-			retErr = pp.applyResult(pl, applied, &results[applied], assets, report)
-			applied++
+		} else { // every item is claimed, the next to apply by a helper
+			h.arrived[<-h.ready] = true
+		}
+		for ; err == nil && h.done(applied); applied++ {
+			err = pp.applyResult(pl, applied, &h.results[applied], assets, report)
 		}
 	}
-	// Stop in-flight work and wait for the pool before returning:
-	// workers use caller-owned state (FetchAsset closures in
-	// particular) that must not outlive the Process call.
-	stop.Store(true)
-	wg.Wait()
-	return retErr
+	return err
+}
+
+// helpers are the goroutines that generate beside runPlaceholders'
+// caller, and what they share with it.
+type helpers struct {
+	next    atomic.Int64 // items claimed
+	stop    atomic.Bool  // set once the caller is done with results
+	wg      sync.WaitGroup
+	results []genResult
+	arrived []bool   // results[i] is in; read and written by the caller only
+	ready   chan int // a helper's finished item; buffered, so a helper never blocks
+}
+
+// claim returns the next unclaimed item.
+func (h *helpers) claim() int { return int(h.next.Add(1)) - 1 }
+
+// done reports whether item i's result is in and waiting to be applied.
+func (h *helpers) done(i int) bool { return h != nil && i < len(h.arrived) && h.arrived[i] }
+
+func (h *helpers) work(ctx context.Context, pp *PageProcessor, pl placement) {
+	defer h.wg.Done()
+	for i := h.claim(); i < len(h.results); i = h.claim() {
+		if !h.stop.Load() { // after stop the result is never read
+			h.results[i] = pp.generateAt(ctx, pl, i)
+		}
+		h.ready <- i
+	}
+}
+
+func (h *helpers) halt() {
+	h.stop.Store(true)
+	h.wg.Wait()
+}
+
+// generateAt generates placeholder i, checking ctx first: the same
+// cooperative-cancellation granularity as a sequential loop.
+func (pp *PageProcessor) generateAt(ctx context.Context, pl placement, i int) genResult {
+	if err := ctx.Err(); err != nil {
+		return genResult{err: err}
+	}
+	return pp.generateOne(pl.phs[i])
 }
 
 // applyResult performs placeholder i's document-order side effects:

@@ -78,9 +78,10 @@ func (m *diffusionModel) Generate(req genai.ImageRequest) (*genai.ImageResult, e
 	if err != nil {
 		return nil, err
 	}
-	seed, target := m.seedAndTarget(req)
-
-	img, planted, emb := synthesize(req.Prompt, req.Width, req.Height, seed, target)
+	sc := scratches.Get().(*scratch)
+	seed, target := m.seedAndTarget(sc, req)
+	img, planted, emb := sc.synthesize(req.Prompt, req.Width, req.Height, seed, target)
+	scratches.Put(sc)
 	data, err := EncodePNG(img)
 	if err != nil {
 		return nil, err
@@ -97,8 +98,8 @@ func (m *diffusionModel) Generate(req genai.ImageRequest) (*genai.ImageResult, e
 }
 
 // seedAndTarget resolves a normalized request's synthesis seed and
-// the prompt alignment to plant.
-func (m *diffusionModel) seedAndTarget(req genai.ImageRequest) (seed int64, target float64) {
+// the prompt alignment to plant, drawing on sc's generator.
+func (m *diffusionModel) seedAndTarget(sc *scratch, req genai.ImageRequest) (seed int64, target float64) {
 	seed = req.Seed
 	if seed == 0 {
 		seed = promptSeed(m.name, req.Prompt)
@@ -107,11 +108,9 @@ func (m *diffusionModel) seedAndTarget(req genai.ImageRequest) (seed int64, targ
 	// generations of the same model, and very low step counts cost a
 	// little adherence (the paper: "only minor changes to CLIP score"
 	// across 10–60 steps).
-	sc := scratches.Get().(*scratch)
 	sc.rng.Seed(seed ^ 0x5ee1)
 	target = metrics.AlignmentForCLIP(m.clipTarget)
 	target += sc.rng.NormFloat64() * 0.015
-	scratches.Put(sc)
 	if req.Steps < 10 {
 		target -= 0.02 * float64(10-req.Steps) / 10
 	}

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"sww/internal/genai"
 	"sww/internal/metrics"
 )
 
@@ -30,10 +31,10 @@ const (
 	texAmp   = 22  // amplitude of the in-cell texture
 )
 
-// A scratch is one synthesis's working memory. A busy server
-// synthesizes thousands of images, and the w·h texture plane is the
-// dominant transient allocation, so scratches are recycled whole, with
-// the generator the synthesis draws from.
+// A scratch is one image's working memory. A busy server synthesizes
+// thousands of images, and the w·h texture plane is the dominant
+// transient allocation, so scratches are recycled whole, with the
+// generator the image draws from.
 type scratch struct {
 	rng   *rand.Rand // re-seeded per use: the sequence rand.New(rand.NewSource(seed)) draws
 	tex   []float64  // w·h texture plane, before the cell means are removed
@@ -60,7 +61,9 @@ type cellStats struct {
 	min, max [grid * grid]float64 // the cell's least and greatest texture value
 }
 
-var scratches = sync.Pool{New: func() any { return &scratch{rng: rand.New(rand.NewSource(1))} }}
+var scratches = sync.Pool{New: func() any { return newScratch() }}
+
+func newScratch() *scratch { return &scratch{rng: rand.New(genai.NewLazySource(1))} }
 
 // resize returns s with length n, reusing its storage when it can.
 func resize[T any](s []T, n int) []T {
@@ -70,8 +73,8 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// synthesize renders a w×h image that encodes a feature vector with
-// the given target prompt alignment. It returns the image, the
+// synthesize renders, on sc, a w×h image that encodes a feature vector
+// with the given target prompt alignment. It returns the image, the
 // alignment actually planted, and the prompt's text embedding (so
 // callers verifying §7 alignment need not re-embed the prompt).
 //
@@ -90,9 +93,7 @@ func resize[T any](s []T, n int) []T {
 // the straightforward per-pixel formulation (Go's + and * are
 // left-associative), so hoisting per-cell and per-column terms into
 // tables keeps the output byte-for-byte identical.
-func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, []float64) {
-	sc := scratches.Get().(*scratch)
-	defer scratches.Put(sc)
+func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, []float64) {
 	rng := sc.rng
 	rng.Seed(seed)
 
@@ -100,22 +101,21 @@ func synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*imag
 	// metrics.EmbedImage measures.
 	e := metrics.EmbedText(prompt)
 	ec := centered(e)
-	ecNorm := norm(ec)
-	var v []float64
+	ecNorm := norm(ec[:])
+	var v embedding
 	planted := 0.0
 	if ecNorm < 1e-9 || targetAlign <= 0 {
 		// Unconditioned image (the paper's random baseline).
 		v = randomUnitZeroMean(rng, nil)
 	} else {
-		scale(ec, 1/ecNorm)
+		scale(ec[:], 1/ecNorm)
 		// Measured cosine is against the *uncentered* text embedding,
 		// so compensate for the centering loss.
 		a := targetAlign / ecNorm
 		if a > 0.995 {
 			a = 0.995
 		}
-		g := randomUnitZeroMean(rng, ec)
-		v = make([]float64, len(ec))
+		g := randomUnitZeroMean(rng, &ec)
 		s := math.Sqrt(1 - a*a)
 		for i := range v {
 			v[i] = a*ec[i] + s*g[i]
@@ -308,14 +308,17 @@ func (l lattice) value(ix, iy int) float64 {
 func unit(hash uint64) float64 { return float64(hash%2048)/1023.5 - 1 }
 
 // fill writes the n×n lattice values at integer coordinates [0,n)² into
-// t, row-major. It is value's hash, with the FNV-1a state after the
-// seed and after ix each computed once instead of once per entry.
+// t, row-major, for n ≤ 256. It is value's hash, with the FNV-1a state
+// after the seed and after ix each computed once instead of once per
+// entry. A coordinate below 256 is one byte and seven zero bytes, and
+// XORing in a zero byte changes nothing, so continuing state h over it
+// is (h^v)·prime⁸.
 func (l lattice) fill(t []float64, n int) {
 	seeded := fnvInt64(fnvOffset, l.seed)
 	for ix := 0; ix < n; ix++ {
-		col := fnvInt64(seeded, int64(ix))
+		col := (seeded ^ uint64(ix)) * fnvPrime8
 		for iy := 0; iy < n; iy++ {
-			t[iy*n+ix] = unit(fnvInt64(col, int64(iy)))
+			t[iy*n+ix] = unit((col ^ uint64(iy)) * fnvPrime8)
 		}
 	}
 }
@@ -323,6 +326,7 @@ func (l lattice) fill(t []float64, n int) {
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
+	fnvPrime8 = fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime % (1 << 64)
 )
 
 // fnvInt64 continues FNV-1a state h over v's eight little-endian bytes.
@@ -409,8 +413,13 @@ func clampByte(v float64) uint8 {
 	return uint8(v + 0.5)
 }
 
-func centered(v []float64) []float64 {
-	out := append([]float64(nil), v...)
+// An embedding is a feature vector the size of metrics.EmbedDim, kept
+// off the heap.
+type embedding = [metrics.EmbedDim]float64
+
+// centered returns v, of length metrics.EmbedDim, less its mean.
+func centered(v []float64) (out embedding) {
+	copy(out[:], v)
 	var mean float64
 	for _, x := range out {
 		mean += x
@@ -438,12 +447,12 @@ func scale(v []float64, k float64) {
 
 // randomUnitZeroMean draws a unit vector in the zero-mean subspace,
 // orthogonal to excl when excl is non-nil (and unit, zero-mean).
-func randomUnitZeroMean(rng *rand.Rand, excl []float64) []float64 {
-	v := make([]float64, metrics.EmbedDim)
-	for i := range v {
-		v[i] = rng.NormFloat64()
+func randomUnitZeroMean(rng *rand.Rand, excl *embedding) embedding {
+	var draws embedding
+	for i := range draws {
+		draws[i] = rng.NormFloat64()
 	}
-	v = centered(v)
+	v := centered(draws[:])
 	if excl != nil {
 		var dot float64
 		for i := range v {
@@ -453,11 +462,11 @@ func randomUnitZeroMean(rng *rand.Rand, excl []float64) []float64 {
 			v[i] -= dot * excl[i]
 		}
 	}
-	n := norm(v)
+	n := norm(v[:])
 	if n == 0 {
 		v[0], v[1] = 0.7071, -0.7071
 		return v
 	}
-	scale(v, 1/n)
+	scale(v[:], 1/n)
 	return v
 }

@@ -25,19 +25,19 @@ import (
 func referenceSynthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.RGBA, float64) {
 	rng := rand.New(rand.NewSource(seed))
 	e := metrics.EmbedText(prompt)
-	ec := centered(e)
+	ec := referenceCentered(e)
 	ecNorm := norm(ec)
 	var v []float64
 	planted := 0.0
 	if ecNorm < 1e-9 || targetAlign <= 0 {
-		v = randomUnitZeroMean(rng, nil)
+		v = referenceRandomUnitZeroMean(rng, nil)
 	} else {
 		scale(ec, 1/ecNorm)
 		a := targetAlign / ecNorm
 		if a > 0.995 {
 			a = 0.995
 		}
-		g := randomUnitZeroMean(rng, ec)
+		g := referenceRandomUnitZeroMean(rng, ec)
 		v = make([]float64, len(ec))
 		s := math.Sqrt(1 - a*a)
 		for i := range v {
@@ -61,6 +61,54 @@ func referenceSynthesize(prompt string, w, h int, seed int64, targetAlign float6
 		}
 	}
 	return img, planted
+}
+
+// referenceCentered and referenceRandomUnitZeroMean are the reference
+// kernel's vector helpers, verbatim: fresh slices, where production
+// keeps its vectors in arrays.
+func referenceCentered(v []float64) []float64 {
+	out := append([]float64(nil), v...)
+	var mean float64
+	for _, x := range out {
+		mean += x
+	}
+	mean /= float64(len(out))
+	for i := range out {
+		out[i] -= mean
+	}
+	return out
+}
+
+func referenceRandomUnitZeroMean(rng *rand.Rand, excl []float64) []float64 {
+	v := make([]float64, metrics.EmbedDim)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	v = referenceCentered(v)
+	if excl != nil {
+		var dot float64
+		for i := range v {
+			dot += v[i] * excl[i]
+		}
+		for i := range v {
+			v[i] -= dot * excl[i]
+		}
+	}
+	n := norm(v)
+	if n == 0 {
+		v[0], v[1] = 0.7071, -0.7071
+		return v
+	}
+	scale(v, 1/n)
+	return v
+}
+
+// pooledSynthesize is one synthesis on a pooled scratch, as Generate
+// runs it.
+func pooledSynthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, []float64) {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	return sc.synthesize(prompt, w, h, seed, targetAlign)
 }
 
 // tintOffsets is the reference kernel's per-prompt chroma shift,
@@ -163,7 +211,7 @@ func TestSynthMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%dx%d_seed%d", tc.w, tc.h, tc.seed), func(t *testing.T) {
 			want, wantAlign := referenceSynthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
-			got, gotAlign, emb := synthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
+			got, gotAlign, emb := pooledSynthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
 			if gotAlign != wantAlign {
 				t.Errorf("planted alignment = %v, reference %v", gotAlign, wantAlign)
 			}
@@ -190,7 +238,7 @@ func TestSynthMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seed, target := sd3.seedAndTarget(req)
+			seed, target := sd3.seedAndTarget(newScratch(), req)
 			want, wantAlign = referenceSynthesize(tc.prompt, tc.w, tc.h, seed, target)
 			if res.Alignment != wantAlign {
 				t.Errorf("Generate planted alignment = %v, reference %v", res.Alignment, wantAlign)
@@ -250,8 +298,8 @@ func TestTintPalettes(t *testing.T) {
 // tint's one table rather than building a palette each, and carry
 // exactly the entries between their darkest and brightest pixel.
 func TestSynthPaletteSharedAndTrimmed(t *testing.T) {
-	a, _, _ := synthesize("first prompt", 96, 96, 11, 0.5)
-	b, _, _ := synthesize("first prompt", 64, 64, 22, 0.5)
+	a, _, _ := pooledSynthesize("first prompt", 96, 96, 11, 0.5)
+	b, _, _ := pooledSynthesize("first prompt", 64, 64, 22, 0.5)
 	table := tintPalette(tintOf("first prompt"))
 	for _, img := range []*image.Paletted{a, b} {
 		shared := false
@@ -278,13 +326,13 @@ func TestSynthPaletteSharedAndTrimmed(t *testing.T) {
 // scratch buffers; a second synthesis must not disturb the first
 // image, and repeated synthesis with the same inputs stays identical.
 func TestSynthPooledBuffersDoNotAlias(t *testing.T) {
-	a1, _, _ := synthesize("first prompt", 96, 96, 11, 0.5)
+	a1, _, _ := pooledSynthesize("first prompt", 96, 96, 11, 0.5)
 	snapshot := append([]byte(nil), a1.Pix...)
-	synthesize("second prompt", 96, 96, 22, 0.5)
+	pooledSynthesize("second prompt", 96, 96, 22, 0.5)
 	if !bytes.Equal(a1.Pix, snapshot) {
 		t.Fatal("second synthesis mutated the first image's pixels")
 	}
-	a2, _, _ := synthesize("first prompt", 96, 96, 11, 0.5)
+	a2, _, _ := pooledSynthesize("first prompt", 96, 96, 11, 0.5)
 	if !bytes.Equal(a1.Pix, a2.Pix) {
 		t.Fatal("repeated synthesis with identical inputs diverged")
 	}
@@ -300,7 +348,7 @@ func BenchmarkSynthKernel(b *testing.B) {
 		b.Run(fmt.Sprint(size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				synthesize("a red sailboat at dawn", size, size, 12345, 0.55)
+				pooledSynthesize("a red sailboat at dawn", size, size, 12345, 0.55)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package textgen
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -91,23 +92,35 @@ func TestComposeMatchesReference(t *testing.T) {
 }
 
 // TestSeedsMatchReference: the expansion seed hashed in place equals the
-// hash of the joined bullets, and the memoized jitter is the one a fresh
-// source draws.
+// hash of the joined bullets, and the jitter is the one a fresh source
+// draws from the hash of the formatted class and word count.
 func TestSeedsMatchReference(t *testing.T) {
 	for _, bullets := range [][]string{nil, {""}, {"one"}, evalBullets, {"a\nb", "", "c"}} {
 		if got, want := bulletsSeed(ds8.name, bullets), seedOf(ds8.name, strings.Join(bullets, "\n")); got != want {
 			t.Errorf("bulletsSeed(%q) = %d, want %d", bullets, got, want)
 		}
 	}
-	for _, words := range []int{1, 60, 100, 250, 1000} {
-		for _, class := range []device.Class{device.ClassLaptop, device.ClassWorkstation} {
+	for _, words := range []int{-1, 0, 1, 60, 100, 250, 1000} {
+		for _, class := range []device.Class{device.ClassLaptop, device.ClassWorkstation, device.ClassMobile, device.Class(9)} {
 			rng := rand.New(rand.NewSource(seedOf(ds8.name, fmt.Sprint(class), fmt.Sprint(words))))
-			want := max(1+0.05*rng.NormFloat64(), 0.9)
-			for pass := 0; pass < 2; pass++ { // drawn, then memoized
-				if got := ds8.jitter(class, words); got != want {
-					t.Errorf("jitter(%v, %d) pass %d = %v, want %v", class, words, pass, got, want)
-				}
+			want := 1 + 0.05*rng.NormFloat64()
+			if want < 0.9 {
+				want = 0.9
+			}
+			if got := ds8.jitter(class, words); got != want {
+				t.Errorf("jitter(%v, %d) = %v, want %v", class, words, got, want)
 			}
 		}
 	}
+}
+
+// seedOf is the reference hash of the seeds above: FNV-1a over each
+// part and a 0x1f after it.
+func seedOf(parts ...string) int64 {
+	h := fnv.New64a()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0x1f})
+	}
+	return int64(h.Sum64())
 }

@@ -12,9 +12,9 @@ package textgen
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -59,14 +59,6 @@ type expanderModel struct {
 	overthink float64
 
 	loadTime map[device.Class]time.Duration
-
-	jitterMu sync.Mutex
-	jitters  map[jitterKey]float64 // see jitter
-}
-
-type jitterKey struct {
-	class device.Class
-	words int
 }
 
 const maxOvershoot = 0.20
@@ -105,31 +97,19 @@ func (m *expanderModel) GenTime(class device.Class, words int) (time.Duration, e
 }
 
 // jitter is GenTime's small deterministic factor modelling that decode
-// time varies run to run. Drawing it takes a seeded 607-word source, so
-// it is memoized: one entry per device class and word count requested.
+// time varies run to run: one normal draw seeded by model, class and
+// word count.
 func (m *expanderModel) jitter(class device.Class, words int) float64 {
-	k := jitterKey{class, words}
-	m.jitterMu.Lock()
-	defer m.jitterMu.Unlock()
-	if j, ok := m.jitters[k]; ok {
-		return j
-	}
-	rng := rand.New(rand.NewSource(seedOf(m.name, fmt.Sprint(class), fmt.Sprint(words))))
-	j := 1 + 0.05*rng.NormFloat64()
-	if j < 0.9 {
-		j = 0.9
-	}
-	if m.jitters == nil {
-		m.jitters = make(map[jitterKey]float64)
-	}
-	m.jitters[k] = j
-	return j
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(jitterSeed(m.name, class, words))
+	return max(1+0.05*rng.NormFloat64(), 0.9)
 }
 
-// rngs recycles Expand's generators: re-seeding one draws the same
-// sequence as a fresh rand.New(rand.NewSource(seed)), without
-// allocating its 607-word state.
-var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+// rngs recycles the generators jitter and Expand draw from: re-seeding
+// one draws the same sequence as a fresh rand.New(rand.NewSource(seed)),
+// without allocating a state or building the words no draw reads.
+var rngs = sync.Pool{New: func() any { return rand.New(genai.NewLazySource(1)) }}
 
 func (m *expanderModel) Expand(req genai.TextRequest) (*genai.TextResult, error) {
 	if req.TargetWords == 0 {
@@ -259,35 +239,41 @@ var fillerLexicon = []string{
 	"quality", "highlights", "features", "scenery", "story",
 }
 
-func seedOf(parts ...string) int64 {
-	h := fnv.New64a()
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0x1f})
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a continues FNV-1a state h over s.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
-	return int64(h.Sum64())
+	return h
 }
 
-// bulletsSeed is seedOf(model, strings.Join(bullets, "\n")), hashed
-// without building the joined string.
+// bulletsSeed is the FNV-1a hash of model and of the bullets joined by
+// "\n", each part followed by 0x1f, hashed without building the joined
+// string.
 func bulletsSeed(model string, bullets []string) int64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	write := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime
-		}
-	}
-	write(model)
-	write("\x1f")
+	h := fnv1a(fnv1a(fnvOffset, model), "\x1f")
 	for i, b := range bullets {
 		if i > 0 {
-			write("\n")
+			h = fnv1a(h, "\n")
 		}
-		write(b)
+		h = fnv1a(h, b)
 	}
-	write("\x1f")
-	return int64(h)
+	return int64(fnv1a(h, "\x1f"))
+}
+
+// jitterSeed is the same hash of model, fmt.Sprint(class) and
+// fmt.Sprint(words), without formatting into a new string.
+func jitterSeed(model string, class device.Class, words int) int64 {
+	var digits [20]byte
+	h := fnv1a(fnv1a(fnvOffset, model), "\x1f")
+	h = fnv1a(fnv1a(h, class.String()), "\x1f")
+	h = fnv1a(h, strconv.AppendInt(digits[:0], int64(words), 10))
+	return int64(fnv1a(h, "\x1f"))
 }
 
 // Models returns the calibrated models for experiment code.
