@@ -1239,7 +1239,7 @@ func (e *Edge) Register(reg *telemetry.Registry) {
 	reg.Adopt("sww_edge_cache_hits_total", &e.hits)
 	reg.Adopt("sww_edge_cache_misses_total", &e.misses)
 	reg.Adopt("sww_edge_stale_serves_total", &e.staleServes)
-	reg.Adopt("sww_edge_failover_total", &e.failovers)
+	reg.Adopt("sww_edge_ring_failover_total", &e.failovers)
 	reg.Adopt("sww_edge_upstream_errors_total", &e.upstreamErrors)
 	reg.Adopt("sww_edge_errors_total", &e.errors)
 	reg.Adopt("sww_edge_invalidations_applied_total", &e.invalApplied)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -223,6 +224,68 @@ func TestSanitizeName(t *testing.T) {
 		if got := sanitizeName(in); got != want {
 			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestGeneratedPathsPerPage: names that sanitize alike ("Pic" and
+// "pic", two unnamed images) still give every generated image of a page
+// an asset of its own, in the document pass and the compiled one alike;
+// a later clash takes the first suffix no name on the page claims, and
+// a name that clashes with none keeps its path.
+func TestGeneratedPathsPerPage(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<html><body>")
+	for i, name := range []string{"Pic", "pic", "", "", "pic-2"} {
+		gc := GeneratedContent{Type: ContentImage, Meta: Metadata{
+			Prompt: "a harbor at dawn, view " + string(rune('a'+i)),
+			Name:   name, Width: 32, Height: 32,
+		}}
+		div, err := gc.Div()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(html.RenderString(div))
+	}
+	b.WriteString("</body></html>")
+	want := []string{"/generated/pic.png", "/generated/pic-3.png", "/generated/unnamed.png",
+		"/generated/unnamed-2.png", "/generated/pic-2.png"}
+
+	proc, err := NewPageProcessor(device.Laptop, imagegen.SD21, textgen.DeepSeek8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := html.Parse(b.String())
+	docAssets, _, err := proc.Process(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, assets, _, err := proc.processTraditional(context.Background(), &Page{Path: "/p", Doc: html.Parse(b.String())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, out := range map[string]struct {
+		doc    *html.Node
+		assets map[string][]byte
+	}{"document": {doc, docAssets}, "compiled": {html.Parse(string(body)), assets}} {
+		imgs := out.doc.ByTag("img")
+		if len(imgs) != len(want) || len(out.assets) != len(want) {
+			t.Fatalf("%s pass: %d images, %d assets, want %d of each", pass, len(imgs), len(out.assets), len(want))
+		}
+		seen := map[string]bool{}
+		for i, img := range imgs {
+			src, _ := img.AttrValue("src")
+			if src != want[i] {
+				t.Errorf("%s pass: image %d at %q, want %q", pass, i, src, want[i])
+			}
+			data := string(out.assets[src])
+			if data == "" || seen[data] {
+				t.Errorf("%s pass: image %d's asset %q is missing or another image's", pass, i, src)
+			}
+			seen[data] = true
+		}
+	}
+	if string(body) != html.RenderString(doc) {
+		t.Error("compiled body differs from the processed document")
 	}
 }
 

@@ -59,14 +59,19 @@ func FuzzMetadataJSON(f *testing.F) {
 }
 
 // FuzzTraditionalSegments is a differential test of the compiled page
-// against the document pass it replaces. For any parsed page, putting
-// fixed replacement nodes into the compiled holes must render byte for
-// byte what Clone, ReplaceChild of every placeholder in document order,
-// and a render of the clone produce — nested placeholders included,
-// which vanish with the div around them. And a server-side traditional
-// generation must fail exactly as ProcessContext on a clone does, here
-// with no pipeline: on the page's malformed divs, or on its first
-// placeholder; a page with no placeholders renders as itself.
+// against the document pass it replaces. For any parsed page, placing
+// the same stand-in generation results — text and alt attributes that
+// must be escaped, verified and failed images — into the compiled holes
+// must render byte for byte what placing them into a clone does:
+// ReplaceChild of every placeholder in document order and a render of
+// the clone, nested placeholders included, which vanish with the div
+// around them. Both passes must assign the same asset paths, and, with
+// an original stored for every placeholder, the page written from its
+// originals must be TraditionalDoc's render. And a
+// server-side traditional generation must fail exactly as
+// ProcessContext on a clone does, here with no pipeline: on the page's
+// malformed divs, or on its first placeholder; a page with no
+// placeholders renders as itself.
 func FuzzTraditionalSegments(f *testing.F) {
 	div := func(ct, meta, inner string) string {
 		return `<div class="generated-content" content-type="` + ct + `" metadata='` + meta + `'>` + inner + `</div>`
@@ -80,6 +85,7 @@ func FuzzTraditionalSegments(f *testing.F) {
 	f.Add(`<ul><li>` + img + `</li><li>x` + txt + `</li></ul>`)
 	f.Add(`<title>` + img + `</title><script>` + txt + `</script>`)
 	f.Add(`<p>no placeholders &amp; an entity</p>`)
+	f.Add(`<body>` + img + div("img-upscale", `{"name":"Lake","src":"/low.png","scale":2}`, "") + img + `</body>`)
 
 	f.Fuzz(func(t *testing.T, src string) {
 		page := &Page{Path: "/fuzz", Doc: html.Parse(src)}
@@ -94,13 +100,30 @@ func FuzzTraditionalSegments(f *testing.F) {
 		}
 
 		c := page.compile()
-		pl := c.placement()
-		for i, ph := range docPhs {
-			pl.place(i, fixedReplacement(i))
-			ph.Node.Parent.ReplaceChild(ph.Node, fixedReplacement(i))
+		compiled := placement{phs: c.phs, paths: c.paths, page: c, fills: make([]fill, len(c.segs)-1)}
+		document := placement{phs: docPhs, paths: generatedPaths(docPhs)}
+		for i := range docPhs {
+			if compiled.paths[i] != document.paths[i] {
+				t.Fatalf("placeholder %d: compiled path %q, document pass %q", i, compiled.paths[i], document.paths[i])
+			}
+			r := standIn(i, compiled.paths[i])
+			compiled.place(i, &r)
+			document.place(i, &r)
 		}
-		if got, want := string(c.body(pl.nodes)), html.RenderString(doc); got != want {
+		if got, want := string(c.body(compiled.fills)), html.RenderString(doc); got != want {
 			t.Fatalf("compiled body differs from the document pass\n got %q\nwant %q", got, want)
+		}
+
+		for _, ph := range phs {
+			name := ph.Content.Meta.Name
+			page.Originals = append(page.Originals, Asset{Path: originalPath(name), Data: []byte("<i>" + name + "</i> & more")})
+		}
+		tdoc, err := page.TraditionalDoc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := page.originalsBody(); err != nil || string(got) != html.RenderString(tdoc) {
+			t.Fatalf("originals body %q, %v; TraditionalDoc renders %q", got, err, html.RenderString(tdoc))
 		}
 
 		pp := &PageProcessor{Workers: 1}
@@ -115,15 +138,13 @@ func FuzzTraditionalSegments(f *testing.F) {
 	})
 }
 
-// fixedReplacement is the i-th placeholder's stand-in: an image or a
-// paragraph, each with bytes that must be escaped.
-func fixedReplacement(i int) *html.Node {
-	if i%2 == 0 {
-		return html.NewElement("img",
-			html.Attribute{Name: "src", Value: "/generated/" + strconv.Itoa(i) + ".png"},
-			html.Attribute{Name: "alt", Value: `"a" & <b>`})
+// standIn is the i-th placeholder's stand-in generation result: prose
+// with bytes that must be escaped, and every other image failing §7
+// verification.
+func standIn(i int, path string) genResult {
+	return genResult{
+		item: ItemReport{VerifyFailed: i%2 == 1},
+		path: path,
+		text: "it's " + strconv.Itoa(i) + " < 2 & so on",
 	}
-	p := html.NewElement("p", html.Attribute{Name: "class", Value: "sww-generated"})
-	p.AppendChild(html.NewText("it's 1 < 2 & so on"))
-	return p
 }

@@ -20,17 +20,20 @@ import (
 // of a workload.LoadPage costs both ends of a net.Pipe, the shape every
 // cold_traditional fetch of the tier benchmark has: admission, one
 // image and one text generation, the page written from its compiled
-// holes, the LRU insert (and, the cache holding nothing, eviction) and
-// the h2 exchange. 39 objects today, 50 when the page's placeholders
-// ran on goroutines of their own inside the admitted generation and the
-// synthesis kept its vectors on the heap, 52 when the LRU linked each
-// entry through a list element of its own and collected evictions in a
-// slice, 54 when image/png encoded the image and 177 when every fetch
-// cloned the page, decoded its metadata and armed a queue-deadline
-// timer to take a free worker; the page's parse and compilation are
-// paid once, by the warm-up. Two spare objects cover a GC emptying the
-// pools mid-run. (The race detector's instrumentation allocates; hence
-// the build tag.)
+// markup, the LRU insert (and, the cache holding nothing, eviction) and
+// the h2 exchange. 25 objects today, 39 when each generation built the
+// <img> or <p> node the page then rendered, built its asset path and
+// the page's asset list anew, and the flight's value, the release hook
+// and the prose's word list took an object each, 50 when the page's
+// placeholders ran on goroutines of their own inside the admitted
+// generation and the synthesis kept its vectors on the heap, 52 when
+// the LRU linked each entry through a list element of its own and
+// collected evictions in a slice, 54 when image/png encoded the image
+// and 177 when every fetch cloned the page, decoded its metadata and
+// armed a queue-deadline timer to take a free worker; the page's parse
+// and compilation are paid once, by the warm-up. Two spare objects
+// cover a GC emptying the pools mid-run. (The race detector's
+// instrumentation allocates; hence the build tag.)
 func TestTraditionalGenerationAllocs(t *testing.T) {
 	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
 	if err != nil {
@@ -67,7 +70,7 @@ func TestTraditionalGenerationAllocs(t *testing.T) {
 	if runs := srv.OverloadStats().GenRuns - before; runs != 201 {
 		t.Fatalf("%d generations in 201 fetches: the cache served some", runs)
 	}
-	if allocs > 41 {
-		t.Fatalf("one cold traditional fetch allocates %v objects, want at most 41", allocs)
+	if allocs > 27 {
+		t.Fatalf("one cold traditional fetch allocates %v objects, want at most 27", allocs)
 	}
 }

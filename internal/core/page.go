@@ -177,11 +177,12 @@ func (p *Page) TraditionalDoc() (*html.Node, error) {
 	doc := p.Doc.Clone()
 	phs, _ := FindPlaceholders(doc)
 	for _, ph := range phs {
-		n, err := p.originalNode(ph)
+		path := originalPath(ph.Content.Meta.Name)
+		text, err := p.originalText(ph, path)
 		if err != nil {
 			return nil, err
 		}
-		ph.Node.Parent.ReplaceChild(ph.Node, n)
+		ph.Node.Parent.ReplaceChild(ph.Node, originalNode(ph, path, text))
 	}
 	return doc, nil
 }
@@ -191,42 +192,58 @@ func (p *Page) TraditionalDoc() (*html.Node, error) {
 // page instead of a clone of Doc.
 func (p *Page) originalsBody() ([]byte, error) {
 	c := p.compile()
-	pl := c.placement()
+	fills := make([]fill, len(c.segs)-1)
 	for i, ph := range c.phs {
-		n, err := p.originalNode(ph)
+		it := &c.items[i]
+		text, err := p.originalText(ph, it.origPath)
 		if err != nil {
 			return nil, err
 		}
-		pl.place(i, n)
+		if it.hole >= 0 {
+			fills[it.hole] = it.orig.fill(text, false)
+		}
 	}
-	return c.body(pl.nodes), nil
+	return c.body(fills), nil
 }
 
 // originalNode is the traditional stand-in for one placeholder: an
-// <img> of its original photo, or a paragraph of its original text.
-func (p *Page) originalNode(ph Placeholder) (*html.Node, error) {
-	path := originalPath(ph.Content.Meta.Name)
+// <img> of its original photo at path, or a paragraph of its original
+// text; nil for a content type it has none for.
+func originalNode(ph Placeholder, path, text string) *html.Node {
+	switch ph.Content.Type {
+	case ContentImage, ContentUpscale:
+		return html.NewElement("img",
+			html.Attribute{Name: "src", Value: path},
+			html.Attribute{Name: "alt", Value: ph.Content.Meta.Prompt},
+		)
+	case ContentText:
+		// The traditional text form is the full prose; bullets are its
+		// lossless summary, so the original is carried as an asset too.
+		par := html.NewElement("p")
+		par.AppendChild(html.NewText(text))
+		return par
+	}
+	return nil
+}
+
+// originalText checks that the page stores placeholder ph's original at
+// path and returns the text originalNode needs: the original prose, or
+// "" for media.
+func (p *Page) originalText(ph Placeholder, path string) (string, error) {
 	a, ok := p.original(path)
 	switch ph.Content.Type {
 	case ContentImage, ContentUpscale:
 		if !ok {
-			return nil, fmt.Errorf("core: no original asset %q", path)
+			return "", fmt.Errorf("core: no original asset %q", path)
 		}
-		return html.NewElement("img",
-			html.Attribute{Name: "src", Value: path},
-			html.Attribute{Name: "alt", Value: ph.Content.Meta.Prompt},
-		), nil
+		return "", nil
 	case ContentText:
-		// The traditional text form is the full prose; bullets are its
-		// lossless summary, so the original is carried as an asset too.
 		if !ok {
-			return nil, fmt.Errorf("core: no original text %q", path)
+			return "", fmt.Errorf("core: no original text %q", path)
 		}
-		par := html.NewElement("p")
-		par.AppendChild(html.NewText(string(a.Data)))
-		return par, nil
+		return string(a.Data), nil
 	}
-	return nil, fmt.Errorf("core: unsupported content type %q", ph.Content.Type)
+	return "", fmt.Errorf("core: unsupported content type %q", ph.Content.Type)
 }
 
 // original finds the stored original at path; of several with the same
@@ -240,15 +257,18 @@ func (p *Page) original(path string) (Asset, bool) {
 	return Asset{}, false
 }
 
-// A compiledPage is a page compiled for traditional serving, so that a
-// traditional render pays only for what differs per fetch: the static
-// HTML between its top-level placeholders, the hole each placeholder
-// fills, and each placeholder's metadata sizes.
+// A compiledPage is what every traditional render of a page shares: the
+// static HTML between its top-level placeholders and each placeholder's
+// replacement markup, asset path and metadata sizes. A render pays only
+// for what differs per fetch: each image's §7 verdict and each text.
 type compiledPage struct {
 	phs    []Placeholder // the page's well-formed placeholders
 	items  []compiledItem
 	segs   []string // static HTML around the holes: one more than there are holes
 	static int      // total length of segs
+
+	paths  []string // generatedPaths(phs)
+	assets []string // the paths that are not "", in document order
 }
 
 // A compiledItem is what a compiledPage knows of one placeholder.
@@ -258,6 +278,63 @@ type compiledItem struct {
 	// the outer div does in a document).
 	hole          int
 	wire, content int // WireSize, ContentSize
+
+	origPath string // originalPath of the placeholder's name
+	// gen and orig are generatedNode's and originalNode's replacement,
+	// rendered once; holes only.
+	gen, orig markup
+}
+
+// A markup is a replacement node rendered once: a paragraph's tags
+// around its text, or all of an <img> in pre; and pre again for the
+// node marked as failing §7 verification.
+type markup struct {
+	pre, post, failed string
+	text              bool // pre and post go around text
+}
+
+// compileMarkup renders n, and failed, n marked as failing §7
+// verification, if there is one. A nil n (a content type with no
+// replacement) leaves the markup empty: the pass that would use it
+// fails first.
+func compileMarkup(n, failed *html.Node) markup {
+	var m markup
+	m.pre, m.post, m.text = renderCut(n)
+	m.failed = m.pre
+	if failed != nil {
+		m.failed, _, _ = renderCut(failed)
+	}
+	return m
+}
+
+// renderCut renders n cut around its one child, a paragraph's text:
+// the bytes before and after it, and whether there was a child.
+func renderCut(n *html.Node) (pre, post string, cut bool) {
+	if n == nil {
+		return "", "", false
+	}
+	if n.FirstChild == nil {
+		return html.RenderString(n), "", false
+	}
+	segs := html.Segments(n, []*html.Node{n.FirstChild})
+	return segs[0], segs[1], true
+}
+
+// A fill is what one hole of a compiled page holds in one render: its
+// markup around its text, escaped as it is written.
+type fill struct{ pre, text, post string }
+
+// fill is m around text, if m has room for it, and the failed variant
+// when failed.
+func (m *markup) fill(text string, failed bool) fill {
+	f := fill{pre: m.pre, post: m.post}
+	if failed {
+		f.pre = m.failed
+	}
+	if m.text {
+		f.text = text
+	}
+	return f
 }
 
 // compile memoizes the page's compiledPage. Malformed divs are not
@@ -266,11 +343,16 @@ type compiledItem struct {
 func (p *Page) compile() *compiledPage {
 	p.compileOnce.Do(func() {
 		phs, _ := p.parsed()
-		c := &compiledPage{phs: phs, items: make([]compiledItem, len(phs))}
+		c := &compiledPage{phs: phs, items: make([]compiledItem, len(phs)), paths: generatedPaths(phs)}
 		holes := make([]*html.Node, 0, len(phs))
 		for i, ph := range phs {
+			path := c.paths[i]
+			if path != "" {
+				c.assets = append(c.assets, path)
+			}
 			it := &c.items[i]
 			it.wire, it.content = ph.Content.WireSize(), ph.Content.ContentSize()
+			it.origPath = originalPath(ph.Content.Meta.Name)
 			// Placeholders come in document order, so one inside another
 			// follows it before any later top-level one.
 			if len(holes) > 0 && isAncestor(holes[len(holes)-1], ph.Node) {
@@ -279,6 +361,8 @@ func (p *Page) compile() *compiledPage {
 			}
 			it.hole = len(holes)
 			holes = append(holes, ph.Node)
+			it.gen = compileMarkup(generatedNode(ph, path, "", false), generatedNode(ph, path, "", true))
+			it.orig = compileMarkup(originalNode(ph, it.origPath, ""), nil)
 		}
 		c.segs = html.Segments(p.Doc, holes)
 		for _, s := range c.segs {
@@ -298,21 +382,18 @@ func isAncestor(a, n *html.Node) bool {
 	return false
 }
 
-// placement returns an empty placement into c's holes.
-func (c *compiledPage) placement() placement {
-	return placement{phs: c.phs, page: c, nodes: make([]*html.Node, len(c.segs)-1)}
-}
-
-// body writes segs[0], nodes[0]'s rendering, segs[1], … into one
-// exactly-sized buffer.
-func (c *compiledPage) body(nodes []*html.Node) []byte {
+// body writes segs[0], fills[0], segs[1], … into one exactly-sized
+// buffer.
+func (c *compiledPage) body(fills []fill) []byte {
 	n := c.static
-	for _, nd := range nodes {
-		n += html.RenderLen(nd)
+	for _, f := range fills {
+		n += len(f.pre) + html.EscapedLen(f.text) + len(f.post)
 	}
 	b := append(make([]byte, 0, n), c.segs[0]...)
-	for k, nd := range nodes {
-		b = html.AppendRender(b, nd)
+	for k, f := range fills {
+		b = append(b, f.pre...)
+		b = html.AppendEscaped(b, f.text)
+		b = append(b, f.post...)
 		b = append(b, c.segs[k+1]...)
 	}
 	return b
@@ -324,8 +405,52 @@ func originalPath(name string) string {
 	return "/original/" + sanitizeName(name)
 }
 
-// generatedPath is where client- or server-side generated media is
-// exposed.
+// generatedPaths assigns the page's generated media their serving
+// paths, in document order: "" for a placeholder that generates no
+// asset (text), else generatedPath of its name — unless an earlier
+// placeholder's name gave the same path (names are sanitized, so "Pic"
+// and "pic" do), when it takes the first of that path's -2, -3, … that
+// no placeholder's name gives. A path no other name gives is the
+// name's own.
+func generatedPaths(phs []Placeholder) []string {
+	paths := make([]string, len(phs))
+	for i, ph := range phs {
+		if t := ph.Content.Type; t == ContentImage || t == ContentUpscale {
+			paths[i] = generatedPath(ph.Content.Meta.Name)
+		}
+	}
+	if len(phs) < 2 {
+		return paths
+	}
+	taken := make(map[string]bool, len(phs)) // every name's path, true once assigned
+	for _, path := range paths {
+		if path != "" {
+			taken[path] = false
+		}
+	}
+	for i, path := range paths {
+		if path == "" {
+			continue
+		}
+		if !taken[path] {
+			taken[path] = true
+			continue
+		}
+		stem := strings.TrimSuffix(path, ".png")
+		for k := 2; ; k++ {
+			alt := stem + "-" + strconv.Itoa(k) + ".png"
+			if _, ok := taken[alt]; !ok {
+				taken[alt], paths[i] = true, alt
+				break
+			}
+		}
+	}
+	return paths
+}
+
+// generatedPath is where the client- or server-side generated media of
+// a placeholder named name is exposed, when no other placeholder of its
+// page claims it first (see generatedPaths).
 func generatedPath(name string) string {
 	return "/generated/" + sanitizeName(name) + ".png"
 }

@@ -136,6 +136,73 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestParallelEquivalenceShapes: for the shapes mixedPage lacks — an
+// image failing §7 verification, an upscale, a placeholder nested in
+// another — the compiled traditional pass writes, byte for byte, the
+// page the document pass renders at every worker count, with the same
+// assets and report items.
+func TestParallelEquivalenceShapes(t *testing.T) {
+	div := func(gc GeneratedContent, inner ...GeneratedContent) string {
+		d, err := gc.Div()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range inner {
+			n, err := in.Div()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.AppendChild(n)
+		}
+		return html.RenderString(d)
+	}
+	img := func(name string, expect float64) GeneratedContent {
+		return GeneratedContent{Type: ContentImage, Meta: Metadata{
+			Prompt: "a lighthouse at dusk, " + name, Name: name, Width: 32, Height: 32,
+			ExpectedAlignment: expect,
+		}}
+	}
+	txt := GeneratedContent{Type: ContentText, Meta: Metadata{
+		Name: "inner-txt", Bullets: []string{"tides <rise> & fall"}, Words: 20,
+	}}
+	up := GeneratedContent{Type: ContentUpscale, Meta: Metadata{Name: "up", Src: "/low.png", Scale: 2}}
+	shapes := []struct {
+		name, page, mark string
+	}{
+		{"verify-failed", div(img("unattainable", 0.999)) + div(img("attainable", 0)), `data-sww-verify="failed"`},
+		{"upscale", "<p>before</p>" + div(up) + div(img("beside", 0)), `class="sww-upscaled"`},
+		{"nested", "<section>" + div(img("outer", 0), img("inner-img", 0), txt) + "</section>" + div(txt), `src="/generated/outer.png"`},
+	}
+	raw := sourcePNG(t)
+	for _, sh := range shapes {
+		page := "<html><body>" + sh.page + "</body></html>"
+		for _, w := range workerCounts {
+			proc := newParallelProc(t, w)
+			proc.FetchAsset = func(string) ([]byte, error) { return raw, nil }
+			doc := html.Parse(page)
+			assets, report, err := proc.Process(doc)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", sh.name, w, err)
+			}
+			body, tAssets, tReport, err := proc.processTraditional(context.Background(), &Page{Path: "/p", Doc: html.Parse(page)})
+			if err != nil {
+				t.Fatalf("%s, workers=%d: traditional pass: %v", sh.name, w, err)
+			}
+			want := html.RenderString(doc)
+			if string(body) != want {
+				t.Errorf("%s, workers=%d: compiled body differs from the document pass\n got %q\nwant %q", sh.name, w, body, want)
+			}
+			if !bytes.Contains(body, []byte(sh.mark)) {
+				t.Errorf("%s: %q not in %q", sh.name, sh.mark, body)
+			}
+			// The first pass paid the pipeline's load; the items are the same.
+			if !reflect.DeepEqual(tAssets, assets) || !reflect.DeepEqual(tReport.Items, report.Items) {
+				t.Errorf("%s, workers=%d: assets or report items differ between the passes", sh.name, w)
+			}
+		}
+	}
+}
+
 // TestParallelBudgetCutoff: the ErrGenDeadline cut-off lands on the
 // same item — with the same message — at every worker count, even
 // though later items may have already generated concurrently.

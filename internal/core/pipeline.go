@@ -158,7 +158,7 @@ func (pp *PageProcessor) ProcessContext(ctx context.Context, doc *html.Node) (ma
 	if err := malformed(parseErrs); err != nil {
 		return nil, nil, err
 	}
-	return pp.process(ctx, placement{phs: placeholders}, pp.genWorkers())
+	return pp.process(ctx, placement{phs: placeholders, paths: generatedPaths(placeholders)}, pp.genWorkers())
 }
 
 // malformed is the error a pass fails with when a page has malformed
@@ -183,11 +183,11 @@ func (pp *PageProcessor) processTraditional(ctx context.Context, p *Page) (body 
 		return nil, nil, nil, err
 	}
 	c := p.compile()
-	pl := c.placement()
+	pl := placement{phs: c.phs, paths: c.paths, page: c, fills: make([]fill, len(c.segs)-1)}
 	if assets, report, err = pp.process(ctx, pl, 1); err != nil {
 		return nil, nil, nil, err
 	}
-	return c.body(pl.nodes), assets, report, nil
+	return c.body(pl.fills), assets, report, nil
 }
 
 func (pp *PageProcessor) process(ctx context.Context, pl placement, workers int) (map[string][]byte, *ProcessReport, error) {
@@ -202,13 +202,15 @@ func (pp *PageProcessor) process(ctx context.Context, pl placement, workers int)
 }
 
 // A placement is what one pass generates and where each result goes, in
-// document order: phs's divs replaced in their document (the client's
-// pass, page nil), or page's holes filled in (the server's traditional
-// pass, see Page.compile).
+// document order: phs's divs replaced in their document by the nodes
+// generatedNode builds (the client's pass, page nil), or page's holes
+// filled with the markup it compiled from them (the server's
+// traditional pass, see Page.compile).
 type placement struct {
 	phs   []Placeholder
+	paths []string // generatedPaths(phs)
 	page  *compiledPage
-	nodes []*html.Node // page's holes, as filled
+	fills []fill // page's holes, as filled
 }
 
 // sizes is placeholder i's WireSize and ContentSize.
@@ -221,27 +223,28 @@ func (pl placement) sizes(i int) (wire, content int) {
 	return c.WireSize(), c.ContentSize()
 }
 
-// place puts n where placeholder i was.
-func (pl placement) place(i int, n *html.Node) {
+// place puts placeholder i's generated content r where the placeholder
+// was.
+func (pl placement) place(i int, r *genResult) {
 	if pl.page == nil {
 		ph := pl.phs[i]
-		ph.Node.Parent.ReplaceChild(ph.Node, n)
+		ph.Node.Parent.ReplaceChild(ph.Node, generatedNode(ph, r.path, r.text, r.item.VerifyFailed))
 		return
 	}
-	if h := pl.page.items[i].hole; h >= 0 {
-		pl.nodes[h] = n
+	if it := &pl.page.items[i]; it.hole >= 0 {
+		pl.fills[it.hole] = it.gen.fill(r.text, r.item.VerifyFailed)
 	}
 }
 
 // genResult is one placeholder's generation output, produced by a
-// worker without touching the document or any shared state. The
-// assembly phase applies it (DOM replacement, asset-map write, report
+// worker without touching the document or any shared state: data,
+// which the assembly phase applies (placement, asset-map write, report
 // accounting) in document order.
 type genResult struct {
-	item ItemReport
-	node *html.Node // replacement node, nil when err != nil
+	item ItemReport // VerifyFailed is the §7 verdict
 	path string     // generated asset path, "" when none
 	data []byte     // asset bytes for path
+	text string     // generated prose, for text content
 	err  error
 }
 
@@ -348,7 +351,7 @@ func (pp *PageProcessor) generateAt(ctx context.Context, pl placement, i int) ge
 	if err := ctx.Err(); err != nil {
 		return genResult{err: err}
 	}
-	return pp.generateOne(pl.phs[i])
+	return pp.generateOne(pl.phs[i], pl.paths[i])
 }
 
 // applyResult performs placeholder i's document-order side effects:
@@ -361,9 +364,7 @@ func (pp *PageProcessor) applyResult(pl placement, i int, r *genResult, assets m
 	if r.path != "" {
 		assets[r.path] = r.data
 	}
-	if r.node != nil {
-		pl.place(i, r.node)
-	}
+	pl.place(i, r)
 	item := r.item
 	wire, content := pl.sizes(i)
 	item.WireBytes += wire
@@ -396,10 +397,10 @@ func (pp *PageProcessor) pipelineLoadTime() time.Duration {
 	return pp.Pipeline.SimLoadTime()
 }
 
-// generateOne produces one placeholder's replacement content without
-// side effects on the document, the asset map, or the report — it is
-// safe to run concurrently for distinct placeholders.
-func (pp *PageProcessor) generateOne(ph Placeholder) genResult {
+// generateOne produces one placeholder's content, its asset served at
+// path, without side effects on the document, the asset map, or the
+// report — it is safe to run concurrently for distinct placeholders.
+func (pp *PageProcessor) generateOne(ph Placeholder, path string) genResult {
 	meta := ph.Content.Meta
 	// WireBytes and ContentBytes are the placement's to add, in
 	// applyResult.
@@ -424,22 +425,8 @@ func (pp *PageProcessor) generateOne(ph Placeholder) genResult {
 			r.err = fmt.Errorf("core: generating %q: %w", meta.Name, err)
 			return r
 		}
-		r.path = generatedPath(meta.Name)
+		r.path = path
 		r.data = res.PNG
-		// Room for every attribute the image may carry: width, height
-		// and the verification flag append without regrowing.
-		attrs := append(make([]html.Attribute, 0, 6),
-			html.Attribute{Name: "src", Value: r.path},
-			html.Attribute{Name: "alt", Value: meta.Prompt},
-			html.Attribute{Name: "class", Value: "sww-generated"},
-		)
-		if meta.Width > 0 {
-			attrs = append(attrs,
-				html.Attribute{Name: "width", Value: strconv.Itoa(meta.Width)},
-				html.Attribute{Name: "height", Value: strconv.Itoa(meta.Height)})
-		}
-		img := html.NewElement("img", attrs...)
-		r.node = img
 		r.item.OutputBytes = len(res.PNG)
 		r.item.SimTime = res.SimTime
 		r.item.EnergyWh = pp.Device.ImageGenEnergyWh(res.SimTime)
@@ -456,14 +443,11 @@ func (pp *PageProcessor) generateOne(ph Placeholder) genResult {
 				prompt = metrics.EmbedText(meta.Prompt)
 			}
 			measured := metrics.Cosine(prompt, metrics.EmbedImage(res.Image))
-			if measured < want {
-				r.item.VerifyFailed = true
-				img.SetAttr("data-sww-verify", "failed")
-			}
+			r.item.VerifyFailed = measured < want
 		}
 
 	case ContentUpscale:
-		pp.generateUpscale(ph, &r)
+		pp.generateUpscale(ph, path, &r)
 
 	case ContentText:
 		if pp.Pipeline == nil {
@@ -478,9 +462,7 @@ func (pp *PageProcessor) generateOne(ph Placeholder) genResult {
 			r.err = fmt.Errorf("core: expanding %q: %w", meta.Name, err)
 			return r
 		}
-		par := html.NewElement("p", html.Attribute{Name: "class", Value: "sww-generated"})
-		par.AppendChild(html.NewText(res.Text))
-		r.node = par
+		r.text = res.Text
 		r.item.OutputBytes = len(res.Text)
 		r.item.SimTime = res.SimTime
 		r.item.EnergyWh = pp.Device.TextGenEnergyWh(res.SimTime)
@@ -490,6 +472,45 @@ func (pp *PageProcessor) generateOne(ph Placeholder) genResult {
 		r.err = fmt.Errorf("core: unsupported content type %q", ph.Content.Type)
 	}
 	return r
+}
+
+// generatedNode builds what replaces placeholder ph once generated: an
+// <img> of its asset at path, marked when it failed §7 verification, or
+// a paragraph of its text; nil for an unsupported content type. It is
+// the one builder of that markup: the document pass places its nodes,
+// and Page.compile renders them once for the traditional pass.
+func generatedNode(ph Placeholder, path, text string, verifyFailed bool) *html.Node {
+	meta := ph.Content.Meta
+	switch ph.Content.Type {
+	case ContentImage:
+		// Room for every attribute the image may carry: width, height
+		// and the verification flag append without regrowing.
+		attrs := append(make([]html.Attribute, 0, 6),
+			html.Attribute{Name: "src", Value: path},
+			html.Attribute{Name: "alt", Value: meta.Prompt},
+			html.Attribute{Name: "class", Value: "sww-generated"},
+		)
+		if meta.Width > 0 {
+			attrs = append(attrs,
+				html.Attribute{Name: "width", Value: strconv.Itoa(meta.Width)},
+				html.Attribute{Name: "height", Value: strconv.Itoa(meta.Height)})
+		}
+		if verifyFailed {
+			attrs = append(attrs, html.Attribute{Name: "data-sww-verify", Value: "failed"})
+		}
+		return html.NewElement("img", attrs...)
+	case ContentUpscale:
+		return html.NewElement("img",
+			html.Attribute{Name: "src", Value: path},
+			html.Attribute{Name: "alt", Value: meta.Name},
+			html.Attribute{Name: "class", Value: "sww-upscaled"},
+		)
+	case ContentText:
+		par := html.NewElement("p", html.Attribute{Name: "class", Value: "sww-generated"})
+		par.AppendChild(html.NewText(text))
+		return par
+	}
+	return nil
 }
 
 // upscaleSeed derives the detail-synthesis seed from the source
@@ -504,7 +525,7 @@ func upscaleSeed(src string) int64 {
 
 // generateUpscale fetches the low-resolution source and synthesizes
 // the high-resolution version locally (§2.2).
-func (pp *PageProcessor) generateUpscale(ph Placeholder, r *genResult) {
+func (pp *PageProcessor) generateUpscale(ph Placeholder, path string, r *genResult) {
 	meta := ph.Content.Meta
 	if pp.FetchAsset == nil {
 		r.err = fmt.Errorf("core: upscale content %q needs an asset fetcher", meta.Name)
@@ -534,14 +555,8 @@ func (pp *PageProcessor) generateUpscale(ph Placeholder, r *genResult) {
 		r.err = fmt.Errorf("core: encoding upscaled %q: %w", meta.Name, err)
 		return
 	}
-	r.path = generatedPath(meta.Name)
+	r.path = path
 	r.data = data
-	img := html.NewElement("img",
-		html.Attribute{Name: "src", Value: r.path},
-		html.Attribute{Name: "alt", Value: meta.Name},
-		html.Attribute{Name: "class", Value: "sww-upscaled"},
-	)
-	r.node = img
 
 	// The wire carried the low-res source plus the metadata; the
 	// original would have been the full-resolution asset.

@@ -135,7 +135,7 @@ type servedTraditional struct {
 	lenStr     string // strconv of len(body), for content-length
 	assets     map[string][]byte
 	report     *ProcessReport
-	assetPaths []string
+	assetPaths []string // assets' keys, the page's: shared, read-only
 	bytes      int64
 }
 
@@ -750,13 +750,11 @@ func (s *Server) cachedTraditional(path string) (*servedTraditional, bool) {
 // that would have to be generated.
 var errNotCached = errors.New("core: page not in the generated-content cache")
 
-// flightOut is the singleflight value for a generated page: the
-// content plus whether it came from the generated-content cache (the
-// in-flight recheck) rather than a fresh pipeline run.
-type flightOut struct {
-	st     *servedTraditional
-	cached bool
-}
+// A cacheHit is the singleflight value for a generated page that the
+// in-flight recheck found in the generated-content cache; a fresh
+// pipeline run's is the *servedTraditional itself. Both are
+// pointer-shaped, so neither allocates to become an interface.
+type cacheHit struct{ st *servedTraditional }
 
 // generateTraditional materializes a page server-side through the
 // overload guard and caches the result, exposing generated media as
@@ -792,7 +790,7 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 		// may have populated the cache while this caller queued on Do.
 		if st, ok := s.cachedTraditional(p.Path); ok {
 			g.Counters().CacheHits.Add(1)
-			return &flightOut{st: st, cached: true}, nil
+			return cacheHit{st}, nil
 		}
 		admit := tr.StartSpan("admission")
 		admitStart := time.Now()
@@ -837,11 +835,10 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 			lenStr:     strconv.Itoa(len(body)),
 			assets:     assets,
 			report:     report,
-			assetPaths: make([]string, 0, len(assets)),
+			assetPaths: p.compile().assets,
 			bytes:      int64(len(body)),
 		}
-		for path, data := range assets {
-			st.assetPaths = append(st.assetPaths, path)
+		for _, data := range assets {
 			st.bytes += int64(len(data))
 		}
 		// Model real inference occupancy: hold the worker for the
@@ -856,7 +853,7 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 			}
 		}
 		s.storeTraditional(p.Path, st)
-		return &flightOut{st: st}, nil
+		return st, nil
 	})
 	if shared {
 		g.Counters().Coalesced.Add(1)
@@ -865,8 +862,10 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 	if err != nil {
 		return nil, false, err
 	}
-	out := v.(*flightOut)
-	return out.st, out.cached, nil
+	if hit, ok := v.(cacheHit); ok {
+		return hit.st, true, nil
+	}
+	return v.(*servedTraditional), false, nil
 }
 
 // storeTraditional publishes a generated page: assets first (under

@@ -5,33 +5,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
+
+	"sww/internal/leakcheck"
 )
 
 // TestMain fails the package if its tests leave goroutines behind: the
 // reports boot h2 and h3 servers over pipes, and each must be gone
 // once its fetch is done.
-func TestMain(m *testing.M) {
-	before := runtime.NumGoroutine()
-	code := m.Run()
-	if code == 0 {
-		// Connection teardown finishes a moment after Close returns.
-		deadline := time.Now().Add(10 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			buf := make([]byte, 1<<20)
-			fmt.Fprintf(os.Stderr, "%d goroutines after the tests, %d before\n%s",
-				n, before, buf[:runtime.Stack(buf, true)])
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // unpinned names the experiments TestGoldenReports leaves out, each
 // with why its report is not pinned byte for byte. Their bars still

@@ -163,7 +163,13 @@ func (m *expanderModel) compose(rng *rand.Rand, bullets []string, words int) str
 		pool = append(pool, "content")
 	}
 
-	out := make([]string, 0, words)
+	// The words are all drawn before the sentence lengths are, so they
+	// are kept until then: a page's prose on the stack.
+	var wordBuf [128]string
+	out := wordBuf[:0]
+	if words > len(wordBuf) {
+		out = make([]string, 0, words)
+	}
 	poolIdx := 0
 	sentenceLen := 0
 	for len(out) < words {

@@ -420,11 +420,15 @@ func BenchmarkRender(b *testing.B) {
 }
 
 // TestEscapeQuickProperty: escaping then unescaping is identity for
-// every string, and the escaped form is safe in text context.
+// every string, the escaped form is safe in text context, and
+// AppendEscaped and EscapedLen agree with EscapeString.
 func TestEscapeQuickProperty(t *testing.T) {
 	f := func(s string) bool {
 		esc := EscapeString(s)
 		if strings.ContainsAny(esc, "<>") {
+			return false
+		}
+		if string(AppendEscaped([]byte("x"), s)) != "x"+esc || EscapedLen(s) != len(esc) {
 			return false
 		}
 		return UnescapeString(esc) == s

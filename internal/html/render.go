@@ -28,6 +28,21 @@ func RenderLen(n *Node) int {
 	return r.n
 }
 
+// AppendEscaped appends s to dst escaped as the renderer escapes text:
+// the bytes of EscapeString(s), without building it.
+func AppendEscaped(dst []byte, s string) []byte {
+	r := renderer{b: dst}
+	r.escaped(s)
+	return r.b
+}
+
+// EscapedLen returns len(EscapeString(s)) without building it.
+func EscapedLen(s string) int {
+	r := renderer{counting: true}
+	r.escaped(s)
+	return r.n
+}
+
 // Segments serializes the tree rooted at root with every node of holes
 // left out, cut at each: it returns len(holes)+1 strings such that
 // segs[0] + RenderString(holes[0]) + segs[1] + … + segs[len(holes)] is

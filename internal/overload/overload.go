@@ -192,6 +192,8 @@ type Guard struct {
 	flight  Group
 	cache   *ByteLRU
 	ctr     Counters
+
+	releaser func(ok bool) // release, bound once: AdmitGen returns it
 }
 
 // NewGuard builds a Guard from cfg. The cache's eviction callback can
@@ -212,6 +214,7 @@ func NewGuard(cfg Config) *Guard {
 		}
 	}
 	g.cache = NewByteLRU(cfg.cacheBytes())
+	g.releaser = g.release
 	return g
 }
 
@@ -284,7 +287,7 @@ func (g *Guard) AdmitGen(ctx context.Context) (release func(ok bool), err error)
 		}
 	}
 	g.ctr.Admitted.Add(1)
-	return g.release, nil
+	return g.releaser, nil
 }
 
 // queue waits for a worker, at most the queue deadline.
