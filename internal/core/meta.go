@@ -140,8 +140,13 @@ type GeneratedContent struct {
 	Meta Metadata
 }
 
-// WireSize returns the number of bytes this placeholder costs on the
-// wire: the JSON metadata plus the content-type attribute value.
+// WireSize returns the number of bytes this placeholder's attribute
+// values cost on the wire: the JSON metadata plus the content-type
+// value. The JSON holds more double quotes than single ones, so the
+// renderer delimits it with single quotes and it crosses as itself
+// (TestPlaceholderMetadataBytes). Not counted: the attribute names and
+// delimiters, and the 4 bytes more that each single quote inside the
+// JSON costs, written as &#39;.
 func (g GeneratedContent) WireSize() int {
 	b, _ := json.Marshal(g.Meta)
 	return len(b) + len(g.Type)
@@ -152,8 +157,8 @@ func (g GeneratedContent) WireSize() int {
 // prompt + name + 4 B each for width and height (the paper's worst
 // case: 400 + 20 + 4 + 4 = 428 B); for text it is the bullets plus
 // name plus a 4 B length field. Figure 2's 8.92 kB and the Table 2
-// metadata column use this measure; WireSize reports what the
-// prototype's JSON encoding actually ships.
+// metadata column use this measure; WireSize counts the JSON the
+// prototype ships in its place.
 func (g GeneratedContent) ContentSize() int {
 	switch g.Type {
 	case ContentImage:

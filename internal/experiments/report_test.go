@@ -37,6 +37,18 @@ var unpinned = map[string]string{
 // regenerate its golden from the repository root with
 //
 //	go run ./cmd/sww-bench -quick -only <key> > internal/experiments/testdata/<key>.golden
+//
+// Two kinds of change move rows here by design; any other moved row is
+// a finding, not a golden to regenerate.
+//   - The served serialization (the rendered prompt page, the h2 frames
+//     of a reply) moves fig2's "wire bytes generative" with the
+//     page-level factor and transmit energy beside it, storage's "SWW
+//     storage" and "ratio", and upscale's "wire, upscale" and savings.
+//   - The generator's PNG bytes (a stand-in model's, not the paper's)
+//     move upscale's "wire, upscale" and savings, its low-res sources
+//     being generated PNGs. They also move fastpath's client cache
+//     bytes, which is unpinned, and the tier benchmark's traced
+//     core.compression_ratio.
 func TestGoldenReports(t *testing.T) {
 	pinned := 0
 	for _, e := range Experiments {

@@ -50,3 +50,51 @@ func FuzzPromptPageParse(f *testing.F) {
 		Parse(out)
 	})
 }
+
+// FuzzAttrRoundTrip is the renderer's oracle: for any attribute value
+// and text, parsing the rendering gives both back unchanged, RenderLen
+// is the rendering's length, and the value's delimiter is the quote it
+// holds fewer of (a tie takes '"'), so it needs no more entities than
+// the other delimiter would.
+func FuzzAttrRoundTrip(f *testing.F) {
+	f.Add(`{"prompt":"a city","name":"hero"}`, `1 < 2 & 3 > 2`)
+	f.Add(`He said "hi" & left`, `it's "quoted"`)
+	f.Add(`'single' and "double" and 'more'`, "")
+	f.Add(`&amp; &quot; &#39; &lt;`, `&amp;`)
+	f.Add("nul\x00cr\rlf\n", "tab\tcr\r\nlf")
+	f.Add("\xff\xfe invalid", "\xc3")
+	f.Add("", "x")
+
+	f.Fuzz(func(t *testing.T, value, text string) {
+		el := NewElement("div", Attribute{Name: "title", Value: value})
+		if text != "" {
+			el.AppendChild(NewText(text))
+		}
+		out := RenderString(el)
+		if n := RenderLen(el); n != len(out) {
+			t.Fatalf("RenderLen = %d, rendered %d bytes: %q", n, len(out), out)
+		}
+		nodes := ParseFragment(out)
+		if len(nodes) != 1 || nodes[0].Type != ElementNode || nodes[0].Data != "div" {
+			t.Fatalf("%q parses to %d nodes", out, len(nodes))
+		}
+		if got, _ := nodes[0].AttrValue("title"); got != value {
+			t.Fatalf("%q: value %q, want %q", out, got, value)
+		}
+		if got := nodes[0].Text(); got != text {
+			t.Fatalf("%q: text %q, want %q", out, got, text)
+		}
+		if value == "" {
+			return
+		}
+		q, other := byte('"'), "'"
+		if c := out[len(`<div title=`)]; c == '\'' {
+			q, other = c, `"`
+		} else if c != '"' {
+			t.Fatalf("%q: value delimited by %q", out, c)
+		}
+		if own, alt := strings.Count(value, string(q)), strings.Count(value, other); own > alt || own == alt && q != '"' {
+			t.Fatalf("%q: delimiter %c occurs %d times in the value, the other quote %d", out, q, own, alt)
+		}
+	})
+}

@@ -211,13 +211,19 @@ func TestRenderEscaping(t *testing.T) {
 	n := NewElement("div", Attribute{Name: "title", Value: `He said "hi" & left`})
 	n.AppendChild(NewText(`1 < 2 & 3 > 2`))
 	out := RenderString(n)
-	want := `<div title="He said &quot;hi&quot; &amp; left">1 &lt; 2 &amp; 3 &gt; 2</div>`
+	// The value holds more '"' than '\'', so '\'' delimits it and '"'
+	// needs no entity; text escapes both quotes.
+	want := `<div title='He said "hi" &amp; left'>1 &lt; 2 &amp; 3 &gt; 2</div>`
 	if out != want {
 		t.Errorf("render = %q\nwant    %q", out, want)
 	}
 	doc := Parse(out)
-	if got := doc.ByTag("div")[0].Text(); got != `1 < 2 & 3 > 2` {
+	div := doc.ByTag("div")[0]
+	if got := div.Text(); got != `1 < 2 & 3 > 2` {
 		t.Errorf("reparsed text = %q", got)
+	}
+	if got, _ := div.AttrValue("title"); got != `He said "hi" & left` {
+		t.Errorf("reparsed title = %q", got)
 	}
 }
 

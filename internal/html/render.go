@@ -32,14 +32,14 @@ func RenderLen(n *Node) int {
 // the bytes of EscapeString(s), without building it.
 func AppendEscaped(dst []byte, s string) []byte {
 	r := renderer{b: dst}
-	r.escaped(s)
+	r.escaped(s, 0)
 	return r.b
 }
 
 // EscapedLen returns len(EscapeString(s)) without building it.
 func EscapedLen(s string) int {
 	r := renderer{counting: true}
-	r.escaped(s)
+	r.escaped(s, 0)
 	return r.n
 }
 
@@ -98,17 +98,29 @@ func (r *renderer) byte(c byte) {
 	r.b = append(r.b, c)
 }
 
-// escaped writes EscapeString(s) without building it.
-func (r *renderer) escaped(s string) {
+// escaped writes EscapeString(s) without building it, except that the
+// byte keep (a quote, or 0 for none) is written as itself.
+func (r *renderer) escaped(s string, keep byte) {
 	last := 0
 	for i := 0; i < len(s); i++ {
-		if e := escapeOf(s[i]); e != "" {
+		if e := escapeOf(s[i]); e != "" && s[i] != keep {
 			r.str(s[last:i])
 			r.str(e)
 			last = i + 1
 		}
 	}
 	r.str(s[last:])
+}
+
+// attrQuotes picks the delimiter of an attribute value: the double
+// quote, or the single quote when v holds more double quotes than
+// single ones. Inside the value only the delimiter needs its entity,
+// so the other quote, keep, is written as itself.
+func attrQuotes(v string) (q, keep byte) {
+	if strings.Count(v, `"`) > strings.Count(v, "'") {
+		return '\'', '"'
+	}
+	return '"', '\''
 }
 
 func (r *renderer) node(n *Node) {
@@ -138,7 +150,7 @@ func (r *renderer) node(n *Node) {
 			r.str(n.Data) // raw text is emitted verbatim
 			return
 		}
-		r.escaped(n.Data)
+		r.escaped(n.Data, 0)
 
 	case ElementNode:
 		r.byte('<')
@@ -147,9 +159,11 @@ func (r *renderer) node(n *Node) {
 			r.byte(' ')
 			r.str(a.Name)
 			if a.Value != "" || strings.IndexByte(a.Name, '=') >= 0 {
-				r.str(`="`)
-				r.escaped(a.Value)
-				r.byte('"')
+				q, keep := attrQuotes(a.Value)
+				r.byte('=')
+				r.byte(q)
+				r.escaped(a.Value, keep)
+				r.byte(q)
 			}
 		}
 		r.byte('>')

@@ -1187,14 +1187,14 @@ func headerBlockBound(fields []hpack.HeaderField) int {
 }
 
 // tryRespond is the never-waiting complete-response emitter behind
-// ResponseWriter.TryRespond: HEADERS, one DATA frame and the empty
-// END_STREAM DATA frame — the frames WriteHeaders + Write + Finish
-// would write, byte for byte — built in the writer's buffer under one
-// hold of its lock, or nothing at all. It declines (false, no byte
-// queued, no window kept, encoder untouched) when the body or the
-// header block may not fit one frame, when either send window cannot
-// cover the whole body now, and when the write lock is held or the
-// writer has maxQueuedData waiting or is gone.
+// ResponseWriter.TryRespond: HEADERS and one DATA frame carrying
+// END_STREAM, or HEADERS carrying it when the body is empty — the
+// frames Respond's long form would write, byte for byte — built in the
+// writer's buffer under one hold of its lock, or nothing at all. It
+// declines (false, no byte queued, no window kept, encoder untouched)
+// when the body or the header block may not fit one frame, when either
+// send window cannot cover the whole body now, and when the write lock
+// is held or the writer has maxQueuedData waiting or is gone.
 func (c *conn) tryRespond(st *Stream, status int, body []byte, fields []hpack.HeaderField) bool {
 	c.mu.Lock()
 	maxFrame := int(c.peer.maxFrameSize)
@@ -1229,16 +1229,20 @@ func (c *conn) tryRespond(st *Stream, status int, body []byte, fields []hpack.He
 	// the block is encoded where it will be written from.
 	b := c.aw.buf
 	start := len(b)
-	b = appendFrameHeader(b, 0, FrameHeaders, FlagEndHeaders, st.id)
+	flags := FlagEndHeaders
+	if n == 0 { // an empty body is no frame: HEADERS ends the stream
+		flags |= FlagEndStream
+	}
+	b = appendFrameHeader(b, 0, FrameHeaders, flags, st.id)
 	b = c.henc.AppendField(b, hpack.HeaderField{Name: ":status", Value: statusText(status)})
 	b = c.henc.AppendFields(b, fields)
 	block := len(b) - start - frameHeaderLen
 	b[start], b[start+1], b[start+2] = byte(block>>16), byte(block>>8), byte(block)
-	if n > 0 { // an empty body is no frame, as in writeData
-		b = appendFrameHeader(b, n, FrameData, 0, st.id)
+	if n > 0 {
+		b = appendFrameHeader(b, n, FrameData, FlagEndStream, st.id)
 		b = append(b, body...)
 	}
-	c.aw.buf = appendFrameHeader(b, 0, FrameData, FlagEndStream, st.id)
+	c.aw.buf = b
 	c.aw.unlock()
 	c.wmu.Unlock()
 	if n > 0 {

@@ -146,6 +146,12 @@ type ResponseWriter struct {
 // supplied fields. It may be called once. On a stream that has died it
 // encodes and sends nothing and reports why.
 func (w *ResponseWriter) WriteHeaders(status int, fields ...hpack.HeaderField) error {
+	return w.writeHeaders(status, false, fields)
+}
+
+// writeHeaders is WriteHeaders; with end set the HEADERS frame also
+// carries END_STREAM, and the response is finished.
+func (w *ResponseWriter) writeHeaders(status int, end bool, fields []hpack.HeaderField) error {
 	if w.wroteHeaders {
 		return fmt.Errorf("http2: WriteHeaders called twice on stream %d", w.stream.id)
 	}
@@ -156,7 +162,16 @@ func (w *ResponseWriter) WriteHeaders(status int, fields ...hpack.HeaderField) e
 	var store [12]hpack.HeaderField // on the stack; a longer list spills to the heap
 	all := append(store[:0], hpack.HeaderField{Name: ":status", Value: statusText(status)})
 	all = append(all, fields...)
-	return w.stream.c.writeHeaderBlock(w.stream.id, all, false)
+	if err := w.stream.c.writeHeaderBlock(w.stream.id, all, end); err != nil || !end {
+		return err
+	}
+	w.finished = true
+	st := w.stream
+	st.wroteData.Store(true) // the response is on its way: a reset now is no rapid reset
+	st.mu.Lock()
+	st.sendEnded = true
+	st.mu.Unlock()
+	return nil
 }
 
 // statusText is strconv.Itoa for :status, without the allocation for
@@ -188,20 +203,26 @@ func (w *ResponseWriter) Write(p []byte) (int, error) {
 // end of stream. It is the one call a handler needs when it holds the
 // body, and the only emitter of complete responses. body is copied
 // before Respond returns and is the caller's to reuse from then on.
-// When the peer can take the reply as it stands, its frames enter the
-// writer's buffer as one unit (see TryRespond); otherwise Respond is
-// WriteHeaders + Write + Finish and waits like them.
+// END_STREAM rides on the frame that ends the response — the last DATA
+// frame, or HEADERS when body is empty — so a complete response costs
+// no empty DATA frame. When the peer can take the reply as it stands,
+// its frames enter the writer's buffer as one unit (see TryRespond);
+// otherwise Respond writes the same frames as the windows open and
+// waits like WriteHeaders + Write.
 func (w *ResponseWriter) Respond(status int, body []byte, fields ...hpack.HeaderField) error {
 	if w.TryRespond(status, body, fields...) {
 		return nil
 	}
-	if err := w.WriteHeaders(status, fields...); err != nil {
+	return w.respond(status, body, fields)
+}
+
+// respond is Respond's long form, the one that waits.
+func (w *ResponseWriter) respond(status int, body []byte, fields []hpack.HeaderField) error {
+	if err := w.writeHeaders(status, len(body) == 0, fields); err != nil || len(body) == 0 {
 		return err
 	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	return w.Finish()
+	w.finished = true
+	return w.stream.closeSend(body)
 }
 
 // TryRespond is Respond for a caller that must not wait. It sends the

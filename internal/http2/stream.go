@@ -405,10 +405,17 @@ func (s *Stream) sendErr() error {
 // CloseSend half-closes the stream in the send direction by emitting
 // an empty DATA frame with END_STREAM. A stream that has died sends
 // nothing more (RFC 9113 §5.1) and reports why.
-func (s *Stream) CloseSend() error {
+func (s *Stream) CloseSend() error { return s.closeSend(nil) }
+
+// closeSend writes p and half-closes the stream, END_STREAM on the DATA
+// frame that carries p's last byte: an empty frame only when p is.
+func (s *Stream) closeSend(p []byte) error {
 	s.mu.Lock()
 	if s.sendEnded {
 		s.mu.Unlock()
+		if len(p) > 0 {
+			return streamError(s.id, ErrCodeStreamClosed, "write after close")
+		}
 		return nil
 	}
 	if s.err != nil {
@@ -418,7 +425,7 @@ func (s *Stream) CloseSend() error {
 	}
 	s.sendEnded = true
 	s.mu.Unlock()
-	return s.c.writeData(s, nil, true)
+	return s.c.writeData(s, p, true)
 }
 
 // Close cancels the stream with RST_STREAM(CANCEL) unless it already
