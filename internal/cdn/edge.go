@@ -359,28 +359,21 @@ func (e *Edge) OriginEpoch() uint64 { return e.originEpoch.Load() }
 // disabled.
 func (e *Edge) RetryBudget() *core.RetryBudget { return e.budget }
 
-// observeOriginEpoch folds one feed's epoch into the edge's view.
-// False means the feed is from a fenced origin incarnation and must
-// not be applied. Epoch 0 (a pre-epoch origin) always passes; an
-// advance past a known non-zero epoch is a failover — the promoted
-// standby's first feed — and is counted as one.
-func (e *Edge) observeOriginEpoch(epoch uint64) bool {
-	if epoch == 0 {
-		return true
-	}
+// observeOriginEpoch folds one feed's epoch into the edge's view and
+// returns the view. A newer epoch is adopted; an advance past a known
+// non-zero epoch is a failover — the promoted standby's first feed —
+// and is counted as one.
+func (e *Edge) observeOriginEpoch(epoch uint64) uint64 {
 	for {
 		cur := e.originEpoch.Load()
-		if epoch < cur {
-			return false
-		}
-		if epoch == cur {
-			return true
+		if epoch <= cur {
+			return cur
 		}
 		if e.originEpoch.CompareAndSwap(cur, epoch) {
 			if cur != 0 {
 				e.originFailover.Add(1)
 			}
-			return true
+			return epoch
 		}
 	}
 }
@@ -704,19 +697,14 @@ func (e *Edge) serveControl(w *http2.ResponseWriter, r *http2.Request, inline bo
 }
 
 // servePush applies one pushed invalidation batch and acks with the
-// sequence this edge now stands at. The origin treats ack < seq as
-// "still behind, re-push from ack" — so a gap (a push lost to a
-// partition) self-heals the moment any later push lands, without
-// waiting for the anti-entropy poller.
-//
-// With inline set it runs on the read loop and takes only the common
-// cases: a push that continues exactly from lastSeq, applied, and a
-// duplicate, acked. It declines before changing anything when it would
-// wait or count — feedMu held by a poll or a snapshot, a reset (a flush
-// may walk the whole shard), a stale epoch, a gap or an overlap — and
-// the goroutine re-serve handles the push from scratch. A push applied
-// whose ack the transport then declines is re-served as a duplicate:
-// acked, not applied again.
+// sequence this edge now stands at; the origin re-pushes from any ack
+// above its watermark. With inline set it runs on the read loop and
+// takes an apply or a duplicate only: it declines, before applying or
+// counting anything, when feedMu.TryLock fails (a poll or a snapshot
+// holds it) or on any other verdict (a reset may flush the whole
+// shard, the rest count), and the goroutine re-serve handles the push
+// from scratch. An inline apply whose ack the transport declines is
+// re-served as a duplicate: acked, not applied again.
 func (e *Edge) servePush(w *http2.ResponseWriter, query string, inline bool) bool {
 	feed, paths, err := parsePush(query)
 	if err != nil {
@@ -726,58 +714,38 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string, inline bool) boo
 		writeControl(w, 400, "text/plain; charset=utf-8", []byte("bad push query\n"))
 		return true
 	}
-	if !e.observeOriginEpoch(feed.Epoch) {
-		if inline {
-			return false
-		}
-		// A fenced zombie is still pushing. Refuse the batch — its
-		// view of the sequence space is dead — and ack our position
-		// with the newer epoch, which is how the zombie learns.
-		e.epochFenced.Add(1)
-		return writePushAck(w, e.lastSeq.Load(), e.originEpoch.Load(), false)
-	}
-
 	if !inline {
 		e.feedMu.Lock()
-	} else if feed.Reset || !e.feedMu.TryLock() {
+	} else if !e.feedMu.TryLock() {
 		return false
 	}
-	last := e.lastSeq.Load()
-	switch {
-	case feed.Reset:
-		// The origin no longer knows what we missed: same answer as
-		// the poller's reset — drop everything.
+	v := judgeFeed(feed, e.lastSeq.Load(), e.observeOriginEpoch(feed.Epoch))
+	if inline && v != feedApply && v != feedDuplicate {
+		e.feedMu.Unlock()
+		return false
+	}
+	switch v {
+	case feedFenced:
+		// A fenced zombie is still pushing. Refuse, and ack with the
+		// newer epoch, which is how the zombie learns.
+		e.epochFenced.Add(1)
+	case feedReset:
+		// The origin no longer knows what we missed: drop everything.
 		e.invalResets.Add(1)
 		e.flushLocked()
 		e.lastSeq.Store(feed.Seq)
-	case feed.Since > last:
-		// This push assumes deliveries we never saw. Applying it
-		// would silently skip invalidations, so refuse; the ack below
-		// tells the origin where we really are and the poller would
-		// repair it anyway.
-		if inline {
-			e.feedMu.Unlock()
-			return false
-		}
+	case feedGap:
+		// Refused; the ack says where we are, and the poller repairs.
 		e.pushGaps.Add(1)
-	case feed.Seq <= last:
-		// Duplicate or stale push (the poller already caught us up).
-	case feed.Since < last:
-		// Overlapping push: the origin's acked view lags our actual
-		// position (its push raced our poll), so this batch includes
-		// paths from (Since, last] we already applied — re-invalidating
-		// those would drop entries legitimately re-cached since. Skip;
-		// the ack below resyncs the origin's watermark and its push
-		// loop re-sends exactly (last, Seq].
-		if inline {
-			e.feedMu.Unlock()
-			return false
-		}
+	case feedOverlap:
+		// The origin's watermark lags ours (its push raced our poll).
+		// The ack resyncs it, and it re-sends exactly (last, Seq].
 		e.pushOverlaps.Add(1)
-	default:
-		// feed.Since == last: the push continues precisely from our
-		// position. Its paths are decoded into the stack and their keys
-		// removed as bytes.
+	case feedDuplicate:
+		// Already applied: the poller caught us up, or this re-serves
+		// an inline apply whose ack the transport declined.
+	case feedApply:
+		// Paths are decoded into the stack, keys removed as bytes.
 		var scratch [256]byte
 		list, _ := unescapeQuery(scratch[:0], paths) // parsePush checked it
 		for p, rest, ok := nextPath(list); ok; p, rest, ok = nextPath(rest) {
@@ -1026,32 +994,28 @@ func (e *Edge) PollOnce(ctx context.Context) error {
 		}
 		return err
 	}
-	if !e.observeOriginEpoch(feed.Epoch) {
+	e.feedMu.Lock()
+	defer e.feedMu.Unlock()
+	switch judgeFeed(feed, e.lastSeq.Load(), e.observeOriginEpoch(feed.Epoch)) {
+	case feedFenced:
 		// The feed predates a failover we already lived through.
 		e.pollErrors.Add(1)
 		e.noteUpstreamFenced()
 		return fmt.Errorf("stale origin epoch %d (have %d)", feed.Epoch, e.originEpoch.Load())
-	}
-	e.feedMu.Lock()
-	defer e.feedMu.Unlock()
-	if feed.Reset {
+	case feedReset:
 		e.invalResets.Add(1)
 		e.flushLocked()
 		e.lastSeq.Store(feed.Seq)
-		return nil
+	case feedGap, feedDuplicate, feedOverlap:
+		// A push moved lastSeq while the poll was in flight. Nothing
+		// applies — an overlap would drop again entries refilled since
+		// — and the next poll, from lastSeq, brings the rest.
+	case feedApply:
+		for _, p := range feed.Paths {
+			e.invalApplied.Add(uint64(e.InvalidatePath(p)))
+		}
+		e.lastSeq.Store(feed.Seq)
 	}
-	// A push may have moved lastSeq while the poll was in flight. As in
-	// servePush, only a feed that continues exactly from lastSeq
-	// applies: a duplicate (Seq <= lastSeq) brings nothing new, and an
-	// overlap (Since < lastSeq < Seq) would invalidate again paths
-	// refilled since; the next poll, from lastSeq, brings the rest.
-	if last := e.lastSeq.Load(); feed.Since != last || feed.Seq <= last {
-		return nil
-	}
-	for _, p := range feed.Paths {
-		e.invalApplied.Add(uint64(e.InvalidatePath(p)))
-	}
-	e.lastSeq.Store(feed.Seq)
 	return nil
 }
 

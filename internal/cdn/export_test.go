@@ -10,7 +10,7 @@ type PushAck = pushAck
 
 func (e *Edge) SetLastSeq(seq uint64) { e.lastSeq.Store(seq) }
 
-func (e *Edge) ObserveOriginEpoch(epoch uint64) bool { return e.observeOriginEpoch(epoch) }
+func (e *Edge) ObserveOriginEpoch(epoch uint64) uint64 { return e.observeOriginEpoch(epoch) }
 
 func (e *Edge) Cached(path string, gen http2.GenAbility) bool {
 	_, ok := e.cache.Peek(cacheKey(path, gen))

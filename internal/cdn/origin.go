@@ -116,21 +116,53 @@ type InvalidationFeed struct {
 	// Seq is the newest sequence number; the edge stores it and sends
 	// it back as ?since= on its next poll.
 	Seq uint64 `json:"seq"`
-	// Since is the position this feed continues from — the edge
-	// refuses a pushed feed whose Since it has not reached (a gap),
-	// instead of silently skipping invalidations.
+	// Since is the position this feed continues from. A receiver
+	// applies the feed only when it stands exactly there; judgeFeed
+	// names what it makes of any other position.
 	Since uint64 `json:"since,omitempty"`
 	// Reset reports that the log no longer reaches back to the edge's
-	// position: the paths list is not exhaustive and the edge must
-	// flush its entire cache.
+	// position: the paths list is not exhaustive (feedReset).
 	Reset bool `json:"reset"`
 	// Paths lists every path invalidated after the edge's position.
 	Paths []string `json:"paths,omitempty"`
-	// Epoch is the origin incarnation that produced this feed. An edge
-	// that has seen a newer epoch refuses the feed (the sender is a
-	// fenced zombie); 0 means a pre-epoch origin and is always
-	// accepted.
+	// Epoch is the origin incarnation that produced this feed, 0 for a
+	// pre-epoch origin; a receiver that has seen a newer one refuses
+	// it (feedFenced).
 	Epoch uint64 `json:"epoch,omitempty"`
+}
+
+// A feedVerdict is what a receiver at position last, having seen
+// origin epoch mine, makes of one feed. judgeFeed is the one rule; the
+// edge's push and poll and the standby's mirror each switch on it.
+type feedVerdict uint8
+
+const (
+	feedApply     feedVerdict = iota // Since == last < Seq: the news, from exactly here
+	feedDuplicate                    // Seq <= last: nothing new
+	feedOverlap                      // Since < last < Seq: repeats (Since, last], which must not apply again
+	feedGap                          // Since > last: applying would skip invalidations
+	feedReset                        // the sender's log no longer reaches last: its paths are not all
+	feedFenced                       // from an origin incarnation older than mine
+)
+
+// judgeFeed returns the verdict on feed for a receiver at last that
+// has seen epoch mine. Epoch 0, a pre-epoch origin, is never fenced. A
+// feed carries no entry boundaries, so an overlap cannot be trimmed to
+// (last, Seq]. Adopting a newer epoch is the receiver's business.
+func judgeFeed(feed InvalidationFeed, last, mine uint64) feedVerdict {
+	switch {
+	case feed.Epoch != 0 && feed.Epoch < mine:
+		return feedFenced
+	case feed.Reset:
+		return feedReset
+	case feed.Since > last:
+		return feedGap
+	case feed.Seq <= last:
+		return feedDuplicate
+	case feed.Since < last:
+		return feedOverlap
+	}
+	return feedApply
 }
 
 // pushAck is an edge's answer to one push: the sequence it now stands
@@ -631,29 +663,26 @@ func (o *Origin) Promote() uint64 {
 // MirrorFeed applies one of the primary's feeds (pushed to the
 // standby's control surface, or pulled by the standby's mirror poll)
 // to a standby's log, and returns the sequence this origin now stands
-// at — the mirror's ack. The entry granularity is the feed: one
-// batched entry at the primary's head covering every path the feed
-// carried. That loses the primary's entry boundaries but none of its
-// guarantees — an edge polling the standby from a position inside a
-// batch gets a superset of its missed paths, which over-invalidates
-// and never under-invalidates.
+// at — the mirror's ack. The entry granularity is the applied feed:
+// one batched entry at its Seq covering every path it carried. A
+// position inside a batch is not one the standby can answer exactly:
+// an edge polling from there gets the whole batch, a superset of what
+// it missed. No range is logged twice, since an overlap is not logged.
 func (o *Origin) MirrorFeed(feed InvalidationFeed) uint64 {
 	if o.Role() != RoleStandby {
 		// Promoted (or never standby): we own the sequence space now;
 		// ack our head so a still-pushing old primary stops.
 		return o.Seq()
 	}
-	if feed.Epoch != 0 && feed.Epoch < o.epoch.Load() {
-		// A deposed incarnation is still feeding us; refuse silently —
-		// our ack carries our epoch, which tells it to fence.
-		return o.Seq()
-	}
 	o.observeEpoch(feed.Epoch)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.heardAt = time.Now()
-	switch {
-	case feed.Reset || feed.Since > o.seq:
+	switch judgeFeed(feed, o.seq, o.epoch.Load()) {
+	case feedFenced:
+		// A deposed incarnation is still feeding us; refuse silently —
+		// our ack carries our epoch, which tells it to fence.
+		return o.seq
+	case feedReset, feedGap:
 		// The primary cannot bridge from our position (its log was
 		// truncated past us, or we lag its restart). Adopt its head as
 		// both floor and seq: we can no longer answer anyone below the
@@ -665,9 +694,12 @@ func (o *Origin) MirrorFeed(feed InvalidationFeed) uint64 {
 			o.compactLocked()
 		}
 		o.mirrored.Add(1)
-	case feed.Seq <= o.seq:
-		// Duplicate or overlap already covered (push raced our poll).
-	default:
+	case feedDuplicate:
+		// Already logged (a push raced our poll).
+	case feedOverlap:
+		// Log nothing and ack o.seq: the primary's drain re-pushes
+		// (o.seq, Seq], or the next follow poll brings it.
+	case feedApply:
 		paths := append([]string(nil), feed.Paths...)
 		o.log = append(o.log, invalEntry{seq: feed.Seq, paths: paths})
 		o.seq = feed.Seq
@@ -678,6 +710,7 @@ func (o *Origin) MirrorFeed(feed InvalidationFeed) uint64 {
 		o.persistLocked(walEntry{Seq: feed.Seq, Paths: paths})
 		o.mirrored.Add(1)
 	}
+	o.heardAt = time.Now()
 	return o.seq
 }
 

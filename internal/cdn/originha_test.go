@@ -31,8 +31,8 @@ func TestEdgeRefusesStaleEpochPush(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	if !e.ObserveOriginEpoch(3) {
-		t.Fatal("first epoch observation refused")
+	if got := e.ObserveOriginEpoch(3); got != 3 {
+		t.Fatalf("first epoch observation left the edge at epoch %d, want 3", got)
 	}
 	rc := h.Client("edge1")
 	raw, err := rc.FetchRawContext(ctx, pushPath+"?since=0&seq=5&epoch=2&paths=/stale")

@@ -316,9 +316,13 @@ func TestInlinePushDeclines(t *testing.T) {
 	step(dial(http2.Config{InitialWindowSize: 1}), "since=6&seq=8&epoch=3&paths=/g,/h", pushAck{8, 3}, true)
 
 	// The read loop counts an inline serve after its reply is out, so
-	// one more request on cc orders every earlier count before the read.
+	// one more request on cc orders every earlier count before the read;
+	// that request's own count may still land just after its reply.
 	if body := get(cc, healthPath); string(body) != "ok\n" {
 		t.Errorf("health = %q", body)
+	}
+	for deadline := time.Now().Add(5 * time.Second); h.inline.Load()+h.declined.Load() < 10 && time.Now().Before(deadline); {
+		runtime.Gosched()
 	}
 	if i, d, g := h.inline.Load(), h.declined.Load(), h.goroutine.Load(); i+d != 10 || d != g || i == 0 {
 		t.Errorf("served %d inline, %d declined, %d on goroutines; want 10 offered, every decline served, some inline", i, d, g)

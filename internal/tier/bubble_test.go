@@ -147,3 +147,106 @@ func TestBubbleMeshDeadAndReadmit(t *testing.T) {
 		t.Logf("dead after %v, re-admitted after %v of virtual time", restarted.Sub(killed), time.Since(restarted))
 	})
 }
+
+// TestBubblePushLossRepairedByPoll loses every push of a burst of
+// invalidations to a partition and has the anti-entropy poller repair
+// them within one poll interval of the heal, on virtual time. Each edge
+// applies each invalidation once: the refilled entries survive the
+// polls that follow and the pushes queued behind the partition, which
+// reach the edge, if at all, as duplicates.
+func TestBubblePushLossRepairedByPoll(t *testing.T) {
+	bubble(t, func(t *testing.T) {
+		const poll = 200 * time.Millisecond
+		names := []string{"edge1", "edge2", "edge3"}
+		tr, err := New(Options{Edges: names, Edge: func(c *cdn.EdgeConfig) { c.PollInterval = poll }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		ctx := context.Background()
+		// fetch fetches path through one edge, which must answer it
+		// from its shard (hit) or pull it (miss).
+		fetch := func(name, path string, hit bool) {
+			t.Helper()
+			before := tr.Edge(name).Stats().Hits
+			raw, err := tr.Fetch(ctx, name, path)
+			if err != nil || raw.Status != 200 {
+				t.Fatalf("%s %s: %v, %v", name, path, raw, err)
+			}
+			if got := tr.Edge(name).Stats().Hits > before; got != hit {
+				t.Errorf("%s %s: hit %v, want %v", name, path, got, hit)
+			}
+		}
+		paths := make([]string, Pages)
+		for i := range paths {
+			paths[i] = workload.CDNPagePath(i)
+		}
+		for _, name := range names {
+			tr.Edge(name).Start()
+			tr.Subscribe(name, 0)
+			for _, p := range paths {
+				fetch(name, p, false)
+			}
+		}
+
+		// Nothing is in flight; then the partition, and one
+		// invalidation a path, each pushed into it.
+		synctest.Wait()
+		tr.SeverOrigin()
+		for _, name := range names {
+			tr.Link(name).Push.Sever()
+		}
+		for _, p := range paths {
+			tr.Primary().Invalidate([]string{p})
+		}
+		head := tr.Primary().Seq()
+		synctest.Wait()
+		for _, name := range names {
+			if got := tr.Edge(name).LastSeq(); got != 0 {
+				t.Fatalf("%s at seq %d through the partition, want 0: a push got through", name, got)
+			}
+		}
+
+		tr.HealOrigin()
+		for _, name := range names {
+			tr.Link(name).Push.Restart()
+		}
+		healed := time.Now()
+		if err := WaitUntil(ctx, "every edge at the primary's head", func() bool {
+			for _, name := range names {
+				if tr.Edge(name).LastSeq() != head {
+					return false
+				}
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// One jittered tick (at most 1.2 intervals) and the retry
+		// ladder's backoff on the connection the partition cut.
+		if took := time.Since(healed); took > poll*6/5+EdgeRetry.MaxDelay {
+			t.Errorf("repaired %v after the heal, want within one poll interval (%v)", took, poll)
+		}
+		t.Logf("repaired %v after the heal, on virtual time", time.Since(healed))
+		for _, name := range names {
+			for _, p := range paths {
+				fetch(name, p, false)
+			}
+		}
+
+		// The lost pushes' watchdog (2 s) fires and the pushers try
+		// again, and the pollers keep polling.
+		time.Sleep(3 * time.Second)
+		synctest.Wait()
+		for _, name := range names {
+			e := tr.Edge(name)
+			for _, p := range paths {
+				fetch(name, p, true)
+			}
+			if s := e.Stats(); s.LastSeq != head || s.InvalApplied != uint64(len(paths)) {
+				t.Errorf("%s: lastSeq %d, %d entries invalidated; want %d, %d (each path once)",
+					name, s.LastSeq, s.InvalApplied, head, len(paths))
+			}
+		}
+	})
+}
