@@ -80,12 +80,7 @@ func TestPushAllocs(t *testing.T) {
 	paths := []string{"/blog/hike"}
 	push := func() {
 		o.Invalidate(paths)
-		for {
-			if ack, _ := o.SubscriberAck("edge1"); ack == o.Seq() && e.LastSeq() == ack {
-				return
-			}
-			runtime.Gosched()
-		}
+		awaitPush(t, o, e)
 	}
 	for i := 0; i < 200; i++ { // dial, fill the dynamic tables, grow the log to its cap
 		push()
@@ -140,9 +135,7 @@ func TestRefillAllocs(t *testing.T) {
 	paths := []string{path}
 	refill := func() {
 		o.Invalidate(paths)
-		for e.LastSeq() != o.Seq() {
-			runtime.Gosched()
-		}
+		awaitPush(t, o, e)
 		resp, err := cc.Get(path)
 		if err != nil {
 			t.Fatal(err)
@@ -157,5 +150,26 @@ func TestRefillAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, refill); allocs > 22 {
 		t.Fatalf("one invalidation and the miss that refills it allocate %v objects, want at most 22", allocs)
+	}
+}
+
+// ackDeadline bounds each wait for a push to land, so that a feed rule
+// which stops applying pushes fails the test that waits instead of
+// spinning until the package times out and reports nothing else.
+const ackDeadline = 10 * time.Second
+
+// awaitPush spins until edge1 has applied and acked the origin's head,
+// allocating nothing, and fails t with the ack, the edge's LastSeq and
+// the head once ackDeadline has passed.
+func awaitPush(t *testing.T, o *Origin, e *Edge) {
+	for deadline := time.Now().Add(ackDeadline); ; runtime.Gosched() {
+		ack, _ := o.SubscriberAck("edge1")
+		head, last := o.Seq(), e.LastSeq()
+		if ack == head && last == head {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("push not acked within %v: ack %d, edge LastSeq %d, origin head %d", ackDeadline, ack, last, head)
+		}
 	}
 }

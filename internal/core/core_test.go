@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -259,7 +258,7 @@ func TestGeneratedPathsPerPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, assets, _, err := proc.processTraditional(context.Background(), &Page{Path: "/p", Doc: html.Parse(b.String())})
+	body, assets, _, err := traditional(proc, &Page{Path: "/p", Doc: html.Parse(b.String())})
 	if err != nil {
 		t.Fatal(err)
 	}

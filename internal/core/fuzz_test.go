@@ -100,8 +100,8 @@ func FuzzTraditionalSegments(f *testing.F) {
 		}
 
 		c := page.compile()
-		compiled := placement{phs: c.phs, paths: c.paths, page: c, fills: make([]fill, len(c.segs)-1)}
-		document := placement{phs: docPhs, paths: generatedPaths(docPhs)}
+		compiled := placement{phs: c.phs, paths: c.paths, page: c, slots: c.slots()}
+		document := placement{phs: docPhs, paths: generatedPaths(docPhs), assets: map[string][]byte{}}
 		for i := range docPhs {
 			if compiled.paths[i] != document.paths[i] {
 				t.Fatalf("placeholder %d: compiled path %q, document pass %q", i, compiled.paths[i], document.paths[i])
@@ -110,8 +110,16 @@ func FuzzTraditionalSegments(f *testing.F) {
 			compiled.place(i, &r)
 			document.place(i, &r)
 		}
-		if got, want := string(c.body(compiled.fills)), html.RenderString(doc); got != want {
+		if got, want := string(c.body(compiled.slots)), html.RenderString(doc); got != want {
 			t.Fatalf("compiled body differs from the document pass\n got %q\nwant %q", got, want)
+		}
+		if len(c.assets) != len(document.assets) {
+			t.Fatalf("%d compiled assets, %d from the document pass", len(c.assets), len(document.assets))
+		}
+		for k, path := range c.assets {
+			if got, want := compiled.slots[k].asset, document.assets[path]; string(got) != string(want) {
+				t.Fatalf("asset %q: compiled %q, document pass %q", path, got, want)
+			}
 		}
 
 		for _, ph := range phs {
@@ -127,7 +135,7 @@ func FuzzTraditionalSegments(f *testing.F) {
 		}
 
 		pp := &PageProcessor{Workers: 1}
-		body, _, _, gotErr := pp.processTraditional(context.Background(), page)
+		body, _, _, gotErr := traditional(pp, page)
 		_, _, wantErr := pp.ProcessContext(context.Background(), page.Doc.Clone())
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("processTraditional error %v, ProcessContext %v", gotErr, wantErr)
@@ -139,12 +147,16 @@ func FuzzTraditionalSegments(f *testing.F) {
 }
 
 // standIn is the i-th placeholder's stand-in generation result: prose
-// with bytes that must be escaped, and every other image failing §7
-// verification.
+// with bytes that must be escaped, every other image failing §7
+// verification, and asset bytes that name the placeholder.
 func standIn(i int, path string) genResult {
-	return genResult{
+	r := genResult{
 		item: ItemReport{VerifyFailed: i%2 == 1},
 		path: path,
 		text: "it's " + strconv.Itoa(i) + " < 2 & so on",
 	}
+	if path != "" {
+		r.data = []byte("asset " + strconv.Itoa(i))
+	}
+	return r
 }

@@ -192,7 +192,7 @@ func (p *Page) TraditionalDoc() (*html.Node, error) {
 // page instead of a clone of Doc.
 func (p *Page) originalsBody() ([]byte, error) {
 	c := p.compile()
-	fills := make([]fill, len(c.segs)-1)
+	slots := c.slots()
 	for i, ph := range c.phs {
 		it := &c.items[i]
 		text, err := p.originalText(ph, it.origPath)
@@ -200,10 +200,10 @@ func (p *Page) originalsBody() ([]byte, error) {
 			return nil, err
 		}
 		if it.hole >= 0 {
-			fills[it.hole] = it.orig.fill(text, false)
+			slots[it.hole].fill = it.orig.fill(text, false)
 		}
 	}
-	return c.body(fills), nil
+	return c.body(slots), nil
 }
 
 // originalNode is the traditional stand-in for one placeholder: an
@@ -276,7 +276,10 @@ type compiledItem struct {
 	// hole is the placeholder's hole, or -1 when it sits inside another
 	// placeholder, whose replacement takes it along (as ReplaceChild of
 	// the outer div does in a document).
-	hole          int
+	hole int
+	// asset is the placeholder's index in compiledPage.assets, -1 when
+	// it generates no asset.
+	asset         int
 	wire, content int // WireSize, ContentSize
 
 	origPath string // originalPath of the placeholder's name
@@ -324,6 +327,15 @@ func renderCut(n *html.Node) (pre, post string, cut bool) {
 // markup around its text, escaped as it is written.
 type fill struct{ pre, text, post string }
 
+// A tradSlot is row k of the one table the server's traditional pass
+// writes: hole k's fill and the bytes of compiledPage.assets[k]. Sharing
+// rows makes the pass's two tables one allocation; a page has as many
+// rows as it has holes or assets, whichever is more.
+type tradSlot struct {
+	fill  fill
+	asset []byte
+}
+
 // fill is m around text, if m has room for it, and the failed variant
 // when failed.
 func (m *markup) fill(text string, failed bool) fill {
@@ -347,10 +359,12 @@ func (p *Page) compile() *compiledPage {
 		holes := make([]*html.Node, 0, len(phs))
 		for i, ph := range phs {
 			path := c.paths[i]
+			it := &c.items[i]
+			it.asset = -1
 			if path != "" {
+				it.asset = len(c.assets)
 				c.assets = append(c.assets, path)
 			}
-			it := &c.items[i]
 			it.wire, it.content = ph.Content.WireSize(), ph.Content.ContentSize()
 			it.origPath = originalPath(ph.Content.Meta.Name)
 			// Placeholders come in document order, so one inside another
@@ -382,15 +396,23 @@ func isAncestor(a, n *html.Node) bool {
 	return false
 }
 
-// body writes segs[0], fills[0], segs[1], … into one exactly-sized
-// buffer.
-func (c *compiledPage) body(fills []fill) []byte {
+// slots returns an empty table of the page's traditional pass.
+func (c *compiledPage) slots() []tradSlot {
+	return make([]tradSlot, max(len(c.segs)-1, len(c.assets)))
+}
+
+// body writes segs[0], slots[0]'s fill, segs[1], … into one
+// exactly-sized buffer.
+func (c *compiledPage) body(slots []tradSlot) []byte {
+	holes := slots[:len(c.segs)-1]
 	n := c.static
-	for _, f := range fills {
+	for k := range holes {
+		f := &holes[k].fill
 		n += len(f.pre) + html.EscapedLen(f.text) + len(f.post)
 	}
 	b := append(make([]byte, 0, n), c.segs[0]...)
-	for k, f := range fills {
+	for k := range holes {
+		f := &holes[k].fill
 		b = append(b, f.pre...)
 		b = html.AppendEscaped(b, f.text)
 		b = append(b, f.post...)

@@ -92,12 +92,26 @@ func runProc(t *testing.T, workers int, page string, budget time.Duration) procO
 	proc.SimBudget = budget
 	doc := html.Parse(page)
 	assets, report, err := proc.Process(doc)
-	body, _, _, bodyErr := proc.processTraditional(context.Background(), &Page{Path: "/p", Doc: html.Parse(page)})
+	body, _, _, bodyErr := traditional(proc, &Page{Path: "/p", Doc: html.Parse(page)})
 	return procOutcome{assets: assets, report: report, html: html.RenderString(doc), err: err,
 		body: string(body), bodyErr: bodyErr}
 }
 
 var workerCounts = []int{1, 2, 8}
+
+// traditional runs pp's server-side pass over p and returns it as the
+// document pass returns its own: body, assets by path, report.
+func traditional(pp *PageProcessor, p *Page) (body []byte, assets map[string][]byte, report *ProcessReport, err error) {
+	st, err := pp.processTraditional(context.Background(), p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	assets = make(map[string][]byte, len(st.assetPaths))
+	for k, path := range st.assetPaths {
+		assets[path] = st.assets[k].asset
+	}
+	return st.body, assets, &st.report, nil
+}
 
 func TestParallelEquivalence(t *testing.T) {
 	page := mixedPage(t, 5, 2)
@@ -184,7 +198,7 @@ func TestParallelEquivalenceShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, workers=%d: %v", sh.name, w, err)
 			}
-			body, tAssets, tReport, err := proc.processTraditional(context.Background(), &Page{Path: "/p", Doc: html.Parse(page)})
+			body, tAssets, tReport, err := traditional(proc, &Page{Path: "/p", Doc: html.Parse(page)})
 			if err != nil {
 				t.Fatalf("%s, workers=%d: traditional pass: %v", sh.name, w, err)
 			}
@@ -342,7 +356,7 @@ func TestCompiledPageConcurrentFirstUse(t *testing.T) {
 				}
 				return
 			}
-			body, _, _, err := proc.processTraditional(context.Background(), page)
+			body, _, _, err := traditional(proc, page)
 			if err != nil || string(body) != want {
 				t.Errorf("goroutine %d: body differs from the processed document (%v)", g, err)
 			}

@@ -158,7 +158,13 @@ func (pp *PageProcessor) ProcessContext(ctx context.Context, doc *html.Node) (ma
 	if err := malformed(parseErrs); err != nil {
 		return nil, nil, err
 	}
-	return pp.process(ctx, placement{phs: placeholders, paths: generatedPaths(placeholders)}, pp.genWorkers())
+	assets := make(map[string][]byte)
+	report := &ProcessReport{}
+	pl := placement{phs: placeholders, paths: generatedPaths(placeholders), assets: assets}
+	if err := pp.process(ctx, pl, pp.genWorkers(), report); err != nil {
+		return nil, nil, err
+	}
+	return assets, report, nil
 }
 
 // malformed is the error a pass fails with when a page has malformed
@@ -171,46 +177,58 @@ func malformed(parseErrs []error) error {
 	return fmt.Errorf("core: %d malformed placeholders, first: %w", len(parseErrs), parseErrs[0])
 }
 
-// processTraditional generates page p server-side: the engine of
-// ProcessContext over the page's memoized placeholders, with the
-// results written into its compiled holes. body is, byte for byte, what
-// ProcessContext on a clone of p.Doc renders to; errors are its errors.
-// The pass runs on the calling goroutine alone, whatever pp.Workers
-// says: the server calls it on a generation its guard has admitted, so
-// MaxGenWorkers is the one bound on server-side generation.
-func (pp *PageProcessor) processTraditional(ctx context.Context, p *Page) (body []byte, assets map[string][]byte, report *ProcessReport, err error) {
+// processTraditional generates page p server-side into the entry the
+// server caches and serves: the engine of ProcessContext over the
+// page's memoized placeholders, with the results written into its
+// compiled holes and its asset table. The body is, byte for byte, what
+// ProcessContext on a clone of p.Doc renders to, and the assets and
+// report are its; errors are its errors. The pass runs on the calling
+// goroutine alone, whatever pp.Workers says: the server calls it on a
+// generation its guard has admitted, so MaxGenWorkers is the one bound
+// on server-side generation.
+func (pp *PageProcessor) processTraditional(ctx context.Context, p *Page) (*servedTraditional, error) {
 	if _, err := p.parsed(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	c := p.compile()
-	pl := placement{phs: c.phs, paths: c.paths, page: c, fills: make([]fill, len(c.segs)-1)}
-	if assets, report, err = pp.process(ctx, pl, 1); err != nil {
-		return nil, nil, nil, err
+	st := &servedTraditional{assetPaths: c.assets}
+	pl := placement{phs: c.phs, paths: c.paths, page: c, slots: c.slots()}
+	if err := pp.process(ctx, pl, 1, &st.report); err != nil {
+		return nil, err
 	}
-	return c.body(pl.fills), assets, report, nil
+	st.body = c.body(pl.slots)
+	st.lenStr = strconv.Itoa(len(st.body))
+	st.assets = pl.slots[:len(c.assets)]
+	st.bytes = int64(len(st.body))
+	for k := range pl.slots {
+		pl.slots[k].fill = fill{} // written into body: the prose need not outlive the pass
+		st.bytes += int64(len(pl.slots[k].asset))
+	}
+	return st, nil
 }
 
-func (pp *PageProcessor) process(ctx context.Context, pl placement, workers int) (map[string][]byte, *ProcessReport, error) {
+// process runs pl's placement into report, which it fills in.
+func (pp *PageProcessor) process(ctx context.Context, pl placement, workers int, report *ProcessReport) error {
 	loadBefore := pp.pipelineLoadTime()
-	assets := make(map[string][]byte)
-	report := &ProcessReport{}
-	if err := pp.runPlaceholders(ctx, pl, workers, assets, report); err != nil {
-		return nil, nil, err
+	if err := pp.runPlaceholders(ctx, pl, workers, report); err != nil {
+		return err
 	}
 	report.SimLoadTime = pp.pipelineLoadTime() - loadBefore
-	return assets, report, nil
+	return nil
 }
 
 // A placement is what one pass generates and where each result goes, in
 // document order: phs's divs replaced in their document by the nodes
-// generatedNode builds (the client's pass, page nil), or page's holes
-// filled with the markup it compiled from them (the server's
+// generatedNode builds and their assets put in a map by path (the
+// client's pass, page nil), or page's holes filled with the markup it
+// compiled from them and its assets put in its table (the server's
 // traditional pass, see Page.compile).
 type placement struct {
-	phs   []Placeholder
-	paths []string // generatedPaths(phs)
-	page  *compiledPage
-	fills []fill // page's holes, as filled
+	phs    []Placeholder
+	paths  []string // generatedPaths(phs)
+	assets map[string][]byte
+	page   *compiledPage
+	slots  []tradSlot // page.slots(), as filled
 }
 
 // sizes is placeholder i's WireSize and ContentSize.
@@ -224,15 +242,22 @@ func (pl placement) sizes(i int) (wire, content int) {
 }
 
 // place puts placeholder i's generated content r where the placeholder
-// was.
+// was, and its asset, if any, with the pass's assets.
 func (pl placement) place(i int, r *genResult) {
 	if pl.page == nil {
+		if r.path != "" {
+			pl.assets[r.path] = r.data
+		}
 		ph := pl.phs[i]
 		ph.Node.Parent.ReplaceChild(ph.Node, generatedNode(ph, r.path, r.text, r.item.VerifyFailed))
 		return
 	}
-	if it := &pl.page.items[i]; it.hole >= 0 {
-		pl.fills[it.hole] = it.gen.fill(r.text, r.item.VerifyFailed)
+	it := &pl.page.items[i]
+	if r.path != "" { // pl.paths[i]: the placeholder has an asset slot
+		pl.slots[it.asset].asset = r.data
+	}
+	if it.hole >= 0 {
+		pl.slots[it.hole].fill = it.gen.fill(r.text, r.item.VerifyFailed)
 	}
 }
 
@@ -275,7 +300,7 @@ func (pp *PageProcessor) genWorkers() int {
 // assembly selects an error. Items before the failing one in document
 // order are already applied (matching the sequential pass); later
 // results are discarded with the whole report.
-func (pp *PageProcessor) runPlaceholders(ctx context.Context, pl placement, workers int, assets map[string][]byte, report *ProcessReport) error {
+func (pp *PageProcessor) runPlaceholders(ctx context.Context, pl placement, workers int, report *ProcessReport) error {
 	n := len(pl.phs)
 	var h *helpers // nil when the caller works alone
 	if workers = min(workers, n); workers > 1 {
@@ -298,7 +323,7 @@ func (pp *PageProcessor) runPlaceholders(ctx context.Context, pl placement, work
 		if i < n {
 			r := pp.generateAt(ctx, pl, i)
 			if i == applied {
-				err = pp.applyResult(pl, i, &r, assets, report)
+				err = pp.applyResult(pl, i, &r, report)
 				applied++
 			} else {
 				h.results[i], h.arrived[i] = r, true
@@ -307,7 +332,7 @@ func (pp *PageProcessor) runPlaceholders(ctx context.Context, pl placement, work
 			h.arrived[<-h.ready] = true
 		}
 		for ; err == nil && h.done(applied); applied++ {
-			err = pp.applyResult(pl, applied, &h.results[applied], assets, report)
+			err = pp.applyResult(pl, applied, &h.results[applied], report)
 		}
 	}
 	return err
@@ -355,14 +380,11 @@ func (pp *PageProcessor) generateAt(ctx context.Context, pl placement, i int) ge
 }
 
 // applyResult performs placeholder i's document-order side effects:
-// placement, asset publication, and report accounting — the exact
+// placement with its asset, and report accounting — the exact
 // sequence (and budget cut-off semantics) of the sequential loop.
-func (pp *PageProcessor) applyResult(pl placement, i int, r *genResult, assets map[string][]byte, report *ProcessReport) error {
+func (pp *PageProcessor) applyResult(pl placement, i int, r *genResult, report *ProcessReport) error {
 	if r.err != nil {
 		return r.err
-	}
-	if r.path != "" {
-		assets[r.path] = r.data
 	}
 	pl.place(i, r)
 	item := r.item
@@ -436,13 +458,14 @@ func (pp *PageProcessor) generateOne(ph Placeholder, path string) genResult {
 		}
 		// §7 trust: verify the generation against the author's
 		// attested minimum alignment. The pipeline already embedded
-		// the prompt during generation; reuse that embedding.
+		// the prompt during generation; reuse that embedding (all zeros
+		// when the model did not, or the prompt has no content words).
 		if want := meta.ExpectedAlignment; want > 0 {
 			prompt := res.PromptEmbedding
-			if prompt == nil {
-				prompt = metrics.EmbedText(meta.Prompt)
+			if prompt == ([metrics.EmbedDim]float64{}) {
+				prompt = metrics.EmbedTextArray(meta.Prompt)
 			}
-			measured := metrics.Cosine(prompt, metrics.EmbedImage(res.Image))
+			measured := metrics.Cosine(prompt[:], metrics.EmbedImage(res.Image))
 			r.item.VerifyFailed = measured < want
 		}
 

@@ -130,13 +130,15 @@ type Server struct {
 	h2 *http2.Server
 }
 
+// A servedTraditional is a page generated server-side, as the
+// generated-content cache holds it; processTraditional writes it.
 type servedTraditional struct {
-	body       []byte // the page's HTML, immutable, shared by every serve
-	lenStr     string // strconv of len(body), for content-length
-	assets     map[string][]byte
-	report     *ProcessReport
-	assetPaths []string // assets' keys, the page's: shared, read-only
-	bytes      int64
+	body       []byte     // the page's HTML, immutable, shared by every serve
+	lenStr     string     // strconv of len(body), for content-length
+	assetPaths []string   // the page's asset paths (compiledPage.assets): shared, read-only
+	assets     []tradSlot // assets[k].asset is assetPaths[k]'s bytes
+	report     ProcessReport
+	bytes      int64 // body and asset bytes, the entry's LRU charge
 }
 
 // NewServer builds a generative server. imageModel/textModel
@@ -815,7 +817,7 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 		g.Counters().GenRuns.Add(1)
 		gen := tr.StartSpan("generate")
 		genStart := time.Now()
-		body, assets, report, err := s.serverProc.processTraditional(ctx, p)
+		st, err := s.serverProc.processTraditional(ctx, p)
 		s.observeDuration("sww_generation_duration_seconds", time.Since(genStart))
 		if err != nil {
 			gen.EndNote(err.Error())
@@ -830,23 +832,12 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 		}
 		gen.End()
 		ok = true
-		st := &servedTraditional{
-			body:       body,
-			lenStr:     strconv.Itoa(len(body)),
-			assets:     assets,
-			report:     report,
-			assetPaths: p.compile().assets,
-			bytes:      int64(len(body)),
-		}
-		for _, data := range assets {
-			st.bytes += int64(len(data))
-		}
 		// Model real inference occupancy: hold the worker for the
 		// configured fraction of the modelled generation time. A
 		// canceled requester releases the worker early — the result
 		// is already computed, so it is still cached for the next
 		// fetch (coalesced waiters get it too).
-		if hold := g.GenHold(report.SimGenTime); hold > 0 {
+		if hold := g.GenHold(st.report.SimGenTime); hold > 0 {
 			select {
 			case <-time.After(hold):
 			case <-ctx.Done():
@@ -874,19 +865,21 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 // strictly s.mu then cache, never both at once.
 func (s *Server) storeTraditional(path string, st *servedTraditional) {
 	s.mu.Lock()
-	for p, data := range st.assets {
-		s.assets[p] = Asset{Path: p, ContentType: "image/png", Data: data}
+	for k, p := range st.assetPaths {
+		s.assets[p] = Asset{Path: p, ContentType: "image/png", Data: st.assets[k].asset}
 	}
 	s.mu.Unlock()
 	s.Overload().Cache().Add(path, st, st.bytes)
 }
 
-// ServerGenReport returns the accumulated server-side generation
-// report for a page (nil if the page was never served traditionally
-// or has since been evicted from the generated-content cache).
+// ServerGenReport returns a copy of the server-side generation report
+// for a page (nil if the page was never served traditionally or has
+// since been evicted from the generated-content cache). Its Items are
+// the cached entry's: read-only.
 func (s *Server) ServerGenReport(path string) *ProcessReport {
 	if v, ok := s.Overload().Cache().Peek(path); ok {
-		return v.(*servedTraditional).report
+		r := v.(*servedTraditional).report
+		return &r
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sww/internal/device"
+	"sww/internal/metrics"
 	"sww/internal/overload"
 	"sww/internal/telemetry"
 )
@@ -93,15 +94,17 @@ func (c *ArtifactCache) Register(reg *telemetry.Registry) {
 // imageSize is the LRU accounting for one cached image: encoded PNG,
 // the one-byte-per-pixel index plane (its palette is a slice of a
 // table every image of that tint shares, so no entry owns it), and
-// the memoized prompt embedding. The embedding
-// ride-along (8 bytes per float64) was previously uncounted, leaving
-// phantom bytes in memory that the cap never saw.
+// the memoized prompt embedding when the model computed one. The
+// embedding ride-along (8 bytes per float64) was previously uncounted,
+// leaving phantom bytes in memory that the cap never saw.
 func imageSize(res *ImageResult) int64 {
 	size := int64(len(res.PNG))
 	if res.Image != nil {
 		size += int64(len(res.Image.Pix))
 	}
-	size += int64(len(res.PromptEmbedding)) * 8
+	if res.PromptEmbedding != ([metrics.EmbedDim]float64{}) {
+		size += int64(len(res.PromptEmbedding)) * 8
+	}
 	return size
 }
 
@@ -164,7 +167,7 @@ func textMaterial(model string, r TextRequest) string {
 // defaulted forms of the same request share an entry. A zero req.Seed
 // is cacheable: the model derives the effective seed
 // deterministically from (model, prompt).
-func (c *ArtifactCache) Image(m ImageModel, req ImageRequest) (*ImageResult, error) {
+func (c *ArtifactCache) Image(m ImageModel, req ImageRequest) (ImageResult, error) {
 	req = req.withDefaults()
 	material := imageMaterial(m.Name(), req)
 	key := cacheDigest(material)
@@ -179,20 +182,21 @@ func (c *ArtifactCache) Image(m ImageModel, req ImageRequest) (*ImageResult, err
 	v, err, shared := c.flight.Do(fkey, func() (any, error) {
 		if res, ok := c.imageHit(key, material, m, req.Class); ok {
 			c.hits.Add(1)
-			return res, nil
+			return &res, nil
 		}
 		c.misses.Add(1)
 		res, err := m.Generate(req)
 		if err != nil {
 			return nil, err
 		}
-		c.lru.Add(key, &cachedImage{
+		ci := &cachedImage{
 			material: material,
-			res:      *res,
+			res:      res,
 			class:    req.Class,
 			w:        req.Width, h: req.Height, steps: req.Steps,
-		}, imageSize(res))
-		return res, nil
+		}
+		c.lru.Add(key, ci, imageSize(&res))
+		return &ci.res, nil // the entry is never written again
 	})
 	// Only joining callers report shared; the executing caller already
 	// counted its own hit or miss inside fn.
@@ -200,37 +204,37 @@ func (c *ArtifactCache) Image(m ImageModel, req ImageRequest) (*ImageResult, err
 		c.coalesced.Add(1)
 	}
 	if err != nil {
-		return nil, err
+		return ImageResult{}, err
 	}
-	return v.(*ImageResult), nil
+	return *v.(*ImageResult), nil
 }
 
-func (c *ArtifactCache) imageHit(key, material string, m ImageModel, class device.Class) (*ImageResult, bool) {
+func (c *ArtifactCache) imageHit(key, material string, m ImageModel, class device.Class) (ImageResult, bool) {
 	v, ok := c.lru.Get(key)
 	if !ok {
-		return nil, false
+		return ImageResult{}, false
 	}
 	ci, ok := v.(*cachedImage)
 	if !ok || ci.material != material {
-		return nil, false // digest collision: generate instead
+		return ImageResult{}, false // digest collision: generate instead
 	}
 	res := ci.res
 	if ci.class != class {
 		gt, ok := m.(GenTimer)
 		if !ok {
-			return nil, false // cannot re-time for this class
+			return ImageResult{}, false // cannot re-time for this class
 		}
 		st, err := gt.GenTime(class, ci.w, ci.h, ci.steps)
 		if err != nil {
-			return nil, false
+			return ImageResult{}, false
 		}
 		res.SimTime = st
 	}
-	return &res, true
+	return res, true
 }
 
 // Text is Image for prose expansion.
-func (c *ArtifactCache) Text(m TextModel, req TextRequest) (*TextResult, error) {
+func (c *ArtifactCache) Text(m TextModel, req TextRequest) (TextResult, error) {
 	req = req.withDefaults()
 	material := textMaterial(m.Name(), req)
 	key := cacheDigest(material)
@@ -242,50 +246,51 @@ func (c *ArtifactCache) Text(m TextModel, req TextRequest) (*TextResult, error) 
 	v, err, shared := c.flight.Do(fkey, func() (any, error) {
 		if res, ok := c.textHit(key, material, m, req.Class); ok {
 			c.hits.Add(1)
-			return res, nil
+			return &res, nil
 		}
 		c.misses.Add(1)
 		res, err := m.Expand(req)
 		if err != nil {
 			return nil, err
 		}
-		c.lru.Add(key, &cachedText{
+		ct := &cachedText{
 			material: material,
-			res:      *res,
+			res:      res,
 			class:    req.Class,
 			words:    req.TargetWords,
-		}, int64(len(res.Text)))
-		return res, nil
+		}
+		c.lru.Add(key, ct, int64(len(res.Text)))
+		return &ct.res, nil
 	})
 	if shared {
 		c.coalesced.Add(1)
 	}
 	if err != nil {
-		return nil, err
+		return TextResult{}, err
 	}
-	return v.(*TextResult), nil
+	return *v.(*TextResult), nil
 }
 
-func (c *ArtifactCache) textHit(key, material string, m TextModel, class device.Class) (*TextResult, bool) {
+func (c *ArtifactCache) textHit(key, material string, m TextModel, class device.Class) (TextResult, bool) {
 	v, ok := c.lru.Get(key)
 	if !ok {
-		return nil, false
+		return TextResult{}, false
 	}
 	ct, ok := v.(*cachedText)
 	if !ok || ct.material != material {
-		return nil, false
+		return TextResult{}, false
 	}
 	res := ct.res
 	if ct.class != class {
 		et, ok := m.(ExpandTimer)
 		if !ok {
-			return nil, false
+			return TextResult{}, false
 		}
 		st, err := et.GenTime(class, ct.words)
 		if err != nil {
-			return nil, false
+			return TextResult{}, false
 		}
 		res.SimTime = st
 	}
-	return &res, true
+	return res, true
 }

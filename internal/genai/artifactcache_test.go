@@ -11,6 +11,7 @@ import (
 	"sww/internal/device"
 	"sww/internal/genai"
 	_ "sww/internal/genai/imagegen" // registers models for the pipeline test
+	"sww/internal/metrics"
 )
 
 // countingImageModel is a deterministic fake that counts real
@@ -27,14 +28,14 @@ func (m *countingImageModel) GenTime(class device.Class, w, h, steps int) (time.
 	return time.Duration(int(class)+1) * time.Second, nil
 }
 
-func (m *countingImageModel) Generate(req genai.ImageRequest) (*genai.ImageResult, error) {
+func (m *countingImageModel) Generate(req genai.ImageRequest) (genai.ImageResult, error) {
 	if m.block != nil {
 		<-m.block
 	}
 	m.gens.Add(1)
 	img := image.NewPaletted(image.Rect(0, 0, req.Width, req.Height), nil)
 	st, _ := m.GenTime(req.Class, req.Width, req.Height, req.Steps)
-	return &genai.ImageResult{
+	return genai.ImageResult{
 		Image:   img,
 		PNG:     []byte(req.Prompt),
 		SimTime: st,
@@ -50,10 +51,10 @@ func (m *countingTextModel) GenTime(class device.Class, words int) (time.Duratio
 	return time.Duration(words) * time.Millisecond * time.Duration(int(class)+1), nil
 }
 
-func (m *countingTextModel) Expand(req genai.TextRequest) (*genai.TextResult, error) {
+func (m *countingTextModel) Expand(req genai.TextRequest) (genai.TextResult, error) {
 	m.exps.Add(1)
 	st, _ := m.GenTime(req.Class, req.TargetWords)
-	return &genai.TextResult{Text: "prose", Words: 1, SimTime: st, Model: m.Name()}, nil
+	return genai.TextResult{Text: "prose", Words: 1, SimTime: st, Model: m.Name()}, nil
 }
 
 func TestArtifactCacheImageHitMiss(t *testing.T) {
@@ -199,12 +200,12 @@ func TestArtifactCacheText(t *testing.T) {
 // embedding, the ride-along payload whose bytes the LRU must account.
 type embeddingImageModel struct{ countingImageModel }
 
-func (m *embeddingImageModel) Generate(req genai.ImageRequest) (*genai.ImageResult, error) {
+func (m *embeddingImageModel) Generate(req genai.ImageRequest) (genai.ImageResult, error) {
 	res, err := m.countingImageModel.Generate(req)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	res.PromptEmbedding = make([]float64, 1024)
+	res.PromptEmbedding = metrics.EmbedTextArray(req.Prompt)
 	return res, nil
 }
 
@@ -219,8 +220,9 @@ func TestArtifactCacheEmbeddingBytesAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	// One entry: PNG ("p") + 8×8 indexed pixels (64) + 1024 float64s.
-	const want = 1 + 8*8 + 1024*8
+	// One entry: PNG ("p") + 8×8 indexed pixels (64) + the 64-float
+	// embedding.
+	const want = 1 + 8*8 + metrics.EmbedDim*8
 	if st.Bytes != want {
 		t.Fatalf("stats.Bytes = %d, want %d (PNG + 1 B/px plane + embedding)", st.Bytes, want)
 	}
@@ -268,10 +270,10 @@ type timerlessImageModel struct {
 func (m *timerlessImageModel) Name() string                        { return "fake-img-nt" }
 func (m *timerlessImageModel) ServerOnly() bool                    { return false }
 func (m *timerlessImageModel) LoadTime(device.Class) time.Duration { return 0 }
-func (m *timerlessImageModel) Generate(req genai.ImageRequest) (*genai.ImageResult, error) {
+func (m *timerlessImageModel) Generate(req genai.ImageRequest) (genai.ImageResult, error) {
 	m.gens.Add(1)
 	img := image.NewPaletted(image.Rect(0, 0, req.Width, req.Height), nil)
-	return &genai.ImageResult{
+	return genai.ImageResult{
 		Image:   img,
 		PNG:     []byte(req.Prompt),
 		SimTime: time.Duration(int(req.Class)+1) * time.Second,

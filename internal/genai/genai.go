@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"sww/internal/device"
+	"sww/internal/metrics"
 )
 
 // An ImageRequest asks a text-to-image model for one image.
@@ -94,10 +95,10 @@ type ImageResult struct {
 	Model string
 
 	// PromptEmbedding is the prompt's text embedding
-	// (metrics.EmbedText) computed during generation, threaded through
-	// so the §7 verification path need not re-embed the prompt.
-	// Callers must treat it as read-only.
-	PromptEmbedding []float64
+	// (metrics.EmbedTextArray) computed during generation, threaded
+	// through so the §7 verification path need not re-embed the
+	// prompt. All zeros when the model did not compute it.
+	PromptEmbedding [metrics.EmbedDim]float64
 }
 
 // A TextRequest asks a text-to-text model to expand bullet points
@@ -147,14 +148,14 @@ type ImageModel interface {
 	LoadTime(class device.Class) time.Duration
 
 	// Generate produces an image.
-	Generate(req ImageRequest) (*ImageResult, error)
+	Generate(req ImageRequest) (ImageResult, error)
 }
 
 // A TextModel expands prompts into prose.
 type TextModel interface {
 	Name() string
 	LoadTime(class device.Class) time.Duration
-	Expand(req TextRequest) (*TextResult, error)
+	Expand(req TextRequest) (TextResult, error)
 }
 
 var (

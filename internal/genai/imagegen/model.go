@@ -72,11 +72,11 @@ func (m *diffusionModel) GenTime(class device.Class, w, h, steps int) (time.Dura
 	return time.Duration(float64(steps) * float64(st) * factor), nil
 }
 
-func (m *diffusionModel) Generate(req genai.ImageRequest) (*genai.ImageResult, error) {
+func (m *diffusionModel) Generate(req genai.ImageRequest) (genai.ImageResult, error) {
 	req = normalizeImageReq(req)
 	simTime, err := m.GenTime(req.Class, req.Width, req.Height, req.Steps)
 	if err != nil {
-		return nil, err
+		return genai.ImageResult{}, err
 	}
 	sc := scratches.Get().(*scratch)
 	seed, target := m.seedAndTarget(sc, req)
@@ -84,9 +84,9 @@ func (m *diffusionModel) Generate(req genai.ImageRequest) (*genai.ImageResult, e
 	scratches.Put(sc)
 	data, err := EncodePNG(img)
 	if err != nil {
-		return nil, err
+		return genai.ImageResult{}, err
 	}
-	return &genai.ImageResult{
+	return genai.ImageResult{
 		Image:           img,
 		PNG:             data,
 		NominalBytes:    req.Width * req.Height / 8,

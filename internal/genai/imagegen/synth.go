@@ -93,14 +93,14 @@ func resize[T any](s []T, n int) []T {
 // the straightforward per-pixel formulation (Go's + and * are
 // left-associative), so hoisting per-cell and per-column terms into
 // tables keeps the output byte-for-byte identical.
-func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, []float64) {
+func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, embedding) {
 	rng := sc.rng
 	rng.Seed(seed)
 
 	// Build the planted vector in the zero-mean subspace that
 	// metrics.EmbedImage measures.
-	e := metrics.EmbedText(prompt)
-	ec := centered(e)
+	e := metrics.EmbedTextArray(prompt)
+	ec := centered(e[:])
 	ecNorm := norm(ec[:])
 	var v embedding
 	planted := 0.0

@@ -105,7 +105,7 @@ func referenceRandomUnitZeroMean(rng *rand.Rand, excl []float64) []float64 {
 
 // pooledSynthesize is one synthesis on a pooled scratch, as Generate
 // runs it.
-func pooledSynthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, []float64) {
+func pooledSynthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, embedding) {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
 	return sc.synthesize(prompt, w, h, seed, targetAlign)

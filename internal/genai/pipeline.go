@@ -80,9 +80,9 @@ func (p *Pipeline) SimLoadTime() time.Duration {
 // GenerateImage runs the image model, accounting for load cost per
 // the pipeline's preload policy. The returned result's SimTime covers
 // generation only; load time accumulates in SimLoadTime.
-func (p *Pipeline) GenerateImage(req ImageRequest) (*ImageResult, error) {
+func (p *Pipeline) GenerateImage(req ImageRequest) (ImageResult, error) {
 	if p.image == nil {
-		return nil, fmt.Errorf("genai: pipeline has no image model")
+		return ImageResult{}, fmt.Errorf("genai: pipeline has no image model")
 	}
 	req.Class = p.Class
 	p.accountLoad(&p.imageLoaded, p.image.LoadTime(p.Class))
@@ -93,9 +93,9 @@ func (p *Pipeline) GenerateImage(req ImageRequest) (*ImageResult, error) {
 }
 
 // ExpandText runs the text model with the same load accounting.
-func (p *Pipeline) ExpandText(req TextRequest) (*TextResult, error) {
+func (p *Pipeline) ExpandText(req TextRequest) (TextResult, error) {
 	if p.text == nil {
-		return nil, fmt.Errorf("genai: pipeline has no text model")
+		return TextResult{}, fmt.Errorf("genai: pipeline has no text model")
 	}
 	req.Class = p.Class
 	p.accountLoad(&p.textLoaded, p.text.LoadTime(p.Class))

@@ -111,13 +111,13 @@ func (m *expanderModel) jitter(class device.Class, words int) float64 {
 // without allocating a state or building the words no draw reads.
 var rngs = sync.Pool{New: func() any { return rand.New(genai.NewLazySource(1)) }}
 
-func (m *expanderModel) Expand(req genai.TextRequest) (*genai.TextResult, error) {
+func (m *expanderModel) Expand(req genai.TextRequest) (genai.TextResult, error) {
 	if req.TargetWords == 0 {
 		req.TargetWords = 100
 	}
 	simTime, err := m.GenTime(req.Class, req.TargetWords)
 	if err != nil {
-		return nil, err
+		return genai.TextResult{}, err
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -141,7 +141,7 @@ func (m *expanderModel) Expand(req genai.TextRequest) (*genai.TextResult, error)
 	}
 
 	text := m.compose(rng, req.Bullets, words)
-	return &genai.TextResult{
+	return genai.TextResult{
 		Text:    text,
 		Words:   metrics.WordCount(text),
 		SimTime: simTime,

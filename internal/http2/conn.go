@@ -838,8 +838,8 @@ func (c *conn) serveInline(st *Stream) (served bool) {
 	if !c.inline.TryServeSWW(w, &st.req) || !w.finished {
 		return false
 	}
-	if st.ctx != nil {
-		st.endContext()
+	if st.ctx.handedOut() {
+		st.ctx.end()
 	} else {
 		c.spare = st
 	}
@@ -872,7 +872,7 @@ func (c *conn) finishServerStream(st *Stream, w *ResponseWriter) {
 		w.WriteHeaders(200)
 	}
 	w.Finish()
-	st.endContext()
+	st.ctx.end()
 	c.mu.Lock()
 	if _, live := c.streams[st.id]; live {
 		delete(c.streams, st.id)

@@ -188,20 +188,19 @@ func TestResetWakesHeaderWait(t *testing.T) {
 	}
 }
 
-// TestContextAfterStreamDeath: the stream context is built on demand,
-// so one first asked for after the stream died must be born canceled;
-// one handed out earlier is canceled by the death; and a stream nobody
-// asks never builds one.
+// TestContextAfterStreamDeath: a context first asked for after the
+// stream died is born canceled; one handed out earlier is canceled by
+// the death; and Context returns the same context every time.
 func TestContextAfterStreamDeath(t *testing.T) {
 	st := newTestStream(t)
 	st.closeWithError(ErrPeerClosed)
-	if st.ctx != nil {
-		t.Fatal("a context was built though nobody asked for one")
-	}
 	select {
 	case <-st.Context().Done():
 	default:
 		t.Fatal("Context() of a dead stream is not canceled")
+	}
+	if err := st.Context().Err(); err != context.Canceled {
+		t.Fatalf("Context().Err() of a dead stream = %v, want %v", err, context.Canceled)
 	}
 
 	st = newTestStream(t)

@@ -261,22 +261,39 @@ func TestInlineStreamReuseLateFrames(t *testing.T) {
 // becomes the next request's, unless its handler asked for Context —
 // which breaks the InlineHandler contract, so the stream is left to
 // whoever still holds it and its context is cancelled when the reply is
-// finished.
+// finished. The context lives in the stream, so no stream whose context
+// was handed out is ever reused: a handler goroutine's stream (/g/ctx)
+// is not reused either, and its context stays cancelled.
 func TestInlineStreamReuseSkipsContextCaller(t *testing.T) {
+	var mu sync.Mutex // the read loop and the /g/ctx goroutine both write
 	streams := map[string]*Stream{}
-	var ctx context.Context
+	contexts := map[string]context.Context{}
+	take := func(r *Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		streams[r.Path] = r.Stream()
+		if strings.HasSuffix(r.Path, "/ctx") {
+			contexts[r.Path] = r.Stream().Context()
+		}
+	}
 	h := inlineFuncs{
 		try: func(w *ResponseWriter, r *Request) bool {
-			streams[r.Path] = r.Stream() // the read loop is the only writer
-			if r.Path == "/ctx" {
-				ctx = r.Stream().Context()
+			if strings.HasPrefix(r.Path, "/g/") {
+				return false
 			}
+			take(r)
 			return w.TryRespond(200, []byte(r.Path))
 		},
-		serve: func(w *ResponseWriter, r *Request) { t.Errorf("%s reached a goroutine", r.Path) },
+		serve: func(w *ResponseWriter, r *Request) {
+			if !strings.HasPrefix(r.Path, "/g/") {
+				t.Errorf("%s reached a goroutine", r.Path)
+			}
+			take(r)
+			w.Respond(200, []byte(r.Path))
+		},
 	}
 	cc, _ := startPair(t, Config{}, Config{}, h)
-	for _, path := range []string{"/a", "/b", "/ctx", "/c"} {
+	for _, path := range []string{"/a", "/b", "/ctx", "/c", "/g/ctx", "/d", "/e"} {
 		resp, err := cc.Get(path)
 		if err != nil {
 			t.Fatal(err)
@@ -285,14 +302,24 @@ func TestInlineStreamReuseSkipsContextCaller(t *testing.T) {
 			t.Fatalf("GET %s = %q, %v", path, body, err)
 		}
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	// /c was read after /ctx was finished.
-	if streams["/b"] != streams["/a"] || streams["/ctx"] != streams["/b"] {
+	if streams["/b"] != streams["/a"] || streams["/ctx"] != streams["/b"] || streams["/e"] != streams["/d"] {
 		t.Fatal("inline replies did not reuse their stream")
 	}
 	if streams["/c"] == streams["/ctx"] {
 		t.Error("the stream whose handler asked for Context was reused")
 	}
-	if ctx.Err() == nil {
-		t.Error("the inline handler's context was not cancelled when its reply was finished")
+	for _, p := range []string{"/d", "/e"} {
+		if streams[p] == streams["/g/ctx"] {
+			t.Errorf("the handler goroutine's stream was reused for %s", p)
+		}
+	}
+	waitCond(t, "the handler goroutine's context to be cancelled", func() bool { return contexts["/g/ctx"].Err() != nil })
+	for p, ctx := range contexts {
+		if ctx.Err() != context.Canceled {
+			t.Errorf("%s: context.Err() = %v after its reply was finished, want %v", p, ctx.Err(), context.Canceled)
+		}
 	}
 }

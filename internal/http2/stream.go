@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sww/internal/hpack"
 )
@@ -61,12 +63,9 @@ type Stream struct {
 	// is gone instead of running to completion for nobody. This is
 	// the work-cancellation half of the rapid-reset defense: the
 	// abuse ledger limits how often a peer may reset, the context
-	// makes each reset cheap. It is built by the first Context call
-	// (client streams never ask); ctxDead records a death that came
-	// before it. All three are guarded by mu.
-	ctx       context.Context
-	cancelCtx context.CancelFunc
-	ctxDead   bool
+	// makes each reset cheap. It lives in the stream, so handing it
+	// out allocates nothing.
+	ctx streamContext
 
 	// unhook stops the cancel hook DoContext registered on the
 	// caller's context, and hookDone is that context's Done channel
@@ -112,27 +111,103 @@ func (st *Stream) init(c *conn, id uint32, peerWindow int32) {
 // Context is canceled when the stream is reset or closed. Handlers
 // pass it down so abandoned requests stop consuming capacity. Asked of
 // a stream that is already dead, it returns a canceled context.
+//
+// The context is the stream's own memory, so a stream whose context was
+// handed out is never reused for another request: serveInline leaves
+// such a stream to the garbage collector, and a stream served on a
+// handler goroutine is never reused at all.
 func (s *Stream) Context() context.Context {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ctx == nil {
-		s.ctx, s.cancelCtx = context.WithCancel(context.Background())
-		if s.ctxDead {
-			s.cancelCtx()
-		}
-	}
-	return s.ctx
+	s.ctx.mu.Lock()
+	s.ctx.handed = true
+	s.ctx.mu.Unlock()
+	return &s.ctx
 }
 
-// endContext cancels the stream's context: now if one was handed out,
-// at birth otherwise.
-func (s *Stream) endContext() {
-	s.mu.Lock()
-	s.ctxDead = true
-	cancel := s.cancelCtx
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
+// A streamContext is a Stream's context: canceled when the stream dies,
+// with no deadline and no values. Done makes its channel on first ask,
+// and AfterFunc lets a context derived from it (context.WithTimeout in
+// the overload guard's queue) register a callback instead of starting
+// a goroutine that waits on Done.
+type streamContext struct {
+	mu     sync.Mutex
+	done   chan struct{} // made by the first Done, closed by end
+	err    error         // context.Canceled once ended
+	funcs  []*func()     // AfterFunc callbacks not yet stopped
+	handed bool          // Stream.Context returned it: the stream is not reused
+}
+
+func (*streamContext) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+func (*streamContext) Value(any) any { return nil }
+
+func (c *streamContext) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.err != nil {
+			close(c.done)
+		}
+	}
+	return c.done
+}
+
+func (c *streamContext) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+// AfterFunc arranges for f to run in its own goroutine once the context
+// ends, at once if it has, as context.AfterFunc does; stop unregisters
+// f and reports whether that kept it from running.
+// context.WithCancel and WithTimeout use this method, when their parent
+// has it, to learn of the parent's end.
+func (c *streamContext) AfterFunc(f func()) (stop func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		go f()
+		return func() bool { return false }
+	}
+	fp := &f
+	c.funcs = append(c.funcs, fp)
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i, g := range c.funcs {
+			if g == fp {
+				c.funcs = slices.Delete(c.funcs, i, i+1)
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// handedOut reports whether Stream.Context returned the context.
+func (c *streamContext) handedOut() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.handed
+}
+
+// end cancels the context; later calls do nothing.
+func (c *streamContext) end() {
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return
+	}
+	c.err = context.Canceled
+	if c.done != nil {
+		close(c.done)
+	}
+	funcs := c.funcs
+	c.funcs = nil
+	c.mu.Unlock()
+	for _, f := range funcs {
+		go (*f)()
 	}
 }
 
@@ -439,7 +514,7 @@ func (s *Stream) Close() error {
 		s.c.resetStream(s.id, ErrCodeCancel)
 		s.closeWithError(streamError(s.id, ErrCodeCancel, "closed locally"))
 	}
-	s.endContext()
+	s.ctx.end()
 	s.c.removeStream(s.id)
 	s.abandon()
 	return nil
@@ -474,5 +549,5 @@ func (s *Stream) closeWithError(err error) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.send.fail(err)
-	s.endContext()
+	s.ctx.end()
 }

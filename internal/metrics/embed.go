@@ -108,10 +108,12 @@ func fnv1a(h uint64, s string) uint64 {
 // EmbedText embeds s by signed feature hashing of its content words
 // and word bigrams, L2-normalized. The zero vector is returned for
 // text with no content words.
-func EmbedText(s string) []float64 {
+func EmbedText(s string) []float64 { v := EmbedTextArray(s); return v[:] }
+
+// EmbedTextArray is EmbedText as an array, which needs no heap.
+func EmbedTextArray(s string) (v [EmbedDim]float64) {
 	var buf [32]string // a prompt's words, without a heap slice
 	words := AppendContentWords(buf[:0], s)
-	v := make([]float64, EmbedDim)
 	for i, w := range words {
 		idx, sign := hashToken(w)
 		v[idx] += sign
@@ -120,7 +122,8 @@ func EmbedText(s string) []float64 {
 			v[idx] += sign * 0.5
 		}
 	}
-	return normalize(v)
+	normalize(v[:])
+	return v
 }
 
 // EmbedImage extracts the 64-dimensional feature vector of an image:

@@ -190,12 +190,10 @@ func TestBubblePushLossRepairedByPoll(t *testing.T) {
 		}
 
 		// Nothing is in flight; then the partition, and one
-		// invalidation a path, each pushed into it.
+		// invalidation a path, each pushed into it. SeverOrigin alone
+		// cuts the pushes too.
 		synctest.Wait()
 		tr.SeverOrigin()
-		for _, name := range names {
-			tr.Link(name).Push.Sever()
-		}
 		for _, p := range paths {
 			tr.Primary().Invalidate([]string{p})
 		}
@@ -208,9 +206,6 @@ func TestBubblePushLossRepairedByPoll(t *testing.T) {
 		}
 
 		tr.HealOrigin()
-		for _, name := range names {
-			tr.Link(name).Push.Restart()
-		}
 		healed := time.Now()
 		if err := WaitUntil(ctx, "every edge at the primary's head", func() bool {
 			for _, name := range names {

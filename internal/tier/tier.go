@@ -219,19 +219,27 @@ func (t *Tier) UpDials(name string) uint64 { return t.links[name].upDials.Load()
 func (t *Tier) SnapshotPath(name string) string { return filepath.Join(t.dir, name+".snap") }
 
 // SeverOrigin makes the primary unreachable from everywhere, silently:
-// established connections die and every redial hangs.
+// established connections die and every redial hangs, the edges' polls
+// and the primary's pushes to them alike.
 func (t *Tier) SeverOrigin() {
 	t.Mirror.Sever()
 	for _, l := range t.links {
 		l.Up.Sever()
+		l.Push.Sever()
 	}
 }
 
-// HealOrigin undoes SeverOrigin.
+// HealOrigin undoes SeverOrigin. The push link of an edge KillEdge took
+// down stays dead: RebootEdge restarts it.
 func (t *Tier) HealOrigin() {
 	t.Mirror.Restart()
-	for _, l := range t.links {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for name, l := range t.links {
 		l.Up.Restart()
+		if !t.dead[name] {
+			l.Push.Restart()
+		}
 	}
 }
 

@@ -86,3 +86,34 @@ func TestCloseReturnsGoroutines(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestSeverOriginCutsEveryLink: SeverOrigin takes down every edge's Up
+// and Push link, so neither polls nor pushes cross the partition, and
+// HealOrigin brings them back, except the Push link of an edge that
+// KillEdge took down, which stays down until RebootEdge.
+func TestSeverOriginCutsEveryLink(t *testing.T) {
+	tr, err := New(Options{Edges: []string{"edge1", "edge2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if err := tr.KillEdge("edge2"); err != nil {
+		t.Fatal(err)
+	}
+	tr.SeverOrigin()
+	for _, name := range []string{"edge1", "edge2"} {
+		if l := tr.Link(name); !l.Up.Down() || !l.Push.Down() {
+			t.Errorf("%s after SeverOrigin: Up down %v, Push down %v; want both down", name, l.Up.Down(), l.Push.Down())
+		}
+	}
+	tr.HealOrigin()
+	for name, wantPushDown := range map[string]bool{"edge1": false, "edge2": true} {
+		if l := tr.Link(name); l.Up.Down() || l.Push.Down() != wantPushDown {
+			t.Errorf("%s after HealOrigin: Up down %v, Push down %v; want Up up, Push down %v", name, l.Up.Down(), l.Push.Down(), wantPushDown)
+		}
+	}
+	tr.RebootEdge("edge2")
+	if tr.Link("edge2").Push.Down() {
+		t.Error("edge2's Push link still down after RebootEdge")
+	}
+}
