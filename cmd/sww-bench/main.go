@@ -6,8 +6,7 @@
 //	sww-bench [-only matrix|fig2|article|t1|steps|sizes|text|t2|
 //	                 energy|carbon|traffic|cdn|video|storage|ablations|
 //	                 h3|upscale|personalize|placement|chaos|overload|
-//	                 abuse|fastpath|telemetry|edgetier|selfheal|
-//	                 originha|capacity]
+//	                 abuse|fastpath|telemetry|capacity]
 //	          [-quick]
 //
 // Without -only, all experiments run in this order; an unknown key

@@ -263,8 +263,12 @@ func TestEdgeTierPartitionReconcile(t *testing.T) {
 	h.Primary().Server().RemovePage(path) // unpublished while the edge cannot hear
 
 	time.Sleep(60 * time.Millisecond) // past TTL, poller now failing
-	if _, _, err := ec.FetchContext(ctx, path); err != nil {
+	res, _, err := ec.FetchContext(ctx, path)
+	if err != nil {
 		t.Fatalf("partitioned edge dropped its warm copy: %v", err)
+	}
+	if !strings.Contains(res.HTML, "edge tier page 003 payload") {
+		t.Error("partitioned edge served the wrong content")
 	}
 	if s := h.Edge("edge1").Stats(); s.PollErrors == 0 {
 		t.Error("partitioned poller reported no errors")

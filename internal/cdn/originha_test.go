@@ -2,20 +2,25 @@ package cdn_test
 
 // Origin high-availability scenario tests: standby mirroring and
 // promotion, zombie fencing on the edge side, edge failover to the
-// promoted standby, and the regression tests for edge shutdown
-// goroutine leaks and concurrent push/poll convergence.
+// promoted standby, reconciling across an origin restart, the retry
+// budget under a poll storm, and the regression tests for edge
+// shutdown goroutine leaks and concurrent push/poll convergence.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sww/internal/cdn"
+	"sww/internal/core"
+	"sww/internal/faultnet"
 	"sww/internal/http2"
 	"sww/internal/telemetry"
 	"sww/internal/tier"
@@ -182,9 +187,102 @@ func TestEdgeFailsOverToPromotedStandby(t *testing.T) {
 	if s.LastSeq < anchored {
 		t.Fatalf("edge seq went backwards: %d < %d", s.LastSeq, anchored)
 	}
-	// The invalidation actually evicted the warmed page.
+	// The invalidation actually evicted the warmed page, and the page
+	// refills from the promoted standby.
 	if e.Stats().CacheEntries != 0 {
 		t.Fatalf("post-failover invalidation left %d entries", e.Stats().CacheEntries)
+	}
+	if raw, err := h.Fetch(ctx, "edge1", path); err != nil || raw.Status != 200 || raw.StaleAge != 0 {
+		t.Fatalf("refetch after the failover: %v, %v", raw, err)
+	}
+	if s := e.Stats(); s.Misses != 2 || s.CacheEntries != 1 {
+		t.Fatalf("refetch after the failover: %d misses, %d entries; want 2 and 1 (refilled)", s.Misses, s.CacheEntries)
+	}
+}
+
+// TestEdgeReconcilesAcrossOriginRestart: an origin killed and
+// restarted over its durable log resumes its sequence number, and a
+// warm edge's next poll takes what was issued since incrementally: no
+// reset, only the invalidated pages gone from its shard.
+func TestEdgeReconcilesAcrossOriginRestart(t *testing.T) {
+	h := boot(t, tier.Options{Edges: []string{"edge1"}, Durable: true})
+	e := h.Edge("edge1")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < tier.Pages; i++ {
+		if raw, err := h.Fetch(ctx, "edge1", workload.CDNPagePath(i)); err != nil || raw.Status != 200 {
+			t.Fatalf("warming %d: %v status %d", i, err, raw.Status)
+		}
+	}
+	h.Primary().Invalidate([]string{workload.CDNPagePath(0)})
+	h.Primary().Invalidate([]string{workload.CDNPagePath(1)})
+	if err := e.PollOnce(ctx); err != nil {
+		t.Fatalf("anchor poll: %v", err)
+	}
+	seq := h.Primary().Seq()
+
+	h.KillPrimary()
+	if err := h.RestartPrimary(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Primary().Seq(); got != seq {
+		t.Fatalf("restarted origin at seq %d, want %d", got, seq)
+	}
+	h.Primary().Invalidate([]string{workload.CDNPagePath(2)})
+	if err := e.PollOnce(ctx); err != nil {
+		t.Fatalf("poll after the restart: %v", err)
+	}
+	s := e.Stats()
+	if s.InvalResets != 0 {
+		t.Errorf("the restart reset the edge %d times, want 0", s.InvalResets)
+	}
+	if s.LastSeq != h.Primary().Seq() {
+		t.Errorf("edge at seq %d, origin at %d", s.LastSeq, h.Primary().Seq())
+	}
+	if s.CacheEntries != tier.Pages-3 {
+		t.Errorf("%d entries cached, want %d: only the three invalidated pages gone", s.CacheEntries, tier.Pages-3)
+	}
+}
+
+// TestEdgeRetryBudgetCapsPollStorm: against a blackholed origin whose
+// breaker never opens, an edge's polls spend at most burst + ratio ×
+// polls retries beyond one try each, which is what the edge's retry
+// budget allows, instead of MaxAttempts tries a poll; and the edge
+// reports the budget's exhaustion.
+func TestEdgeRetryBudgetCapsPollStorm(t *testing.T) {
+	var dials atomic.Uint64
+	origins := core.NewEndpointSet(core.EndpointHealthConfig{FailureThreshold: 1 << 20})
+	origins.Add("origin", func() (net.Conn, error) {
+		dials.Add(1)
+		return faultnet.Blackhole(), nil
+	})
+	const ratio, polls = 0.2, 50
+	e := cdn.NewEdge(cdn.EdgeConfig{
+		Name:             "edge1",
+		RetryBudgetRatio: ratio,
+		Retry: core.RetryPolicy{
+			MaxAttempts:    4,
+			AttemptTimeout: 4 * time.Millisecond,
+			BaseDelay:      time.Millisecond,
+			MaxDelay:       2 * time.Millisecond,
+			Seed:           17,
+		},
+	}, origins)
+	defer e.Close()
+	for i := 0; i < polls; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		err := e.PollOnce(ctx)
+		cancel()
+		if err == nil {
+			t.Fatal("a poll through a blackhole succeeded")
+		}
+	}
+	retries := dials.Load() - polls
+	if ceiling := core.DefaultRetryBudgetBurst + ratio*polls; float64(retries) > ceiling+1 {
+		t.Errorf("%d polls spent %d retries, want at most the budget's %.0f", polls, retries, ceiling)
+	}
+	if got := e.Stats().RetryBudgetExhausted; got == 0 {
+		t.Error("the edge reported no retry budget exhaustion")
 	}
 }
 

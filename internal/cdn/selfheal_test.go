@@ -451,6 +451,13 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	if got := e2.Stats().CacheEntries; got != warmPages-1 {
 		t.Errorf("after reconcile: %d entries, want %d", got, warmPages-1)
 	}
+	// The unpublished page is pulled again, not served from the snapshot.
+	if raw, err := h.Fetch(ctx, "edge1", workload.CDNPagePath(0)); err != nil || raw.Status != 200 {
+		t.Fatalf("refetch of the invalidated page: %v status %d", err, raw.Status)
+	}
+	if got := e2.Stats().Misses; got != 1 {
+		t.Errorf("refetch of the invalidated page: %d misses, want 1", got)
+	}
 }
 
 // TestSnapshotRejectsForeign: a snapshot written by a different edge

@@ -113,20 +113,11 @@ func NewClient(nc net.Conn, dev device.Profile, proc *PageProcessor) (*Client, e
 // (pass GenBasic|GenUpscaleOnly with a processor that has no
 // generation models).
 //
-// Model negotiation (§7): the client advertises its pipeline's models
-// and, when the server advertises models the client also has locally,
-// adopts them — server prompts are tuned for those models.
+// Model negotiation (§7): when the server advertises models the client
+// also has locally, the client adopts them — server prompts are tuned
+// for those models.
 func NewClientWithAbility(nc net.Conn, dev device.Profile, proc *PageProcessor, ability http2.GenAbility) (*Client, error) {
-	cfg := http2.Config{GenAbility: ability}
-	if proc != nil && proc.Pipeline != nil {
-		if m := proc.Pipeline.ImageModel(); m != nil {
-			cfg.ImageModelID = genai.ModelID(m.Name())
-		}
-		if m := proc.Pipeline.TextModel(); m != nil {
-			cfg.TextModelID = genai.ModelID(m.Name())
-		}
-	}
-	cc, err := http2.NewClientConn(nc, cfg)
+	cc, err := http2.NewClientConn(nc, http2.Config{GenAbility: ability})
 	if err != nil {
 		return nil, err
 	}
@@ -140,20 +131,10 @@ func NewClientWithAbility(nc net.Conn, dev device.Profile, proc *PageProcessor, 
 // stream's SETTINGS.
 func NewClientH3(nc net.Conn, dev device.Profile, proc *PageProcessor) (*Client, error) {
 	ability := http2.GenNone
-	cfg := http3.Config{}
 	if proc != nil {
 		ability = http2.GenFull | http2.GenUpscaleOnly
-		if proc.Pipeline != nil {
-			if m := proc.Pipeline.ImageModel(); m != nil {
-				cfg.ImageModelID = genai.ModelID(m.Name())
-			}
-			if m := proc.Pipeline.TextModel(); m != nil {
-				cfg.TextModelID = genai.ModelID(m.Name())
-			}
-		}
 	}
-	cfg.GenAbility = ability
-	cc, err := http3.NewClientConn(nc, cfg)
+	cc, err := http3.NewClientConn(nc, http3.Config{GenAbility: ability})
 	if err != nil {
 		return nil, err
 	}

@@ -726,14 +726,10 @@ func (s *Server) serveH3(w *http3.ResponseWriter, r *http3.Request) {
 // StartConnH3 serves one connection over HTTP/3 in the background
 // (§3.1: the same SWW semantics over the HTTP/3 mapping).
 func (s *Server) StartConnH3(c net.Conn) *http3.ServerConn {
-	cfg := http3.Config{GenAbility: s.Ability}
-	if s.serverProc != nil && s.serverProc.Pipeline != nil {
-		if m := s.serverProc.Pipeline.ImageModel(); m != nil {
-			cfg.ImageModelID = genai.ModelID(m.Name())
-		}
-		if m := s.serverProc.Pipeline.TextModel(); m != nil {
-			cfg.TextModelID = genai.ModelID(m.Name())
-		}
+	cfg := http3.Config{
+		GenAbility:   s.Ability,
+		ImageModelID: s.h2.Config.ImageModelID,
+		TextModelID:  s.h2.Config.TextModelID,
 	}
 	h3 := &http3.Server{Handler: http3.HandlerFunc(s.serveH3), Config: cfg}
 	return h3.StartConn(c)

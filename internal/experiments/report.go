@@ -40,9 +40,6 @@ var Experiments = []Experiment{
 	{"abuse", "E20 abuse-rate defense under attack", reportAbuse},
 	{"fastpath", "E21 generation fast path & artifact cache", reportFastpath},
 	{"telemetry", "E22 operational telemetry cross-check", reportTelemetry},
-	{"edgetier", "E23 edge tier failover & serve-stale chaos", reportEdgeTier},
-	{"selfheal", "E24 self-healing mesh: restart, push loss, peer-fill", reportSelfHeal},
-	{"originha", "E25 origin HA: durable log, failover, fencing, retry budget", reportOriginHA},
 	{"capacity", "E27 open-loop capacity model & knee", reportCapacity},
 }
 

@@ -25,9 +25,6 @@ var unpinned = map[string]string{
 	"abuse":     "goodput with and without attack is wall-clock",
 	"fastpath":  "cold and warm fetch times are wall-clock",
 	"telemetry": "latency percentiles are wall-clock",
-	"edgetier":  "goodput and reconcile times are wall-clock",
-	"selfheal":  "push latency, reconcile time and goodput are wall-clock",
-	"originha":  "failover time and retry counts are wall-clock",
 	"capacity":  "realized rates, shed and latency are wall-clock",
 }
 

@@ -44,8 +44,8 @@ type Config struct {
 
 	// ImageModelID and TextModelID, when nonzero, are advertised in
 	// SETTINGS_GEN_IMAGE_MODEL / SETTINGS_GEN_TEXT_MODEL (§7 model
-	// negotiation). Use genai.ModelID to derive them from registry
-	// names.
+	// negotiation): a server names the models its prompts are tuned
+	// for. Use genai.ModelID to derive them from registry names.
 	ImageModelID uint32
 	TextModelID  uint32
 
@@ -73,10 +73,6 @@ type Config struct {
 	// KeepAliveTimeout bounds the wait for a keepalive PING ACK.
 	// Zero means KeepAliveInterval.
 	KeepAliveTimeout time.Duration
-
-	// ExtraSettings are appended verbatim to the initial SETTINGS
-	// frame (for tests and future extensions).
-	ExtraSettings []Setting
 
 	// OnStreamRefused, when set, is called each time a peer-initiated
 	// stream is rejected with REFUSED_STREAM at the concurrent-stream
@@ -256,7 +252,7 @@ func (c *conn) initialSettings() []Setting {
 	if c.cfg.TextModelID != 0 {
 		s = append(s, Setting{SettingGenTextModel, c.cfg.TextModelID})
 	}
-	return append(s, c.cfg.ExtraSettings...)
+	return s
 }
 
 // sendInitial writes the initial SETTINGS frame and, if the

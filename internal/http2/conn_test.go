@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,25 +258,69 @@ func TestCapabilityMatrix(t *testing.T) {
 // TestNonParticipatingPeerIgnoresSetting verifies RFC 9113's
 // unknown-setting rule, which the paper relies on for backward
 // compatibility: a GEN_ABILITY-bearing SETTINGS frame must not
-// disturb an endpoint that does not implement the extension. We
-// simulate the naive peer with ExtraSettings carrying an unrelated
-// unknown identifier in both directions.
+// disturb an endpoint that does not implement the extension. A raw
+// peer plays the naive endpoint in each direction, sending two
+// identifiers nothing here knows.
 func TestNonParticipatingPeerIgnoresSetting(t *testing.T) {
-	cfg := Config{ExtraSettings: []Setting{{SettingID(0x42), 7}, {SettingID(0xabc), 1}}}
-	cc, _ := startPair(t, cfg, cfg, HandlerFunc(echoHandler))
-	resp, err := cc.Get("/naive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 200 {
-		t.Errorf("status = %d", resp.Status)
-	}
-	ReadAllBody(resp)
-	if got := cc.Negotiated(); got != GenNone {
-		t.Errorf("negotiated = %v, want none", got)
-	}
-	if _, advertised := cc.ServerGenAbility(); advertised {
-		t.Error("server should not have advertised GEN_ABILITY")
+	unknown := []Setting{{SettingID(0x42), 7}, {SettingID(0xabc), 1}}
+
+	t.Run("to server", func(t *testing.T) {
+		var peerGen atomic.Uint32
+		p := dialRawCfg(t, Config{GenAbility: GenFull}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+			peerGen.Store(uint32(r.PeerGen))
+			okHandler(w, r)
+		}), unknown...)
+		p.request(1, "/naive")
+		hf := p.readUntil(FrameHeaders)
+		if hf.StreamID != 1 {
+			t.Fatalf("response on stream %d, want 1", hf.StreamID)
+		}
+		if got := GenAbility(peerGen.Load()); got != GenNone {
+			t.Errorf("request.PeerGen = %v, want none", got)
+		}
+	})
+
+	t.Run("to client", func(t *testing.T) {
+		cc, s := acceptRaw(t, unknown...)
+		if got := cc.Negotiated(); got != GenNone {
+			t.Errorf("negotiated = %v, want none", got)
+		}
+		if _, advertised := cc.ServerGenAbility(); advertised {
+			t.Error("server should not have advertised GEN_ABILITY")
+		}
+		done := fetchAsync(cc, "/naive")
+		s.respond(s.awaitRequest(), true)
+		if f := <-done; f.err != nil {
+			t.Fatal(f.err)
+		}
+	})
+}
+
+// TestInitialSettingsIDs pins the identifiers each Config shape the
+// repository builds puts in its first SETTINGS frame to those a stock
+// peer accepts: RFC 9113 §6.5.2's six, the paper's GEN_ABILITY (0x07,
+// unassigned), or the experimental range 0xf000–0xffff (RFC 7540
+// §11.3). An identifier some RFC assigned is validated by a peer that
+// implements that RFC: SETTINGS_ENABLE_CONNECT_PROTOCOL (0x08) takes
+// only 0 or 1, so a model id sent there is a PROTOCOL_ERROR.
+func TestInitialSettingsIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"server", Config{GenAbility: GenFull | GenUpscaleOnly, ImageModelID: 0x1234, TextModelID: 0x5678, OnStreamRefused: func() {}}},
+		{"capable client", Config{GenAbility: GenFull | GenUpscaleOnly}},
+		{"incapable client", Config{}},
+		{"edge", Config{GenAbility: GenFull}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &conn{cfg: tc.cfg}
+			for _, s := range c.initialSettings() {
+				if stock := s.ID >= SettingHeaderTableSize && s.ID <= SettingGenAbility || s.ID >= 0xf000; !stock {
+					t.Errorf("initial SETTINGS sends %v (id %#x): assigned or reserved", s.ID, uint16(s.ID))
+				}
+			}
+		})
 	}
 }
 

@@ -387,8 +387,9 @@ type rawServer struct {
 	henc *hpack.Encoder
 }
 
-// acceptRaw completes the handshake from the server side.
-func acceptRaw(t *testing.T) (*ClientConn, *rawServer) {
+// acceptRaw completes the handshake from the server side, sending
+// settings in the server's SETTINGS frame.
+func acceptRaw(t *testing.T, settings ...Setting) (*ClientConn, *rawServer) {
 	t.Helper()
 	cEnd, sEnd := net.Pipe()
 	s := &rawServer{t: t, nc: sEnd, fr: NewFramer(sEnd, sEnd), henc: hpack.NewEncoder()}
@@ -407,7 +408,7 @@ func acceptRaw(t *testing.T) (*ClientConn, *rawServer) {
 	if _, err := io.ReadFull(sEnd, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.fr.WriteSettings(); err != nil {
+	if err := s.fr.WriteSettings(settings...); err != nil {
 		t.Fatal(err)
 	}
 	for {

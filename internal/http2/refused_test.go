@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// dialRawCfg is dialRaw with an explicit server Config, for tests
-// that exercise server-side limits a well-behaved client would never
-// hit (the client transport self-limits in openStream).
-func dialRawCfg(t *testing.T, cfg Config, h Handler) *rawPeer {
+// dialRawCfg is dialRaw with an explicit server Config and the raw
+// peer's SETTINGS, for tests that exercise what a well-behaved client
+// would never send (the client transport self-limits in openStream).
+func dialRawCfg(t *testing.T, cfg Config, h Handler, settings ...Setting) *rawPeer {
 	t.Helper()
-	p, _ := dialRawConn(t, cfg, h)
+	p, _ := dialRawConn(t, cfg, h, settings...)
 	return p
 }
 

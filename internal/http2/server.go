@@ -69,11 +69,6 @@ type Request struct {
 	// core signal: GenNone means serve traditional content.
 	PeerGen GenAbility
 
-	// PeerImageModelID and PeerTextModelID are the client's
-	// advertised models (§7 model negotiation), zero when absent.
-	PeerImageModelID uint32
-	PeerTextModelID  uint32
-
 	stream *Stream
 }
 
@@ -98,11 +93,9 @@ func (r *Request) Stream() *Stream { return r.stream }
 func (st *Stream) initRequest() error {
 	c, req := st.c, &st.req
 	*req = Request{
-		stream:           st,
-		Body:             st,
-		PeerGen:          c.negotiatedLocked(),
-		PeerImageModelID: c.peer.imageModelID,
-		PeerTextModelID:  c.peer.textModelID,
+		stream:  st,
+		Body:    st,
+		PeerGen: c.negotiatedLocked(),
 	}
 	n := 0
 	for ; n < len(st.hdr) && st.hdr[n].IsPseudo(); n++ {

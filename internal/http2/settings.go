@@ -27,12 +27,13 @@ const (
 	// SettingGenImageModel and SettingGenTextModel implement the
 	// paper's §7 outlook ("Negotiating models is another aspect to
 	// consider"): each carries a 32-bit model identifier (a hash of
-	// the registry name, see genai.ModelID). A server advertises the
-	// models its prompts are tuned for; a client advertises what it
-	// runs, so both sides can align generation quality expectations.
-	// Like GEN_ABILITY, unknown recipients simply ignore them.
-	SettingGenImageModel SettingID = 0x8
-	SettingGenTextModel  SettingID = 0x9
+	// the registry name, see genai.ModelID) of a model the server's
+	// prompts are tuned for, so a capable client can align with it.
+	// They sit in the registry's experimental range, 0xf000–0xffff
+	// (RFC 7540 §11.3), which no RFC assigns, so a recipient that does
+	// not know them ignores them, as it does GEN_ABILITY.
+	SettingGenImageModel SettingID = 0xf008
+	SettingGenTextModel  SettingID = 0xf009
 )
 
 var settingNames = map[SettingID]string{

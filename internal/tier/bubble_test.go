@@ -4,11 +4,14 @@ package tier
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/synctest"
 	"time"
 
 	"sww/internal/cdn"
+	"sww/internal/telemetry"
 	"sww/internal/workload"
 )
 
@@ -242,6 +245,134 @@ func TestBubblePushLossRepairedByPoll(t *testing.T) {
 				t.Errorf("%s: lastSeq %d, %d entries invalidated; want %d, %d (each path once)",
 					name, s.LastSeq, s.InvalApplied, head, len(paths))
 			}
+		}
+	})
+}
+
+// originTries reads how many tries of the origin an edge registered on
+// reg has booked: an attempt books a failure or a success, and while
+// the origin's breaker is open, every attempt first claims a probe.
+func originTries(reg *telemetry.Registry) uint64 {
+	var n uint64
+	for _, name := range []string{"sww_endpoint_failures_total", "sww_endpoint_successes_total", "sww_endpoint_probes_total"} {
+		n += reg.Counter(telemetry.WithLabel(name, "endpoint", "origin")).Load()
+	}
+	return n
+}
+
+// TestBubbleServeStaleWaitsOnNothing severs the origin under three
+// edges holding every page past its TTL, and has each edge serve every
+// page stale, three rounds over. An edge's first fetch waits out one
+// upstream retry ladder, whose failures open its breaker on the
+// origin; after that no fetch spends any virtual time, so none waits
+// on the origin. (The breaker's probes go on in the background, on
+// the revalidation each stale serve kicks off.)
+func TestBubbleServeStaleWaitsOnNothing(t *testing.T) {
+	bubble(t, func(t *testing.T) {
+		const ttl = 40 * time.Millisecond
+		names := []string{"edge1", "edge2", "edge3"}
+		tr, err := New(Options{Edges: names, Edge: func(c *cdn.EdgeConfig) { c.TTL = ttl }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		ctx := context.Background()
+		for _, name := range names {
+			for i := 0; i < Pages; i++ {
+				if raw, err := tr.Fetch(ctx, name, workload.CDNPagePath(i)); err != nil || raw.Status != 200 {
+					t.Fatalf("warming %s page %d: %v, %v", name, i, raw, err)
+				}
+			}
+		}
+		tr.SeverOrigin()
+		time.Sleep(2 * ttl)
+
+		ladder := time.Duration(EdgeRetry.MaxAttempts)*EdgeRetry.AttemptTimeout + EdgeRetry.MaxDelay*6/5
+		tripped := map[string]bool{}
+		for round := 0; round < 3; round++ {
+			for _, name := range names {
+				rc := tr.Client(name)
+				for i := 0; i < Pages; i++ {
+					start := time.Now()
+					raw, err := rc.FetchRawContext(ctx, workload.CDNPagePath(i))
+					took := time.Since(start)
+					if err != nil || raw.Status != 200 || raw.StaleAge == 0 ||
+						!strings.Contains(string(raw.Body), fmt.Sprintf("edge tier page %03d payload", i)) {
+						t.Fatalf("round %d, %s page %d: not served stale: %v, %v", round, name, i, raw, err)
+					}
+					switch {
+					case !tripped[name]:
+						if took > ladder {
+							t.Errorf("%s's first stale serve took %v, want within one retry ladder (%v)", name, took, ladder)
+						}
+						tripped[name] = true
+					case took != 0:
+						t.Errorf("round %d, %s page %d: stale serve took %v of virtual time, want 0", round, name, i, took)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestBubblePeerFillWaitsOnNothing severs the origin under a mesh of
+// a warm edge and a cold one, and has the cold edge fill every page
+// from its peer once a fetch nobody can answer has opened its breaker
+// on the origin. Each fill tries the origin 0 times and takes 0
+// virtual time, and the page's next fetch is a local hit, in 0 time
+// too.
+func TestBubblePeerFillWaitsOnNothing(t *testing.T) {
+	bubble(t, func(t *testing.T) {
+		tr, err := New(Options{Edges: []string{"edge1", "edge2"}, Mesh: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		ctx := context.Background()
+		reg1, reg2 := telemetry.NewRegistry(), telemetry.NewRegistry()
+		tr.Edge("edge1").Register(reg1)
+		tr.Edge("edge2").Register(reg2)
+		for i := 0; i < Pages; i++ {
+			if raw, err := tr.Fetch(ctx, "edge2", workload.CDNPagePath(i)); err != nil || raw.Status != 200 {
+				t.Fatalf("warming edge2 page %d: %v, %v", i, raw, err)
+			}
+		}
+		tr.SeverOrigin()
+		cold := tr.Client("edge1")
+		if raw, err := cold.FetchRawContext(ctx, workload.CDNPagePath(Pages)); err != nil || raw.Status != 502 {
+			t.Fatalf("fetch of a page no edge holds: %v, %v; want a 502", raw, err)
+		}
+		if tr.Edge("edge1").Upstream().Endpoints().AnyHealthy() {
+			t.Fatal("edge1's breaker on the origin did not open")
+		}
+
+		counter := func(reg *telemetry.Registry, name string) uint64 { return reg.Counter(name).Load() }
+		tries := originTries(reg1)
+		for i := 0; i < Pages; i++ {
+			path := workload.CDNPagePath(i)
+			fills, serves, hits := counter(reg1, "sww_edge_peer_fill_total"), counter(reg2, "sww_edge_peer_serves_total"), counter(reg1, "sww_edge_cache_hits_total")
+			for _, fetch := range []string{"fill", "hit"} {
+				start := time.Now()
+				raw, err := cold.FetchRawContext(ctx, path)
+				if err != nil || raw.Status != 200 || !strings.Contains(string(raw.Body), fmt.Sprintf("edge tier page %03d payload", i)) {
+					t.Fatalf("page %d %s: %v, %v", i, fetch, raw, err)
+				}
+				if took := time.Since(start); took != 0 {
+					t.Errorf("page %d %s took %v of virtual time, want 0", i, fetch, took)
+				}
+			}
+			if got := counter(reg1, "sww_edge_peer_fill_total") - fills; got != 1 {
+				t.Errorf("page %d: edge1 booked %d peer fills, want 1", i, got)
+			}
+			if got := counter(reg2, "sww_edge_peer_serves_total") - serves; got != 1 {
+				t.Errorf("page %d: edge2 booked %d peer serves, want 1", i, got)
+			}
+			if got := counter(reg1, "sww_edge_cache_hits_total") - hits; got != 1 {
+				t.Errorf("page %d: edge1 booked %d hits after the fill, want 1", i, got)
+			}
+		}
+		if got := originTries(reg1) - tries; got != 0 {
+			t.Errorf("edge1 tried the origin %d times while filling from its peer, want 0", got)
 		}
 	})
 }

@@ -1,9 +1,9 @@
 // Package tier boots the edge tier in one process: an origin, N named
 // edges and their clients over in-memory pipes, every link behind a
-// kill switch. It is the one topology the chaos experiments (E23–E25)
-// and the cdn scenario tests run on; the benchmark keeps its own
-// loopback-TCP topology because it measures the socket path this one
-// replaces with net.Pipe.
+// kill switch. It is the one topology the cdn scenario tests and the
+// virtual-time bubbles (bubble_test.go) run on; the benchmark keeps
+// its own loopback-TCP topology because it measures the socket path
+// this one replaces with net.Pipe.
 //
 // Every dial is a link: a pipe whose far end is handed to the
 // listener's StartConn, wrapped in one faultnet.Crash. Per edge there
@@ -24,7 +24,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sww/internal/cdn"
@@ -98,8 +97,6 @@ type Options struct {
 // Links are one edge's kill switches.
 type Links struct {
 	Up, Push, In faultnet.Crash
-
-	upDials atomic.Uint64
 }
 
 // A Tier is one booted topology. Close it when done.
@@ -211,10 +208,6 @@ func (t *Tier) Edge(name string) *cdn.Edge {
 // Link returns one edge's kill switches.
 func (t *Tier) Link(name string) *Links { return t.links[name] }
 
-// UpDials counts the upstream dials one edge has attempted, blackholed
-// ones included.
-func (t *Tier) UpDials(name string) uint64 { return t.links[name].upDials.Load() }
-
 // SnapshotPath is where Options.Snapshots keeps one edge's shard.
 func (t *Tier) SnapshotPath(name string) string { return filepath.Join(t.dir, name+".snap") }
 
@@ -293,11 +286,7 @@ func (t *Tier) RebootEdge(name string) *cdn.Edge {
 		health = Health
 	}
 	origins := core.NewEndpointSet(health)
-	up := t.link(&l.Up, t.servePrimary)
-	origins.Add("origin", func() (net.Conn, error) {
-		l.upDials.Add(1)
-		return up()
-	})
+	origins.Add("origin", t.link(&l.Up, t.servePrimary))
 	if t.StandbyOrigin != nil {
 		origins.Add("origin2", func() (net.Conn, error) {
 			cEnd, sEnd := net.Pipe()
