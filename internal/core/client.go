@@ -361,7 +361,7 @@ func (c *Client) FetchContext(ctx context.Context, path string) (*FetchResult, e
 			res.WireBytes += len(data)
 			return data, nil
 		}
-		assets, report, err := c.proc.Process(doc)
+		assets, report, err := c.proc.ProcessContext(context.Background(), path, doc)
 		c.proc.FetchAsset = nil
 		if err != nil {
 			if transportErr != nil {

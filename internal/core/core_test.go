@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -230,7 +231,9 @@ func TestSanitizeName(t *testing.T) {
 // "pic", two unnamed images) still give every generated image of a page
 // an asset of its own, in the document pass and the compiled one alike;
 // a later clash takes the first suffix no name on the page claims, and
-// a name that clashes with none keeps its path.
+// a name that clashes with none keeps its path. Each page's paths sit
+// under its own path, so no two pages share one, and the root page's
+// are the page-less pass's.
 func TestGeneratedPathsPerPage(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("<html><body>")
@@ -246,45 +249,63 @@ func TestGeneratedPathsPerPage(t *testing.T) {
 		b.WriteString(html.RenderString(div))
 	}
 	b.WriteString("</body></html>")
-	want := []string{"/generated/pic.png", "/generated/pic-3.png", "/generated/unnamed.png",
-		"/generated/unnamed-2.png", "/generated/pic-2.png"}
+	names := []string{"pic.png", "pic-3.png", "unnamed.png", "unnamed-2.png", "pic-2.png"}
 
 	proc, err := NewPageProcessor(device.Laptop, imagegen.SD21, textgen.DeepSeek8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := html.Parse(b.String())
-	docAssets, _, err := proc.Process(doc)
-	if err != nil {
+	pageless := html.Parse(b.String())
+	if _, _, err := proc.Process(pageless); err != nil {
 		t.Fatal(err)
 	}
-	body, assets, _, err := traditional(proc, &Page{Path: "/p", Doc: html.Parse(b.String())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass, out := range map[string]struct {
-		doc    *html.Node
-		assets map[string][]byte
-	}{"document": {doc, docAssets}, "compiled": {html.Parse(string(body)), assets}} {
-		imgs := out.doc.ByTag("img")
-		if len(imgs) != len(want) || len(out.assets) != len(want) {
-			t.Fatalf("%s pass: %d images, %d assets, want %d of each", pass, len(imgs), len(out.assets), len(want))
+	owner := map[string]string{} // every asset path to its page
+	for _, pg := range []struct{ path, dir string }{
+		{"/", "/generated/"},
+		{"/a", "/generated/a/"},
+		{"/a/b", "/generated/a/b/"},
+		{"/x.png", "/generated/x.png/"},
+	} {
+		doc := html.Parse(b.String())
+		docAssets, _, err := proc.ProcessContext(context.Background(), pg.path, doc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen := map[string]bool{}
-		for i, img := range imgs {
-			src, _ := img.AttrValue("src")
-			if src != want[i] {
-				t.Errorf("%s pass: image %d at %q, want %q", pass, i, src, want[i])
-			}
-			data := string(out.assets[src])
-			if data == "" || seen[data] {
-				t.Errorf("%s pass: image %d's asset %q is missing or another image's", pass, i, src)
-			}
-			seen[data] = true
+		body, assets, _, err := traditional(proc, &Page{Path: pg.path, Doc: html.Parse(b.String())})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if string(body) != html.RenderString(doc) {
-		t.Error("compiled body differs from the processed document")
+		for pass, out := range map[string]struct {
+			doc    *html.Node
+			assets map[string][]byte
+		}{"document": {doc, docAssets}, "compiled": {html.Parse(string(body)), assets}} {
+			imgs := out.doc.ByTag("img")
+			if len(imgs) != len(names) || len(out.assets) != len(names) {
+				t.Fatalf("%s, %s pass: %d images, %d assets, want %d of each", pg.path, pass, len(imgs), len(out.assets), len(names))
+			}
+			seen := map[string]bool{}
+			for i, img := range imgs {
+				src, _ := img.AttrValue("src")
+				if want := pg.dir + names[i]; src != want {
+					t.Errorf("%s, %s pass: image %d at %q, want %q", pg.path, pass, i, src, want)
+				}
+				data := string(out.assets[src])
+				if data == "" || seen[data] {
+					t.Errorf("%s, %s pass: image %d's asset %q is missing or another image's", pg.path, pass, i, src)
+				}
+				seen[data] = true
+				if o, ok := owner[src]; ok && o != pg.path {
+					t.Errorf("pages %s and %s share %q", o, pg.path, src)
+				}
+				owner[src] = pg.path
+			}
+		}
+		if string(body) != html.RenderString(doc) {
+			t.Errorf("%s: compiled body differs from the processed document", pg.path)
+		}
+		if pg.path == "/" && html.RenderString(doc) != html.RenderString(pageless) {
+			t.Error("the root page's document differs from the page-less pass's")
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -65,7 +66,8 @@ func FuzzMetadataJSON(f *testing.F) {
 // must render byte for byte what placing them into a clone does:
 // ReplaceChild of every placeholder in document order and a render of
 // the clone, nested placeholders included, which vanish with the div
-// around them. Both passes must assign the same asset paths, and, with
+// around them. Both passes must assign the same asset paths, each of
+// which names the page and no other of its assets, and, with
 // an original stored for every placeholder, the page written from its
 // originals must be TraditionalDoc's render. And a
 // server-side traditional generation must fail exactly as
@@ -78,17 +80,20 @@ func FuzzTraditionalSegments(f *testing.F) {
 	}
 	img := div("img", `{"prompt":"a \"quoted\" lake & hills","name":"lake"}`, "")
 	txt := div("txt", `{"name":"intro","bullets":["one","two"]}`, "fallback <b>text</b>")
-	f.Add(`<!DOCTYPE html><html><body><h1>T</h1>` + img + `<p>mid</p>` + txt + `</body></html>`)
-	f.Add(`<body>` + div("img", `{"prompt":"outer","name":"o"}`, `<span>`+img+`</span>`) + txt + `</body>`)
-	f.Add(`<body>` + div("img", `{bad json`, img) + txt + `</body>`)
-	f.Add(img + `<p>only child text</p>` + txt)
-	f.Add(`<ul><li>` + img + `</li><li>x` + txt + `</li></ul>`)
-	f.Add(`<title>` + img + `</title><script>` + txt + `</script>`)
-	f.Add(`<p>no placeholders &amp; an entity</p>`)
-	f.Add(`<body>` + img + div("img-upscale", `{"name":"Lake","src":"/low.png","scale":2}`, "") + img + `</body>`)
+	f.Add(`<!DOCTYPE html><html><body><h1>T</h1>`+img+`<p>mid</p>`+txt+`</body></html>`, "/")
+	f.Add(`<body>`+div("img", `{"prompt":"outer","name":"o"}`, `<span>`+img+`</span>`)+txt+`</body>`, "/fuzz")
+	f.Add(`<body>`+div("img", `{bad json`, img)+txt+`</body>`, "/a/b")
+	f.Add(img+`<p>only child text</p>`+txt, "/x.png/")
+	f.Add(`<ul><li>`+img+`</li><li>x`+txt+`</li></ul>`, "/")
+	f.Add(`<title>`+img+`</title><script>`+txt+`</script>`, "/fuzz")
+	f.Add(`<p>no placeholders &amp; an entity</p>`, "/a/b")
+	f.Add(`<body>`+img+div("img-upscale", `{"name":"Lake","src":"/low.png","scale":2}`, "")+img+`</body>`, "/x.png/")
 
-	f.Fuzz(func(t *testing.T, src string) {
-		page := &Page{Path: "/fuzz", Doc: html.Parse(src)}
+	f.Fuzz(func(t *testing.T, src, path string) {
+		if !strings.HasPrefix(path, "/") {
+			return // not a page's path
+		}
+		page := &Page{Path: path, Doc: html.Parse(src)}
 		phs, err := page.parsed()
 		doc := page.Doc.Clone()
 		docPhs, docErrs := FindPlaceholders(doc)
@@ -101,7 +106,7 @@ func FuzzTraditionalSegments(f *testing.F) {
 
 		c := page.compile()
 		compiled := placement{phs: c.phs, paths: c.paths, page: c, slots: c.slots()}
-		document := placement{phs: docPhs, paths: generatedPaths(docPhs), assets: map[string][]byte{}}
+		document := placement{phs: docPhs, paths: generatedPaths(path, docPhs), assets: map[string][]byte{}}
 		for i := range docPhs {
 			if compiled.paths[i] != document.paths[i] {
 				t.Fatalf("placeholder %d: compiled path %q, document pass %q", i, compiled.paths[i], document.paths[i])
@@ -116,9 +121,12 @@ func FuzzTraditionalSegments(f *testing.F) {
 		if len(c.assets) != len(document.assets) {
 			t.Fatalf("%d compiled assets, %d from the document pass", len(c.assets), len(document.assets))
 		}
-		for k, path := range c.assets {
-			if got, want := compiled.slots[k].asset, document.assets[path]; string(got) != string(want) {
-				t.Fatalf("asset %q: compiled %q, document pass %q", path, got, want)
+		for k, asset := range c.assets {
+			if got, want := compiled.slots[k].asset, document.assets[asset]; string(got) != string(want) {
+				t.Fatalf("asset %q: compiled %q, document pass %q", asset, got, want)
+			}
+			if got := generatedPage(asset); got != path || slices.Index(c.assets, asset) != k {
+				t.Fatalf("asset %q of slot %d splits to page %q, slot %d", asset, k, got, slices.Index(c.assets, asset))
 			}
 		}
 
@@ -136,7 +144,7 @@ func FuzzTraditionalSegments(f *testing.F) {
 
 		pp := &PageProcessor{Workers: 1}
 		body, _, _, gotErr := traditional(pp, page)
-		_, _, wantErr := pp.ProcessContext(context.Background(), page.Doc.Clone())
+		_, _, wantErr := pp.ProcessContext(context.Background(), path, page.Doc.Clone())
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("processTraditional error %v, ProcessContext %v", gotErr, wantErr)
 		}

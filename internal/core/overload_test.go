@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -368,17 +369,16 @@ func TestGenCacheEvictionDropsAssets(t *testing.T) {
 	a, b := overloadGenPage(0), overloadGenPage(1)
 	srv.AddPage(a)
 	srv.AddPage(b)
-	if pl, _ := srv.resolve(context.Background(), "GET", a.Path, http2.GenNone, false); pl.status != 200 {
+	pl, _ := srv.resolve(context.Background(), "GET", a.Path, http2.GenNone, false)
+	if pl.status != 200 {
 		t.Fatalf("generating a: status %d", pl.status)
 	}
 	var aAssets []string
-	srv.mu.RLock()
-	for path := range srv.assets {
-		if len(path) > 11 && path[:11] == "/generated/" {
+	for _, path := range AssetPaths(html.Parse(string(pl.body))) {
+		if strings.HasPrefix(path, "/generated/") {
 			aAssets = append(aAssets, path)
 		}
 	}
-	srv.mu.RUnlock()
 	if len(aAssets) == 0 {
 		t.Fatal("page a published no generated assets")
 	}

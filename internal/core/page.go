@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -267,7 +268,7 @@ type compiledPage struct {
 	segs   []string // static HTML around the holes: one more than there are holes
 	static int      // total length of segs
 
-	paths  []string // generatedPaths(phs)
+	paths  []string // generatedPaths(the page's path, phs)
 	assets []string // the paths that are not "", in document order
 }
 
@@ -355,7 +356,7 @@ func (m *markup) fill(text string, failed bool) fill {
 func (p *Page) compile() *compiledPage {
 	p.compileOnce.Do(func() {
 		phs, _ := p.parsed()
-		c := &compiledPage{phs: phs, items: make([]compiledItem, len(phs)), paths: generatedPaths(phs)}
+		c := &compiledPage{phs: phs, items: make([]compiledItem, len(phs)), paths: generatedPaths(p.Path, phs)}
 		holes := make([]*html.Node, 0, len(phs))
 		for i, ph := range phs {
 			path := c.paths[i]
@@ -427,18 +428,18 @@ func originalPath(name string) string {
 	return "/original/" + sanitizeName(name)
 }
 
-// generatedPaths assigns the page's generated media their serving
+// generatedPaths assigns page's generated media their serving
 // paths, in document order: "" for a placeholder that generates no
 // asset (text), else generatedPath of its name — unless an earlier
 // placeholder's name gave the same path (names are sanitized, so "Pic"
 // and "pic" do), when it takes the first of that path's -2, -3, … that
 // no placeholder's name gives. A path no other name gives is the
 // name's own.
-func generatedPaths(phs []Placeholder) []string {
+func generatedPaths(page string, phs []Placeholder) []string {
 	paths := make([]string, len(phs))
 	for i, ph := range phs {
 		if t := ph.Content.Type; t == ContentImage || t == ContentUpscale {
-			paths[i] = generatedPath(ph.Content.Meta.Name)
+			paths[i] = generatedPath(page, ph.Content.Meta.Name)
 		}
 	}
 	if len(phs) < 2 {
@@ -470,11 +471,23 @@ func generatedPaths(phs []Placeholder) []string {
 	return paths
 }
 
-// generatedPath is where the client- or server-side generated media of
-// a placeholder named name is exposed, when no other placeholder of its
-// page claims it first (see generatedPaths).
-func generatedPath(name string) string {
-	return "/generated/" + sanitizeName(name) + ".png"
+// generatedPath is where the generated media of page's placeholder named
+// name is exposed, unless another claims it first (see generatedPaths):
+// /generated, the page's path verbatim ("" for "/"), then the name.
+func generatedPath(page, name string) string {
+	if page == "/" {
+		page = ""
+	}
+	return "/generated" + page + "/" + sanitizeName(name) + ".png"
+}
+
+// generatedPage is the page of the generated asset at path, "" if none:
+// a sanitized name holds no "/", so the page is all before the last one.
+func generatedPage(path string) string {
+	if !strings.HasPrefix(path, "/generated/") {
+		return ""
+	}
+	return cmp.Or(path[len("/generated"):strings.LastIndexByte(path, '/')], "/")
 }
 
 func sanitizeName(name string) string {

@@ -86,13 +86,16 @@ type procOutcome struct {
 	bodyErr error
 }
 
+// procPage is the path of the page the equivalence tests process.
+const procPage = "/p"
+
 func runProc(t *testing.T, workers int, page string, budget time.Duration) procOutcome {
 	t.Helper()
 	proc := newParallelProc(t, workers)
 	proc.SimBudget = budget
 	doc := html.Parse(page)
-	assets, report, err := proc.Process(doc)
-	body, _, _, bodyErr := traditional(proc, &Page{Path: "/p", Doc: html.Parse(page)})
+	assets, report, err := proc.ProcessContext(context.Background(), procPage, doc)
+	body, _, _, bodyErr := traditional(proc, &Page{Path: procPage, Doc: html.Parse(page)})
 	return procOutcome{assets: assets, report: report, html: html.RenderString(doc), err: err,
 		body: string(body), bodyErr: bodyErr}
 }
@@ -185,7 +188,7 @@ func TestParallelEquivalenceShapes(t *testing.T) {
 	}{
 		{"verify-failed", div(img("unattainable", 0.999)) + div(img("attainable", 0)), `data-sww-verify="failed"`},
 		{"upscale", "<p>before</p>" + div(up) + div(img("beside", 0)), `class="sww-upscaled"`},
-		{"nested", "<section>" + div(img("outer", 0), img("inner-img", 0), txt) + "</section>" + div(txt), `src="/generated/outer.png"`},
+		{"nested", "<section>" + div(img("outer", 0), img("inner-img", 0), txt) + "</section>" + div(txt), `src="/generated/p/outer.png"`},
 	}
 	raw := sourcePNG(t)
 	for _, sh := range shapes {
@@ -194,11 +197,11 @@ func TestParallelEquivalenceShapes(t *testing.T) {
 			proc := newParallelProc(t, w)
 			proc.FetchAsset = func(string) ([]byte, error) { return raw, nil }
 			doc := html.Parse(page)
-			assets, report, err := proc.Process(doc)
+			assets, report, err := proc.ProcessContext(context.Background(), procPage, doc)
 			if err != nil {
 				t.Fatalf("%s, workers=%d: %v", sh.name, w, err)
 			}
-			body, tAssets, tReport, err := traditional(proc, &Page{Path: "/p", Doc: html.Parse(page)})
+			body, tAssets, tReport, err := traditional(proc, &Page{Path: procPage, Doc: html.Parse(page)})
 			if err != nil {
 				t.Fatalf("%s, workers=%d: traditional pass: %v", sh.name, w, err)
 			}
@@ -261,7 +264,7 @@ func TestParallelCancel(t *testing.T) {
 		proc := newParallelProc(t, w)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, _, err := proc.ProcessContext(ctx, html.Parse(page))
+		_, _, err := proc.ProcessContext(ctx, procPage, html.Parse(page))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", w, err)
 		}
@@ -343,7 +346,7 @@ func TestUpscaleSeedPerPath(t *testing.T) {
 func TestCompiledPageConcurrentFirstUse(t *testing.T) {
 	src := mixedPage(t, 2, 1)
 	want := runProc(t, 1, src, 0).html
-	page := &Page{Path: "/p", Doc: html.Parse(src)}
+	page := &Page{Path: procPage, Doc: html.Parse(src)}
 	proc := newParallelProc(t, 2)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -142,25 +142,25 @@ func (r *ProcessReport) MediaCompressionRatio() float64 {
 // Process walks doc, generates every placeholder in place, and
 // returns the generated assets keyed by their serving path. doc is
 // modified: image divs become <img src="/generated/...">, text divs
-// become paragraphs (Figure 1, bottom).
+// become paragraphs (Figure 1, bottom), as a page-less pass names them.
 func (pp *PageProcessor) Process(doc *html.Node) (map[string][]byte, *ProcessReport, error) {
-	return pp.ProcessContext(context.Background(), doc)
+	return pp.ProcessContext(context.Background(), "", doc)
 }
 
-// ProcessContext is Process with cooperative cancellation between
-// placeholder generations. A server generating for a stream that has
-// since been reset stops paying for the rest of the page — without
-// this, a rapid-reset peer gets a full page generation per canceled
-// stream, and the abuse ledger can only bound how often that happens,
-// not how much each one costs.
-func (pp *PageProcessor) ProcessContext(ctx context.Context, doc *html.Node) (map[string][]byte, *ProcessReport, error) {
+// ProcessContext is Process of the page at path page (see
+// generatedPath), with cooperative cancellation between placeholder
+// generations: a server generating for a reset stream stops paying for
+// the rest of the page — without this, a rapid-reset peer gets a full
+// page generation per canceled stream, and the abuse ledger can only
+// bound how often that happens, not how much each one costs.
+func (pp *PageProcessor) ProcessContext(ctx context.Context, page string, doc *html.Node) (map[string][]byte, *ProcessReport, error) {
 	placeholders, parseErrs := FindPlaceholders(doc)
 	if err := malformed(parseErrs); err != nil {
 		return nil, nil, err
 	}
 	assets := make(map[string][]byte)
 	report := &ProcessReport{}
-	pl := placement{phs: placeholders, paths: generatedPaths(placeholders), assets: assets}
+	pl := placement{phs: placeholders, paths: generatedPaths(page, placeholders), assets: assets}
 	if err := pp.process(ctx, pl, pp.genWorkers(), report); err != nil {
 		return nil, nil, err
 	}
@@ -181,11 +181,11 @@ func malformed(parseErrs []error) error {
 // server caches and serves: the engine of ProcessContext over the
 // page's memoized placeholders, with the results written into its
 // compiled holes and its asset table. The body is, byte for byte, what
-// ProcessContext on a clone of p.Doc renders to, and the assets and
-// report are its; errors are its errors. The pass runs on the calling
-// goroutine alone, whatever pp.Workers says: the server calls it on a
-// generation its guard has admitted, so MaxGenWorkers is the one bound
-// on server-side generation.
+// ProcessContext of p.Path on a clone of p.Doc renders to, and the
+// assets and report are its; errors are its errors. It runs on the
+// calling goroutine alone, whatever pp.Workers says: the server calls
+// it on a generation its guard has admitted, so MaxGenWorkers is the
+// one bound on server-side generation.
 func (pp *PageProcessor) processTraditional(ctx context.Context, p *Page) (*servedTraditional, error) {
 	if _, err := p.parsed(); err != nil {
 		return nil, err
@@ -225,7 +225,7 @@ func (pp *PageProcessor) process(ctx context.Context, pl placement, workers int,
 // traditional pass, see Page.compile).
 type placement struct {
 	phs    []Placeholder
-	paths  []string // generatedPaths(phs)
+	paths  []string // generatedPaths(the page's path, phs)
 	assets map[string][]byte
 	page   *compiledPage
 	slots  []tradSlot // page.slots(), as filled

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,9 +90,6 @@ const (
 //     afford get 503 with Retry-After, which ResilientClient honours
 //     as a retryable, paced signal.
 type Server struct {
-	// Ability is advertised to clients. GenFull by default.
-	Ability http2.GenAbility
-
 	// Policy selects the answer for capable clients.
 	Policy ServePolicy
 
@@ -103,7 +101,7 @@ type Server struct {
 
 	mu     sync.RWMutex
 	pages  map[string]*Page
-	assets map[string]Asset
+	assets map[string]Asset // the pages' unique assets and originals
 
 	// guard is the overload-protection machinery; its ByteLRU holds
 	// the server-side generated traditional forms (the storage/
@@ -117,8 +115,8 @@ type Server struct {
 
 	// onUnpublish, when set, receives every path that stops being
 	// servable — evicted generated pages plus their generated assets,
-	// and explicitly removed pages. The live CDN origin turns these
-	// into invalidation protocol messages for its edges.
+	// and removed pages plus all of theirs. The live CDN origin turns
+	// these into invalidation protocol messages for its edges.
 	onUnpublish func(paths []string)
 
 	// control, when set, intercepts request paths with the given
@@ -147,9 +145,8 @@ type servedTraditional struct {
 // server can still serve pages whose originals are stored).
 func NewServer(imageModel, textModel string) (*Server, error) {
 	s := &Server{
-		Ability: http2.GenFull | http2.GenUpscaleOnly,
-		pages:   map[string]*Page{},
-		assets:  map[string]Asset{},
+		pages:  map[string]*Page{},
+		assets: map[string]Asset{},
 	}
 	s.installGuard(overload.NewGuard(overload.Config{}))
 	if imageModel != "" || textModel != "" {
@@ -159,7 +156,7 @@ func NewServer(imageModel, textModel string) (*Server, error) {
 		}
 		s.serverProc = proc
 	}
-	cfg := http2.Config{GenAbility: s.Ability}
+	cfg := http2.Config{GenAbility: http2.GenFull | http2.GenUpscaleOnly}
 	// §7 model negotiation: advertise the models this site's prompts
 	// are tuned for, so capable clients can align.
 	if s.serverProc != nil && s.serverProc.Pipeline != nil {
@@ -187,22 +184,18 @@ func (s *Server) SetOverload(cfg overload.Config) {
 	s.installGuard(overload.NewGuard(cfg))
 }
 
-// installGuard wires a guard's cache eviction to the asset map: when
-// a generated page falls out of the LRU, its generated assets stop
-// being served too, so cache bytes and asset-map bytes shrink
-// together.
+// installGuard wires a guard's cache eviction to the unpublish hook: a
+// generated page's assets are served from its entry (see resolve), so
+// when the page falls out of the LRU it and they stop being servable
+// together, and the hook hears of all of them.
 func (s *Server) installGuard(g *overload.Guard) {
 	g.Cache().SetOnEvict(func(key string, value any, _ int64) {
-		st := value.(*servedTraditional)
-		s.mu.Lock()
-		for _, p := range st.assetPaths {
-			delete(s.assets, p)
-		}
+		s.mu.RLock()
 		unpub := s.onUnpublish
-		s.mu.Unlock()
+		s.mu.RUnlock()
 		g.Counters().CacheEvictions.Add(1)
 		if unpub != nil {
-			unpub(append([]string{key}, st.assetPaths...))
+			unpub(append([]string{key}, value.(*servedTraditional).assetPaths...))
 		}
 	})
 	s.mu.Lock()
@@ -211,9 +204,9 @@ func (s *Server) installGuard(g *overload.Guard) {
 }
 
 // SetOnUnpublish installs the unpublish hook: fn receives every path
-// that stops being servable (LRU-evicted generated pages and their
-// generated assets, explicitly removed pages). Call before serving
-// traffic. This is the origin half of the edge invalidation protocol.
+// that stops being servable (evicted or removed pages and their
+// assets). Call before serving traffic. This is the origin half of
+// the edge invalidation protocol.
 func (s *Server) SetOnUnpublish(fn func(paths []string)) {
 	s.mu.Lock()
 	s.onUnpublish = fn
@@ -233,8 +226,8 @@ func (s *Server) SetControl(prefix string, h func(w *http2.ResponseWriter, r *ht
 
 // RemovePage unpublishes a page: it stops being servable, its unique
 // and original assets leave the asset map, any cached generated form
-// is dropped (which also unpublishes generated assets via the
-// eviction hook), and the unpublish hook fires so edges are told.
+// is dropped and its generated assets with it, and the unpublish hook
+// hears of every one of those paths so edges are told.
 func (s *Server) RemovePage(path string) {
 	s.mu.Lock()
 	p, ok := s.pages[path]
@@ -242,11 +235,7 @@ func (s *Server) RemovePage(path string) {
 	if ok {
 		delete(s.pages, path)
 		gone = append(gone, path)
-		for _, a := range p.Unique {
-			delete(s.assets, a.Path)
-			gone = append(gone, a.Path)
-		}
-		for _, a := range p.Originals {
+		for _, a := range slices.Concat(p.Unique, p.Originals) {
 			delete(s.assets, a.Path)
 			gone = append(gone, a.Path)
 		}
@@ -256,9 +245,11 @@ func (s *Server) RemovePage(path string) {
 	if !ok {
 		return
 	}
-	// Dropping the cached generated form fires the eviction hook,
-	// which unpublishes the generated assets itself.
-	s.Overload().Cache().Remove(path)
+	cache := s.Overload().Cache()
+	if v, ok := cache.Peek(path); ok {
+		gone = append(gone, v.(*servedTraditional).assetPaths...)
+	}
+	cache.Remove(path) // fires no eviction hook
 	if unpub != nil {
 		unpub(gone)
 	}
@@ -346,10 +337,7 @@ func (s *Server) AddPage(p *Page) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pages[p.Path] = p
-	for _, a := range p.Unique {
-		s.assets[a.Path] = a
-	}
-	for _, a := range p.Originals {
+	for _, a := range slices.Concat(p.Unique, p.Originals) {
 		s.assets[a.Path] = a
 	}
 }
@@ -396,21 +384,11 @@ func (s *Server) ServeConn(c net.Conn) error { return s.h2.ServeConn(c) }
 // StartConn serves one connection in the background; it never blocks.
 func (s *Server) StartConn(c net.Conn) *http2.ServerConn { return s.h2.StartConn(c) }
 
-// SetConfig overrides the underlying HTTP/2 config (ability, windows)
-// before any connection is served. The overload hooks for refused
-// streams and abuse events, and the abuse policy, are preserved
-// unless the caller installs their own.
-func (s *Server) SetConfig(cfg http2.Config) {
-	if cfg.OnStreamRefused == nil {
-		cfg.OnStreamRefused = s.h2.Config.OnStreamRefused
-	}
-	if cfg.OnAbuse == nil {
-		cfg.OnAbuse = s.h2.Config.OnAbuse
-	}
-	if cfg.AbusePolicy == nil {
-		cfg.AbusePolicy = s.h2.Config.AbusePolicy
-	}
-	s.h2.Config = cfg
+// SetAbility replaces the generative ability the server advertises,
+// GenFull|GenUpscaleOnly by default, over HTTP/2 and HTTP/3 alike.
+// Call before serving traffic.
+func (s *Server) SetAbility(g http2.GenAbility) {
+	s.h2.Config.GenAbility = g
 }
 
 // payload is the protocol-agnostic form of one response; the HTTP/2
@@ -436,13 +414,14 @@ type payload struct {
 // resolve is the protocol-agnostic request entry point: it implements
 // the SWW serving decision for a peer with the given negotiated
 // ability, regardless of whether the bytes travel over HTTP/2 or
-// HTTP/3.
+// HTTP/3. A generated asset is servable exactly while its page's entry
+// is resident in the generated-content cache (see generatedAsset).
 //
 // With inline set it runs on a connection's read loop and may only
 // look things up: it answers what is already in memory — an asset, a
-// memoized prompt page, a generated page still in the LRU, 404, 405 —
-// and declines (false) what would render, generate or wait: a page
-// served from stored originals, the policy flip, a cache miss. A
+// memoized prompt page, a generated page or its asset in the LRU, 404,
+// 405 — and declines (false) what would render, generate or wait: a
+// page served from stored originals, the policy flip, a cache miss. A
 // declined resolve has counted nothing; the request is resolved again,
 // in full, on a goroutine of its own.
 func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2.GenAbility, inline bool) (payload, bool) {
@@ -455,6 +434,9 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 	asset, isAsset := s.assets[path]
 	page, isPage := s.pages[path]
 	s.mu.RUnlock()
+	if !isAsset && !isPage {
+		asset, isAsset = s.generatedAsset(path)
+	}
 	lookup.End()
 
 	switch {
@@ -512,6 +494,20 @@ func (s *Server) resolve(ctx context.Context, method, path string, peerGen http2
 		return payload{status: 404, contentType: "text/plain", outcome: OutcomeNotFound,
 			body: []byte(fmt.Sprintf("no such path %q", path))}, true
 	}
+}
+
+// generatedAsset is the generated asset at path from its page's cached
+// entry, peeked: an image fetch does not move its page in the LRU.
+func (s *Server) generatedAsset(path string) (Asset, bool) {
+	v, ok := s.Overload().Cache().Peek(generatedPage(path))
+	if !ok {
+		return Asset{}, false
+	}
+	st := v.(*servedTraditional)
+	if k := slices.Index(st.assetPaths, path); k >= 0 {
+		return Asset{Path: path, ContentType: "image/png", Data: st.assets[k].asset}, true
+	}
+	return Asset{}, false
 }
 
 // resolveTraditional materializes fully rendered content: originals
@@ -727,7 +723,7 @@ func (s *Server) serveH3(w *http3.ResponseWriter, r *http3.Request) {
 // (§3.1: the same SWW semantics over the HTTP/3 mapping).
 func (s *Server) StartConnH3(c net.Conn) *http3.ServerConn {
 	cfg := http3.Config{
-		GenAbility:   s.Ability,
+		GenAbility:   s.h2.Config.GenAbility,
 		ImageModelID: s.h2.Config.ImageModelID,
 		TextModelID:  s.h2.Config.TextModelID,
 	}
@@ -755,8 +751,8 @@ var errNotCached = errors.New("core: page not in the generated-content cache")
 type cacheHit struct{ st *servedTraditional }
 
 // generateTraditional materializes a page server-side through the
-// overload guard and caches the result, exposing generated media as
-// served assets. Concurrent misses of the same cold page coalesce
+// overload guard and caches the result, whose generated media resolve
+// serves from the cache. Concurrent misses of the same cold page coalesce
 // into a single generation (singleflight), so a dogpile costs one
 // admission token and one worker, not N. cached reports whether the
 // content came from the LRU instead of a pipeline run. An inline call
@@ -839,7 +835,7 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 			case <-ctx.Done():
 			}
 		}
-		s.storeTraditional(p.Path, st)
+		g.Cache().Add(p.Path, st, st.bytes)
 		return st, nil
 	})
 	if shared {
@@ -853,19 +849,6 @@ func (s *Server) generateTraditional(ctx context.Context, p *Page, inline bool) 
 		return hit.st, true, nil
 	}
 	return v.(*servedTraditional), false, nil
-}
-
-// storeTraditional publishes a generated page: assets first (under
-// s.mu), then the LRU entry — whose insertion may evict other pages
-// and, via the eviction hook, unpublish their assets. Lock order is
-// strictly s.mu then cache, never both at once.
-func (s *Server) storeTraditional(path string, st *servedTraditional) {
-	s.mu.Lock()
-	for k, p := range st.assetPaths {
-		s.assets[p] = Asset{Path: p, ContentType: "image/png", Data: st.assets[k].asset}
-	}
-	s.mu.Unlock()
-	s.Overload().Cache().Add(path, st, st.bytes)
 }
 
 // ServerGenReport returns a copy of the server-side generation report

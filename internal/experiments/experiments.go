@@ -549,16 +549,16 @@ func fetchAs(page *core.Page, generative bool) (*core.FetchResult, error) {
 	return client.Fetch(page.Path)
 }
 
-// pipeClient boots an SD3/DeepSeek server holding page, with cfg as
-// its HTTP/2 config when cfg is not nil, and connects a laptop client
-// to it over a net.Pipe: a generative client when generative is set.
-func pipeClient(page *core.Page, cfg *http2.Config, generative bool) (*core.Server, *core.Client, error) {
+// pipeClient boots an SD3/DeepSeek server holding page, advertising
+// ability when it is not nil, and connects a laptop client to it over
+// a net.Pipe: a generative client when generative is set.
+func pipeClient(page *core.Page, ability *http2.GenAbility, generative bool) (*core.Server, *core.Client, error) {
 	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg != nil {
-		srv.SetConfig(*cfg)
+	if ability != nil {
+		srv.SetAbility(*ability)
 	}
 	srv.AddPage(page)
 	var proc *core.PageProcessor

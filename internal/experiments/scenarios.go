@@ -43,7 +43,7 @@ func CapabilityMatrix() ([]CapabilityRow, error) {
 	}
 	var rows []CapabilityRow
 	for _, c := range cases {
-		_, client, err := pipeClient(workload.NewsArticle(), &http2.Config{GenAbility: c.server}, c.client != http2.GenNone)
+		_, client, err := pipeClient(workload.NewsArticle(), &c.server, c.client != http2.GenNone)
 		if err != nil {
 			return nil, err
 		}
