@@ -188,7 +188,7 @@ const peerFillHeader = "x-sww-peer-fill"
 
 // edgeEntry is one cached raw reply with its freshness clock.
 type edgeEntry struct {
-	raw     *core.RawReply
+	raw     core.RawReply
 	path    string // bare path, for the snapshot
 	bodyLen string // strconv of len(raw.Body), for content-length
 	added   time.Time
@@ -454,7 +454,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 		if age := now.Sub(ent.added); age <= e.cfg.ttl() {
 			// Reply, then count: an attempt the transport declines
 			// must leave no count behind.
-			if !e.reply(w, ent.raw, ent.bodyLen, "hit", 0, inline) {
+			if !e.reply(w, ent, "hit", 0, inline) {
 				return false
 			}
 			e.countRequest(failover)
@@ -481,7 +481,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 		if err == nil {
 			ent := v.(*edgeEntry)
 			e.misses.Add(1)
-			e.reply(w, ent.raw, ent.bodyLen, "miss", 0, false)
+			e.reply(w, ent, "miss", 0, false)
 			return true
 		}
 		e.upstreamErrors.Add(1)
@@ -499,9 +499,9 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 		// is just as stale (fills preserve age), so the hop would buy
 		// nothing and every request would pay it again.
 		if !e.hasServable(key, now) {
-			if raw, staleFor, ok := e.peerFill(r.Stream().Context(), key, path, gen); ok {
+			if ent, staleFor, ok := e.peerFill(r.Stream().Context(), key, path, gen); ok {
 				e.peerFills.Add(1)
-				e.reply(w, raw, "", "peer", staleFor, false)
+				e.reply(w, ent, "peer", staleFor, false)
 				return true
 			}
 		}
@@ -519,7 +519,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 				staleFor = 0
 			}
 			e.staleServes.Add(1)
-			e.reply(w, ent.raw, ent.bodyLen, "stale", staleFor, false)
+			e.reply(w, ent, "stale", staleFor, false)
 			return true
 		}
 	}
@@ -539,7 +539,7 @@ func (e *Edge) pull(key, path string, gen http2.GenAbility) (*edgeEntry, error) 
 		return nil, err
 	}
 	if raw.Status != 200 {
-		return &edgeEntry{raw: raw}, nil
+		return &edgeEntry{raw: raw, bodyLen: strconv.Itoa(len(raw.Body))}, nil
 	}
 	return e.store(key, path, gen, raw), nil
 }
@@ -587,7 +587,7 @@ func (e *Edge) peerServe(w *http2.ResponseWriter, key []byte, now time.Time, inl
 			if age > e.cfg.ttl() {
 				cache, staleFor = "stale", age-e.cfg.ttl()
 			}
-			if !e.reply(w, ent.raw, ent.bodyLen, cache, staleFor, inline) {
+			if !e.reply(w, ent, cache, staleFor, inline) {
 				return false
 			}
 			e.requests.Add(1)
@@ -607,8 +607,9 @@ func (e *Edge) peerServe(w *http2.ResponseWriter, key []byte, now time.Time, inl
 // for path, hedged: the first is asked immediately, each further
 // candidate only after hedgeDelay more of silence, and the first 200
 // wins. The filled entry joins the shard backdated by the peer's
-// stale age, so staleness accounting survives the hop.
-func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbility) (*core.RawReply, time.Duration, bool) {
+// stale age, so staleness accounting survives the hop; peerFill returns
+// that entry.
+func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbility) (*edgeEntry, time.Duration, bool) {
 	if e.mesh == nil {
 		return nil, 0, false
 	}
@@ -629,7 +630,10 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 	}
 	fctx, cancel := context.WithTimeout(ctx, peerFillTimeout)
 	defer cancel()
-	type fillResult struct{ raw *core.RawReply }
+	type fillResult struct {
+		raw core.RawReply
+		ok  bool
+	}
 	results := make(chan fillResult, len(cands))
 	fields := []hpack.HeaderField{genHeaders[gen][0], {Name: peerFillHeader, Value: "1"}}
 	for i, p := range cands {
@@ -650,7 +654,7 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 				results <- fillResult{}
 				return
 			}
-			results <- fillResult{raw}
+			results <- fillResult{raw, true}
 		}(i, p)
 	}
 	for range cands {
@@ -659,19 +663,17 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 			e.peerFillFails.Add(1)
 			return nil, 0, false
 		case res := <-results:
-			if res.raw == nil {
+			if !res.ok {
 				continue
 			}
-			raw := res.raw
-			staleFor := raw.StaleAge
+			staleFor := res.raw.StaleAge
 			// Backdate so our own TTL/stale clock continues where the
 			// peer's left off instead of restarting from fresh.
 			added := e.now()
 			if staleFor > 0 {
 				added = added.Add(-(e.cfg.ttl() + staleFor))
 			}
-			e.storeAt(key, path, gen, raw, added)
-			return raw, staleFor, true
+			return e.storeAt(key, path, gen, res.raw, added), staleFor, true
 		}
 	}
 	e.peerFillFails.Add(1)
@@ -759,21 +761,19 @@ func (e *Edge) servePush(w *http2.ResponseWriter, query string, inline bool) boo
 	return writePushAck(w, ack, e.originEpoch.Load(), inline)
 }
 
-// reply writes a raw reply back to the terminal client, stamped with
-// the edge observability headers. It is the edge's one reply-building
-// site; with try set it sends only if the transport takes the whole
-// reply without waiting, and reports whether it did. bodyLen is the
-// content-length a cached entry memoized, "" to format it here.
-func (e *Edge) reply(w *http2.ResponseWriter, raw *core.RawReply, bodyLen, cache string, staleFor time.Duration, try bool) bool {
-	if bodyLen == "" {
-		bodyLen = strconv.Itoa(len(raw.Body))
-	}
+// reply writes an entry's reply back to the terminal client, stamped
+// with the edge observability headers and the content-length the entry
+// memoized. It is the edge's one reply-building site; with try set it
+// sends only if the transport takes the whole reply without waiting,
+// and reports whether it did.
+func (e *Edge) reply(w *http2.ResponseWriter, ent *edgeEntry, cache string, staleFor time.Duration, try bool) bool {
+	raw := &ent.raw
 	// The field list lives on the stack; a warm edge hit is sent through
 	// the same emitter as the origin's, which copies the body once.
 	var store [6]hpack.HeaderField
 	fields := append(store[:0],
 		hpack.HeaderField{Name: "content-type", Value: raw.ContentType},
-		hpack.HeaderField{Name: "content-length", Value: bodyLen},
+		hpack.HeaderField{Name: "content-length", Value: ent.bodyLen},
 		hpack.HeaderField{Name: core.EdgeHeader, Value: e.cfg.Name},
 		hpack.HeaderField{Name: core.EdgeCacheHeader, Value: cache})
 	if raw.Mode != "" {
@@ -810,7 +810,7 @@ func appendCacheKey[S string | []byte](dst []byte, path S, gen http2.GenAbility)
 // store caches one raw reply under key, cacheKey(path, gen). It
 // returns the entry, whose content-length the reply that brought it in
 // can send.
-func (e *Edge) store(key, path string, gen http2.GenAbility, raw *core.RawReply) *edgeEntry {
+func (e *Edge) store(key, path string, gen http2.GenAbility, raw core.RawReply) *edgeEntry {
 	return e.storeAt(key, path, gen, raw, e.now())
 }
 
@@ -818,7 +818,7 @@ func (e *Edge) store(key, path string, gen http2.GenAbility, raw *core.RawReply)
 // snapshot restores backdate entries). It marks gen in e.gens before
 // the entry enters the shard, so an invalidation that starts once the
 // entry is in removes it.
-func (e *Edge) storeAt(key, path string, gen http2.GenAbility, raw *core.RawReply, added time.Time) *edgeEntry {
+func (e *Edge) storeAt(key, path string, gen http2.GenAbility, raw core.RawReply, added time.Time) *edgeEntry {
 	ent := &edgeEntry{raw: raw, path: path, bodyLen: strconv.Itoa(len(raw.Body)), added: added}
 	e.gens.Or(1 << gen)
 	e.cache.Add(key, ent, int64(len(raw.Body))+int64(len(key))+64)
@@ -847,7 +847,7 @@ func (e *Edge) revalidate(key, path string, gen http2.GenAbility) {
 // which holds however EdgeConfig.Retry is set — a zero Retry puts no
 // deadline on an attempt, and an origin that takes a request and never
 // answers must not hold the key's coalesced requests forever.
-func (e *Edge) fetchUpstream(path string, gen http2.GenAbility) (*core.RawReply, error) {
+func (e *Edge) fetchUpstream(path string, gen http2.GenAbility) (core.RawReply, error) {
 	return e.upstream.FetchRawContext(e.upstreamCtx(), path, genHeaders[gen]...)
 }
 

@@ -195,7 +195,7 @@ func TestPeerFillHedgeLoserBooksNothing(t *testing.T) {
 	key := cacheKey(path, http2.GenFull)
 	warm := NewEdge(EdgeConfig{Name: "warm"}, core.NewEndpointSet(core.EndpointHealthConfig{}))
 	defer warm.Close()
-	warm.store(key, path, http2.GenFull, &core.RawReply{Status: 200, ContentType: "text/html", Body: []byte("page 0")})
+	warm.store(key, path, http2.GenFull, core.RawReply{Status: 200, ContentType: "text/html", Body: []byte("page 0")})
 
 	loserDialing, release := make(chan struct{}), make(chan struct{})
 	defer close(release)
@@ -229,9 +229,9 @@ func TestPeerFillHedgeLoserBooksNothing(t *testing.T) {
 		}
 	}
 
-	raw, _, ok := e.peerFill(context.Background(), key, path, http2.GenFull)
-	if !ok || string(raw.Body) != "page 0" {
-		t.Fatalf("peer-fill = %v, %v, want the winner's page", raw, ok)
+	ent, _, ok := e.peerFill(context.Background(), key, path, http2.GenFull)
+	if !ok || string(ent.raw.Body) != "page 0" {
+		t.Fatalf("peer-fill = %v, %v, want the winner's page", ent, ok)
 	}
 	// The loser's connect holds its client's lock until it has booked
 	// its outcome; this waits for that.
@@ -292,7 +292,7 @@ func TestStoreFlushRace(t *testing.T) {
 	origins := core.NewEndpointSet(core.EndpointHealthConfig{})
 	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, origins)
 	defer e.Close()
-	raw := &core.RawReply{Status: 200, ContentType: "text/plain", Body: []byte("payload")}
+	raw := core.RawReply{Status: 200, ContentType: "text/plain", Body: []byte("payload")}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -182,7 +182,7 @@ func (e *Edge) loadSnapshot() {
 		if !ok || now.Sub(se.Added) > limit {
 			continue
 		}
-		raw := &core.RawReply{
+		raw := core.RawReply{
 			Status:      se.Status,
 			Mode:        se.Mode,
 			ContentType: se.ContentType,

@@ -31,7 +31,7 @@ func FuzzEdgeSnapshotLoad(f *testing.F) {
 		path string
 		gen  http2.GenAbility
 	}{{"/p", http2.GenFull}, {"/p", http2.GenNone}, {"/q", http2.GenFull}} {
-		e.store(cacheKey(k.path, k.gen), k.path, k.gen, &core.RawReply{Status: 200, ContentType: "text/html", Body: []byte("page " + k.path)})
+		e.store(cacheKey(k.path, k.gen), k.path, k.gen, core.RawReply{Status: 200, ContentType: "text/html", Body: []byte("page " + k.path)})
 	}
 	if err := e.SaveSnapshot(); err != nil {
 		f.Fatal(err)

@@ -134,7 +134,7 @@ func tableEdge(t *testing.T, dial core.DialFunc) *Edge {
 	e.lastSeq.Store(tableLast)
 	e.originEpoch.Store(tableMine)
 	for _, p := range []string{"/p", "/q"} {
-		e.store(cacheKey(p, http2.GenFull), p, http2.GenFull, &core.RawReply{Status: 200, Body: []byte(p)})
+		e.store(cacheKey(p, http2.GenFull), p, http2.GenFull, core.RawReply{Status: 200, Body: []byte(p)})
 	}
 	return e
 }

@@ -417,15 +417,25 @@ type RawReply struct {
 // Retry-After; every other status is returned as-is for the caller to
 // judge. extra request headers ride along (HTTP/2 only).
 func (c *Client) FetchRaw(ctx context.Context, path string, extra ...hpack.HeaderField) (*RawReply, error) {
-	reply, err := c.conn.fetch(ctx, path, extra...)
+	raw, err := c.fetchRaw(ctx, path, extra...)
 	if err != nil {
 		return nil, err
 	}
+	return &raw, nil
+}
+
+// fetchRaw is FetchRaw returning the reply by value, for callers that
+// keep it inside something of their own (ResilientClient.FetchRawContext).
+func (c *Client) fetchRaw(ctx context.Context, path string, extra ...hpack.HeaderField) (RawReply, error) {
+	reply, err := c.conn.fetch(ctx, path, extra...)
+	if err != nil {
+		return RawReply{}, err
+	}
 	if reply.status == 503 {
 		ra, _ := parseRetryAfter(reply.retryAfter, time.Now())
-		return nil, &ServerBusyError{Path: path, RetryAfter: ra}
+		return RawReply{}, &ServerBusyError{Path: path, RetryAfter: ra}
 	}
-	raw := &RawReply{
+	raw := RawReply{
 		Status:      reply.status,
 		Mode:        reply.mode,
 		ContentType: reply.contentType,

@@ -417,17 +417,19 @@ func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*Fetc
 // bytes are re-served verbatim, so content crosses the backbone
 // exactly once and prompt pages stay prompts. extra headers ride on
 // the request — the edge forwards the terminal client's ability there.
-func (rc *ResilientClient) FetchRawContext(ctx context.Context, path string, extra ...hpack.HeaderField) (*RawReply, error) {
-	var raw *RawReply
+// The reply comes back by value, so the edge keeps it inside its cache
+// entry without a heap object of its own.
+func (rc *ResilientClient) FetchRawContext(ctx context.Context, path string, extra ...hpack.HeaderField) (RawReply, error) {
+	var raw RawReply
 	_, _, err := rc.ladder(ctx, "raw fetch", path, func(actx context.Context, _ bool) error {
 		cl, err := rc.getClient(actx, rc.rawDegraded())
 		if err == nil {
-			raw, err = cl.FetchRaw(actx, path, extra...)
+			raw, err = cl.fetchRaw(actx, path, extra...)
 		}
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return RawReply{}, err
 	}
 	return raw, nil
 }

@@ -5,7 +5,6 @@ package http2
 import (
 	"context"
 	"net"
-	"runtime"
 	"testing"
 
 	"sww/internal/hpack"
@@ -21,21 +20,27 @@ import (
 // Stream its previous inline reply left spare.
 // A handler that is served from a goroutine pays two objects more: a
 // Stream of its own on the server and the closure of its go statement.
-// A request under a cancelable context pays for its one cancel hook:
-// context.AfterFunc's context and stop function, and the closure that
-// cancels the stream.
+// A request under a cancelable context pays nothing more once the
+// connection keeps a cancel hook for that context, from the context's
+// second stream on (conn.hookContext). A request under a context of
+// its own pays for that context and its hook, which is stopped with
+// the stream: the context's cancelCtx, CancelFunc and Done channel;
+// context.AfterFunc's context and stop function, and the map and map
+// group that register them as the context's child; and the closure
+// that cancels the connection's streams.
 const (
-	getAllocBudget          = 2
-	getAllocBudgetGoroutine = getAllocBudget + 2
-	getAllocBudgetCancel    = getAllocBudget + 3
+	getAllocBudget           = 2
+	getAllocBudgetGoroutine  = getAllocBudget + 2
+	getAllocBudgetPerRequest = getAllocBudget + 8
 )
 
 // TestGetAllocBudget pins the request lifecycle at the client's Stream
-// and body, plus the server's Stream for a plain Handler and the cancel
-// hook for a cancelable context. BenchmarkRespondBody's GETs over
-// loopback TCP are goroutine-served and pay what a goroutine-served GET
-// on a net.Pipe does, whatever the body's size. (The race detector's
-// instrumentation allocates; hence the build tag.)
+// and body, plus the server's Stream for a plain Handler, and a context
+// and its hook when the request brings a context of its own.
+// BenchmarkRespondBody's GETs over loopback TCP are goroutine-served
+// and pay what a goroutine-served GET on a net.Pipe does, whatever the
+// body's size. (The race detector's instrumentation allocates; hence
+// the build tag.)
 func TestGetAllocBudget(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -48,7 +53,15 @@ func TestGetAllocBudget(t *testing.T) {
 	pins := []pin{
 		{"goroutine", func(t *testing.T) func() { return allocsClient(t, plain, context.Background()) }, getAllocBudgetGoroutine},
 		{"inline", func(t *testing.T) func() { return allocsClient(t, inline, context.Background()) }, getAllocBudget},
-		{"inline-cancelable", func(t *testing.T) func() { return allocsClient(t, inline, ctx) }, getAllocBudgetCancel},
+		{"inline-cancelable", func(t *testing.T) func() { return allocsClient(t, inline, ctx) }, getAllocBudget},
+		{"per-request-cancelable", func(t *testing.T) func() {
+			get := allocsGet(t, inline)
+			return func() {
+				ctx, cancel := context.WithCancel(context.Background())
+				get(ctx)
+				cancel()
+			}
+		}, getAllocBudgetPerRequest},
 	}
 	for _, size := range respondBodySizes {
 		pins = append(pins, pin{"RespondBody/" + size.name, func(t *testing.T) func() { return respondBodyGet(t, size.n) }, getAllocBudgetGoroutine})
@@ -115,14 +128,6 @@ func TestCancelHookReleased(t *testing.T) {
 	}
 }
 
-// liveHeap is the heap in use after a full collection.
-func liveHeap() uint64 {
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // allocsHandlers returns one handler answering a 37-byte page on the
 // read loop and one answering it from a handler goroutine.
 func allocsHandlers() (inline, plain Handler) {
@@ -149,6 +154,12 @@ func allocsHandlers() (inline, plain Handler) {
 // its page under ctx from a client on the other; the test's cleanup
 // closes both.
 func allocsClient(t *testing.T, h Handler, ctx context.Context) func() {
+	get := allocsGet(t, h)
+	return func() { get(ctx) }
+}
+
+// allocsGet is allocsClient with the context given to each GET.
+func allocsGet(t *testing.T, h Handler) func(ctx context.Context) {
 	cEnd, sEnd := net.Pipe()
 	sc := (&Server{Handler: h}).StartConn(sEnd)
 	cc, err := NewClientConn(cEnd, Config{})
@@ -159,7 +170,7 @@ func allocsClient(t *testing.T, h Handler, ctx context.Context) func() {
 		cc.Close()
 		sc.Close()
 	})
-	return func() {
+	return func(ctx context.Context) {
 		resp, err := cc.GetContext(ctx, "/page")
 		if err != nil {
 			t.Fatal(err)

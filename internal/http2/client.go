@@ -114,9 +114,9 @@ func (cc *ClientConn) Do(req *Request) (*Response, error) {
 // exchange — header write, body copy, the wait for response headers
 // and the response body, until the body is read to its end or closed;
 // when it fires, the stream is cancelled so blocked flow-control
-// writers, header waits and body reads unwind promptly. A cancelable
-// context gets one hook for all of it, which ReadAllBodyContext under
-// the same context reuses.
+// writers, header waits and body reads unwind promptly. The streams a
+// connection opens under one cancelable context share one hook on it,
+// which ReadAllBodyContext under the same context reuses.
 func (cc *ClientConn) DoContext(ctx context.Context, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -162,7 +162,7 @@ func (cc *ClientConn) DoContext(ctx context.Context, req *Request) (*Response, e
 		return nil, err
 	}
 	if ctx.Done() != nil {
-		st.hookContext(ctx)
+		cc.c.hookContext(st, ctx)
 	}
 	if endStream {
 		st.mu.Lock()
@@ -219,7 +219,6 @@ func (b *responseBody) Read(p []byte) (int, error) {
 func (b *responseBody) finish() {
 	if !b.done {
 		b.done = true
-		b.st.unhookContext()
 		b.st.c.removeStream(b.st.id)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,6 +187,14 @@ type conn struct {
 	doneOnce    sync.Once // teardown runs on the read loop, Close and keepalive
 	pings       map[[8]byte]chan struct{}
 	peerStreams uint32 // live peer-initiated streams (server side)
+
+	// hooks are a client connection's cancel hooks, one for each
+	// context a stream of it was opened under (see hookContext), and
+	// stopped the Done channels of the last hooks stopped with their
+	// streams, the oldest at stopped[nstopped%len(stopped)].
+	hooks    []cancelHook
+	stopped  [4]<-chan struct{}
+	nstopped int
 
 	// abuse scores protocol misbehaviour on served connections; nil
 	// on the client role or when the policy is Disabled.
@@ -886,13 +895,146 @@ func (c *conn) lookupStream(id uint32) *Stream {
 
 func (c *conn) removeStream(id uint32) {
 	c.mu.Lock()
-	if _, ok := c.streams[id]; ok {
+	if st, ok := c.streams[id]; ok {
 		delete(c.streams, id)
 		if c.server && id%2 == 1 {
 			c.peerStreams--
 		}
+		if st.hookDone != nil {
+			c.leaveHook(st.hookDone)
+		}
 	}
 	c.mu.Unlock()
+}
+
+// A cancelHook cancels the streams of a client connection opened
+// under one context when that context ends. done is the context's
+// Done channel, stop the context.AfterFunc registration, and live the
+// number of streams in c.streams hooked on done. keep marks a context
+// that came back after its first hook was stopped: its hook stays
+// registered when its streams have all left, for the next stream
+// under it.
+type cancelHook struct {
+	done <-chan struct{}
+	stop func() bool
+	live int
+	keep bool
+}
+
+// hookContext cancels st when ctx ends, for as long as st is in
+// c.streams. Streams under one context share one hook. Most contexts
+// carry one exchange and end with it (a per-request or per-attempt
+// context): the first hook on a context is stopped when its streams
+// have left, as a per-exchange hook was, so the context's end runs
+// nothing. A context that comes back while it is among the last four
+// so stopped — the edge's shared upstream context, when its Retry sets
+// no AttemptTimeout — gets a hook that stays, and the streams after it
+// register none. A stream that has already left registers nothing.
+func (c *conn) hookContext(st *Stream, ctx context.Context) {
+	c.mu.Lock()
+	c.hookLocked(st, ctx)
+	c.mu.Unlock()
+}
+
+// hookLocked is hookContext with c.mu held. A hook whose context has
+// just ended may still be in the table, its callback waiting for c.mu;
+// a stream that joins it is cancelled by that callback.
+func (c *conn) hookLocked(st *Stream, ctx context.Context) {
+	if c.streams[st.id] != st {
+		return
+	}
+	done := ctx.Done()
+	st.hookDone = done
+	if i := c.hookAt(done); i >= 0 {
+		c.hooks[i].live++
+		return
+	}
+	stop := context.AfterFunc(ctx, func() { c.cancelHooked(ctx) })
+	keep := slices.Contains(c.stopped[:], done)
+	c.hooks = append(c.hooks, cancelHook{done: done, stop: stop, live: 1, keep: keep})
+}
+
+// leaveHook books a stream hooked on done leaving c.streams, with c.mu
+// held. When it was the hook's last, a hook not kept is stopped, and a
+// kept one stops every other hook no stream waits on, so the table
+// holds the hooks in use and at most one idle one. A hook whose stop
+// fails has fired: its callback removes it.
+func (c *conn) leaveHook(done <-chan struct{}) {
+	i := c.hookAt(done)
+	if i < 0 {
+		return
+	}
+	if c.hooks[i].live--; c.hooks[i].live > 0 {
+		return
+	}
+	if !c.hooks[i].keep {
+		c.stopped[c.nstopped%len(c.stopped)] = done
+		c.nstopped++
+		if c.hooks[i].stop() {
+			c.hooks = slices.Delete(c.hooks, i, i+1)
+		}
+		return
+	}
+	n := 0
+	for j, h := range c.hooks {
+		if j == i || h.live > 0 || !h.stop() {
+			c.hooks[n] = h
+			n++
+		}
+	}
+	clear(c.hooks[n:])
+	c.hooks = c.hooks[:n]
+}
+
+// hookAt returns the index of c's hook on done, -1 when it holds none.
+// Called with c.mu held.
+func (c *conn) hookAt(done <-chan struct{}) int {
+	for i := range c.hooks {
+		if c.hooks[i].done == done {
+			return i
+		}
+	}
+	return -1
+}
+
+// hookedOn reports whether s is hooked on done.
+func (s *Stream) hookedOn(done <-chan struct{}) bool {
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	return s.hookDone == done
+}
+
+// cancelHooked is the callback of ctx's hook: it drops the hook,
+// unhooks every stream still hooked on ctx and cancels each after the
+// unlock (Stream.cancel takes c.mu). A cancelled stream leaves
+// c.streams only after its RST_STREAM is queued, so no stream opened
+// into its slot goes out ahead of the reset. A hook no stream waits
+// on scans nothing.
+func (c *conn) cancelHooked(ctx context.Context) {
+	done := ctx.Done()
+	var hooked []*Stream
+	c.mu.Lock()
+	if i := c.hookAt(done); i >= 0 {
+		live := c.hooks[i].live
+		c.hooks = slices.Delete(c.hooks, i, i+1)
+		for _, st := range c.streams {
+			if len(hooked) == live {
+				break
+			}
+			if st.hookDone == done {
+				st.hookDone = nil
+				hooked = append(hooked, st)
+			}
+		}
+	}
+	c.mu.Unlock()
+	if len(hooked) == 0 {
+		return
+	}
+	err := fmt.Errorf("http2: request canceled: %w", context.Cause(ctx))
+	for _, st := range hooked {
+		st.cancel(err)
+	}
 }
 
 // resetStream emits RST_STREAM; errors writing it are surfaced via
@@ -934,6 +1076,12 @@ func (c *conn) teardown(err error) {
 	c.streams = map[uint32]*Stream{}
 	pings := c.pings
 	c.pings = map[[8]byte]chan struct{}{}
+	// A hook left registered would pin the connection to its context.
+	for _, h := range c.hooks {
+		h.stop()
+	}
+	c.hooks = nil
+	clear(c.stopped[:])
 	c.mu.Unlock()
 
 	c.connSend.fail(err)

@@ -2,7 +2,6 @@ package http2
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"slices"
 	"strconv"
@@ -67,13 +66,11 @@ type Stream struct {
 	// out allocates nothing.
 	ctx streamContext
 
-	// unhook stops the cancel hook DoContext registered on the
-	// caller's context, and hookDone is that context's Done channel
-	// (both nil when it registered none). One hook serves the whole
-	// exchange: it stays until the body is taken or the stream is
-	// closed, so ReadAllBodyContext under the same context adds none.
-	// Guarded by mu.
-	unhook   func() bool
+	// hookDone is the Done channel of the context DoContext hooked the
+	// stream on, nil when it hooked none: the connection's hook for
+	// that context cancels the stream while it is in c.streams (its
+	// callback sets the field back to nil), so ReadAllBodyContext under
+	// the same context adds no hook of its own. Guarded by c.mu.
 	hookDone <-chan struct{}
 
 	// hdr is the peer's first header block (the request on the server,
@@ -208,35 +205,6 @@ func (c *streamContext) end() {
 	c.mu.Unlock()
 	for _, f := range funcs {
 		go (*f)()
-	}
-}
-
-// hookContext cancels the stream when ctx ends, until unhookContext:
-// the exchange's one cancel hook.
-func (s *Stream) hookContext(ctx context.Context) {
-	stop := context.AfterFunc(ctx, func() {
-		s.cancel(fmt.Errorf("http2: request canceled: %w", context.Cause(ctx)))
-	})
-	s.mu.Lock()
-	s.unhook, s.hookDone = stop, ctx.Done()
-	s.mu.Unlock()
-}
-
-// hookedOn reports whether the stream's cancel hook watches done.
-func (s *Stream) hookedOn(done <-chan struct{}) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hookDone == done
-}
-
-// unhookContext stops the stream's cancel hook, if it holds one.
-func (s *Stream) unhookContext() {
-	s.mu.Lock()
-	stop := s.unhook
-	s.unhook = nil
-	s.mu.Unlock()
-	if stop != nil {
-		stop()
 	}
 }
 
@@ -509,7 +477,6 @@ func (s *Stream) Close() error {
 	s.mu.Lock()
 	done := s.recvEnded && s.sendEnded && s.rd == len(s.buf)
 	s.mu.Unlock()
-	s.unhookContext()
 	if !done {
 		s.c.resetStream(s.id, ErrCodeCancel)
 		s.closeWithError(streamError(s.id, ErrCodeCancel, "closed locally"))

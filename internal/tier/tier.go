@@ -371,7 +371,11 @@ func (t *Tier) own(c io.Closer) {
 func (t *Tier) Fetch(ctx context.Context, name, path string) (*core.RawReply, error) {
 	rc := t.newClient(name)
 	defer rc.Close()
-	return rc.FetchRawContext(ctx, path)
+	raw, err := rc.FetchRawContext(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	return &raw, nil
 }
 
 // Stats sums the serving counters over every edge, dead ones included.
