@@ -5,8 +5,7 @@
 //
 //	sww-bench [-only matrix|fig2|article|t1|steps|sizes|text|t2|
 //	                 energy|carbon|traffic|cdn|video|storage|ablations|
-//	                 h3|upscale|personalize|placement|chaos|overload|
-//	                 abuse|fastpath|telemetry|capacity]
+//	                 h3|upscale|personalize|placement|telemetry|capacity]
 //	          [-quick]
 //
 // Without -only, all experiments run in this order; an unknown key

@@ -5,6 +5,8 @@ package core_test
 // on the real workloads.
 
 import (
+	"bytes"
+	"maps"
 	"net"
 	"strings"
 	"testing"
@@ -209,6 +211,61 @@ func TestTravelBlogUniqueContent(t *testing.T) {
 	}
 	if gen != 3 {
 		t.Errorf("%d generated stock images, want 3", gen)
+	}
+}
+
+// TestRepeatFetchReplaysFromCache is the generation fast path: a
+// generative client fetches the travel blog three times over one
+// connection. The repeats replay every item from the client's artifact
+// cache, so they return the first fetch's assets byte for byte, and the
+// modelled generation time and media compression do not move: the
+// cache speeds up the reproduction, not the modelled device.
+func TestRepeatFetchReplaysFromCache(t *testing.T) {
+	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.AddPage(workload.TravelBlog())
+	cEnd, sEnd := net.Pipe()
+	srv.StartConn(sEnd)
+	proc, err := core.NewPageProcessor(device.Laptop, imagegen.SD3Medium, textgen.DeepSeek8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(cEnd, device.Laptop, proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	var first *core.FetchResult
+	for i := 1; i <= 3; i++ {
+		res, err := client.Fetch(workload.TravelBlogPath)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", i, err)
+		}
+		if res.Mode != core.ModeGenerative {
+			t.Fatalf("fetch %d: mode %q", i, res.Mode)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if !maps.EqualFunc(res.Assets, first.Assets, bytes.Equal) {
+			t.Errorf("fetch %d: assets differ from fetch 1's", i)
+		}
+		if res.Report.SimGenTime != first.Report.SimGenTime {
+			t.Errorf("fetch %d: SimGenTime %v, fetch 1 %v", i, res.Report.SimGenTime, first.Report.SimGenTime)
+		}
+		if got, want := res.Report.MediaCompressionRatio(), first.Report.MediaCompressionRatio(); got != want {
+			t.Errorf("fetch %d: media compression %v, fetch 1 %v", i, got, want)
+		}
+	}
+	// Fetch 1 misses on every generated item, and each repeat hits on
+	// every one.
+	items := uint64(len(first.Report.Items))
+	if st := proc.Pipeline.Cache.Stats(); items == 0 || st.Misses != items || st.Hits != 2*items {
+		t.Errorf("artifact cache %+v over %d items a fetch: want %d misses and %d hits", st, items, items, 2*items)
 	}
 }
 

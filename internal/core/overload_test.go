@@ -27,13 +27,20 @@ import (
 // overloadGenPage builds a small page whose only content is one
 // generatable image with a per-page unique name — no originals, so a
 // traditional request can only be served by server-side generation.
-func overloadGenPage(i int) *Page {
+func overloadGenPage(i int) *Page { return sizedGenPage(i, 64, 0) }
+
+// sizedGenPage is overloadGenPage with a side×side image drawn in
+// steps diffusion steps (0: the model's default): the shape sets the
+// modelled generation time, and with it a GenWallScale-held worker's
+// occupancy.
+func sizedGenPage(i, side, steps int) *Page {
 	gc := GeneratedContent{
 		Type: ContentImage,
 		Meta: Metadata{
 			Prompt: fmt.Sprintf("test pattern %d, flat colors, geometric shapes", i),
 			Name:   fmt.Sprintf("ovl-%03d", i),
-			Width:  64, Height: 64,
+			Width:  side, Height: side,
+			Steps: steps,
 		},
 	}
 	div, err := gc.Div()
@@ -70,6 +77,22 @@ func overloadOriginalsPage() *Page {
 			{Path: "/original/goldfish", ContentType: "image/jpeg", Data: []byte("jpegbytes")},
 		},
 	}
+}
+
+// holdScale returns the GenWallScale under which generating p holds
+// its worker for hold of wall time (the modelled SimGenTime is
+// deterministic per page shape).
+func holdScale(t *testing.T, p *Page, hold time.Duration) float64 {
+	t.Helper()
+	probe, err := NewPageProcessor(device.Workstation, imagegen.SD3Medium, textgen.DeepSeek8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, report, err := probe.Process(p.Doc.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(hold) / float64(report.SimGenTime)
 }
 
 func newOverloadServer(t *testing.T, cfg overload.Config) *Server {
@@ -275,27 +298,20 @@ func TestShedLadderOrder(t *testing.T) {
 
 // TestAdmittedGoodputUnderOverload: at 4× offered load, requests that
 // ARE admitted must complete at a goodput within 10% of the unloaded
-// baseline — overload degrades the excess, not the admitted work.
+// baseline — overload degrades the excess, not the admitted work — and
+// the excess is shed, nothing else: every reply that is not a 200 is a
+// 503 the Shed503 counter counts.
 func TestAdmittedGoodputUnderOverload(t *testing.T) {
 	const (
 		workers = 2
 		hold    = 40 * time.Millisecond
 	)
 
-	// Calibrate GenWallScale so each generation occupies its worker
-	// for ~hold (the modelled SimGenTime is deterministic across these
-	// identical pages).
-	probe, err := NewPageProcessor(device.Workstation, imagegen.SD3Medium, textgen.DeepSeek8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := probe.Process(overloadGenPage(0).Doc.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale := float64(hold) / float64(report.SimGenTime)
+	// Each generation occupies its worker for ~hold.
+	scale := holdScale(t, overloadGenPage(0), hold)
 
-	run := func(requests, concurrency int) (ok int, goodput float64, srv *Server) {
+	// run returns the 200s, the 503s and any other status seen.
+	run := func(requests, concurrency int) (ok, shed int, other []int, goodput float64, srv *Server) {
 		srv = newOverloadServer(t, overload.Config{
 			MaxGenWorkers: workers,
 			QueueDeadline: 5 * hold / 2,
@@ -315,32 +331,40 @@ func TestAdmittedGoodputUnderOverload(t *testing.T) {
 				defer wg.Done()
 				defer func() { <-sem }()
 				pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(i).Path, http2.GenNone, false)
-				if pl.status == 200 {
-					mu.Lock()
+				mu.Lock()
+				defer mu.Unlock()
+				switch pl.status {
+				case 200:
 					ok++
-					mu.Unlock()
+				case 503:
+					shed++
+				default:
+					other = append(other, pl.status)
 				}
 			}(i)
 		}
 		wg.Wait()
 		elapsed := time.Since(start)
-		return ok, float64(ok) / elapsed.Seconds(), srv
+		return ok, shed, other, float64(ok) / elapsed.Seconds(), srv
 	}
 
 	// Baseline: offered load exactly matches capacity (client
 	// concurrency = workers), so nothing queues and nothing sheds.
-	baseOK, baseGoodput, _ := run(16, workers)
+	baseOK, _, baseOther, baseGoodput, _ := run(16, workers)
 	if baseOK != 16 {
-		t.Fatalf("unloaded baseline shed %d requests", 16-baseOK)
+		t.Fatalf("unloaded baseline: %d of 16 served, other statuses %v", baseOK, baseOther)
 	}
 
 	// 4× overload: four times the worker count in flight at all times.
-	loadedOK, loadedGoodput, srv := run(64, 4*workers)
+	loadedOK, shed, other, loadedGoodput, srv := run(64, 4*workers)
 	if loadedOK == 64 {
 		t.Fatal("4x overload shed nothing; the test is not overloading")
 	}
-	if st := srv.OverloadStats(); st.Shed503 == 0 {
-		t.Errorf("no 503s under 4x overload: %+v", st)
+	if len(other) > 0 {
+		t.Errorf("statuses %v under 4x overload: every reply must be a 200 or a 503", other)
+	}
+	if st := srv.OverloadStats(); st.Shed503 != uint64(shed) {
+		t.Errorf("%d 503s under 4x overload, Shed503 = %d", shed, st.Shed503)
 	}
 	if loadedGoodput < 0.9*baseGoodput {
 		t.Errorf("admitted goodput %.1f/s under overload, baseline %.1f/s: degraded more than 10%%",

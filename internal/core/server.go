@@ -326,12 +326,6 @@ func (s *Server) countAbuse(kind http2.AbuseKind, act http2.AbuseAction) {
 	s.Telemetry().Eventf("abuse", "%s escalated to %s", kind, act)
 }
 
-// SetAbusePolicy replaces the abuse policy on the underlying HTTP/2
-// config. Call before serving traffic.
-func (s *Server) SetAbusePolicy(p *http2.AbusePolicy) {
-	s.h2.Config.AbusePolicy = p
-}
-
 // AddPage registers a page and its assets.
 func (s *Server) AddPage(p *Page) {
 	s.mu.Lock()

@@ -21,8 +21,8 @@ import (
 )
 
 // CapacityRow is one offered-load point of the E27 capacity curve.
-// Unlike E19 (a metronome of uniformly cold traditional requests),
-// the load here is the open-loop engine's realistic mix: Zipf page
+// Unlike a metronome of uniformly cold traditional requests, the load
+// here is the open-loop engine's realistic mix: Zipf page
 // popularity, heavy-tailed session arrivals, and the §5.1
 // capable/incapable device split — so the row measures how much of
 // the offered stream the stack actually absorbs at this rate.
@@ -61,13 +61,23 @@ type CapacityRow struct {
 	Stats overload.Stats
 }
 
+// The calibrated generation backend: overloadGenWorkers workers each
+// occupied overloadGenHold per page, so capacity is
+// overloadGenWorkers/overloadGenHold pages per second, enforced twice
+// (pool occupancy via GenWallScale and token-bucket admission at the
+// same rate).
+const (
+	overloadGenWorkers = 2
+	overloadGenHold    = 20 * time.Millisecond
+)
+
 // CapacityResult is the E27 artifact: the calibrated capacity model
 // plus the measured curve and its knee.
 type CapacityResult struct {
 	// GenWorkers / GenHold / GenCapacityRPS describe the server's
 	// generation backend: workers × 1/hold pages of server-side
 	// generation per second (hold includes the real pipeline wall
-	// time, like E19).
+	// time).
 	GenWorkers     int
 	GenHold        time.Duration
 	GenCapacityRPS float64
@@ -193,9 +203,11 @@ func CapacitySweep(quick bool) (*CapacityResult, error) {
 		cacheTopPages = 6
 	)
 
-	// Calibration, as in E19: one probe generation pins the wall-time
-	// scale so a generation occupies a worker for overloadGenHold, and
-	// the real pipeline time joins the service time.
+	// Calibration: one probe generation pins the wall-time scale so a
+	// generation occupies a worker for overloadGenHold, and the real
+	// pipeline time (a LoadPage is ~1.5 ms of CPU, 7% of the hold)
+	// joins the service time, or even a half-loaded round would queue
+	// and shed.
 	probe, err := core.NewPageProcessor(device.Workstation, imagegen.SD3Medium, textgen.DeepSeek8)
 	if err != nil {
 		return nil, err

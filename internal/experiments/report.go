@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -35,10 +34,6 @@ var Experiments = []Experiment{
 	{"upscale", "E15 §2.2 content upscaling", reportUpscale},
 	{"personalize", "E16 §2.3 personalization & echo chamber", reportPersonalize},
 	{"placement", "E17 §7 cache-placement flexibility", reportPlacement},
-	{"chaos", "E18 fault injection & degradation ladder", reportChaos},
-	{"overload", "E19 server overload & load-shed ladder", reportOverload},
-	{"abuse", "E20 abuse-rate defense under attack", reportAbuse},
-	{"fastpath", "E21 generation fast path & artifact cache", reportFastpath},
 	{"telemetry", "E22 operational telemetry cross-check", reportTelemetry},
 	{"capacity", "E27 open-loop capacity model & knee", reportCapacity},
 }
@@ -49,12 +44,4 @@ var Experiments = []Experiment{
 func (e Experiment) Run(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "\n=== %s ===\n", e.Title)
 	return e.report(w, quick)
-}
-
-// writeJSON writes v to w as indented JSON, for the reports whose
-// numbers are the deliverable.
-func writeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

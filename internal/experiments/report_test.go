@@ -20,10 +20,6 @@ func TestMain(m *testing.M) { leakcheck.Main(m) }
 // with why its report is not pinned byte for byte. Their bars still
 // fail sww-bench wherever it runs them.
 var unpinned = map[string]string{
-	"chaos":     "repeats, but one scenario waits out an 8 s blackhole timeout",
-	"overload":  "goodput and latency columns are wall-clock",
-	"abuse":     "goodput with and without attack is wall-clock",
-	"fastpath":  "cold and warm fetch times are wall-clock",
 	"telemetry": "latency percentiles are wall-clock",
 	"capacity":  "realized rates, shed and latency are wall-clock",
 }
@@ -43,8 +39,7 @@ var unpinned = map[string]string{
 //     storage" and "ratio", and upscale's "wire, upscale" and savings.
 //   - The generator's PNG bytes (a stand-in model's, not the paper's)
 //     move upscale's "wire, upscale" and savings, its low-res sources
-//     being generated PNGs. They also move fastpath's client cache
-//     bytes, which is unpinned, and the tier benchmark's traced
+//     being generated PNGs. They also move the tier benchmark's traced
 //     core.compression_ratio.
 func TestGoldenReports(t *testing.T) {
 	pinned := 0

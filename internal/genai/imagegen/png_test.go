@@ -80,7 +80,7 @@ func TestGeneratedPNGBytes(t *testing.T) {
 		before float64 // mean bytes with Up rows at BestSpeed
 		pin    float64 // mean bytes now, 0 where unpinned
 	}{
-		{32, 911.1, 0},         // workload.AbusePage
+		{32, 911.1, 0},         // the smallest thumbnail shape
 		{64, 2188.2, 0},        // the telemetry experiment's page
 		{128, 5380.1, 3921.1},  // workload.LoadPage, PhotoGallery's sources
 		{224, 12342.8, 9446.3}, // the request default

@@ -45,7 +45,9 @@ func (c *conn) hooksOn(done <-chan struct{}) (n, live int) {
 // testHookCancelsAll: 8 GETs in flight under one context on one
 // connection share its hook with a GET that finished earlier. Cancelling
 // the context fails the 8 with errors that wrap context.Canceled, and
-// the server sees RST_STREAM(CANCEL) on exactly those 8 streams.
+// the server sees exactly one RST_STREAM(CANCEL) on each of those 8
+// streams and no other: DoContext closing a stream the hook already
+// reset sends nothing more.
 func testHookCancelsAll(t *testing.T) {
 	cc, s := acceptRaw(t)
 	s.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -108,11 +110,13 @@ func testHookCancelsAll(t *testing.T) {
 		if !open[fr.StreamID] || rstCode(fr) != ErrCodeCancel {
 			t.Fatalf("RST_STREAM(%v) on stream %d; want CANCEL on a parked stream", rstCode(fr), fr.StreamID)
 		}
+		if reset[fr.StreamID] {
+			t.Fatalf("second RST_STREAM on parked stream %d", fr.StreamID)
+		}
 		reset[fr.StreamID] = true
 	}
-	// A GET after the cancel: nothing but its HEADERS and more resets of
-	// the parked streams (DoContext closes a stream that failed) may
-	// come before it.
+	// A GET after the cancel: every parked GET has returned, so a
+	// second reset of a parked stream would come before its HEADERS.
 	go func() {
 		resp, err := cc.Get("/after")
 		if err == nil {
@@ -125,8 +129,8 @@ func testHookCancelsAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fr.Type == FrameRSTStream && !open[fr.StreamID] {
-			t.Fatalf("RST_STREAM(%v) on stream %d, not a parked one (finished stream %d)", rstCode(fr), fr.StreamID, finished)
+		if fr.Type == FrameRSTStream {
+			t.Fatalf("RST_STREAM(%v) on stream %d after each parked stream's one reset (finished stream %d)", rstCode(fr), fr.StreamID, finished)
 		}
 		if fr.Type == FrameHeaders {
 			s.respond(fr.StreamID, true)

@@ -99,7 +99,7 @@ func TestRequestContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = cc.GetContext(ctx, "/slow")
+	returns(t, "GetContext", func() { _, err = cc.GetContext(ctx, "/slow") })
 	if err == nil {
 		t.Fatal("request succeeded despite stalled handler")
 	}
@@ -127,13 +127,14 @@ func TestBodyReadContextDeadline(t *testing.T) {
 	}
 	defer cc.Close()
 
-	resp, err := cc.Get("/stall")
+	var resp *Response
+	returns(t, "Get", func() { resp, err = cc.Get("/stall") })
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err = ReadAllBodyContext(ctx, resp)
+	returns(t, "ReadAllBodyContext", func() { _, err = ReadAllBodyContext(ctx, resp) })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("body read err = %v, want DeadlineExceeded", err)
 	}
@@ -160,13 +161,32 @@ func TestBodyCanceledAfterHeaders(t *testing.T) {
 	defer cc.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	resp, err := cc.GetContext(ctx, "/stall")
+	var resp *Response
+	returns(t, "GetContext", func() { resp, err = cc.GetContext(ctx, "/stall") })
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	if _, err := ReadAllBodyContext(ctx, resp); err != context.Canceled {
+	returns(t, "ReadAllBodyContext", func() { _, err = ReadAllBodyContext(ctx, resp) })
+	if err != context.Canceled {
 		t.Errorf("body read err = %v, want context.Canceled", err)
+	}
+}
+
+// returns runs call and fails the test naming it if it has not
+// returned within 10 s, so a hang fails here rather than at go test's
+// -timeout, which names no call.
+func returns(t *testing.T, what string, call func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		call()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return within 10s", what)
 	}
 }
 

@@ -472,14 +472,13 @@ func (s *Stream) closeSend(p []byte) error {
 }
 
 // Close cancels the stream with RST_STREAM(CANCEL) unless it already
-// finished cleanly in both directions.
+// finished cleanly in both directions or is dead already.
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	done := s.recvEnded && s.sendEnded && s.rd == len(s.buf)
 	s.mu.Unlock()
 	if !done {
-		s.c.resetStream(s.id, ErrCodeCancel)
-		s.closeWithError(streamError(s.id, ErrCodeCancel, "closed locally"))
+		s.reset(streamError(s.id, ErrCodeCancel, "closed locally"))
 	}
 	s.ctx.end()
 	s.c.removeStream(s.id)
@@ -491,10 +490,25 @@ func (s *Stream) Close() error {
 // readers and writers with err (context cancellation, typically)
 // rather than the generic closed-locally error.
 func (s *Stream) cancel(err error) {
-	s.c.resetStream(s.id, ErrCodeCancel)
-	s.closeWithError(err)
+	s.reset(err)
 	s.c.removeStream(s.id)
 	s.abandon()
+}
+
+// reset kills the stream with err. Only the first death of a stream
+// sends RST_STREAM(CANCEL): a stream reset by either side, or torn
+// down with its connection, is closed on both ends already, and a
+// reset may not answer the peer's (RFC 9113 §5.4.2). The frame is
+// queued under s.mu with err, so whoever sees the stream dead sees it
+// after the reset, and no stream opened into its slot goes out first.
+func (s *Stream) reset(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+		s.c.resetStream(s.id, ErrCodeCancel)
+	}
+	s.mu.Unlock()
+	s.closeWithError(err)
 }
 
 // Trailers returns any trailer fields received after the response

@@ -305,10 +305,10 @@ func TravelBlog() *core.Page {
 	}
 }
 
-// LoadPagePath returns the path of the i-th overload-sweep page.
+// LoadPagePath returns the path of the i-th load page.
 func LoadPagePath(i int) string { return fmt.Sprintf("/load/page-%03d", i) }
 
-// LoadPage builds the i-th page of the E19 overload corpus: one
+// LoadPage builds the i-th page of the overload corpus: one
 // generatable image and one generatable text block, no stored
 // originals. With no originals, a traditional request can only be
 // answered by server-side generation — exactly the expensive path the
@@ -366,34 +366,6 @@ func CDNPage(i int) *core.Page {
 		`<!DOCTYPE html><html><head><title>CDN page %03d</title></head><body><h1>CDN page %03d</h1><p>%s</p></body></html>`,
 		i, i, filler))
 	return &core.Page{Path: CDNPagePath(i), Doc: doc}
-}
-
-// AbusePagePath addresses the i-th page of the E20 abuse corpus.
-func AbusePagePath(i int) string { return fmt.Sprintf("/abuse/page-%04d", i) }
-
-// AbusePage builds the i-th page of the E20 abuse corpus: one tiny
-// generatable image, no stored originals. The pages are deliberately
-// minimal — E20 measures the abuse ledger and reset-cancellation
-// machinery, so the modelled worker occupancy (GenWallScale) should
-// dominate and the incidental procedural CPU per page stay small.
-func AbusePage(i int) *core.Page {
-	doc := html.Parse(fmt.Sprintf(`<!DOCTYPE html><html><head><title>Abuse page %04d</title></head><body><h1>Abuse page %04d</h1><div class="content"></div></body></html>`, i, i))
-	content := doc.ByClass("content")[0]
-	imgGC := core.GeneratedContent{
-		Type: core.ContentImage,
-		Meta: core.Metadata{
-			Prompt: LandscapePrompt(i % WikimediaImageCount),
-			Name:   fmt.Sprintf("abuse-%04d-img", i),
-			Width:  32, Height: 32,
-			Steps: 4,
-		},
-	}
-	imgDiv, err := imgGC.Div()
-	if err != nil {
-		panic(err)
-	}
-	content.AppendChild(imgDiv)
-	return &core.Page{Path: AbusePagePath(i), Doc: doc}
 }
 
 // PhotoGalleryPath serves the §2.2 upscaling page.
