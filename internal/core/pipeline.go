@@ -17,7 +17,6 @@ import (
 	"sww/internal/genai"
 	"sww/internal/genai/imagegen"
 	"sww/internal/html"
-	"sww/internal/metrics"
 )
 
 // A PageProcessor is §4.1's client-side machinery: "The HTML Parser
@@ -457,16 +456,9 @@ func (pp *PageProcessor) generateOne(ph Placeholder, path string) genResult {
 			r.item.OriginalBytes = res.NominalBytes
 		}
 		// §7 trust: verify the generation against the author's
-		// attested minimum alignment. The pipeline already embedded
-		// the prompt during generation; reuse that embedding (all zeros
-		// when the model did not, or the prompt has no content words).
+		// attested minimum alignment, as measured on its pixels.
 		if want := meta.ExpectedAlignment; want > 0 {
-			prompt := res.PromptEmbedding
-			if prompt == ([metrics.EmbedDim]float64{}) {
-				prompt = metrics.EmbedTextArray(meta.Prompt)
-			}
-			measured := metrics.Cosine(prompt[:], metrics.EmbedImage(res.Image))
-			r.item.VerifyFailed = measured < want
+			r.item.VerifyFailed = res.MeasuredAlignment < want
 		}
 
 	case ContentUpscale:

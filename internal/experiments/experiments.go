@@ -88,7 +88,7 @@ func Table1() ([]Table1Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			sum += metrics.CLIPScore(p, res.Image)
+			sum += metrics.CLIPScoreFromCosine(res.MeasuredAlignment)
 		}
 		row.CLIP = sum / float64(len(evalPrompts))
 		if st, err := m.StepTime(device.ClassLaptop); err == nil {
@@ -148,7 +148,7 @@ func StepSweep() ([]StepSweepRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			clip += metrics.CLIPScore(p, res.Image)
+			clip += metrics.CLIPScoreFromCosine(res.MeasuredAlignment)
 			simTime = res.SimTime
 		}
 		rows = append(rows, StepSweepRow{

@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"sww/internal/device"
-	"sww/internal/metrics"
 	"sww/internal/overload"
 	"sww/internal/telemetry"
 )
 
 // DefaultArtifactCacheBytes is the byte cap page processors attach by
-// default: enough for a few hundred 224×224 artifacts (PNG + pixels),
-// small next to a real model's working set.
+// default: enough for some seven thousand 224×224 PNGs, small next to a
+// real model's working set.
 const DefaultArtifactCacheBytes int64 = 64 << 20
 
 // A GenTimer is an ImageModel that can report its simulated
@@ -55,7 +54,7 @@ type ArtifactCache struct {
 }
 
 // NewArtifactCache builds a cache bounded to maxBytes of artifact
-// payload (PNG + decoded pixels for images, text bytes for prose).
+// payload (PNG bytes for images, text bytes for prose).
 func NewArtifactCache(maxBytes int64) *ArtifactCache {
 	return &ArtifactCache{lru: overload.NewByteLRU(maxBytes)}
 }
@@ -89,23 +88,6 @@ func (c *ArtifactCache) Register(reg *telemetry.Registry) {
 	reg.Adopt("sww_artifact_cache_coalesced_total", &c.coalesced)
 	reg.GaugeFunc("sww_artifact_cache_bytes", func() float64 { return float64(c.lru.Bytes()) })
 	reg.GaugeFunc("sww_artifact_cache_entries", func() float64 { return float64(c.lru.Len()) })
-}
-
-// imageSize is the LRU accounting for one cached image: encoded PNG,
-// the one-byte-per-pixel index plane (its palette is a slice of a
-// table every image of that tint shares, so no entry owns it), and
-// the memoized prompt embedding when the model computed one. The
-// embedding ride-along (8 bytes per float64) was previously uncounted,
-// leaving phantom bytes in memory that the cap never saw.
-func imageSize(res *ImageResult) int64 {
-	size := int64(len(res.PNG))
-	if res.Image != nil {
-		size += int64(len(res.Image.Pix))
-	}
-	if res.PromptEmbedding != ([metrics.EmbedDim]float64{}) {
-		size += int64(len(res.PromptEmbedding)) * 8
-	}
-	return size
 }
 
 type cachedImage struct {
@@ -195,7 +177,7 @@ func (c *ArtifactCache) Image(m ImageModel, req ImageRequest) (ImageResult, erro
 			class:    req.Class,
 			w:        req.Width, h: req.Height, steps: req.Steps,
 		}
-		c.lru.Add(key, ci, imageSize(&res))
+		c.lru.Add(key, ci, int64(len(res.PNG)))
 		return &ci.res, nil // the entry is never written again
 	})
 	// Only joining callers report shared; the executing caller already

@@ -2,7 +2,6 @@ package genai_test
 
 import (
 	"fmt"
-	"image"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +9,7 @@ import (
 
 	"sww/internal/device"
 	"sww/internal/genai"
-	_ "sww/internal/genai/imagegen" // registers models for the pipeline test
-	"sww/internal/metrics"
+	"sww/internal/genai/imagegen"
 )
 
 // countingImageModel is a deterministic fake that counts real
@@ -33,10 +31,8 @@ func (m *countingImageModel) Generate(req genai.ImageRequest) (genai.ImageResult
 		<-m.block
 	}
 	m.gens.Add(1)
-	img := image.NewPaletted(image.Rect(0, 0, req.Width, req.Height), nil)
 	st, _ := m.GenTime(req.Class, req.Width, req.Height, req.Steps)
 	return genai.ImageResult{
-		Image:   img,
 		PNG:     []byte(req.Prompt),
 		SimTime: st,
 		Model:   m.Name(),
@@ -143,9 +139,9 @@ func TestArtifactCacheCoalescesConcurrent(t *testing.T) {
 
 func TestArtifactCacheEviction(t *testing.T) {
 	m := &countingImageModel{}
-	// Each 8×8 entry costs len(PNG) + len(Pix) = 2 + 64 bytes; cap the
+	// Each entry costs its PNG, here the prompt's 2 bytes; cap the
 	// cache so only a couple fit.
-	c := genai.NewArtifactCache(150)
+	c := genai.NewArtifactCache(5)
 	for i := 0; i < 6; i++ {
 		req := genai.ImageRequest{Prompt: fmt.Sprintf("p%d", i), Width: 8, Height: 8, Class: device.ClassLaptop}
 		if _, err := c.Image(m, req); err != nil {
@@ -153,11 +149,11 @@ func TestArtifactCacheEviction(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Bytes > 150 {
-		t.Errorf("cache holds %d bytes, cap 150", st.Bytes)
+	if st.Bytes > 5 {
+		t.Errorf("cache holds %d bytes, cap 5", st.Bytes)
 	}
 	if st.Entries != 2 {
-		t.Errorf("%d entries under a 150-byte cap, want 2 of 66 bytes each", st.Entries)
+		t.Errorf("%d entries under a 5-byte cap, want 2 of 2 bytes each", st.Entries)
 	}
 	// The oldest entry was evicted: requesting it generates again.
 	before := m.gens.Load()
@@ -196,35 +192,23 @@ func TestArtifactCacheText(t *testing.T) {
 	}
 }
 
-// embeddingImageModel returns artifacts that carry a memoized prompt
-// embedding, the ride-along payload whose bytes the LRU must account.
-type embeddingImageModel struct{ countingImageModel }
-
-func (m *embeddingImageModel) Generate(req genai.ImageRequest) (genai.ImageResult, error) {
-	res, err := m.countingImageModel.Generate(req)
+// TestArtifactCacheChargesPNGBytes: a cached image is charged what it
+// holds, its PNG. A result carries its pixels only as the PNG, so at
+// the LoadPage shape an entry is charged ~3.9 KB, not the ~20.8 KB it
+// was while the result also kept the 16 KiB index plane and the
+// 512-byte prompt embedding.
+func TestArtifactCacheChargesPNGBytes(t *testing.T) {
+	m, err := genai.ImageModelByName(imagegen.SD3Medium)
 	if err != nil {
-		return res, err
-	}
-	res.PromptEmbedding = metrics.EmbedTextArray(req.Prompt)
-	return res, nil
-}
-
-// TestArtifactCacheEmbeddingBytesAccounted: regression for the cache
-// accounting bug where ImageResult.PromptEmbedding bytes (8 per
-// float64) were held by the entry but never charged against the LRU
-// cap — phantom memory the byte bound could not see.
-func TestArtifactCacheEmbeddingBytesAccounted(t *testing.T) {
-	m := &embeddingImageModel{}
-	c := genai.NewArtifactCache(1 << 20)
-	if _, err := c.Image(m, genai.ImageRequest{Prompt: "p", Width: 8, Height: 8, Class: device.ClassLaptop}); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	// One entry: PNG ("p") + 8×8 indexed pixels (64) + the 64-float
-	// embedding.
-	const want = 1 + 8*8 + metrics.EmbedDim*8
-	if st.Bytes != want {
-		t.Fatalf("stats.Bytes = %d, want %d (PNG + 1 B/px plane + embedding)", st.Bytes, want)
+	c := genai.NewArtifactCache(1 << 20)
+	res, err := c.Image(m, genai.ImageRequest{Prompt: "a glacial lake at dawn", Width: 128, Height: 128, Class: device.ClassWorkstation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != int64(len(res.PNG)) {
+		t.Fatalf("%d entries charged %d bytes, want 1 charged the PNG's %d", st.Entries, st.Bytes, len(res.PNG))
 	}
 }
 
@@ -272,9 +256,7 @@ func (m *timerlessImageModel) ServerOnly() bool                    { return fals
 func (m *timerlessImageModel) LoadTime(device.Class) time.Duration { return 0 }
 func (m *timerlessImageModel) Generate(req genai.ImageRequest) (genai.ImageResult, error) {
 	m.gens.Add(1)
-	img := image.NewPaletted(image.Rect(0, 0, req.Width, req.Height), nil)
 	return genai.ImageResult{
-		Image:   img,
 		PNG:     []byte(req.Prompt),
 		SimTime: time.Duration(int(req.Class)+1) * time.Second,
 		Model:   m.Name(),

@@ -24,13 +24,11 @@ package genai
 import (
 	"fmt"
 	"hash/fnv"
-	"image"
 	"sort"
 	"sync"
 	"time"
 
 	"sww/internal/device"
-	"sww/internal/metrics"
 )
 
 // An ImageRequest asks a text-to-image model for one image.
@@ -69,12 +67,8 @@ func (r ImageRequest) withDefaults() ImageRequest {
 
 // An ImageResult is a generated image plus its simulated cost.
 type ImageResult struct {
-	// Image is the generated picture: one byte per pixel indexing a
-	// palette the generator may share between images, so treat both
-	// as read-only.
-	Image *image.Paletted
-
-	// PNG is the encoded form written to the client's asset store.
+	// PNG is the generated picture as written to the client's asset
+	// store, and the only form of its pixels the result carries.
 	PNG []byte
 
 	// NominalBytes is the size the equivalent JPEG-encoded photo
@@ -83,9 +77,16 @@ type ImageResult struct {
 	// accounting uses this, since the paper compares against photos.
 	NominalBytes int
 
-	// Alignment is the raw prompt–image feature alignment achieved
-	// (the quantity the CLIP score measures).
+	// Alignment is the raw prompt–image feature alignment the model
+	// planted (the quantity the CLIP score measures).
 	Alignment float64
+
+	// MeasuredAlignment is the alignment measured on the pixels:
+	// metrics.Cosine of the prompt's metrics.EmbedTextArray and the
+	// image's metrics.EmbedImage, exactly what those give for the
+	// decoded PNG, taken while the model wrote the pixels. §7
+	// verification and the CLIP columns read it.
+	MeasuredAlignment float64
 
 	// SimTime is the generation latency this request would have had
 	// on the requested device class, from the calibrated tables.
@@ -93,12 +94,6 @@ type ImageResult struct {
 
 	// Model is the generating model's name.
 	Model string
-
-	// PromptEmbedding is the prompt's text embedding
-	// (metrics.EmbedTextArray) computed during generation, threaded
-	// through so the §7 verification path need not re-embed the
-	// prompt. All zeros when the model did not compute it.
-	PromptEmbedding [metrics.EmbedDim]float64
 }
 
 // A TextRequest asks a text-to-text model to expand bullet points

@@ -2,7 +2,11 @@ package imagegen
 
 import (
 	"bytes"
+	"fmt"
+	"image"
+	"image/png"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,7 +36,7 @@ func meanCLIP(t *testing.T, model string, class device.Class) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += metrics.CLIPScore(p, res.Image)
+		sum += metrics.CLIPScoreFromCosine(res.MeasuredAlignment)
 	}
 	return sum / float64(len(evalPrompts))
 }
@@ -78,7 +82,7 @@ func TestRandomBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += metrics.CLIPScore(p, res.Image)
+		sum += metrics.CLIPScore(p, decodePNG(t, res.PNG))
 	}
 	mean := sum / float64(len(evalPrompts))
 	if mean > 0.14 || mean < 0.09 {
@@ -241,8 +245,7 @@ func TestImageDimensionsAndNominalBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := res.Image.Bounds()
-		if b.Dx() != sz.w || b.Dy() != sz.h {
+		if b := decodePNG(t, res.PNG).Bounds(); b.Dx() != sz.w || b.Dy() != sz.h {
 			t.Errorf("image is %dx%d, want %dx%d", b.Dx(), b.Dy(), sz.w, sz.h)
 		}
 		// Table 2's media sizes: the nominal JPEG equivalents.
@@ -262,8 +265,7 @@ func TestAlignmentReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured := metrics.Cosine(metrics.EmbedText(evalPrompts[0]), metrics.EmbedImage(res.Image))
-	if math.Abs(measured-res.Alignment) > 0.03 {
+	if measured := res.MeasuredAlignment; math.Abs(measured-res.Alignment) > 0.03 {
 		t.Errorf("reported alignment %.3f vs measured %.3f", res.Alignment, measured)
 	}
 }
@@ -274,13 +276,100 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := res.Image.Bounds(); b.Dx() != 224 || b.Dy() != 224 {
+	if b := decodePNG(t, res.PNG).Bounds(); b.Dx() != 224 || b.Dy() != 224 {
 		t.Errorf("default size = %dx%d, want 224x224", b.Dx(), b.Dy())
 	}
 	// Default 15 steps at 0.18 s/step = 2.7 s.
 	if math.Abs(res.SimTime.Seconds()-15*0.18) > 0.01 {
 		t.Errorf("default sim time = %v", res.SimTime)
 	}
+}
+
+// decodePNG is a generated image's pixels, which a result carries
+// only as its PNG.
+func decodePNG(t testing.TB, data []byte) image.Image {
+	t.Helper()
+	img, err := png.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestMeasuredAlignmentIsEmbedImage: the alignment a generation
+// measures while it writes its pixels is, to the bit, the cosine of
+// the prompt's text embedding and EmbedImage of the PNG it returns,
+// for every registered model, with and without a prompt, at shapes
+// with empty feature cells (1×1, 5×3), uneven cells (100×103) and the
+// served ones (128², 224²).
+func TestMeasuredAlignmentIsEmbedImage(t *testing.T) {
+	shapes := []struct{ w, h int }{{1, 1}, {5, 3}, {100, 103}, {128, 128}, {224, 224}}
+	for _, name := range genai.ImageModelNames() {
+		m, err := genai.ImageModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prompt := range []string{"", evalPrompts[1]} {
+			for i, sh := range shapes {
+				res, err := m.Generate(genai.ImageRequest{
+					Prompt: prompt, Width: sh.w, Height: sh.h, Seed: int64(i + 1), Class: device.ClassWorkstation})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := metrics.EmbedTextArray(prompt)
+				want := metrics.Cosine(e[:], metrics.EmbedImage(decodePNG(t, res.PNG)))
+				if res.MeasuredAlignment != want {
+					t.Errorf("%s %d×%d prompt %q: measured %v, EmbedImage of the PNG %v",
+						name, sh.w, sh.h, prompt, res.MeasuredAlignment, want)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentGenerateMatchesSolo: a generation's plane is its
+// scratch's until the PNG is encoded, so goroutines sharing the
+// scratch pool must each get the PNG their request makes alone. Run
+// under -race, a scratch put back before its encode is a race as well
+// as a wrong PNG.
+func TestConcurrentGenerateMatchesSolo(t *testing.T) {
+	const goroutines, each = 8, 50
+	sizes := [][2]int{{16, 16}, {40, 24}, {24, 40}, {64, 64}, {33, 57}}
+	req := func(g, i int) genai.ImageRequest {
+		sz := sizes[(g+i)%len(sizes)]
+		return genai.ImageRequest{
+			Prompt: fmt.Sprintf("%s, plate %d of %d", evalPrompts[g%len(evalPrompts)], i, g),
+			Width:  sz[0], Height: sz[1], Class: device.ClassWorkstation}
+	}
+	solo := make([][][]byte, goroutines)
+	for g := range solo {
+		solo[g] = make([][]byte, each)
+		for i := range solo[g] {
+			res, err := sd3.Generate(req(g, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo[g][i] = res.PNG
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				res, err := sd3.Generate(req(g, i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(res.PNG, solo[g][i]) {
+					t.Errorf("goroutine %d generation %d: PNG differs from the same request generated alone", g, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkGenerate128 is the workload.LoadPage shape, the generation

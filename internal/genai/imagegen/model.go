@@ -80,20 +80,21 @@ func (m *diffusionModel) Generate(req genai.ImageRequest) (genai.ImageResult, er
 	}
 	sc := scratches.Get().(*scratch)
 	seed, target := m.seedAndTarget(sc, req)
-	img, planted, emb := sc.synthesize(req.Prompt, req.Width, req.Height, seed, target)
-	scratches.Put(sc)
+	img, planted, measured := sc.synthesize(req.Prompt, req.Width, req.Height, seed, target)
+	// img is the scratch's plane: the scratch goes back only once the
+	// PNG holds the pixels.
 	data, err := EncodePNG(img)
+	scratches.Put(sc)
 	if err != nil {
 		return genai.ImageResult{}, err
 	}
 	return genai.ImageResult{
-		Image:           img,
-		PNG:             data,
-		NominalBytes:    req.Width * req.Height / 8,
-		Alignment:       planted,
-		SimTime:         simTime,
-		Model:           m.name,
-		PromptEmbedding: emb,
+		PNG:               data,
+		NominalBytes:      req.Width * req.Height / 8,
+		Alignment:         planted,
+		MeasuredAlignment: measured,
+		SimTime:           simTime,
+		Model:             m.name,
 	}, nil
 }
 

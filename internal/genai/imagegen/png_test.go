@@ -122,7 +122,11 @@ func TestGeneratedPNGBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Image
+		img, err := png.Decode(bytes.NewReader(res.PNG))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
 	}
 	img, other := gen(128, 96), gen(200, 150)
 	runtime.GC()

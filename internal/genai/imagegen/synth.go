@@ -32,12 +32,14 @@ const (
 )
 
 // A scratch is one image's working memory. A busy server synthesizes
-// thousands of images, and the w·h texture plane is the dominant
-// transient allocation, so scratches are recycled whole, with the
-// generator the image draws from.
+// thousands of images, and the w·h planes are the dominant transient
+// allocations, so scratches are recycled whole, with the generator the
+// image draws from and the image itself: its index plane is lent to
+// whoever holds the scratch, and only the PNG leaves it.
 type scratch struct {
-	rng   *rand.Rand // re-seeded per use: the sequence rand.New(rand.NewSource(seed)) draws
-	tex   []float64  // w·h texture plane, before the cell means are removed
+	rng   *rand.Rand     // re-seeded per use: the sequence rand.New(rand.NewSource(seed)) draws
+	img   image.Paletted // the image synthesize writes, Pix resized per image
+	tex   []float64      // w·h texture plane, before the cell means are removed
 	oct   [len(octaves)]octaveRows
 	cells cellStats
 }
@@ -74,9 +76,11 @@ func resize[T any](s []T, n int) []T {
 }
 
 // synthesize renders, on sc, a w×h image that encodes a feature vector
-// with the given target prompt alignment. It returns the image, the
-// alignment actually planted, and the prompt's text embedding (so
-// callers verifying §7 alignment need not re-embed the prompt).
+// with the given target prompt alignment. It returns the image, which
+// is sc's and valid until sc is synthesized on again or goes back to
+// the pool, the alignment actually planted, and the alignment measured:
+// metrics.Cosine of the prompt's metrics.EmbedTextArray and the image's
+// metrics.EmbedImage.
 //
 // The kernel computes one luminance per pixel and the prompt's tint
 // only shifts it per channel, so the image is indexed: a pixel stores
@@ -89,11 +93,16 @@ func resize[T any](s []T, n int) []T {
 // the colours that rounding after it did (DESIGN.md "Indexed images"
 // has the one-ulp caveat).
 //
+// The measure costs no pass of its own: as the quantizing pass writes
+// index k it adds the tint's Luma601 of palette entry k to the pixel's
+// cell sum, in the row-major order EmbedImage sums in, and
+// metrics.ImageEmbedding finishes the vector.
+//
 // Every floating-point expression below is associated exactly as in
 // the straightforward per-pixel formulation (Go's + and * are
 // left-associative), so hoisting per-cell and per-column terms into
 // tables keeps the output byte-for-byte identical.
-func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, embedding) {
+func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign float64) (img *image.Paletted, planted, measured float64) {
 	rng := sc.rng
 	rng.Seed(seed)
 
@@ -103,7 +112,6 @@ func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign f
 	ec := centered(e[:])
 	ecNorm := norm(ec[:])
 	var v embedding
-	planted := 0.0
 	if ecNorm < 1e-9 || targetAlign <= 0 {
 		// Unconditioned image (the paper's random baseline).
 		v = randomUnitZeroMean(rng, nil)
@@ -123,7 +131,9 @@ func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign f
 		planted = a * ecNorm
 	}
 
-	img := image.NewPaletted(image.Rect(0, 0, w, h), nil)
+	img = &sc.img
+	img.Pix = resize(img.Pix, w*h)
+	img.Stride, img.Rect = w, image.Rect(0, 0, w, h)
 	tex := sc.texture(rng.Int63(), w, h)
 	cs := &sc.cells
 
@@ -147,22 +157,30 @@ func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign f
 			hi = max(hi, clampByte(cellBase[c]+(cs.max[c]-cs.mean[c])))
 		}
 	}
+	tint := tintTable(tintOf(prompt))
+	luma := &tint.luma
+	var sums [grid * grid]float64
 	runs := cellRuns(w)
 	for y := 0; y < h; y++ {
 		rowCell := (y * grid / h) * grid
 		row := img.Pix[y*img.Stride:][:w]
 		trow := tex[y*w:][:w]
 		for cx := 0; cx < grid; cx++ {
-			base, mean := cellBase[rowCell+cx], cs.mean[rowCell+cx]
+			c := rowCell + cx
+			base, mean, sum := cellBase[c], cs.mean[c], sums[c]
 			for x := runs[cx]; x < runs[cx+1]; x++ {
-				row[x] = clampByte(base+(trow[x]-mean)) - lo
+				k := clampByte(base + (trow[x] - mean))
+				row[x] = k - lo
+				sum += luma[k]
 			}
+			sums[c] = sum
 		}
 	}
 	// Capped at its length: an append by a consumer reallocates instead
 	// of landing in the shared table's next entries.
-	img.Palette = tintPalette(tintOf(prompt))[lo : int(hi)+1 : int(hi)+1]
-	return img, planted, e
+	img.Palette = tint.pal[lo : int(hi)+1 : int(hi)+1]
+	ei := metrics.ImageEmbedding(&sums, &cs.n)
+	return img, planted, metrics.Cosine(e[:], ei[:])
 }
 
 // octaves is the value-noise spectrum of the synthesized texture.
@@ -380,27 +398,34 @@ func tintShift(t int) (cr, cg, cb float64) {
 	return cr, cg, cb
 }
 
-// tintPalettes holds each tint's palette, built by the first image
-// that needs it and shared by every later one.
-var tintPalettes [tints]struct {
+// tinted is one tint's tables: pal maps luminance k to the tint's
+// colour for it, and luma[k] is metrics.Luma601(pal[k]), what
+// EmbedImage reads that colour as. Entries are color.NRGBA because that is what png's PLTE
+// writer converts every entry to: any other type is boxed once per
+// entry per encode.
+type tinted struct {
 	once sync.Once
 	pal  color.Palette
+	luma [256]float64
 }
 
-// tintPalette maps luminance k to tint t's colour for it. Entries are
-// color.NRGBA because that is what png's PLTE writer converts every
-// entry to: any other type is boxed once per entry per encode.
-func tintPalette(t int) color.Palette {
-	e := &tintPalettes[t]
+// tintTables holds each tint's tables, built by the first image that
+// needs them and shared by every later one.
+var tintTables [tints]tinted
+
+// tintTable returns tint t's tables.
+func tintTable(t int) *tinted {
+	e := &tintTables[t]
 	e.once.Do(func() {
 		cr, cg, cb := tintShift(t)
 		e.pal = make(color.Palette, 256)
 		for k := range e.pal {
 			l := float64(k)
 			e.pal[k] = color.NRGBA{R: clampByte(l + cr), G: clampByte(l + cg), B: clampByte(l + cb), A: 255}
+			e.luma[k] = metrics.Luma601(e.pal[k])
 		}
 	})
-	return e.pal
+	return e
 }
 
 func clampByte(v float64) uint8 {

@@ -104,11 +104,15 @@ func referenceRandomUnitZeroMean(rng *rand.Rand, excl []float64) []float64 {
 }
 
 // pooledSynthesize is one synthesis on a pooled scratch, as Generate
-// runs it.
-func pooledSynthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, embedding) {
+// runs it, with the image copied out of the scratch's plane before the
+// scratch goes back.
+func pooledSynthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.Paletted, float64, float64) {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
-	return sc.synthesize(prompt, w, h, seed, targetAlign)
+	img, planted, measured := sc.synthesize(prompt, w, h, seed, targetAlign)
+	out := *img
+	out.Pix = bytes.Clone(img.Pix)
+	return &out, planted, measured
 }
 
 // tintOffsets is the reference kernel's per-prompt chroma shift,
@@ -211,19 +215,13 @@ func TestSynthMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%dx%d_seed%d", tc.w, tc.h, tc.seed), func(t *testing.T) {
 			want, wantAlign := referenceSynthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
-			got, gotAlign, emb := pooledSynthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
+			got, gotAlign, measured := pooledSynthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
 			if gotAlign != wantAlign {
 				t.Errorf("planted alignment = %v, reference %v", gotAlign, wantAlign)
 			}
 			checkPixels(t, "synthesize", toRGBA(got), want)
-			if wantEmb := metrics.EmbedText(tc.prompt); len(emb) != len(wantEmb) {
-				t.Errorf("embedding length = %d, want %d", len(emb), len(wantEmb))
-			} else {
-				for i := range emb {
-					if emb[i] != wantEmb[i] {
-						t.Fatalf("embedding[%d] = %v, want %v", i, emb[i], wantEmb[i])
-					}
-				}
+			if wantMeasured := metrics.Cosine(metrics.EmbedText(tc.prompt), metrics.EmbedImage(want)); measured != wantMeasured {
+				t.Errorf("measured alignment = %v, EmbedImage of the reference %v", measured, wantMeasured)
 			}
 
 			// The same case through the model: Generate picks the
@@ -258,7 +256,7 @@ func TestTintPaletteConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for tint := 0; tint < tints; tint += 7 {
-				if pal := tintPalette(tint); len(pal) != 256 || pal[255] == nil {
+				if pal := tintTable(tint).pal; len(pal) != 256 || pal[255] == nil {
 					t.Errorf("tint %d: unfinished table of %d entries", tint, len(pal))
 				}
 			}
@@ -274,7 +272,7 @@ func TestTintPaletteConcurrentFirstUse(t *testing.T) {
 func TestTintPalettes(t *testing.T) {
 	for tint := 0; tint < tints; tint++ {
 		cr, cg, cb := tintShift(tint)
-		pal := tintPalette(tint)
+		pal := tintTable(tint).pal
 		if len(pal) != 256 {
 			t.Fatalf("tint %d: %d entries, want 256", tint, len(pal))
 		}
@@ -300,7 +298,7 @@ func TestTintPalettes(t *testing.T) {
 func TestSynthPaletteSharedAndTrimmed(t *testing.T) {
 	a, _, _ := pooledSynthesize("first prompt", 96, 96, 11, 0.5)
 	b, _, _ := pooledSynthesize("first prompt", 64, 64, 22, 0.5)
-	table := tintPalette(tintOf("first prompt"))
+	table := tintTable(tintOf("first prompt")).pal
 	for _, img := range []*image.Paletted{a, b} {
 		shared := false
 		for k := range table {
@@ -323,8 +321,11 @@ func TestSynthPaletteSharedAndTrimmed(t *testing.T) {
 }
 
 // TestSynthPooledBuffersDoNotAlias: back-to-back generations recycle
-// scratch buffers; a second synthesis must not disturb the first
-// image, and repeated synthesis with the same inputs stays identical.
+// scratch buffers, the image plane among them. A second synthesis must
+// not disturb what the first was copied into, repeated synthesis with
+// the same inputs stays identical, and a scratch whose plane held a
+// larger or differently shaped image writes the smaller one in place,
+// with exactly the pixels and measure a fresh scratch gives it.
 func TestSynthPooledBuffersDoNotAlias(t *testing.T) {
 	a1, _, _ := pooledSynthesize("first prompt", 96, 96, 11, 0.5)
 	snapshot := append([]byte(nil), a1.Pix...)
@@ -335,6 +336,19 @@ func TestSynthPooledBuffersDoNotAlias(t *testing.T) {
 	a2, _, _ := pooledSynthesize("first prompt", 96, 96, 11, 0.5)
 	if !bytes.Equal(a1.Pix, a2.Pix) {
 		t.Fatal("repeated synthesis with identical inputs diverged")
+	}
+
+	fresh, _, wantMeasured := newScratch().synthesize("small", 40, 30, 5, 0.5)
+	sc := newScratch()
+	big, _, _ := sc.synthesize("big", 120, 90, 6, 0.5)
+	plane := &big.Pix[0]
+	small, _, measured := sc.synthesize("small", 40, 30, 5, 0.5)
+	if &small.Pix[0] != plane {
+		t.Error("the smaller image did not reuse the scratch's plane")
+	}
+	if small.Stride != 40 || small.Rect != fresh.Rect || !bytes.Equal(small.Pix, fresh.Pix) || measured != wantMeasured {
+		t.Errorf("recycled scratch: %v stride %d measured %v; fresh: %v stride %d measured %v (pixels equal: %v)",
+			small.Rect, small.Stride, measured, fresh.Rect, fresh.Stride, wantMeasured, bytes.Equal(small.Pix, fresh.Pix))
 	}
 }
 
@@ -348,7 +362,9 @@ func BenchmarkSynthKernel(b *testing.B) {
 		b.Run(fmt.Sprint(size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pooledSynthesize("a red sailboat at dawn", size, size, 12345, 0.55)
+				sc := scratches.Get().(*scratch)
+				sc.synthesize("a red sailboat at dawn", size, size, 12345, 0.55)
+				scratches.Put(sc)
 			}
 		})
 	}

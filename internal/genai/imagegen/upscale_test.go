@@ -17,7 +17,7 @@ func TestUpscaleDimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := DefaultUpscaler.Upscale(res.Image, 4, 1, device.ClassLaptop)
+	out, _, err := DefaultUpscaler.Upscale(decodePNG(t, res.PNG), 4, 1, device.ClassLaptop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,9 @@ func TestUpscalePreservesAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := metrics.CLIPScore(prompt, res.Image)
-	out, _, err := DefaultUpscaler.Upscale(res.Image, 4, 3, device.ClassWorkstation)
+	src := decodePNG(t, res.PNG)
+	before := metrics.CLIPScore(prompt, src)
+	out, _, err := DefaultUpscaler.Upscale(src, 4, 3, device.ClassWorkstation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestUpscaleAddsDetail(t *testing.T) {
 	m, _ := genai.ImageModelByName(SD3Medium)
 	res, _ := m.Generate(genai.ImageRequest{
 		Prompt: "texture test", Width: 64, Height: 64, Class: device.ClassWorkstation, Seed: 4})
-	out, _, err := DefaultUpscaler.Upscale(res.Image, 4, 4, device.ClassWorkstation)
+	out, _, err := DefaultUpscaler.Upscale(decodePNG(t, res.PNG), 4, 4, device.ClassWorkstation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestUpscaleErrors(t *testing.T) {
 	m, _ := genai.ImageModelByName(SD3Medium)
 	res, _ := m.Generate(genai.ImageRequest{
 		Prompt: "x", Width: 64, Height: 64, Class: device.ClassWorkstation, Seed: 5})
-	if _, _, err := DefaultUpscaler.Upscale(res.Image, 1, 1, device.ClassLaptop); err == nil {
+	if _, _, err := DefaultUpscaler.Upscale(decodePNG(t, res.PNG), 1, 1, device.ClassLaptop); err == nil {
 		t.Error("factor 1 should fail")
 	}
 	if _, err := DefaultUpscaler.UpscaleTime(device.Class(99), 512, 512); err == nil {
@@ -115,10 +116,11 @@ func BenchmarkUpscale128to512(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	src := decodePNG(b, res.PNG)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DefaultUpscaler.Upscale(res.Image, 4, int64(i), device.ClassWorkstation); err != nil {
+		if _, _, err := DefaultUpscaler.Upscale(src, 4, int64(i), device.ClassWorkstation); err != nil {
 			b.Fatal(err)
 		}
 	}

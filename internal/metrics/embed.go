@@ -137,8 +137,8 @@ func EmbedImage(img image.Image) []float64 {
 		return make([]float64, EmbedDim)
 	}
 	const grid = 8
-	sums := make([]float64, EmbedDim)
-	counts := make([]int, EmbedDim)
+	var sums [EmbedDim]float64
+	var counts [EmbedDim]int
 	if p, ok := img.(*image.Paletted); ok {
 		// An indexed image has one luminance per palette entry: take
 		// it once per entry and not, through two interface calls and
@@ -147,7 +147,7 @@ func EmbedImage(img image.Image) []float64 {
 		var table [256]float64
 		luma := table[:min(len(p.Palette), len(table))]
 		for i := range luma {
-			luma[i] = luma601(p.Palette[i])
+			luma[i] = Luma601(p.Palette[i])
 		}
 		for y := 0; y < h; y++ {
 			row := p.Pix[y*p.Stride : y*p.Stride+w]
@@ -162,12 +162,22 @@ func EmbedImage(img image.Image) []float64 {
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				cell := (y*grid/h)*grid + x*grid/w
-				sums[cell] += luma601(img.At(b.Min.X+x, b.Min.Y+y))
+				sums[cell] += Luma601(img.At(b.Min.X+x, b.Min.Y+y))
 				counts[cell]++
 			}
 		}
 	}
-	v := make([]float64, EmbedDim)
+	v := ImageEmbedding(&sums, &counts)
+	return v[:]
+}
+
+// ImageEmbedding is EmbedImage's last step: each grid cell's mean
+// luminance from its sum and pixel count, less the mean of the cell
+// means, L2-normalized. A generator that adds up Luma601 of each pixel
+// it writes into its cell's sum, cell by cell in row-major pixel order,
+// gets EmbedImage's vector of its image bit for bit without reading
+// the pixels again.
+func ImageEmbedding(sums *[EmbedDim]float64, counts *[EmbedDim]int) (v [EmbedDim]float64) {
 	var mean float64
 	for i := range v {
 		if counts[i] > 0 {
@@ -179,11 +189,13 @@ func EmbedImage(img image.Image) []float64 {
 	for i := range v {
 		v[i] -= mean
 	}
-	return normalize(v)
+	normalize(v[:])
+	return v
 }
 
-// luma601 is a colour's 8-bit Rec.601 luminance.
-func luma601(c color.Color) float64 {
+// Luma601 is a colour's 8-bit Rec.601 luminance, the per-pixel value
+// EmbedImage averages over each grid cell.
+func Luma601(c color.Color) float64 {
 	r, g, b, _ := c.RGBA()
 	return 0.299*float64(r>>8) + 0.587*float64(g>>8) + 0.114*float64(b>>8)
 }
