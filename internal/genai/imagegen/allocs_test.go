@@ -21,8 +21,8 @@ import (
 // color.Palette of an image's ~100 luminances is one slice plus one
 // boxed colour per entry), nor the synthesis vectors or the measured
 // alignment's to slices, nor the synthesis or encode scratch to
-// per-image buffers, a fresh 607-word random source or a fresh deflate
-// state. A GC emptying the pools mid-run costs a few objects once,
+// per-image buffers (the encoder's rows, histogram and code arrays are
+// its scratch's) or a fresh 607-word random source. A GC emptying the pools mid-run costs a few objects once,
 // which the mean over 50 runs rounds away. (The race detector's
 // instrumentation allocates; hence the build tag.)
 func TestGenerateAllocs(t *testing.T) {

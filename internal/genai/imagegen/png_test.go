@@ -38,10 +38,8 @@ func landscapePNGs(tb testing.TB, size int) [][]byte {
 	return pngs
 }
 
-// filterTypes inflates a PNG's IDAT stream and returns each row's
-// filter byte, for an 8-bit single-channel image of width w.
-func filterTypes(t *testing.T, b []byte, w int) []byte {
-	t.Helper()
+// idatOf returns the data of a PNG's IDAT chunks, concatenated.
+func idatOf(b []byte) []byte {
 	var idat []byte
 	for b = b[8:]; len(b) >= 12; { // past the signature: length, type, data, CRC
 		n := binary.BigEndian.Uint32(b)
@@ -50,7 +48,13 @@ func filterTypes(t *testing.T, b []byte, w int) []byte {
 		}
 		b = b[12+n:]
 	}
-	zr, err := zlib.NewReader(bytes.NewReader(idat))
+	return idat
+}
+
+// inflate is compress/zlib's reading of a zlib stream.
+func inflate(t *testing.T, z []byte) []byte {
+	t.Helper()
+	zr, err := zlib.NewReader(bytes.NewReader(z))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +62,14 @@ func filterTypes(t *testing.T, b []byte, w int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return raw
+}
+
+// filterTypes inflates a PNG's IDAT stream and returns each row's
+// filter byte, for an 8-bit single-channel image of width w.
+func filterTypes(t *testing.T, b []byte, w int) []byte {
+	t.Helper()
+	raw := inflate(t, idatOf(b))
 	if len(raw)%(1+w) != 0 {
 		t.Fatalf("inflated IDAT is %d B, not whole rows of %d", len(raw), 1+w)
 	}
@@ -66,6 +78,46 @@ func filterTypes(t *testing.T, b []byte, w int) []byte {
 		filters = append(filters, raw[0])
 	}
 	return filters
+}
+
+// paethRows is the PNG specification's Paeth filter over img's
+// indices, in the specification's form: every row led by filter byte
+// 4, a neighbour outside the image 0, and p = a+b−c predicted by
+// whichever of a, b, c is nearest, ties going to a, then b.
+func paethRows(img *image.Paletted) []byte {
+	at := func(x, y int) int {
+		if x < 0 || y < 0 {
+			return 0
+		}
+		return int(img.Pix[y*img.Stride+x])
+	}
+	abs := func(v int) int { return max(v, -v) }
+	var rows []byte
+	for y := range img.Rect.Dy() {
+		rows = append(rows, 4)
+		for x := range img.Rect.Dx() {
+			a, b, c := at(x-1, y), at(x, y-1), at(x-1, y-1)
+			p := a + b - c
+			pred := c
+			if pa, pb, pc := abs(p-a), abs(p-b), abs(p-c); pa <= pb && pa <= pc {
+				pred = a
+			} else if pb <= pc {
+				pred = b
+			}
+			rows = append(rows, byte(at(x, y)-pred))
+		}
+	}
+	return rows
+}
+
+// checkRows requires that enc's IDAT inflate, through compress/zlib,
+// to exactly the specification's Paeth rows of img.
+func checkRows(t *testing.T, enc []byte, img *image.Paletted) {
+	t.Helper()
+	got, want := inflate(t, idatOf(enc)), paethRows(img)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("IDAT inflates to %d B that are not the %d B of the image's Paeth rows", len(got), len(want))
+	}
 }
 
 // TestGeneratedPNGBytes holds the bytes a generated image costs on the
@@ -149,6 +201,83 @@ func TestGeneratedPNGBytes(t *testing.T) {
 	}
 }
 
+// TestEncodeIndexedLengthLimit: images whose Huffman codes sit at the
+// edges of the block writer's code builder decode, through
+// compress/zlib to their Paeth rows and through image/png to their
+// pixels. One row's residuals are Fibonacci-shaped — 22 symbols
+// counted 1, 1, 2, 3, 5, … — so an unlimited Huffman code for them is
+// 21 bits deep (23 with the row's filter byte and end of block) and
+// must be cut to deflate's 15; a 1×1 image has two symbols, its filter
+// byte and end of block (its one residual is 4 too).
+func TestEncodeIndexedLengthLimit(t *testing.T) {
+	gray := make(color.Palette, 256)
+	for i := range gray {
+		gray[i] = color.NRGBA{R: uint8(i), G: uint8(i), B: uint8(i), A: 0xff}
+	}
+	var fib []byte // a row's residuals: symbol 10+3k, Fibonacci(k+1) times
+	for k, a, b := 0, 1, 1; k < 22; k, a, b = k+1, b, a+b {
+		fib = append(fib, bytes.Repeat([]byte{byte(10 + 3*k)}, a)...)
+	}
+	fibRow := image.NewPaletted(image.Rect(0, 0, len(fib), 1), gray)
+	var sum byte
+	for x, r := range fib { // a row's first pixel is its residual, each next its left neighbour plus its own
+		sum += r
+		fibRow.Pix[x] = sum
+	}
+	one := image.NewPaletted(image.Rect(0, 0, 1, 1), gray)
+	one.Pix[0] = 4
+
+	for _, c := range []struct {
+		name string
+		img  *image.Paletted
+	}{{"fibonacci", fibRow}, {"1x1", one}} {
+		t.Run(c.name, func(t *testing.T) {
+			enc, err := imagegen.EncodePNG(c.img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRows(t, enc, c.img)
+			got, err := png.Decode(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := range c.img.Rect.Dx() {
+				if g, w := color.NRGBAModel.Convert(got.At(x, 0)), c.img.At(x, 0); g != w {
+					t.Fatalf("pixel %d decodes to %v, want %v", x, g, w)
+				}
+			}
+		})
+	}
+}
+
+// TestIDATMatchesZlib: the block writer's IDAT is as small as
+// compress/zlib's at HuffmanOnly over the same rows, within 0.5%, on
+// the mean of the 49 landscape images at the LoadPage shape and at the
+// request default. (compress/zlib also ends its stream with an empty
+// stored block, 5 bytes the one final block does not spend.)
+func TestIDATMatchesZlib(t *testing.T) {
+	for _, size := range []int{128, 224} {
+		ours, theirs := 0, 0
+		for _, p := range landscapePNGs(t, size) {
+			idat := idatOf(p)
+			var z bytes.Buffer
+			zw, err := zlib.NewWriterLevel(&z, zlib.HuffmanOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zw.Write(inflate(t, idat))
+			zw.Close()
+			ours += len(idat)
+			theirs += z.Len()
+		}
+		ratio := float64(ours) / float64(theirs)
+		t.Logf("%d²: mean IDAT %.1f B, compress/zlib's %.1f B (%+.2f%%)", size, float64(ours)/49, float64(theirs)/49, 100*(ratio-1))
+		if math.Abs(ratio-1) > 0.005 {
+			t.Errorf("%d²: mean IDAT %.1f B, compress/zlib's at HuffmanOnly %.1f B: more than 0.5%% apart", size, float64(ours)/49, float64(theirs)/49)
+		}
+	}
+}
+
 // BenchmarkDecodeGenerated128 is the decoder's side of encodeIndexed's
 // trade, beside BenchmarkGenerate128: png.Decode of the 49 LoadPage-
 // shaped landscape PNGs, one per op. Paeth rows under Huffman-only
@@ -167,7 +296,8 @@ func BenchmarkDecodeGenerated128(b *testing.B) {
 // FuzzEncodeIndexed: any paletted image up to 64² — a sub-image with a
 // non-zero origin and a stride wider than its rows, a palette of 1–256
 // entries of any alpha — decodes from EncodePNG to its own colours, and
-// to what image/png's encoding of it decodes to.
+// to what image/png's encoding of it decodes to; and its IDAT inflates,
+// through compress/zlib, to exactly the specification's Paeth rows.
 func FuzzEncodeIndexed(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), int8(0), int8(0), uint8(0), []byte(nil))
 	f.Add(uint8(63), uint8(63), uint8(255), int8(-5), int8(7), uint8(3), []byte("\x10\x20\x30\xff\x11\x21\x31\x80"))
@@ -199,6 +329,7 @@ func FuzzEncodeIndexed(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkRows(t, enc, img)
 		got, err := png.Decode(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("decoding EncodePNG's output: %v", err)
@@ -226,4 +357,30 @@ func FuzzEncodeIndexed(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkEncodePNG128 is encodeIndexed alone at the LoadPage shape:
+// EncodePNG of the 49 landscape images, decoded back to their planes
+// and their palettes to the color.NRGBA entries a generated palette
+// holds, one per op.
+func BenchmarkEncodePNG128(b *testing.B) {
+	var imgs []image.Image
+	for _, p := range landscapePNGs(b, 128) {
+		img, err := png.Decode(bytes.NewReader(p))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pal := img.(*image.Paletted).Palette
+		for i, c := range pal {
+			pal[i] = color.NRGBAModel.Convert(c)
+		}
+		imgs = append(imgs, img)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := imagegen.EncodePNG(imgs[i%len(imgs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -18,8 +18,10 @@ import (
 // ResponseWriter, Response, body adapter, the client's stream context —
 // lives inside the client's Stream, and the server answers in the
 // Stream its previous inline reply left spare.
-// A handler that is served from a goroutine pays two objects more: a
-// Stream of its own on the server and the closure of its go statement.
+// A handler that is served from a goroutine pays one object more, a
+// Stream of its own on the server. It runs on the handler goroutine
+// the previous such request left parked, so no go statement allocates
+// a closure for it.
 // A request under a cancelable context pays nothing more once the
 // connection keeps a cancel hook for that context, from the context's
 // second stream on (conn.hookContext). A request under a context of
@@ -30,7 +32,7 @@ import (
 // that cancels the connection's streams.
 const (
 	getAllocBudget           = 2
-	getAllocBudgetGoroutine  = getAllocBudget + 2
+	getAllocBudgetGoroutine  = getAllocBudget + 1
 	getAllocBudgetPerRequest = getAllocBudget + 8
 )
 

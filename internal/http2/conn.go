@@ -209,6 +209,13 @@ type conn struct {
 	// loop, for the next accepted stream to reuse. Only the read loop
 	// touches it.
 	spare *Stream
+
+	// idle hands a declined stream to the handler goroutine parked on
+	// it, if one is; parked says one is, or is about to be. A handler
+	// goroutine that finishes parks unless another has, so a connection
+	// keeps at most one, its stack grown by the requests it served.
+	idle   chan *Stream
+	parked atomic.Bool
 }
 
 func newConn(nc net.Conn, cfg Config, server bool) *conn {
@@ -235,6 +242,7 @@ func newConn(nc net.Conn, cfg Config, server bool) *conn {
 	}
 	if server {
 		c.nextID = 2
+		c.idle = make(chan *Stream)
 		if cfg.AbusePolicy == nil || !cfg.AbusePolicy.Disabled {
 			c.abuse = newAbuseLedger(cfg.AbusePolicy)
 		}
@@ -817,7 +825,11 @@ func (c *conn) acceptStream(id uint32, fields []hpack.HeaderField, endStream boo
 	if err != nil {
 		st.closeWithError(err) // torn down meanwhile: the handler finds it dead
 	}
-	go c.runHandler(st)
+	select {
+	case c.idle <- st:
+	default:
+		go c.runHandler(st)
+	}
 	return nil
 }
 
@@ -851,7 +863,17 @@ func (c *conn) serveInline(st *Stream) (served bool) {
 	return true
 }
 
+// runHandler serves st on a goroutine of its own, then each stream
+// acceptStream hands it while it is the connection's parked handler.
+// It returns when another handler is parked or the connection dies.
 func (c *conn) runHandler(st *Stream) {
+	for st != nil {
+		c.serveStream(st)
+		st = c.park()
+	}
+}
+
+func (c *conn) serveStream(st *Stream) {
 	w := &st.rw
 	defer func() {
 		if r := recover(); r != nil {
@@ -860,6 +882,21 @@ func (c *conn) runHandler(st *Stream) {
 		c.finishServerStream(st, w)
 	}()
 	c.handler.ServeSWW(w, &st.req)
+}
+
+// park waits on idle for the next declined stream, unless another
+// handler is parked, and returns nil once the connection dies.
+func (c *conn) park() *Stream {
+	if !c.parked.CompareAndSwap(false, true) {
+		return nil
+	}
+	select {
+	case st := <-c.idle:
+		c.parked.Store(false)
+		return st
+	case <-c.doneCh:
+		return nil
+	}
 }
 
 // handlerPanicked turns a handler panic into a 500 (if no response
