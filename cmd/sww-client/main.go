@@ -123,7 +123,7 @@ func fetchThroughEdges(spec, path, out string, probe bool, profile device.Profil
 	ec := cdn.NewEdgeClient(cdn.EdgeClientConfig{
 		Device: profile,
 		Proc:   proc,
-		Retry:  core.RetryPolicy{MaxAttempts: 2, AttemptTimeout: 10 * time.Second},
+		Retry:  core.RetryPolicy{MaxAttempts: 2, PeerTimeout: 2 * time.Second},
 	}, dials)
 	defer ec.Close()
 

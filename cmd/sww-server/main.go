@@ -137,13 +137,10 @@ func main() {
 	if *role == "edge" {
 		peers, peerDials := cdn.ParsePeers(*peerNames, *edgeName)
 		runEdge(cdn.EdgeConfig{
-			Name:     *edgeName,
-			TTL:      *edgeTTL,
-			MaxStale: *edgeMaxStale,
-			// 3 attempts of 2s keep the edge's whole upstream ladder
-			// inside one sww-client attempt (10s), so a slow origin
-			// never makes the client retry work the edge is still doing.
-			Retry:            core.RetryPolicy{MaxAttempts: 3, AttemptTimeout: 2 * time.Second},
+			Name:             *edgeName,
+			TTL:              *edgeTTL,
+			MaxStale:         *edgeMaxStale,
+			Retry:            core.RetryPolicy{MaxAttempts: 3, PeerTimeout: 2 * time.Second},
 			Peers:            peers,
 			PeerDials:        peerDials,
 			AdvertiseAddr:    *edgeAdvertise,

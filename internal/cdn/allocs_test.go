@@ -93,69 +93,83 @@ func TestPushAllocs(t *testing.T) {
 
 // TestRefillAllocs: one invalidation of a cached page, pushed to the
 // edge, and the next GET of that page — a miss, pulled from the origin
-// and cached again — counted process-wide. The miss builds what the
-// shard keeps and what its transports need, nothing else: the pull runs
-// under no request's context, names the client's ability with a shared
-// header list, is cached once for every request coalesced on it, and is
-// indexed in place. Its deadline is a context shared by the pulls that
-// start within a second of one another (upstreamCtx), and, as this
-// edge's Retry sets no AttemptTimeout, the origin connection's one
-// cancel hook on that context serves them all. The reply comes back
-// by value, inside the entry. 16 objects at this writing (21 while each pull registered a cancel hook of its own and
-// returned a *RawReply, 31 before that, 44 before that):
+// and cached again — counted process-wide, with a zero Retry (as the
+// benchmark's edges) and with sww-server's edge policy. The miss builds
+// what the shard keeps and what its transports need, nothing else: the
+// pull runs under no request's context, names the client's ability
+// with a shared header list, is cached once for every request
+// coalesced on it, and is indexed in place. Its deadline is a context
+// shared by the pulls that start within a second of one another
+// (upstreamCtx), and the origin connection's one cancel hook on that
+// context serves them all: a policy's PeerTimeout bounds connects and
+// paces keepalive, and times no attempt. The reply comes back by value,
+// inside the entry. 15 objects on both rows at this writing (25 with
+// sww-server's policy while each attempt ran under a deadline of its
+// own; 16 while each declined request started a handler goroutine, 21
+// while each pull registered a cancel hook of its own and returned a
+// *RawReply, 31 before that, 44 before that):
 //   - the push's 5: the log entry's paths, the path string, the
 //     origin's Stream and ack body, the edge's :path header;
 //   - on the edge: the key, the singleflight call, the entry, its
-//     content-length string, its shard node, and the closure of the
-//     handler's go statement with the Stream that replaces the one the
-//     handler took;
+//     content-length string, its shard node, and the Stream that
+//     replaces the one the parked handler took;
 //   - the pull's Stream and body;
 //   - the client's Stream and body.
 func TestRefillAllocs(t *testing.T) {
-	srv := newHAServer(t)
-	srv.AddPage(workload.LoadPage(0))
-	path := workload.LoadPagePath(0)
-	o := NewOrigin(srv, 64)
-	defer o.Close()
-	origins := core.NewEndpointSet(core.EndpointHealthConfig{})
-	origins.Add("origin", func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		srv.StartConn(sEnd)
-		return cEnd, nil
-	})
-	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, origins)
-	defer e.Close()
-	o.Subscribe("edge1", "", 0, func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		e.StartConn(sEnd)
-		return cEnd, nil
-	})
-	cEnd, sEnd := net.Pipe()
-	sc := e.StartConn(sEnd)
-	cc, err := http2.NewClientConn(cEnd, http2.Config{GenAbility: http2.GenFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	defer cc.Close()
-	paths := []string{path}
-	refill := func() {
-		o.Invalidate(paths)
-		awaitPush(t, o, e)
-		resp, err := cc.Get(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := http2.ReadAllBody(resp)
-		if err != nil || resp.Status != 200 || len(body) == 0 || resp.HeaderValue(core.EdgeCacheHeader) != "miss" {
-			t.Fatalf("GET after invalidation = %d, %d bytes, %v, headers %v", resp.Status, len(body), err, resp.Header)
-		}
-	}
-	for i := 0; i < 200; i++ { // dial both ways, fill the dynamic tables, grow the log to its cap
-		refill()
-	}
-	if allocs := testing.AllocsPerRun(500, refill); allocs > 17 {
-		t.Fatalf("one invalidation and the miss that refills it allocate %v objects, want at most 17", allocs)
+	for _, tc := range []struct {
+		name  string
+		retry core.RetryPolicy
+	}{
+		{"zero-retry", core.RetryPolicy{}},
+		{"sww-server", core.RetryPolicy{MaxAttempts: 3, PeerTimeout: 2 * time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newHAServer(t)
+			srv.AddPage(workload.LoadPage(0))
+			path := workload.LoadPagePath(0)
+			o := NewOrigin(srv, 64)
+			defer o.Close()
+			origins := core.NewEndpointSet(core.EndpointHealthConfig{})
+			origins.Add("origin", func() (net.Conn, error) {
+				cEnd, sEnd := net.Pipe()
+				srv.StartConn(sEnd)
+				return cEnd, nil
+			})
+			e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour, Retry: tc.retry}, origins)
+			defer e.Close()
+			o.Subscribe("edge1", "", 0, func() (net.Conn, error) {
+				cEnd, sEnd := net.Pipe()
+				e.StartConn(sEnd)
+				return cEnd, nil
+			})
+			cEnd, sEnd := net.Pipe()
+			sc := e.StartConn(sEnd)
+			cc, err := http2.NewClientConn(cEnd, http2.Config{GenAbility: http2.GenFull})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			defer cc.Close()
+			paths := []string{path}
+			refill := func() {
+				o.Invalidate(paths)
+				awaitPush(t, o, e)
+				resp, err := cc.Get(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := http2.ReadAllBody(resp)
+				if err != nil || resp.Status != 200 || len(body) == 0 || resp.HeaderValue(core.EdgeCacheHeader) != "miss" {
+					t.Fatalf("GET after invalidation = %d, %d bytes, %v, headers %v", resp.Status, len(body), err, resp.Header)
+				}
+			}
+			for i := 0; i < 200; i++ { // dial both ways, fill the dynamic tables, grow the log to its cap
+				refill()
+			}
+			if allocs := testing.AllocsPerRun(500, refill); allocs > 16 {
+				t.Fatalf("one invalidation and the miss that refills it allocate %v objects, want at most 16", allocs)
+			}
+		})
 	}
 }
 

@@ -91,8 +91,9 @@ type EdgeConfig struct {
 	PollInterval time.Duration
 
 	// Retry shapes the upstream (edge → origin) retry ladder. Keep
-	// MaxAttempts low and AttemptTimeout tight: a dead origin should
-	// fail fast into stale serving, not stack client timeouts.
+	// MaxAttempts low and PeerTimeout tight: a dead origin should fail
+	// fast into stale serving; one that never answers is cut at
+	// upstreamBudget.
 	Retry core.RetryPolicy
 
 	// Peers names every edge in the fleet, this one included; it seeds
@@ -843,10 +844,10 @@ func (e *Edge) revalidate(key, path string, gen http2.GenAbility) {
 
 // fetchUpstream fetches path from the origin for a client of ability
 // gen, on the edge's behalf rather than any one request's: a pull or a
-// revalidation. Close ends it, and so does its deadline (upstreamCtx),
-// which holds however EdgeConfig.Retry is set — a zero Retry puts no
-// deadline on an attempt, and an origin that takes a request and never
-// answers must not hold the key's coalesced requests forever.
+// revalidation. Close ends it, and so does its deadline (upstreamCtx):
+// keepalive finds a dead origin, but one that takes a request and never
+// answers still ACKs its PINGs, and must not hold the key's coalesced
+// requests forever.
 func (e *Edge) fetchUpstream(path string, gen http2.GenAbility) (core.RawReply, error) {
 	return e.upstream.FetchRawContext(e.upstreamCtx(), path, genHeaders[gen]...)
 }
@@ -875,14 +876,14 @@ func (e *Edge) upstreamCtx() context.Context {
 // retry ladder.
 const upstreamSlack = time.Second
 
-// upstreamBudget bounds one fetchUpstream: a full upstream retry
-// ladder plus backoff slack.
+// upstreamBudget bounds one fetchUpstream: a PeerTimeout (2s when
+// unset) for each attempt of the upstream ladder, plus backoff slack.
 func (e *Edge) upstreamBudget() time.Duration {
 	attempts := e.cfg.Retry.MaxAttempts
 	if attempts <= 0 {
 		attempts = 4
 	}
-	per := e.cfg.Retry.AttemptTimeout
+	per := e.cfg.Retry.PeerTimeout
 	if per <= 0 {
 		per = 2 * time.Second
 	}
@@ -1106,7 +1107,9 @@ func (e *Edge) sweepLoop() {
 			return
 		case <-time.After(jitterDuration(e.cfg.heartbeat(), rng)):
 		}
-		e.mesh.Tick(e.pollCtx)
+		ctx, cancel := context.WithTimeout(e.pollCtx, e.cfg.heartbeat())
+		e.mesh.Tick(ctx)
+		cancel()
 	}
 }
 

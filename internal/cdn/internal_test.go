@@ -390,13 +390,13 @@ func TestPullOutlivesLeaderCancel(t *testing.T) {
 	}
 }
 
-// TestPullBoundedWithoutAttemptTimeout: a pull runs under no request's
-// context, so with no per-attempt deadline (AttemptTimeout zero, as in
-// a zero Retry) the edge's own budget must still end it. An origin
-// that takes the request and never answers gets every request
-// coalesced on the key its 502 — here within one 2 s attempt plus 1 s
-// of slack — instead of holding them forever.
-func TestPullBoundedWithoutAttemptTimeout(t *testing.T) {
+// TestPullBoundedByUpstreamBudget: a pull runs under no request's
+// context, and an origin that takes the request and never answers
+// still ACKs keepalive PINGs, so the edge's own budget must end it.
+// Every request coalesced on the key gets its 502 — here, with a zero
+// Retry's one attempt, within 2 s plus 1 s of slack — instead of
+// waiting forever.
+func TestPullBoundedByUpstreamBudget(t *testing.T) {
 	cfg := EdgeConfig{Name: "edge1", TTL: time.Hour, Retry: core.RetryPolicy{MaxAttempts: 1}}
 	_, dial := pullFixture(t, cfg, func(w *http2.ResponseWriter, r *http2.Request) {
 		<-r.Stream().Context().Done() // never answers; unwinds when the edge gives up
@@ -425,13 +425,47 @@ func TestPullBoundedWithoutAttemptTimeout(t *testing.T) {
 	}
 }
 
+// TestHungOriginOpensBreaker: an origin that takes every request and
+// never answers still ACKs keepalive PINGs, so only upstreamBudget ends
+// its pulls, and each pull so ended books the origin a failure and
+// drops its connection. Under a 3-attempt policy three misses in a row
+// each get a 502 when their budget runs out, which opens the origin's
+// breaker (the default threshold of 3), and the next miss fails static:
+// a 502 at once, with no pull.
+func TestHungOriginOpensBreaker(t *testing.T) {
+	var pulls atomic.Int32
+	cfg := EdgeConfig{Name: "edge1", TTL: time.Hour,
+		Retry: core.RetryPolicy{MaxAttempts: 3, PeerTimeout: 100 * time.Millisecond}}
+	e, dial := pullFixture(t, cfg, func(w *http2.ResponseWriter, r *http2.Request) {
+		pulls.Add(1)
+		<-r.Stream().Context().Done() // never answers; unwinds when the edge gives up
+	})
+	cc := dial()
+	budget := e.upstreamBudget()
+	for i := range 3 {
+		if _, got, err := pullGet(cc); err != nil || !strings.HasPrefix(got, "502 ") {
+			t.Fatalf("miss %d on the hung origin got %q, %v; want a 502", i+1, got, err)
+		}
+	}
+	if e.upstream.Endpoints().AnyHealthy() {
+		t.Fatalf("origin breaker closed after %d pulls cut at the %v budget", pulls.Load(), budget)
+	}
+	start := time.Now()
+	if _, got, err := pullGet(cc); err != nil || !strings.HasPrefix(got, "502 ") {
+		t.Errorf("the miss after the breaker opened got %q, %v; want a 502", got, err)
+	}
+	if took, n := time.Since(start), pulls.Load(); took >= budget/2 || n != 3 {
+		t.Errorf("the miss after the breaker opened took %v with %d pulls in all, want it at once and 3", took, n)
+	}
+}
+
 // TestUpstreamCtxShared: the fetches that start within upstreamSlack
 // of one another share one deadline context, which leaves each at least
 // a full retry ladder and at most upstreamBudget. A later fetch gets a
 // new context and the old one runs on for the fetches under it; Close
 // ends both.
 func TestUpstreamCtxShared(t *testing.T) {
-	e := NewEdge(EdgeConfig{Name: "edge1", Retry: core.RetryPolicy{MaxAttempts: 2, AttemptTimeout: time.Second}},
+	e := NewEdge(EdgeConfig{Name: "edge1", Retry: core.RetryPolicy{MaxAttempts: 2, PeerTimeout: time.Second}},
 		core.NewEndpointSet(core.EndpointHealthConfig{}))
 	budget := e.upstreamBudget()
 	start := time.Now()

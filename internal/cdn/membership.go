@@ -80,12 +80,12 @@ type meshPeer struct {
 }
 
 // newMeshPeer builds one peer's client: a single attempt per request,
-// bounded by attempt.
-func newMeshPeer(name string, dial core.DialFunc, attempt time.Duration) *meshPeer {
+// with heartbeat as its PeerTimeout.
+func newMeshPeer(name string, dial core.DialFunc, heartbeat time.Duration) *meshPeer {
 	set := core.NewEndpointSet(meshHealth)
 	ep := set.Add(name, dial)
 	rc := core.NewResilientClientEndpoints(set, device.Workstation, nil,
-		core.RetryPolicy{MaxAttempts: 1, AttemptTimeout: attempt})
+		core.RetryPolicy{MaxAttempts: 1, PeerTimeout: heartbeat})
 	return &meshPeer{name: name, ep: ep, rc: rc}
 }
 
@@ -144,10 +144,10 @@ func (m *Membership) Counts() (alive, suspect, dead int) {
 }
 
 // Tick runs one sweep: probe every peer concurrently (each probe is
-// bounded by its client's attempt timeout), then take each peer that
-// died since the last sweep off the ring and put each that came back
-// on it. Exported so tests and experiment harnesses can drive
-// membership deterministically.
+// bounded by ctx, and one its deadline ends books the peer a failure),
+// then take each peer that died since the last sweep off the ring and
+// put each that came back on it. Exported so tests and experiment
+// harnesses can drive membership deterministically.
 func (m *Membership) Tick(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, p := range m.peers {

@@ -261,11 +261,11 @@ func TestEdgeRetryBudgetCapsPollStorm(t *testing.T) {
 		Name:             "edge1",
 		RetryBudgetRatio: ratio,
 		Retry: core.RetryPolicy{
-			MaxAttempts:    4,
-			AttemptTimeout: 4 * time.Millisecond,
-			BaseDelay:      time.Millisecond,
-			MaxDelay:       2 * time.Millisecond,
-			Seed:           17,
+			MaxAttempts: 4,
+			PeerTimeout: 4 * time.Millisecond,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    2 * time.Millisecond,
+			Seed:        17,
 		},
 	}, origins)
 	defer e.Close()

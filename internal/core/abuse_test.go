@@ -156,8 +156,9 @@ func readUntilGoAway(fr *http2.Framer) error {
 }
 
 // calmTap counts what the abuse ledger sends on the connections it
-// watches: RST_STREAM(ENHANCE_YOUR_CALM) and GOAWAY frames.
-type calmTap struct{ calmRSTs, goAways atomic.Int32 }
+// watches, RST_STREAM(ENHANCE_YOUR_CALM) and GOAWAY frames, and the
+// PING ACKs that answer the client's keepalive.
+type calmTap struct{ calmRSTs, goAways, pingAcks atomic.Int32 }
 
 // tapConn parses the server's frames as its client reads them, which
 // only the client's read loop does.
@@ -182,10 +183,60 @@ func (c *tapConn) Read(p []byte) (int, error) {
 			}
 		case http2.FrameGoAway:
 			c.tap.goAways.Add(1)
+		case http2.FramePing:
+			if c.buf[4]&http2.FlagAck != 0 {
+				c.tap.pingAcks.Add(1)
+			}
 		}
 		c.buf = c.buf[end:]
 	}
 	return n, err
+}
+
+// TestKeepAlivePingBudget: a client connection PINGs its peer only
+// while a stream is open, so keepalive spends a server's PING budget
+// only on requests that wait. A request the server holds silent for
+// 12 keepalive periods is PINGed and completes on the connection's one
+// dial; the connection then idles for 10 periods, two abuse windows,
+// without a PING, and serves the next request. The ledger kills
+// nothing.
+func TestKeepAlivePingBudget(t *testing.T) {
+	const period = 40 * time.Millisecond
+	page := overloadGenPage(0)
+	srv := newOverloadServer(t, overload.Config{
+		MaxGenWorkers: 1,
+		GenWallScale:  holdScale(t, page, 12*period),
+	})
+	srv.h2.Config.AbusePolicy = &http2.AbusePolicy{Window: 5 * period}
+	srv.AddPage(page)
+
+	var tap calmTap
+	var dials atomic.Int32
+	rc := NewResilientClient(func() (net.Conn, error) {
+		dials.Add(1)
+		cEnd, sEnd := net.Pipe()
+		srv.StartConn(sEnd)
+		return &tapConn{Conn: cEnd, tap: &tap}, nil
+	}, device.Laptop, nil, RetryPolicy{MaxAttempts: 1, PeerTimeout: period})
+	defer rc.Close()
+	start := time.Now()
+	if _, err := rc.Fetch(page.Path); err != nil {
+		t.Fatalf("held fetch: %v", err)
+	}
+	held, acked := time.Since(start), tap.pingAcks.Load()
+	if held < 10*period || acked == 0 {
+		t.Fatalf("held fetch took %v with %d PINGs answered, want ≥ %v with some", held, acked, 10*period)
+	}
+	time.Sleep(10 * period)
+	if idle := tap.pingAcks.Load() - acked; idle != 0 {
+		t.Errorf("the idle connection sent %d PINGs, want none", idle)
+	}
+	if _, err := rc.Fetch(page.Path); err != nil {
+		t.Fatalf("fetch after idling: %v", err)
+	}
+	if n, g := dials.Load(), srv.OverloadStats().AbuseGoAways; n != 1 || g != 0 {
+		t.Errorf("%d dials and %d abuse GOAWAYs, want 1 and 0", n, g)
+	}
 }
 
 // TestResetFreesGenerationWorker: a stream reset while its generation

@@ -166,10 +166,11 @@ func TestChaosFaultClasses(t *testing.T) {
 		{
 			name:  "blackhole",
 			fault: faultnet.Config{Seed: 7, BlackholeAfter: 30_000},
-			// Generous timeout: generation is CPU-bound and slows
-			// ~10x under -race; only the blackholed attempt may trip.
+			// Keepalive finds the blackhole within about three
+			// PeerTimeouts, however slowly generation runs (~10x
+			// under -race): a live server ACKs its PINGs.
 			policy: core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond,
-				AttemptTimeout: 8 * time.Second, Seed: 9},
+				PeerTimeout: 100 * time.Millisecond, Seed: 9},
 			wantRetry: true,
 		},
 		{

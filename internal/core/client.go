@@ -101,11 +101,15 @@ type Client struct {
 // a traditional (non-generative) client; otherwise the client
 // advertises full generation plus upscaling ability.
 func NewClient(nc net.Conn, dev device.Profile, proc *PageProcessor) (*Client, error) {
-	ability := http2.GenNone
-	if proc != nil {
-		ability = http2.GenFull | http2.GenUpscaleOnly
+	return NewClientWithAbility(nc, dev, proc, clientAbility(proc))
+}
+
+// clientAbility is what a client with processor proc advertises.
+func clientAbility(proc *PageProcessor) http2.GenAbility {
+	if proc == nil {
+		return http2.GenNone
 	}
-	return NewClientWithAbility(nc, dev, proc, ability)
+	return http2.GenFull | http2.GenUpscaleOnly
 }
 
 // NewClientWithAbility is NewClient with an explicit advertised
@@ -117,7 +121,12 @@ func NewClient(nc net.Conn, dev device.Profile, proc *PageProcessor) (*Client, e
 // also has locally, the client adopts them — server prompts are tuned
 // for those models.
 func NewClientWithAbility(nc net.Conn, dev device.Profile, proc *PageProcessor, ability http2.GenAbility) (*Client, error) {
-	cc, err := http2.NewClientConn(nc, http2.Config{GenAbility: ability})
+	return newClient(nc, dev, proc, http2.Config{GenAbility: ability})
+}
+
+// newClient is the h2 client over nc with connection config cfg.
+func newClient(nc net.Conn, dev device.Profile, proc *PageProcessor, cfg http2.Config) (*Client, error) {
+	cc, err := http2.NewClientConn(nc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -130,11 +139,7 @@ func NewClientWithAbility(nc net.Conn, dev device.Profile, proc *PageProcessor, 
 // SWW client logic with the negotiation carried on the QUIC control
 // stream's SETTINGS.
 func NewClientH3(nc net.Conn, dev device.Profile, proc *PageProcessor) (*Client, error) {
-	ability := http2.GenNone
-	if proc != nil {
-		ability = http2.GenFull | http2.GenUpscaleOnly
-	}
-	cc, err := http3.NewClientConn(nc, http3.Config{GenAbility: ability})
+	cc, err := http3.NewClientConn(nc, http3.Config{GenAbility: clientAbility(proc)})
 	if err != nil {
 		return nil, err
 	}

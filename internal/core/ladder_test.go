@@ -65,7 +65,7 @@ func TestLadderOutcomes(t *testing.T) {
 				}
 				calls, sawDegraded := 0, false
 				start := time.Now()
-				attempts, reason, err := rc.ladder(ctx, what, path, func(_ context.Context, degraded bool) error {
+				attempts, reason, err := rc.ladder(ctx, what, path, func(degraded bool) error {
 					sawDegraded = sawDegraded || degraded
 					calls++
 					return tc.script[calls-1]
@@ -103,16 +103,16 @@ func TestLadderOutcomes(t *testing.T) {
 	}
 }
 
-// TestLadderAttemptTimeout: an attempt that outlives the policy's
-// per-attempt deadline is a retryable transport fault, not the
-// caller's deadline — for both entry points, end to end.
-func TestLadderAttemptTimeout(t *testing.T) {
+// TestLadderPeerTimeout: a connect that outlives the policy's
+// PeerTimeout is a retryable transport fault, not the caller's
+// deadline — for both entry points, end to end.
+func TestLadderPeerTimeout(t *testing.T) {
 	var dials atomic.Int32
 	rc := NewResilientClient(func() (net.Conn, error) {
 		dials.Add(1)
 		c, _ := net.Pipe() // nobody serves the far end: the handshake hangs
 		return c, nil
-	}, device.Workstation, nil, RetryPolicy{MaxAttempts: 2, AttemptTimeout: 10 * time.Millisecond, BaseDelay: time.Millisecond})
+	}, device.Workstation, nil, RetryPolicy{MaxAttempts: 2, PeerTimeout: 10 * time.Millisecond, BaseDelay: time.Millisecond})
 	defer rc.Close()
 	_, pageErr := rc.FetchContext(context.Background(), "/p")
 	_, rawErr := rc.FetchRawContext(context.Background(), "/p")

@@ -26,11 +26,12 @@ type RetryPolicy struct {
 	// request together count as one attempt). Zero means 4.
 	MaxAttempts int
 
-	// AttemptTimeout bounds each individual attempt. A blackholed or
-	// wedged connection then fails that attempt and retries on a
-	// fresh one, instead of consuming the caller's whole deadline.
-	// Zero means attempts are bounded only by the caller's context.
-	AttemptTimeout time.Duration
+	// PeerTimeout bounds each connect (dial, preface, the peer's
+	// SETTINGS) and is the keepalive interval of the connections the
+	// client dials: a dead or blackholed peer fails its attempt as a
+	// retryable transport fault, a live one is waited for. Zero leaves
+	// both to the caller's context.
+	PeerTimeout time.Duration
 
 	// BaseDelay is the first backoff; each further attempt multiplies
 	// it by Multiplier up to MaxDelay. Zeros mean 10ms / 2.0 / 500ms.
@@ -232,10 +233,7 @@ func (rc *ResilientClient) dropLocked() error {
 // getClient returns a cached connection matching the wanted mode, or
 // dials a fresh one. A degraded fetch needs a GenNone connection
 // because SETTINGS_GEN_ABILITY is fixed at the handshake in this
-// implementation. ctx bounds the connect phase (dial + handshake):
-// without it a blackholed peer would pin the attempt on the http2
-// layer's own handshake timeout (10s), blowing far past the policy's
-// AttemptTimeout.
+// implementation.
 func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (*Client, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -278,19 +276,24 @@ func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (*Clien
 	return cl, nil
 }
 
-// connect runs dial + handshake raced against ctx. On loss it closes
-// the half-open conn so the abandoned handshake goroutine unblocks
-// and cleans up after itself; the stale-serve path depends on this
-// bound — an edge must learn its origin is gone within one attempt,
-// not one http2 handshake timeout. A deadline is flattened with %v on
-// purpose: Retryable classifies wrapped context errors as fatal, and
-// a connect that outlived its deadline is a retryable fault of the
-// peer. A cancellation is wrapped: the caller gave up, and nothing is
-// retried or booked for it.
+// connect runs dial + handshake raced against ctx and PeerTimeout. On
+// loss it closes the half-open conn so the abandoned handshake
+// goroutine unblocks and cleans up after itself; the stale-serve path
+// depends on this bound — an edge must learn its origin is gone within
+// one PeerTimeout, not one http2 handshake timeout. A deadline is
+// flattened with %v on purpose: Retryable classifies wrapped context
+// errors as fatal, and a connect that outlived its deadline is a
+// retryable fault of the peer. A cancellation is wrapped: the caller
+// gave up, and nothing is retried or booked for it.
 func (rc *ResilientClient) connect(ctx context.Context, dial DialFunc, degraded bool) (*Client, error) {
 	proc := rc.proc
 	if degraded {
 		proc = nil
+	}
+	if t := rc.policy.PeerTimeout; t > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t)
+		defer cancel()
 	}
 	type result struct {
 		cl  *Client
@@ -305,7 +308,8 @@ func (rc *ResilientClient) connect(ctx context.Context, dial DialFunc, degraded 
 			return
 		}
 		dialed <- nc
-		cl, err := NewClient(nc, rc.dev, proc)
+		cl, err := newClient(nc, rc.dev, proc, http2.Config{
+			GenAbility: clientAbility(proc), KeepAliveInterval: rc.policy.PeerTimeout})
 		if err != nil {
 			nc.Close()
 			done <- result{nil, &http2.TransportError{Op: "handshake", Err: err}}
@@ -339,12 +343,12 @@ func (rc *ResilientClient) connect(ctx context.Context, dial DialFunc, degraded 
 	}
 }
 
-// endpointSuccess / endpointFailure feed the live connection's
-// endpoint breaker. A "success" is any proof the peer is alive and
-// talking — including a 503 busy reply — while a failure is a
-// transport-level fault. Both no-op for single-dial clients and when
-// no endpoint-dialed connection is live (a dial failure was already
-// reported inside getClient).
+// endpointSuccess and fail feed the live connection's endpoint
+// breaker. A success is any proof the peer is alive and talking —
+// including a 503 busy reply — while a failure is a transport-level
+// fault, and drops the connection. Neither books anything for a
+// single-dial client or when no endpoint-dialed connection is live (a
+// dial failure was already reported inside getClient).
 func (rc *ResilientClient) endpointSuccess() {
 	rc.mu.Lock()
 	ep := rc.curEp
@@ -354,11 +358,8 @@ func (rc *ResilientClient) endpointSuccess() {
 	}
 }
 
-func (rc *ResilientClient) endpointFailure() {
-	rc.mu.Lock()
-	ep := rc.curEp
-	rc.mu.Unlock()
-	if ep != nil {
+func (rc *ResilientClient) fail() {
+	if ep := rc.drop(); ep != nil {
 		ep.ReportFailure()
 	}
 }
@@ -368,20 +369,19 @@ func (rc *ResilientClient) endpointFailure() {
 // another endpoint. It is for a peer that answers but must get no
 // traffic — a fenced origin — which no transport outcome would move.
 func (rc *ResilientClient) Rotate() {
-	rc.mu.Lock()
-	ep := rc.curEp
-	rc.dropLocked()
-	rc.mu.Unlock()
-	if ep != nil {
+	if ep := rc.drop(); ep != nil {
 		ep.br.Trip()
 	}
 }
 
-// drop discards the cached connection after a failure.
-func (rc *ResilientClient) drop() {
+// drop discards the cached connection and returns the endpoint that
+// dialed it, nil for none.
+func (rc *ResilientClient) drop() *Endpoint {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	ep := rc.curEp
 	rc.dropLocked()
+	return ep
 }
 
 // Fetch is FetchContext without a deadline.
@@ -394,10 +394,10 @@ func (rc *ResilientClient) Fetch(path string) (*FetchResult, error) {
 // DegradeReason fields record what it took.
 func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*FetchResult, error) {
 	var res *FetchResult
-	attempts, degradeReason, err := rc.ladder(ctx, "fetch", path, func(actx context.Context, degraded bool) error {
-		cl, err := rc.getClient(actx, degraded)
+	attempts, degradeReason, err := rc.ladder(ctx, "fetch", path, func(degraded bool) error {
+		cl, err := rc.getClient(ctx, degraded)
 		if err == nil {
-			res, err = cl.FetchContext(actx, path)
+			res, err = cl.FetchContext(ctx, path)
 		}
 		return err
 	})
@@ -421,10 +421,10 @@ func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*Fetc
 // entry without a heap object of its own.
 func (rc *ResilientClient) FetchRawContext(ctx context.Context, path string, extra ...hpack.HeaderField) (RawReply, error) {
 	var raw RawReply
-	_, _, err := rc.ladder(ctx, "raw fetch", path, func(actx context.Context, _ bool) error {
-		cl, err := rc.getClient(actx, rc.rawDegraded())
+	_, _, err := rc.ladder(ctx, "raw fetch", path, func(bool) error {
+		cl, err := rc.getClient(ctx, rc.rawDegraded())
 		if err == nil {
-			raw, err = cl.fetchRaw(actx, path, extra...)
+			raw, err = cl.fetchRaw(ctx, path, extra...)
 		}
 		return err
 	})
@@ -445,11 +445,11 @@ func (rc *ResilientClient) rawDegraded() bool {
 }
 
 // ladder is the one retry loop behind both fetch flavors. try makes
-// one attempt — connect in the wanted mode, issue the request — under
-// the attempt's context; what ("fetch", "raw fetch") names the flavor
-// in errors. On success it returns how many attempts it took and,
-// when the degrade rung fired, why.
-func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try func(actx context.Context, degraded bool) error) (attempts int, degradeReason string, err error) {
+// one attempt under ctx — connect in the wanted mode, issue the
+// request; what ("fetch", "raw fetch") names the flavor in errors. On
+// success it returns how many attempts it took and, when the degrade
+// rung fired, why.
+func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try func(degraded bool) error) (attempts int, degradeReason string, err error) {
 	var lastErr error
 	degraded := false
 	maxAttempts := rc.policy.maxAttempts()
@@ -463,7 +463,7 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 		if attempt > 1 {
 			rc.met.retries.Inc()
 		}
-		err := rc.attempt(ctx, degraded, try)
+		err := try(degraded)
 		if err == nil {
 			rc.endpointSuccess()
 			return attempt, degradeReason, nil
@@ -518,8 +518,7 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 			rc.endpointSuccess() // the transport held; generation failed
 			rc.drop()            // need a GenNone handshake
 		case http2.Retryable(err):
-			rc.endpointFailure()
-			rc.drop()
+			rc.fail()
 			if attempt < maxAttempts {
 				if !budget.Withdraw() {
 					return 0, "", fmt.Errorf("core: %s %s: %w: %v", what, path, ErrRetryBudgetExhausted, lastErr)
@@ -531,31 +530,16 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 				}
 			}
 		default:
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				// The deadline ended an attempt on a live peer (a dead
+				// one fails keepalive first): its fault, as in connect.
+				// A cancellation books nothing.
+				rc.fail()
+			}
 			return 0, "", err
 		}
 	}
 	return 0, "", fmt.Errorf("core: %s %s: %d attempts exhausted: %w", what, path, maxAttempts, lastErr)
-}
-
-// attempt runs try under the policy's per-attempt deadline.
-func (rc *ResilientClient) attempt(ctx context.Context, degraded bool, try func(actx context.Context, degraded bool) error) error {
-	actx := ctx
-	if t := rc.policy.AttemptTimeout; t > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-	err := try(actx, degraded)
-	if err != nil && actx.Err() != nil && ctx.Err() == nil {
-		// Only the per-attempt deadline fired: the connection is
-		// wedged (blackholed peer, stalled window) but the caller
-		// still has budget — classify as a retryable transport fault.
-		// %v, not %w: Retryable treats wrapped context errors as
-		// fatal, and this one was ours, not the caller's.
-		return &http2.TransportError{Op: "attempt",
-			Err: fmt.Errorf("deadline %v exceeded: %v", rc.policy.AttemptTimeout, err)}
-	}
-	return err
 }
 
 // nextDelay serializes rng access so concurrent fetches stay

@@ -82,11 +82,11 @@ func TestRetryBudgetCapsRetryStorm(t *testing.T) {
 		return faultnet.Blackhole(), nil
 	}
 	rc := NewResilientClient(dial, device.Workstation, nil, RetryPolicy{
-		MaxAttempts:    4,
-		AttemptTimeout: 5 * time.Millisecond,
-		BaseDelay:      time.Millisecond,
-		MaxDelay:       2 * time.Millisecond,
-		Seed:           7,
+		MaxAttempts: 4,
+		PeerTimeout: 5 * time.Millisecond,
+		BaseDelay:   time.Millisecond,
+		MaxDelay:    2 * time.Millisecond,
+		Seed:        7,
 	})
 	defer rc.Close()
 	const burst, ratio = 3, 0.25

@@ -7,8 +7,9 @@ package faultnet
 // new dials fail outright, and the survivor's transport errors
 // immediately, which is what breaker and membership ladders key on.
 // Sever is a partition — *silent*: new dials "succeed" into a
-// Blackhole, so nothing errors and only attempt timeouts escape, which
-// is what timeout ladders (stale serving, standby promotion) key on.
+// Blackhole, so nothing errors and only a client's connect bound
+// escapes, which is what timeout ladders (stale serving, standby
+// promotion) key on.
 // In-process chaos tests use it to rehearse kill→restart and
 // partition→heal without forking real processes.
 

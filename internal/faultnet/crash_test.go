@@ -19,7 +19,7 @@ import (
 // TestCrashLoudAndSilent walks one link through both ways of going
 // down. Killed: live connections die and the next dial errors at once.
 // Severed: live connections die, the next dial "succeeds" into a conn
-// whose handshake never completes, so only the attempt timeout escapes.
+// whose handshake never completes, so only the connect bound escapes.
 // Restart heals either.
 func TestCrashLoudAndSilent(t *testing.T) {
 	srv, err := core.NewServer(imagegen.SD3Medium, textgen.DeepSeek8)
@@ -33,9 +33,9 @@ func TestCrashLoudAndSilent(t *testing.T) {
 		srv.StartConn(sEnd)
 		return cEnd, nil
 	})
-	const attempt = 40 * time.Millisecond
+	const peer = 40 * time.Millisecond
 	rc := core.NewResilientClient(dial, device.Workstation, nil,
-		core.RetryPolicy{MaxAttempts: 1, AttemptTimeout: attempt})
+		core.RetryPolicy{MaxAttempts: 1, PeerTimeout: peer})
 	defer rc.Close()
 	ctx := context.Background()
 	fetch := func() error {
@@ -72,10 +72,10 @@ func TestCrashLoudAndSilent(t *testing.T) {
 			t.Fatalf("%s: fetch through a downed link succeeded", tc.name)
 		}
 		if tc.silent {
-			// Nothing errors by itself: the attempt timeout is what
-			// unsticks the caller, and it says so.
-			if took < attempt || !strings.Contains(err.Error(), "connect aborted") {
-				t.Fatalf("sever: fetch failed after %v with %v, want the %v attempt timeout", took, err, attempt)
+			// Nothing errors by itself: the PeerTimeout on the connect
+			// is what unsticks the caller, and it says so.
+			if took < peer || !strings.Contains(err.Error(), "connect aborted") {
+				t.Fatalf("sever: fetch failed after %v with %v, want the %v connect bound", took, err, peer)
 			}
 		} else if !errors.Is(err, faultnet.ErrCrashed) {
 			t.Fatalf("kill: fetch error %v, want ErrCrashed", err)

@@ -356,7 +356,8 @@ func (b *blackholeConn) SetWriteDeadline(time.Time) error { return nil }
 // swallowed and every read hangs until Close. It models dialing a
 // peer the network has completely swallowed — the dial "succeeds"
 // (SYN-ACKs still flow in many real partitions) but nothing ever
-// comes back, so only attempt timeouts can unstick the caller.
+// comes back, so only a connect bound or keepalive can unstick the
+// caller.
 func Blackhole() net.Conn {
 	return &blackholeConn{closed: make(chan struct{})}
 }

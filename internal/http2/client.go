@@ -68,6 +68,9 @@ func NewClientConn(nc net.Conn, cfg Config) (*ClientConn, error) {
 		c.shutdown()
 		return nil, err
 	}
+	if cfg.KeepAliveInterval > 0 {
+		go c.keepAliveLoop()
+	}
 	return &ClientConn{c: c}, nil
 }
 

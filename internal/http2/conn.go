@@ -65,10 +65,10 @@ type Config struct {
 	// overrides this.
 	DrainTimeout time.Duration
 
-	// KeepAliveInterval, when positive, enables health checks on
-	// served connections: after this much frame silence the endpoint
-	// sends PING and, if no ACK arrives within KeepAliveTimeout,
-	// closes the dead peer instead of leaking the connection.
+	// KeepAliveInterval, when positive, enables health checks: after
+	// this much frame silence (a client: with a stream open) the
+	// endpoint sends PING and, if no ACK arrives within
+	// KeepAliveTimeout, closes the dead peer's connection.
 	KeepAliveInterval time.Duration
 
 	// KeepAliveTimeout bounds the wait for a keepalive PING ACK.
@@ -960,13 +960,12 @@ type cancelHook struct {
 
 // hookContext cancels st when ctx ends, for as long as st is in
 // c.streams. Streams under one context share one hook. Most contexts
-// carry one exchange and end with it (a per-request or per-attempt
-// context): the first hook on a context is stopped when its streams
-// have left, as a per-exchange hook was, so the context's end runs
-// nothing. A context that comes back while it is among the last four
-// so stopped — the edge's shared upstream context, when its Retry sets
-// no AttemptTimeout — gets a hook that stays, and the streams after it
-// register none. A stream that has already left registers nothing.
+// carry one exchange and end with it: the first hook on a context is
+// stopped when its streams have left, as a per-exchange hook was, so
+// the context's end runs nothing. A context that comes back while it
+// is among the last four so stopped — the edge's shared upstream
+// context — gets a hook that stays, and the streams after it register
+// none. A stream that has already left registers nothing.
 func (c *conn) hookContext(st *Stream, ctx context.Context) {
 	c.mu.Lock()
 	c.hookLocked(st, ctx)
@@ -1207,11 +1206,11 @@ func (c *conn) ping(timeout time.Duration) error {
 	}
 }
 
-// keepAliveLoop runs the satellite health check on served
-// connections: whenever the peer has been silent for a full
-// interval, round-trip a PING; a missing ACK means a dead or wedged
-// peer, and the connection is torn down instead of leaking. The loop
-// exits when the connection dies.
+// keepAliveLoop runs the health check: whenever the peer has been
+// silent for a full interval, round-trip a PING; a missing ACK means a
+// dead or wedged peer, and the connection is torn down. An idle client
+// connection sends none, so it spends no server's PING budget. The
+// loop exits when the connection dies.
 func (c *conn) keepAliveLoop() {
 	interval := c.cfg.KeepAliveInterval
 	if interval <= 0 {
@@ -1226,9 +1225,11 @@ func (c *conn) keepAliveLoop() {
 			return
 		case <-ticker.C:
 		}
-		idle := time.Since(time.Unix(0, c.lastFrame.Load()))
-		if idle < interval {
-			continue // traffic flowed recently; no probe needed
+		c.mu.Lock()
+		waiting := c.server || len(c.streams) > 0
+		c.mu.Unlock()
+		if !waiting || time.Since(time.Unix(0, c.lastFrame.Load())) < interval {
+			continue // nothing waits on the peer, or traffic flowed recently
 		}
 		if err := c.ping(c.cfg.keepAliveTimeout()); err != nil {
 			select {

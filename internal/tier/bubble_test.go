@@ -176,6 +176,7 @@ func TestBubblePushLossRepairedByPoll(t *testing.T) {
 			if err != nil || raw.Status != 200 {
 				t.Fatalf("%s %s: %v, %v", name, path, raw, err)
 			}
+			synctest.Wait() // an edge counts a hit once its reply is out
 			if got := tr.Edge(name).Stats().Hits > before; got != hit {
 				t.Errorf("%s %s: hit %v, want %v", name, path, got, hit)
 			}
@@ -287,7 +288,7 @@ func TestBubbleServeStaleWaitsOnNothing(t *testing.T) {
 		tr.SeverOrigin()
 		time.Sleep(2 * ttl)
 
-		ladder := time.Duration(EdgeRetry.MaxAttempts)*EdgeRetry.AttemptTimeout + EdgeRetry.MaxDelay*6/5
+		ladder := time.Duration(EdgeRetry.MaxAttempts)*EdgeRetry.PeerTimeout + EdgeRetry.MaxDelay*6/5
 		tripped := map[string]bool{}
 		for round := 0; round < 3; round++ {
 			for _, name := range names {
@@ -361,6 +362,7 @@ func TestBubblePeerFillWaitsOnNothing(t *testing.T) {
 					t.Errorf("page %d %s took %v of virtual time, want 0", i, fetch, took)
 				}
 			}
+			synctest.Wait() // an edge counts a serve once its reply is out
 			if got := counter(reg1, "sww_edge_peer_fill_total") - fills; got != 1 {
 				t.Errorf("page %d: edge1 booked %d peer fills, want 1", i, got)
 			}

@@ -11,7 +11,7 @@
 // push) and In (the edge's listener: peer edges and terminal clients)
 // — plus Mirror (standby→primary). Kill on a link is a process death
 // (redials error at once: what breakers and membership key on), Sever
-// a partition (redials hang in a blackhole: what attempt timeouts,
+// a partition (redials hang in a blackhole: what connect bounds,
 // stale serving and standby promotion key on). The edge→standby dial
 // carries no switch: no scenario faults the standby.
 package tier
@@ -39,27 +39,26 @@ import (
 // origin.
 const Pages = 8
 
-// ClientRetry is the terminal-client policy: patient enough to absorb
-// the edge's whole upstream ladder inside one attempt.
+// ClientRetry is the terminal-client policy.
 var ClientRetry = core.RetryPolicy{
-	MaxAttempts:    2,
-	AttemptTimeout: 2 * time.Second,
-	BaseDelay:      2 * time.Millisecond,
-	MaxDelay:       10 * time.Millisecond,
-	Jitter:         0.2,
-	Seed:           23,
+	MaxAttempts: 2,
+	PeerTimeout: 2 * time.Second,
+	BaseDelay:   2 * time.Millisecond,
+	MaxDelay:    10 * time.Millisecond,
+	Jitter:      0.2,
+	Seed:        23,
 }
 
-// EdgeRetry is the edge→origin policy: deliberately tighter than the
-// terminal client's patience, so a dead origin fails into the stale
-// path while the client is still waiting.
+// EdgeRetry is the edge→origin policy: a severed origin's redial gives
+// up after 40ms, so the edge falls into the stale path within one
+// short ladder.
 var EdgeRetry = core.RetryPolicy{
-	MaxAttempts:    2,
-	AttemptTimeout: 40 * time.Millisecond,
-	BaseDelay:      2 * time.Millisecond,
-	MaxDelay:       10 * time.Millisecond,
-	Jitter:         0.2,
-	Seed:           17,
+	MaxAttempts: 2,
+	PeerTimeout: 40 * time.Millisecond,
+	BaseDelay:   2 * time.Millisecond,
+	MaxDelay:    10 * time.Millisecond,
+	Jitter:      0.2,
+	Seed:        17,
 }
 
 // Health is the breaker every endpoint set in the tier runs on unless
