@@ -357,7 +357,7 @@ func TestPullOutlivesLeaderCancel(t *testing.T) {
 	type reply struct{ cache, got string }
 	waited := make(chan reply, 1)
 	go func() {
-		cache, got, err := pullGet(waiter)
+		cache, got, err := pullGet(waiter, "/p")
 		if err != nil {
 			got = err.Error()
 		}
@@ -382,7 +382,7 @@ func TestPullOutlivesLeaderCancel(t *testing.T) {
 	if r := <-waited; r != (reply{"miss", "200 fresh\n"}) {
 		t.Errorf("the coalesced request got %+v, want the pull's 200 as a miss", r)
 	}
-	if cache, got, err := pullGet(waiter); err != nil || cache != "hit" || got != "200 fresh\n" {
+	if cache, got, err := pullGet(waiter, "/p"); err != nil || cache != "hit" || got != "200 fresh\n" {
 		t.Errorf("the next request got %q %q, %v; want the cached 200 as a hit", cache, got, err)
 	}
 	if n := pulls.Load(); n != 1 {
@@ -405,7 +405,7 @@ func TestPullBoundedByUpstreamBudget(t *testing.T) {
 	for range 2 {
 		cc := dial()
 		go func() {
-			_, got, err := pullGet(cc)
+			_, got, err := pullGet(cc, "/p")
 			if err != nil {
 				got = err.Error()
 			}
@@ -428,34 +428,51 @@ func TestPullBoundedByUpstreamBudget(t *testing.T) {
 // TestHungOriginOpensBreaker: an origin that takes every request and
 // never answers still ACKs keepalive PINGs, so only upstreamBudget ends
 // its pulls, and each pull so ended books the origin a failure and
-// drops its connection. Under a 3-attempt policy three misses in a row
-// each get a 502 when their budget runs out, which opens the origin's
-// breaker (the default threshold of 3), and the next miss fails static:
-// a 502 at once, with no pull.
+// drops its connection. Under a 3-attempt policy three misses each get
+// a 502 when their budget runs out, which opens the origin's breaker
+// (the default threshold of 3), and the next miss fails static: a 502
+// at once, with no pull. The misses come one after another, or at once
+// on three keys: three pulls on one connection, cut by one shared
+// deadline, book three failures, though the first to fail drops the
+// connection the others ran on.
 func TestHungOriginOpensBreaker(t *testing.T) {
-	var pulls atomic.Int32
-	cfg := EdgeConfig{Name: "edge1", TTL: time.Hour,
-		Retry: core.RetryPolicy{MaxAttempts: 3, PeerTimeout: 100 * time.Millisecond}}
-	e, dial := pullFixture(t, cfg, func(w *http2.ResponseWriter, r *http2.Request) {
-		pulls.Add(1)
-		<-r.Stream().Context().Done() // never answers; unwinds when the edge gives up
-	})
-	cc := dial()
-	budget := e.upstreamBudget()
-	for i := range 3 {
-		if _, got, err := pullGet(cc); err != nil || !strings.HasPrefix(got, "502 ") {
-			t.Fatalf("miss %d on the hung origin got %q, %v; want a 502", i+1, got, err)
-		}
-	}
-	if e.upstream.Endpoints().AnyHealthy() {
-		t.Fatalf("origin breaker closed after %d pulls cut at the %v budget", pulls.Load(), budget)
-	}
-	start := time.Now()
-	if _, got, err := pullGet(cc); err != nil || !strings.HasPrefix(got, "502 ") {
-		t.Errorf("the miss after the breaker opened got %q, %v; want a 502", got, err)
-	}
-	if took, n := time.Since(start), pulls.Load(); took >= budget/2 || n != 3 {
-		t.Errorf("the miss after the breaker opened took %v with %d pulls in all, want it at once and 3", took, n)
+	for _, together := range []bool{false, true} {
+		t.Run(map[bool]string{false: "in-turn", true: "at-once"}[together], func(t *testing.T) {
+			var pulls atomic.Int32
+			cfg := EdgeConfig{Name: "edge1", TTL: time.Hour,
+				Retry: core.RetryPolicy{MaxAttempts: 3, PeerTimeout: 100 * time.Millisecond}}
+			e, dial := pullFixture(t, cfg, func(w *http2.ResponseWriter, r *http2.Request) {
+				pulls.Add(1)
+				<-r.Stream().Context().Done() // never answers; unwinds when the edge gives up
+			})
+			cc := dial()
+			budget := e.upstreamBudget()
+			miss := func(i int) {
+				if _, got, err := pullGet(cc, fmt.Sprint("/p", i)); err != nil || !strings.HasPrefix(got, "502 ") {
+					t.Errorf("miss %d on the hung origin got %q, %v; want a 502", i, got, err)
+				}
+			}
+			var wg sync.WaitGroup
+			for i := range 3 {
+				if !together {
+					miss(i)
+					continue
+				}
+				wg.Add(1)
+				go func() { defer wg.Done(); miss(i) }()
+			}
+			wg.Wait()
+			if e.upstream.Endpoints().AnyHealthy() {
+				t.Fatalf("origin breaker closed after %d pulls cut at the %v budget", pulls.Load(), budget)
+			}
+			start := time.Now()
+			if _, got, err := pullGet(cc, "/p"); err != nil || !strings.HasPrefix(got, "502 ") {
+				t.Errorf("the miss after the breaker opened got %q, %v; want a 502", got, err)
+			}
+			if took, n := time.Since(start), pulls.Load(); took >= budget/2 || n != 3 {
+				t.Errorf("the miss after the breaker opened took %v with %d pulls in all, want it at once and 3", took, n)
+			}
+		})
 	}
 }
 
@@ -516,10 +533,10 @@ func pullFixture(t *testing.T, cfg EdgeConfig, handler http2.HandlerFunc) (*Edge
 	}
 }
 
-// pullGet fetches /p on cc: the reply's edge cache header, and its
+// pullGet fetches path on cc: the reply's edge cache header, and its
 // status and body as one string.
-func pullGet(cc *http2.ClientConn) (cache, got string, err error) {
-	resp, err := cc.Get("/p")
+func pullGet(cc *http2.ClientConn, path string) (cache, got string, err error) {
+	resp, err := cc.Get(path)
 	if err != nil {
 		return "", "", err
 	}

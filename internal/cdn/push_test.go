@@ -9,21 +9,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/url"
 	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sww/internal/core"
 	"sww/internal/device"
-	"sww/internal/faultnet"
 	"sww/internal/http2"
 )
 
@@ -410,84 +407,5 @@ func TestPollRacingPushAppliesOnce(t *testing.T) {
 				t.Errorf("lastSeq %d, %d invalidations applied; want 6, 1 (the push's)", s.LastSeq, s.InvalApplied)
 			}
 		})
-	}
-}
-
-// TestPushWatchdog: a push into a blackhole — the dial "succeeds" and
-// nothing ever answers — fails within about pushTimeout instead of
-// pinning the pusher, and the next push redials and delivers both
-// entries.
-func TestPushWatchdog(t *testing.T) {
-	o := NewOrigin(newHAServer(t), 0)
-	defer o.Close()
-	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, core.NewEndpointSet(core.EndpointHealthConfig{}))
-	defer e.Close()
-	var dials atomic.Int32
-	o.Subscribe("edge1", "", 0, func() (net.Conn, error) {
-		if dials.Add(1) == 1 {
-			return faultnet.Blackhole(), nil
-		}
-		cEnd, sEnd := net.Pipe()
-		e.StartConn(sEnd)
-		return cEnd, nil
-	})
-	start := time.Now()
-	o.Invalidate([]string{"/a"})
-	for o.Stats().PushErrors == 0 {
-		if time.Since(start) > 3*pushTimeout {
-			t.Fatalf("a push into a blackhole still pending after %v", time.Since(start))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	o.Invalidate([]string{"/b"})
-	for e.LastSeq() != 2 {
-		if time.Since(start) > 6*pushTimeout {
-			t.Fatalf("edge at %d after the blackhole, want 2 (%d dials)", e.LastSeq(), dials.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := e.Stats().PushApplied; got != 2 {
-		t.Errorf("push applied %d paths, want 2", got)
-	}
-}
-
-// TestPushNeverLost: with the poller off only a push can deliver, and
-// back-to-back invalidations from two goroutines must each reach the
-// edge within 100ms. A wake-up that lands while the pusher is finishing
-// a drain used to be dropped, leaving the entry to the next Invalidate.
-func TestPushNeverLost(t *testing.T) {
-	o := NewOrigin(newHAServer(t), 0)
-	defer o.Close()
-	e := NewEdge(EdgeConfig{Name: "edge1", TTL: time.Hour}, core.NewEndpointSet(core.EndpointHealthConfig{}))
-	defer e.Close()
-	o.Subscribe("edge1", "", 0, func() (net.Conn, error) {
-		cEnd, sEnd := net.Pipe()
-		e.StartConn(sEnd)
-		return cEnd, nil
-	})
-	end := time.Now().Add(5 * time.Second)
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for round := 0; time.Now().Before(end); round++ {
-				o.Invalidate([]string{"/a"})
-				o.Invalidate([]string{"/b"})
-				seq := o.Seq()
-				for start := time.Now(); e.LastSeq() < seq; runtime.Gosched() {
-					if time.Since(start) > 100*time.Millisecond {
-						errs <- fmt.Errorf("goroutine %d, round %d: edge at %d, origin at %d after 100ms", g, round, e.LastSeq(), seq)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }

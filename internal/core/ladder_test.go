@@ -65,10 +65,10 @@ func TestLadderOutcomes(t *testing.T) {
 				}
 				calls, sawDegraded := 0, false
 				start := time.Now()
-				attempts, reason, err := rc.ladder(ctx, what, path, func(degraded bool) error {
+				attempts, reason, err := rc.ladder(ctx, what, path, func(degraded bool) (lease, error) {
 					sawDegraded = sawDegraded || degraded
 					calls++
-					return tc.script[calls-1]
+					return lease{}, tc.script[calls-1]
 				})
 				if calls != tc.attempts || sawDegraded != tc.degraded {
 					t.Errorf("made %d attempts (degraded %v), want %d (%v)", calls, sawDegraded, tc.attempts, tc.degraded)

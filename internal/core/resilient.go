@@ -230,15 +230,24 @@ func (rc *ResilientClient) dropLocked() error {
 	return err
 }
 
+// A lease is the connection one attempt ran on: the client and the
+// endpoint that dialed it (nil for a single-dial client). The attempt's
+// outcome is booked against that endpoint, whatever is cached when it
+// returns.
+type lease struct {
+	cl *Client
+	ep *Endpoint
+}
+
 // getClient returns a cached connection matching the wanted mode, or
 // dials a fresh one. A degraded fetch needs a GenNone connection
 // because SETTINGS_GEN_ABILITY is fixed at the handshake in this
 // implementation.
-func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (*Client, error) {
+func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (lease, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.client != nil && rc.degraded == degraded {
-		return rc.client, nil
+		return lease{rc.client, rc.curEp}, nil
 	}
 	rc.dropLocked()
 	dial := rc.dial
@@ -250,7 +259,7 @@ func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (*Clien
 		if err != nil {
 			// Everything down and resting: a retryable condition — a
 			// backoff later some endpoint's probe cooldown may be over.
-			return nil, &http2.TransportError{Op: "pick", Err: err}
+			return lease{}, &http2.TransportError{Op: "pick", Err: err}
 		}
 		rc.prefer = ep.Name
 		dial = ep.Dial
@@ -268,12 +277,12 @@ func (rc *ResilientClient) getClient(ctx context.Context, degraded bool) (*Clien
 		}
 		// Setup failures are connect-phase faults (nothing was
 		// requested yet), so a fresh dial is always safe.
-		return nil, err
+		return lease{}, err
 	}
 	rc.client = cl
 	rc.degraded = degraded
 	rc.curEp = ep
-	return cl, nil
+	return lease{cl, ep}, nil
 }
 
 // connect runs dial + handshake raced against ctx and PeerTimeout. On
@@ -343,24 +352,32 @@ func (rc *ResilientClient) connect(ctx context.Context, dial DialFunc, degraded 
 	}
 }
 
-// endpointSuccess and fail feed the live connection's endpoint
-// breaker. A success is any proof the peer is alive and talking —
-// including a 503 busy reply — while a failure is a transport-level
-// fault, and drops the connection. Neither books anything for a
-// single-dial client or when no endpoint-dialed connection is live (a
-// dial failure was already reported inside getClient).
-func (rc *ResilientClient) endpointSuccess() {
-	rc.mu.Lock()
-	ep := rc.curEp
-	rc.mu.Unlock()
-	if ep != nil {
-		ep.ReportSuccess()
+// success and fail feed the breaker of the endpoint an attempt ran on.
+// A success is any proof the peer is alive and talking — including a
+// 503 busy reply — while a failure is a transport-level fault, and
+// drops the attempt's connection. Neither books anything for a
+// single-dial client or an attempt that got no connection (a dial
+// failure was already reported inside getClient).
+func (l lease) success() {
+	if l.ep != nil {
+		l.ep.ReportSuccess()
 	}
 }
 
-func (rc *ResilientClient) fail() {
-	if ep := rc.drop(); ep != nil {
-		ep.ReportFailure()
+func (rc *ResilientClient) fail(l lease) {
+	rc.release(l.cl)
+	if l.ep != nil {
+		l.ep.ReportFailure()
+	}
+}
+
+// release drops the cached connection if it is still cl: a later
+// attempt may already have dialed its successor.
+func (rc *ResilientClient) release(cl *Client) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if cl != nil && rc.client == cl {
+		rc.dropLocked()
 	}
 }
 
@@ -369,19 +386,13 @@ func (rc *ResilientClient) fail() {
 // another endpoint. It is for a peer that answers but must get no
 // traffic — a fenced origin — which no transport outcome would move.
 func (rc *ResilientClient) Rotate() {
-	if ep := rc.drop(); ep != nil {
-		ep.br.Trip()
-	}
-}
-
-// drop discards the cached connection and returns the endpoint that
-// dialed it, nil for none.
-func (rc *ResilientClient) drop() *Endpoint {
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
 	ep := rc.curEp
 	rc.dropLocked()
-	return ep
+	rc.mu.Unlock()
+	if ep != nil {
+		ep.br.Trip()
+	}
 }
 
 // Fetch is FetchContext without a deadline.
@@ -394,12 +405,12 @@ func (rc *ResilientClient) Fetch(path string) (*FetchResult, error) {
 // DegradeReason fields record what it took.
 func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*FetchResult, error) {
 	var res *FetchResult
-	attempts, degradeReason, err := rc.ladder(ctx, "fetch", path, func(degraded bool) error {
-		cl, err := rc.getClient(ctx, degraded)
+	attempts, degradeReason, err := rc.ladder(ctx, "fetch", path, func(degraded bool) (lease, error) {
+		l, err := rc.getClient(ctx, degraded)
 		if err == nil {
-			res, err = cl.FetchContext(ctx, path)
+			res, err = l.cl.FetchContext(ctx, path)
 		}
-		return err
+		return l, err
 	})
 	if err != nil {
 		return nil, err
@@ -421,12 +432,12 @@ func (rc *ResilientClient) FetchContext(ctx context.Context, path string) (*Fetc
 // entry without a heap object of its own.
 func (rc *ResilientClient) FetchRawContext(ctx context.Context, path string, extra ...hpack.HeaderField) (RawReply, error) {
 	var raw RawReply
-	_, _, err := rc.ladder(ctx, "raw fetch", path, func(bool) error {
-		cl, err := rc.getClient(ctx, rc.rawDegraded())
+	_, _, err := rc.ladder(ctx, "raw fetch", path, func(bool) (lease, error) {
+		l, err := rc.getClient(ctx, rc.rawDegraded())
 		if err == nil {
-			raw, err = cl.fetchRaw(ctx, path, extra...)
+			raw, err = l.cl.fetchRaw(ctx, path, extra...)
 		}
-		return err
+		return l, err
 	})
 	if err != nil {
 		return RawReply{}, err
@@ -446,10 +457,12 @@ func (rc *ResilientClient) rawDegraded() bool {
 
 // ladder is the one retry loop behind both fetch flavors. try makes
 // one attempt under ctx — connect in the wanted mode, issue the
-// request; what ("fetch", "raw fetch") names the flavor in errors. On
+// request — and returns the connection it ran on, whose endpoint the
+// outcome is booked against; what ("fetch", "raw fetch") names the
+// flavor in errors. On
 // success it returns how many attempts it took and, when the degrade
 // rung fired, why.
-func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try func(degraded bool) error) (attempts int, degradeReason string, err error) {
+func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try func(degraded bool) (lease, error)) (attempts int, degradeReason string, err error) {
 	var lastErr error
 	degraded := false
 	maxAttempts := rc.policy.maxAttempts()
@@ -463,9 +476,9 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 		if attempt > 1 {
 			rc.met.retries.Inc()
 		}
-		err := try(degraded)
+		l, err := try(degraded)
 		if err == nil {
-			rc.endpointSuccess()
+			l.success()
 			return attempt, degradeReason, nil
 		}
 		lastErr = err
@@ -474,7 +487,7 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 		var busy *ServerBusyError
 		switch {
 		case errors.As(err, &busy):
-			rc.endpointSuccess()
+			l.success()
 			// The server shed this request (503 + Retry-After): the
 			// connection is healthy — the server answered — so keep it
 			// and wait out max(backoff, Retry-After) before retrying.
@@ -515,10 +528,10 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 			}
 			rc.met.degrades.Inc()
 			rc.tel.Eventf("degrade", "%s: %s", path, degradeReason)
-			rc.endpointSuccess() // the transport held; generation failed
-			rc.drop()            // need a GenNone handshake
+			l.success()      // the transport held; generation failed
+			rc.release(l.cl) // need a GenNone handshake
 		case http2.Retryable(err):
-			rc.fail()
+			rc.fail(l)
 			if attempt < maxAttempts {
 				if !budget.Withdraw() {
 					return 0, "", fmt.Errorf("core: %s %s: %w: %v", what, path, ErrRetryBudgetExhausted, lastErr)
@@ -534,7 +547,7 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 				// The deadline ended an attempt on a live peer (a dead
 				// one fails keepalive first): its fault, as in connect.
 				// A cancellation books nothing.
-				rc.fail()
+				rc.fail(l)
 			}
 			return 0, "", err
 		}

@@ -45,6 +45,9 @@ type Table1Row struct {
 	ELO       float64 // simulated-arena rating
 	PaperCLIP float64
 	CLIP      float64 // measured mean score
+	// CLIPInterval is CLIP's 95% interval over the evaluation prompts,
+	// one independently seeded image each.
+	CLIPInterval metrics.Interval
 	// Time per step at the 224×224 evaluation size; zero when the
 	// model cannot run on that device (DALLE-3 on the laptop).
 	LaptopStep, WorkstationStep time.Duration
@@ -82,15 +85,12 @@ func Table1() ([]Table1Row, error) {
 		if m.ServerOnly() {
 			class = device.ClassWorkstation
 		}
-		var sum float64
-		for i, p := range evalPrompts {
-			res, err := m.Generate(genai.ImageRequest{Prompt: p, Class: class, Seed: int64(i + 1)})
-			if err != nil {
-				return nil, err
-			}
-			sum += metrics.CLIPScoreFromCosine(res.MeasuredAlignment)
+		clips, _, err := evalCLIPs(m, genai.ImageRequest{Class: class})
+		if err != nil {
+			return nil, err
 		}
-		row.CLIP = sum / float64(len(evalPrompts))
+		row.CLIPInterval = metrics.MeanInterval(clips)
+		row.CLIP = row.CLIPInterval.Mean
 		if st, err := m.StepTime(device.ClassLaptop); err == nil {
 			row.LaptopStep = st
 		}
@@ -102,13 +102,45 @@ func Table1() ([]Table1Row, error) {
 	return rows, nil
 }
 
+// evalCLIPs generates one image per evaluation prompt, prompt i at
+// seed i+1 and otherwise as req asks, and returns their CLIP scores
+// and the generation time of one.
+func evalCLIPs(m genai.ImageModel, req genai.ImageRequest) ([]float64, time.Duration, error) {
+	clips := make([]float64, len(evalPrompts))
+	var simTime time.Duration
+	for i, p := range evalPrompts {
+		req.Prompt, req.Seed = p, int64(i+1)
+		res, err := m.Generate(req)
+		if err != nil {
+			return nil, 0, err
+		}
+		clips[i] = metrics.CLIPScoreFromCosine(res.MeasuredAlignment)
+		simTime = res.SimTime
+	}
+	return clips, simTime, nil
+}
+
+// fmtInterval prints iv's ends in verb, as "[lo, hi]".
+func fmtInterval(verb string, iv metrics.Interval) string {
+	return fmt.Sprintf("["+verb+", "+verb+"]", iv.Lo, iv.Hi)
+}
+
+// inOut says whether the paper's number x lies inside iv.
+func inOut(iv metrics.Interval, x float64) string {
+	if iv.Contains(x) {
+		return "in"
+	}
+	return "OUT"
+}
+
 func reportTable1(w io.Writer, _ bool) error {
 	rows, err := Table1()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-14s %10s %10s %10s %10s %12s %14s\n",
-		"model", "paper ELO", "ELO", "paper CLIP", "CLIP", "laptop t/st", "workstn t/st")
+	fmt.Fprintf(w, "CLIP: mean and 95%% interval over %d prompts, one seed each; paper CLIP in or OUT of it\n", len(evalPrompts))
+	fmt.Fprintf(w, "%-14s %10s %10s %10s %6s %16s %4s %12s %14s\n",
+		"model", "paper ELO", "ELO", "paper CLIP", "CLIP", "95% interval", "", "laptop t/st", "workstn t/st")
 	for _, r := range rows {
 		lap, wkst := "–", "–"
 		if r.LaptopStep > 0 {
@@ -117,8 +149,9 @@ func reportTable1(w io.Writer, _ bool) error {
 		if r.WorkstationStep > 0 {
 			wkst = fmt.Sprintf("%.2fs", r.WorkstationStep.Seconds())
 		}
-		fmt.Fprintf(w, "%-14s %10.0f %10.0f %10.2f %10.3f %12s %14s\n",
-			r.Model, r.PaperELO, r.ELO, r.PaperCLIP, r.CLIP, lap, wkst)
+		fmt.Fprintf(w, "%-14s %10.0f %10.0f %10.2f %6.3f %16s %4s %12s %14s\n",
+			r.Model, r.PaperELO, r.ELO, r.PaperCLIP, r.CLIP,
+			fmtInterval("%.3f", r.CLIPInterval), inOut(r.CLIPInterval, r.PaperCLIP), lap, wkst)
 	}
 	return nil
 }
@@ -126,9 +159,10 @@ func reportTable1(w io.Writer, _ bool) error {
 // StepSweepRow is one point of the §6.3.1 inference-step scaling
 // experiment.
 type StepSweepRow struct {
-	Steps   int
-	CLIP    float64
-	GenTime time.Duration // laptop, SD 3 Medium, 224×224
+	Steps        int
+	CLIP         float64
+	CLIPInterval metrics.Interval // over the evaluation prompts, one seed each
+	GenTime      time.Duration    // laptop, SD 3 Medium, 224×224
 }
 
 // StepSweep reproduces §6.3.1's step scaling: from 10 to 60 steps,
@@ -140,22 +174,12 @@ func StepSweep() ([]StepSweepRow, error) {
 	}
 	var rows []StepSweepRow
 	for _, steps := range []int{10, 15, 20, 30, 40, 50, 60} {
-		var clip float64
-		var simTime time.Duration
-		for i, p := range evalPrompts {
-			res, err := m.Generate(genai.ImageRequest{
-				Prompt: p, Steps: steps, Class: device.ClassLaptop, Seed: int64(i + 1)})
-			if err != nil {
-				return nil, err
-			}
-			clip += metrics.CLIPScoreFromCosine(res.MeasuredAlignment)
-			simTime = res.SimTime
+		clips, simTime, err := evalCLIPs(m, genai.ImageRequest{Steps: steps, Class: device.ClassLaptop})
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, StepSweepRow{
-			Steps:   steps,
-			CLIP:    clip / float64(len(evalPrompts)),
-			GenTime: simTime,
-		})
+		iv := metrics.MeanInterval(clips)
+		rows = append(rows, StepSweepRow{Steps: steps, CLIP: iv.Mean, CLIPInterval: iv, GenTime: simTime})
 	}
 	return rows, nil
 }
@@ -166,9 +190,10 @@ func reportSteps(w io.Writer, _ bool) error {
 		return err
 	}
 	fmt.Fprintf(w, "paper: CLIP ~flat from 10..60 steps, time linear in steps (laptop, SD3)\n")
-	fmt.Fprintf(w, "%6s %8s %10s\n", "steps", "CLIP", "gen time")
+	fmt.Fprintf(w, "CLIP: mean and 95%% interval over %d prompts, one seed each\n", len(evalPrompts))
+	fmt.Fprintf(w, "%6s %8s %16s %10s\n", "steps", "CLIP", "95% interval", "gen time")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%6d %8.3f %9.1fs\n", r.Steps, r.CLIP, r.GenTime.Seconds())
+		fmt.Fprintf(w, "%6d %8.3f %16s %9.1fs\n", r.Steps, r.CLIP, fmtInterval("%.3f", r.CLIPInterval), r.GenTime.Seconds())
 	}
 	return nil
 }
@@ -224,6 +249,10 @@ type TextModelRow struct {
 	OvershootP25  float64
 	OvershootP75  float64
 
+	// The 95% intervals of SBERT and OvershootMean over the model's
+	// samples, each independently seeded.
+	SBERTInterval, OvershootInterval metrics.Interval
+
 	// Times per word target on each device.
 	Times map[int]struct{ Laptop, Workstation time.Duration }
 
@@ -233,6 +262,12 @@ type TextModelRow struct {
 }
 
 var textWordTargets = []int{50, 100, 150, 250}
+
+// textSeeds is how many samples Text2Text expands per word target.
+const textSeeds = 8
+
+// paperOvershoot is §6.3.2's mean word-length overshoot, ~1.3%.
+const paperOvershoot = 0.013
 
 // Text2Text reproduces the §6.3.2 evaluation: SBERT scores 0.82–0.91,
 // overshoot mean ≈1.3% with quartiles beyond ±10%, times with weak,
@@ -258,8 +293,10 @@ func Text2Text() ([]TextModelRow, error) {
 		}
 		var sberts, overshoots []float64
 		var ratios []float64
-		for _, words := range textWordTargets {
-			for seed := int64(1); seed <= 8; seed++ {
+		for ti, words := range textWordTargets {
+			for i := range textSeeds {
+				// A seed per sample: 1..32 across the targets.
+				seed := int64(ti*textSeeds + i + 1)
 				res, err := m.Expand(genai.TextRequest{
 					Bullets: bullets, TargetWords: words,
 					Class: device.ClassWorkstation, Seed: seed})
@@ -280,8 +317,10 @@ func Text2Text() ([]TextModelRow, error) {
 			row.Times[words] = struct{ Laptop, Workstation time.Duration }{lt, wt}
 			ratios = append(ratios, lt.Seconds()/wt.Seconds())
 		}
-		row.SBERT = metrics.Mean(sberts)
-		row.OvershootMean = metrics.Mean(overshoots)
+		row.SBERTInterval = metrics.MeanInterval(sberts)
+		row.OvershootInterval = metrics.MeanInterval(overshoots)
+		row.SBERT = row.SBERTInterval.Mean
+		row.OvershootMean = row.OvershootInterval.Mean
 		row.OvershootP25 = metrics.Percentile(overshoots, 25)
 		row.OvershootP75 = metrics.Percentile(overshoots, 75)
 		row.SpeedupWorkstation = metrics.Mean(ratios)
@@ -297,13 +336,19 @@ func reportText(w io.Writer, _ bool) error {
 	}
 	fmt.Fprintf(w, "paper: SBERT 0.82-0.91; overshoot mean ~1.3%%, quartiles often >10%%, max 20%%;\n")
 	fmt.Fprintf(w, "       times 6.98-14.33s (workstation) / 16.06-34.04s (laptop); benefit only 2.5x\n")
-	fmt.Fprintf(w, "%-18s %11s %7s %9s %9s %9s %8s\n",
-		"model", "paper SBERT", "SBERT", "ovsh mean", "p25", "p75", "speedup")
+	fmt.Fprintf(w, "SBERT and overshoot: mean and 95%% interval over %d samples a model (%d targets x %d seeds, no seed reused);\n",
+		len(textWordTargets)*textSeeds, len(textWordTargets), textSeeds)
+	fmt.Fprintf(w, "       the paper's SBERT and its %.1f%% overshoot in or OUT of it\n", 100*paperOvershoot)
+	fmt.Fprintf(w, "%-18s %11s %6s %16s %4s %9s %16s %4s %7s %7s %8s\n",
+		"model", "paper SBERT", "SBERT", "95% interval", "", "ovsh mean", "95% interval", "", "p25", "p75", "speedup")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s %11.2f %7.3f %8.1f%% %8.1f%% %8.1f%% %7.2fx\n",
+		ov := r.OvershootInterval
+		ovPct := metrics.Interval{Lo: 100 * ov.Lo, Hi: 100 * ov.Hi}
+		fmt.Fprintf(w, "%-18s %11.2f %6.3f %16s %4s %8.1f%% %16s %4s %6.1f%% %6.1f%% %7.2fx\n",
 			r.Model, r.PaperSBERT, r.SBERT,
-			100*r.OvershootMean, 100*r.OvershootP25, 100*r.OvershootP75,
-			r.SpeedupWorkstation)
+			fmtInterval("%.3f", r.SBERTInterval), inOut(r.SBERTInterval, r.PaperSBERT),
+			100*r.OvershootMean, fmtInterval("%.1f%%", ovPct), inOut(ov, paperOvershoot),
+			100*r.OvershootP25, 100*r.OvershootP75, r.SpeedupWorkstation)
 	}
 	fmt.Fprintf(w, "\n%-18s", "gen time (wkst/laptop)")
 	for _, words := range textWordTargets {

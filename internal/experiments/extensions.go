@@ -17,6 +17,7 @@ import (
 	"sww/internal/genai/textgen"
 	"sww/internal/http2"
 	"sww/internal/http3"
+	"sww/internal/metrics"
 	"sww/internal/video"
 	"sww/internal/workload"
 )
@@ -207,9 +208,12 @@ type PersonalizationResult struct {
 	Drift             float64
 
 	// CLIPPreserved: personalization must not destroy prompt
-	// adherence of the generated media.
+	// adherence of the generated media. Each is the mean alignment of
+	// the page's images, with its 95% interval over them.
 	NeutralCLIP      float64
 	PersonalizedCLIP float64
+
+	NeutralInterval, PersonalizedInterval metrics.Interval
 }
 
 // PersonalizationExperiment renders the travel blog neutrally and
@@ -219,7 +223,7 @@ func PersonalizationExperiment() (*PersonalizationResult, error) {
 		Interests: []string{"wildlife photography", "mountain summits", "glacier lakes"},
 		Tone:      "enthusiastic",
 	}
-	collect := func(pz *core.Personalizer) ([]string, float64, error) {
+	collect := func(pz *core.Personalizer) ([]string, metrics.Interval, error) {
 		page := workload.TravelBlog()
 		if pz != nil {
 			pz.PersonalizeDoc(page.Placeholders())
@@ -239,24 +243,20 @@ func PersonalizationExperiment() (*PersonalizationResult, error) {
 		}
 		proc, err := core.NewPageProcessor(device.Laptop, imagegen.SD3Medium, textgen.DeepSeek8)
 		if err != nil {
-			return nil, 0, err
+			return nil, metrics.Interval{}, err
 		}
 		_, rep, err := proc.Process(page.Doc)
 		if err != nil {
-			return nil, 0, err
+			return nil, metrics.Interval{}, err
 		}
-		var clip float64
-		var n int
+		// Each image is seeded from its own prompt.
+		var aligns []float64
 		for _, item := range rep.Items {
 			if item.Type == core.ContentImage {
-				clip += item.Alignment
-				n++
+				aligns = append(aligns, item.Alignment)
 			}
 		}
-		if n > 0 {
-			clip /= float64(n)
-		}
-		return prompts, clip, nil
+		return prompts, metrics.MeanInterval(aligns), nil
 	}
 
 	neutral, nclip, err := collect(nil)
@@ -268,10 +268,12 @@ func PersonalizationExperiment() (*PersonalizationResult, error) {
 		return nil, err
 	}
 	res := &PersonalizationResult{
-		NeutralIndex:      core.EchoChamberIndex(profile, neutral),
-		PersonalizedIndex: core.EchoChamberIndex(profile, personal),
-		NeutralCLIP:       nclip,
-		PersonalizedCLIP:  pclip,
+		NeutralIndex:         core.EchoChamberIndex(profile, neutral),
+		PersonalizedIndex:    core.EchoChamberIndex(profile, personal),
+		NeutralCLIP:          nclip.Mean,
+		PersonalizedCLIP:     pclip.Mean,
+		NeutralInterval:      nclip,
+		PersonalizedInterval: pclip,
 	}
 	res.Drift = res.PersonalizedIndex - res.NeutralIndex
 	return res, nil
@@ -286,5 +288,7 @@ func reportPersonalize(w io.Writer, _ bool) error {
 	fmt.Fprintf(w, "echo-chamber index, neutral:      %.3f\n", r.NeutralIndex)
 	fmt.Fprintf(w, "echo-chamber index, personalized: %.3f (drift +%.3f)\n", r.PersonalizedIndex, r.Drift)
 	fmt.Fprintf(w, "prompt adherence:  %.3f -> %.3f (preserved)\n", r.NeutralCLIP, r.PersonalizedCLIP)
+	fmt.Fprintf(w, "  95%% interval over the page's images: %s -> %s\n",
+		fmtInterval("%.3f", r.NeutralInterval), fmtInterval("%.3f", r.PersonalizedInterval))
 	return nil
 }

@@ -16,7 +16,7 @@ import (
 	"image"
 	"image/color"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"sww/internal/genai"
@@ -37,7 +37,7 @@ const (
 // image draws from and the image itself: its index plane is lent to
 // whoever holds the scratch, and only the PNG leaves it.
 type scratch struct {
-	rng   *rand.Rand     // re-seeded per use: the sequence rand.New(rand.NewSource(seed)) draws
+	rng   *genai.Rand    // reseeded per image
 	img   image.Paletted // the image synthesize writes, Pix resized per image
 	tex   []float64      // w·h texture plane, before the cell means are removed
 	oct   [len(octaves)]octaveRows
@@ -65,7 +65,7 @@ type cellStats struct {
 
 var scratches = sync.Pool{New: func() any { return newScratch() }}
 
-func newScratch() *scratch { return &scratch{rng: rand.New(genai.NewLazySource(1))} }
+func newScratch() *scratch { return &scratch{rng: genai.NewRand(1)} }
 
 // resize returns s with length n, reusing its storage when it can.
 func resize[T any](s []T, n int) []T {
@@ -114,7 +114,7 @@ func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign f
 	var v embedding
 	if ecNorm < 1e-9 || targetAlign <= 0 {
 		// Unconditioned image (the paper's random baseline).
-		v = randomUnitZeroMean(rng, nil)
+		v = randomUnitZeroMean(rng.Rand, nil)
 	} else {
 		scale(ec[:], 1/ecNorm)
 		// Measured cosine is against the *uncentered* text embedding,
@@ -123,7 +123,7 @@ func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign f
 		if a > 0.995 {
 			a = 0.995
 		}
-		g := randomUnitZeroMean(rng, &ec)
+		g := randomUnitZeroMean(rng.Rand, &ec)
 		s := math.Sqrt(1 - a*a)
 		for i := range v {
 			v[i] = a*ec[i] + s*g[i]
@@ -134,7 +134,7 @@ func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign f
 	img = &sc.img
 	img.Pix = resize(img.Pix, w*h)
 	img.Stride, img.Rect = w, image.Rect(0, 0, w, h)
-	tex := sc.texture(rng.Int63(), w, h)
+	tex := sc.texture(rng.Int64(), w, h)
 	cs := &sc.cells
 
 	// baseLuma + featAmp*v[cell] + (tex[i] - mean[cell]) associates as

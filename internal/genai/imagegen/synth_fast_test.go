@@ -9,7 +9,7 @@ import (
 	"image/draw"
 	"image/png"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -23,7 +23,7 @@ import (
 // addressing, fresh allocations, one RGBA quadruple per pixel. The
 // production kernel's indexed image must decode to it byte for byte.
 func referenceSynthesize(prompt string, w, h int, seed int64, targetAlign float64) (*image.RGBA, float64) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewPCG(uint64(seed), genai.SeedStream))
 	e := metrics.EmbedText(prompt)
 	ec := referenceCentered(e)
 	ecNorm := norm(ec)
@@ -47,7 +47,7 @@ func referenceSynthesize(prompt string, w, h int, seed int64, targetAlign float6
 	}
 
 	img := image.NewRGBA(image.Rect(0, 0, w, h))
-	tex := referenceCellZeroMeanNoise(rng.Int63(), w, h)
+	tex := referenceCellZeroMeanNoise(rng.Int64(), w, h)
 	cr, cg, cb := tintOffsets(prompt)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {

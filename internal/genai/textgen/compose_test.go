@@ -3,11 +3,12 @@ package textgen
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"sww/internal/device"
+	"sww/internal/genai"
 	"sww/internal/metrics"
 )
 
@@ -26,7 +27,7 @@ func referenceCompose(m *expanderModel, rng *rand.Rand, bullets []string, words 
 	sentenceLen := 0
 	for len(out) < words {
 		if sentenceLen == 0 && len(out) > 0 {
-			out = append(out, openers[rng.Intn(len(openers))])
+			out = append(out, openers[rng.IntN(len(openers))])
 			sentenceLen++
 			continue
 		}
@@ -35,11 +36,11 @@ func referenceCompose(m *expanderModel, rng *rand.Rand, bullets []string, words 
 			w = pool[poolIdx%len(pool)]
 			poolIdx++
 		} else {
-			w = fillerLexicon[rng.Intn(len(fillerLexicon))]
+			w = fillerLexicon[rng.IntN(len(fillerLexicon))]
 		}
 		out = append(out, w)
 		sentenceLen++
-		if sentenceLen >= 8+rng.Intn(8) {
+		if sentenceLen >= 8+rng.IntN(8) {
 			sentenceLen = 0
 		}
 	}
@@ -47,7 +48,7 @@ func referenceCompose(m *expanderModel, rng *rand.Rand, bullets []string, words 
 	var b strings.Builder
 	start := 0
 	for start < len(out) {
-		end := start + 10 + rng.Intn(6)
+		end := start + 10 + rng.IntN(6)
 		if end > len(out) {
 			end = len(out)
 		}
@@ -76,14 +77,14 @@ func TestComposeMatchesReference(t *testing.T) {
 		for bi, bullets := range bulletSets {
 			for _, words := range []int{5, 9, 10, 11, 60, 257} {
 				seed := int64(words*31 + bi)
-				want := referenceCompose(m, rand.New(rand.NewSource(seed)), bullets, words)
-				rng := rand.New(rand.NewSource(seed))
-				if got := m.compose(rng, bullets, words); got != want {
+				want := referenceCompose(m, pcg(seed), bullets, words)
+				rng := genai.NewRand(seed)
+				if got := m.compose(rng.Rand, bullets, words); got != want {
 					t.Fatalf("%s, bullets %d, %d words:\n got %q\nwant %q", m.name, bi, words, got, want)
 				}
-				ref := rand.New(rand.NewSource(seed))
+				ref := pcg(seed)
 				referenceCompose(m, ref, bullets, words)
-				if rng.Int63() != ref.Int63() {
+				if rng.Int64() != ref.Int64() {
 					t.Fatalf("%s, bullets %d, %d words: generator state differs after compose", m.name, bi, words)
 				}
 			}
@@ -92,27 +93,29 @@ func TestComposeMatchesReference(t *testing.T) {
 }
 
 // TestSeedsMatchReference: the expansion seed hashed in place equals the
-// hash of the joined bullets, and the jitter is the one a fresh source
-// draws from the hash of the formatted class and word count.
+// hash of the joined bullets, and the jitter is the one a fresh
+// generator draws from the hash of the formatted class.
 func TestSeedsMatchReference(t *testing.T) {
 	for _, bullets := range [][]string{nil, {""}, {"one"}, evalBullets, {"a\nb", "", "c"}} {
 		if got, want := bulletsSeed(ds8.name, bullets), seedOf(ds8.name, strings.Join(bullets, "\n")); got != want {
 			t.Errorf("bulletsSeed(%q) = %d, want %d", bullets, got, want)
 		}
 	}
-	for _, words := range []int{-1, 0, 1, 60, 100, 250, 1000} {
-		for _, class := range []device.Class{device.ClassLaptop, device.ClassWorkstation, device.ClassMobile, device.Class(9)} {
-			rng := rand.New(rand.NewSource(seedOf(ds8.name, fmt.Sprint(class), fmt.Sprint(words))))
-			want := 1 + 0.05*rng.NormFloat64()
-			if want < 0.9 {
-				want = 0.9
-			}
-			if got := ds8.jitter(class, words); got != want {
-				t.Errorf("jitter(%v, %d) = %v, want %v", class, words, got, want)
-			}
+	for _, class := range []device.Class{device.ClassLaptop, device.ClassWorkstation, device.ClassMobile, device.Class(9)} {
+		rng := pcg(seedOf(ds8.name, fmt.Sprint(class)))
+		want := 1 + 0.05*rng.NormFloat64()
+		if want < 0.9 {
+			want = 0.9
+		}
+		if got := ds8.jitter(class); got != want {
+			t.Errorf("jitter(%v) = %v, want %v", class, got, want)
 		}
 	}
 }
+
+// pcg is the reference stream of seed: a fresh generator over
+// rand.NewPCG with genai's stream word.
+func pcg(seed int64) *rand.Rand { return rand.New(rand.NewPCG(uint64(seed), genai.SeedStream)) }
 
 // seedOf is the reference hash of the seeds above: FNV-1a over each
 // part and a 0x1f after it.

@@ -13,8 +13,7 @@ package textgen
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"strconv"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"time"
@@ -93,23 +92,24 @@ func (m *expanderModel) GenTime(class device.Class, words int) (time.Duration, e
 		return 0, fmt.Errorf("textgen: %s cannot run on %v", m.name, class)
 	}
 	f := m.lengthFactor(words) / m.lengthFactor(250)
-	return time.Duration(base * f * m.jitter(class, words) * float64(time.Second)), nil
+	return time.Duration(base * f * m.jitter(class) * float64(time.Second)), nil
 }
 
-// jitter is GenTime's small deterministic factor modelling that decode
-// time varies run to run: one normal draw seeded by model, class and
-// word count.
-func (m *expanderModel) jitter(class device.Class, words int) float64 {
-	rng := rngs.Get().(*rand.Rand)
+// jitter is GenTime's small deterministic factor modelling that a
+// model decodes a little faster or slower on one device than its
+// calibrated base: one normal draw seeded by model and class. It
+// scales the model's whole length curve on that device, so the curve's
+// shape, §6.3.2's overthinking included, is lengthFactor's whatever
+// the draw.
+func (m *expanderModel) jitter(class device.Class) float64 {
+	rng := rngs.Get().(*genai.Rand)
 	defer rngs.Put(rng)
-	rng.Seed(jitterSeed(m.name, class, words))
+	rng.Seed(jitterSeed(m.name, class))
 	return max(1+0.05*rng.NormFloat64(), 0.9)
 }
 
-// rngs recycles the generators jitter and Expand draw from: re-seeding
-// one draws the same sequence as a fresh rand.New(rand.NewSource(seed)),
-// without allocating a state or building the words no draw reads.
-var rngs = sync.Pool{New: func() any { return rand.New(genai.NewLazySource(1)) }}
+// rngs recycles the generators jitter and Expand draw from.
+var rngs = sync.Pool{New: func() any { return genai.NewRand(1) }}
 
 func (m *expanderModel) Expand(req genai.TextRequest) (genai.TextResult, error) {
 	if req.TargetWords == 0 {
@@ -123,7 +123,7 @@ func (m *expanderModel) Expand(req genai.TextRequest) (genai.TextResult, error) 
 	if seed == 0 {
 		seed = bulletsSeed(m.name, req.Bullets)
 	}
-	rng := rngs.Get().(*rand.Rand)
+	rng := rngs.Get().(*genai.Rand)
 	defer rngs.Put(rng)
 	rng.Seed(seed)
 
@@ -140,7 +140,7 @@ func (m *expanderModel) Expand(req genai.TextRequest) (genai.TextResult, error) 
 		words = 5
 	}
 
-	text := m.compose(rng, req.Bullets, words)
+	text := m.compose(rng.Rand, req.Bullets, words)
 	return genai.TextResult{
 		Text:    text,
 		Words:   metrics.WordCount(text),
@@ -174,7 +174,7 @@ func (m *expanderModel) compose(rng *rand.Rand, bullets []string, words int) str
 	sentenceLen := 0
 	for len(out) < words {
 		if sentenceLen == 0 && len(out) > 0 {
-			out = append(out, openers[rng.Intn(len(openers))])
+			out = append(out, openers[rng.IntN(len(openers))])
 			sentenceLen++
 			continue
 		}
@@ -183,11 +183,11 @@ func (m *expanderModel) compose(rng *rand.Rand, bullets []string, words int) str
 			w = pool[poolIdx%len(pool)]
 			poolIdx++
 		} else {
-			w = fillerLexicon[rng.Intn(len(fillerLexicon))]
+			w = fillerLexicon[rng.IntN(len(fillerLexicon))]
 		}
 		out = append(out, w)
 		sentenceLen++
-		if sentenceLen >= 8+rng.Intn(8) {
+		if sentenceLen >= 8+rng.IntN(8) {
 			sentenceLen = 0
 		}
 	}
@@ -203,7 +203,7 @@ func (m *expanderModel) compose(rng *rand.Rand, bullets []string, words int) str
 	var b strings.Builder
 	b.Grow(size)
 	for start := 0; start < len(out); {
-		end := min(start+10+rng.Intn(6), len(out))
+		end := min(start+10+rng.IntN(6), len(out))
 		if start > 0 {
 			b.WriteByte(' ')
 		}
@@ -251,7 +251,7 @@ const (
 )
 
 // fnv1a continues FNV-1a state h over s.
-func fnv1a[T string | []byte](h uint64, s T) uint64 {
+func fnv1a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}
@@ -272,14 +272,11 @@ func bulletsSeed(model string, bullets []string) int64 {
 	return int64(fnv1a(h, "\x1f"))
 }
 
-// jitterSeed is the same hash of model, fmt.Sprint(class) and
-// fmt.Sprint(words), without formatting into a new string.
-func jitterSeed(model string, class device.Class, words int) int64 {
-	var digits [20]byte
+// jitterSeed is the same hash of model and fmt.Sprint(class), without
+// formatting into a new string.
+func jitterSeed(model string, class device.Class) int64 {
 	h := fnv1a(fnv1a(fnvOffset, model), "\x1f")
-	h = fnv1a(fnv1a(h, class.String()), "\x1f")
-	h = fnv1a(h, strconv.AppendInt(digits[:0], int64(words), 10))
-	return int64(fnv1a(h, "\x1f"))
+	return int64(fnv1a(fnv1a(h, class.String()), "\x1f"))
 }
 
 // Models returns the calibrated models for experiment code.

@@ -276,6 +276,50 @@ func TestPercentileAndMean(t *testing.T) {
 	}
 }
 
+func TestMeanInterval(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name         string
+		xs           []float64
+		mean, lo, hi float64
+	}{
+		// mean 3, s² = 10/4, half-width t₄·√(2.5/5) = 2.776·0.70711.
+		{"1..5", []float64{1, 2, 3, 4, 5}, 3, 3 - 1.962928, 3 + 1.962928},
+		// mean 0.5, s² = 1/3, half-width t₃·√(1/12) = 3.182·0.288675.
+		{"0011", []float64{0, 0, 1, 1}, 0.5, 0.5 - 0.918564, 0.5 + 0.918564},
+		{"n=1", []float64{0.25}, 0.25, -inf, inf},
+		{"empty", nil, 0, -inf, inf},
+		{"constant", []float64{0.75, 0.75, 0.75, 0.75, 0.75}, 0.75, 0.75, 0.75},
+	} {
+		near := func(got, want float64) bool { return got == want || math.Abs(got-want) < 1e-6 }
+		iv := MeanInterval(tc.xs)
+		if iv.Mean != tc.mean || !near(iv.Lo, tc.lo) || !near(iv.Hi, tc.hi) {
+			t.Errorf("%s: MeanInterval = %+v, want {%v %v %v}", tc.name, iv, tc.mean, tc.lo, tc.hi)
+		}
+		in := []float64{iv.Lo, tc.mean, iv.Hi}
+		out := []float64{tc.lo - 1e-3, tc.hi + 1e-3}
+		if math.IsInf(tc.lo, -1) {
+			in, out = []float64{-math.MaxFloat64, tc.mean, math.MaxFloat64}, nil
+		}
+		for _, x := range in {
+			if !iv.Contains(x) {
+				t.Errorf("%s: %+v does not contain %v", tc.name, iv, x)
+			}
+		}
+		for _, x := range out {
+			if iv.Contains(x) {
+				t.Errorf("%s: %+v contains %v", tc.name, iv, x)
+			}
+		}
+	}
+	// Past the table: the expansion against exact quantiles.
+	for df, want := range map[int]float64{30: 2.042, 31: 2.039513, 60: 2.000298, 120: 1.979930} {
+		if got := t975(df); math.Abs(got-want) > 1e-4 {
+			t.Errorf("t975(%d) = %v, want %v", df, got, want)
+		}
+	}
+}
+
 func TestEloExpectedScore(t *testing.T) {
 	if got := ExpectedScore(1000, 1000); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("equal ratings = %v", got)

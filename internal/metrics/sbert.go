@@ -107,6 +107,45 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// An Interval is a sample mean with its 95% confidence interval.
+type Interval struct{ Mean, Lo, Hi float64 }
+
+// MeanInterval returns the mean of xs with the 95% Student-t interval
+// around it, taking xs as independent draws of one distribution. With
+// fewer than two samples the spread is unknown and the interval is the
+// whole line.
+func MeanInterval(xs []float64) Interval {
+	m := Mean(xs)
+	if len(xs) < 2 {
+		return Interval{m, math.Inf(-1), math.Inf(1)}
+	}
+	var ss float64
+	for _, x := range xs {
+		ss += (x - m) * (x - m)
+	}
+	n := float64(len(xs))
+	half := t975(len(xs)-1) * math.Sqrt(ss/(n-1)/n)
+	return Interval{m, m - half, m + half}
+}
+
+// Contains reports whether x lies inside iv, ends included.
+func (iv Interval) Contains(x float64) bool { return iv.Lo <= x && x <= iv.Hi }
+
+// t975 is the 97.5th percentile of Student's t with df degrees of
+// freedom: tabulated to 30, and past it the Cornish–Fisher expansion
+// about the normal's, within 1e-4 of the exact value there.
+func t975(df int) float64 {
+	table := [...]float64{12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+		2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+		2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042}
+	if df <= len(table) {
+		return table[df-1]
+	}
+	const z = 1.959964
+	v := float64(df)
+	return z + (z*z*z+z)/(4*v) + (5*z*z*z*z*z+16*z*z*z+3*z)/(96*v*v)
+}
+
 func insertionSort(xs []float64) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {

@@ -5,12 +5,17 @@ package tier
 import (
 	"context"
 	"fmt"
+	"net"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/synctest"
 	"time"
 
 	"sww/internal/cdn"
+	"sww/internal/faultnet"
 	"sww/internal/telemetry"
 	"sww/internal/workload"
 )
@@ -376,5 +381,103 @@ func TestBubblePeerFillWaitsOnNothing(t *testing.T) {
 		if got := originTries(reg1) - tries; got != 0 {
 			t.Errorf("edge1 tried the origin %d times while filling from its peer, want 0", got)
 		}
+	})
+}
+
+// TestBubblePushNeverLost: with the poller off only a push can deliver,
+// and back-to-back invalidations from two goroutines must each reach the
+// edge within 100ms of virtual time, round after round. A wake-up that
+// lands while the pusher is finishing a drain used to be dropped,
+// leaving the entry to the next Invalidate; here both goroutines then
+// wait on the edge, so the clock runs out their 100ms.
+func TestBubblePushNeverLost(t *testing.T) {
+	bubble(t, func(t *testing.T) {
+		tr, err := New(Options{Edges: []string{"edge1"}}) // no Start: no poller
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		tr.Subscribe("edge1", 0)
+		o, e := tr.Primary(), tr.Edge("edge1")
+		const rounds = 20000
+		var wg sync.WaitGroup
+		for g := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := range rounds {
+					// Rounds start 0–5 yields after the last was
+					// delivered, so their invalidations land across the
+					// whole of the pusher's drain.
+					for range round % 6 {
+						runtime.Gosched()
+					}
+					o.Invalidate([]string{"/a"})
+					o.Invalidate([]string{"/b"})
+					seq := o.Seq()
+					// Spin first, as a busy caller would, so the rounds
+					// overlap the pusher's drains; then sleep, which lets
+					// the clock move once every goroutine waits.
+					for spins, start := 0, time.Now(); e.LastSeq() < seq; spins++ {
+						if time.Since(start) > 100*time.Millisecond {
+							t.Errorf("goroutine %d, round %d: edge at %d, origin at %d after 100ms", g, round, e.LastSeq(), seq)
+							return
+						}
+						if spins < 1000 {
+							runtime.Gosched()
+						} else {
+							time.Sleep(time.Millisecond)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := o.Seq(); got != 4*rounds {
+			t.Errorf("origin at seq %d after %d rounds of four invalidations, want %d", got, rounds, 4*rounds)
+		}
+	})
+}
+
+// TestBubblePushWatchdog: a push whose dial lands in a blackhole is cut
+// by the pusher's watchdog (cdn's 2s pushTimeout) and counted as a push
+// error within 3 timeouts; the next Invalidate redials and brings the
+// edge to the head, both paths applied, within 6 timeouts of the first.
+func TestBubblePushWatchdog(t *testing.T) {
+	bubble(t, func(t *testing.T) {
+		const pushTimeout = 2 * time.Second
+		tr, err := New(Options{Edges: []string{"edge1"}}) // no Start: no poller
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		o, e := tr.Primary(), tr.Edge("edge1")
+		var dials atomic.Int32
+		o.Subscribe("edge1", "pipe://edge1", 0, func() (net.Conn, error) {
+			if dials.Add(1) == 1 {
+				return faultnet.Blackhole(), nil
+			}
+			return tr.Dial("edge1")()
+		})
+		ctx := context.Background()
+		start := time.Now()
+		o.Invalidate([]string{"/a"})
+		if err := WaitUntil(ctx, "the push into the blackhole to fail", func() bool { return o.Stats().PushErrors > 0 }); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > 3*pushTimeout {
+			t.Errorf("a push into a blackhole failed after %v, want within %v", took, 3*pushTimeout)
+		}
+		o.Invalidate([]string{"/b"})
+		if err := WaitUntil(ctx, "the edge at seq 2", func() bool { return e.LastSeq() == 2 }); err != nil {
+			t.Fatalf("%v (%d dials)", err, dials.Load())
+		}
+		if took := time.Since(start); took > 6*pushTimeout {
+			t.Errorf("edge at seq 2 %v after the first push, want within %v", took, 6*pushTimeout)
+		}
+		if got := e.Stats().PushApplied; got != 2 {
+			t.Errorf("push applied %d paths, want 2", got)
+		}
+		t.Logf("push error after the blackhole, edge at the head %v after the first push, on virtual time", time.Since(start))
 	})
 }
