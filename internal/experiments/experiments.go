@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"time"
@@ -293,10 +294,14 @@ func Text2Text() ([]TextModelRow, error) {
 		}
 		var sberts, overshoots []float64
 		var ratios []float64
+		h := fnv.New64a()
+		h.Write([]byte(m.Name()))
+		modelSeed := int64(h.Sum64())
 		for ti, words := range textWordTargets {
 			for i := range textSeeds {
-				// A seed per sample: 1..32 across the targets.
-				seed := int64(ti*textSeeds + i + 1)
+				// A seed per sample: 1..32 across the targets, mixed with
+				// the model's hash, so that no two models draw alike.
+				seed := modelSeed ^ int64(ti*textSeeds+i+1)
 				res, err := m.Expand(genai.TextRequest{
 					Bullets: bullets, TargetWords: words,
 					Class: device.ClassWorkstation, Seed: seed})

@@ -81,13 +81,11 @@ func (m *diffusionModel) Generate(req genai.ImageRequest) (genai.ImageResult, er
 	sc := scratches.Get().(*scratch)
 	seed, target := m.seedAndTarget(sc, req)
 	img, planted, measured := sc.synthesize(req.Prompt, req.Width, req.Height, seed, target)
-	// img is the scratch's plane: the scratch goes back only once the
-	// PNG holds the pixels.
-	data, err := EncodePNG(img)
+	// synthesize filtered and counted img's rows into the scratch's
+	// encoder as it wrote them; img and the rows are the scratch's, which
+	// goes back only once the PNG holds the pixels.
+	data := sc.enc.encode(img)
 	scratches.Put(sc)
-	if err != nil {
-		return genai.ImageResult{}, err
-	}
 	return genai.ImageResult{
 		PNG:               data,
 		NominalBytes:      req.Width * req.Height / 8,

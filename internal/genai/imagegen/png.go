@@ -13,12 +13,12 @@ import (
 	"sync"
 )
 
-// EncodePNG is the one PNG encode site: generated images and
-// client-side upscales both go through it. A paletted image — every
-// generated one — takes encodeIndexed's fixed encoding. Any other
-// image, and a paletted one that encoding cannot carry (empty, or a
-// palette of none or over 256 entries), goes to the pooled image/png
-// encoder at its default level, which reports what it cannot encode.
+// EncodePNG encodes an image, the client-side upscales among them. A
+// paletted image takes encodeIndexed's fixed encoding, the one Generate
+// writes from the rows synthesis filtered. Any other image, and a
+// paletted one that encoding cannot carry (empty, or a palette of none
+// or over 256 entries), goes to the pooled image/png encoder at its
+// default level, which reports what it cannot encode.
 // That buffer is presized to w*h/2, which upscaled RGBA (0.2–0.9 B/px)
 // may outgrow and bytes.Buffer absorbs.
 func EncodePNG(img image.Image) ([]byte, error) {
@@ -104,35 +104,81 @@ var indexedScratches = sync.Pool{New: func() any { return new(indexedScratch) }}
 // rows at BestSpeed at 128² (DESIGN.md "Indexed images").
 //
 // Without matches a deflate stream is a histogram, two codes and the
-// literals, so encodeIndexed writes it itself: it filters the rows into
-// the scratch, counts them, builds the codes, sizes the PNG exactly
-// from the counts and writes each byte once. The zlib header is 78 01,
-// what compress/zlib writes at HuffmanOnly.
+// literals, so encodeIndexed writes it itself: filterRow filters and
+// counts each row into the scratch, and encode builds the codes, sizes
+// the PNG exactly from the counts and writes each byte once. A
+// synthesized image's rows are filtered as its pixels are written, so
+// Generate calls encode alone.
 func encodeIndexed(p *image.Paletted) []byte {
 	sc := indexedScratches.Get().(*indexedScratch)
 	defer indexedScratches.Put(sc)
 	w, h := p.Rect.Dx(), p.Rect.Dy()
-
-	sc.rows = resize(sc.rows, h*(1+w))
-	f := sc.rows[1 : 1+w]
-	sc.rows[0] = pngFilterPaeth
-	// The first row is Paeth against a row of zeros, which predicts
-	// every byte by its left neighbour: Sub.
-	cur := p.Pix[:w]
-	f[0] = cur[0]
-	for x := 1; x < w; x++ {
-		f[x] = cur[x] - cur[x-1]
-	}
-	for y := 1; y < h; y++ {
-		sc.rows[y*(1+w)] = pngFilterPaeth
-		f := sc.rows[y*(1+w)+1:][:w]
-		prev := p.Pix[(y-1)*p.Stride:][:w]
+	sc.start(w, h)
+	var prev []byte
+	for y := 0; y < h; y++ {
 		cur := p.Pix[y*p.Stride:][:w]
+		sc.filterRow(y, cur, prev)
+		prev = cur
+	}
+	return sc.encode(p)
+}
+
+// start readies sc for the rows of a w×h image.
+func (sc *indexedScratch) start(w, h int) {
+	sc.rows = resize(sc.rows, h*(1+w))
+	clear(sc.hist[:])
+}
+
+// filterRow writes row y, cur, into sc.rows as its filter type and its
+// Paeth residuals against prev, the row above (nil for the first), and
+// counts them: byte i of the filtered row in hist[i%4], so that a run
+// of one byte — the common residual 0 — does not wait on its own
+// increments.
+func (sc *indexedScratch) filterRow(y int, cur, prev []byte) {
+	w := len(cur)
+	out := sc.rows[y*(1+w):][:1+w]
+	out[0] = pngFilterPaeth
+	f := out[1:]
+	if prev == nil {
+		// The first row is Paeth against a row of zeros, which predicts
+		// every byte by its left neighbour: Sub.
+		f[0] = cur[0]
+		for x := 1; x < w; x++ {
+			f[x] = cur[x] - cur[x-1]
+		}
+	} else {
+		prev = prev[:w]
 		f[0] = cur[0] - prev[0] // nothing to the left: Up
 		for x := 1; x < w; x++ {
 			f[x] = cur[x] - paeth(cur[x-1], prev[x], prev[x-1])
 		}
 	}
+	hist := &sc.hist
+	for ; len(out) >= 4; out = out[4:] {
+		hist[0][out[0]]++
+		hist[1][out[1]]++
+		hist[2][out[2]]++
+		hist[3][out[3]]++
+	}
+	for i, b := range out {
+		hist[i][b]++
+	}
+}
+
+// lowerFirst subtracts k from the first residual of the first row, the
+// one residual that is a pixel rather than a difference of pixels, and
+// moves its count.
+func (sc *indexedScratch) lowerFirst(k uint8) {
+	b := &sc.rows[1]
+	sc.hist[1][*b]--
+	*b -= k
+	sc.hist[1][*b]++
+}
+
+// encode writes the PNG of p, whose rows filterRow has filled and
+// counted into sc.
+func (sc *indexedScratch) encode(p *image.Paletted) []byte {
+	w, h := p.Rect.Dx(), p.Rect.Dy()
 	block := (sc.buildCodes() + 7) / 8
 
 	var plte [3 * 256]byte
@@ -168,7 +214,7 @@ func encodeIndexed(p *image.Paletted) []byte {
 		out = endChunk(out, c)
 	}
 	out, c = startChunk(out, "IDAT")
-	out = append(out, 0x78, 0x01)
+	out = append(out, 0x78, 0x01) // what compress/zlib writes at HuffmanOnly
 	out = sc.writeBlock(out, block)
 	out = binary.BigEndian.AppendUint32(out, adler32.Checksum(sc.rows))
 	out = endChunk(out, c)
@@ -176,24 +222,11 @@ func encodeIndexed(p *image.Paletted) []byte {
 	return endChunk(out, c)
 }
 
-// buildCodes counts sc.rows and builds the block's codes from the
-// counts: the literal code, the run-length coded lengths of it and of
-// the distance code, and the code-length code those are written in. It
-// returns the block's size in bits.
+// buildCodes builds the block's codes from the rows' counts: the
+// literal code, the run-length coded lengths of it and of the distance
+// code, and the code-length code those are written in. It returns the
+// block's size in bits.
 func (sc *indexedScratch) buildCodes() int {
-	// Four tables, so that a run of one byte — the common residual 0 —
-	// does not wait on its own increments.
-	clear(sc.hist[:])
-	rows := sc.rows
-	for ; len(rows) >= 4; rows = rows[4:] {
-		sc.hist[0][rows[0]]++
-		sc.hist[1][rows[1]]++
-		sc.hist[2][rows[2]]++
-		sc.hist[3][rows[3]]++
-	}
-	for _, b := range rows {
-		sc.hist[0][b]++
-	}
 	for s := range 256 {
 		sc.freq[s] = sc.hist[0][s] + sc.hist[1][s] + sc.hist[2][s] + sc.hist[3][s]
 	}
@@ -286,11 +319,29 @@ func (sc *indexedScratch) writeBlock(out []byte, n int) []byte {
 		bw.put(uint64(t>>5), uint(clExtraBits(t&31)))
 	}
 
-	// The literals, three to a store: after a store at most 7 bits
-	// wait, and three codes add at most 45.
+	// The literals, four to a store while no code is longer than 14
+	// bits, else three: after a store at most 7 bits wait, and four
+	// codes add at most 56, three at most 45.
 	bw.flush()
 	acc, nb, pos, b := bw.acc, bw.n, bw.pos, bw.b
 	rows := sc.rows
+	if slices.Max(sc.lens[:numLit]) <= 14 {
+		for ; len(rows) >= 4; rows = rows[4:] {
+			c0, c1, c2, c3 := sc.codes[rows[0]], sc.codes[rows[1]], sc.codes[rows[2]], sc.codes[rows[3]]
+			acc |= uint64(c0&0xffff) << nb
+			nb += uint(c0 >> 16)
+			acc |= uint64(c1&0xffff) << nb
+			nb += uint(c1 >> 16)
+			acc |= uint64(c2&0xffff) << nb
+			nb += uint(c2 >> 16)
+			acc |= uint64(c3&0xffff) << nb
+			nb += uint(c3 >> 16)
+			binary.LittleEndian.PutUint64(b[pos:], acc)
+			pos += int(nb >> 3)
+			acc >>= nb &^ 7
+			nb &= 7
+		}
+	}
 	for ; len(rows) >= 3; rows = rows[3:] {
 		c0, c1, c2 := sc.codes[rows[0]], sc.codes[rows[1]], sc.codes[rows[2]]
 		acc |= uint64(c0&0xffff) << nb

@@ -12,6 +12,7 @@
 package imagegen
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"image"
 	"image/color"
@@ -34,14 +35,16 @@ const (
 // A scratch is one image's working memory. A busy server synthesizes
 // thousands of images, and the w·h planes are the dominant transient
 // allocations, so scratches are recycled whole, with the generator the
-// image draws from and the image itself: its index plane is lent to
-// whoever holds the scratch, and only the PNG leaves it.
+// image draws from, the image itself and its encoder's scratch: the
+// index plane is lent to whoever holds the scratch, and only the PNG
+// leaves it.
 type scratch struct {
 	rng   *genai.Rand    // reseeded per image
 	img   image.Paletted // the image synthesize writes, Pix resized per image
-	tex   []float64      // w·h texture plane, before the cell means are removed
+	tex   []float64      // w·h texture plane, then each pixel's luma
 	oct   [len(octaves)]octaveRows
 	cells cellStats
+	enc   indexedScratch // the image's filtered and counted rows
 }
 
 // octaveRows is one octave's lattice and the per-column state the
@@ -53,14 +56,14 @@ type octaveRows struct {
 	fades []float64 // per column: faded in-lattice fraction
 	iy    int       // the lattice row row0 and row1 were built for
 	row0  []float64 // per column: the horizontal lerp along lattice row iy,
-	row1  []float64 // and along iy+1
+	row1  []float64 // and along iy+1,
+	diff  []float64 // and row1 − row0
 }
 
 // cellStats is what the texture pass learns about each feature cell.
 type cellStats struct {
-	n        [grid * grid]int
-	mean     [grid * grid]float64
-	min, max [grid * grid]float64 // the cell's least and greatest texture value
+	n    [grid * grid]int
+	mean [grid * grid]float64
 }
 
 var scratches = sync.Pool{New: func() any { return newScratch() }}
@@ -93,10 +96,11 @@ func resize[T any](s []T, n int) []T {
 // the colours that rounding after it did (DESIGN.md "Indexed images"
 // has the one-ulp caveat).
 //
-// The measure costs no pass of its own: as the quantizing pass writes
-// index k it adds the tint's Luma601 of palette entry k to the pixel's
-// cell sum, in the row-major order EmbedImage sums in, and
-// metrics.ImageEmbedding finishes the vector.
+// The measure and the PNG's filter cost no pass of their own: the
+// quantizing pass sums each row's Luma601 of the tint's entries into
+// the cells in the row-major order EmbedImage sums in, which
+// metrics.ImageEmbedding finishes into the vector, and filters and
+// counts the row into sc.enc, from which Generate encodes the PNG.
 //
 // Every floating-point expression below is associated exactly as in
 // the straightforward per-pixel formulation (Go's + and * are
@@ -144,43 +148,95 @@ func (sc *scratch) synthesize(prompt string, w, h int, seed int64, targetAlign f
 	for c := range cellBase {
 		cellBase[c] = baseLuma + featAmp*v[c]
 	}
-	// PLTE is stored uncompressed, three bytes an entry, so carry only
-	// the luminances between the darkest and brightest pixel (~100 of
-	// the 256 for a 128² image) and index from the darkest. Float + and
-	// − round monotonically and clampByte is monotone, so a cell's
-	// darkest pixel is its least texture value's and its brightest its
-	// greatest's: the extremes come from the cells, not another pass.
-	lo, hi := uint8(255), uint8(0)
-	for c, n := range cs.n {
-		if n > 0 {
-			lo = min(lo, clampByte(cellBase[c]+(cs.min[c]-cs.mean[c])))
-			hi = max(hi, clampByte(cellBase[c]+(cs.max[c]-cs.mean[c])))
-		}
-	}
 	tint := tintTable(tintOf(prompt))
 	luma := &tint.luma
 	var sums [grid * grid]float64
+	var seen [256]bool
 	runs := cellRuns(w)
+	enc := &sc.enc
+	enc.start(w, h)
+	var prev []byte
 	for y := 0; y < h; y++ {
 		rowCell := (y * grid / h) * grid
 		row := img.Pix[y*img.Stride:][:w]
 		trow := tex[y*w:][:w]
 		for cx := 0; cx < grid; cx++ {
-			c := rowCell + cx
-			base, mean, sum := cellBase[c], cs.mean[c], sums[c]
-			for x := runs[cx]; x < runs[cx+1]; x++ {
-				k := clampByte(base + (trow[x] - mean))
-				row[x] = k - lo
-				sum += luma[k]
+			base, mean := cellBase[rowCell+cx], cs.mean[rowCell+cx]
+			run := trow[runs[cx]:runs[cx+1]]
+			out := row[runs[cx]:][:len(run)]
+			for x, t := range run {
+				k := clampByte(base + (t - mean))
+				out[x] = k
+				seen[k] = true
+				run[x] = luma[k] // the texture value is spent
 			}
-			sums[c] = sum
 		}
+		addCells((*[grid]float64)(sums[rowCell:]), trow, &runs)
+		enc.filterRow(y, row, prev)
+		prev = row
 	}
+	// PLTE is stored uncompressed, three bytes an entry, so carry only
+	// the luminances between the darkest and brightest pixel (~100 of
+	// the 256 for a 128² image) and index from the darkest. The rows
+	// were filtered unshifted: Paeth picks a neighbour by differences
+	// and subtracts it, so the shift moves no residual but the first
+	// pixel's, which has no neighbour.
+	lo, hi := 0, 255
+	for !seen[lo] {
+		lo++
+	}
+	for !seen[hi] {
+		hi--
+	}
+	lower(img.Pix, uint8(lo))
+	enc.lowerFirst(uint8(lo))
 	// Capped at its length: an append by a consumer reallocates instead
 	// of landing in the shared table's next entries.
-	img.Palette = tint.pal[lo : int(hi)+1 : int(hi)+1]
+	img.Palette = tint.pal[lo : hi+1 : hi+1]
 	ei := metrics.ImageEmbedding(&sums, &cs.n)
 	return img, planted, metrics.Cosine(e[:], ei[:])
+}
+
+// lower subtracts k from every byte of b, none of which is below k,
+// eight bytes at a time: no byte borrows from the next.
+func lower(b []byte, k uint8) {
+	kk := uint64(k) * 0x0101010101010101
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)-kk)
+	}
+	for i := range b {
+		b[i] -= k
+	}
+}
+
+// addCells adds each value of a row to its feature cell column's sum:
+// sums[cx] takes the run [runs[cx], runs[cx+1]). Every run holds q or
+// q+1 values, q = len(row)/grid, so the eight sums take their first q
+// values together, eight independent chains of additions where a cell
+// at a time is one, and then the last value of each longer run. Each
+// sum still adds its values in row order, so it is bit for bit the sum
+// a cell at a time gives.
+func addCells(sums *[grid]float64, row []float64, runs *[grid + 1]int) {
+	q := len(row) / grid
+	r0, r1, r2, r3 := row[runs[0]:][:q], row[runs[1]:][:q], row[runs[2]:][:q], row[runs[3]:][:q]
+	r4, r5, r6, r7 := row[runs[4]:][:q], row[runs[5]:][:q], row[runs[6]:][:q], row[runs[7]:][:q]
+	s0, s1, s2, s3, s4, s5, s6, s7 := sums[0], sums[1], sums[2], sums[3], sums[4], sums[5], sums[6], sums[7]
+	for j := range q {
+		s0 += r0[j]
+		s1 += r1[j]
+		s2 += r2[j]
+		s3 += r3[j]
+		s4 += r4[j]
+		s5 += r5[j]
+		s6 += r6[j]
+		s7 += r7[j]
+	}
+	sums[0], sums[1], sums[2], sums[3], sums[4], sums[5], sums[6], sums[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	for cx := range grid {
+		if runs[cx+1]-runs[cx] > q {
+			sums[cx] += row[runs[cx]+q]
+		}
+	}
 }
 
 // octaves is the value-noise spectrum of the synthesized texture.
@@ -201,9 +257,9 @@ func cellRuns(w int) (runs [grid + 1]int) {
 }
 
 // texture renders multi-octave value noise into sc.tex in one pass
-// and leaves in sc.cells each feature cell's pixel count, mean, and
-// least and greatest value. Subtracting the mean, which keeps texture
-// from disturbing the planted features, is left to the quantizing pass.
+// and leaves in sc.cells each feature cell's pixel count and mean.
+// Subtracting the mean, which keeps texture from disturbing the planted
+// features, is left to the quantizing pass.
 //
 // Per octave the lattice is sampled on at most ⌈freq⌉+1 integer
 // coordinates per axis, so all lattice values are precomputed into a
@@ -216,7 +272,7 @@ func cellRuns(w int) (runs [grid + 1]int) {
 // kernel's per-octave += over a zeroed plane does, and a cell's pixels
 // are summed in row-major order, so texture and means are bit-identical
 // to the naive expression's. The pixel loop is written out for the
-// three octaves.
+// three octaves, and carries no dependency from pixel to pixel.
 func (sc *scratch) texture(seed int64, w, h int) []float64 {
 	sc.tex = resize(sc.tex, w*h)
 	var amp, ty [len(octaves)]float64
@@ -229,6 +285,7 @@ func (sc *scratch) texture(seed int64, w, h int) []float64 {
 		o.fades = resize(o.fades, w)
 		o.row0 = resize(o.row0, w)
 		o.row1 = resize(o.row1, w)
+		o.diff = resize(o.diff, w)
 		o.iy = -1
 		for x := 0; x < w; x++ {
 			fx := float64(x) / float64(w) * conf.freq
@@ -242,9 +299,6 @@ func (sc *scratch) texture(seed int64, w, h int) []float64 {
 	cs := &sc.cells
 	var sums [grid * grid]float64
 	cs.n = [grid * grid]int{}
-	for c := range cs.min {
-		cs.min[c], cs.max[c] = math.Inf(1), math.Inf(-1)
-	}
 	runs := cellRuns(w)
 	a0, a1, a2 := amp[0], amp[1], amp[2]
 	o0, o1, o2 := &sc.oct[0], &sc.oct[1], &sc.oct[2]
@@ -258,30 +312,21 @@ func (sc *scratch) texture(seed int64, w, h int) []float64 {
 			}
 		}
 		ty0, ty1, ty2 := ty[0], ty[1], ty[2]
-		r00, r01 := o0.row0[:w], o0.row1[:w]
-		r10, r11 := o1.row0[:w], o1.row1[:w]
-		r20, r21 := o2.row0[:w], o2.row1[:w]
 		out := sc.tex[y*w:][:w]
+		r0, d0 := o0.row0[:w], o0.diff[:w]
+		r1, d1 := o1.row0[:w], o1.diff[:w]
+		r2, d2 := o2.row0[:w], o2.diff[:w]
+		for x := range out {
+			t := 0.0 // lerp(row0, row1, ty) is row0 + (row1−row0)·ty
+			t += a0 * (r0[x] + d0[x]*ty0)
+			t += a1 * (r1[x] + d1[x]*ty1)
+			t += a2 * (r2[x] + d2[x]*ty2)
+			out[x] = t
+		}
 		rowCell := (y * grid / h) * grid
-		for cx := 0; cx < grid; cx++ {
-			c := rowCell + cx
-			sum, lo, hi := sums[c], cs.min[c], cs.max[c]
-			for x := runs[cx]; x < runs[cx+1]; x++ {
-				t := 0.0
-				t += a0 * lerp(r00[x], r01[x], ty0)
-				t += a1 * lerp(r10[x], r11[x], ty1)
-				t += a2 * lerp(r20[x], r21[x], ty2)
-				out[x] = t
-				sum += t
-				if t < lo {
-					lo = t
-				}
-				if t > hi {
-					hi = t
-				}
-			}
-			sums[c], cs.min[c], cs.max[c] = sum, lo, hi
-			cs.n[c] += runs[cx+1] - runs[cx]
+		addCells((*[grid]float64)(sums[rowCell:]), out, &runs)
+		for cx := range grid {
+			cs.n[rowCell+cx] += runs[cx+1] - runs[cx]
 		}
 	}
 	for c, n := range cs.n {
@@ -294,16 +339,27 @@ func (sc *scratch) texture(seed int64, w, h int) []float64 {
 }
 
 // lerpRows builds the octave's horizontal lerps along lattice rows iy
-// and iy+1.
+// and iy+1, and their difference. Rows come in order, so a lattice row
+// that was iy+1 is reused as iy.
 func (o *octaveRows) lerpRows(iy int) {
-	r0 := o.table[iy*o.n:]
-	r1 := o.table[(iy+1)*o.n:]
-	for x, ix := range o.cols {
-		tx := o.fades[x]
-		o.row0[x] = lerp(r0[ix], r0[ix+1], tx)
-		o.row1[x] = lerp(r1[ix], r1[ix+1], tx)
+	if o.iy >= 0 && iy == o.iy+1 {
+		o.row0, o.row1 = o.row1, o.row0
+	} else {
+		o.lerpRow(o.row0, iy)
+	}
+	o.lerpRow(o.row1, iy+1)
+	for x, r1 := range o.row1 {
+		o.diff[x] = r1 - o.row0[x]
 	}
 	o.iy = iy
+}
+
+// lerpRow writes into row the horizontal lerps along lattice row iy.
+func (o *octaveRows) lerpRow(row []float64, iy int) {
+	r := o.table[iy*o.n:]
+	for x, ix := range o.cols {
+		row[x] = lerp(r[ix], r[ix+1], o.fades[x])
+	}
 }
 
 // lattice is seeded 2-D value noise with bilinear interpolation.

@@ -181,38 +181,41 @@ func checkPixels(t *testing.T, what string, got, want *image.RGBA) {
 	}
 }
 
+// synthCases are the shapes synthesis is checked at: sizes (including
+// non-multiples of the feature grid), prompts (including the
+// unconditioned empty prompt), seeds and alignments.
+var synthCases = []struct {
+	prompt string
+	w, h   int
+	seed   int64
+	align  float64
+}{
+	{"a red sailboat at dawn", 224, 224, 12345, 0.55},
+	{"a red sailboat at dawn", 256, 128, 12345, 0.55},
+	{"mountain village under snow, oil painting", 300, 200, -987654321, 0.72},
+	{"", 224, 224, 42, 0.55}, // unconditioned baseline
+	{"tiny", 17, 11, 7, 0.3}, // smaller than the 8×8 grid in one axis
+	{"the quick brown fox", 64, 64, 0, 0},
+	{"large-scale check", 512, 512, 99, 0.6},
+	// workload.LoadPage's shape: what every cold traditional fetch
+	// generates.
+	{"a sweeping alpine valley with a turquoise glacial lake, photographed at sunrise with soft mist in the lowlands, wide angle landscape photograph, high detail", 128, 128, 2024, 0.5},
+	{"one pixel", 1, 1, 3, 0.5},
+	// Cell shapes the interleaved cell sums must survive: empty cell
+	// columns or rows (3 wide or tall), one-pixel cells (8×8), and
+	// runs of uneven length in both axes (129×127).
+	{"narrow column", 3, 200, 31, 0.5},
+	{"narrow row", 200, 3, 32, 0.5},
+	{"one pixel a cell", 8, 8, 33, 0.5},
+	{"uneven runs", 129, 127, 34, 0.5},
+}
+
 // TestSynthMatchesReference: the indexed kernel decodes to exactly
-// the reference's pixels across sizes (including non-multiples of the
-// feature grid), prompts (including the unconditioned empty prompt),
-// seeds, and alignments — both straight out of synthesize and after
-// the round trip a client sees, png.Decode of Generate's PNG.
+// the reference's pixels at every synthCases shape, both straight out
+// of synthesize and after the round trip a client sees, png.Decode of
+// Generate's PNG.
 func TestSynthMatchesReference(t *testing.T) {
-	cases := []struct {
-		prompt string
-		w, h   int
-		seed   int64
-		align  float64
-	}{
-		{"a red sailboat at dawn", 224, 224, 12345, 0.55},
-		{"a red sailboat at dawn", 256, 128, 12345, 0.55},
-		{"mountain village under snow, oil painting", 300, 200, -987654321, 0.72},
-		{"", 224, 224, 42, 0.55}, // unconditioned baseline
-		{"tiny", 17, 11, 7, 0.3}, // smaller than the 8×8 grid in one axis
-		{"the quick brown fox", 64, 64, 0, 0},
-		{"large-scale check", 512, 512, 99, 0.6},
-		// workload.LoadPage's shape: what every cold traditional fetch
-		// generates.
-		{"a sweeping alpine valley with a turquoise glacial lake, photographed at sunrise with soft mist in the lowlands, wide angle landscape photograph, high detail", 128, 128, 2024, 0.5},
-		{"one pixel", 1, 1, 3, 0.5},
-		// Cell shapes the per-cell extremes must survive: empty cell
-		// columns or rows (3 wide or tall), one-pixel cells (8×8), and
-		// runs of uneven length in both axes (129×127).
-		{"narrow column", 3, 200, 31, 0.5},
-		{"narrow row", 200, 3, 32, 0.5},
-		{"one pixel a cell", 8, 8, 33, 0.5},
-		{"uneven runs", 129, 127, 34, 0.5},
-	}
-	for _, tc := range cases {
+	for _, tc := range synthCases {
 		t.Run(fmt.Sprintf("%dx%d_seed%d", tc.w, tc.h, tc.seed), func(t *testing.T) {
 			want, wantAlign := referenceSynthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
 			got, gotAlign, measured := pooledSynthesize(tc.prompt, tc.w, tc.h, tc.seed, tc.align)
@@ -242,6 +245,28 @@ func TestSynthMatchesReference(t *testing.T) {
 				t.Errorf("Generate planted alignment = %v, reference %v", res.Alignment, wantAlign)
 			}
 			checkPixels(t, "png.Decode(Generate)", toRGBA(decoded), want)
+		})
+	}
+}
+
+// TestGenerateMatchesEncodePNG: Generate's PNG, whose rows synthesis
+// filtered and counted before it knew the image's darkest index, is
+// byte for byte encodeIndexed's of the finished image, at every
+// synthCases shape.
+func TestGenerateMatchesEncodePNG(t *testing.T) {
+	for _, tc := range synthCases {
+		t.Run(fmt.Sprintf("%dx%d_seed%d", tc.w, tc.h, tc.seed), func(t *testing.T) {
+			req := normalizeImageReq(genai.ImageRequest{
+				Prompt: tc.prompt, Width: tc.w, Height: tc.h, Seed: tc.seed, Class: device.ClassWorkstation})
+			res, err := sd3.Generate(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, target := sd3.seedAndTarget(newScratch(), req)
+			img, _, _ := pooledSynthesize(tc.prompt, tc.w, tc.h, seed, target)
+			if want := encodeIndexed(img); !bytes.Equal(res.PNG, want) {
+				t.Fatalf("Generate's PNG (%d B) is not encodeIndexed's of the same image (%d B)", len(res.PNG), len(want))
+			}
 		})
 	}
 }

@@ -4,7 +4,7 @@ import "sync"
 
 // lruEntry is one cached value with its byte accounting, linked into the
 // cache's recency list in place: an insert allocates this and nothing
-// else.
+// else, and an insert after an eviction not even this.
 type lruEntry struct {
 	key        string
 	value      any
@@ -25,6 +25,7 @@ type ByteLRU struct {
 	root    lruEntry // sentinel: root.next is the most recent, root.prev the least
 	items   map[string]*lruEntry
 	onEvict func(key string, value any, size int64)
+	spare   *lruEntry // the last entry evicted, cleared, for the next insert
 }
 
 // NewByteLRU builds a cache capped at max bytes (minimum 1).
@@ -104,7 +105,12 @@ func (l *ByteLRU) Add(key string, value any, size int64) int {
 		e.value, e.size = value, size
 		l.moveToFrontLocked(e)
 	} else {
-		e := &lruEntry{key: key, value: value, size: size}
+		e := l.spare
+		if e == nil {
+			e = new(lruEntry)
+		}
+		l.spare = nil
+		e.key, e.value, e.size = key, value, size
 		l.pushFrontLocked(e)
 		l.items[key] = e
 		l.size += size
@@ -132,6 +138,15 @@ func (l *ByteLRU) Add(key string, value any, size int64) int {
 		for ent := evicted; ent != nil; ent = ent.next {
 			cb(ent.key, ent.value, ent.size)
 		}
+	}
+	if last != nil {
+		// Nothing else holds an evicted entry, and the callback is done
+		// with it: cleared, so that it keeps nothing alive, it is the
+		// next insert's.
+		*last = lruEntry{}
+		l.mu.Lock()
+		l.spare = last
+		l.mu.Unlock()
 	}
 	return count
 }

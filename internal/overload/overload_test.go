@@ -3,11 +3,13 @@ package overload
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 // fakeClock is a manually stepped clock for bucket/breaker tests.
@@ -166,6 +168,48 @@ func TestSingleflightCoalesces(t *testing.T) {
 	_, _, sh := g.Do("page", func() (any, error) { return "again", nil })
 	if sh {
 		t.Fatal("post-completion Do reported shared")
+	}
+}
+
+// TestSingleflightJoinedCallKept: a finished call serves the key's next
+// execution only if no caller joined it. A caller that joined call 1
+// reads call 1's value even when the leader has run call 2 on the same
+// key before that caller woke. On one P the woken caller waits for the
+// leader to block, so the leader runs call 2 first; a call reused
+// despite its join would hand the joined caller call 2's value.
+func TestSingleflightJoinedCallKept(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var g Group
+	joins := func() int {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if c := g.m["page"]; c != nil {
+			return c.joins
+		}
+		return 0
+	}
+	started := make(chan struct{})
+	got := make(chan any)
+	go func() {
+		<-started
+		v, _, shared := g.Do("page", func() (any, error) { return "joiner ran", nil })
+		if !shared {
+			t.Error("the joining caller ran its own call")
+		}
+		got <- v
+	}()
+	g.Do("page", func() (any, error) {
+		close(started)
+		for joins() == 0 {
+			runtime.Gosched()
+		}
+		return "call 1", nil
+	})
+	if v, _, shared := g.Do("page", func() (any, error) { return "call 2", nil }); shared || v != "call 2" {
+		t.Fatalf("call 2 = %v, shared %v", v, shared)
+	}
+	if v := <-got; v != "call 1" {
+		t.Fatalf("the caller that joined call 1 read %v", v)
 	}
 }
 
@@ -344,6 +388,28 @@ func TestBreakerTransitions(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestByteLRUEvictedValueCollectable: the evicted entry that the next
+// insert reuses keeps neither the value nor the key it held, so both
+// are collectable once the callback has run.
+func TestByteLRUEvictedValueCollectable(t *testing.T) {
+	l := NewByteLRU(1)
+	var seen *[64]byte
+	l.SetOnEvict(func(_ string, v any, _ int64) { seen = v.(*[64]byte) })
+	gone := new([64]byte)
+	wp := weak.Make(gone)
+	l.Add("gone", gone, 1)
+	l.Add("next", new([64]byte), 1) // evicts gone
+	if seen != gone {
+		t.Fatal("the callback did not hear the evicted value")
+	}
+	seen, gone = nil, nil
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("an evicted value is still reachable from the cache")
+	}
+	runtime.KeepAlive(l)
 }
 
 func TestByteLRUEviction(t *testing.T) {
