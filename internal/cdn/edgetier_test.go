@@ -429,11 +429,12 @@ func TestEdgeCountsOncePerRequest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
+		status, got := resp.Status, resp.HeaderValue(core.EdgeCacheHeader)
 		body, err := http2.ReadAllBody(resp)
-		if err != nil || resp.Status != 200 || len(body) <= 64 {
-			t.Fatalf("GET %s = %d, %d bytes, %v", path, resp.Status, len(body), err)
+		if err != nil || status != 200 || len(body) <= 64 {
+			t.Fatalf("GET %s = %d, %d bytes, %v", path, status, len(body), err)
 		}
-		if got := resp.HeaderValue(core.EdgeCacheHeader); got != cache {
+		if got != cache {
 			t.Fatalf("GET %s: %s = %q, want %q", path, core.EdgeCacheHeader, got, cache)
 		}
 	}

@@ -540,8 +540,9 @@ func pullGet(cc *http2.ClientConn, path string) (cache, got string, err error) {
 	if err != nil {
 		return "", "", err
 	}
+	status, cache := resp.Status, resp.HeaderValue(core.EdgeCacheHeader)
 	body, err := http2.ReadAllBody(resp)
-	return resp.HeaderValue(core.EdgeCacheHeader), fmt.Sprintf("%d %s", resp.Status, body), err
+	return cache, fmt.Sprintf("%d %s", status, body), err
 }
 
 // TestEdgeLeavesFencedOrigin: a 409 from the origin an edge polls is

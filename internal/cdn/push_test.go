@@ -256,9 +256,10 @@ func TestInlinePushDeclines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
+		status := resp.Status
 		body, err := http2.ReadAllBody(resp)
-		if err != nil || resp.Status != 200 {
-			t.Fatalf("GET %s: status %d, %v", path, resp.Status, err)
+		if err != nil || status != 200 {
+			t.Fatalf("GET %s: status %d, %v", path, status, err)
 		}
 		return body
 	}
@@ -377,11 +378,12 @@ func TestPollRacingPushAppliesOnce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("GET %s: %v", path, err)
 				}
+				status, cache := resp.Status, resp.HeaderValue(core.EdgeCacheHeader)
 				body, err := http2.ReadAllBody(resp)
-				if err != nil || resp.Status != 200 {
-					t.Fatalf("GET %s: status %d, %v", path, resp.Status, err)
+				if err != nil || status != 200 {
+					t.Fatalf("GET %s: status %d, %v", path, status, err)
 				}
-				return resp.HeaderValue(core.EdgeCacheHeader) + " " + string(body)
+				return cache + " " + string(body)
 			}
 
 			get("/a") // warm at seq 5

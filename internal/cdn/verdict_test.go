@@ -287,9 +287,10 @@ func tablePush(t *testing.T, c feedCell) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	status := resp.Status
 	body, err := http2.ReadAllBody(resp)
-	if err != nil || resp.Status != 200 {
-		t.Fatalf("push: status %d, %v", resp.Status, err)
+	if err != nil || status != 200 {
+		t.Fatalf("push: status %d, %v", status, err)
 	}
 	ack, err := parsePushAck(body)
 	if err != nil {

@@ -52,18 +52,19 @@ func (c h2conn) fetch(ctx context.Context, path string, extra ...hpack.HeaderFie
 	if err != nil {
 		return fetchReply{}, err
 	}
-	body, err := http2.ReadAllBodyContext(ctx, resp)
-	if err != nil {
-		return fetchReply{}, err
-	}
-	return fetchReply{
+	// resp lives in its stream, which the body's end hands to the
+	// connection's next request: its values are read first.
+	reply := fetchReply{
 		status:      resp.Status,
 		mode:        resp.HeaderValue(ModeHeader),
 		contentType: resp.HeaderValue("content-type"),
 		retryAfter:  resp.HeaderValue(RetryAfterHeader),
 		stale:       resp.HeaderValue(EdgeStaleHeader),
-		body:        body,
-	}, nil
+	}
+	if reply.body, err = http2.ReadAllBodyContext(ctx, resp); err != nil {
+		return fetchReply{}, err
+	}
+	return reply, nil
 }
 
 // h3conn adapts http3.ClientConn.

@@ -21,14 +21,15 @@ import (
 // cold_traditional fetch of the tier benchmark has: admission, one
 // image and one text generation, the page written from its compiled
 // markup, the LRU insert (and, the cache holding nothing, eviction) and
-// the h2 exchange. 12 objects today. On the server: the request's
+// the h2 exchange. 11 objects today. On the server: the request's
 // Stream (1), the served entry, its slot table (hole fills and asset
 // bytes), body, content-length and report items (5), the image's PNG
 // (1) and the prose (1); the flight reuses the call no waiter joined,
-// and the LRU the entry it evicted. On the client: its Stream, its
-// body buffer and the RawReply (3). And the test's own request path
-// (1). The handler runs on the goroutine the previous fetch's left
-// parked on the connection; 14 when each singleflight call and LRU
+// and the LRU the entry it evicted. On the client: its body buffer and
+// the RawReply (2); the GET runs in the Stream the previous one's body
+// retired. And the test's own request path (1). The handler runs on
+// the goroutine the previous fetch's left parked on the connection; 12
+// when the client made a Stream for each GET, 14 when each singleflight call and LRU
 // entry was made anew, 15 when each fetch
 // started a handler goroutine of its own, whose go statement made a
 // closure, 17 when the image's Paletted header and index plane were
@@ -84,7 +85,7 @@ func TestTraditionalGenerationAllocs(t *testing.T) {
 	if runs := srv.OverloadStats().GenRuns - before; runs != 201 {
 		t.Fatalf("%d generations in 201 fetches: the cache served some", runs)
 	}
-	if allocs > 13 {
-		t.Fatalf("one cold traditional fetch allocates %v objects, want at most 13", allocs)
+	if allocs > 12 {
+		t.Fatalf("one cold traditional fetch allocates %v objects, want at most 12", allocs)
 	}
 }

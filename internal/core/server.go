@@ -154,6 +154,9 @@ func NewServer(imageModel, textModel string) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		// An upscale placeholder's low-resolution source is a stored
+		// asset: the server reads it where a client's GET would.
+		proc.FetchAsset = s.storedAsset
 		s.serverProc = proc
 	}
 	cfg := http2.Config{GenAbility: http2.GenFull | http2.GenUpscaleOnly}
@@ -334,6 +337,18 @@ func (s *Server) AddPage(p *Page) {
 	for _, a := range slices.Concat(p.Unique, p.Originals) {
 		s.assets[a.Path] = a
 	}
+}
+
+// storedAsset returns the bytes of the unique or original asset stored
+// at path.
+func (s *Server) storedAsset(path string) ([]byte, error) {
+	s.mu.RLock()
+	a, ok := s.assets[path]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("core: no asset stored at %s", path)
+	}
+	return a.Data, nil
 }
 
 // Page returns a registered page.

@@ -309,11 +309,12 @@ func TestInlineAccountingWithDeclines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
+		gotStatus, gotMode := resp.Status, resp.HeaderValue(ModeHeader)
 		if _, err := http2.ReadAllBody(resp); err != nil {
 			t.Fatalf("GET %s body: %v", path, err)
 		}
-		if resp.Status != status || resp.HeaderValue(ModeHeader) != mode {
-			t.Fatalf("GET %s = %d mode %q, want %d %q", path, resp.Status, resp.HeaderValue(ModeHeader), status, mode)
+		if gotStatus != status || gotMode != mode {
+			t.Fatalf("GET %s = %d mode %q, want %d %q", path, gotStatus, gotMode, status, mode)
 		}
 	}
 	if len(page.PromptBytes()) <= 64 {

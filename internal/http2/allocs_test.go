@@ -12,12 +12,14 @@ import (
 
 // getAllocBudget is what one GET may allocate across both endpoints of
 // a net.Pipe pair when the handler answers on the read loop: the
-// client's Stream and its receive buffer, which is the body ReadAllBody
-// returns. Everything else a request used to allocate — send window,
-// condition variables, header channel, header lists, Request,
-// ResponseWriter, Response, body adapter, the client's stream context —
-// lives inside the client's Stream, and the server answers in the
-// Stream its previous inline reply left spare.
+// client's receive buffer, which is the body ReadAllBody returns (2
+// while each GET made a client Stream). Everything else a request used
+// to allocate — send window, condition variables, header channel,
+// header lists, Request, ResponseWriter, Response, body adapter, the
+// client's stream context — lives inside a Stream; the client opens
+// each GET in the Stream the previous one's ReadAllBody retired, and
+// the server answers in the Stream its previous inline reply left
+// spare.
 // A handler that is served from a goroutine pays one object more, a
 // Stream of its own on the server. It runs on the handler goroutine
 // the previous such request left parked, so no go statement allocates
@@ -31,14 +33,14 @@ import (
 // group that register them as the context's child; and the closure
 // that cancels the connection's streams.
 const (
-	getAllocBudget           = 2
+	getAllocBudget           = 1
 	getAllocBudgetGoroutine  = getAllocBudget + 1
 	getAllocBudgetPerRequest = getAllocBudget + 8
 )
 
-// TestGetAllocBudget pins the request lifecycle at the client's Stream
-// and body, plus the server's Stream for a plain Handler, and a context
-// and its hook when the request brings a context of its own.
+// TestGetAllocBudget pins the request lifecycle at the body, plus the
+// server's Stream for a plain Handler, and a context and its hook when
+// the request brings a context of its own.
 // BenchmarkRespondBody's GETs over loopback TCP are goroutine-served
 // and pay what a goroutine-served GET on a net.Pipe does, whatever the
 // body's size. (The race detector's instrumentation allocates; hence
@@ -177,9 +179,10 @@ func allocsGet(t *testing.T, h Handler) func(ctx context.Context) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mode := resp.HeaderValue("x-sww-mode")
 		got, err := ReadAllBodyContext(ctx, resp)
-		if err != nil || len(got) != 37 || resp.HeaderValue("x-sww-mode") != "generative" {
-			t.Fatalf("GET = %q, %v, headers %v", got, err, resp.Header)
+		if err != nil || len(got) != 37 || mode != "generative" {
+			t.Fatalf("GET = %q, %v, x-sww-mode %q", got, err, mode)
 		}
 	}
 }

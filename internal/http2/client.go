@@ -11,7 +11,15 @@ import (
 	"sww/internal/hpack"
 )
 
-// A Response is a decoded HTTP/2 response.
+// A Response is a decoded HTTP/2 response. It lives inside its stream.
+//
+// Once ReadAllBody or ReadAllBodyContext has returned a body it took
+// to its end, the response and everything reached through it (Header,
+// Body, Stream()) belong to the connection again, which reuses them
+// for a later request. A caller keeps values — the status, the strings
+// in the header — read before that call, never the pointers. A
+// response whose body was closed, read with Body.Read, reset or
+// cancelled is not reused.
 type Response struct {
 	Status int
 	Header []hpack.HeaderField
@@ -33,7 +41,8 @@ func (r *Response) HeaderValue(name string) string {
 	return ""
 }
 
-// Stream exposes the underlying stream.
+// Stream exposes the underlying stream. A stream whose Context was
+// asked for is not reused.
 func (r *Response) Stream() *Stream { return r.stream }
 
 // A ClientConn is the client end of an HTTP/2 connection.
@@ -239,15 +248,44 @@ func (b *responseBody) Close() error {
 // content-length, is returned as it is and belongs to the caller. Only
 // a Body that is not the one DoContext installed is read with
 // io.ReadAll.
-func ReadAllBody(resp *Response) ([]byte, error) {
-	defer resp.Body.Close()
+//
+// A body taken to its END_STREAM ends the exchange, and the
+// connection's next request reuses its stream: resp is not valid once
+// ReadAllBody returns (see Response). Read the status and headers
+// first.
+func ReadAllBody(resp *Response) ([]byte, error) { return readAllBody(resp, nil) }
+
+// readAllBody is ReadAllBody. stop, when not nil, unregisters the
+// cancel hook ReadAllBodyContext put on its context.
+func readAllBody(resp *Response, stop func() bool) ([]byte, error) {
 	b, ok := resp.Body.(*responseBody)
 	if !ok {
+		if stop != nil {
+			defer stop()
+		}
+		defer resp.Body.Close()
 		return io.ReadAll(resp.Body)
 	}
+	return b.readAll(stop)
+}
+
+// readAll takes the body whole. Only a clean end — END_STREAM, no
+// error, the body not read or closed before, and stop's hook kept from
+// firing — retires the stream for the connection's next request, and
+// that is the last thing done to it. Any other end leaves the stream
+// to the garbage collector.
+func (b *responseBody) readAll(stop func() bool) ([]byte, error) {
 	body, err := b.st.takeBody()
-	if err == nil {
+	fired := stop != nil && !stop()
+	switch {
+	case err != nil:
+		b.Close()
+	case b.done:
+	case fired:
 		b.finish()
+	default:
+		b.done = true
+		b.st.c.retire(b.st)
 	}
 	return body, err
 }
@@ -257,15 +295,16 @@ func ReadAllBody(resp *Response) ([]byte, error) {
 // the underlying stream is cancelled so the read unwinds instead of
 // hanging on a window that never refills. Under the context the
 // request was made with, DoContext's hook already does that; any other
-// cancelable context is hooked for the length of the read.
+// cancelable context is hooked for the length of the read. Like
+// ReadAllBody, it leaves resp invalid when it returns.
 func ReadAllBodyContext(ctx context.Context, resp *Response) ([]byte, error) {
-	if done := ctx.Done(); done != nil && !resp.stream.hookedOn(done) {
-		stop := context.AfterFunc(ctx, func() {
-			resp.stream.cancel(fmt.Errorf("http2: body read canceled: %w", context.Cause(ctx)))
+	var stop func() bool
+	if st, done := resp.stream, ctx.Done(); done != nil && !st.hookedOn(done) {
+		stop = context.AfterFunc(ctx, func() {
+			st.cancel(fmt.Errorf("http2: body read canceled: %w", context.Cause(ctx)))
 		})
-		defer stop()
 	}
-	body, err := ReadAllBody(resp)
+	body, err := readAllBody(resp, stop)
 	if err != nil && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}

@@ -205,10 +205,20 @@ type conn struct {
 	handler Handler
 	inline  InlineHandler
 
-	// spare is the Stream of the last request answered on the read
-	// loop, for the next accepted stream to reuse. Only the read loop
-	// touches it.
-	spare *Stream
+	// spare is the Stream of the last exchange that ended cleanly, for
+	// the connection's next stream to reuse. On a server it is the last
+	// request answered on the read loop, and only the read loop touches
+	// it. On a client it is the last response ReadAllBody took to its
+	// end (see retire), guarded by mu, and reusable once frames reaches
+	// spareAt: the read loop may have looked it up before it left
+	// c.streams, and is done with it when it is done with that frame.
+	spare   *Stream
+	spareAt uint64
+
+	// frames counts the read loop's frames twice, once before and once
+	// after it handles each, so it is odd while the loop may hold a
+	// *Stream it looked up.
+	frames atomic.Uint64
 
 	// idle hands a declined stream to the handler goroutine parked on
 	// it, if one is; parked says one is, or is about to be. A handler
@@ -373,6 +383,7 @@ func (c *conn) readFrames() error {
 			}
 			sawSettings = true
 		}
+		c.frames.Add(1)
 		if err := c.dispatch(fr); err != nil {
 			switch e := err.(type) {
 			case StreamError:
@@ -388,6 +399,7 @@ func (c *conn) readFrames() error {
 				return err
 			}
 		}
+		c.frames.Add(1)
 	}
 }
 
@@ -932,6 +944,26 @@ func (c *conn) lookupStream(id uint32) *Stream {
 
 func (c *conn) removeStream(id uint32) {
 	c.mu.Lock()
+	c.removeLocked(id)
+	c.mu.Unlock()
+}
+
+// retire ends a client exchange whose body ReadAllBody took to a clean
+// END_STREAM: the stream leaves c.streams and becomes the spare. A
+// stream that has left already (a reset, a teardown), that a fired
+// cancel hook claimed, or whose Context was handed out is left to the
+// garbage collector instead. Nothing may touch st after this.
+func (c *conn) retire(st *Stream) {
+	c.mu.Lock()
+	if c.streams[st.id] == st && !st.canceled && !st.ctx.handedOut() {
+		c.spare, c.spareAt = st, (c.frames.Load()+1)&^1
+	}
+	c.removeLocked(st.id)
+	c.mu.Unlock()
+}
+
+// removeLocked is removeStream with c.mu held.
+func (c *conn) removeLocked(id uint32) {
 	if st, ok := c.streams[id]; ok {
 		delete(c.streams, id)
 		if c.server && id%2 == 1 {
@@ -941,7 +973,6 @@ func (c *conn) removeStream(id uint32) {
 			c.leaveHook(st.hookDone)
 		}
 	}
-	c.mu.Unlock()
 }
 
 // A cancelHook cancels the streams of a client connection opened
@@ -1042,10 +1073,11 @@ func (s *Stream) hookedOn(done <-chan struct{}) bool {
 
 // cancelHooked is the callback of ctx's hook: it drops the hook,
 // unhooks every stream still hooked on ctx and cancels each after the
-// unlock (Stream.cancel takes c.mu). A cancelled stream leaves
-// c.streams only after its RST_STREAM is queued, so no stream opened
-// into its slot goes out ahead of the reset. A hook no stream waits
-// on scans nothing.
+// unlock (Stream.cancel takes c.mu); each is marked canceled, so a
+// body that ends meanwhile does not retire it for reuse. A cancelled
+// stream leaves c.streams only after its RST_STREAM is queued, so no
+// stream opened into its slot goes out ahead of the reset. A hook no
+// stream waits on scans nothing.
 func (c *conn) cancelHooked(ctx context.Context) {
 	done := ctx.Done()
 	var hooked []*Stream
@@ -1058,7 +1090,7 @@ func (c *conn) cancelHooked(ctx context.Context) {
 				break
 			}
 			if st.hookDone == done {
-				st.hookDone = nil
+				st.hookDone, st.canceled = nil, true
 				hooked = append(hooked, st)
 			}
 		}
@@ -1438,7 +1470,9 @@ func (c *conn) tryRespond(st *Stream, status int, body []byte, fields []hpack.He
 	return true
 }
 
-// openStream allocates a locally initiated stream (client role).
+// openStream opens a locally initiated stream (client role), in the
+// stream the last clean exchange retired if the read loop is done with
+// it.
 func (c *conn) openStream() (*Stream, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1455,7 +1489,12 @@ func (c *conn) openStream() (*Stream, error) {
 	}
 	id := c.nextID
 	c.nextID += 2
-	st := new(Stream)
+	st := c.spare
+	if st == nil || c.frames.Load() < c.spareAt {
+		st = new(Stream)
+	} else {
+		c.spare = nil
+	}
 	st.init(c, id, c.peer.initialWindow)
 	c.streams[id] = st
 	return st, nil

@@ -348,9 +348,9 @@ func TestHandlerPanicResetsStream(t *testing.T) {
 	resp, err := cc.Get("/boom")
 	if err == nil {
 		// Either an error or a 500 is acceptable depending on timing.
-		if resp.Status != 500 {
+		if status := resp.Status; status != 500 {
 			body, _ := ReadAllBody(resp)
-			t.Logf("panic response: %d %q", resp.Status, body)
+			t.Logf("panic response: %d %q", status, body)
 		} else {
 			ReadAllBody(resp)
 		}

@@ -625,9 +625,10 @@ func TestInlineMixedWritersStress(t *testing.T) {
 					t.Errorf("%s: %v", path, err)
 					return
 				}
+				echo := resp.HeaderValue("x-echo")
 				body, err := ReadAllBody(resp)
-				if err != nil || string(body) != path || resp.HeaderValue("x-echo") != path {
-					t.Errorf("%s: body %q, x-echo %q, %v", path, body, resp.HeaderValue("x-echo"), err)
+				if err != nil || string(body) != path || echo != path {
+					t.Errorf("%s: body %q, x-echo %q, %v", path, body, echo, err)
 					return
 				}
 			}
@@ -1130,15 +1131,22 @@ func TestLentBodyNotTouchedByLaterTraffic(t *testing.T) {
 	}
 }
 
-// TestLentBodyCloseSendsNoReset: a stream whose body was lent and
-// ended cleanly is finished; closing it afterwards resets nothing.
+// TestLentBodyCloseSendsNoReset: a stream whose body ended cleanly is
+// finished: ReadAllBody, which lends the body, resets nothing, and
+// neither does closing a body Read took to io.EOF, or its stream.
 func TestLentBodyCloseSendsNoReset(t *testing.T) {
 	cc, s := acceptRaw(t)
 	closed := make(chan error, 1)
 	go func() {
-		resp, err := cc.Get("/clean")
+		resp, err := cc.Get("/lent")
 		if err == nil {
 			_, err = ReadAllBody(resp)
+		}
+		if err == nil {
+			resp, err = cc.Get("/read")
+		}
+		if err == nil {
+			_, err = io.ReadAll(resp.Body)
 		}
 		if err == nil {
 			resp.Stream().Close()
@@ -1147,9 +1155,11 @@ func TestLentBodyCloseSendsNoReset(t *testing.T) {
 		closed <- err
 		cc.Ping(time.Second) // a frame the peer can wait for
 	}()
-	id := s.awaitRequest()
-	s.respond(id, false)
-	s.fr.WriteData(id, true, []byte("all of it"))
+	for range 2 {
+		id := s.awaitRequest()
+		s.respond(id, false)
+		s.fr.WriteData(id, true, []byte("all of it"))
+	}
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
@@ -1231,12 +1241,12 @@ func TestConnWindowRefundedOnAbandonedBody(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			st := resp.Stream()
 			result := make(chan error, 1)
 			go func() {
 				_, err := ReadAllBodyContext(ctx, resp)
 				result <- err
 			}()
-			st := resp.Stream()
 			waitCond(t, "the page to arrive in the lent buffer", func() bool {
 				st.mu.Lock()
 				defer st.mu.Unlock()

@@ -21,8 +21,11 @@ import (
 // Response/body (client) handed to callers all live inside it. Those
 // values therefore alias the stream. A stream answered on the read loop
 // (see InlineHandler) is reused for the connection's next request, so
-// what TryServeSWW was handed is valid only until it returns; every
-// other stream stays valid exactly as long as it is reachable.
+// what TryServeSWW was handed is valid only until it returns; a
+// response whose body ReadAllBody or ReadAllBodyContext took to its end
+// is reused for the connection's next request too, so the Response is
+// valid only until that call returns. Every other stream stays valid
+// exactly as long as it is reachable.
 type Stream struct {
 	c  *conn
 	id uint32
@@ -69,9 +72,12 @@ type Stream struct {
 	// hookDone is the Done channel of the context DoContext hooked the
 	// stream on, nil when it hooked none: the connection's hook for
 	// that context cancels the stream while it is in c.streams (its
-	// callback sets the field back to nil), so ReadAllBodyContext under
-	// the same context adds no hook of its own. Guarded by c.mu.
+	// callback sets the field back to nil and canceled), so
+	// ReadAllBodyContext under the same context adds no hook of its
+	// own, and a stream the hook is cancelling is not reused. Guarded
+	// by c.mu.
 	hookDone <-chan struct{}
+	canceled bool
 
 	// hdr is the peer's first header block (the request on the server,
 	// the response on the client), copied out of the read loop's
@@ -512,7 +518,8 @@ func (s *Stream) reset(err error) {
 }
 
 // Trailers returns any trailer fields received after the response
-// headers. Valid once Read has returned io.EOF.
+// headers. Valid once Read has returned io.EOF; a body ReadAllBody
+// took ends its exchange, and the trailers go with the stream.
 func (s *Stream) Trailers() []hpack.HeaderField {
 	s.mu.Lock()
 	defer s.mu.Unlock()
