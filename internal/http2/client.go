@@ -256,7 +256,11 @@ func (b *responseBody) Close() error {
 func ReadAllBody(resp *Response) ([]byte, error) { return readAllBody(resp, nil) }
 
 // readAllBody is ReadAllBody. stop, when not nil, unregisters the
-// cancel hook ReadAllBodyContext put on its context.
+// cancel hook ReadAllBodyContext put on its context. Only a clean end
+// — END_STREAM, no error, the body not read or closed before, and
+// stop's hook kept from firing — retires the stream for the
+// connection's next request, and that is the last thing done to it.
+// Any other end leaves the stream to the garbage collector.
 func readAllBody(resp *Response, stop func() bool) ([]byte, error) {
 	b, ok := resp.Body.(*responseBody)
 	if !ok {
@@ -266,15 +270,6 @@ func readAllBody(resp *Response, stop func() bool) ([]byte, error) {
 		defer resp.Body.Close()
 		return io.ReadAll(resp.Body)
 	}
-	return b.readAll(stop)
-}
-
-// readAll takes the body whole. Only a clean end — END_STREAM, no
-// error, the body not read or closed before, and stop's hook kept from
-// firing — retires the stream for the connection's next request, and
-// that is the last thing done to it. Any other end leaves the stream
-// to the garbage collector.
-func (b *responseBody) readAll(stop func() bool) ([]byte, error) {
 	body, err := b.st.takeBody()
 	fired := stop != nil && !stop()
 	switch {
