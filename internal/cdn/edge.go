@@ -253,8 +253,6 @@ type Edge struct {
 	snapDone   chan struct{}
 	sweepDone  chan struct{}
 
-	now func() time.Time
-
 	requests       telemetry.Counter
 	hits           telemetry.Counter
 	misses         telemetry.Counter
@@ -293,7 +291,6 @@ func NewEdge(cfg EdgeConfig, origins *core.EndpointSet) *Edge {
 		ring:     NewRing(0, peers...),
 		upstream: core.NewResilientClientEndpoints(origins, device.Workstation, nil, cfg.Retry),
 		cache:    overload.NewByteLRU(edgeCacheBytes),
-		now:      time.Now,
 	}
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
 	if cfg.RetryBudgetRatio >= 0 {
@@ -435,7 +432,7 @@ func (e *Edge) serve(w *http2.ResponseWriter, r *http2.Request, inline bool) boo
 	// bytes; only the miss ladder below makes a string of it.
 	var buf [128]byte
 	kb := appendCacheKey(buf[:0], path, gen)
-	now := e.now()
+	now := time.Now()
 
 	// A fill request from a peer edge answers from the shard only:
 	// no origin pull, no recursion — the asking edge owns the retry
@@ -670,7 +667,7 @@ func (e *Edge) peerFill(ctx context.Context, key, path string, gen http2.GenAbil
 			staleFor := res.raw.StaleAge
 			// Backdate so our own TTL/stale clock continues where the
 			// peer's left off instead of restarting from fresh.
-			added := e.now()
+			added := time.Now()
 			if staleFor > 0 {
 				added = added.Add(-(e.cfg.ttl() + staleFor))
 			}
@@ -812,7 +809,7 @@ func appendCacheKey[S string | []byte](dst []byte, path S, gen http2.GenAbility)
 // returns the entry, whose content-length the reply that brought it in
 // can send.
 func (e *Edge) store(key, path string, gen http2.GenAbility, raw core.RawReply) *edgeEntry {
-	return e.storeAt(key, path, gen, raw, e.now())
+	return e.storeAt(key, path, gen, raw, time.Now())
 }
 
 // storeAt is store with an explicit freshness clock (peer fills and

@@ -16,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,7 +334,7 @@ func TestPullOutlivesLeaderCancel(t *testing.T) {
 	entered, release := make(chan struct{}, 4), make(chan struct{})
 	dropped := make(chan struct{}, 4) // an origin request its puller reset
 	var pulls atomic.Int32
-	e, dial := pullFixture(t, EdgeConfig{Name: "edge1", TTL: time.Hour}, func(w *http2.ResponseWriter, r *http2.Request) {
+	e, dial, closeAll := pullFixture(t, EdgeConfig{Name: "edge1", TTL: time.Hour}, func(w *http2.ResponseWriter, r *http2.Request) {
 		pulls.Add(1)
 		entered <- struct{}{}
 		select {
@@ -345,6 +344,7 @@ func TestPullOutlivesLeaderCancel(t *testing.T) {
 			dropped <- struct{}{}
 		}
 	})
+	defer closeAll()
 
 	leader, waiter := dial(), dial()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -390,92 +390,6 @@ func TestPullOutlivesLeaderCancel(t *testing.T) {
 	}
 }
 
-// TestPullBoundedByUpstreamBudget: a pull runs under no request's
-// context, and an origin that takes the request and never answers
-// still ACKs keepalive PINGs, so the edge's own budget must end it.
-// Every request coalesced on the key gets its 502 — here, with a zero
-// Retry's one attempt, within 2 s plus 1 s of slack — instead of
-// waiting forever.
-func TestPullBoundedByUpstreamBudget(t *testing.T) {
-	cfg := EdgeConfig{Name: "edge1", TTL: time.Hour, Retry: core.RetryPolicy{MaxAttempts: 1}}
-	_, dial := pullFixture(t, cfg, func(w *http2.ResponseWriter, r *http2.Request) {
-		<-r.Stream().Context().Done() // never answers; unwinds when the edge gives up
-	})
-	replies := make(chan string, 2)
-	for range 2 {
-		cc := dial()
-		go func() {
-			_, got, err := pullGet(cc, "/p")
-			if err != nil {
-				got = err.Error()
-			}
-			replies <- got
-		}()
-	}
-	deadline := time.After(10 * time.Second)
-	for range 2 {
-		select {
-		case got := <-replies:
-			if !strings.HasPrefix(got, "502 ") {
-				t.Errorf("a request on the hung pull got %q, want a 502", got)
-			}
-		case <-deadline:
-			t.Fatal("a request coalesced on a pull the origin never answers got no reply in 10 s")
-		}
-	}
-}
-
-// TestHungOriginOpensBreaker: an origin that takes every request and
-// never answers still ACKs keepalive PINGs, so only upstreamBudget ends
-// its pulls, and each pull so ended books the origin a failure and
-// drops its connection. Under a 3-attempt policy three misses each get
-// a 502 when their budget runs out, which opens the origin's breaker
-// (the default threshold of 3), and the next miss fails static: a 502
-// at once, with no pull. The misses come one after another, or at once
-// on three keys: three pulls on one connection, cut by one shared
-// deadline, book three failures, though the first to fail drops the
-// connection the others ran on.
-func TestHungOriginOpensBreaker(t *testing.T) {
-	for _, together := range []bool{false, true} {
-		t.Run(map[bool]string{false: "in-turn", true: "at-once"}[together], func(t *testing.T) {
-			var pulls atomic.Int32
-			cfg := EdgeConfig{Name: "edge1", TTL: time.Hour,
-				Retry: core.RetryPolicy{MaxAttempts: 3, PeerTimeout: 100 * time.Millisecond}}
-			e, dial := pullFixture(t, cfg, func(w *http2.ResponseWriter, r *http2.Request) {
-				pulls.Add(1)
-				<-r.Stream().Context().Done() // never answers; unwinds when the edge gives up
-			})
-			cc := dial()
-			budget := e.upstreamBudget()
-			miss := func(i int) {
-				if _, got, err := pullGet(cc, fmt.Sprint("/p", i)); err != nil || !strings.HasPrefix(got, "502 ") {
-					t.Errorf("miss %d on the hung origin got %q, %v; want a 502", i, got, err)
-				}
-			}
-			var wg sync.WaitGroup
-			for i := range 3 {
-				if !together {
-					miss(i)
-					continue
-				}
-				wg.Add(1)
-				go func() { defer wg.Done(); miss(i) }()
-			}
-			wg.Wait()
-			if e.upstream.Endpoints().AnyHealthy() {
-				t.Fatalf("origin breaker closed after %d pulls cut at the %v budget", pulls.Load(), budget)
-			}
-			start := time.Now()
-			if _, got, err := pullGet(cc, "/p"); err != nil || !strings.HasPrefix(got, "502 ") {
-				t.Errorf("the miss after the breaker opened got %q, %v; want a 502", got, err)
-			}
-			if took, n := time.Since(start), pulls.Load(); took >= budget/2 || n != 3 {
-				t.Errorf("the miss after the breaker opened took %v with %d pulls in all, want it at once and 3", took, n)
-			}
-		})
-	}
-}
-
 // TestUpstreamCtxShared: the fetches that start within upstreamSlack
 // of one another share one deadline context, which leaves each at least
 // a full retry ladder and at most upstreamBudget. A later fetch gets a
@@ -510,8 +424,10 @@ func TestUpstreamCtxShared(t *testing.T) {
 
 // pullFixture starts an edge with cfg in front of an origin served by
 // handler, both over net.Pipe, and returns it with a dialer for
-// GenFull clients; the test's cleanup closes them all.
-func pullFixture(t *testing.T, cfg EdgeConfig, handler http2.HandlerFunc) (*Edge, func() *http2.ClientConn) {
+// GenFull clients and a func that closes them all. The test defers
+// closeAll rather than leaving it to t.Cleanup, which runs outside a
+// synctest bubble and could not close the bubble's connections.
+func pullFixture(t *testing.T, cfg EdgeConfig, handler http2.HandlerFunc) (e *Edge, dial func() *http2.ClientConn, closeAll func()) {
 	origin := &http2.Server{Handler: handler}
 	origins := core.NewEndpointSet(core.EndpointHealthConfig{})
 	origins.Add("origin", func() (net.Conn, error) {
@@ -519,17 +435,23 @@ func pullFixture(t *testing.T, cfg EdgeConfig, handler http2.HandlerFunc) (*Edge
 		origin.StartConn(sEnd)
 		return cEnd, nil
 	})
-	e := NewEdge(cfg, origins)
-	t.Cleanup(func() { e.Close() })
-	return e, func() *http2.ClientConn {
+	e = NewEdge(cfg, origins)
+	var ccs []*http2.ClientConn
+	dial = func() *http2.ClientConn {
 		cEnd, sEnd := net.Pipe()
 		e.StartConn(sEnd)
 		cc, err := http2.NewClientConn(cEnd, http2.Config{GenAbility: http2.GenFull})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { cc.Close() })
+		ccs = append(ccs, cc)
 		return cc
+	}
+	return e, dial, func() {
+		for _, cc := range ccs {
+			cc.Close()
+		}
+		e.Close()
 	}
 }
 

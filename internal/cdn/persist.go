@@ -126,7 +126,7 @@ func (e *Edge) SaveSnapshot() error {
 	snap := snapshotFile{
 		Version: snapshotVersion,
 		Name:    e.cfg.Name,
-		SavedAt: e.now(),
+		SavedAt: time.Now(),
 		LastSeq: e.lastSeq.Load(),
 	}
 	e.cache.Each(func(key string, value any, _ int64) {
@@ -171,7 +171,7 @@ func (e *Edge) loadSnapshot() {
 		e.snapErrors.Add(1)
 		return
 	}
-	now := e.now()
+	now := time.Now()
 	limit := e.cfg.ttl() + e.cfg.maxStale()
 	restored := 0
 	// Insert in reverse so the most-recently-used entry (saved first)

@@ -37,7 +37,7 @@ type EndpointHealthConfig struct {
 
 // breaker builds one endpoint's breaker: a single probe success
 // brings a down endpoint back.
-func (c EndpointHealthConfig) breaker(now func() time.Time) *overload.Breaker {
+func (c EndpointHealthConfig) breaker() *overload.Breaker {
 	threshold, cooldown := c.FailureThreshold, c.ProbeCooldown
 	if threshold <= 0 {
 		threshold = 3
@@ -45,7 +45,7 @@ func (c EndpointHealthConfig) breaker(now func() time.Time) *overload.Breaker {
 	if cooldown <= 0 {
 		cooldown = 500 * time.Millisecond
 	}
-	return overload.NewBreaker(threshold, cooldown, 1, now)
+	return overload.NewBreaker(threshold, cooldown, 1)
 }
 
 // An Endpoint is one named dialable peer with breaker state. It is
@@ -121,7 +121,6 @@ type EndpointSet struct {
 	eps         []*Endpoint
 	by          map[string]*Endpoint
 	cfgTemplate EndpointHealthConfig
-	now         func() time.Time // the breakers' clock; nil is the wall clock
 }
 
 // NewEndpointSet builds an empty set; populate it with Add. cfg is
@@ -138,7 +137,7 @@ func (s *EndpointSet) Add(name string, dial DialFunc) *Endpoint {
 		ep.Dial = dial
 		return ep
 	}
-	ep := &Endpoint{Name: name, Dial: dial, br: s.cfgTemplate.breaker(s.now)}
+	ep := &Endpoint{Name: name, Dial: dial, br: s.cfgTemplate.breaker()}
 	s.eps = append(s.eps, ep)
 	s.by[name] = ep
 	return ep

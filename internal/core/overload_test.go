@@ -1,16 +1,15 @@
 package core
 
 // Overload tests: the server-side load-shed ladder end to end —
-// singleflight coalescing of concurrent cold misses, breaker
-// transitions driven through the serving path, the ladder rungs in
-// order under saturation, goodput of admitted requests under 4×
-// offered load, and ResilientClient honouring 503 + Retry-After
-// without dropping the connection.
+// singleflight coalescing of concurrent cold misses, the ladder rungs
+// in order under saturation, and the generated-traditional cache.
+// Those on the breaker's cooldown, goodput under 4× offered load and
+// ResilientClient honouring 503 + Retry-After run on virtual time, in
+// bubble_test.go.
 
 import (
 	"context"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -142,68 +141,6 @@ func TestConcurrentMissSingleGeneration(t *testing.T) {
 	}
 }
 
-// TestBreakerTransitionsThroughServer drives the circuit breaker's
-// full closed → open → half-open → closed cycle through the serving
-// path: a failing generation backend opens the breaker (5 failures),
-// open sheds with 503 + Retry-After, cooldown admits probes, and two
-// probes to a healed backend close it again.
-func TestBreakerTransitionsThroughServer(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-
-	srv := newOverloadServer(t, overload.Config{
-		MaxGenWorkers: 2,
-		Clock:         clock,
-	})
-	const failures = 5
-	for i := 0; i < failures+3; i++ {
-		srv.AddPage(overloadGenPage(i))
-	}
-
-	// A sub-nanosecond generation budget makes every backend run fail
-	// with ErrGenDeadline — a genuine generation failure, not a shed.
-	srv.serverProc.SimBudget = time.Nanosecond
-
-	for i := 0; i < failures; i++ {
-		pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(i).Path, http2.GenNone, false)
-		if pl.status != 500 {
-			t.Fatalf("failing backend request %d: status %d, want 500", i, pl.status)
-		}
-	}
-	if st := srv.Overload().Breaker().State(); st != overload.BreakerOpen {
-		t.Fatalf("breaker %v after %d failures, want open", st, failures)
-	}
-
-	// Open: fail fast with 503 + Retry-After, no backend run.
-	pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(failures).Path, http2.GenNone, false)
-	if pl.status != 503 || pl.shed != "breaker-open" || pl.retryAfter < 1 {
-		t.Fatalf("open-breaker reply = status %d shed %q retryAfter %d", pl.status, pl.shed, pl.retryAfter)
-	}
-
-	// Heal the backend and pass the cooldown: two half-open probes
-	// must succeed, the first leaving the breaker half-open and the
-	// second closing it.
-	srv.serverProc.SimBudget = 0
-	mu.Lock()
-	now = now.Add(2 * time.Second)
-	mu.Unlock()
-	for i, want := range []overload.BreakerState{overload.BreakerHalfOpen, overload.BreakerClosed} {
-		pl, _ = srv.resolve(context.Background(), "GET", overloadGenPage(failures+1+i).Path, http2.GenNone, false)
-		if pl.status != 200 {
-			t.Fatalf("probe request %d: status %d: %s", i, pl.status, pl.body)
-		}
-		if st := srv.Overload().Breaker().State(); st != want {
-			t.Fatalf("breaker %v after successful probe %d, want %v", st, i, want)
-		}
-	}
-
-	st := srv.OverloadStats()
-	if st.GenFailures != failures || st.BreakerOpens != 1 || st.BreakerRejects != 1 || st.Shed503 != 1 {
-		t.Errorf("counters = %+v, want %d gen failures, 1 open, 1 reject, 1 shed 503", st, failures)
-	}
-}
-
 // TestShedLadderOrder walks the four rungs in order on one saturated
 // server: (1) prompts to capable clients while healthy, (2) cached
 // traditional content, (3) the policy flip for capable clients whose
@@ -296,82 +233,6 @@ func TestShedLadderOrder(t *testing.T) {
 	}
 }
 
-// TestAdmittedGoodputUnderOverload: at 4× offered load, requests that
-// ARE admitted must complete at a goodput within 10% of the unloaded
-// baseline — overload degrades the excess, not the admitted work — and
-// the excess is shed, nothing else: every reply that is not a 200 is a
-// 503 the Shed503 counter counts.
-func TestAdmittedGoodputUnderOverload(t *testing.T) {
-	const (
-		workers = 2
-		hold    = 40 * time.Millisecond
-	)
-
-	// Each generation occupies its worker for ~hold.
-	scale := holdScale(t, overloadGenPage(0), hold)
-
-	// run returns the 200s, the 503s and any other status seen.
-	run := func(requests, concurrency int) (ok, shed int, other []int, goodput float64, srv *Server) {
-		srv = newOverloadServer(t, overload.Config{
-			MaxGenWorkers: workers,
-			QueueDeadline: 5 * hold / 2,
-			GenWallScale:  scale,
-		})
-		for i := 0; i < requests; i++ {
-			srv.AddPage(overloadGenPage(i))
-		}
-		sem := make(chan struct{}, concurrency)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < requests; i++ {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				pl, _ := srv.resolve(context.Background(), "GET", overloadGenPage(i).Path, http2.GenNone, false)
-				mu.Lock()
-				defer mu.Unlock()
-				switch pl.status {
-				case 200:
-					ok++
-				case 503:
-					shed++
-				default:
-					other = append(other, pl.status)
-				}
-			}(i)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		return ok, shed, other, float64(ok) / elapsed.Seconds(), srv
-	}
-
-	// Baseline: offered load exactly matches capacity (client
-	// concurrency = workers), so nothing queues and nothing sheds.
-	baseOK, _, baseOther, baseGoodput, _ := run(16, workers)
-	if baseOK != 16 {
-		t.Fatalf("unloaded baseline: %d of 16 served, other statuses %v", baseOK, baseOther)
-	}
-
-	// 4× overload: four times the worker count in flight at all times.
-	loadedOK, shed, other, loadedGoodput, srv := run(64, 4*workers)
-	if loadedOK == 64 {
-		t.Fatal("4x overload shed nothing; the test is not overloading")
-	}
-	if len(other) > 0 {
-		t.Errorf("statuses %v under 4x overload: every reply must be a 200 or a 503", other)
-	}
-	if st := srv.OverloadStats(); st.Shed503 != uint64(shed) {
-		t.Errorf("%d 503s under 4x overload, Shed503 = %d", shed, st.Shed503)
-	}
-	if loadedGoodput < 0.9*baseGoodput {
-		t.Errorf("admitted goodput %.1f/s under overload, baseline %.1f/s: degraded more than 10%%",
-			loadedGoodput, baseGoodput)
-	}
-}
-
 // TestGenCacheEvictionDropsAssets: when a generated page falls out of
 // the byte-capped LRU, its generated assets must stop being served
 // too — cache bytes and asset-map bytes shrink together.
@@ -429,62 +290,5 @@ func TestGenCacheEvictionDropsAssets(t *testing.T) {
 	}
 	if st := srv.OverloadStats(); st.GenRuns != 3 {
 		t.Errorf("GenRuns = %d, want 3 (a, b, a again)", st.GenRuns)
-	}
-}
-
-// TestResilientClientHonoursRetryAfter: a 503 + Retry-After shed must
-// be retried on the SAME connection after waiting at least the
-// advertised pause — no redial, no connection drop.
-func TestResilientClientHonoursRetryAfter(t *testing.T) {
-	srv := newOverloadServer(t, overload.Config{
-		MaxGenWorkers: 1,
-		QueueDeadline: time.Millisecond,
-	})
-	p := overloadGenPage(0)
-	srv.AddPage(p)
-
-	// Occupy the only generation worker so the first fetch sheds with
-	// 503 + Retry-After (1s default), then free it well before the
-	// client's retry lands.
-	g := srv.Overload()
-	if err := g.Pool().Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		time.Sleep(200 * time.Millisecond)
-		g.Pool().Release()
-	}()
-
-	var dials int
-	dial := func() (net.Conn, error) {
-		dials++
-		cEnd, sEnd := net.Pipe()
-		srv.StartConn(sEnd)
-		return cEnd, nil
-	}
-	rc := NewResilientClient(dial, device.Laptop, nil,
-		RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7})
-	defer rc.Close()
-
-	start := time.Now()
-	res, err := rc.Fetch(p.Path)
-	elapsed := time.Since(start)
-	<-released
-	if err != nil {
-		t.Fatalf("fetch after 503: %v", err)
-	}
-	if res.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (one 503, one success)", res.Attempts)
-	}
-	if dials != 1 {
-		t.Errorf("dials = %d, want 1: a 503 must not drop the connection", dials)
-	}
-	if elapsed < 900*time.Millisecond {
-		t.Errorf("retried after %v, want >= the 1s Retry-After", elapsed)
-	}
-	if res.Mode != ModeTraditional {
-		t.Errorf("mode = %q", res.Mode)
 	}
 }

@@ -370,13 +370,7 @@ func newLattice(seed int64) lattice { return lattice{seed} }
 // value hashes the seed, ix and iy (each eight little-endian bytes)
 // with FNV-1a and maps the hash into [-1, 1].
 func (l lattice) value(ix, iy int) float64 {
-	h := fnv.New64a()
-	var b [24]byte
-	putInt64(b[0:], l.seed)
-	putInt64(b[8:], int64(ix))
-	putInt64(b[16:], int64(iy))
-	h.Write(b[:])
-	return unit(h.Sum64())
+	return unit(fnvInt64(fnvInt64(fnvInt64(fnvOffset, l.seed), int64(ix)), int64(iy)))
 }
 
 func unit(hash uint64) float64 { return float64(hash%2048)/1023.5 - 1 }
@@ -424,12 +418,6 @@ func (l lattice) at(x, y float64) float64 {
 
 func fade(t float64) float64       { return t * t * (3 - 2*t) }
 func lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-func putInt64(b []byte, v int64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
 
 // tints is the number of distinct chroma shifts: the prompt hash
 // picks a whole degree of hue.

@@ -147,9 +147,6 @@ type AbusePolicy struct {
 	// EmptyDataBudget bounds zero-length non-END_STREAM DATA frames.
 	// Zero means 100.
 	EmptyDataBudget int
-
-	// Clock overrides the time source, for tests. Nil means time.Now.
-	Clock func() time.Time
 }
 
 // DefaultAbusePolicy returns the policy used when Config.AbusePolicy
@@ -161,13 +158,6 @@ func (p *AbusePolicy) window() time.Duration {
 		return 10 * time.Second
 	}
 	return p.Window
-}
-
-func (p *AbusePolicy) clock() func() time.Time {
-	if p == nil || p.Clock == nil {
-		return time.Now
-	}
-	return p.Clock
 }
 
 func (p *AbusePolicy) budget(k AbuseKind) int {
@@ -229,7 +219,6 @@ func (b *abuseBucket) slide(now time.Time, w time.Duration) float64 {
 // abuseLedger scores abuse events for one connection.
 type abuseLedger struct {
 	policy *AbusePolicy
-	now    func() time.Time
 
 	mu       sync.Mutex
 	buckets  [numAbuseKinds]abuseBucket
@@ -242,12 +231,12 @@ func newAbuseLedger(p *AbusePolicy) *abuseLedger {
 	if p == nil {
 		p = DefaultAbusePolicy()
 	}
-	return &abuseLedger{policy: p, now: p.clock()}
+	return &abuseLedger{policy: p}
 }
 
 // note records one event of kind k and returns the escalation verdict.
 func (l *abuseLedger) note(k AbuseKind) AbuseAction {
-	now := l.now()
+	now := time.Now()
 	w := l.policy.window()
 
 	l.mu.Lock()
@@ -291,7 +280,7 @@ func (l *abuseLedger) note(k AbuseKind) AbuseAction {
 // designed, not abuse. Zero-length frames earn nothing — they consume
 // no window and so oblige no update.
 func (l *abuseLedger) noteDataSent() {
-	now := l.now()
+	now := time.Now()
 	w := l.policy.window()
 	l.mu.Lock()
 	defer l.mu.Unlock()

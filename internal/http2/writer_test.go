@@ -160,49 +160,6 @@ func TestAsyncWriterConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestWindowUpdateBudgetEarnedByDataSent: the ledger's WINDOW_UPDATE
-// budget must scale with the DATA frames sent to the peer — a
-// receiver acking delivered data is the protocol working, not a
-// flood. Regression: with a fixed budget, a fast client on a
-// long-lived connection crossed it, the server dropped its
-// connection-level WINDOW_UPDATEs, the send window leaked away, and
-// the connection deadlocked.
-func TestWindowUpdateBudgetEarnedByDataSent(t *testing.T) {
-	fc := &fakeClock{t: time.Unix(1000, 0)}
-	policy := &AbusePolicy{Window: 10 * time.Second, WindowUpdateBudget: 10, Clock: fc.now}
-
-	// Idle connection: the fixed floor still catches a flood.
-	idle := newAbuseLedger(policy)
-	for i := 0; i < 10; i++ {
-		if act := idle.note(AbuseWindowUpdateFlood); act != AbuseNone {
-			t.Fatalf("update %d on idle conn: %v, want none", i+1, act)
-		}
-	}
-	if act := idle.note(AbuseWindowUpdateFlood); act == AbuseNone {
-		t.Fatal("11th update on idle conn stayed within budget 10")
-	}
-
-	// Busy connection: 100 DATA frames earn 200 updates of headroom.
-	busy := newAbuseLedger(policy)
-	for i := 0; i < 100; i++ {
-		busy.noteDataSent()
-	}
-	for i := 0; i < 200; i++ {
-		if act := busy.note(AbuseWindowUpdateFlood); act != AbuseNone {
-			t.Fatalf("update %d with 100 DATA sent: %v, want none", i+1, act)
-		}
-	}
-
-	// Earned credit expires with the sliding window.
-	fc.advance(25 * time.Second)
-	for i := 0; i < 10; i++ {
-		busy.note(AbuseWindowUpdateFlood)
-	}
-	if act := busy.note(AbuseWindowUpdateFlood); act == AbuseNone {
-		t.Fatal("stale DATA credit still raising the budget two windows later")
-	}
-}
-
 // TestFastTransferManyRequestsNoStall drives enough requests through
 // one connection that the client's WINDOW_UPDATE count far exceeds a
 // small fixed budget. Before DATA-earned credit, the server dropped

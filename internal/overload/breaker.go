@@ -36,13 +36,12 @@ func (s BreakerState) String() string {
 // open (or its half-open probe slot is taken).
 var ErrBreakerOpen = errors.New("overload: circuit breaker open")
 
-// A Breaker is a consecutive-failure circuit breaker on an injected
-// clock, the one answer to "should I send this peer traffic?": closed
-// → open after a run of failures, open → half-open after a cooldown,
-// half-open → closed after a run of probe successes (or back to open on
-// a probe failure). Half-open lets one probe through at a time. The
-// Guard runs one over its generation backend, and every core.Endpoint
-// one over its peer.
+// A Breaker is a consecutive-failure circuit breaker, the one answer
+// to "should I send this peer traffic?": closed → open after a run of
+// failures, open → half-open after a cooldown, half-open → closed after
+// a run of probe successes (or back to open on a probe failure).
+// Half-open lets one probe through at a time. The Guard runs one over
+// its generation backend, and every core.Endpoint one over its peer.
 //
 // Only the outcome of a claimed probe moves a breaker that is not
 // closed. An outcome recorded while open, or half-open with no probe
@@ -59,7 +58,6 @@ type Breaker struct {
 	failuresToOpen   int
 	cooldown         time.Duration
 	successesToClose int
-	now              func() time.Time
 
 	mu        sync.Mutex
 	state     BreakerState
@@ -71,12 +69,9 @@ type Breaker struct {
 
 // NewBreaker builds a closed breaker that opens after failures
 // consecutive failures, rests for cooldown, and closes after successes
-// consecutive probe successes. now may be nil for the wall clock.
-func NewBreaker(failures int, cooldown time.Duration, successes int, now func() time.Time) *Breaker {
-	if now == nil {
-		now = time.Now
-	}
-	return &Breaker{failuresToOpen: failures, cooldown: cooldown, successesToClose: successes, now: now}
+// consecutive probe successes.
+func NewBreaker(failures int, cooldown time.Duration, successes int) *Breaker {
+	return &Breaker{failuresToOpen: failures, cooldown: cooldown, successesToClose: successes}
 }
 
 // State reports the current position, applying any due open→half-open
@@ -97,7 +92,7 @@ func (b *Breaker) Failures() int {
 }
 
 func (b *Breaker) maybeHalfOpenLocked() {
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
+	if b.state == BreakerOpen && time.Since(b.openedAt) >= b.cooldown {
 		b.state = BreakerHalfOpen
 		b.successes = 0
 	}
@@ -112,7 +107,7 @@ func (b *Breaker) UntilProbe() time.Duration {
 	if b.state != BreakerOpen {
 		return 0
 	}
-	return b.cooldown - b.now().Sub(b.openedAt)
+	return b.cooldown - time.Since(b.openedAt)
 }
 
 // Allow asks to pass one request. Closed, it lets it through; half-open
@@ -184,7 +179,7 @@ func (b *Breaker) Trip() {
 
 func (b *Breaker) tripLocked() {
 	b.state = BreakerOpen
-	b.openedAt = b.now()
+	b.openedAt = time.Now()
 	b.successes = 0
 	b.probing = false
 }

@@ -121,10 +121,6 @@ type Config struct {
 	// onto the wall clock restores the resource contention the paper's
 	// workstation would see. Zero disables the hold.
 	GenWallScale float64
-
-	// Clock injects time for the bucket and breaker (tests). Nil
-	// means time.Now.
-	Clock func() time.Time
 }
 
 func (c Config) maxWorkers() int {
@@ -166,13 +162,6 @@ func (c Config) cacheBytes() int64 {
 // estimate (queue timeouts), and the floor under the estimates.
 const retryAfter = time.Second
 
-func (c Config) clock() func() time.Time {
-	if c.Clock == nil {
-		return time.Now
-	}
-	return c.Clock
-}
-
 // The generation backend's breaker opens after 5 consecutive
 // failures, cools down for 1s, and closes after 2 probe successes.
 const (
@@ -205,9 +194,9 @@ func NewGuard(cfg Config) *Guard {
 		pool: NewPool(cfg.maxWorkers()),
 	}
 	if cfg.AdmitRPS > 0 {
-		g.bucket = NewTokenBucket(cfg.AdmitRPS, float64(cfg.admitBurst()), cfg.clock())
+		g.bucket = NewTokenBucket(cfg.AdmitRPS, float64(cfg.admitBurst()))
 	}
-	g.breaker = NewBreaker(breakerFailures, breakerCooldown, breakerSuccesses, cfg.clock())
+	g.breaker = NewBreaker(breakerFailures, breakerCooldown, breakerSuccesses)
 	g.breaker.OnChange = func(_, to BreakerState) {
 		if to == BreakerOpen {
 			g.ctr.BreakerOpens.Add(1)

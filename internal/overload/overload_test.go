@@ -12,53 +12,6 @@ import (
 	"weak"
 )
 
-// fakeClock is a manually stepped clock for bucket/breaker tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_000_000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func TestTokenBucketAdmission(t *testing.T) {
-	clk := newFakeClock()
-	b := NewTokenBucket(2, 3, clk.Now)
-	for i := 0; i < 3; i++ {
-		if !b.Allow() {
-			t.Fatalf("burst token %d denied", i)
-		}
-	}
-	if b.Allow() {
-		t.Fatal("empty bucket admitted")
-	}
-	if got := b.UntilNextToken(); got != 500*time.Millisecond {
-		t.Fatalf("UntilNextToken = %v, want 500ms", got)
-	}
-	clk.Advance(500 * time.Millisecond) // one token refills at 2/s
-	if !b.Allow() {
-		t.Fatal("refilled token denied")
-	}
-	if b.Allow() {
-		t.Fatal("second token admitted after single refill")
-	}
-	clk.Advance(time.Hour)
-	if got := b.Available(); got != 3 {
-		t.Fatalf("bucket overfilled: %v tokens, want burst 3", got)
-	}
-}
-
 func TestPoolFIFOAndDeadline(t *testing.T) {
 	p := NewPool(1)
 	if err := p.Acquire(context.Background()); err != nil {
@@ -213,183 +166,7 @@ func TestSingleflightJoinedCallKept(t *testing.T) {
 	}
 }
 
-// TestBreakerTransitions drives the one consecutive-failure breaker through each
-// parameter set the repo runs it with: the Guard's, an endpoint's
-// default, and the tier harness's (tier.Health).
-func TestBreakerTransitions(t *testing.T) {
-	for _, tc := range []struct {
-		name                string
-		failures, successes int
-		cooldown            time.Duration
-	}{
-		{"guard", breakerFailures, breakerSuccesses, breakerCooldown},
-		{"endpoint", 3, 1, 500 * time.Millisecond},
-		{"tier", 2, 1, 25 * time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			newBreaker := func() (*Breaker, *fakeClock, *atomic.Int32) {
-				clk := newFakeClock()
-				var opens atomic.Int32
-				b := NewBreaker(tc.failures, tc.cooldown, tc.successes, clk.Now)
-				b.OnChange = func(_, to BreakerState) {
-					if to == BreakerOpen {
-						opens.Add(1)
-					}
-				}
-				return b, clk, &opens
-			}
-			pass := func(b *Breaker, wantProbe bool, ok bool) {
-				t.Helper()
-				probe, err := b.Allow()
-				if err != nil || probe != wantProbe {
-					t.Fatalf("Allow = probe %v, %v; want probe %v", probe, err, wantProbe)
-				}
-				b.Record(ok)
-			}
-			trip := func(b *Breaker) {
-				t.Helper()
-				for i := 1; i < tc.failures; i++ {
-					pass(b, false, false)
-				}
-				if b.State() != BreakerClosed {
-					t.Fatal("breaker tripped before threshold")
-				}
-				pass(b, false, false)
-				if b.State() != BreakerOpen {
-					t.Fatal("breaker not open after threshold failures")
-				}
-			}
-
-			t.Run("transitions", func(t *testing.T) {
-				b, clk, opens := newBreaker()
-				trip(b)
-				if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-					t.Fatalf("open breaker allowed: %v", err)
-				}
-				if got := b.UntilProbe(); got != tc.cooldown {
-					t.Fatalf("UntilProbe = %v", got)
-				}
-				clk.Advance(tc.cooldown - 1)
-				if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-					t.Fatal("probe admitted before the cooldown passed")
-				}
-
-				clk.Advance(1)
-				if b.State() != BreakerHalfOpen {
-					t.Fatal("breaker not half-open after cooldown")
-				}
-				// One probe in flight, a second rejected.
-				if probe, err := b.Allow(); err != nil || !probe {
-					t.Fatalf("half-open probe = %v, %v", probe, err)
-				}
-				if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-					t.Fatal("second probe admitted while the first is in flight")
-				}
-				// A failed probe re-opens for another cooldown.
-				b.Record(false)
-				if b.State() != BreakerOpen {
-					t.Fatal("failed probe did not re-open")
-				}
-				if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-					t.Fatal("allowed right after a failed probe")
-				}
-				if got := opens.Load(); got != 2 {
-					t.Fatalf("OnChange opened %d times, want 2", got)
-				}
-
-				// Cooldown again, then a run of probe successes closes it.
-				clk.Advance(tc.cooldown)
-				for i := 0; i < tc.successes; i++ {
-					if b.State() == BreakerClosed {
-						t.Fatalf("closed after %d of %d probe successes", i, tc.successes)
-					}
-					pass(b, true, true)
-				}
-				if b.State() != BreakerClosed {
-					t.Fatal("breaker not closed after probe successes")
-				}
-				if _, err := b.Allow(); err != nil {
-					t.Fatalf("closed breaker rejected: %v", err)
-				}
-				b.Record(true)
-				// A success resets the failure run.
-				for i := 1; i < tc.failures; i++ {
-					pass(b, false, false)
-				}
-				pass(b, false, true)
-				if b.Failures() != 0 {
-					t.Fatalf("Failures = %d after a success", b.Failures())
-				}
-				pass(b, false, false)
-				if b.State() != BreakerClosed {
-					t.Fatal("success did not reset consecutive-failure count")
-				}
-			})
-
-			// Only a claimed probe's outcome moves a breaker that is not
-			// closed: a late success does not close it, a late failure
-			// does not restart its cooldown.
-			t.Run("late-outcomes", func(t *testing.T) {
-				b, clk, opens := newBreaker()
-				trip(b)
-				clk.Advance(tc.cooldown / 2)
-				b.Record(true)
-				b.Record(false)
-				if b.State() != BreakerOpen || b.UntilProbe() != tc.cooldown-tc.cooldown/2 {
-					t.Fatalf("late outcomes moved an open breaker: %v, %v to probe", b.State(), b.UntilProbe())
-				}
-				clk.Advance(tc.cooldown - tc.cooldown/2)
-				if b.State() != BreakerHalfOpen {
-					t.Fatal("breaker not half-open after cooldown")
-				}
-				for i := 0; i < tc.successes; i++ {
-					b.Record(true)
-				}
-				b.Record(false)
-				if b.State() != BreakerHalfOpen {
-					t.Fatalf("late outcomes moved a half-open breaker with no probe out: %v", b.State())
-				}
-				if got := opens.Load(); got != 1 {
-					t.Fatalf("OnChange opened %d times, want 1", got)
-				}
-				for i := 0; i < tc.successes; i++ {
-					pass(b, true, true)
-				}
-				if b.State() != BreakerClosed {
-					t.Fatal("claimed probes did not close the breaker")
-				}
-			})
-
-			// N callers racing Allow on a half-open breaker: exactly one
-			// claims the probe. Run under -race.
-			t.Run("one-probe", func(t *testing.T) {
-				b, clk, _ := newBreaker()
-				trip(b)
-				clk.Advance(tc.cooldown)
-				var probes, rejects atomic.Int32
-				var wg sync.WaitGroup
-				for range 16 {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						probe, err := b.Allow()
-						switch {
-						case probe && err == nil:
-							probes.Add(1)
-						case !probe && errors.Is(err, ErrBreakerOpen):
-							rejects.Add(1)
-						}
-					}()
-				}
-				wg.Wait()
-				if probes.Load() != 1 || rejects.Load() != 15 {
-					t.Fatalf("%d probes and %d rejects of 16, want 1 and 15", probes.Load(), rejects.Load())
-				}
-			})
-		})
-	}
-}
-
+// are collectable once the callback has run.
 // TestByteLRUEvictedValueCollectable: the evicted entry that the next
 // insert reuses keeps neither the value nor the key it held, so both
 // are collectable once the callback has run.
@@ -484,80 +261,12 @@ func TestByteLRUEviction(t *testing.T) {
 	}
 }
 
-func TestGuardAdmissionLadder(t *testing.T) {
-	clk := newFakeClock()
-	g := NewGuard(Config{
-		MaxGenWorkers: 1,
-		QueueDeadline: 20 * time.Millisecond,
-		AdmitRPS:      1,
-		AdmitBurst:    2,
-		Clock:         clk.Now,
-	})
-
-	// Token 1 admitted.
-	rel1, err := g.AdmitGen(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Level() != LevelQueued {
-		t.Fatalf("level with full pool = %v, want queued", g.Level())
-	}
-	// Token 2 passes the bucket but times out queueing for the single
-	// worker.
-	_, err = g.AdmitGen(context.Background())
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != "queue-timeout" {
-		t.Fatalf("second admit = %v, want queue-timeout shed", err)
-	}
-	// Bucket now empty → admission shed, with refill-based advice.
-	_, err = g.AdmitGen(context.Background())
-	if !errors.As(err, &shed) || shed.Reason != "admission" {
-		t.Fatalf("third admit = %v, want admission shed", err)
-	}
-	if shed.RetryAfter < time.Second {
-		t.Fatalf("admission RetryAfter = %v, want >= 1s", shed.RetryAfter)
-	}
-	if g.Level() != LevelSaturated {
-		t.Fatalf("level with empty bucket = %v, want saturated", g.Level())
-	}
-	rel1(true)
-
-	// A run of backend failures trips the breaker → critical, fail
-	// fast.
-	for i := 0; i < breakerFailures; i++ {
-		clk.Advance(10 * time.Second) // refill bucket
-		rel, err := g.AdmitGen(context.Background())
-		if err != nil {
-			t.Fatalf("admit %d: %v", i, err)
-		}
-		rel(false)
-	}
-	if g.Level() != LevelCritical {
-		t.Fatalf("level with open breaker = %v, want critical", g.Level())
-	}
-	_, err = g.AdmitGen(context.Background())
-	if !errors.As(err, &shed) || shed.Reason != "breaker-open" {
-		t.Fatalf("admit with open breaker = %v, want breaker-open shed", err)
-	}
-
-	s := g.Counters().Snapshot()
-	if s.Admitted != 1+breakerFailures || s.QueueTimeouts != 1 || s.AdmitRejects != 1 ||
-		s.BreakerRejects != 1 || s.BreakerOpens != 1 {
-		t.Fatalf("counters: %+v", s)
-	}
-	if s.Shed() != 3 {
-		t.Fatalf("Shed() = %d, want 3", s.Shed())
-	}
-}
-
 func TestGuardShedDoesNotFeedBreaker(t *testing.T) {
-	clk := newFakeClock()
 	g := NewGuard(Config{
 		MaxGenWorkers: 1,
 		QueueDeadline: 5 * time.Millisecond,
 		AdmitRPS:      1000,
 		AdmitBurst:    1000,
-		Clock:         clk.Now,
 	})
 	rel, err := g.AdmitGen(context.Background())
 	if err != nil {
@@ -574,59 +283,4 @@ func TestGuardShedDoesNotFeedBreaker(t *testing.T) {
 		t.Fatal("shed requests tripped the breaker")
 	}
 	rel(true)
-}
-
-// TestGuardAdmissionRejectIsNoOutcome: a request the token bucket
-// sheds after the breaker let it through never reached the backend,
-// so it is neither a probe success nor a reset of the failure run.
-func TestGuardAdmissionRejectIsNoOutcome(t *testing.T) {
-	ctx := context.Background()
-	admissionShed := func(t *testing.T, g *Guard) {
-		t.Helper()
-		var shed *ShedError
-		if _, err := g.AdmitGen(ctx); !errors.As(err, &shed) || shed.Reason != "admission" {
-			t.Fatalf("admit = %v, want an admission shed", err)
-		}
-	}
-
-	t.Run("half-open", func(t *testing.T) {
-		clk := newFakeClock()
-		g := NewGuard(Config{AdmitRPS: 0.001, AdmitBurst: breakerFailures, Clock: clk.Now})
-		for i := 0; i < breakerFailures; i++ {
-			rel, err := g.AdmitGen(ctx)
-			if err != nil {
-				t.Fatalf("admit %d: %v", i, err)
-			}
-			rel(false)
-		}
-		clk.Advance(breakerCooldown) // half-open; the bucket stays empty
-		for i := 0; i < breakerSuccesses; i++ {
-			admissionShed(t, g)
-		}
-		if st := g.Breaker().State(); st != BreakerHalfOpen {
-			t.Fatalf("breaker %v after %d admission rejects, want half-open", st, breakerSuccesses)
-		}
-	})
-
-	t.Run("closed", func(t *testing.T) {
-		clk := newFakeClock()
-		g := NewGuard(Config{AdmitRPS: 10, AdmitBurst: 1, Clock: clk.Now})
-		for i := 0; i < 3*breakerFailures && g.Breaker().State() == BreakerClosed; i++ {
-			clk.Advance(100 * time.Millisecond) // one token for one backend request
-			rel, err := g.AdmitGen(ctx)
-			if err != nil {
-				t.Fatalf("admit %d: %v", i, err)
-			}
-			rel(false)
-			if g.Breaker().State() == BreakerClosed {
-				admissionShed(t, g)
-			}
-		}
-		if st := g.Breaker().State(); st != BreakerOpen {
-			t.Fatalf("breaker %v after backend failures between admission rejects, want open", st)
-		}
-		if s := g.Counters().Snapshot(); s.Admitted != breakerFailures || s.BreakerOpens != 1 {
-			t.Fatalf("counters: %+v", s)
-		}
-	})
 }

@@ -7,32 +7,27 @@ import (
 
 // A TokenBucket is the admission controller: tokens refill at a
 // sustained rate up to a burst depth, and each admitted generation
-// costs one token. Time is injected so tests and experiments can
-// freeze or step the clock deterministically.
+// costs one token.
 type TokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second
 	burst  float64
 	tokens float64
 	last   time.Time
-	now    func() time.Time
 }
 
 // NewTokenBucket builds a full bucket refilling at rate tokens/second
-// with the given depth. now may be nil for the wall clock.
-func NewTokenBucket(rate, burst float64, now func() time.Time) *TokenBucket {
-	if now == nil {
-		now = time.Now
-	}
+// with the given depth.
+func NewTokenBucket(rate, burst float64) *TokenBucket {
 	if burst < 1 {
 		burst = 1
 	}
-	return &TokenBucket{rate: rate, burst: burst, tokens: burst, last: now(), now: now}
+	return &TokenBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
 }
 
 // refillLocked advances the bucket to the current time.
 func (b *TokenBucket) refillLocked() {
-	t := b.now()
+	t := time.Now()
 	elapsed := t.Sub(b.last)
 	if elapsed <= 0 {
 		return
