@@ -260,13 +260,7 @@ func TestEdgeRetryBudgetCapsPollStorm(t *testing.T) {
 	e := cdn.NewEdge(cdn.EdgeConfig{
 		Name:             "edge1",
 		RetryBudgetRatio: ratio,
-		Retry: core.RetryPolicy{
-			MaxAttempts: 4,
-			PeerTimeout: 4 * time.Millisecond,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    2 * time.Millisecond,
-			Seed:        17,
-		},
+		Retry:            core.RetryPolicy{MaxAttempts: 4, PeerTimeout: 4 * time.Millisecond},
 	}, origins)
 	defer e.Close()
 	for i := 0; i < polls; i++ {

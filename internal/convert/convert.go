@@ -162,15 +162,16 @@ type Options struct {
 	// MinTextWords: prose blocks shorter than this stay as-is (the
 	// bullet form would not be smaller).
 	MinTextWords int
-
-	// DefaultWidth/Height for converted images.
-	DefaultWidth, DefaultHeight int
 }
 
 // DefaultOptions matches the prototype's behaviour.
 func DefaultOptions() Options {
-	return Options{MinImageWords: 3, MinTextWords: 60, DefaultWidth: 256, DefaultHeight: 256}
+	return Options{MinImageWords: 3, MinTextWords: 60}
 }
+
+// imageSide is a converted image's width and height where its img tag
+// gives none.
+const imageSide = 256
 
 // A Report summarizes one conversion pass.
 type Report struct {
@@ -214,8 +215,8 @@ func Convert(doc *html.Node, opts Options, origSizes map[string]int) *Report {
 			Meta: core.Metadata{
 				Prompt:        inv.Prompt,
 				Name:          nameFromSrc(src, rep.ImagesConverted),
-				Width:         attrInt(img, "width", opts.DefaultWidth),
-				Height:        attrInt(img, "height", opts.DefaultHeight),
+				Width:         attrInt(img, "width", imageSide),
+				Height:        attrInt(img, "height", imageSide),
 				OriginalBytes: origSizes[src],
 			},
 		}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -274,7 +275,7 @@ func TestBubbleResilientClientHonoursRetryAfter(t *testing.T) {
 			return cEnd, nil
 		}
 		rc := NewResilientClient(dial, device.Laptop, nil,
-			RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7})
+			RetryPolicy{MaxAttempts: 3})
 		defer rc.Close()
 
 		start := time.Now()
@@ -296,6 +297,53 @@ func TestBubbleResilientClientHonoursRetryAfter(t *testing.T) {
 		}
 		if res.Mode != ModeTraditional {
 			t.Errorf("mode = %q", res.Mode)
+		}
+	})
+}
+
+// TestBubbleKeepAlivePingBudget: a client connection PINGs its peer
+// only while a stream is open, so keepalive spends a server's PING
+// budget only on requests that wait. A request the server holds silent
+// for 12 keepalive periods is PINGed and completes on the connection's
+// one dial; the connection then idles for two abuse windows (20 s, 500
+// periods, whose PINGs would be killed) without a PING, and serves the
+// next request. The ledger kills nothing.
+func TestBubbleKeepAlivePingBudget(t *testing.T) {
+	bubble(t, func(t *testing.T) {
+		const period = 40 * time.Millisecond
+		page := overloadGenPage(0)
+		srv := newOverloadServer(t, overload.Config{
+			MaxGenWorkers: 1,
+			GenWallScale:  holdScale(t, page, 12*period),
+		})
+		srv.AddPage(page)
+
+		var tap calmTap
+		var dials atomic.Int32
+		rc := NewResilientClient(func() (net.Conn, error) {
+			dials.Add(1)
+			cEnd, sEnd := net.Pipe()
+			srv.StartConn(sEnd)
+			return &tapConn{Conn: cEnd, tap: &tap}, nil
+		}, device.Laptop, nil, RetryPolicy{MaxAttempts: 1, PeerTimeout: period})
+		defer rc.Close()
+		start := time.Now()
+		if _, err := rc.Fetch(page.Path); err != nil {
+			t.Fatalf("held fetch: %v", err)
+		}
+		held, acked := time.Since(start), tap.pingAcks.Load()
+		if held < 10*period || acked == 0 {
+			t.Fatalf("held fetch took %v with %d PINGs answered, want ≥ %v with some", held, acked, 10*period)
+		}
+		time.Sleep(20 * time.Second)
+		if idle := tap.pingAcks.Load() - acked; idle != 0 {
+			t.Errorf("the idle connection sent %d PINGs, want none", idle)
+		}
+		if _, err := rc.Fetch(page.Path); err != nil {
+			t.Fatalf("fetch after idling: %v", err)
+		}
+		if n, g := dials.Load(), srv.OverloadStats().AbuseGoAways; n != 1 || g != 0 {
+			t.Errorf("%d dials and %d abuse GOAWAYs, want 1 and 0", n, g)
 		}
 	})
 }

@@ -86,7 +86,7 @@ func TestChaosTruncationAndReset(t *testing.T) {
 		faultnet.Config{}, // then the network heals
 	)
 	rc := core.NewResilientClient(planDialer(srv, plan), device.Laptop, chaosProcessor(t),
-		core.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 42})
+		core.RetryPolicy{MaxAttempts: 5})
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -154,13 +154,13 @@ func TestChaosFaultClasses(t *testing.T) {
 		{
 			name:      "truncation",
 			fault:     faultnet.Config{Seed: 7, TruncateAfter: 20_000},
-			policy:    core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 9},
+			policy:    core.RetryPolicy{MaxAttempts: 4},
 			wantRetry: true,
 		},
 		{
 			name:      "reset",
 			fault:     faultnet.Config{Seed: 7, ResetAfter: 6_000},
-			policy:    core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 9},
+			policy:    core.RetryPolicy{MaxAttempts: 4},
 			wantRetry: true,
 		},
 		{
@@ -169,14 +169,13 @@ func TestChaosFaultClasses(t *testing.T) {
 			// Keepalive finds the blackhole within about three
 			// PeerTimeouts, however slowly generation runs (~10x
 			// under -race): a live server ACKs its PINGs.
-			policy: core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond,
-				PeerTimeout: 100 * time.Millisecond, Seed: 9},
+			policy:    core.RetryPolicy{MaxAttempts: 4, PeerTimeout: 100 * time.Millisecond},
 			wantRetry: true,
 		},
 		{
 			name:   "corruption",
 			fault:  faultnet.Config{Seed: 7, CorruptProb: 0.05, ChunkWrites: 1024},
-			policy: core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 9},
+			policy: core.RetryPolicy{MaxAttempts: 4},
 			// Corruption may surface as a retryable transport fault
 			// (then the clean redial wins) or as a fatal protocol
 			// violation — both are acceptable, hanging is not.
@@ -248,7 +247,7 @@ func TestChaosDegradeToTraditional(t *testing.T) {
 	proc := chaosProcessor(t)
 	proc.SimBudget = time.Second // the blog needs tens of simulated seconds
 	rc := core.NewResilientClient(planDialer(srv, faultnet.NewPlan(faultnet.Config{})),
-		device.Laptop, proc, core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond})
+		device.Laptop, proc, core.RetryPolicy{MaxAttempts: 4})
 	defer rc.Close()
 
 	res, err := rc.Fetch(workload.TravelBlogPath)
@@ -292,7 +291,7 @@ func TestChaosDegradeUnderFaults(t *testing.T) {
 		faultnet.Config{},
 	)
 	rc := core.NewResilientClient(planDialer(srv, plan), device.Laptop, proc,
-		core.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 11})
+		core.RetryPolicy{MaxAttempts: 5})
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -315,7 +314,7 @@ func TestChaosRetriesExhausted(t *testing.T) {
 	srv := chaosSite(t)
 	plan := faultnet.NewPlan(faultnet.Config{Seed: 5, ResetAfter: 4_000}) // every dial resets
 	rc := core.NewResilientClient(planDialer(srv, plan), device.Laptop, chaosProcessor(t),
-		core.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 13})
+		core.RetryPolicy{MaxAttempts: 3})
 	defer rc.Close()
 
 	_, err := rc.Fetch(workload.TravelBlogPath)

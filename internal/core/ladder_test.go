@@ -53,7 +53,7 @@ func TestLadderOutcomes(t *testing.T) {
 		for _, what := range []string{"fetch", "raw fetch"} {
 			t.Run(tc.name+"/"+what, func(t *testing.T) {
 				rc := NewResilientClient(nil, device.Workstation, nil,
-					RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
+					RetryPolicy{MaxAttempts: 3})
 				if tc.burst > 0 {
 					rc.SetRetryBudget(NewRetryBudget(0.1, tc.burst))
 				}
@@ -112,7 +112,7 @@ func TestLadderPeerTimeout(t *testing.T) {
 		dials.Add(1)
 		c, _ := net.Pipe() // nobody serves the far end: the handshake hangs
 		return c, nil
-	}, device.Workstation, nil, RetryPolicy{MaxAttempts: 2, PeerTimeout: 10 * time.Millisecond, BaseDelay: time.Millisecond})
+	}, device.Workstation, nil, RetryPolicy{MaxAttempts: 2, PeerTimeout: 10 * time.Millisecond})
 	defer rc.Close()
 	_, pageErr := rc.FetchContext(context.Background(), "/p")
 	_, rawErr := rc.FetchRawContext(context.Background(), "/p")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -20,7 +19,7 @@ import (
 // plans (faultnet.Plan) can hand each dial a different failure mode.
 type DialFunc func() (net.Conn, error)
 
-// A RetryPolicy shapes the backoff between connection attempts.
+// A RetryPolicy bounds the connection attempts of a fetch.
 type RetryPolicy struct {
 	// MaxAttempts bounds connection-level tries per fetch (dial +
 	// request together count as one attempt). Zero means 4.
@@ -32,23 +31,6 @@ type RetryPolicy struct {
 	// retryable transport fault, a live one is waited for. Zero leaves
 	// both to the caller's context.
 	PeerTimeout time.Duration
-
-	// BaseDelay is the first backoff; each further attempt multiplies
-	// it by Multiplier up to MaxDelay. Zeros mean 10ms / 2.0 / 500ms.
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-
-	// Jitter spreads each delay uniformly in [1-Jitter, 1+Jitter]
-	// (e.g. 0.2 = ±20%). Zero disables jitter. Values outside [0, 1]
-	// are clamped into it, and the jittered delay never drops below
-	// max(1ms, BaseDelay/4): a Jitter near 1 used to be able to scale
-	// a backoff to ~0, turning the retry loop into a hot loop.
-	Jitter float64
-
-	// Seed makes the jitter deterministic; 0 seeds from 1 (still
-	// deterministic — there is no wall-clock entropy anywhere).
-	Seed int64
 }
 
 func (p RetryPolicy) maxAttempts() int {
@@ -58,70 +40,29 @@ func (p RetryPolicy) maxAttempts() int {
 	return p.MaxAttempts
 }
 
-// minRetryDelay floors every backoff: even a fully jittered delay
-// must still pace the retry loop.
-const minRetryDelay = time.Millisecond
+// RetryBaseDelay is the backoff after a fetch's first failed attempt;
+// each further one doubles it, up to RetryMaxDelay.
+const (
+	RetryBaseDelay = 10 * time.Millisecond
+	RetryMaxDelay  = 500 * time.Millisecond
+)
 
-func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 10 * time.Millisecond
+// retryDelay is the backoff after the given attempt (1-based).
+func retryDelay(attempt int) time.Duration {
+	d := RetryBaseDelay
+	for i := 1; i < attempt && d < RetryMaxDelay; i++ {
+		d *= 2
 	}
-	maxd := p.MaxDelay
-	if maxd <= 0 {
-		maxd = 500 * time.Millisecond
-	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
-	d := float64(base)
-	for i := 1; i < attempt; i++ {
-		d *= mult
-		if d >= float64(maxd) {
-			d = float64(maxd)
-			break
-		}
-	}
-	// Clamp Jitter into [0, 1]: above 1 the low edge of the spread
-	// goes negative, below 0 is meaningless. Rejecting at use keeps
-	// a hand-built policy from ever producing negative sleeps.
-	j := p.Jitter
-	if j < 0 {
-		j = 0
-	}
-	if j > 1 {
-		j = 1
-	}
-	if j > 0 {
-		d *= 1 + j*(2*rng.Float64()-1)
-	}
-	if d > float64(maxd) {
-		d = float64(maxd)
-	}
-	// Floor the jittered delay so Jitter near 1 cannot scale a
-	// backoff to ~0 — a zero delay makes every retry immediate, which
-	// is exactly the hammering backoff exists to prevent.
-	floor := float64(minRetryDelay)
-	if b4 := float64(base) / 4; b4 > floor {
-		floor = b4
-	}
-	if floor > float64(maxd) {
-		floor = float64(maxd)
-	}
-	if d < floor {
-		d = floor
-	}
-	return time.Duration(d)
+	return min(d, RetryMaxDelay)
 }
 
 // A ResilientClient wraps dial + Fetch in the paper's failure ladder:
 //
 //  1. Transport faults (truncation, resets, dead peers, GOAWAY) are
-//     retried on a fresh connection with exponential backoff and
-//     jitter. GOAWAY replay is safe by construction: the http2 layer
-//     only fails streams above the GOAWAY Last-Stream-ID, which the
-//     peer guarantees it never processed (RFC 9113 §6.8), and
+//     retried on a fresh connection with exponential backoff. GOAWAY
+//     replay is safe by construction: the http2 layer only fails
+//     streams above the GOAWAY Last-Stream-ID, which the peer
+//     guarantees it never processed (RFC 9113 §6.8), and
 //     REFUSED_STREAM carries the same guarantee.
 //  2. Generation failures (*GenerationError — a model error or a
 //     blown SimBudget) degrade to traditional: the page is re-fetched
@@ -160,7 +101,6 @@ type ResilientClient struct {
 	budget *RetryBudget
 
 	mu       sync.Mutex
-	rng      *rand.Rand
 	client   *Client
 	degraded bool      // current cached client is a traditional one
 	curEp    *Endpoint // endpoint that dialed the cached client
@@ -176,17 +116,7 @@ type ResilientClient struct {
 // nil for an always-traditional client (then only the retry ladder
 // applies).
 func NewResilientClient(dial DialFunc, dev device.Profile, proc *PageProcessor, policy RetryPolicy) *ResilientClient {
-	seed := policy.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &ResilientClient{
-		dial:   dial,
-		dev:    dev,
-		proc:   proc,
-		policy: policy,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
+	return &ResilientClient{dial: dial, dev: dev, proc: proc, policy: policy}
 }
 
 // NewResilientClientEndpoints builds a resilient client over a fleet
@@ -498,7 +428,7 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 				if !budget.Withdraw() {
 					return 0, "", fmt.Errorf("core: %s %s: %w: %v", what, path, ErrRetryBudgetExhausted, lastErr)
 				}
-				d := rc.nextDelay(attempt)
+				d := retryDelay(attempt)
 				if busy.RetryAfter > d {
 					d = busy.RetryAfter
 				}
@@ -536,7 +466,7 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 				if !budget.Withdraw() {
 					return 0, "", fmt.Errorf("core: %s %s: %w: %v", what, path, ErrRetryBudgetExhausted, lastErr)
 				}
-				d := rc.nextDelay(attempt)
+				d := retryDelay(attempt)
 				rc.met.backoff.Observe(d)
 				if err := rc.sleep(ctx, d); err != nil {
 					return 0, "", err
@@ -553,14 +483,6 @@ func (rc *ResilientClient) ladder(ctx context.Context, what, path string, try fu
 		}
 	}
 	return 0, "", fmt.Errorf("core: %s %s: %d attempts exhausted: %w", what, path, maxAttempts, lastErr)
-}
-
-// nextDelay serializes rng access so concurrent fetches stay
-// race-free (each still deterministic in sequence).
-func (rc *ResilientClient) nextDelay(attempt int) time.Duration {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.policy.delay(attempt, rc.rng)
 }
 
 func (rc *ResilientClient) sleep(ctx context.Context, d time.Duration) error {

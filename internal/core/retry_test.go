@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"net"
 	"net/http"
 	"strings"
@@ -15,43 +14,21 @@ import (
 	"sww/internal/http2"
 )
 
-// Regression tests for the retry bug sweep: jittered delays collapsing
-// to ~0 (hot retry loop), Retry-After limited to delta-seconds, and a
-// Retry-After wait that overshoots the caller's deadline.
+// Regression tests for the retry bug sweep: Retry-After limited to
+// delta-seconds, and a Retry-After wait that overshoots the caller's
+// deadline; and the backoff schedule.
 
-// TestRetryDelayJitterBoundaries: delay used to scale the backoff by
-// 1 + J*(2*rand-1) with no floor, so Jitter near 1.0 could produce a
-// ~0 delay (and Jitter > 1 a negative one), turning the retry loop
-// into a hot loop. Every draw must now land in [floor, MaxDelay],
-// with floor = max(1ms, BaseDelay/4).
-func TestRetryDelayJitterBoundaries(t *testing.T) {
-	const (
-		base = 8 * time.Millisecond
-		maxd = 50 * time.Millisecond
-	)
-	floor := base / 4 // 2ms > the 1ms absolute floor
-	for _, jitter := range []float64{-1, 0, 0.25, 0.999, 1.0, 1.5} {
-		p := RetryPolicy{BaseDelay: base, MaxDelay: maxd, Jitter: jitter}
-		rng := rand.New(rand.NewSource(1))
-		for attempt := 1; attempt <= 4; attempt++ {
-			for i := 0; i < 500; i++ {
-				d := p.delay(attempt, rng)
-				if d < floor {
-					t.Fatalf("Jitter=%v attempt=%d: delay %v below floor %v", jitter, attempt, d, floor)
-				}
-				if d > maxd {
-					t.Fatalf("Jitter=%v attempt=%d: delay %v above MaxDelay %v", jitter, attempt, d, maxd)
-				}
-			}
+// TestRetryDelaySchedule: the backoff starts at RetryBaseDelay and
+// doubles after each attempt until RetryMaxDelay caps it.
+func TestRetryDelaySchedule(t *testing.T) {
+	want := []time.Duration{10, 20, 40, 80, 160, 320, 500, 500, 500}
+	for i, w := range want {
+		if d := retryDelay(i + 1); d != w*time.Millisecond {
+			t.Errorf("retryDelay(%d) = %v, want %v", i+1, d, w*time.Millisecond)
 		}
 	}
-	// The floor itself is capped at MaxDelay for tiny policies.
-	p := RetryPolicy{BaseDelay: 40 * time.Millisecond, MaxDelay: 5 * time.Millisecond, Jitter: 1}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		if d := p.delay(1, rng); d > 5*time.Millisecond {
-			t.Fatalf("delay %v exceeds MaxDelay when BaseDelay/4 > MaxDelay", d)
-		}
+	if d := retryDelay(1000); d != RetryMaxDelay {
+		t.Errorf("retryDelay(1000) = %v, want the cap %v", d, RetryMaxDelay)
 	}
 }
 
@@ -96,7 +73,7 @@ func TestRetryAfterDeadlineCap(t *testing.T) {
 		return cEnd, nil
 	}
 	rc := NewResilientClient(dial, device.Laptop, nil,
-		RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 3})
+		RetryPolicy{MaxAttempts: 3})
 	defer rc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

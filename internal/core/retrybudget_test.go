@@ -81,13 +81,8 @@ func TestRetryBudgetCapsRetryStorm(t *testing.T) {
 		dials.Add(1)
 		return faultnet.Blackhole(), nil
 	}
-	rc := NewResilientClient(dial, device.Workstation, nil, RetryPolicy{
-		MaxAttempts: 4,
-		PeerTimeout: 5 * time.Millisecond,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    2 * time.Millisecond,
-		Seed:        7,
-	})
+	rc := NewResilientClient(dial, device.Workstation, nil, RetryPolicy{MaxAttempts: 4,
+		PeerTimeout: 5 * time.Millisecond})
 	defer rc.Close()
 	const burst, ratio = 3, 0.25
 	rc.SetRetryBudget(NewRetryBudget(ratio, burst))

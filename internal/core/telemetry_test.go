@@ -246,7 +246,7 @@ func TestClientTelemetryCounters(t *testing.T) {
 		return cEnd, nil
 	}
 	rc := NewResilientClient(dial, device.Laptop, nil,
-		RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 5})
+		RetryPolicy{MaxAttempts: 3})
 	defer rc.Close()
 	rc.SetTelemetry(set)
 

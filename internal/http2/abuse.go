@@ -114,77 +114,27 @@ const (
 	maxEmptyContinuations = 8
 )
 
-// AbusePolicy configures the per-connection abuse ledger on served
-// connections. The zero value (and a nil policy) means
-// DefaultAbusePolicy; set Disabled to turn the ledger off entirely.
-//
-// Budgets are events per Window. Escalation is relative to the
-// budget: exceeding it starts ignoring the frame kind, exceeding 2×
-// flags the connection (new streams refused with ENHANCE_YOUR_CALM),
-// exceeding 4× kills the connection with GOAWAY.
-type AbusePolicy struct {
-	Disabled bool
+// abuseWindow is the ledger's sliding window, and abuseBudgets the
+// events of each kind it allows per window before escalating.
+const abuseWindow = 10 * time.Second
 
-	// Window is the sliding-window length. Zero means 10s.
-	Window time.Duration
-
-	// RapidResetBudget bounds peer resets of streams that received no
-	// response DATA. Zero means 100.
-	RapidResetBudget int
-
-	// PingBudget bounds non-ACK PINGs. Zero means 100 — far above any
-	// keepalive cadence, so health checks never trip it.
-	PingBudget int
-
-	// SettingsBudget bounds non-ACK SETTINGS frames. Zero means 20; a
-	// legitimate peer sends one or two per connection lifetime.
-	SettingsBudget int
-
-	// WindowUpdateBudget bounds WINDOW_UPDATE frames. Zero means
-	// 4000 — generous, because fast transfers legitimately emit many.
-	WindowUpdateBudget int
-
-	// EmptyDataBudget bounds zero-length non-END_STREAM DATA frames.
-	// Zero means 100.
-	EmptyDataBudget int
-}
-
-// DefaultAbusePolicy returns the policy used when Config.AbusePolicy
-// is nil.
-func DefaultAbusePolicy() *AbusePolicy { return &AbusePolicy{} }
-
-func (p *AbusePolicy) window() time.Duration {
-	if p == nil || p.Window <= 0 {
-		return 10 * time.Second
-	}
-	return p.Window
-}
-
-func (p *AbusePolicy) budget(k AbuseKind) int {
-	pick := func(v, def int) int {
-		if p == nil || v == 0 {
-			return def
-		}
-		return v
-	}
-	switch k {
-	case AbuseRapidReset:
-		return pick(p.RapidResetBudget, 100)
-	case AbusePingFlood:
-		return pick(p.PingBudget, 100)
-	case AbuseSettingsFlood:
-		return pick(p.SettingsBudget, 20)
-	case AbuseWindowUpdateFlood:
-		return pick(p.WindowUpdateBudget, 4000)
-	case AbuseEmptyDataFlood:
-		return pick(p.EmptyDataBudget, 100)
-	case AbuseContinuationFlood:
-		// A single over-cap CONTINUATION chain is already a
-		// connection error; the budget only shapes the reported
-		// action.
-		return 1
-	}
-	return 1
+var abuseBudgets = [numAbuseKinds]float64{
+	// Peer resets of streams that received no response DATA.
+	AbuseRapidReset: 100,
+	// Non-ACK PINGs: far above any keepalive cadence, so health
+	// checks never trip it.
+	AbusePingFlood: 100,
+	// Non-ACK SETTINGS frames: a legitimate peer sends one or two per
+	// connection lifetime.
+	AbuseSettingsFlood: 20,
+	// WINDOW_UPDATE frames: generous, because fast transfers
+	// legitimately emit many; sent DATA earns more (see note).
+	AbuseWindowUpdateFlood: 4000,
+	// Zero-length non-END_STREAM DATA frames.
+	AbuseEmptyDataFlood: 100,
+	// A single over-cap CONTINUATION chain is already a connection
+	// error; the budget only shapes the reported action.
+	AbuseContinuationFlood: 1,
 }
 
 // abuseBucket is a two-bucket sliding-window counter: the estimate is
@@ -199,7 +149,8 @@ type abuseBucket struct {
 // slide expires the bucket's counts against the sliding window ending
 // at now, then returns the windowed estimate: the current bucket plus
 // the previous bucket weighted by its remaining overlap.
-func (b *abuseBucket) slide(now time.Time, w time.Duration) float64 {
+func (b *abuseBucket) slide(now time.Time) float64 {
+	const w = abuseWindow
 	if b.start.IsZero() {
 		b.start = now
 	}
@@ -218,8 +169,6 @@ func (b *abuseBucket) slide(now time.Time, w time.Duration) float64 {
 
 // abuseLedger scores abuse events for one connection.
 type abuseLedger struct {
-	policy *AbusePolicy
-
 	mu       sync.Mutex
 	buckets  [numAbuseKinds]abuseBucket
 	dataSent abuseBucket // DATA frames sent to the peer (earned credit)
@@ -227,25 +176,17 @@ type abuseLedger struct {
 	calmKind AbuseKind
 }
 
-func newAbuseLedger(p *AbusePolicy) *abuseLedger {
-	if p == nil {
-		p = DefaultAbusePolicy()
-	}
-	return &abuseLedger{policy: p}
-}
-
 // note records one event of kind k and returns the escalation verdict.
 func (l *abuseLedger) note(k AbuseKind) AbuseAction {
 	now := time.Now()
-	w := l.policy.window()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b := &l.buckets[k]
-	est := b.slide(now, w) + 1 // +1 counts the event being noted
+	est := b.slide(now) + 1 // +1 counts the event being noted
 	b.cur++
 
-	budget := float64(l.policy.budget(k))
+	budget := abuseBudgets[k]
 	if k == AbuseWindowUpdateFlood {
 		// A receiver's legitimate WINDOW_UPDATE rate is bounded by the
 		// DATA we send it — it cannot honestly return window it was
@@ -256,7 +197,7 @@ func (l *abuseLedger) note(k AbuseKind) AbuseAction {
 		// fixed floor. Without this, dropping over-budget updates
 		// permanently leaks send window and deadlocks a legitimately
 		// fast peer.
-		budget += 2 * l.dataSent.slide(now, w)
+		budget += 2 * l.dataSent.slide(now)
 	}
 	switch {
 	case est <= budget:
@@ -281,10 +222,9 @@ func (l *abuseLedger) note(k AbuseKind) AbuseAction {
 // no window and so oblige no update.
 func (l *abuseLedger) noteDataSent() {
 	now := time.Now()
-	w := l.policy.window()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.dataSent.slide(now, w)
+	l.dataSent.slide(now)
 	l.dataSent.cur++
 }
 
@@ -299,8 +239,8 @@ func (l *abuseLedger) flagged() (AbuseKind, bool) {
 // noteAbuse scores one event on the connection's ledger. It fires the
 // OnAbuse hook for any escalation and converts AbuseKill into the
 // ENHANCE_YOUR_CALM connection error that aborts the connection
-// through the regular dispatch path. A nil ledger (client role, or
-// Disabled policy) always returns AbuseNone.
+// through the regular dispatch path. A nil ledger (client role)
+// always returns AbuseNone.
 func (c *conn) noteAbuse(k AbuseKind) (AbuseAction, error) {
 	if c.abuse == nil {
 		return AbuseNone, nil

@@ -9,27 +9,20 @@ import (
 	"sww/internal/hpack"
 )
 
-func testLedger(budget int) *abuseLedger {
-	return newAbuseLedger(&AbusePolicy{
-		Window:           10 * time.Second,
-		RapidResetBudget: budget,
-	})
-}
-
-// TestAbuseLedgerEscalation walks one kind through every stage:
-// within budget, ignore, calm (conn flagged), kill.
+// TestAbuseLedgerEscalation walks one kind through every stage of its
+// budget of 100: within budget, ignore, calm (conn flagged), kill.
 func TestAbuseLedgerEscalation(t *testing.T) {
-	l := testLedger(10)
+	l := new(abuseLedger)
 
-	for i := 1; i <= 41; i++ {
+	for i := 1; i <= 401; i++ {
 		act := l.note(AbuseRapidReset)
 		var want AbuseAction
 		switch {
-		case i <= 10:
+		case i <= 100:
 			want = AbuseNone
-		case i <= 20:
+		case i <= 200:
 			want = AbuseIgnore
-		case i <= 40:
+		case i <= 400:
 			want = AbuseCalm
 		default:
 			want = AbuseKill
@@ -46,8 +39,8 @@ func TestAbuseLedgerEscalation(t *testing.T) {
 // TestAbuseLedgerKindsIndependent: each kind has its own budget; a
 // ping flood does not consume the rapid-reset budget.
 func TestAbuseLedgerKindsIndependent(t *testing.T) {
-	l := newAbuseLedger(&AbusePolicy{PingBudget: 2, RapidResetBudget: 100})
-	for i := 0; i < 5; i++ {
+	l := new(abuseLedger)
+	for i := 0; i < 401; i++ {
 		l.note(AbusePingFlood)
 	}
 	if act := l.note(AbuseRapidReset); act != AbuseNone {
@@ -95,19 +88,20 @@ func (r *abuseRecorder) count(k AbuseKind, a AbuseAction) int {
 	return n
 }
 
-// TestRapidResetStormGoAway: a HEADERS+RST_STREAM storm against a
-// small budget must first see new streams refused with
-// ENHANCE_YOUR_CALM and then the connection killed with
-// GOAWAY(ENHANCE_YOUR_CALM).
+// killStorm is the shortest rapid-reset storm that draws a GOAWAY
+// when every reset is scored: 4× the budget of 100, plus one. The
+// resets past 2× the budget flag the connection, and every later
+// HEADERS is refused and scored as the same abuse.
+const killStorm = 401
+
+// TestRapidResetStormGoAway: a HEADERS+RST_STREAM storm must first see
+// new streams refused with ENHANCE_YOUR_CALM and then the connection
+// killed with GOAWAY(ENHANCE_YOUR_CALM).
 func TestRapidResetStormGoAway(t *testing.T) {
 	rec := &abuseRecorder{}
-	cfg := Config{
-		AbusePolicy: &AbusePolicy{RapidResetBudget: 5},
-		OnAbuse:     rec.hook,
-	}
-	p := dialRawCfg(t, cfg, blockingHandler(t))
+	p := dialRawCfg(t, Config{OnAbuse: rec.hook}, blockingHandler(t))
 
-	go p.resetStorm(25, "/storm", nil) // 5×budget
+	go p.resetStorm(killStorm, "/storm", nil)
 	expectCalmThenGoAway(t, p, rec)
 }
 
@@ -141,7 +135,7 @@ func expectCalmThenGoAway(t *testing.T, p *rawPeer, rec *abuseRecorder) {
 	t.Helper()
 	sawCalmRST := false
 	var ga Frame
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 2*killStorm; i++ {
 		fr := p.read()
 		if fr.Type == FrameRSTStream && rstCode(fr) == ErrCodeEnhanceYourCalm {
 			sawCalmRST = true
@@ -170,25 +164,31 @@ func expectCalmThenGoAway(t *testing.T, p *rawPeer, rec *abuseRecorder) {
 // DATA frame. Those streams have sent the peer nothing, so resetting
 // them is as rapid a reset as against a handler that never writes, and
 // must be scored: "wrote data" means a DATA frame was queued, not that
-// the handler asked for one.
+// the handler asked for one. The storm is exactly long enough to kill
+// when every reset is scored, so one reset let off leaves the
+// connection up.
 func TestRapidResetZeroWindowStillScored(t *testing.T) {
 	rec := &abuseRecorder{}
-	cfg := Config{
-		AbusePolicy: &AbusePolicy{RapidResetBudget: 5},
-		OnAbuse:     rec.hook,
-	}
+	cfg := Config{OnAbuse: rec.hook}
 	writing := make(chan struct{}, 1)
 	h := HandlerFunc(func(w *ResponseWriter, r *Request) {
 		w.WriteHeaders(200)
-		writing <- struct{}{}
+		select {
+		case writing <- struct{}{}:
+		default: // past the settled resets nobody waits
+		}
 		io.WriteString(w, "a body the peer left no window for")
 	})
 	p, _ := dialRawConn(t, cfg, h, Setting{SettingInitialWindowSize, 0})
-	// Each reset gives its handler time to get as far as the window.
-	// Whether it did changes nothing now; it used to be what made the
-	// reset look like a mid-response cancellation. Streams refused on
-	// the flagged connection never reach the handler at all.
-	go p.resetStorm(25, "/storm", func() {
+	// The first resets give their handlers time to get as far as the
+	// window. Whether they did changes nothing now; it used to be what
+	// made the reset look like a mid-response cancellation. Streams
+	// refused on the flagged connection never reach the handler at all.
+	settled := 0
+	go p.resetStorm(killStorm, "/storm", func() {
+		if settled++; settled > 8 {
+			return
+		}
 		select {
 		case <-writing:
 			time.Sleep(2 * time.Millisecond)
@@ -198,15 +198,14 @@ func TestRapidResetZeroWindowStillScored(t *testing.T) {
 	expectCalmThenGoAway(t, p, rec)
 }
 
-// TestPingFloodStopsAcks: past the budget, PING ACKs stop (no write
-// amplification), and far past it the connection dies with
+// TestPingFloodStopsAcks: past the budget of 100, PING ACKs stop (no
+// write amplification), and far past it the connection dies with
 // ENHANCE_YOUR_CALM.
 func TestPingFloodStopsAcks(t *testing.T) {
-	cfg := Config{AbusePolicy: &AbusePolicy{PingBudget: 4}}
-	p := dialRawCfg(t, cfg, HandlerFunc(okHandler))
+	p := dialRawCfg(t, Config{}, HandlerFunc(okHandler))
 
 	go func() {
-		for i := 0; i < 20; i++ {
+		for i := 0; i < 500; i++ {
 			var data [8]byte
 			data[0] = byte(i)
 			if err := p.fr.WritePing(false, data); err != nil {
@@ -216,7 +215,7 @@ func TestPingFloodStopsAcks(t *testing.T) {
 	}()
 	acks := 0
 	var ga Frame
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 1000; i++ {
 		fr := p.read()
 		if fr.Type == FramePing && fr.Has(FlagAck) {
 			acks++
@@ -229,19 +228,18 @@ func TestPingFloodStopsAcks(t *testing.T) {
 	if ga.Type != FrameGoAway || goAwayCode(ga) != ErrCodeEnhanceYourCalm {
 		t.Fatalf("flood outcome %v, want GOAWAY(ENHANCE_YOUR_CALM)", ga.FrameHeader)
 	}
-	if acks != 4 {
-		t.Errorf("ACKed %d pings, want exactly the budget of 4", acks)
+	if acks != 100 {
+		t.Errorf("ACKed %d pings, want exactly the budget of 100", acks)
 	}
 }
 
 // TestSettingsFloodIgnoredThenKilled mirrors the PING flood for
-// SETTINGS frames.
+// SETTINGS frames, budget 20.
 func TestSettingsFloodIgnoredThenKilled(t *testing.T) {
-	cfg := Config{AbusePolicy: &AbusePolicy{SettingsBudget: 3}}
-	p := dialRawCfg(t, cfg, HandlerFunc(okHandler))
+	p := dialRawCfg(t, Config{}, HandlerFunc(okHandler))
 
 	go func() {
-		for i := 0; i < 20; i++ {
+		for i := 0; i < 100; i++ {
 			if err := p.fr.WriteSettings(); err != nil {
 				return
 			}
@@ -264,16 +262,15 @@ func TestSettingsFloodIgnoredThenKilled(t *testing.T) {
 	}
 	// The handshake SETTINGS consumed one budget slot before the
 	// flood; the ledger must have stopped ACKing at the budget.
-	if acks > 3 {
-		t.Errorf("ACKed %d SETTINGS, budget was 3", acks)
+	if acks > 20 {
+		t.Errorf("ACKed %d SETTINGS, budget was 20", acks)
 	}
 }
 
 // TestEmptyDataFloodKilled: zero-length DATA frames without
 // END_STREAM are free under flow control but not under the ledger.
 func TestEmptyDataFloodKilled(t *testing.T) {
-	cfg := Config{AbusePolicy: &AbusePolicy{EmptyDataBudget: 4}}
-	p := dialRawCfg(t, cfg, blockingHandler(t))
+	p := dialRawCfg(t, Config{}, blockingHandler(t))
 
 	block := p.henc.AppendFields(nil, []hpack.HeaderField{
 		{Name: ":method", Value: "POST"},
@@ -284,7 +281,7 @@ func TestEmptyDataFloodKilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		for i := 0; i < 40; i++ {
+		for i := 0; i < 500; i++ {
 			if err := p.fr.WriteData(1, false, nil); err != nil {
 				return
 			}

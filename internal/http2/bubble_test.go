@@ -22,9 +22,9 @@ func bubble(t *testing.T, f func(t *testing.T)) {
 // an old burst must not poison the budget forever.
 func TestBubbleAbuseLedgerWindowReset(t *testing.T) {
 	bubble(t, func(t *testing.T) {
-		l := testLedger(10)
+		l := new(abuseLedger)
 
-		for i := 0; i < 15; i++ {
+		for i := 0; i < 150; i++ {
 			l.note(AbuseRapidReset)
 		}
 		if act := l.note(AbuseRapidReset); act != AbuseIgnore {
@@ -38,7 +38,7 @@ func TestBubbleAbuseLedgerWindowReset(t *testing.T) {
 
 		// One window later the old bucket still weighs in, scaled by the
 		// remaining overlap: right at the window boundary it counts fully.
-		for i := 0; i < 15; i++ {
+		for i := 0; i < 150; i++ {
 			l.note(AbuseRapidReset)
 		}
 		time.Sleep(10 * time.Second)
@@ -57,7 +57,7 @@ func TestBubbleAbuseLedgerWindowReset(t *testing.T) {
 // window never escalates, however long it keeps going.
 func TestBubbleAbuseLedgerBurstyLegit(t *testing.T) {
 	bubble(t, func(t *testing.T) {
-		l := testLedger(100)
+		l := new(abuseLedger)
 
 		for window := 0; window < 10; window++ {
 			for i := 0; i < 40; i++ {
@@ -82,25 +82,23 @@ func TestBubbleAbuseLedgerBurstyLegit(t *testing.T) {
 // the connection deadlocked.
 func TestBubbleWindowUpdateBudgetEarnedByDataSent(t *testing.T) {
 	bubble(t, func(t *testing.T) {
-		policy := &AbusePolicy{Window: 10 * time.Second, WindowUpdateBudget: 10}
-
 		// Idle connection: the fixed floor still catches a flood.
-		idle := newAbuseLedger(policy)
-		for i := 0; i < 10; i++ {
+		idle := new(abuseLedger)
+		for i := 0; i < 4000; i++ {
 			if act := idle.note(AbuseWindowUpdateFlood); act != AbuseNone {
 				t.Fatalf("update %d on idle conn: %v, want none", i+1, act)
 			}
 		}
 		if act := idle.note(AbuseWindowUpdateFlood); act == AbuseNone {
-			t.Fatal("11th update on idle conn stayed within budget 10")
+			t.Fatal("4001st update on idle conn stayed within budget 4000")
 		}
 
 		// Busy connection: 100 DATA frames earn 200 updates of headroom.
-		busy := newAbuseLedger(policy)
+		busy := new(abuseLedger)
 		for i := 0; i < 100; i++ {
 			busy.noteDataSent()
 		}
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 4200; i++ {
 			if act := busy.note(AbuseWindowUpdateFlood); act != AbuseNone {
 				t.Fatalf("update %d with 100 DATA sent: %v, want none", i+1, act)
 			}
@@ -108,7 +106,7 @@ func TestBubbleWindowUpdateBudgetEarnedByDataSent(t *testing.T) {
 
 		// Earned credit expires with the sliding window.
 		time.Sleep(25 * time.Second)
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 4000; i++ {
 			busy.note(AbuseWindowUpdateFlood)
 		}
 		if act := busy.note(AbuseWindowUpdateFlood); act == AbuseNone {

@@ -102,7 +102,7 @@ func (cc *ClientConn) Ping(timeout time.Duration) error { return cc.c.ping(timeo
 func (cc *ClientConn) Close() error { return cc.c.shutdown() }
 
 // CloseContext is Close bounded by the caller's deadline: the GOAWAY
-// flush drains until ctx expires instead of the configured default.
+// flush drains until ctx expires instead of drainPeriod.
 func (cc *ClientConn) CloseContext(ctx context.Context) error { return cc.c.shutdownContext(ctx) }
 
 // Get issues a simple GET request.

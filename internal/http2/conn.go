@@ -20,10 +20,17 @@ import (
 const ClientPreface = "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
 
 const (
-	defaultWindowSize  = 65535
-	defaultMaxStreams  = 100
-	handshakeTimeout   = 10 * time.Second // for the peer's first SETTINGS
-	defaultDrainPeriod = 200 * time.Millisecond
+	defaultWindowSize = 65535
+	handshakeTimeout  = 10 * time.Second // for the peer's first SETTINGS
+
+	// maxPeerStreams caps peer-initiated concurrent streams.
+	maxPeerStreams = 100
+
+	// drainPeriod bounds how long teardown and shutdown wait for
+	// already-queued frames (the GOAWAY in particular) to flush to a
+	// slow link before the transport dies. Callers with a harder
+	// deadline use CloseContext, whose context deadline overrides it.
+	drainPeriod = 200 * time.Millisecond
 
 	// maxHeaderBlockBytes caps an assembled header block across
 	// HEADERS + CONTINUATION frames.
@@ -54,37 +61,17 @@ type Config struct {
 	// Zero means the protocol default of 65535.
 	InitialWindowSize uint32
 
-	// MaxConcurrentStreams caps peer-initiated concurrent streams.
-	// Zero means defaultMaxStreams.
-	MaxConcurrentStreams uint32
-
-	// DrainTimeout bounds how long teardown and shutdown wait for
-	// already-queued frames (the GOAWAY in particular) to flush to a
-	// slow link before the transport dies. Zero means 200ms. Callers
-	// with a harder deadline use CloseContext, whose context deadline
-	// overrides this.
-	DrainTimeout time.Duration
-
 	// KeepAliveInterval, when positive, enables health checks: after
 	// this much frame silence (a client: with a stream open) the
-	// endpoint sends PING and, if no ACK arrives within
-	// KeepAliveTimeout, closes the dead peer's connection.
+	// endpoint sends PING and, if no ACK arrives within another
+	// interval, closes the dead peer's connection.
 	KeepAliveInterval time.Duration
-
-	// KeepAliveTimeout bounds the wait for a keepalive PING ACK.
-	// Zero means KeepAliveInterval.
-	KeepAliveTimeout time.Duration
 
 	// OnStreamRefused, when set, is called each time a peer-initiated
 	// stream is rejected with REFUSED_STREAM at the concurrent-stream
 	// limit — the overload-observability hook. It runs on the frame
 	// reader goroutine and must not block.
 	OnStreamRefused func()
-
-	// AbusePolicy configures the served-connection abuse ledger
-	// (see AbusePolicy). Nil means DefaultAbusePolicy; set Disabled
-	// to turn the ledger off.
-	AbusePolicy *AbusePolicy
 
 	// OnAbuse, when set, receives every abuse-ledger escalation
 	// (action > AbuseNone), including one AbuseCalm per stream refused
@@ -98,27 +85,6 @@ func (c Config) initialWindow() int32 {
 		return defaultWindowSize
 	}
 	return int32(c.InitialWindowSize)
-}
-
-func (c Config) maxStreams() uint32 {
-	if c.MaxConcurrentStreams == 0 {
-		return defaultMaxStreams
-	}
-	return c.MaxConcurrentStreams
-}
-
-func (c Config) drainTimeout() time.Duration {
-	if c.DrainTimeout <= 0 {
-		return defaultDrainPeriod
-	}
-	return c.DrainTimeout
-}
-
-func (c Config) keepAliveTimeout() time.Duration {
-	if c.KeepAliveTimeout <= 0 {
-		return c.KeepAliveInterval
-	}
-	return c.KeepAliveTimeout
 }
 
 // peerState holds the peer's most recent SETTINGS values.
@@ -253,9 +219,7 @@ func newConn(nc net.Conn, cfg Config, server bool) *conn {
 	if server {
 		c.nextID = 2
 		c.idle = make(chan *Stream)
-		if cfg.AbusePolicy == nil || !cfg.AbusePolicy.Disabled {
-			c.abuse = newAbuseLedger(cfg.AbusePolicy)
-		}
+		c.abuse = new(abuseLedger)
 	} else {
 		c.nextID = 1
 	}
@@ -267,7 +231,7 @@ func (c *conn) initialSettings() []Setting {
 	s := []Setting{
 		{SettingMaxFrameSize, minMaxFrameSize},
 		{SettingInitialWindowSize, uint32(c.cfg.initialWindow())},
-		{SettingMaxConcurrentStreams, c.cfg.maxStreams()},
+		{SettingMaxConcurrentStreams, maxPeerStreams},
 		{SettingEnablePush, 0},
 	}
 	if c.cfg.GenAbility != GenNone {
@@ -798,7 +762,7 @@ func (c *conn) acceptStream(id uint32, fields []hpack.HeaderField, endStream boo
 			return streamError(id, ErrCodeEnhanceYourCalm, "connection flagged for %v abuse", kind)
 		}
 	}
-	if c.peerStreams >= c.cfg.maxStreams() {
+	if c.peerStreams >= maxPeerStreams {
 		c.mu.Unlock()
 		if c.cfg.OnStreamRefused != nil {
 			c.cfg.OnStreamRefused()
@@ -1164,17 +1128,17 @@ func (c *conn) teardown(err error) {
 	// GOAWAY explaining this teardown, in particular) a moment to
 	// reach the peer before the transport dies.
 	c.aw.close()
-	c.aw.drain(c.cfg.drainTimeout())
+	c.aw.drain(drainPeriod)
 	c.netConn.Close()
 }
 
 // shutdown performs a graceful local close: GOAWAY(NO_ERROR) then
-// closing the transport, draining for the configured default.
+// closing the transport, draining for drainPeriod.
 func (c *conn) shutdown() error { return c.shutdownContext(context.Background()) }
 
 // shutdownContext is shutdown bounded by the caller's deadline: the
-// GOAWAY drain waits until ctx expires (or the configured drain
-// timeout when ctx carries no deadline), so slow links get the whole
+// GOAWAY drain waits until ctx expires (or drainPeriod when ctx
+// carries no deadline), so slow links get the whole
 // budget instead of a hard-coded flush window.
 func (c *conn) shutdownContext(ctx context.Context) error {
 	c.mu.Lock()
@@ -1187,7 +1151,7 @@ func (c *conn) shutdownContext(ctx context.Context) error {
 		c.fr.WriteGoAway(last, ErrCodeNo, nil)
 		c.wmu.Unlock()
 	}
-	drain := c.cfg.drainTimeout()
+	drain := drainPeriod
 	if deadline, ok := ctx.Deadline(); ok {
 		drain = time.Until(deadline)
 	}
@@ -1263,7 +1227,7 @@ func (c *conn) keepAliveLoop() {
 		if !waiting || time.Since(time.Unix(0, c.lastFrame.Load())) < interval {
 			continue // nothing waits on the peer, or traffic flowed recently
 		}
-		if err := c.ping(c.cfg.keepAliveTimeout()); err != nil {
+		if err := c.ping(interval); err != nil {
 			select {
 			case <-c.doneCh: // already dead; teardown done elsewhere
 			default:

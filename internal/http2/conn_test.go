@@ -437,9 +437,9 @@ func TestFirstFrameMustBeSettings(t *testing.T) {
 }
 
 // TestRefusedStreamOverLimit: a client counts its open streams against
-// the peer's SETTINGS_MAX_CONCURRENT_STREAMS. At the limit the next
-// request fails before anything is sent, and a stream that finishes
-// frees its slot.
+// the peer's SETTINGS_MAX_CONCURRENT_STREAMS, 100 from our server. At
+// the limit the next request fails before anything is sent, and a
+// stream that finishes frees its slot.
 func TestRefusedStreamOverLimit(t *testing.T) {
 	release := make(chan struct{})
 	h := HandlerFunc(func(w *ResponseWriter, r *Request) {
@@ -448,11 +448,11 @@ func TestRefusedStreamOverLimit(t *testing.T) {
 		}
 		w.WriteHeaders(200)
 	})
-	cc, sc := startPair(t, Config{MaxConcurrentStreams: 2}, Config{}, h)
+	cc, sc := startPair(t, Config{}, Config{}, h)
 
-	// Occupy both slots.
-	results := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	// Occupy every slot.
+	results := make(chan error, maxPeerStreams)
+	for i := 0; i < maxPeerStreams; i++ {
 		go func() {
 			resp, err := cc.Get("/hold")
 			if err == nil {
@@ -461,18 +461,18 @@ func TestRefusedStreamOverLimit(t *testing.T) {
 			results <- err
 		}()
 	}
-	waitCond(t, "both requests to reach their handlers", func() bool {
+	waitCond(t, "every request to reach its handler", func() bool {
 		_, peers := sc.c.liveStreams()
-		return peers == 2
+		return peers == maxPeerStreams
 	})
 	if _, err := cc.Get("/extra"); err == nil || !strings.Contains(err.Error(), "too many concurrent streams") {
-		t.Errorf("third concurrent stream: %v, want the client's own refusal", err)
+		t.Errorf("stream %d: %v, want the client's own refusal", maxPeerStreams+1, err)
 	}
 	sc.c.mu.Lock()
 	last := sc.c.lastPeerID
 	sc.c.mu.Unlock()
-	if last != 3 {
-		t.Errorf("the server has seen stream %d, want no stream past 3", last)
+	if last != 2*maxPeerStreams-1 {
+		t.Errorf("the server has seen stream %d, want no stream past %d", last, 2*maxPeerStreams-1)
 	}
 
 	release <- struct{}{}
@@ -485,8 +485,10 @@ func TestRefusedStreamOverLimit(t *testing.T) {
 	}
 	ReadAllBody(resp)
 	close(release)
-	if err := <-results; err != nil {
-		t.Fatal(err)
+	for i := 1; i < maxPeerStreams; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -339,10 +339,10 @@ func TestSettingsAckWithPayloadRejected(t *testing.T) {
 // INITIAL_WINDOW_SIZE mid-stream can drive a stream window negative;
 // the server must stop sending until updates arrive, not crash.
 func TestInitialWindowShrinkMidStream(t *testing.T) {
-	// The 1-byte window forces a dribble of tiny WINDOW_UPDATEs that
-	// the abuse ledger would (correctly) flag as a slow-read pattern;
-	// this test is about flow-control math, so the ledger is off.
-	p := dialRawCfg(t, Config{AbusePolicy: &AbusePolicy{Disabled: true}}, HandlerFunc(func(w *ResponseWriter, r *Request) {
+	// The 1-byte window forces a dribble of tiny DATA frames, each
+	// answered by two WINDOW_UPDATEs: the two the frame earns, so the
+	// abuse ledger lets the transfer finish.
+	p := dialRawCfg(t, Config{}, HandlerFunc(func(w *ResponseWriter, r *Request) {
 		w.WriteHeaders(200)
 		w.Write(make([]byte, 100_000)) // larger than one window
 	}))

@@ -92,7 +92,7 @@ func TestCloseRacingPeerClose(t *testing.T) {
 		cEnd, sEnd := net.Pipe()
 		srv := &Server{Handler: HandlerFunc(okHandler)}
 		sc := srv.StartConn(sEnd)
-		cc, err := NewClientConn(cEnd, Config{DrainTimeout: time.Millisecond})
+		cc, err := NewClientConn(cEnd, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,8 +519,7 @@ func TestInlineDeclinesOnSaturatedWriter(t *testing.T) {
 func TestInlineReplyThenReset(t *testing.T) {
 	rec := &abuseRecorder{}
 	var tried, served pathLog
-	p, c := dialRawConn(t, Config{AbusePolicy: &AbusePolicy{RapidResetBudget: 5}, OnAbuse: rec.hook},
-		echoInline(&tried, &served))
+	p, c := dialRawConn(t, Config{OnAbuse: rec.hook}, echoInline(&tried, &served))
 	const n = 50
 	go p.resetStorm(n, "/i", nil)
 	for ends := 0; ends < n; {
@@ -536,8 +535,12 @@ func TestInlineReplyThenReset(t *testing.T) {
 		live, peers := c.liveStreams()
 		return live == 0 && peers == 0
 	})
-	if len(rec.events) != 0 || len(served.get()) != 0 {
-		t.Fatalf("abuse events %v, goroutine serves %v; want none of either", rec.events, served.get())
+	c.abuse.mu.Lock()
+	rapid := c.abuse.buckets[AbuseRapidReset].cur
+	c.abuse.mu.Unlock()
+	if rapid != 0 || len(rec.events) != 0 || len(served.get()) != 0 {
+		t.Fatalf("%d rapid resets scored, abuse events %v, goroutine serves %v; want none of any",
+			rapid, rec.events, served.get())
 	}
 }
 
@@ -547,7 +550,7 @@ func TestInlineReplyThenReset(t *testing.T) {
 // stream leaves the map once and the concurrency count returns to zero.
 func TestInlineRespondRacingReset(t *testing.T) {
 	var tried, served pathLog
-	p, c := dialRawConn(t, Config{AbusePolicy: &AbusePolicy{Disabled: true}}, echoInline(&tried, &served))
+	p, c := dialRawConn(t, Config{}, echoInline(&tried, &served))
 	const n = 50
 	go func() {
 		for {

@@ -16,7 +16,7 @@ func dialRawCfg(t *testing.T, cfg Config, h Handler, settings ...Setting) *rawPe
 }
 
 // TestServerRefusesStreamOverLimit drives the server's accept path
-// past SETTINGS_MAX_CONCURRENT_STREAMS with a raw framer (a compliant
+// past SETTINGS_MAX_CONCURRENT_STREAMS (100) with a raw framer (a compliant
 // client self-limits, so only a misbehaving or overload-racing peer
 // reaches this path): the excess stream must be rejected with
 // RST_STREAM(REFUSED_STREAM) — not a connection error — while the
@@ -26,19 +26,21 @@ func TestServerRefusesStreamOverLimit(t *testing.T) {
 	var refused atomic.Int64
 	block := make(chan struct{})
 	p := dialRawCfg(t, Config{
-		MaxConcurrentStreams: 1,
-		OnStreamRefused:      func() { refused.Add(1) },
+		OnStreamRefused: func() { refused.Add(1) },
 	}, HandlerFunc(func(w *ResponseWriter, r *Request) {
 		<-block
 		w.WriteHeaders(200)
 		io.WriteString(w, "ok")
 	}))
 
-	p.request(1, "/")  // admitted, parked in the handler
-	p.request(3, "/a") // over the limit → REFUSED_STREAM
+	for i := 0; i < maxPeerStreams; i++ {
+		p.request(uint32(1+2*i), "/") // admitted, parked in the handler
+	}
+	over := uint32(1 + 2*maxPeerStreams)
+	p.request(over, "/a") // over the limit → REFUSED_STREAM
 	rst := p.readUntil(FrameRSTStream)
-	if rst.StreamID != 3 {
-		t.Fatalf("RST on stream %d, want 3", rst.StreamID)
+	if rst.StreamID != over {
+		t.Fatalf("RST on stream %d, want %d", rst.StreamID, over)
 	}
 	if code := rstCode(rst); code != ErrCodeRefusedStream {
 		t.Fatalf("RST code %v, want REFUSED_STREAM", code)
@@ -53,11 +55,11 @@ func TestServerRefusesStreamOverLimit(t *testing.T) {
 		t.Errorf("REFUSED_STREAM not Retryable: %v", err)
 	}
 
-	// The admitted stream is unaffected: release the handler and the
-	// response arrives on stream 1.
+	// The admitted streams are unaffected: release their handlers and
+	// a response arrives on one of them.
 	close(block)
 	hf := p.readUntil(FrameHeaders)
-	if hf.StreamID != 1 {
-		t.Fatalf("response on stream %d, want 1", hf.StreamID)
+	if hf.StreamID >= over {
+		t.Fatalf("response on stream %d, want an admitted one", hf.StreamID)
 	}
 }

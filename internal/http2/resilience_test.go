@@ -33,10 +33,7 @@ func TestKeepAliveClosesDeadPeer(t *testing.T) {
 	defer cEnd.Close()
 	srv := &Server{
 		Handler: HandlerFunc(func(w *ResponseWriter, r *Request) { w.Write([]byte("ok")) }),
-		Config: Config{
-			KeepAliveInterval: 40 * time.Millisecond,
-			KeepAliveTimeout:  60 * time.Millisecond,
-		},
+		Config:  Config{KeepAliveInterval: 40 * time.Millisecond},
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.ServeConn(sEnd) }()
@@ -54,10 +51,7 @@ func TestKeepAliveSparesHealthyPeer(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	srv := &Server{
 		Handler: HandlerFunc(func(w *ResponseWriter, r *Request) { w.Write([]byte("ok")) }),
-		Config: Config{
-			KeepAliveInterval: 25 * time.Millisecond,
-			KeepAliveTimeout:  200 * time.Millisecond,
-		},
+		Config:  Config{KeepAliveInterval: 50 * time.Millisecond},
 	}
 	sc := srv.StartConn(sEnd)
 	cc, err := NewClientConn(cEnd, Config{})
@@ -65,9 +59,10 @@ func TestKeepAliveSparesHealthyPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	// A healthy client answers PINGs from its read loop; several
-	// keepalive intervals later the connection must still serve.
-	time.Sleep(150 * time.Millisecond)
+	// A healthy client answers PINGs from its read loop, each within
+	// the interval; several intervals later the connection must still
+	// serve.
+	time.Sleep(200 * time.Millisecond)
 	resp, err := cc.Get("/")
 	if err != nil {
 		t.Fatalf("conn died under keepalive despite healthy peer: %v", err)

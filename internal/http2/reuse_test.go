@@ -213,7 +213,7 @@ func TestInlineStreamReuseLateFrames(t *testing.T) {
 			w.Respond(200, []byte("second"))
 		},
 	}
-	p, c := dialRawConn(t, Config{AbusePolicy: &AbusePolicy{RapidResetBudget: 1}}, h)
+	p, c := dialRawConn(t, Config{}, h)
 	p.request(1, "/i/first")
 	for ended := false; !ended; {
 		fr := p.nextFrame()

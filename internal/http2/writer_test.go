@@ -161,15 +161,14 @@ func TestAsyncWriterConcurrentWriters(t *testing.T) {
 }
 
 // TestFastTransferManyRequestsNoStall drives enough requests through
-// one connection that the client's WINDOW_UPDATE count far exceeds a
-// small fixed budget. Before DATA-earned credit, the server dropped
-// the updates, leaked its 64 KiB connection send window, and wedged
-// mid-response; the test then times out.
+// one connection that the client's WINDOW_UPDATE count far exceeds the
+// ledger's fixed budget of 4000. Before DATA-earned credit, the server
+// dropped the updates past the budget, leaked the send window they
+// returned, and wedged mid-response; the test then times out. The
+// client's 1 KiB stream window makes it return window every 512 bytes.
 func TestFastTransferManyRequestsNoStall(t *testing.T) {
 	body := strings.Repeat("x", 8<<10)
-	cc, _ := startPair(t,
-		Config{AbusePolicy: &AbusePolicy{WindowUpdateBudget: 4}},
-		Config{},
+	cc, sc := startPair(t, Config{}, Config{InitialWindowSize: 1 << 10},
 		HandlerFunc(func(w *ResponseWriter, r *Request) {
 			w.WriteHeaders(200)
 			fmt.Fprint(w, body)
@@ -177,9 +176,7 @@ func TestFastTransferManyRequestsNoStall(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		// 60 × 8 KiB crosses the 32 KiB conn-update threshold ~15
-		// times — far over budget 4.
-		for i := 0; i < 60; i++ {
+		for i := 0; i < 800; i++ {
 			resp, err := cc.Get("/bulk")
 			if err != nil {
 				done <- fmt.Errorf("request %d: %v", i, err)
@@ -204,5 +201,11 @@ func TestFastTransferManyRequestsNoStall(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("transfer stalled: send window leaked by dropped WINDOW_UPDATEs")
+	}
+	sc.c.abuse.mu.Lock()
+	updates := sc.c.abuse.buckets[AbuseWindowUpdateFlood].cur
+	sc.c.abuse.mu.Unlock()
+	if updates <= 5000 {
+		t.Errorf("the server scored %d WINDOW_UPDATEs, want more than 5000: a thousand past the budget", updates)
 	}
 }

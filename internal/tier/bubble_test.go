@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sww/internal/cdn"
+	"sww/internal/core"
 	"sww/internal/faultnet"
 	"sww/internal/telemetry"
 	"sww/internal/workload"
@@ -227,8 +228,8 @@ func TestBubblePushLossRepairedByPoll(t *testing.T) {
 			t.Fatal(err)
 		}
 		// One jittered tick (at most 1.2 intervals) and the retry
-		// ladder's backoff on the connection the partition cut.
-		if took := time.Since(healed); took > poll*6/5+EdgeRetry.MaxDelay {
+		// ladder's one backoff on the connection the partition cut.
+		if took := time.Since(healed); took > poll*6/5+core.RetryBaseDelay {
 			t.Errorf("repaired %v after the heal, want within one poll interval (%v)", took, poll)
 		}
 		t.Logf("repaired %v after the heal, on virtual time", time.Since(healed))
@@ -293,7 +294,7 @@ func TestBubbleServeStaleWaitsOnNothing(t *testing.T) {
 		tr.SeverOrigin()
 		time.Sleep(2 * ttl)
 
-		ladder := time.Duration(EdgeRetry.MaxAttempts)*EdgeRetry.PeerTimeout + EdgeRetry.MaxDelay*6/5
+		ladder := time.Duration(EdgeRetry.MaxAttempts)*EdgeRetry.PeerTimeout + core.RetryBaseDelay
 		tripped := map[string]bool{}
 		for round := 0; round < 3; round++ {
 			for _, name := range names {

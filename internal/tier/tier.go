@@ -40,26 +40,12 @@ import (
 const Pages = 8
 
 // ClientRetry is the terminal-client policy.
-var ClientRetry = core.RetryPolicy{
-	MaxAttempts: 2,
-	PeerTimeout: 2 * time.Second,
-	BaseDelay:   2 * time.Millisecond,
-	MaxDelay:    10 * time.Millisecond,
-	Jitter:      0.2,
-	Seed:        23,
-}
+var ClientRetry = core.RetryPolicy{MaxAttempts: 2, PeerTimeout: 2 * time.Second}
 
 // EdgeRetry is the edge→origin policy: a severed origin's redial gives
 // up after 40ms, so the edge falls into the stale path within one
 // short ladder.
-var EdgeRetry = core.RetryPolicy{
-	MaxAttempts: 2,
-	PeerTimeout: 40 * time.Millisecond,
-	BaseDelay:   2 * time.Millisecond,
-	MaxDelay:    10 * time.Millisecond,
-	Jitter:      0.2,
-	Seed:        17,
-}
+var EdgeRetry = core.RetryPolicy{MaxAttempts: 2, PeerTimeout: 40 * time.Millisecond}
 
 // Health is the breaker every endpoint set in the tier runs on unless
 // Options.Health overrides it.

@@ -5,7 +5,9 @@ package video
 // handling rather than passing structs around.
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -67,14 +69,25 @@ func ParseMaster(src string) ([]ParsedVariant, error) {
 				if !ok {
 					continue
 				}
+				var err error
 				switch key {
 				case "BANDWIDTH":
-					v.Bandwidth, _ = strconv.Atoi(val)
+					v.Bandwidth, err = count(val)
 				case "FRAME-RATE":
-					f, _ := strconv.ParseFloat(val, 64)
+					var f float64
+					f, err = strconv.ParseFloat(val, 64)
+					if err == nil && !(f >= 0 && f <= math.MaxInt32) {
+						err = errOutOfRange
+					}
 					v.FPS = int(f)
 				case "RESOLUTION":
-					fmt.Sscanf(val, "%dx%d", &v.Width, &v.Height)
+					w, h, _ := strings.Cut(val, "x")
+					if v.Width, err = count(w); err == nil {
+						v.Height, err = count(h)
+					}
+				}
+				if err != nil {
+					return nil, fmt.Errorf("video: bad %s in %q: %w", key, line, err)
 				}
 			}
 			pending = v
@@ -109,10 +122,13 @@ func ParseMediaSegments(src string) (uris []string, durations []time.Duration, e
 		case strings.HasPrefix(line, "#EXTINF:"):
 			v := strings.TrimSuffix(strings.TrimPrefix(line, "#EXTINF:"), ",")
 			secs, err := strconv.ParseFloat(strings.TrimSuffix(v, ","), 64)
-			if err != nil {
+			// A duration is finite, not negative, and fits a
+			// time.Duration; NaN fails both comparisons.
+			ns := secs * float64(time.Second)
+			if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
 				return nil, nil, fmt.Errorf("video: bad EXTINF %q", line)
 			}
-			pendingDur = time.Duration(secs * float64(time.Second))
+			pendingDur = time.Duration(ns)
 			havePending = true
 		case line == "" || strings.HasPrefix(line, "#"):
 		default:
@@ -124,6 +140,17 @@ func ParseMediaSegments(src string) (uris []string, durations []time.Duration, e
 		}
 	}
 	return uris, durations, nil
+}
+
+var errOutOfRange = errors.New("out of range")
+
+// count parses a non-negative decimal integer attribute value.
+func count(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && n < 0 {
+		err = errOutOfRange
+	}
+	return n, err
 }
 
 // splitAttrs splits an attribute list on commas outside quotes.

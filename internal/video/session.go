@@ -18,12 +18,11 @@ type SessionConfig struct {
 	Device  device.Profile
 	Ability http2.GenAbility
 	Want    Variant
-	// StartupBuffer is how much content the player fetches before
-	// starting playback.
-	StartupBuffer time.Duration
-	// Booster overrides DefaultBooster when set.
-	Booster *Booster
 }
+
+// startupBuffer is how much content the player fetches before starting
+// playback.
+const startupBuffer = 8 * time.Second
 
 // A SessionReport summarizes one simulated playback.
 type SessionReport struct {
@@ -58,13 +57,6 @@ type SessionReport struct {
 
 // Play simulates the full playback of s under cfg.
 func Play(s *Stream, cfg SessionConfig) (*SessionReport, error) {
-	booster := cfg.Booster
-	if booster == nil {
-		booster = DefaultBooster
-	}
-	if cfg.StartupBuffer <= 0 {
-		cfg.StartupBuffer = 8 * time.Second
-	}
 	d := Negotiate(s, cfg.Want, cfg.Ability)
 	rep := &SessionReport{Delivery: d}
 
@@ -72,7 +64,7 @@ func Play(s *Stream, cfg SessionConfig) (*SessionReport, error) {
 	segDownload := cfg.Device.TransmitTime(segBytes)
 	var segWork time.Duration
 	if d.BoostFrames || d.UpscaleRes {
-		w, err := booster.SegmentWork(cfg.Device.Class, d, s.SegmentDuration)
+		w, err := DefaultBooster.SegmentWork(cfg.Device.Class, d, s.SegmentDuration)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +73,7 @@ func Play(s *Stream, cfg SessionConfig) (*SessionReport, error) {
 	segReady := segDownload + segWork
 
 	// Startup: fetch and restore enough segments to fill the buffer.
-	startSegs := int(cfg.StartupBuffer / s.SegmentDuration)
+	startSegs := int(startupBuffer / s.SegmentDuration)
 	if startSegs < 1 {
 		startSegs = 1
 	}

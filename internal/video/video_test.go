@@ -117,11 +117,33 @@ func TestPlaylistRoundTrip(t *testing.T) {
 }
 
 func TestParseMasterErrors(t *testing.T) {
-	if _, err := ParseMaster("not a playlist"); err == nil {
-		t.Error("garbage should fail")
+	for _, c := range []struct{ name, src string }{
+		{"garbage", "not a playlist"},
+		{"empty ladder", "#EXTM3U\n"},
+		{"negative bandwidth", "#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=-7\nv.m3u8\n"},
+		{"negative resolution", "#EXTM3U\n#EXT-X-STREAM-INF:RESOLUTION=-3x-4\nv.m3u8\n"},
+		{"resolution without height", "#EXTM3U\n#EXT-X-STREAM-INF:RESOLUTION=1920\nv.m3u8\n"},
+		{"NaN frame rate", "#EXTM3U\n#EXT-X-STREAM-INF:FRAME-RATE=NaN\nv.m3u8\n"},
+		{"infinite frame rate", "#EXTM3U\n#EXT-X-STREAM-INF:FRAME-RATE=Inf\nv.m3u8\n"},
+		{"negative frame rate", "#EXTM3U\n#EXT-X-STREAM-INF:FRAME-RATE=-30\nv.m3u8\n"},
+		{"frame rate past int", "#EXTM3U\n#EXT-X-STREAM-INF:FRAME-RATE=1e300\nv.m3u8\n"},
+	} {
+		if vs, err := ParseMaster(c.src); err == nil {
+			t.Errorf("%s: parsed %+v, want an error", c.name, vs)
+		}
 	}
-	if _, err := ParseMaster("#EXTM3U\n"); err == nil {
-		t.Error("empty ladder should fail")
+}
+
+func TestParseMediaSegmentsErrors(t *testing.T) {
+	for _, extinf := range []string{"-5", "-0.001", "NaN", "Inf", "-Inf", "1e300", "9223372037", "soon"} {
+		src := "#EXTM3U\n#EXTINF:" + extinf + ",\nseg0.ts\n"
+		if uris, durs, err := ParseMediaSegments(src); err == nil {
+			t.Errorf("EXTINF:%s parsed to %v %v, want an error", extinf, uris, durs)
+		}
+	}
+	// The largest duration a time.Duration holds still parses.
+	if _, durs, err := ParseMediaSegments("#EXTM3U\n#EXTINF:9223372036,\nseg0.ts\n"); err != nil || durs[0] != 9223372036*time.Second {
+		t.Errorf("EXTINF:9223372036 parsed to %v, %v", durs, err)
 	}
 }
 
